@@ -37,6 +37,25 @@ to the unfused chain), while the Torch backend compiles the
 (falling back to an eager fused form when compilation is unavailable).
 Gate it with :func:`~repro.config.use_fusion` / ``set_fusion``.
 
+BLAS threads
+------------
+:func:`blas_threads` and :func:`set_blas_threads` read and set this
+process's OpenBLAS thread count (:mod:`repro.backend.threads`; no-ops
+when numpy and scipy bundle no OpenBLAS).  The process and torchdist
+shard transports use them to give every worker process a budget of
+``max(1, usable_cpus // (g + 1))`` threads, with the usable CPUs taken
+from the process's affinity mask and the ``+ 1`` leaving room for the
+parent, which runs the correction and update while the workers form the
+next block.  An ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` set in
+the environment wins over the computed budget.  Without the budget each
+of the ``g`` workers runs a full-width OpenBLAS on the same cores.
+
+The parent process and the thread transport keep their thread counts.
+The setting is per process, so a cap there would also throttle the
+parent's setup ``eigh`` and its predicts: on a 2-vCPU host, one BLAS
+thread for a whole ``fit-sharded`` benchmark run raised its setup time
+from ~1.4 s to ~1.75 s and cut its predict throughput by ~18%.
+
 Operation counts recorded through :mod:`repro.instrument` are computed from
 array *shapes*, never from backend state, so a metered EigenPro epoch
 reports identical op counts on every backend — fused or decomposed — the
@@ -53,6 +72,7 @@ import numpy as np
 
 from repro.backend.base import ArrayBackend
 from repro.backend.numpy_backend import NumpyBackend
+from repro.backend.threads import blas_threads, set_blas_threads
 from repro.backend.torch_backend import TorchBackend
 from repro.config import (
     MIXED_PRECISION,
@@ -78,10 +98,12 @@ __all__ = [
     "TorchBackend",
     "available_backends",
     "backend_of",
+    "blas_threads",
     "get_backend",
     "match_dtype",
     "resolve_backend",
     "set_backend",
+    "set_blas_threads",
     "to_numpy",
     "use_backend",
     # re-exported precision switch

@@ -13,6 +13,8 @@ import uuid
 from datetime import datetime, timezone
 from typing import Any
 
+from repro.backend import blas_threads
+
 __all__ = ["new_run_id", "resolve_commit"]
 
 
@@ -37,11 +39,16 @@ def new_run_id(commit: str | None = None) -> dict[str, Any]:
     """A fresh structured run identifier.
 
     Returns ``{"id": <uuid hex>, "started_at": <UTC ISO timestamp>,
-    "commit": <sha or None>}`` — the shape stamped into bench payloads
-    and metrics snapshots.
+    "commit": <sha or None>, "blas_threads": <int or None>}`` — the
+    shape stamped into bench payloads and metrics snapshots.
+    ``blas_threads`` is this process's BLAS thread count
+    (:func:`repro.backend.blas_threads`); shard worker processes run
+    with their own budget, reported by
+    :attr:`repro.shard.ShardGroup.worker_blas_threads`.
     """
     return {
         "id": uuid.uuid4().hex,
         "started_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "commit": commit if commit is not None else resolve_commit(),
+        "blas_threads": blas_threads(),
     }

@@ -504,6 +504,12 @@ class ModelServer:
                 f"request has {x_host.shape[1]} features, model expects "
                 f"{self._d}"
             )
+        if x_host.dtype.kind in "fc" and not np.isfinite(x_host).all():
+            # A NaN or inf row would come back as a NaN prediction that
+            # looks like a success; refuse it here, before it queues.
+            raise ConfigurationError(
+                "request rows must be finite (got NaN or inf)"
+            )
         now = time.perf_counter()
         req = _Request(
             x=x_host,

@@ -192,6 +192,12 @@ class ShardGroup:
     def executors(self) -> list:
         return self.transport.executors
 
+    @property
+    def worker_blas_threads(self) -> int | None:
+        """BLAS threads each worker process was given (``None`` on the
+        thread transport, whose workers share the caller's count)."""
+        return self.transport.worker_blas_threads
+
     def __enter__(self) -> "ShardGroup":
         return self
 

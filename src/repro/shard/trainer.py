@@ -52,10 +52,13 @@ splits into
 FIFO order runs contraction ``t`` before formation ``t+1`` on every
 worker, so one workspace buffer per shard suffices.  This is the only
 sharded schedule: on the ``fit-sharded`` benchmark workload (process
-transport, g=2, m=256, default BLAS threads, a 2-vCPU host) a strictly
-serial step (one fused form + contract task) was slower in 10 of 10
-paired runs.  Nothing stale is ever read — the prefetch touches no array the
-update writes — so the weights match the unsharded trainer.
+transport, g=2, m=256, a 2-vCPU host) a strictly serial step (one fused
+form + contract task) was slower in 18 of 20 paired runs.  That
+comparison predates the per-worker BLAS thread budget
+(:mod:`repro.shard.transport.process`): both schedules ran with every
+worker's OpenBLAS oversubscribing the cores.  Nothing stale is ever
+read — the prefetch touches no array the update writes — so the weights
+match the unsharded trainer.
 
 Asynchronous mirror-back
 ------------------------

@@ -435,6 +435,11 @@ class ShardTransport(abc.ABC):
     #: this to know where exactness ends and 1e-6-of-scale begins.
     exact_collective_max_g: int | None = None
 
+    #: BLAS thread count given to each worker *process* (see
+    #: :mod:`repro.shard.transport.process`); ``None`` when the workers
+    #: share the caller's process and so its thread count.
+    worker_blas_threads: int | None = None
+
     plan: ShardPlan
     #: Caller-side executor handles, one per shard, in shard order.  Their
     #: concrete type is transport-specific but all expose ``shard_id``,

@@ -37,6 +37,22 @@ Architecture
   (a ``weakref.finalize`` backstops segment cleanup at interpreter
   exit).
 
+- **BLAS thread budget.**  Each worker process runs its OpenBLAS with
+  ``max(1, usable_cpus // (g + 1))`` threads (usable CPUs from the
+  parent's affinity mask; ``+ 1`` leaves room for the parent, which runs
+  the correction and update while the workers form the next block).  An
+  ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` in the parent's
+  environment wins.  The parent computes the budget
+  (:attr:`ProcessTransport.worker_blas_threads`) and ships it in the
+  worker spec; the child applies it with
+  :func:`repro.backend.set_blas_threads` before it attaches anything, so
+  fork and spawn children behave the same.  Without it ``g`` full-width
+  OpenBLAS pools share the same cores: on the ``fit-sharded`` benchmark
+  (g=2, a 2-vCPU host) the budget cut the median fit time from ~6.7 s to
+  ~4.4 s.  The parent keeps its own thread count — the setting is per
+  process, and a cap there would also slow its setup ``eigh`` and its
+  predicts (see :mod:`repro.backend`).
+
 Availability: requires :mod:`multiprocessing.shared_memory` and a
 ``fork`` start method (the default here; ``spawn`` is accepted via
 ``start_method=`` for platforms that need it, with the stricter
@@ -54,6 +70,7 @@ turns these workers into ``torch.distributed`` ranks.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import pickle
 import traceback
 import weakref
@@ -69,6 +86,7 @@ from repro.backend import (
     NumpyBackend,
     current_precision,
     resolve_backend,
+    set_blas_threads,
 )
 from repro.exceptions import ConfigurationError, ShardError
 from repro.observe.tracer import span, tracing_active
@@ -83,6 +101,10 @@ __all__ = [
 
 _SHUTDOWN = None  # sentinel message ending a worker's loop
 
+#: Environment variables whose explicit thread count overrides the
+#: computed worker budget, in the order OpenBLAS itself reads them.
+_THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def process_transport_available() -> bool:
     """True when this platform supports the process transport's default
@@ -93,6 +115,24 @@ def process_transport_available() -> bool:
         return "fork" in multiprocessing.get_all_start_methods()
     except Exception:  # pragma: no cover - exotic platforms
         return False
+
+
+def _worker_blas_budget(g: int) -> int:
+    """BLAS threads for each of ``g`` worker processes (module
+    docstring): an explicit ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``
+    wins, else the usable CPUs split over the workers plus the parent."""
+    for name in _THREAD_ENV:
+        try:
+            n = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if n >= 1:
+            return n
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - no affinity masks
+        cpus = os.cpu_count() or 1
+    return max(1, cpus // (g + 1))
 
 
 @dataclass(frozen=True)
@@ -120,6 +160,8 @@ class _WorkerSpec:
     #: parent (its registry is a set, so the duplicate register from the
     #: attach is harmless) and unregistering would over-remove.
     unregister_segments: bool
+    #: BLAS thread count the child sets before serving (module docstring).
+    blas_threads: int
     #: Backend spec the child resolves for its worker (``None`` → a fresh
     #: :class:`~repro.backend.NumpyBackend` instance).  Always a string
     #: or ``None`` — backend *instances* never cross the pickle boundary.
@@ -173,6 +215,7 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
         from repro.kernels.ops import block_workspace
 
         block_workspace().reset()
+        set_blas_threads(spec.blas_threads)
         shm_c, centers_all = _attach_segment(
             spec.centers, spec.unregister_segments
         )
@@ -542,6 +585,7 @@ class ProcessTransport(ShardTransport):
             weights=weights_spec,
             unregister_segments=start_method != "fork",
             backend_spec=self._backend_specs[shard_id],
+            blas_threads=self.worker_blas_threads,
         )
 
     def __init__(
@@ -558,6 +602,7 @@ class ProcessTransport(ShardTransport):
             start_method = self._default_start_method()
         ctx = multiprocessing.get_context(start_method)
         self.plan = plan
+        self.worker_blas_threads = _worker_blas_budget(plan.g)
 
         # Validate before any shared-memory segment exists: a rejected
         # configuration must not leave an orphaned segment behind.

@@ -51,6 +51,9 @@ death, segments always unlinked.  This transport adds:
   ``use_precision("mixed")`` each rank upcasts its float32 partial to
   float64 before the collective, matching the host-side accumulate
   dtype bit for bit at ``g <= 2``.
+- **Thread budget.**  Ranks inherit the process transport's per-worker
+  BLAS thread budget; the bootstrap also applies it to torch's intra-op
+  pool (``torch.set_num_threads``).
 - **Start method.**  Always ``spawn`` by default: NCCL (and CUDA
   contexts generally) are unsupported across ``fork``, and gloo's
   threads are healthiest in a fresh interpreter.  Workers therefore only
@@ -125,10 +128,15 @@ def _spec_wants_cuda(spec: Any) -> bool:
 def _join_process_group(spec: _WorkerSpec) -> None:
     """Child bootstrap: join the transport's process group as this
     shard's rank (runs before the serve loop; blocks until every rank
-    has joined or ``timeout_s`` elapses)."""
+    has joined or ``timeout_s`` elapses).  Torch's intra-op pool gets
+    the same thread budget the worker already gave its OpenBLAS."""
     import datetime
     import os
     import sys
+
+    import torch
+
+    torch.set_num_threads(spec.blas_threads)
 
     # All ranks share one host; pin gloo to the loopback interface so it
     # never depends on the container's hostname resolution.  The
@@ -140,8 +148,6 @@ def _join_process_group(spec: _WorkerSpec) -> None:
     if _spec_wants_cuda(spec.backend_spec):
         device = spec.backend_spec.split(":", 1)[1]  # "cuda" or "cuda:<i>"
         if ":" in device:
-            import torch
-
             torch.cuda.set_device(int(device.rsplit(":", 1)[-1]))
     import torch.distributed as dist
 

@@ -26,6 +26,7 @@ from repro.observe import MetricsRegistry, Tracer, trace_scope
 from repro.serve import (
     SNAPSHOT_EXPORTERS,
     ModelServer,
+    PredictRequest,
     ServeOptions,
     register_exporter,
 )
@@ -249,6 +250,32 @@ def test_request_validation(problem):
                 server.submit(np.zeros((2, D + 1)))
             with pytest.raises(ConfigurationError, match=r"\(b, d\)"):
                 server.submit(np.zeros((2, 2, D)))
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_rows_rejected_others_unaffected(problem, bad):
+    """A NaN/inf row is refused at enqueue, never served as a NaN
+    prediction; requests around it are served bit for bit."""
+    _, _, _, x = problem
+    poisoned = x[:3].copy()
+    poisoned[1, 2] = bad
+    with _build_group(problem, "thread", 2) as group:
+        want = np.asarray(sharded_predict(group, x))
+        with ModelServer(
+            group=group,
+            options=ServeOptions(max_batch_requests=4, batch_wait_s=0.02),
+        ) as server:
+            good = [server.submit(x) for _ in range(2)]
+            with pytest.raises(ConfigurationError, match="finite"):
+                server.submit(poisoned)
+            with pytest.raises(ConfigurationError, match="finite"):
+                server.submit_request(PredictRequest(rows=poisoned[1]))
+            good.append(server.submit(x))
+            for f in good:
+                np.testing.assert_array_equal(f.result(timeout=60), want)
+        assert server.stats()["counters"]["serve/requests"] == len(good)
 
 
 # --------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -184,6 +185,33 @@ def test_malformed_requests_400(served, payload):
     status, body = _post(f"{http_srv.url}/predict", payload)
     assert status == 400
     assert body["error"] == "bad_request" and body["detail"]
+
+
+@pytest.mark.parametrize(
+    "bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"]
+)
+def test_non_finite_rows_400_others_unaffected(served, bad):
+    """``json.dumps`` writes non-finite floats as JSON's NaN/Infinity
+    literals, which decode back to non-finite rows: the engine refuses
+    them with a 400, while concurrent well-formed requests from other
+    callers still come back bitwise."""
+    group, _, http_srv = served
+    x = np.random.default_rng(43).standard_normal((3, D))
+    poisoned = x.copy()
+    poisoned[1, 2] = bad
+    want = np.asarray(sharded_predict(group, x))
+    client = HttpClient(http_srv.url)
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        good = [pool.submit(client.predict, x) for _ in range(3)]
+        status, body = _post(
+            f"{http_srv.url}/predict", {"rows": poisoned.tolist()}
+        )
+        with pytest.raises(ConfigurationError, match="finite"):
+            client.predict(poisoned)
+        for f in good:
+            np.testing.assert_array_equal(f.result(timeout=60), want)
+    assert status == 400
+    assert body["error"] == "bad_request" and "finite" in body["detail"]
 
 
 def test_expired_deadline_maps_to_504_shed(served):
