@@ -60,8 +60,10 @@ def test_blocked_matvec_matches_budget(benchmark, data):
 
 
 def test_preconditioner_correction(benchmark, data):
-    """The s*m*q EigenPro correction — must be cheap relative to the
-    kernel block (Table 1's point)."""
+    """The EigenPro correction ``V D V^T (Phi^T g)`` — ``s*m*l + 2*s*q*l``
+    operations as executed, so never more than the ``n*m*l`` prediction
+    GEMM it rides along with (Table 1's point: cheap next to the kernel
+    block)."""
     x, batch, w = data
     kernel = GaussianKernel(bandwidth=5.0)
     ext = nystrom_extension(kernel, x, S, Q, seed=0)

@@ -8,6 +8,12 @@ touches every coordinate of ``alpha`` each iteration, and the per-iteration
 overhead scales as ``n*m*q`` compute / ``n*q`` memory (Table 1, row 2) —
 versus ``s*m*q`` / ``s*q`` for the improved iteration of Section 4.
 
+The correction ``V D V^T K[:, batch] g`` is evaluated right to left, in
+the same order as :meth:`repro.core.preconditioner.NystromPreconditioner.correction`:
+``K[:, batch] g`` (``n*m*l``), then ``V^T`` and ``V`` (``n*q*l`` each).
+The executed overhead is ``n*m*l + 2*n*q*l`` against the improved
+chain's ``s*m*l + 2*s*q*l`` — the table's ``n/s`` ratio exactly.
+
 Following the original paper (and matching the improved version's
 accuracy, as noted in Section 4 of the 2.0 paper), the eigensystem is
 computed on a subsample and Nyström-extended to all ``n`` points; the
@@ -140,17 +146,13 @@ class EigenPro1(BaseKernelTrainer):
         self, kb: np.ndarray, idx: np.ndarray, g: np.ndarray, gamma: float
     ) -> None:
         v = self.eigvecs_full_
-        m, l = g.shape
-        n = v.shape[0]
-        # Chain order realises the Table-1 n*m*q overhead:
-        # (V^T K[:, batch]) is (q, n) @ (n, m).
-        vt_k = v.T @ kb.T  # (q, m): n*m*q ops
-        t = vt_k @ g  # (q, l)
+        (n, q), (m, l) = v.shape, g.shape
+        # Same right-to-left order as the improved chain, with n in place
+        # of s: the overhead ratio is exactly n/s (Table 1).
+        t = v.T @ (kb.T @ g)  # (n, l) then (q, l): n*m*l + n*q*l ops
         t *= self._d_scale[:, None]
         self._alpha += gamma * (v @ t)  # (n, l): n*q*l ops
-        record_ops(
-            "precond", n * m * v.shape[1] + v.shape[1] * m * l + n * v.shape[1] * l
-        )
+        record_ops("precond", n * m * l + 2 * n * q * l)
 
     def _extra_iteration_ops(self, m: int) -> int:
         n, q, l = self.eigvecs_full_.shape[0], self.eigvecs_full_.shape[1], self._alpha.shape[1]

@@ -13,12 +13,20 @@ SGD                   ``n*m*(d+l)``              ``n*(m+d+l)``
 ====================  =========================  =======================
 
 The overhead terms (in bold in the paper) are ``s*m*q`` vs ``n*m*q`` — the
-improvement of Section 4 is exactly replacing ``n`` by ``s`` there.  These
-functions express the *leading-order* model of the table; the exact
-operation counts our implementation performs additionally include the
-``q*l``-scale terms of the matrix chain, exposed via the ``exact_*``
-functions so the instrumentation tests can assert equality with what the
-code actually does.
+improvement of Section 4 is exactly replacing ``n`` by ``s`` there.  The
+``*_cost`` functions express that *leading-order* table as printed.
+
+The code evaluates the correction chain ``V D V^T Phi g`` right to left
+(``Phi^T g`` first; see :mod:`repro.core.preconditioner`), so what it
+actually performs — and what the ``exact_*`` functions count, for the
+instrumentation tests to assert equality against — is
+
+- improved: ``s*m*l + 2*s*q*l``
+- original: ``n*m*l + 2*n*q*l``
+
+Their ratio is exactly ``n/s``, as in the table.  The batch term ``s*m*l``
+is bounded by the SGD step's own prediction GEMM ``n*m*l`` (``s <= n``),
+whereas the table's ``s*m*q`` exceeds that GEMM whenever ``s*q > n*l``.
 """
 
 from __future__ import annotations
@@ -117,19 +125,19 @@ def exact_sgd_ops(n: int, m: int, d: int, l: int) -> int:
 
 def exact_improved_overhead_ops(m: int, l: int, s: int, q: int) -> int:
     """Operations of the improved preconditioner chain
-    ``V @ (D * (V^T Phi)) @ g`` evaluated as
-    ``(V^T Phi) -> (q,m)``, ``@ g -> (q,l)``, ``V @ -> (s,l)``:
-    ``s*m*q + q*m*l + s*q*l``."""
+    ``V @ (D * (V^T (Phi^T g)))`` evaluated as
+    ``Phi^T g -> (s,l)``, ``V^T @ -> (q,l)``, ``V @ -> (s,l)``:
+    ``s*m*l + 2*s*q*l``."""
     _check_dims(m=m, l=l, s=s, q=q)
-    return s * m * q + q * m * l + s * q * l
+    return s * m * l + 2 * s * q * l
 
 
 def exact_original_overhead_ops(n: int, m: int, l: int, q: int) -> int:
     """Operations of the original preconditioner chain with the full-data
-    eigenvector matrix ``V`` of shape ``(n, q)``:
-    ``n*m*q + q*m*l + n*q*l``."""
+    eigenvector matrix ``V`` of shape ``(n, q)``, evaluated in the same
+    order as the improved one: ``n*m*l + 2*n*q*l``."""
     _check_dims(n=n, m=m, l=l, q=q)
-    return n * m * q + q * m * l + n * q * l
+    return n * m * l + 2 * n * q * l
 
 
 def overhead_fraction(

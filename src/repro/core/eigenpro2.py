@@ -39,6 +39,7 @@ from repro.device.presets import titan_xp
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
+from repro.kernels.ops import take_columns
 from repro.linalg.nystrom import NystromExtension, nystrom_extension
 
 __all__ = [
@@ -365,7 +366,7 @@ class EigenPro2(BaseKernelTrainer):
             return
         # Columns of the already-computed batch block at the subsample
         # indices give Phi^T for free (no new kernel evaluations).
-        phi_block = kb[:, self._sub_idx]
+        phi_block = take_columns(kb, self._sub_idx)
         self._accumulate_correction(
             self.preconditioner_.correction(phi_block, g), gamma
         )

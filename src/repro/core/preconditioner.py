@@ -12,9 +12,22 @@ and the diagonal
     D = Sigma^{-1} (1 - sigma_q Sigma^{-1}),
     D_ii = (1 - sigma_q/sigma_i) / sigma_i,
 
-so applying the preconditioner to a mini-batch gradient costs
-``s*m*q`` extra operations (Algorithm 1, step 5) and ``s*q`` extra memory
-(Table 1) — independent of ``n``.
+so applying the preconditioner to a mini-batch gradient (Algorithm 1,
+step 5) costs ``s*q`` extra memory (Table 1) — independent of ``n``.
+
+Section 4 prices the correction ``V D V^T Phi g`` at ``s*m*q``
+operations, the cost of forming ``V^T Phi`` first.  The code evaluates
+the same product right to left instead:
+
+    h = Phi^T g        (s, l)   s*m*l
+    t = D * (V^T h)    (q, l)   s*q*l
+    V t                (s, l)   s*q*l
+
+for ``s*m*l + 2*s*q*l`` operations in total.  The one term that grows
+with the batch, ``s*m*l``, can never exceed the step's own prediction
+GEMM ``K[batch, :] @ alpha`` (``n*m*l``), because ``s <= n``.  The
+``V^T Phi``-first order costs ``q/l`` times more: 7.5x that GEMM at
+``n = 8000``, ``s = 2000``, ``q = 300``, ``l = 10``.
 
 :meth:`NystromPreconditioner.modified_kernel` materialises the adaptive
 kernel ``k_G`` *explicitly* — not used in training (it would defeat the
@@ -120,7 +133,8 @@ class NystromPreconditioner:
             ``Phi^T`` of shape ``(m, s)`` — the kernel block between the
             mini-batch and the subsample points.  In training this is a
             column slice of the batch-vs-centers block already computed in
-            step 2, so it costs no extra kernel evaluations.
+            step 2 (:func:`~repro.kernels.ops.take_columns`), so it costs
+            no extra kernel evaluations.
         g:
             Batch residuals ``f(x_t) - y_t`` of shape ``(m, l)``.
 
@@ -142,34 +156,37 @@ class NystromPreconditioner:
             raise ConfigurationError(
                 f"g must have shape ({phi_block.shape[0]}, l), got {g.shape}"
             )
-        # When a kernel pinned below the working precision produced the
-        # batch block, it arrives up-cast (see trainer._iterate); lift the
-        # stored eigensystem to match.
         bk = backend_of(phi_block)
         block_dtype = bk.dtype_of(phi_block)
         g_dtype = bk.dtype_of(g)
-        v = match_dtype(self.extension.eigvecs, block_dtype, bk)  # (s, q)
         m, l = g.shape
-        # Chain order matches the Table-1 cost model: (V^T Phi) first.
-        vt_phi = v.T @ phi_block.T  # (q, m): s*m*q ops
+        # Phi^T g first: the only term with m in it costs s*m*l, which
+        # s <= n keeps below the step's own n*m*l prediction GEMM.
         if g_dtype != block_dtype:
             # Mixed precision: residuals arrive in the accumulation dtype
             # (float64) while the block stayed in the compute dtype.  The
-            # dominant s*m*q contraction above already ran low; the small
-            # (q, m, l) / (s, q, l) tails and the returned correction run
-            # — and accumulate — in the residual's dtype, with the D
-            # diagonal taken from its float64 source rather than the
-            # downcast native copy.
+            # s*m*l contraction runs low against a downcast copy of g
+            # (as the prediction GEMM does with the weights); the small
+            # (s, q, l) tails and the returned correction run — and
+            # accumulate — in the residual's dtype, with the D diagonal
+            # taken from its float64 source rather than the downcast
+            # native copy.
             acc_dtype = np.result_type(block_dtype, g_dtype)
-            t = match_dtype(vt_phi, acc_dtype, bk) @ g  # (q, l): q*m*l ops
-            t *= bk.asarray(self.d_scale, dtype=acc_dtype)[:, None]
-            out = match_dtype(v, acc_dtype, bk) @ t  # (s, l): s*q*l ops
+            h = phi_block.T @ match_dtype(g, block_dtype, bk)
+            h = match_dtype(h, acc_dtype, bk)  # (s, l): s*m*l ops
+            d = bk.asarray(self.d_scale, dtype=acc_dtype)
         else:
-            d_native = match_dtype(self._d_scale_native, block_dtype, bk)
-            t = vt_phi @ g  # (q, l): q*m*l ops
-            t *= d_native[:, None]
-            out = v @ t  # (s, l): s*q*l ops
-        record_ops("precond", self.s * m * self.q + self.q * m * l + self.s * self.q * l)
+            # A kernel pinned below the working precision delivers the
+            # batch block up-cast (see trainer._consume_block); the stored
+            # eigensystem is lifted to match below.
+            acc_dtype = block_dtype
+            h = phi_block.T @ g  # (s, l): s*m*l ops
+            d = match_dtype(self._d_scale_native, acc_dtype, bk)
+        v = match_dtype(self.extension.eigvecs, acc_dtype, bk)  # (s, q)
+        t = v.T @ h  # (q, l): s*q*l ops
+        t *= d[:, None]
+        out = v @ t  # (s, l): s*q*l ops
+        record_ops("precond", self.s * m * l + 2 * self.s * self.q * l)
         return out
 
     # ------------------------------------------------------------ analysis

@@ -20,6 +20,11 @@ coordinate update, correction) before the next step starts.  The speed
 comes from the analytic batch size filling the device with one block,
 not from overlapping steps.
 
+Under an active tracer (:mod:`repro.observe`) a fit records one
+``setup`` span, an ``epoch`` span per epoch holding the steps'
+``form_block``, ``gemm`` and ``correction`` spans, and a ``monitor``
+span per epoch around the train-MSE predict.
+
 Update convention
 -----------------
 The batch coordinate update is ``alpha_t -= (eta / m) * (f(x_t) - y_t)``
@@ -308,7 +313,8 @@ class BaseKernelTrainer:
         # block (shift-invariant kernels only; None otherwise).
         self._x_sq_norms = center_sq_norms(self.kernel, x, bk)
         self._alpha = bk.zeros((n, l), dtype=master_dtype)
-        self._setup(x, y)
+        with span("setup", n=n):
+            self._setup(x, y)
         if self.batch_size_ is None or self.step_size_ is None:
             raise ConfigurationError(
                 f"{type(self).__name__}._setup failed to choose batch/step size"
@@ -366,7 +372,8 @@ class BaseKernelTrainer:
                         ops = idx.shape[0] * n * (d + l)
                         ops += self._extra_iteration_ops(idx.shape[0])
                         self.device.charge_iteration(ops)
-                train_mse = self.model_.mse(x[monitor_idx], y[monitor_idx])
+                with span("monitor", epoch=epoch, rows=int(monitor_idx.shape[0])):
+                    train_mse = self.model_.mse(x[monitor_idx], y[monitor_idx])
                 val_error = (
                     self.model_.classification_error(x_val, y_val)
                     if x_val is not None and y_val is not None

@@ -176,6 +176,7 @@ def nystrom_extension(
         rejected).
     seed:
         RNG seed for the subsample draw (ignored if ``indices`` given).
+        Drawn indices come back sorted.
     method:
         Eigensolver selection, forwarded to
         :func:`repro.linalg.top_eigensystem`.
@@ -192,8 +193,11 @@ def nystrom_extension(
     if not 1 <= q < max(s, 2):
         raise ConfigurationError(f"q must be in [1, {s - 1}], got {q}")
     if indices is None:
+        # Sorted, so Phi's column gather from each batch block walks
+        # memory forward (see repro.kernels.ops.take_columns); the set
+        # drawn for a seed is unchanged.
         rng = np.random.default_rng(seed)
-        indices = rng.choice(n, size=s, replace=False)
+        indices = np.sort(rng.choice(n, size=s, replace=False))
     else:
         indices = np.asarray(indices, dtype=np.intp)
         if indices.shape != (s,):

@@ -96,7 +96,7 @@ from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import record_ops
 from repro.kernels.base import Kernel
-from repro.kernels.ops import block_workspace
+from repro.kernels.ops import block_workspace, take_columns
 from repro.observe.tracer import record_span, span, tracing_active
 from repro.shard.group import PendingMap, ShardGroup
 from repro.shard.ops import sharded_predict
@@ -144,10 +144,9 @@ def _form_block_task(
         local = worker.state.get("local_sub")
         if local is not None and local.size:
             # Columns of the batch block at this shard's subsample
-            # centers — advanced indexing copies, so the block scratch
-            # may be recycled (and the copy shipped cross-process)
-            # safely.
-            phi_i = kb[:, local]
+            # centers — a copy, so the block scratch may be recycled
+            # (and the copy shipped cross-process) safely.
+            phi_i = take_columns(kb, local)
     return phi_i
 
 

@@ -82,12 +82,16 @@ class TestCostFormulas:
         assert exact_sgd_ops(100, 5, 3, 2) == 5 * 100 * 3 + 5 * 100 * 2
         assert (
             exact_improved_overhead_ops(m=5, l=2, s=20, q=4)
-            == 20 * 5 * 4 + 4 * 5 * 2 + 20 * 4 * 2
+            == 20 * 5 * 2 + 2 * 20 * 4 * 2
         )
         assert (
             exact_original_overhead_ops(n=100, m=5, l=2, q=4)
-            == 100 * 5 * 4 + 4 * 5 * 2 + 100 * 4 * 2
+            == 100 * 5 * 2 + 2 * 100 * 4 * 2
         )
+        # Same chain with n in place of s: the ratio is exactly n/s.
+        assert exact_original_overhead_ops(
+            n=100, m=5, l=2, q=4
+        ) == 5 * exact_improved_overhead_ops(m=5, l=2, s=20, q=4)
 
 
 class TestStep1BatchSizes:

@@ -9,9 +9,12 @@ interpolating solution as the original kernel.
 import numpy as np
 import pytest
 
+from repro.core.cost import exact_improved_overhead_ops
 from repro.core.preconditioner import NystromPreconditioner
 from repro.exceptions import ConfigurationError
+from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel
+from repro.kernels.ops import take_columns
 from repro.linalg import nystrom_extension, top_eigensystem
 
 
@@ -128,16 +131,36 @@ class TestCorrection:
         assert out.shape == (200, 3)
 
     def test_matches_dense_formula(self, setup):
+        self.test_matches_dense_across_label_counts(setup, 2)
+
+    @pytest.mark.parametrize("l", [3, 12, 1], ids=["l<q", "l>q", "l=1"])
+    def test_matches_dense_across_label_counts(self, setup, l):
+        """The right-to-left chain equals the dense product to rounding,
+        whether the label count is below, above or at one."""
         _, x, ext = setup
         q = 7
         p = NystromPreconditioner(ext, q)
         rng = np.random.default_rng(2)
         phi = rng.standard_normal((5, 200))
-        g = rng.standard_normal((5, 2))
+        g = rng.standard_normal((5, l))
         v = ext.eigvecs[:, :q]
         d = np.diag(p.d_scale)
         expected = v @ d @ v.T @ phi.T @ g
-        np.testing.assert_allclose(p.correction(phi, g), expected, atol=1e-10)
+        out = p.correction(phi, g)
+        assert out.shape == (200, l)
+        err = np.linalg.norm(out - expected) / np.linalg.norm(expected)
+        assert err <= 1e-12
+
+    @pytest.mark.parametrize("m,l", [(13, 3), (4, 12), (9, 1)])
+    def test_metered_ops_match_cost_model(self, setup, m, l):
+        """The correction records exactly the executed chain's count,
+        ``s*m*l + 2*s*q*l`` (Table 1's exact improved overhead)."""
+        _, _, ext = setup
+        p = NystromPreconditioner(ext, 7)
+        rng = np.random.default_rng(3)
+        with meter_scope() as meter:
+            p.correction(rng.standard_normal((m, 200)), rng.standard_normal((m, l)))
+        assert meter.total("precond") == exact_improved_overhead_ops(m, l, 200, 7)
 
     def test_zero_residual_zero_correction(self, setup):
         _, _, ext = setup
@@ -153,6 +176,43 @@ class TestCorrection:
             p.correction(np.zeros((4, 199)), np.zeros((4, 1)))
         with pytest.raises(ConfigurationError):
             p.correction(np.zeros((4, 200)), np.zeros((3, 1)))
+
+
+class TestPhiGather:
+    """Phi is a column gather from the batch block; drawn subsample
+    indices are sorted so that gather walks memory forward."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_take_columns_bitwise_equals_fancy_index(self, dtype):
+        rng = np.random.default_rng(4)
+        kb = rng.standard_normal((37, 300)).astype(dtype)
+        for idx in (
+            np.sort(rng.choice(300, 50, replace=False)),
+            rng.choice(300, 50, replace=False),
+            np.array([299, 0, 5], dtype=np.intp),
+        ):
+            got = take_columns(kb, idx)
+            ref = kb[:, idx]
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            np.testing.assert_array_equal(got, ref)
+            assert got.flags.c_contiguous and not np.shares_memory(got, kb)
+
+    def test_drawn_indices_sorted_same_points_as_rng_choice(self, setup):
+        kernel, x, _ = setup
+        for seed in (0, 7, 123):
+            ext = nystrom_extension(kernel, x, 64, 5, seed=seed)
+            drawn = np.random.default_rng(seed).choice(200, size=64, replace=False)
+            assert np.all(np.diff(ext.indices) > 0)
+            np.testing.assert_array_equal(ext.indices, np.sort(drawn))
+            np.testing.assert_array_equal(ext.points, x[ext.indices])
+
+    def test_explicit_indices_keep_caller_order(self, setup):
+        kernel, x, _ = setup
+        idx = np.random.default_rng(5).choice(200, size=40, replace=False)
+        assert np.any(np.diff(idx) < 0)  # genuinely unsorted
+        ext = nystrom_extension(kernel, x, 40, 5, indices=idx)
+        np.testing.assert_array_equal(ext.indices, idx)
+        np.testing.assert_array_equal(ext.points, x[idx])
 
 
 class TestSolutionInvariance:

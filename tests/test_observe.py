@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.backend import NumpyBackend
+from repro.core.eigenpro2 import EigenPro2
 from repro.instrument import OpMeter, meter_scope
 from repro.kernels import GaussianKernel
 from repro.observe import (
@@ -282,6 +283,40 @@ class TestTransportSpanRelayParity:
         assert ref <= got, f"{transport}: missing spans {ref - got}"
         assert got - ref <= {"mirror"}, (
             f"{transport}: unexpected spans {got - ref}"
+        )
+
+
+class TestFitPhaseSpans:
+    """A traced fit spans its setup once and its train-MSE monitor once
+    per epoch, sharded or not, so no phase of the fit goes unspanned."""
+
+    @pytest.mark.parametrize("sharded", [False, True])
+    def test_one_setup_one_monitor_per_epoch(self, sharded):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((160, 6))
+        y = np.tanh(x @ rng.standard_normal((6, 2)))
+        opts = dict(s=24, batch_size=32, seed=0)
+        kernel = GaussianKernel(bandwidth=2.0)
+        trainer = (
+            ShardedEigenPro2(kernel, n_shards=2, **opts)
+            if sharded
+            else EigenPro2(kernel, **opts)
+        )
+        tracer = Tracer()
+        try:
+            with trace_scope(tracer):
+                trainer.fit(x, y, epochs=3)
+        finally:
+            if sharded:
+                trainer.close()
+        counts = tracer.counts()
+        assert counts["setup"] == 1
+        assert counts["monitor"] == 3
+        monitors = [ev for ev in tracer.events if ev.name == "monitor"]
+        assert [ev.attrs["epoch"] for ev in monitors] == [1, 2, 3]
+        (setup,) = [ev for ev in tracer.events if ev.name == "setup"]
+        assert setup.start_s + setup.duration_s <= min(
+            ev.start_s for ev in tracer.events if ev.name == "epoch"
         )
 
 
