@@ -24,11 +24,19 @@ stdout and under ``benchmarks/results/fused.json`` by default.  The
 payload's per-backend gaussian-matvec rows are the
 ``fused-hot-path/<backend>`` series of the bench trajectory
 (``merge_trajectory.py`` / ``check_trajectory.py``).
+
+Under pytest (``python -m pytest benchmarks/bench_fused.py``, add
+``--benchmark-disable`` for a one-shot smoke) the module times the NumPy
+block former at the ``fit-large-batch`` step shape — one 8000 x 8000
+float64 Gaussian block, d=32 — tiled over the process's compute threads
+against the single-pass chain, and asserts the two blocks are bitwise
+equal.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import pathlib
 import statistics
@@ -36,8 +44,15 @@ import sys
 import time
 
 import numpy as np
+import pytest
 
-from repro.backend import available_backends, to_numpy, use_backend
+from repro.backend import (
+    ArrayBackend,
+    NumpyBackend,
+    available_backends,
+    to_numpy,
+    use_backend,
+)
 from repro.config import use_fusion, use_precision
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.kernels.ops import kernel_matvec
@@ -173,6 +188,43 @@ def run_bench(
         "rows": rows,
         "claims": claims,
     }
+
+
+class _SinglePass(NumpyBackend):
+    """NumPy with the base class's one-pass post-GEMM tail."""
+
+    _kernel_tail = ArrayBackend._kernel_tail
+
+
+@pytest.fixture(scope="module")
+def large_block():
+    """Operands of one ``fit-large-batch`` step block, m = n = 8000."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8_000, 32))
+    z = rng.standard_normal((8_000, 32))
+    profile, scale = GaussianKernel(bandwidth=5.0).fused_spec
+    kwargs = dict(
+        profile=profile, scale=scale, out=np.empty((8_000, 8_000)),
+        x_sq_norms=np.einsum("ij,ij->i", x, x),
+        z_sq_norms=np.einsum("ij,ij->i", z, z), dtype=np.float64,
+    )
+    return x, z, kwargs
+
+
+def _form(bk, large_block):
+    x, z, kwargs = large_block
+    return bk.fused_kernel_block(x, z, **kwargs)
+
+
+def test_large_batch_block_tiled(benchmark, large_block):
+    block = benchmark(_form, NumpyBackend(), large_block)
+    tiled = hashlib.sha256(block).hexdigest()
+    single = hashlib.sha256(_form(_SinglePass(), large_block)).hexdigest()
+    assert tiled == single
+
+
+def test_large_batch_block_single_pass(benchmark, large_block):
+    benchmark(_form, _SinglePass(), large_block)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -32,9 +32,11 @@ EigenPro correction accumulating in float64
 *fused* kernel hot path (:meth:`~repro.backend.base.ArrayBackend.
 fused_kernel_block` / ``fused_kernel_matvec``): the NumPy backend
 decomposes it to the identical pooled-workspace ops (bit-for-bit equal
-to the unfused chain), while the Torch backend compiles the
-``cdist + profile + matmul`` chain into one graph via ``torch.compile``
-(falling back to an eager fused form when compilation is unavailable).
+to the unfused chain, with the elementwise tail after the GEMM run in
+row tiles over the process's compute threads), while the Torch backend
+compiles the ``cdist + profile + matmul`` chain into one graph via
+``torch.compile`` (falling back to an eager fused form when compilation
+is unavailable).
 Gate it with :func:`~repro.config.use_fusion` / ``set_fusion``.
 
 BLAS threads
@@ -49,6 +51,10 @@ parent, which runs the correction and update while the workers form the
 next block.  An ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` set in
 the environment wins over the computed budget.  Without the budget each
 of the ``g`` workers runs a full-width OpenBLAS on the same cores.
+
+The same count is the NumPy backend's thread budget for kernel-block
+tiles (:func:`repro.backend.threads.run_tiles`): a worker process at
+budget 1 forms its tiles serially, with no helper thread.
 
 The parent process and the thread transport keep their thread counts.
 The setting is per process, so a cap there would also throttle the

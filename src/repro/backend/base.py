@@ -32,9 +32,11 @@ it: :meth:`ArrayBackend.fused_kernel_block` (distances + profile, i.e. one
 (block + contraction against the weights).  The base implementations
 *decompose* to exactly the historical pooled-workspace ops, so op counts
 stay shape-derived and backend-invariant and the NumPy backend is
-bit-identical with or without the ``repro.config`` fusion switch; the
-Torch backend overrides the block former with a ``torch.compile`` fused
-kernel (eager fused fallback) behind :func:`repro.config.fusion_enabled`.
+bit-identical with or without the ``repro.config`` fusion switch (its
+row-tiled :meth:`~ArrayBackend._kernel_tail` override keeps each
+element's ops and their order); the Torch backend overrides the block
+former with a ``torch.compile`` fused kernel (eager fused fallback)
+behind :func:`repro.config.fusion_enabled`.
 """
 
 from __future__ import annotations
@@ -224,6 +226,20 @@ class ArrayBackend(abc.ABC):
             + ", ".join(FUSED_PROFILES)
         )
 
+    def _kernel_tail(
+        self, d: Any, x_sq_norms: Any, z_sq_norms: Any, profile: str,
+        scale: float,
+    ) -> Any:
+        """Everything after a radial block's GEMM, in place on ``d = x @
+        z.T``: the distance tail
+        (:func:`repro.kernels.pairwise.distance_tail`), then the profile.
+        One pass over the whole block; the NumPy backend runs it in row
+        tiles instead, with the same bits."""
+        from repro.kernels.pairwise import distance_tail
+
+        d = distance_tail(self, d, x_sq_norms, z_sq_norms)
+        return self._apply_profile(d, profile, scale)
+
     def fused_kernel_block(
         self,
         x: Any,
@@ -240,24 +256,27 @@ class ArrayBackend(abc.ABC):
         the named ``profile`` in a single backend entry point.
 
         The base implementation decomposes to the historical chain —
-        :func:`repro.kernels.pairwise.sq_euclidean_distances` into the
-        caller's pooled ``out`` scratch, then the profile in place — so
-        results are bit-identical to the unfused path and op counts
-        (recorded by the *caller* from shapes) are backend-invariant.
-        Backends with a fusing compiler override this method; the
+        the GEMM of :func:`repro.kernels.pairwise.sq_euclidean_distances`
+        into the caller's pooled ``out`` scratch, then :meth:`_kernel_tail`
+        (its distance tail and the profile) in place — so results are
+        bit-identical to the unfused path and op counts (recorded by the
+        *caller* from shapes) are backend-invariant.  The NumPy backend's
+        :meth:`_kernel_tail` splits that tail into row tiles over the
+        process's compute threads and stays bitwise equal to the single
+        pass.  Backends with a fusing compiler override this method; the
         override must preserve the elementwise operation order so a
         fused float64 block stays bit-identical to the decomposed one on
         the same backend.
         """
         # Late import: the pairwise layer dispatches back through the
         # backend registry, so importing it at module scope would cycle.
-        from repro.kernels.pairwise import sq_euclidean_distances
+        from repro.kernels.pairwise import distance_operands
 
-        sq = sq_euclidean_distances(
-            x, z, x_sq_norms=x_sq_norms, z_sq_norms=z_sq_norms, out=out,
-            dtype=dtype,
+        _, x, z, x_sq_norms, z_sq_norms, out = distance_operands(
+            x, z, x_sq_norms, z_sq_norms, out, dtype
         )
-        return self._apply_profile(sq, profile, scale)
+        d = self.matmul(x, z.T, out=out)
+        return self._kernel_tail(d, x_sq_norms, z_sq_norms, profile, scale)
 
     def fused_kernel_matvec(
         self,
@@ -339,19 +358,13 @@ class ArrayBackend(abc.ABC):
         z = self.as_2d(self.asarray(z, dtype=dtype))
         z_t = z.T
         z_norms = self.asarray(z_sq_norms, dtype=dtype)
-        z_norms_row = z_norms[None, :]
-        apply_profile = self._apply_profile
+        kernel_tail = self._kernel_tail
 
         def run(x: Any, x_sq_norms: Any, out: Any, block_out: Any) -> Any:
-            # The sq_euclidean_distances chain with hoisted invariants:
-            # GEMM, scale, broadcast norms, clamp, profile — same ops in
-            # the same order on the same bits.
+            # The fused_kernel_block chain with hoisted invariants: GEMM,
+            # then the same tail on the same bits.
             d = self.matmul(x, z_t, out=block_out)
-            d *= -2.0
-            d += x_sq_norms[:, None]
-            d += z_norms_row
-            self.clip_min(d, 0.0, out=d)
-            d = apply_profile(d, profile, scale)
+            d = kernel_tail(d, x_sq_norms, z_norms, profile, scale)
             return self.matmul(d, weights, out=out)
 
         return run

@@ -29,6 +29,14 @@ block before asking for the next one.  The unsharded trainer
 next; the sharded trainer (:mod:`repro.shard`) prefetches the next block
 on each shard worker, but FIFO worker order runs the current block's
 contraction first.  Either way one buffer per key is ever resident.
+
+On the NumPy backend a radial block's elementwise tail runs in row tiles
+shared with the process's helper threads
+(:mod:`repro.backend.threads`).  The tiles are views of the pooled block,
+not buffers of their own, so the workspace peak is unchanged; and every
+helper has finished its tile before the block former returns (or
+raises), so no helper can still be writing into a buffer the next block
+reuses.
 """
 
 from __future__ import annotations

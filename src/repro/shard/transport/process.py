@@ -88,6 +88,7 @@ from repro.backend import (
     resolve_backend,
     set_blas_threads,
 )
+from repro.backend.threads import usable_cpus
 from repro.exceptions import ConfigurationError, ShardError
 from repro.observe.tracer import span, tracing_active
 from repro.shard.plan import ShardPlan
@@ -128,11 +129,7 @@ def _worker_blas_budget(g: int) -> int:
             continue
         if n >= 1:
             return n
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - no affinity masks
-        cpus = os.cpu_count() or 1
-    return max(1, cpus // (g + 1))
+    return max(1, usable_cpus() // (g + 1))
 
 
 @dataclass(frozen=True)

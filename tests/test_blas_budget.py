@@ -275,3 +275,192 @@ def test_elastic_rebuild_recomputes_budget(tmp_path, monkeypatch):
         _assert_workers_report(trainer.shard_group_, 6)
     finally:
         trainer.close()
+
+
+# --------------------------------------------------------------------------
+# Kernel-block tiles over the process's compute threads
+# --------------------------------------------------------------------------
+
+#: A tile of 2 rows of the 512-column blocks below: every block is tiled.
+_TILE_BYTES = 2 * 512 * 8
+
+
+def _tiled_block():
+    """A tiled Gaussian block and its single-pass reference."""
+    from repro.backend import NumpyBackend
+    from repro.kernels.pairwise import sq_euclidean_distances
+
+    rng = np.random.default_rng(11)
+    x, z = rng.standard_normal((40, 5)), rng.standard_normal((512, 5))
+    kernel = GaussianKernel(bandwidth=2.0)
+    ref = NumpyBackend()._apply_profile(
+        sq_euclidean_distances(x, z), *kernel.fused_spec
+    )
+    return kernel(x, z), ref
+
+
+def _tile_threads() -> list[str]:
+    import threading
+
+    return sorted(
+        t.name for t in threading.enumerate() if t.name.startswith("repro-tile")
+    )
+
+
+def _tiled_block_task(worker):
+    block, ref = _tiled_block()
+    return bool(np.array_equal(block, ref)), blas_threads(), _tile_threads()
+
+
+def _map_within(group: ShardGroup, fn, timeout: float = 60.0) -> list:
+    """``group.map(fn)``, failing instead of hanging past ``timeout``."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(1)
+    try:
+        return pool.submit(group.map, fn).result(timeout=timeout)
+    finally:
+        pool.shutdown(wait=False)
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    from repro.backend import numpy_backend
+
+    monkeypatch.setattr(numpy_backend, "_TILE_BYTES", _TILE_BYTES)
+
+
+@pytest.fixture
+def restore_blas_threads():
+    original = blas_threads()
+    yield original
+    set_blas_threads(original)
+
+
+@needs_openblas
+@needs_process
+def test_fork_after_parent_used_the_pool_forms_tiled_blocks(
+    monkeypatch, small_tiles, restore_blas_threads
+):
+    # The parent's pool has the size the children's budget asks for, so
+    # only the fork hook keeps a child from reusing it.
+    set_blas_threads(4)
+    block, ref = _tiled_block()
+    np.testing.assert_array_equal(block, ref)
+    assert blas_module._POOL[0] == 3
+    pid = os.fork()
+    if pid == 0:  # the child must not hold the parent's pool
+        os._exit(0 if blas_module._POOL is None else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    _fake_cpus(monkeypatch, 12)  # g=2 → worker budget 4
+    with _group(2, "process") as group:
+        reports = _map_within(group, _tiled_block_task)
+    for equal, budget, helpers in reports:
+        assert equal
+        assert budget == 4
+        assert helpers  # the child built a pool of its own
+
+
+@needs_openblas
+@needs_process
+def test_process_workers_at_budget_one_start_no_helpers(
+    monkeypatch, small_tiles
+):
+    _fake_cpus(monkeypatch, 2)  # g=2 → worker budget 1
+    with _group(2, "process") as group:
+        assert group.worker_blas_threads == 1
+        reports = _map_within(group, _tiled_block_task)
+    assert reports == [(True, 1, [])] * 2
+
+
+def _record_threads(calls: list):
+    import threading
+
+    return lambda i: calls.append((i, threading.get_ident()))
+
+
+@needs_openblas
+def test_one_blas_thread_runs_every_tile_on_the_caller(restore_blas_threads):
+    import threading
+
+    set_blas_threads(1)
+    calls: list = []
+    blas_module.run_tiles(16, _record_threads(calls))
+    assert sorted(i for i, _ in calls) == list(range(16))
+    assert {ident for _, ident in calls} == {threading.get_ident()}
+
+
+def test_pool_follows_the_thread_budget(monkeypatch):
+    for budget in (3, 2, 4):
+        monkeypatch.setattr(blas_module, "blas_threads", lambda: budget)
+        calls: list = []
+        blas_module.run_tiles(32, _record_threads(calls))
+        assert sorted(i for i, _ in calls) == list(range(32))
+        assert blas_module._POOL[0] == budget - 1
+
+
+@pytest.mark.parametrize("raiser", ["helper", "caller"])
+def test_tile_error_reaches_the_caller_after_every_tile(monkeypatch, raiser):
+    import threading
+    import time
+
+    monkeypatch.setattr(blas_module, "blas_threads", lambda: 2)
+    caller = threading.get_ident()
+    finished: list = []
+    raised = threading.Event()
+
+    def work(i):
+        on_caller = threading.get_ident() == caller
+        if on_caller == (raiser == "caller") and not raised.is_set():
+            raised.set()
+            time.sleep(0.05)  # the other thread is still mid-tile
+            raise ValueError(f"tile {i}")
+        time.sleep(0.01)
+        finished.append(i)
+
+    with pytest.raises(ValueError, match="tile") as info:
+        blas_module.run_tiles(12, work)
+    failed = int(str(info.value).split()[-1])
+    # Every other tile was done by the time the error surfaced.
+    assert sorted(finished + [failed]) == list(range(12))
+
+
+def test_concurrent_callers_under_changing_budgets(monkeypatch, small_tiles):
+    import sys
+    import threading
+
+    # Each caller thread sees its own budget, so the shared pool is
+    # resized under the others' feet.
+    monkeypatch.setattr(
+        blas_module, "blas_threads", lambda: 2 + threading.get_ident() % 3
+    )
+    block_ref = _tiled_block()[1]
+    errors: list = []
+
+    def caller():
+        try:
+            for _ in range(30):
+                runs = [0] * 64
+
+                def work(i):
+                    runs[i] += 1
+
+                blas_module.run_tiles(64, work)
+                assert runs == [1] * 64  # every tile exactly once
+            block, _ = _tiled_block()
+            assert np.array_equal(block, block_ref)
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        callers = [threading.Thread(target=caller) for _ in range(6)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert errors == []
