@@ -86,7 +86,7 @@ def serve_options(concurrency: int) -> ServeOptions:
     window timeout only pays off when stragglers are still in flight.
     """
     return ServeOptions(
-        max_batch_requests=concurrency, batch_wait_s=BATCH_WAIT_S
+        max_batch_requests=concurrency, batch_wait=BATCH_WAIT_S
     )
 
 
@@ -125,7 +125,7 @@ def _run_mode(
         )
 
         def issue(x: np.ndarray) -> np.ndarray:
-            return server.predict(x, timeout=300)
+            return server.predict_request(x, timeout=300).values
 
     else:
         lock = threading.Lock()
@@ -298,7 +298,7 @@ def run_bench(
             "transport": transport, "g": g, "trials": trials,
             "serve_options": {
                 "max_batch_requests": "per-concurrency cohort size",
-                "batch_wait_s": BATCH_WAIT_S,
+                "batch_wait": BATCH_WAIT_S,
                 "pipeline_depth": ServeOptions().pipeline_depth,
             },
         },
@@ -352,7 +352,7 @@ def run_http_bench(
 
                 def load(i: int) -> None:
                     for j, x in enumerate(requests[i]):
-                        outputs[i][j] = client.predict(x)
+                        outputs[i][j] = client.predict_request(x).values
 
                 threads = [
                     threading.Thread(
@@ -514,7 +514,7 @@ def run_deadline_bench(
                         doomed.append(server.submit_request(PredictRequest(
                             rows=doomed_x, deadline_s=DOOMED_DEADLINE_S,
                         )))
-                    server.predict(x, timeout=300)
+                    server.predict_request(x, timeout=300)
 
             threads = [
                 threading.Thread(target=load, args=(i,), name=f"dl-{i}")

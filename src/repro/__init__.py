@@ -239,13 +239,13 @@ bit-identical to a solo :func:`~repro.shard.sharded_predict` call::
     from repro.serve import ModelServer, PredictRequest
 
     with ModelServer(model, g=2, transport="thread") as server:
-        future = server.submit(x_batch)        # concurrent-safe
-        y = future.result()                    # == sharded_predict bits
-        resp = server.predict_request(         # typed QoS path
+        future = server.submit_request(x_batch)   # concurrent-safe
+        y = future.result().values                # == sharded_predict bits
+        resp = server.predict_request(            # blocking, with QoS
             PredictRequest(rows=x_batch, priority=5, deadline_s=0.2)
         )
         resp.values, resp.queue_s, resp.batch_s
-        server.stats()                         # p50/p95/p99 latencies
+        server.stats()                            # p50/p95/p99 latencies
 
 Requests carry *quality of service*: cohorts form priority-first (FIFO
 within a priority), and a request whose ``deadline_s`` expires while
@@ -257,16 +257,14 @@ coalescing window with an EWMA arrival-rate controller
 :class:`~repro.serve.WindowOptions`.  The engine is reachable over the
 network through the stdlib HTTP adapter
 (:class:`~repro.serve.ServeHTTPServer` — JSON in/out, float64 bitwise
-across the wire) and a transport-agnostic client layer
-(:class:`~repro.serve.LocalClient` / :class:`~repro.serve.HttpClient`,
-one :class:`~repro.serve.ServeClient` interface)::
+across the wire) and its client (:class:`~repro.serve.HttpClient`)::
 
     from repro.serve import HttpClient, ServeHTTPServer
 
     with ModelServer(model, g=2) as engine:
         with ServeHTTPServer(engine) as http_srv:
             client = HttpClient(http_srv.url)
-            y = client.predict(x_batch)        # same bits, over HTTP
+            y = client.predict_request(x_batch).values  # same bits
 
 Per-request ``serve/{queue,batch,kernel,scatter}`` spans are relayed to
 the submitting caller's tracers (the worker-span discipline), latencies
@@ -338,11 +336,9 @@ from repro.core import (
 )
 from repro.serve import (
     HttpClient,
-    LocalClient,
     ModelServer,
     PredictRequest,
     PredictResponse,
-    ServeClient,
     ServeHTTPServer,
     ServeOptions,
     WindowOptions,
@@ -430,8 +426,6 @@ __all__ = [
     "PredictResponse",
     "WindowOptions",
     "ServeHTTPServer",
-    "ServeClient",
-    "LocalClient",
     "HttpClient",
     # core
     "EigenPro2",

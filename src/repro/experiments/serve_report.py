@@ -3,13 +3,12 @@
 :mod:`repro.experiments.observe_report` reconciles the *training* path
 against the analytic model phase by phase; this experiment does the same
 for the *serving* path.  It drives a :class:`repro.serve.ModelServer`
-through the transport-agnostic client interface
-(:class:`repro.serve.LocalClient` — the same
-:class:`~repro.serve.ServeClient` surface the HTTP transport
-implements) with closed-loop concurrent clients (each client thread
-submits its next request only after the previous one resolved — the
-load shape ``bench_serve.py`` sweeps), then checks the serving
-invariants:
+through its one request path
+(:meth:`~repro.serve.ModelServer.predict_request`, the typed path the
+HTTP adapter also takes) with closed-loop concurrent clients (each
+client thread submits its next request only after the previous one
+resolved — the load shape ``bench_serve.py`` sweeps), then checks the
+serving invariants:
 
 - **bitwise parity**: every micro-batched response equals the same
   request's solo :func:`~repro.shard.sharded_predict` bits;
@@ -79,7 +78,6 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
     attribution, drain behaviour and the modelled request cost."""
     from repro.exceptions import DeadlineExceeded
     from repro.serve import (
-        LocalClient,
         ModelServer,
         PredictRequest,
         ServeOptions,
@@ -111,12 +109,12 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
         transport=cfg.transport, **dict(cfg.transport_options),
     ) as group:
         server = ModelServer(group=group, metrics=metrics)
-        client = LocalClient(server)
 
         def _client(idx: int) -> None:
             with trace_scope(client_tracers[idx]):
                 for x in requests[idx]:
-                    outputs[idx].append(client.predict(x, timeout=60))
+                    resp = server.predict_request(x, timeout=60)
+                    outputs[idx].append(resp.values)
 
         threads = [
             threading.Thread(target=_client, args=(i,), name=f"client-{i}")
@@ -128,7 +126,10 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
             t.join()
 
         # Burst left in flight at close(): drain must serve them all.
-        burst = [server.submit(requests[0][0]) for _ in range(cfg.n_clients)]
+        burst = [
+            server.submit_request(requests[0][0])
+            for _ in range(cfg.n_clients)
+        ]
         server.close()
         drained = all(f.done() and f.exception() is None for f in burst)
 
@@ -146,7 +147,7 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
         sched_metrics = MetricsRegistry(run_id=new_run_id())
         sched = ModelServer(
             group=group, metrics=sched_metrics,
-            options=ServeOptions(batch_wait_s=2e-3),
+            options=ServeOptions(batch_wait=2e-3),
         )
         doomed = [
             sched.submit_request(
@@ -158,7 +159,7 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
             isinstance(f.exception(timeout=30), DeadlineExceeded)
             for f in doomed
         )
-        admitted = sched.predict(requests[0][0], timeout=60)
+        admitted = sched.predict_request(requests[0][0], timeout=60).values
         sched.close()
         sched_snapshot = sched_metrics.snapshot()
         shed_count = int(
@@ -184,7 +185,7 @@ def run_serve_report(cfg: ServeReportConfig | None = None) -> ExperimentResult:
             options=ServeOptions(batch_wait="adaptive", adaptive=win),
         )
         for _ in range(3):
-            futures = [adaptive.submit(x) for x in requests[0]]
+            futures = [adaptive.submit_request(x) for x in requests[0]]
             for f in futures:
                 f.result(timeout=60)
         adaptive.close()

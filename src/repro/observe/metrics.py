@@ -94,10 +94,11 @@ class MetricsRegistry:
         a whole tick's per-request latencies per scatter): one lock
         round-trip instead of one per value, same histogram contents.
         """
+        values = [float(v) for v in values]
+        if not values:
+            return  # as no observe() call: no empty histogram
         with self._lock:
-            self._histograms.setdefault(name, []).extend(
-                float(v) for v in values
-            )
+            self._histograms.setdefault(name, []).extend(values)
 
     def histogram_values(self, name: str) -> list[float]:
         """The raw observations of histogram ``name`` so far, in

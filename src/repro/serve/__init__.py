@@ -9,13 +9,13 @@ resident on a :class:`~repro.shard.ShardGroup` (built from a fitted
 :class:`~repro.core.model.KernelModel`, or borrowed live from training)
 and answers concurrent requests through a micro-batching queue:
 
-- request threads call :meth:`~ModelServer.submit` (raw array in,
-  array-out future — the historical contract) or
-  :meth:`~ModelServer.submit_request` with a typed
+- request threads call :meth:`~ModelServer.submit_request` (or the
+  blocking :meth:`~ModelServer.predict_request`) with a typed
   :class:`PredictRequest` carrying priority, deadline, correlation id
-  and tags; the latter resolves to a :class:`PredictResponse` with
-  per-request timings (``queue_s``/``batch_s``), run id and retry
-  count;
+  and tags, or with a bare array (default QoS); the future resolves to
+  a :class:`PredictResponse` with per-request timings
+  (``queue_s``/``batch_s``), run id and retry count — the one request
+  type from the HTTP handler down to the dispatcher;
 - a dispatcher thread coalesces the queue into one tick — one fused
   ``map_allreduce`` round-trip over the group, the engine's sweet
   spot — and scatters per-request result rows back to the futures;
@@ -43,11 +43,18 @@ histogram.
 **Transports.**  :class:`~repro.serve.http.ServeHTTPServer`
 (:mod:`repro.serve.http`) exposes a live engine over stdlib HTTP —
 ``POST /predict`` JSON in/out (float64 survives the JSON round trip
-bitwise), ``GET /healthz`` and ``GET /metrics`` — and
-:mod:`repro.serve.client` gives callers one :class:`ServeClient`
-interface with :class:`LocalClient` (in-process) and
-:class:`HttpClient` (network) implementations, raising the same
-exception types either way.
+bitwise), ``GET /healthz`` (:meth:`~ModelServer.health`) and
+``GET /metrics`` — and :class:`HttpClient` (:mod:`repro.serve.client`)
+calls it, raising the exception types the engine raises in process.
+
+**Failures.**  A tick that dies with a
+:class:`~repro.exceptions.ShardError` is retried up to
+``ServeOptions.max_retries`` times (``serve/retries`` counts the
+retries made); a request whose prediction is NaN or inf fails alone
+with :class:`~repro.exceptions.ReproError` (HTTP ``500``).  Every
+admitted request is counted exactly once, under ``serve/requests``,
+``serve/shed_requests``, ``serve/abandoned_requests`` or
+``serve/failed_requests``.
 
 Latency is observable end to end: ``serve/{queue,batch,kernel,
 scatter}`` spans are relayed to each submitting caller's tracers, and
@@ -63,28 +70,18 @@ checks the two against each other.
 
 from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
-from repro.serve.client import HttpClient, LocalClient, ServeClient
+from repro.serve.client import HttpClient
 from repro.serve.http import ServeHTTPServer
-from repro.serve.server import (
-    ADAPTIVE,
-    SNAPSHOT_EXPORTERS,
-    ModelServer,
-    ServeOptions,
-    register_exporter,
-)
+from repro.serve.server import ADAPTIVE, ModelServer, ServeOptions
 
 __all__ = [
     "ADAPTIVE",
-    "SNAPSHOT_EXPORTERS",
     "AdaptiveWindow",
     "HttpClient",
-    "LocalClient",
     "ModelServer",
     "PredictRequest",
     "PredictResponse",
-    "ServeClient",
     "ServeHTTPServer",
     "ServeOptions",
     "WindowOptions",
-    "register_exporter",
 ]

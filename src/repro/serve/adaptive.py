@@ -1,6 +1,6 @@
 """Adaptive micro-batch window: size the wait from the arrival rate.
 
-A fixed ``batch_wait_s`` is a hand-tuned constant: too short and sparse
+A fixed ``batch_wait`` is a hand-tuned constant: too short and sparse
 bursts dispatch half-empty ticks, too long and an idle queue pays the
 whole window as latency.  The MAPE-style alternative (monitor → analyze
 → plan → execute, per the self-adaptive-systems line in PAPERS.md) is to
@@ -26,7 +26,7 @@ the controller's behaviour is as observable as the latency it shapes.
 
 Thread-safety: the controller is *not* internally locked.
 :class:`~repro.serve.ModelServer` mutates and reads it under its own
-queue lock (arrivals are observed inside ``submit``'s critical section,
+queue lock (arrivals are observed inside ``submit_request``'s critical section,
 decisions inside the dispatcher's); standalone users drive it from one
 thread or bring their own lock.
 """

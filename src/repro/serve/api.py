@@ -1,29 +1,24 @@
 """The serving request/response vocabulary.
 
-:class:`PredictRequest` and :class:`PredictResponse` are the typed
-surface every serving entry point speaks — the in-process
-:class:`~repro.serve.ModelServer`, the HTTP adapter
-(:mod:`repro.serve.http`) and the client layer
-(:mod:`repro.serve.client`).  A request carries the rows to score plus
-its *quality-of-service envelope* (priority, deadline, correlation id,
-free-form tags); a response carries the predicted values plus the
-serving provenance a production caller wants next to them: the serving
-run id, where the request's latency went (queue vs batch), and whether
-the engine had to retry the tick.
+:class:`PredictRequest` and :class:`PredictResponse` are the one request
+type every serving entry point speaks, from the HTTP handler
+(:mod:`repro.serve.http`) and its client (:mod:`repro.serve.client`)
+down to the in-process :class:`~repro.serve.ModelServer`'s dispatcher.
+A request carries the rows to score plus its *quality-of-service
+envelope* (priority, deadline, correlation id, free-form tags); a
+response carries the predicted values plus the serving provenance a
+production caller wants next to them: the serving run id, where the
+request's latency went (queue vs batch), and how many times the engine
+had to retry the tick.
 
-Raw arrays remain first-class: :meth:`ModelServer.submit
-<repro.serve.ModelServer.submit>` wraps a bare ``(b, d)`` array in a
-default-QoS :class:`PredictRequest` internally and keeps its historical
-array-out contract, while :meth:`ModelServer.submit_request
-<repro.serve.ModelServer.submit_request>` resolves to a full
-:class:`PredictResponse`.
+:meth:`ModelServer.submit_request
+<repro.serve.ModelServer.submit_request>` also takes a bare ``(b, d)``
+array and wraps it in a default-QoS :class:`PredictRequest`.
 
 A request that misses its deadline while queued is *shed*: its future
 fails with :class:`~repro.exceptions.DeadlineExceeded` before any shard
 work runs (see the scheduling notes in :mod:`repro.serve.server`), so a
-:class:`PredictResponse` is only ever produced for served requests —
-``shed`` exists on the response for adapters that serialize failures
-into the same wire schema (the HTTP adapter's error bodies).
+:class:`PredictResponse` is only ever produced for served requests.
 """
 
 from __future__ import annotations
@@ -70,8 +65,7 @@ class PredictRequest:
         Auto-generated when omitted.
     tags:
         Free-form caller metadata (model variant, tenant, experiment
-        arm, ...).  Opaque to the engine; carried for exporters and
-        adapters.
+        arm, ...).  Opaque to the engine.
     """
 
     rows: Any
@@ -117,12 +111,6 @@ class PredictResponse:
     batch_s:
         Seconds from tick dispatch to this request's rows being
         scattered back (shared tick compute + per-request scatter).
-    shed:
-        Always ``False`` on responses the engine produces (shed
-        requests fail with
-        :class:`~repro.exceptions.DeadlineExceeded` instead); present
-        so adapters can serialize served and shed outcomes into one
-        wire schema.
     retries:
         Engine retries the carrying tick needed before succeeding
         (``0`` on the happy path).
@@ -133,7 +121,6 @@ class PredictResponse:
     request_id: str
     queue_s: float
     batch_s: float
-    shed: bool = False
     retries: int = 0
 
     def as_dict(self) -> dict[str, Any]:
@@ -146,6 +133,5 @@ class PredictResponse:
             "request_id": self.request_id,
             "queue_s": self.queue_s,
             "batch_s": self.batch_s,
-            "shed": self.shed,
             "retries": self.retries,
         }

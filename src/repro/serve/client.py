@@ -1,26 +1,20 @@
-"""The serving client surface: one interface, two transports.
+"""The HTTP serving client.
 
-Examples, benchmarks and downstream callers should be written against
-:class:`ServeClient` — the minimal protocol every serving transport
-implements — so the same driver runs unchanged against an in-process
-engine and a network adapter:
+:class:`HttpClient` speaks JSON to a :class:`~repro.serve.http
+.ServeHTTPServer` over stdlib :mod:`urllib` (no third-party HTTP stack)
+and raises the exception types the engine raises in process —
+:class:`~repro.exceptions.DeadlineExceeded` for shed requests,
+:class:`~repro.exceptions.ShardError` for backpressure, an unavailable
+engine or an engine-side failure, and
+:class:`~repro.exceptions.ConfigurationError` for malformed input — so
+QoS handling code reads the same either side of the wire.  In-process
+callers use :class:`~repro.serve.ModelServer` directly.
 
-- :class:`LocalClient` wraps a live :class:`~repro.serve.ModelServer`
-  (zero copies beyond the engine's own; the reference for latency);
-- :class:`HttpClient` speaks JSON to a :class:`~repro.serve.http
-  .ServeHTTPServer` over stdlib :mod:`urllib` (no third-party HTTP
-  stack), raising the same exception types the engine raises locally —
-  :class:`~repro.exceptions.DeadlineExceeded` for shed requests,
-  :class:`~repro.exceptions.ShardError` for backpressure/unavailable,
-  :class:`~repro.exceptions.ConfigurationError` for malformed input —
-  so QoS handling code is transport-agnostic too.
-
-Both speak the typed vocabulary of :mod:`repro.serve.api`:
-``predict(x)`` keeps the historical array-out contract,
-``predict_request(...)`` returns a full
-:class:`~repro.serve.PredictResponse`.  JSON round-trips float64
-losslessly in both directions, so :meth:`HttpClient.predict` returns
-bits identical to :meth:`LocalClient.predict` on the same engine
+It speaks the typed vocabulary of :mod:`repro.serve.api`:
+``predict_request(...)`` returns a :class:`~repro.serve.PredictResponse`.
+JSON round-trips float64 losslessly in both directions, so its
+``values`` carry the bits :meth:`ModelServer.predict_request
+<repro.serve.ModelServer.predict_request>` returns on the same engine
 (pinned in ``tests/test_serve_http.py``).
 """
 
@@ -29,92 +23,19 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
-from typing import Any, Protocol, runtime_checkable
+from typing import Any
 
 import numpy as np
 
-from repro.exceptions import (
-    ConfigurationError,
-    DeadlineExceeded,
-    ShardError,
-)
+from repro.exceptions import ConfigurationError, DeadlineExceeded, ShardError
 from repro.serve.api import PredictRequest, PredictResponse
 
-__all__ = ["HttpClient", "LocalClient", "ServeClient"]
-
-
-@runtime_checkable
-class ServeClient(Protocol):
-    """What a serving transport owes its callers.
-
-    ``predict`` is array-out (back-compat with every pre-redesign call
-    site); ``predict_request`` is the typed path carrying QoS in and
-    latency provenance out; ``health`` and ``stats`` expose the
-    liveness and metrics surface production tooling scrapes.
-    """
-
-    def predict(
-        self, x: Any, timeout: float | None = None
-    ) -> np.ndarray:  # pragma: no cover - protocol
-        ...
-
-    def predict_request(
-        self, request: Any, timeout: float | None = None
-    ) -> PredictResponse:  # pragma: no cover - protocol
-        ...
-
-    def health(self) -> dict:  # pragma: no cover - protocol
-        ...
-
-    def stats(self) -> dict:  # pragma: no cover - protocol
-        ...
-
-    def close(self) -> None:  # pragma: no cover - protocol
-        ...
-
-
-class LocalClient:
-    """:class:`ServeClient` over an in-process
-    :class:`~repro.serve.ModelServer` (borrowed: closing the client
-    does not close the engine unless ``owns_server=True``)."""
-
-    def __init__(self, server: Any, *, owns_server: bool = False) -> None:
-        self.server = server
-        self.owns_server = bool(owns_server)
-
-    def predict(self, x: Any, timeout: float | None = None) -> np.ndarray:
-        return self.server.predict(x, timeout=timeout)
-
-    def predict_request(
-        self, request: Any, timeout: float | None = None
-    ) -> PredictResponse:
-        return self.server.predict_request(request, timeout=timeout)
-
-    def health(self) -> dict:
-        return {
-            "status": "closed" if self.server.closed else "ok",
-            "run_id": self.server.run_id,
-            "transport": self.server.group.transport.name,
-            "g": self.server.group.g,
-        }
-
-    def stats(self) -> dict:
-        return self.server.stats()
-
-    def close(self) -> None:
-        if self.owns_server:
-            self.server.close()
-
-    def __enter__(self) -> "LocalClient":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
+__all__ = ["HttpClient"]
 
 
 class HttpClient:
-    """:class:`ServeClient` over a :class:`~repro.serve.http
-    .ServeHTTPServer` base URL (e.g. ``"http://127.0.0.1:8041"``)."""
+    """A client of a :class:`~repro.serve.http.ServeHTTPServer` base URL
+    (e.g. ``"http://127.0.0.1:8041"``)."""
 
     def __init__(self, base_url: str, *, timeout_s: float = 60.0) -> None:
         if not str(base_url).startswith(("http://", "https://")):
@@ -165,16 +86,14 @@ class HttpClient:
         raise ShardError(f"serving endpoint failed ({status}): {detail}")
 
     # ------------------------------------------------------------ interface
-    def predict(self, x: Any, timeout: float | None = None) -> np.ndarray:
-        return self.predict_request(x, timeout=timeout).values
-
     def predict_request(
         self, request: Any, timeout: float | None = None
     ) -> PredictResponse:
+        """``POST /predict`` one request (a :class:`~repro.serve
+        .PredictRequest` or a raw array, wrapped with default QoS)."""
         if not isinstance(request, PredictRequest):
             request = PredictRequest(rows=request)
         rows = np.asarray(request.rows, dtype=np.float64)
-        squeeze = rows.ndim == 1
         body: dict[str, Any] = {
             "rows": rows.tolist(),
             "priority": request.priority,
@@ -187,16 +106,12 @@ class HttpClient:
         status, payload = self._round_trip("/predict", body, timeout)
         if status != 200:
             self._raise_for(status, payload)
-        values = np.asarray(payload["values"], dtype=np.float64)
-        if squeeze and values.ndim != 1:  # pragma: no cover - server bug
-            values = values[0]
         return PredictResponse(
-            values=values,
+            values=np.asarray(payload["values"], dtype=np.float64),
             run_id=str(payload.get("run_id", "")),
             request_id=str(payload.get("request_id", request.request_id)),
             queue_s=float(payload.get("queue_s", float("nan"))),
             batch_s=float(payload.get("batch_s", float("nan"))),
-            shed=bool(payload.get("shed", False)),
             retries=int(payload.get("retries", 0)),
         )
 
@@ -210,13 +125,3 @@ class HttpClient:
         if status != 200:  # pragma: no cover - adapter always serves it
             self._raise_for(status, payload)
         return payload
-
-    def close(self) -> None:
-        """Nothing to release client-side (connections are per-call);
-        present so drivers treat both transports uniformly."""
-
-    def __enter__(self) -> "HttpClient":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()

@@ -15,15 +15,20 @@ typed :class:`~repro.serve.PredictRequest` /
     .as_dict>` payload — predicted values plus per-request timings
     (``queue_s``/``batch_s``), the serving run id and the retry count.
     Errors map onto transport-meaningful statuses: ``400`` for
-    malformed requests (bad JSON, wrong shape/features), ``503`` with
-    ``Retry-After`` when the queue is at its backpressure bound, and
+    malformed requests (bad or over-deep JSON, out-of-range numbers,
+    wrong shape/features, non-finite rows), ``503`` with
+    ``Retry-After`` when the queue is at its backpressure bound,
     ``504`` with ``{"shed": true, "error": "deadline_exceeded"}`` when
     the request's deadline expired before its tick (the dispatcher shed
-    it without spending shard work).
+    it without spending shard work), and ``500`` when the engine failed
+    the request (a tick that exhausted its retries, or a non-finite
+    prediction).
 
 ``GET /healthz``
-    Liveness/readiness: ``200 {"status": "ok", ...}`` while serving,
-    ``503`` once the server is closed (or a shard died).
+    Liveness/readiness: the engine's
+    :meth:`~repro.serve.ModelServer.health` dict, ``200`` with
+    ``"status": "ok"`` while serving, ``503`` once the engine is
+    closed.
 
 ``GET /metrics``
     The run-ID-stamped :meth:`~repro.serve.ModelServer.stats` snapshot
@@ -33,8 +38,8 @@ typed :class:`~repro.serve.PredictRequest` /
 transport in both directions: ``json.dumps`` emits shortest
 round-trip reprs and ``json.loads`` parses them back to the identical
 IEEE-754 double, so ``POST /predict`` responses carry *exactly* the
-bits an in-process :meth:`~repro.serve.ModelServer.predict` — and
-therefore a solo :func:`~repro.shard.sharded_predict` — would return
+bits an in-process :meth:`~repro.serve.ModelServer.predict_request` —
+and therefore a solo :func:`~repro.shard.sharded_predict` — would return
 (pinned by ``tests/test_serve_http.py`` and the
 ``bench_serve.py --http`` smoke).
 
@@ -53,12 +58,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.exceptions import (
-    ConfigurationError,
-    DeadlineExceeded,
-    ReproError,
-    ShardError,
-)
+from repro.exceptions import ConfigurationError, DeadlineExceeded, ShardError
 from repro.serve.api import PredictRequest, PredictResponse
 
 __all__ = ["ServeHTTPServer"]
@@ -128,16 +128,8 @@ class _Handler(BaseHTTPRequestHandler):
         adapter: "ServeHTTPServer" = self.server.adapter  # type: ignore[attr-defined]
         adapter.model_server.metrics.inc("serve/http_requests")
         if self.path in ("/healthz", "/health"):
-            closed = adapter.model_server.closed
-            self._reply(
-                503 if closed else 200,
-                {
-                    "status": "closed" if closed else "ok",
-                    "run_id": adapter.model_server.run_id,
-                    "transport": adapter.model_server.group.transport.name,
-                    "g": adapter.model_server.group.g,
-                },
-            )
+            health = adapter.model_server.health()
+            self._reply(200 if health["status"] == "ok" else 503, health)
         elif self.path == "/metrics":
             self._reply(200, adapter.model_server.stats())
         else:
@@ -167,7 +159,13 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             payload = json.loads(self.rfile.read(length))
             request = _request_from_payload(payload)
-        except (ConfigurationError, ValueError, TypeError) as exc:
+        except (
+            ConfigurationError, ValueError, TypeError, OverflowError,
+            RecursionError,
+        ) as exc:
+            # OverflowError: a number past float range (``1e400``) where
+            # an int or finite float is expected; RecursionError: JSON
+            # nested deeper than the decoder's recursion limit.
             self._reply(400, {"error": "bad_request", "detail": str(exc)})
             return
         try:
@@ -199,15 +197,8 @@ class _Handler(BaseHTTPRequestHandler):
                  "detail": str(exc), "request_id": request.request_id},
             )
             return
-        except ReproError as exc:
-            self._reply(
-                500,
-                {"error": type(exc).__name__, "detail": str(exc),
-                 "request_id": request.request_id},
-            )
-            return
-        except Exception as exc:  # incl. adapter-side future timeout
-            future.cancel()
+        except Exception as exc:  # engine failure or adapter timeout
+            future.cancel()  # no-op unless the request is still queued
             self._reply(
                 500,
                 {"error": type(exc).__name__, "detail": str(exc),

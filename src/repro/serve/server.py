@@ -46,20 +46,27 @@ in the ``serve/window_s`` histogram.
 
 from __future__ import annotations
 
+import json
 import logging
+import pathlib
 import threading
 import time
 from collections import deque
 from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as _FutureTimeout
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
 from repro.backend import get_backend, to_numpy
 from repro.config import DEFAULT_BLOCK_SCALARS
-from repro.exceptions import ConfigurationError, DeadlineExceeded, ShardError
+from repro.exceptions import (
+    ConfigurationError,
+    DeadlineExceeded,
+    ReproError,
+    ShardError,
+)
 from repro.instrument import OpMeter, meter_scope
 from repro.kernels.base import Kernel
 from repro.kernels.ops import KernelMatvecPlan
@@ -147,10 +154,6 @@ class ServeOptions:
         keep the workers busy while the window runs, so with
         ``pipeline_depth > 1`` it costs dispatch latency only, not
         pipeline occupancy.
-    batch_wait_s:
-        Back-compat alias of ``batch_wait`` (the pre-redesign name).
-        Setting both to different values is an error; after
-        construction the two fields always agree.
     adaptive:
         :class:`~repro.serve.adaptive.WindowOptions` for the adaptive
         window (floor/ceiling band, EWMA dynamics).  Only meaningful —
@@ -158,21 +161,21 @@ class ServeOptions:
         there means defaults.
     pipeline_depth:
         Ticks in flight at once.  The default ``2`` double-buffers the
-        serving loop exactly like the training engine: the workers
-        compute tick ``t`` while the dispatcher scatters ``t - 1``'s
-        rows, callers wake, and the queue refills — so worker compute,
-        host scatter and client turnaround overlap instead of
-        serialising.  Each shard's executor runs its tasks FIFO, so
-        in-flight ticks never run concurrently *on a worker* and the
-        per-worker scratch discipline is untouched.  ``1`` restores the
-        strictly serial launch-harvest-launch loop (lowest latency
-        jitter, idle workers during scatter).
+        serving loop: the workers compute tick ``t`` while the
+        dispatcher scatters ``t - 1``'s rows, callers wake, and the
+        queue refills — so worker compute, host scatter and client
+        turnaround overlap instead of serialising.  Each shard's
+        executor runs its tasks FIFO, so in-flight ticks never run
+        concurrently *on a worker* and the per-worker scratch discipline
+        is untouched.  ``1`` restores the strictly serial
+        launch-harvest-launch loop (lowest latency jitter, idle workers
+        during scatter).
     max_batch_rows:
         Row budget per tick: a request that would push the batch past it
         waits for the next tick (a single over-budget request still runs
         alone — ticks always make progress).
     max_queue:
-        Backpressure bound: :meth:`ModelServer.submit` raises
+        Backpressure bound: :meth:`ModelServer.submit_request` raises
         :class:`~repro.exceptions.ShardError` when this many requests are
         already waiting, instead of queueing unboundedly.
     max_scalars:
@@ -183,7 +186,8 @@ class ServeOptions:
     max_retries:
         Bounded retries of a failed tick (engine
         :class:`~repro.exceptions.ShardError` only) before the whole
-        batch's futures fail.
+        batch's futures fail; ``serve/retries`` counts the retries
+        started.
     retry_backoff_s:
         Sleep between retry attempts.
     drain_timeout_s:
@@ -192,7 +196,7 @@ class ServeOptions:
     """
 
     max_batch_requests: int = 64
-    batch_wait: float | str | None = None
+    batch_wait: float | str = 0.0
     pipeline_depth: int = 2
     max_batch_rows: int = 4096
     max_queue: int = 4096
@@ -201,7 +205,6 @@ class ServeOptions:
     retry_backoff_s: float = 0.05
     drain_timeout_s: float = 30.0
     adaptive: WindowOptions | None = None
-    batch_wait_s: float | str | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -225,15 +228,7 @@ class ServeOptions:
             raise ConfigurationError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s!r}"
             )
-        # Reconcile the canonical window knob with its legacy alias.
         wait = self.batch_wait
-        if wait is None:
-            wait = self.batch_wait_s if self.batch_wait_s is not None else 0.0
-        elif self.batch_wait_s is not None and self.batch_wait_s != wait:
-            raise ConfigurationError(
-                f"batch_wait={self.batch_wait!r} and its alias "
-                f"batch_wait_s={self.batch_wait_s!r} disagree; set one"
-            )
         if isinstance(wait, str):
             if wait != ADAPTIVE:
                 raise ConfigurationError(
@@ -259,7 +254,6 @@ class ServeOptions:
                 f"{type(self.adaptive).__name__}"
             )
         object.__setattr__(self, "batch_wait", wait)
-        object.__setattr__(self, "batch_wait_s", wait)
 
     @property
     def adaptive_window(self) -> bool:
@@ -281,10 +275,6 @@ class _Request:
     #: Absolute ``time.perf_counter()`` deadline; ``None`` never sheds.
     deadline: float | None = None
     request_id: str = ""
-    tags: dict = field(default_factory=dict)
-    #: True when the future resolves to a PredictResponse
-    #: (``submit_request``), False for the array-out ``submit`` path.
-    wants_response: bool = False
 
     @property
     def rows(self) -> int:
@@ -297,34 +287,11 @@ class _Inflight:
 
     batch: list[_Request]
     bounds: tuple[tuple[int, int], ...]
-    x_host: np.ndarray
+    #: Positional ``map_allreduce`` arguments of the fused tick.
+    call: tuple
     rows: int
     dispatch_s: float
-    pending: Any  # PendingReduce, or None if submission failed
-
-
-#: Registry of snapshot exporters: ``name -> fn(snapshot, path)``.
-#: The same extension discipline as the transport registry — filing a
-#: writer here makes it reachable from :meth:`ModelServer.export`.
-SNAPSHOT_EXPORTERS: dict[str, Callable[[dict, Any], None]] = {}
-
-
-def register_exporter(name: str):
-    """Decorator filing a snapshot writer under ``name``."""
-
-    def _register(fn: Callable[[dict, Any], None]):
-        SNAPSHOT_EXPORTERS[name] = fn
-        return fn
-
-    return _register
-
-
-@register_exporter("json")
-def _export_json(snapshot: dict, path: Any) -> None:
-    import json
-    import pathlib
-
-    pathlib.Path(path).write_text(json.dumps(snapshot, indent=2) + "\n")
+    pending: Any = None  # PendingReduce, or None if launching failed
 
 
 class ModelServer:
@@ -339,29 +306,33 @@ class ModelServer:
       <repro.shard.ShardGroup.serve>`) borrows a live, already-loaded
       group — closing the server drains requests but leaves it open.
 
-    Request lifecycle: :meth:`submit` (array-out back-compat) or
-    :meth:`submit_request` (typed
-    :class:`~repro.serve.PredictResponse`-out) validates the input,
-    snapshots the caller's active tracers, and enqueues a future; the
-    dispatcher thread sheds queued requests whose deadline already
-    expired (futures fail with
-    :class:`~repro.exceptions.DeadlineExceeded`, no tick consumed),
-    coalesces the survivors in priority-then-FIFO order (up to the
-    :class:`ServeOptions` budgets) into one tick, runs
+    Request lifecycle: :meth:`submit_request` (or the blocking
+    :meth:`predict_request`) validates the input, snapshots the
+    caller's active tracers, and enqueues a future; the dispatcher
+    thread sheds queued requests whose deadline already expired
+    (futures fail with :class:`~repro.exceptions.DeadlineExceeded`, no
+    tick consumed), coalesces the survivors in priority-then-FIFO order
+    (up to the :class:`ServeOptions` budgets) into one tick, runs
     :func:`_serve_batch_task` through the group's fused
     ``map_allreduce`` — one task round-trip + one collective per tick —
-    and scatters per-request result rows back to the futures.  Before a
-    future resolves, ``serve/{queue,batch,kernel,scatter}`` spans are
-    relayed to the tracers captured at submit time (the same relay
-    discipline as worker spans), and per-request latencies land in the
-    server's run-ID-stamped :class:`~repro.observe.MetricsRegistry`
+    and scatters per-request :class:`~repro.serve.PredictResponse`
+    objects back to the futures.  Before a future resolves,
+    ``serve/{queue,batch,kernel,scatter}`` spans are relayed to the
+    tracers captured at submit time (the same relay discipline as
+    worker spans), and per-request latencies land in the server's
+    run-ID-stamped :class:`~repro.observe.MetricsRegistry`
     (``serve/queue_s`` / ``serve/request_s`` histograms — p50/p95/p99 in
     :meth:`stats`).
 
     Failure policy: a tick that dies with an engine
     :class:`~repro.exceptions.ShardError` is retried up to
     ``options.max_retries`` times with backoff, then the whole batch's
-    futures fail.  :meth:`submit` after :meth:`close` raises
+    futures fail.  A request whose prediction is non-finite (NaN or inf
+    in the model) fails alone with :class:`~repro.exceptions.ReproError`
+    while the rest of its tick resolves.  Every admitted request ends
+    in exactly one of ``serve/requests``, ``serve/shed_requests``,
+    ``serve/abandoned_requests`` or ``serve/failed_requests``.
+    :meth:`submit_request` after :meth:`close` raises
     :class:`~repro.exceptions.ShardError`; close itself drains the queue
     (every in-flight future resolves) and is idempotent.
     """
@@ -457,40 +428,23 @@ class ModelServer:
         )
 
     # -------------------------------------------------------------- requests
-    def submit(self, x: Any) -> Future:
-        """Enqueue one predict request; returns its future.
-
-        ``x`` is ``(b, d)`` (any ``b >= 0``), a single sample ``(d,)``
-        (resolved to its one result row), or a typed
-        :class:`~repro.serve.PredictRequest` (whose priority/deadline
-        QoS envelope the scheduler honours).  Either way the future
-        resolves to the bare prediction array — the same bits the
-        request would get from a solo
-        :func:`~repro.shard.sharded_predict` call on the group.  For a
-        future that resolves to a full
-        :class:`~repro.serve.PredictResponse`, use
-        :meth:`submit_request`.
-        """
-        return self._enqueue(self._as_request(x), wants_response=False)
-
     def submit_request(self, request: Any) -> Future:
-        """Enqueue a typed request; the future resolves to a
+        """Enqueue one request; the future resolves to a
         :class:`~repro.serve.PredictResponse` (values + run id +
         queue/batch timings + retry count).
 
         ``request`` is a :class:`~repro.serve.PredictRequest` or a raw
-        array (wrapped with default QoS).  A request shed on deadline
-        fails its future with
-        :class:`~repro.exceptions.DeadlineExceeded` instead of
-        resolving.
+        ``(b, d)`` / ``(d,)`` array (wrapped with default QoS).  Its
+        ``values`` carry the bits a solo
+        :func:`~repro.shard.sharded_predict` call on the group would
+        return (a ``(d,)`` sample resolves to its one ``(l,)`` row).  A
+        request shed on deadline fails with
+        :class:`~repro.exceptions.DeadlineExceeded`; one whose
+        prediction comes back non-finite fails with
+        :class:`~repro.exceptions.ReproError`.
         """
-        return self._enqueue(self._as_request(request), wants_response=True)
-
-    @staticmethod
-    def _as_request(x: Any) -> PredictRequest:
-        return x if isinstance(x, PredictRequest) else PredictRequest(rows=x)
-
-    def _enqueue(self, request: PredictRequest, wants_response: bool) -> Future:
+        if not isinstance(request, PredictRequest):
+            request = PredictRequest(rows=request)
         x_host = np.asarray(to_numpy(request.rows))
         squeeze = x_host.ndim == 1
         if squeeze:
@@ -523,8 +477,6 @@ class ModelServer:
                 else now + float(request.deadline_s)
             ),
             request_id=request.request_id,
-            tags=dict(request.tags),
-            wants_response=wants_response,
         )
         with self._cv:
             if self._closing:
@@ -545,8 +497,10 @@ class ModelServer:
             self._cv.notify()
         return req.future
 
-    def predict(self, x: Any, timeout: float | None = None) -> np.ndarray:
-        """Blocking predict: :meth:`submit` + ``Future.result()``.
+    def predict_request(
+        self, request: Any, timeout: float | None = None
+    ) -> PredictResponse:
+        """Blocking predict: :meth:`submit_request` + ``Future.result()``.
 
         On timeout the queued future is *cancelled* before the
         ``TimeoutError`` propagates: a departed caller's request must
@@ -556,19 +510,6 @@ class ModelServer:
         dispatcher has claimed it for a tick it completes normally
         (the result is simply dropped).
         """
-        future = self.submit(x)
-        try:
-            return future.result(timeout)
-        except (_FutureTimeout, TimeoutError):
-            future.cancel()
-            raise
-
-    def predict_request(
-        self, request: Any, timeout: float | None = None
-    ) -> PredictResponse:
-        """Blocking typed predict: :meth:`submit_request` +
-        ``Future.result()``, with the same cancel-on-timeout discipline
-        as :meth:`predict`."""
         future = self.submit_request(request)
         try:
             return future.result(timeout)
@@ -588,7 +529,7 @@ class ModelServer:
         :class:`~repro.exceptions.DeadlineExceeded` — *outside* the
         lock, since resolving a future may run caller callbacks), and
         the requests whose caller cancelled while they queued (a
-        :meth:`predict` timeout).  All three are removed from the
+        :meth:`predict_request` timeout).  All three are removed from the
         queue; cohort members are *claimed* via
         ``Future.set_running_or_notify_cancel`` so a late caller-side
         cancel can no longer race the tick.
@@ -719,40 +660,6 @@ class ModelServer:
                 if inflight:
                     self._finish_batch(inflight.popleft())
 
-    def _execute(
-        self,
-        x_host: np.ndarray,
-        bounds: tuple[tuple[int, int], ...],
-        attempts: int | None = None,
-    ) -> tuple[np.ndarray, int]:
-        """Run one tick synchronously with bounded retries; returns
-        ``(reduced, retries_used)``."""
-        attempts = (
-            self.options.max_retries + 1 if attempts is None else attempts
-        )
-        for attempt in range(attempts):
-            try:
-                reduced, _ = self.group.map_allreduce(
-                    _serve_batch_task,
-                    self.kernel,
-                    x_host,
-                    bounds,
-                    self.options.max_scalars,
-                    bk=get_backend(),
-                )
-                return np.asarray(to_numpy(reduced)), attempt
-            except ShardError:
-                self.metrics.inc("serve/retries")
-                if attempt + 1 >= attempts:
-                    raise
-                _LOG.warning(
-                    "serve.retry run=%s attempt=%d/%d backoff_s=%.3f",
-                    self._run_short, attempt + 1, self.options.max_retries,
-                    self.options.retry_backoff_s,
-                )
-                time.sleep(self.options.retry_backoff_s)
-        raise AssertionError("unreachable")  # pragma: no cover
-
     def _launch_batch(self, batch: list[_Request]) -> "_Inflight":
         """Coalesce ``batch`` and submit its fused tick — non-blocking,
         so the workers compute this tick while the dispatcher scatters
@@ -769,58 +676,67 @@ class ModelServer:
             if len(batch) == 1
             else np.concatenate([req.x for req in batch], axis=0)
         )
-        pending = None
-        try:
-            pending = self.group.map_allreduce_async(
-                _serve_batch_task,
-                self.kernel,
-                x_host,
-                tuple(bounds),
+        inflight = _Inflight(
+            batch=batch,
+            bounds=tuple(bounds),
+            call=(
+                _serve_batch_task, self.kernel, x_host, tuple(bounds),
                 self.options.max_scalars,
-                bk=get_backend(),
+            ),
+            rows=lo,
+            dispatch_s=dispatch_s,
+        )
+        try:
+            inflight.pending = self.group.map_allreduce_async(
+                *inflight.call, bk=get_backend()
             )
         except Exception:
             # Submission itself failed (e.g. transport torn down under
-            # us): fall through with pending=None — the finish path
-            # takes the bounded-retry road and fails the futures if it
-            # cannot recover.
+            # us): leave pending=None — attempt 0 of the retry loop
+            # then runs the tick synchronously.
             pass
-        return _Inflight(
-            batch=batch, bounds=tuple(bounds), x_host=x_host, rows=lo,
-            dispatch_s=dispatch_s, pending=pending,
-        )
+        return inflight
+
+    def _run_tick(self, inflight: "_Inflight") -> tuple[np.ndarray, int]:
+        """Harvest one tick with bounded retries; returns ``(reduced,
+        retries)``.
+
+        Attempt 0 is the launched tick (a synchronous call if launching
+        failed); attempts ``1..max_retries`` re-run it synchronously
+        after the backoff.  Only engine
+        :class:`~repro.exceptions.ShardError` is retried, and
+        ``serve/retries`` counts each retry as it starts.
+        """
+        max_retries = self.options.max_retries
+        for attempt in range(max_retries + 1):
+            if attempt:
+                self.metrics.inc("serve/retries")
+                _LOG.warning(
+                    "serve.retry run=%s attempt=%d/%d backoff_s=%.3f",
+                    self._run_short, attempt, max_retries,
+                    self.options.retry_backoff_s,
+                )
+                time.sleep(self.options.retry_backoff_s)
+            try:
+                if attempt == 0 and inflight.pending is not None:
+                    reduced, _ = inflight.pending.result()
+                else:
+                    reduced, _ = self.group.map_allreduce(
+                        *inflight.call, bk=get_backend()
+                    )
+                return np.asarray(to_numpy(reduced)), attempt
+            except ShardError:
+                if attempt == max_retries:
+                    raise
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _finish_batch(self, inflight: "_Inflight") -> None:
         batch = inflight.batch
-        bounds = inflight.bounds
         dispatch_s = inflight.dispatch_s
         lo = inflight.rows
         kernel_s = time.perf_counter()
-        retries = 0
         try:
-            if inflight.pending is not None:
-                try:
-                    reduced, _ = inflight.pending.result()
-                    out = np.asarray(to_numpy(reduced))
-                except ShardError:
-                    # First (async) attempt failed: bounded synchronous
-                    # retries, same budget as the serial path.
-                    self.metrics.inc("serve/retries")
-                    if self.options.max_retries < 1:
-                        raise
-                    _LOG.warning(
-                        "serve.retry run=%s attempt=1/%d backoff_s=%.3f",
-                        self._run_short, self.options.max_retries,
-                        self.options.retry_backoff_s,
-                    )
-                    time.sleep(self.options.retry_backoff_s)
-                    out, more = self._execute(
-                        inflight.x_host, bounds,
-                        attempts=self.options.max_retries,
-                    )
-                    retries = 1 + more
-            else:
-                out, retries = self._execute(inflight.x_host, bounds)
+            out, retries = self._run_tick(inflight)
         except Exception as exc:
             _LOG.error(
                 "serve.batch_failed run=%s requests=%d rows=%d error=%s",
@@ -840,12 +756,15 @@ class ModelServer:
         self.metrics.observe("serve/batch_rows", float(lo))
         self.metrics.observe("serve/batch_requests", float(len(batch)))
         self.metrics.observe("serve/kernel_s", done_s - kernel_s)
+        # One check per tick; rows are searched only when it trips.
+        tick_finite = bool(np.isfinite(out).all())
         thread_name = threading.current_thread().name
         queue_obs: list[float] = []
         request_obs: list[float] = []
-        for req, (seg_lo, seg_hi) in zip(batch, bounds):
+        failed = 0
+        for req, (seg_lo, seg_hi) in zip(batch, inflight.bounds):
             rows = out[seg_lo:seg_hi]
-            result = (
+            values = (
                 np.asarray(rows[0]).copy() if req.squeeze else rows.copy()
             )
             scatter_s = time.perf_counter()
@@ -877,24 +796,40 @@ class ModelServer:
                 ]
                 for tracer in req.tracers:
                     tracer.record_many(events)
+            if not tick_finite and not np.isfinite(values).all():
+                # A NaN/inf prediction must not pass as a success.
+                failed += 1
+                req.future.set_exception(
+                    ReproError(
+                        f"request {req.request_id} produced a non-finite "
+                        "prediction (NaN or inf in the served model's "
+                        "output)"
+                    )
+                )
+                continue
             queue_obs.append(dispatch_s - req.enqueued_s)
             request_obs.append(scatter_s - req.enqueued_s)
-            if req.wants_response:
-                result = PredictResponse(
-                    values=result,
+            req.future.set_result(
+                PredictResponse(
+                    values=values,
                     run_id=self._run_id,
                     request_id=req.request_id,
                     queue_s=dispatch_s - req.enqueued_s,
                     batch_s=scatter_s - dispatch_s,
                     retries=retries,
                 )
-            req.future.set_result(result)
+            )
+        if failed:
+            _LOG.error(
+                "serve.non_finite run=%s requests=%d", self._run_short, failed
+            )
+            self.metrics.inc("serve/failed_requests", failed)
         # One registry round-trip per tick, not per request: the scatter
         # loop runs with callers actively waking up, so its lock traffic
         # is on the latency path.
         self.metrics.observe_many("serve/queue_s", queue_obs)
         self.metrics.observe_many("serve/request_s", request_obs)
-        self.metrics.inc("serve/requests", len(batch))
+        self.metrics.inc("serve/requests", len(batch) - failed)
         self.metrics.inc("serve/rows", lo)
 
     # -------------------------------------------------------------- teardown
@@ -908,7 +843,9 @@ class ModelServer:
         With ``drain=True`` (default) every queued request is still
         served — all in-flight futures resolve before the dispatcher
         exits.  With ``drain=False`` queued requests fail immediately
-        with :class:`~repro.exceptions.ShardError`.  A group the server
+        with :class:`~repro.exceptions.ShardError` (counted under
+        ``serve/failed_requests``, or ``serve/abandoned_requests`` when
+        their caller had already cancelled).  A group the server
         built (``model=...``) is closed with it; a borrowed group
         (``group=...``) is left open.  Idempotent.
         """
@@ -921,6 +858,7 @@ class ModelServer:
             if dropped:
                 self._queue.clear()
             self._cv.notify_all()
+        failed = 0
         for req in dropped:
             try:
                 req.future.set_exception(
@@ -928,8 +866,12 @@ class ModelServer:
                         "server closed before the request was dispatched"
                     )
                 )
+                failed += 1
             except InvalidStateError:
-                pass  # caller already cancelled (predict timeout)
+                pass  # caller already cancelled (predict_request timeout)
+        if dropped:
+            self.metrics.inc("serve/failed_requests", failed)
+            self.metrics.inc("serve/abandoned_requests", len(dropped) - failed)
         self._dispatcher.join(self.options.drain_timeout_s)
         if self._dispatcher.is_alive():  # pragma: no cover - wedged engine
             _LOG.warning(
@@ -971,16 +913,22 @@ class ModelServer:
         p50/p95/p99; see :class:`~repro.observe.MetricsRegistry`)."""
         return self.metrics.snapshot()
 
-    def export(self, path: Any, fmt: str = "json") -> None:
-        """Write :meth:`stats` through a registered snapshot exporter."""
-        exporter = SNAPSHOT_EXPORTERS.get(fmt)
-        if exporter is None:
-            raise ConfigurationError(
-                f"unknown exporter {fmt!r}: register one of "
-                f"{sorted(SNAPSHOT_EXPORTERS)} or file a new writer with "
-                "repro.serve.register_exporter"
-            )
-        exporter(self.stats(), path)
+    def health(self) -> dict[str, Any]:
+        """Liveness summary (the HTTP adapter's ``GET /healthz`` body):
+        ``status`` is ``"ok"`` while serving, ``"closed"`` after
+        :meth:`close`."""
+        return {
+            "status": "closed" if self._closed else "ok",
+            "run_id": self._run_id,
+            "transport": self.group.transport.name,
+            "g": self.group.g,
+        }
+
+    def export(self, path: Any) -> None:
+        """Write the :meth:`stats` snapshot to ``path`` as JSON."""
+        pathlib.Path(path).write_text(
+            json.dumps(self.stats(), indent=2) + "\n"
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"

@@ -133,7 +133,7 @@ A live group doubles as the compute fabric of the micro-batched
 prediction server: ``group.serve()`` (or
 ``repro.serve.ModelServer(group=group)``) starts a persistent session
 whose dispatcher coalesces concurrent :meth:`~repro.serve.ModelServer
-.submit` calls into one fused ``map_allreduce`` tick — one task
+.submit_request` calls into one fused ``map_allreduce`` tick — one task
 round-trip plus one collective for the whole batch — and scatters
 per-request rows back to the callers' futures, each bitwise-equal to a
 solo :func:`~repro.shard.ops.sharded_predict` call.  The server

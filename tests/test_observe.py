@@ -546,6 +546,7 @@ class TestPercentiles:
         for v in values:
             a.observe("h", v)
         b.observe_many("h", values)
+        b.observe_many("empty", [])  # like no observe() call at all
         assert a.snapshot()["histograms"] == b.snapshot()["histograms"]
 
 

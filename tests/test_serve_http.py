@@ -2,12 +2,13 @@
 
 The load-bearing claim is that HTTP adds a *transport*, not a numeric
 path: ``POST /predict`` responses are bit-identical to in-process
-:meth:`~repro.serve.ModelServer.predict` — and therefore to a solo
-:func:`~repro.shard.sharded_predict` — because JSON round-trips float64
-losslessly.  Around that: the health/metrics endpoints, the error
-mapping (400 malformed / 503 backpressure / 504 shed), the per-request
-timings on the wire, and the :class:`~repro.serve.ServeClient`
-interface both transports implement.
+:meth:`~repro.serve.ModelServer.predict_request` — and therefore to a
+solo :func:`~repro.shard.sharded_predict` — because JSON round-trips
+float64 losslessly.  Around that: the health/metrics endpoints, the
+error mapping (400 malformed / 500 engine failure / 503 backpressure /
+504 shed), a property test that ``/predict`` answers every JSON body,
+the per-request timings on the wire, and :class:`~repro.serve
+.HttpClient` agreeing with the engine it calls.
 """
 
 from __future__ import annotations
@@ -16,10 +17,15 @@ import json
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from typing import Any
 
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.model import KernelModel
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceeded,
@@ -28,11 +34,9 @@ from repro.exceptions import (
 from repro.kernels import GaussianKernel
 from repro.serve import (
     HttpClient,
-    LocalClient,
     ModelServer,
     PredictRequest,
     PredictResponse,
-    ServeClient,
     ServeHTTPServer,
     ServeOptions,
 )
@@ -58,10 +62,12 @@ def served():
                 yield group, server, http_srv
 
 
-def _post(url: str, payload: dict, timeout: float = 30.0):
+def _post(url: str, payload: Any, timeout: float = 30.0):
+    """POST ``payload`` as JSON (a ``str`` is sent verbatim)."""
+    body = payload if isinstance(payload, str) else json.dumps(payload)
     req = urllib.request.Request(
         url,
-        data=json.dumps(payload).encode("utf-8"),
+        data=body.encode("utf-8"),
         headers={"Content-Type": "application/json"},
         method="POST",
     )
@@ -83,7 +89,9 @@ def test_http_predict_bitwise_vs_in_process(served):
     for rows in (1, 7, 23):
         x = rng.standard_normal((rows, D))
         want = np.asarray(sharded_predict(group, x))
-        np.testing.assert_array_equal(server.predict(x, timeout=60), want)
+        np.testing.assert_array_equal(
+            server.predict_request(x, timeout=60).values, want
+        )
         status, payload = _post(
             f"{http_srv.url}/predict", {"rows": x.tolist()}
         )
@@ -99,7 +107,8 @@ def test_http_client_predict_bitwise(served):
     x = rng.standard_normal((9, D))
     client = HttpClient(http_srv.url)
     np.testing.assert_array_equal(
-        client.predict(x), np.asarray(sharded_predict(group, x))
+        client.predict_request(x).values,
+        np.asarray(sharded_predict(group, x)),
     )
 
 
@@ -107,7 +116,8 @@ def test_single_sample_round_trip(served):
     group, server, http_srv = served
     x = np.random.default_rng(41).standard_normal(D)
     resp = HttpClient(http_srv.url).predict_request(PredictRequest(rows=x))
-    want = server.predict(x, timeout=60)  # engine's (l,) single-sample form
+    # The engine's (l,) single-sample form.
+    want = server.predict_request(x, timeout=60).values
     assert resp.values.shape == want.shape == (L,)
     np.testing.assert_array_equal(resp.values, want)
     np.testing.assert_array_equal(
@@ -124,7 +134,7 @@ def test_response_carries_timings_and_identity(served):
     assert resp.request_id == "r-timed"
     assert resp.run_id == server.run_id
     assert resp.queue_s >= 0.0 and resp.batch_s > 0.0
-    assert resp.shed is False and resp.retries == 0
+    assert resp.retries == 0
 
 
 # --------------------------------------------------------------------------
@@ -137,6 +147,7 @@ def test_healthz(served):
     with urllib.request.urlopen(f"{http_srv.url}/healthz", timeout=30) as r:
         payload = json.loads(r.read())
         assert r.status == 200
+    assert payload == server.health()
     assert payload["status"] == "ok"
     assert payload["run_id"] == server.run_id
     assert payload["transport"] == "thread" and payload["g"] == 2
@@ -144,7 +155,7 @@ def test_healthz(served):
 
 def test_metrics_snapshot(served):
     _, server, http_srv = served
-    server.predict(np.zeros((1, D)), timeout=60)  # at least one sample
+    server.predict_request(np.zeros((1, D)), timeout=60)  # one sample
     with urllib.request.urlopen(f"{http_srv.url}/metrics", timeout=30) as r:
         snap = json.loads(r.read())
     assert snap["run_id"]["id"] == server.run_id
@@ -202,14 +213,14 @@ def test_non_finite_rows_400_others_unaffected(served, bad):
     want = np.asarray(sharded_predict(group, x))
     client = HttpClient(http_srv.url)
     with ThreadPoolExecutor(max_workers=3) as pool:
-        good = [pool.submit(client.predict, x) for _ in range(3)]
+        good = [pool.submit(client.predict_request, x) for _ in range(3)]
         status, body = _post(
             f"{http_srv.url}/predict", {"rows": poisoned.tolist()}
         )
         with pytest.raises(ConfigurationError, match="finite"):
-            client.predict(poisoned)
+            client.predict_request(poisoned)
         for f in good:
-            np.testing.assert_array_equal(f.result(timeout=60), want)
+            np.testing.assert_array_equal(f.result(timeout=60).values, want)
     assert status == 400
     assert body["error"] == "bad_request" and "finite" in body["detail"]
 
@@ -219,7 +230,7 @@ def test_expired_deadline_maps_to_504_shed(served):
     HttpClient raises the same DeadlineExceeded the engine raises."""
     group, _, _ = served
     with ModelServer(
-        group=group, options=ServeOptions(batch_wait_s=5e-3)
+        group=group, options=ServeOptions(batch_wait=5e-3)
     ) as slow:
         with ServeHTTPServer(slow) as adapter:
             status, body = _post(
@@ -252,7 +263,7 @@ def test_closed_engine_maps_to_503(served):
         assert err.value.code == 503
         # The client surface raises the engine's exception type.
         with pytest.raises(ShardError):
-            HttpClient(adapter.url).predict(np.zeros((1, D)))
+            HttpClient(adapter.url).predict_request(np.zeros((1, D)))
     finally:
         adapter.close()
 
@@ -260,26 +271,117 @@ def test_closed_engine_maps_to_503(served):
 def test_http_client_raises_configuration_error_on_400(served):
     _, _, http_srv = served
     with pytest.raises(ConfigurationError):
-        HttpClient(http_srv.url).predict(np.zeros((1, D + 2)))
+        HttpClient(http_srv.url).predict_request(np.zeros((1, D + 2)))
 
 
-# --------------------------------------------------------------------------
-# Client interface and adapter lifecycle
-# --------------------------------------------------------------------------
-
-
-def test_both_clients_satisfy_protocol_and_agree(served):
-    group, server, http_srv = served
-    local = LocalClient(server)
-    remote = HttpClient(http_srv.url)
-    assert isinstance(local, ServeClient)
-    assert isinstance(remote, ServeClient)
-    x = np.random.default_rng(43).standard_normal((6, D))
-    np.testing.assert_array_equal(local.predict(x), remote.predict(x))
-    assert local.health()["run_id"] == remote.health()["run_id"]
-    assert (
-        local.stats()["run_id"]["id"] == remote.stats()["run_id"]["id"]
+@pytest.mark.parametrize(
+    "body",
+    [
+        # json.loads reads 1e400 as inf; int(inf) raises OverflowError.
+        '{"rows": [[0.0, 0.0, 0.0, 0.0]], "priority": 1e400}',
+        # Deeper than the JSON decoder's recursion limit.
+        '{"rows": ' + "[" * 200_000 + "]" * 200_000 + "}",
+    ],
+    ids=["overflowing-priority", "over-deep-rows"],
+)
+def test_unparseable_bodies_400_and_server_answers_next(served, body):
+    """Bodies whose decoding raises outside ValueError/TypeError still
+    get a 400 (not a dropped connection), and the server keeps
+    serving."""
+    group, _, http_srv = served
+    status, payload = _post(f"{http_srv.url}/predict", body)
+    assert status == 400 and payload["error"] == "bad_request"
+    x = np.ones((1, D))
+    status, payload = _post(f"{http_srv.url}/predict", {"rows": x.tolist()})
+    assert status == 200
+    np.testing.assert_array_equal(
+        np.asarray(payload["values"]), np.asarray(sharded_predict(group, x))
     )
+
+
+# Finite floats are bounded so a well-formed row's prediction stays
+# finite (an input near float max overflows the kernel's distance to
+# NaN — the 500 path, pinned by test_nan_weight_model_maps_to_500).
+_floats = st.floats(min_value=-1e100, max_value=1e100) | st.sampled_from(
+    [float("nan"), float("inf"), float("-inf")]
+)
+_json = st.recursive(
+    st.none() | st.booleans() | st.integers() | _floats | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=8), inner, max_size=4)
+    ),
+    max_leaves=16,
+)
+_rows = st.lists(
+    st.lists(_floats, min_size=D, max_size=D), max_size=3
+) | _json
+_bodies = _json | st.fixed_dictionaries(
+    {"rows": _rows},
+    optional={
+        key: _json | _floats
+        for key in ("priority", "deadline_s", "request_id", "tags")
+    },
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(body=_bodies)
+def test_predict_answers_any_json_body(served, body):
+    """Every JSON body gets a reply: 200 or a 4xx — or a 504 when it
+    carried a deadline the dispatcher shed — never a 500 or a dropped
+    connection."""
+    _, _, http_srv = served
+    status, _ = _post(f"{http_srv.url}/predict", body)
+    shed = status == 504 and isinstance(body, dict) and "deadline_s" in body
+    assert status == 200 or 400 <= status < 500 or shed, (status, body)
+
+
+def test_nan_weight_model_maps_to_500(served):
+    """A non-finite prediction fails its request server-side: a 500
+    naming the request id, never a 200 carrying NaN."""
+    group, _, _ = served
+    rng = np.random.default_rng(47)
+    weights = rng.standard_normal((N, L))
+    weights[0, 0] = np.nan
+    model = KernelModel(
+        kernel=GaussianKernel(bandwidth=2.0),
+        centers=rng.standard_normal((N, D)),
+        weights=weights,
+    )
+    with ModelServer(model, g=2, transport="thread") as engine:
+        with ServeHTTPServer(engine) as adapter:
+            status, body = _post(
+                f"{adapter.url}/predict",
+                {"rows": np.zeros((1, D)).tolist(), "request_id": "r-nan"},
+            )
+            with pytest.raises(ShardError, match="500"):
+                HttpClient(adapter.url).predict_request(np.zeros((1, D)))
+        counters = engine.stats()["counters"]
+    assert status == 500
+    assert body["error"] == "ReproError" and "r-nan" in body["detail"]
+    assert counters["serve/failed_requests"] == 2
+    assert counters.get("serve/requests", 0) == 0
+
+
+# --------------------------------------------------------------------------
+# Client and adapter lifecycle
+# --------------------------------------------------------------------------
+
+
+def test_http_client_agrees_with_engine(served):
+    """The HTTP client's values, health and stats are the engine's."""
+    _, server, http_srv = served
+    remote = HttpClient(http_srv.url)
+    x = np.random.default_rng(43).standard_normal((6, D))
+    np.testing.assert_array_equal(
+        server.predict_request(x, timeout=60).values,
+        remote.predict_request(x).values,
+    )
+    health = remote.health()
+    assert health.pop("http_status") == 200
+    assert health == server.health()
+    assert remote.stats()["run_id"]["id"] == server.run_id
 
 
 def test_http_client_validates_construction():
@@ -306,7 +408,7 @@ def test_adapter_close_is_idempotent_and_borrows(served):
     adapter.close()
     assert adapter.closed
     # Borrowed engine still serves in-process after the listener stops.
-    engine.predict(np.zeros((1, D)), timeout=60)
+    engine.predict_request(np.zeros((1, D)), timeout=60)
     engine.close()
     with pytest.raises(urllib.error.URLError):
         urllib.request.urlopen(f"{url}/healthz", timeout=2)

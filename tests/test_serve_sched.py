@@ -91,7 +91,7 @@ class TestRequestAPI:
         np.testing.assert_array_equal(
             np.asarray(back["values"], dtype=np.float64), values
         )
-        assert back["shed"] is False and back["retries"] == 0
+        assert "shed" not in back and back["retries"] == 0
 
     def test_submit_request_resolves_to_response(self, problem, group):
         _, _, _, x = problem
@@ -106,7 +106,7 @@ class TestRequestAPI:
         assert resp.request_id == req.request_id
         assert resp.run_id == server.run_id
         assert resp.queue_s >= 0 and resp.batch_s > 0
-        assert resp.retries == 0 and resp.shed is False
+        assert resp.retries == 0
         np.testing.assert_array_equal(resp.values, want)
 
     def test_predict_request_and_raw_array_share_bits(self, problem, group):
@@ -116,7 +116,7 @@ class TestRequestAPI:
             via_request = server.predict_request(
                 PredictRequest(rows=x), timeout=60
             ).values
-            via_array = server.predict(x, timeout=60)
+            via_array = server.predict_request(x, timeout=60).values
         finally:
             server.close()
         np.testing.assert_array_equal(via_request, via_array)
@@ -133,7 +133,7 @@ class TestDeadlineShedding:
         metrics = MetricsRegistry()
         server = ModelServer(
             group=group, metrics=metrics,
-            options=ServeOptions(batch_wait_s=5e-3),
+            options=ServeOptions(batch_wait=5e-3),
         )
         try:
             doomed = [
@@ -149,7 +149,7 @@ class TestDeadlineShedding:
             # Admitted traffic on the same engine is unaffected.
             want = np.asarray(sharded_predict(group, x))
             np.testing.assert_array_equal(
-                server.predict(x, timeout=60), want
+                server.predict_request(x, timeout=60).values, want
             )
         finally:
             server.close()
@@ -206,13 +206,13 @@ class TestPriorityScheduling:
         server = ModelServer(
             group=group,
             options=ServeOptions(
-                batch_wait_s=0.0,
+                batch_wait=0.0,
                 max_batch_requests=max_batch_requests,
                 pipeline_depth=1,
             ),
         )
         try:
-            plug = server.submit(x)  # rides the gated first tick
+            plug = server.submit_request(x)  # rides the gated first tick
             assert first_tick.wait(timeout=30)
             futures = []
             for prio in priorities:
@@ -261,7 +261,7 @@ class TestPriorityScheduling:
         server = ModelServer(
             group=group,
             options=ServeOptions(
-                batch_wait_s=0.15, max_batch_requests=1, pipeline_depth=1
+                batch_wait=0.15, max_batch_requests=1, pipeline_depth=1
             ),
         )
         order: list[str] = []
@@ -360,15 +360,13 @@ class TestAdaptiveWindow:
     def test_serve_options_adaptive_spelling(self):
         opts = ServeOptions(batch_wait=ADAPTIVE)
         assert opts.adaptive_window
-        assert ServeOptions(batch_wait_s="adaptive").adaptive_window
-        assert not ServeOptions(batch_wait_s=1e-3).adaptive_window
+        assert ServeOptions(batch_wait="adaptive").adaptive_window
+        assert not ServeOptions(batch_wait=1e-3).adaptive_window
         with pytest.raises(ConfigurationError):
             ServeOptions(batch_wait="sometimes")
         with pytest.raises(ConfigurationError):
             # WindowOptions without opting into the adaptive window.
-            ServeOptions(batch_wait_s=1e-3, adaptive=WindowOptions())
-        with pytest.raises(ConfigurationError):
-            ServeOptions(batch_wait=1e-3, batch_wait_s=2e-3)
+            ServeOptions(batch_wait=1e-3, adaptive=WindowOptions())
 
     @pytest.mark.parametrize(
         "load", ["bursty", "steady"], ids=["bursty", "steady"]
@@ -386,10 +384,10 @@ class TestAdaptiveWindow:
         try:
             want = np.asarray(sharded_predict(group, x))
             for _ in range(4):
-                futures = [server.submit(x) for _ in range(6)]
+                futures = [server.submit_request(x) for _ in range(6)]
                 for f in futures:
                     np.testing.assert_array_equal(
-                        f.result(timeout=60), want
+                        f.result(timeout=60).values, want
                     )
                 if load == "steady":
                     time.sleep(2e-3)
@@ -407,7 +405,7 @@ class TestAdaptiveWindow:
 
 class TestTimeoutAbandon:
     def test_timed_out_request_leaves_the_cohort(self, problem, group):
-        """predict(timeout=...) that fires while the request is queued
+        """predict_request(timeout=...) that fires while it is queued
         cancels the future: the dispatcher culls it at cohort formation
         (counted, no spans, no result) instead of serving a caller that
         already gave up."""
@@ -415,14 +413,14 @@ class TestTimeoutAbandon:
         metrics = MetricsRegistry()
         server = ModelServer(
             group=group, metrics=metrics,
-            options=ServeOptions(batch_wait_s=0.2, pipeline_depth=1),
+            options=ServeOptions(batch_wait=0.2, pipeline_depth=1),
         )
         try:
             with pytest.raises((FutureTimeout, TimeoutError)):
-                server.predict(x, timeout=1e-3)
+                server.predict_request(x, timeout=1e-3)
             # A later caller is served normally on the same engine.
             np.testing.assert_array_equal(
-                server.predict(x, timeout=60),
+                server.predict_request(x, timeout=60).values,
                 np.asarray(sharded_predict(group, x)),
             )
         finally:
@@ -442,11 +440,11 @@ class TestTimeoutAbandon:
         _, _, _, x = problem
         server = ModelServer(group=group)
         try:
-            fut = server.submit(x)
+            fut = server.submit_request(x)
             with pytest.raises((FutureTimeout, TimeoutError)):
                 fut.result(timeout=0)
             np.testing.assert_array_equal(
-                fut.result(timeout=60),
+                fut.result(timeout=60).values,
                 np.asarray(sharded_predict(group, x)),
             )
         finally:
