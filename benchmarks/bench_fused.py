@@ -1,11 +1,12 @@
 """Bench: fused kernel hot path vs the decomposed chain, per backend.
 
 Times the streamed training matvec (``profile(dist²(x, z)) @ w`` through
-:func:`repro.kernels.ops.kernel_matvec`) with the backend fused entry
-point enabled and with :func:`repro.config.use_fusion` forcing the
-decomposed ``sq_euclidean_distances`` → profile → GEMM chain, for every
-available backend and both fusable profiles (gaussian, laplacian) — plus
-the precision tiers (float64 / float32 / mixed) of the fused path.
+:func:`repro.kernels.ops.kernel_matvec`) with the backend's fused entry
+point and with the base class's decomposed block former
+(:meth:`repro.backend.ArrayBackend.fused_kernel_block`: distance GEMM →
+tail → profile) in its place, for every available backend and both
+fusable profiles (gaussian, laplacian) — plus the precision tiers
+(float64 / float32 / mixed) of the fused path.
 
 Claims recorded in the JSON payload:
 
@@ -36,6 +37,8 @@ equal.
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import hashlib
 import json
 import pathlib
@@ -50,10 +53,11 @@ from repro.backend import (
     ArrayBackend,
     NumpyBackend,
     available_backends,
+    get_backend,
     to_numpy,
     use_backend,
 )
-from repro.config import use_fusion, use_precision
+from repro.config import use_precision
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.kernels.ops import kernel_matvec
 from repro.observe import new_run_id
@@ -70,6 +74,16 @@ def _time_ms(fn, rounds: int, warmup: int) -> float:
         fn()
         times.append((time.perf_counter() - t0) * 1e3)
     return statistics.median(times)
+
+
+def _decomposed(bk: ArrayBackend) -> ArrayBackend:
+    """A copy of ``bk`` whose block former is the base class's
+    decomposed chain, bypassing any fused override."""
+    out = copy.copy(bk)
+    out.fused_kernel_block = functools.partial(
+        ArrayBackend.fused_kernel_block, out
+    )
+    return out
 
 
 def run_bench(
@@ -105,7 +119,7 @@ def run_bench(
 
                 fused_ms = _time_ms(matvec, rounds, warmup)
                 fused_out = matvec()
-                with use_fusion(False):
+                with use_backend(_decomposed(get_backend())):
                     decomposed_ms = _time_ms(matvec, rounds, warmup)
                     decomposed_out = matvec()
                 speedup = decomposed_ms / fused_ms if fused_ms > 0 else None

@@ -86,9 +86,7 @@ additionally routes through the backends' **fused** entry points
 :meth:`~repro.backend.ArrayBackend.fused_kernel_matvec`): NumPy
 decomposes them to the historical pooled-workspace ops (bitwise
 identical either way), the Torch backend compiles the chain with
-``torch.compile``.  :func:`repro.config.set_fusion` /
-:func:`repro.config.use_fusion` (and the ``REPRO_FUSION`` environment
-variable) force the decomposed chain for baselines.
+``torch.compile``.
 
 Operation counts recorded via :mod:`repro.instrument` are derived from
 array shapes only, so cost-model validation (Table 1) is backend-,
@@ -300,12 +298,9 @@ from repro.backend import (
 from repro.config import (
     MIXED_PRECISION,
     Precision,
-    fusion_enabled,
     get_precision,
     mixed_precision_active,
-    set_fusion,
     set_precision,
-    use_fusion,
     use_precision,
 )
 from repro.kernels import (
@@ -386,10 +381,6 @@ __all__ = [
     "MIXED_PRECISION",
     "Precision",
     "mixed_precision_active",
-    # fused hot path
-    "fusion_enabled",
-    "set_fusion",
-    "use_fusion",
     # kernels
     "Kernel",
     "GaussianKernel",

@@ -37,7 +37,6 @@ row tiles over the process's compute threads), while the Torch backend
 compiles the ``cdist + profile + matmul`` chain into one graph via
 ``torch.compile`` (falling back to an eager fused form when compilation
 is unavailable).
-Gate it with :func:`~repro.config.use_fusion` / ``set_fusion``.
 
 BLAS threads
 ------------
@@ -86,14 +85,11 @@ from repro.config import (
     ScopedOverride,
     accumulate_dtype,
     current_precision,
-    fusion_enabled,
     get_precision,
     mixed_precision_active,
     precision_is_explicit,
     scoped_value,
-    set_fusion,
     set_precision,
-    use_fusion,
     use_precision,
 )
 from repro.exceptions import ConfigurationError
@@ -122,10 +118,6 @@ __all__ = [
     "set_precision",
     "use_precision",
     "precision_is_explicit",
-    # re-exported fusion switch
-    "fusion_enabled",
-    "set_fusion",
-    "use_fusion",
 ]
 
 _NUMPY = NumpyBackend()

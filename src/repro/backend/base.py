@@ -31,12 +31,12 @@ it: :meth:`ArrayBackend.fused_kernel_block` (distances + profile, i.e. one
 ``(b, n)`` kernel block) and :meth:`ArrayBackend.fused_kernel_matvec`
 (block + contraction against the weights).  The base implementations
 *decompose* to exactly the historical pooled-workspace ops, so op counts
-stay shape-derived and backend-invariant and the NumPy backend is
-bit-identical with or without the ``repro.config`` fusion switch (its
-row-tiled :meth:`~ArrayBackend._kernel_tail` override keeps each
-element's ops and their order); the Torch backend overrides the block
-former with a ``torch.compile`` fused kernel (eager fused fallback)
-behind :func:`repro.config.fusion_enabled`.
+stay shape-derived and backend-invariant (the NumPy backend's row-tiled
+:meth:`~ArrayBackend._kernel_tail` override keeps each element's ops and
+their order); the Torch backend overrides the block former with a
+``torch.compile`` fused kernel (eager fused fallback).  The base
+decomposition stays the bitwise reference a fused override is tested
+against.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ compiled function preserves the decomposed path's elementwise operation
 order, so float64 fused blocks are bit-identical to unfused ones on this
 backend.  Compilation failures (unsupported platform, missing compiler
 toolchain) latch a fallback to the *eager* fused function — same
-arithmetic, no codegen — and :func:`repro.config.fusion_enabled` gates
-the whole path back to the base decomposition.  Under
-``use_precision("mixed")`` on CUDA devices, TF32 matmul kernels are
-enabled the first time a fused block is formed.
+arithmetic, no codegen.  Under ``use_precision("mixed")`` on CUDA
+devices, TF32 matmul kernels are enabled the first time a fused block is
+formed.
 """
 
 from __future__ import annotations
@@ -36,7 +35,6 @@ import numpy as np
 from repro.backend.base import ArrayBackend
 from repro.config import (
     compute_dtype,
-    fusion_enabled,
     get_precision,
     mixed_precision_active,
     workspace_debug_enabled,
@@ -286,11 +284,6 @@ class TorchBackend(ArrayBackend):
         z_sq_norms: Any | None = None,
         dtype: object | None = None,
     ) -> Any:
-        if not fusion_enabled():
-            return super().fused_kernel_block(
-                x, z, profile=profile, scale=scale, out=out,
-                x_sq_norms=x_sq_norms, z_sq_norms=z_sq_norms, dtype=dtype,
-            )
         entry = self._fused_profile_fns(profile)
         if entry is None:
             # Unknown profile: the base implementation owns the error.

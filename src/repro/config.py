@@ -33,15 +33,6 @@ for a plain dtype the two coincide, so every existing call site that only
 asks :func:`get_precision` keeps its historical behavior.  The spec is
 picklable and travels with submitted shard tasks, so worker processes see
 the same split the caller selected.
-
-Fusion switch
--------------
-:func:`use_fusion` / :func:`set_fusion` gate the fused kernel hot path
-(:meth:`repro.backend.ArrayBackend.fused_kernel_block`).  Fusion is *on*
-by default; benchmarks toggle it off process-wide (``set_fusion(False)``)
-to measure the decomposed dispatch chain.  On the NumPy backend both
-settings execute the identical pooled-workspace ops, so the flag only
-changes codegen on backends with a real fused implementation (Torch).
 """
 
 from __future__ import annotations
@@ -140,22 +131,30 @@ def _as_precision(value: object) -> Precision:
 class ScopedOverride:
     """Per-thread stack of scoped override values plus a process-wide global.
 
-    This is the scope machinery shared by the precision switch here and the
-    backend switch in :mod:`repro.backend`: the innermost active scope on
-    the current thread wins, then the process-wide global set by the
-    corresponding ``set_*`` function, then nothing (:meth:`current` returns
-    ``None`` and the caller applies its default).
+    This is the scope machinery shared by the precision switch here, the
+    backend switch in :mod:`repro.backend` and the meter and tracer scopes
+    of :mod:`repro.instrument`: the innermost active scope on the current
+    thread wins, then the process-wide global set by the corresponding
+    ``set_*`` function, then nothing (:meth:`current` returns ``None`` and
+    the caller applies its default).
+
+    The stack is the ``attr`` attribute of ``local``, a private
+    ``threading.local`` unless given, so several stacks can live on one
+    per-thread object.
     """
 
-    def __init__(self) -> None:
-        self._local = threading.local()
+    def __init__(
+        self, local: threading.local | None = None, attr: str = "stack"
+    ) -> None:
+        self._local = threading.local() if local is None else local
+        self._attr = attr
         self._global: object | None = None
 
     def _stack(self) -> list:
-        stack = getattr(self._local, "stack", None)
+        stack = getattr(self._local, self._attr, None)
         if stack is None:
             stack = []
-            self._local.stack = stack
+            setattr(self._local, self._attr, stack)
         return stack
 
     def current(self) -> object | None:
@@ -376,43 +375,3 @@ def compute_dtype(*arrays: object) -> np.dtype:
     if all(dt == float_dtypes[0] for dt in float_dtypes[1:]):
         return float_dtypes[0]  # skip np.result_type on the hot path
     return np.result_type(*float_dtypes)
-
-
-_FUSION = ScopedOverride()
-# The ``REPRO_FUSION`` environment variable seeds the process-global
-# flag (``0``/``false``/``off`` disable): CI's switch-invisibility cell
-# runs whole suites with fusion forced off, pinning that the fused and
-# decomposed chains are observationally identical end to end.
-_env_fusion = os.environ.get("REPRO_FUSION", "")
-if _env_fusion:
-    _FUSION.set_global(_env_fusion.lower() not in ("0", "false", "off"))
-del _env_fusion
-
-
-def fusion_enabled() -> bool:
-    """True when backends should use their fused kernel hot path
-    (:meth:`repro.backend.ArrayBackend.fused_kernel_block`).  Defaults to
-    enabled (the ``REPRO_FUSION`` environment variable seeds the default);
-    disable via :func:`set_fusion` / :func:`use_fusion` to force
-    the decomposed dispatch chain (benchmark baselines do this)."""
-    current = _FUSION.current()
-    return True if current is None else bool(current)
-
-
-def set_fusion(enabled: bool | None) -> None:
-    """Set (or with ``None`` clear, restoring the enabled default) the
-    process-wide fusion flag.  Process-global like
-    :func:`set_workspace_debug`, because blocks form on prefetch and
-    shard worker threads that never see caller-thread scopes."""
-    _FUSION.set_global(None if enabled is None else bool(enabled))
-
-
-class use_fusion(scoped_value):
-    """Context manager selecting the fused-kernel flag for the enclosed
-    code on the current thread (see :func:`set_fusion` for the
-    process-wide form that worker threads inherit)."""
-
-    _state = _FUSION
-
-    def __init__(self, enabled: bool = True) -> None:
-        super().__init__(bool(enabled))

@@ -54,9 +54,8 @@ from repro.kernels.ops import block_workspace, center_sq_norms
 from repro.core.stopping import TrainMSETarget, ValidationPlateau
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.instrument import record_ops
+from repro.instrument import record_ops, span
 from repro.kernels.base import Kernel
-from repro.observe.tracer import span
 
 __all__ = [
     "EpochRecord",

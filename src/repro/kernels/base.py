@@ -241,8 +241,7 @@ class RadialKernel(Kernel):
             # Every evaluation of a fusable radial kernel routes through
             # the backend's fused entry point: the NumPy base decomposes
             # to the identical pooled-workspace chain below (tail in row
-            # tiles, same bits), Torch swaps in its torch.compile kernel
-            # (repro.config.use_fusion gates).
+            # tiles, same bits), Torch swaps in its torch.compile kernel.
             profile, scale = spec
             return get_backend().fused_kernel_block(
                 x, z, profile=profile, scale=scale, out=out,

@@ -1,13 +1,13 @@
 """Observability: wall-clock spans, metrics and trace export.
 
-:mod:`repro.instrument` counts operations; :mod:`repro.observe` times
-them.  The subsystem has four parts:
+:mod:`repro.instrument` counts operations and times spans;
+:mod:`repro.observe` reports them.  The subsystem has four parts:
 
-- **Tracing** (:mod:`~repro.observe.tracer`): ``with span("gemm",
-  step=t, shard=i): ...`` on a thread-local :class:`Tracer` stack that
-  mirrors the meter stack — no-op when disabled, worker-side spans
-  relayed to the caller through the same accounting path as op-count
-  deltas.
+- **Tracing** (re-exported from :mod:`repro.instrument`): ``with
+  span("gemm", step=t, shard=i): ...`` against the :class:`Tracer`\\ s
+  active on the thread-local telemetry ambient the meters share — no-op
+  when disabled, worker-side spans relayed to the caller with the
+  op-count deltas.
 - **Metrics** (:mod:`~repro.observe.metrics`): a
   :class:`MetricsRegistry` of counters/gauges/histograms unifying op
   totals, span durations, allreduce wait time, mirror-back queue depth
@@ -41,15 +41,12 @@ from repro.observe.export import (
 )
 from repro.observe.metrics import MetricsRegistry
 from repro.observe.runid import new_run_id, resolve_commit
-from repro.observe.tracer import (
+from repro.instrument import (
     SpanEvent,
     Tracer,
-    active_tracers,
     record_span,
-    relay_spans,
     span,
     trace_scope,
-    tracing_active,
 )
 
 __all__ = [
@@ -57,18 +54,15 @@ __all__ = [
     "PhaseComparison",
     "SpanEvent",
     "Tracer",
-    "active_tracers",
     "compare_phases",
     "export_jsonl",
     "export_perfetto",
     "new_run_id",
     "perfetto_payload",
     "record_span",
-    "relay_spans",
     "render_comparison",
     "resolve_commit",
     "span",
     "trace_scope",
-    "tracing_active",
     "validate_perfetto",
 ]

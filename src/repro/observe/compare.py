@@ -4,7 +4,7 @@ The simulator-vs-engine validation harness
 (:func:`repro.experiments.run_shard_validation`) checks *one* number —
 total per-iteration time — against the Table-1 cost model.  This module
 splits that residual into phases: it joins the wall-clock span totals a
-traced fit produced (:class:`~repro.observe.tracer.Tracer`) against the
+traced fit produced (:class:`~repro.observe.Tracer`) against the
 analytic model's per-phase predictions, so a mismatch says *which*
 phase the model got wrong.
 
@@ -39,7 +39,7 @@ from repro.device.cluster import (
     recovery_time,
     transport_interconnect,
 )
-from repro.observe.tracer import Tracer
+from repro.instrument import Tracer
 
 __all__ = ["PhaseComparison", "compare_phases", "render_comparison"]
 

@@ -1,6 +1,6 @@
 """Trace exporters: JSON-lines event log and Chrome/Perfetto format.
 
-Two renderings of the same :class:`~repro.observe.tracer.Tracer`:
+Two renderings of the same :class:`~repro.observe.Tracer`:
 
 - :func:`export_jsonl` — one JSON object per line, greppable and
   streamable, with a leading ``run_start`` header carrying the run ID;
@@ -18,7 +18,7 @@ import json
 import pathlib
 from typing import Any, Mapping
 
-from repro.observe.tracer import Tracer
+from repro.instrument import Tracer
 
 __all__ = [
     "export_jsonl",

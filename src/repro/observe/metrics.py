@@ -3,7 +3,7 @@
 One :class:`MetricsRegistry` per run unifies every quantitative signal
 the stack already produces — op totals from
 :class:`~repro.instrument.OpMeter`, span durations from
-:class:`~repro.observe.tracer.Tracer`, allreduce wait time, mirror-back
+:class:`~repro.observe.Tracer`, allreduce wait time, mirror-back
 queue depth, :class:`~repro.shard.recovery.RecoveryEvent` latency —
 under a single run-ID-stamped :meth:`~MetricsRegistry.snapshot`.
 
@@ -26,9 +26,8 @@ from __future__ import annotations
 import threading
 from typing import Any, Iterable, Mapping
 
-from repro.instrument import OP_CATEGORIES, OpMeter
+from repro.instrument import OP_CATEGORIES, OpMeter, Tracer
 from repro.observe.runid import new_run_id
-from repro.observe.tracer import Tracer
 
 __all__ = ["MetricsRegistry"]
 

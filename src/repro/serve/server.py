@@ -67,17 +67,19 @@ from repro.exceptions import (
     ReproError,
     ShardError,
 )
-from repro.instrument import OpMeter, meter_scope
-from repro.kernels.base import Kernel
-from repro.kernels.ops import KernelMatvecPlan
-from repro.observe.metrics import MetricsRegistry
-from repro.observe.tracer import (
+from repro.instrument import (
+    OpMeter,
     SpanEvent,
+    Telemetry,
     Tracer,
-    active_tracers,
+    capture,
+    meter_scope,
     record_span,
     trace_scope,
 )
+from repro.kernels.base import Kernel
+from repro.kernels.ops import KernelMatvecPlan
+from repro.observe.metrics import MetricsRegistry
 from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.shard.group import ShardGroup
@@ -268,7 +270,8 @@ class _Request:
 
     x: np.ndarray
     future: Future
-    tracers: tuple[Tracer, ...]
+    #: The submitting thread's telemetry, captured at submit time.
+    telemetry: Telemetry
     enqueued_s: float
     squeeze: bool = False
     priority: int = 0
@@ -468,7 +471,7 @@ class ModelServer:
         req = _Request(
             x=x_host,
             future=Future(),
-            tracers=tuple(active_tracers()),
+            telemetry=capture(),
             enqueued_s=now,
             squeeze=squeeze,
             priority=int(request.priority),
@@ -772,8 +775,8 @@ class ModelServer:
             # at submit time — the worker-span relay discipline, applied
             # per request — *before* resolving the future, so a caller
             # that awaits the result sees its trace complete.
-            if req.tracers:
-                events = [
+            if req.telemetry.tracing:
+                req.telemetry.relay(spans=[
                     SpanEvent(
                         "serve/queue", req.enqueued_s,
                         dispatch_s - req.enqueued_s,
@@ -793,9 +796,7 @@ class ModelServer:
                         "serve/scatter", done_s, scatter_s - done_s,
                         thread=thread_name, attrs={"rows": req.rows},
                     ),
-                ]
-                for tracer in req.tracers:
-                    tracer.record_many(events)
+                ])
             if not tick_finite and not np.isfinite(values).all():
                 # A NaN/inf prediction must not pass as a success.
                 failed += 1

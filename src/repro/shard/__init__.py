@@ -116,8 +116,8 @@ trainer brackets every phase (``epoch``, ``form_block``/``gemm`` waits,
 ``recovery/*`` detour), the group brackets every collective
 (``allreduce``, ``mirror``, ``gather``), and each *worker* records its
 own ``form_block``/``gemm`` spans — stamped ``shard=<id>`` and relayed
-back on the existing metered-reply path, the exact analogue of
-``relay_op_counts``.  Export per-shard timelines with
+back on the existing metered-reply path with the op-count deltas
+(:meth:`repro.instrument.Telemetry.relay`).  Export per-shard timelines with
 :func:`~repro.observe.export_perfetto` and join measured span totals
 against the cluster cost model with
 :func:`~repro.observe.compare_phases`.  Tracing is opt-in and captured

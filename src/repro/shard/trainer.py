@@ -94,10 +94,9 @@ from repro.device.cluster import Interconnect, multi_gpu
 from repro.device.presets import titan_xp
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, ShardError
-from repro.instrument import record_ops
+from repro.instrument import capture, record_ops, record_span, span
 from repro.kernels.base import Kernel
 from repro.kernels.ops import block_workspace, take_columns
-from repro.observe.tracer import record_span, span, tracing_active
 from repro.shard.group import PendingMap, ShardGroup
 from repro.shard.ops import sharded_predict
 from repro.shard.recovery import RecoveryEvent, ShardCheckpoint
@@ -636,7 +635,7 @@ class ShardedEigenPro2(EigenPro2):
             new_g=new_g,
             replayed_steps=event.replayed_steps,
         )
-        if tracing_active() and event.replayed_steps > 0:
+        if capture().tracing and event.replayed_steps > 0:
             # The replay itself happens in the resumed step loop; open a
             # window the loop closes (as a "recovery/replay" span) when
             # it passes the step that originally failed.

@@ -59,9 +59,16 @@ from repro.backend import (
 )
 from repro.config import Precision, accumulate_dtype, mixed_precision_active
 from repro.exceptions import ConfigurationError, ShardError
-from repro.instrument import OpMeter, meter_scope, record_ops, relay_op_counts
+from repro.instrument import (
+    OpMeter,
+    Tracer,
+    capture,
+    meter_scope,
+    record_ops,
+    span,
+    trace_scope,
+)
 from repro.kernels.ops import block_workspace
-from repro.observe.tracer import Tracer, relay_spans, span, trace_scope
 from repro.shard.plan import ShardPlan
 
 __all__ = [
@@ -326,9 +333,7 @@ class PendingMap:
                 results.append(result)
                 for category, ops in delta.items():
                     merged[category] = merged.get(category, 0) + ops
-            relay_op_counts(merged)
-            if spans:
-                relay_spans(spans)
+            capture().relay(ops=merged, spans=spans)
             self._results = results
         if self._error is not None:
             raise self._error

@@ -90,7 +90,7 @@ from repro.backend import (
 )
 from repro.backend.threads import usable_cpus
 from repro.exceptions import ConfigurationError, ShardError
-from repro.observe.tracer import span, tracing_active
+from repro.instrument import capture, span
 from repro.shard.plan import ShardPlan
 from repro.shard.transport.base import ShardTransport, ShardWorker
 
@@ -439,7 +439,7 @@ class ProcessShardExecutor:
         pool = self._require_open()
         precision = current_precision()
         return pool.submit(
-            self._rpc_metered, fn, args, kwargs, precision, tracing_active()
+            self._rpc_metered, fn, args, kwargs, precision, capture().tracing
         )
 
     # ------------------------------------------------------------- liveness

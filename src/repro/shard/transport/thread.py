@@ -28,7 +28,7 @@ from repro.backend import (
     to_numpy,
 )
 from repro.exceptions import ConfigurationError, ShardError
-from repro.observe.tracer import tracing_active
+from repro.instrument import capture
 from repro.shard.plan import ShardPlan
 from repro.shard.transport.base import ShardTransport, ShardWorker
 
@@ -87,7 +87,7 @@ class ShardExecutor(ShardWorker):
         pool = self._require_open()
         precision = current_precision()
         return pool.submit(
-            self.run_metered, fn, args, kwargs, precision, tracing_active()
+            self.run_metered, fn, args, kwargs, precision, capture().tracing
         )
 
     def pull_rows(self, local_idx: np.ndarray) -> np.ndarray:

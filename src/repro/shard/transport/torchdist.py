@@ -90,8 +90,7 @@ import numpy as np
 from repro.backend import ArrayBackend, NumpyBackend, get_backend, to_numpy
 from repro.config import accumulate_dtype, mixed_precision_active
 from repro.exceptions import ConfigurationError, ShardError
-from repro.instrument import record_ops
-from repro.observe.tracer import span
+from repro.instrument import record_ops, span
 from repro.shard.plan import ShardPlan
 from repro.shard.transport.base import (
     PendingMap,

@@ -23,6 +23,7 @@ import pytest
 
 from repro import EigenPro2
 from repro.backend import (
+    ArrayBackend,
     NumpyBackend,
     available_backends,
     backend_of,
@@ -34,10 +35,8 @@ from repro.backend import (
 )
 from repro.config import (
     MIXED_PRECISION,
-    fusion_enabled,
     get_precision,
     mixed_precision_active,
-    use_fusion,
     use_precision,
 )
 from repro.exceptions import BackendUnavailableError, ConfigurationError
@@ -552,10 +551,25 @@ class TestPrecisionTierNumerics:
 # --------------------------------------------------------------------------
 
 
+def _decomposed(kernel, x, z):
+    """``kernel(x, z)`` formed by the base class's decomposed chain on
+    the active backend, bypassing any fused override."""
+    profile, scale = kernel.fused_spec
+    return ArrayBackend.fused_kernel_block(
+        get_backend(), x, z, profile=profile, scale=scale
+    )
+
+
+class _DecomposedNumpy(NumpyBackend):
+    """NumPy with the base class's decomposed block former."""
+
+    fused_kernel_block = ArrayBackend.fused_kernel_block
+
+
 class TestFusedHotPathNumpy:
     """NumPy is the reference: its fused entry points *decompose* to the
-    historical pooled-workspace chain, so fused and unfused evaluation are
-    bitwise identical and op counts never depend on the fusion switch."""
+    historical pooled-workspace chain, so fused and decomposed evaluation
+    are bitwise identical and op counts never depend on the path."""
 
     def test_fused_specs_advertised(self):
         assert GaussianKernel(bandwidth=2.0).fused_spec == (
@@ -574,12 +588,7 @@ class TestFusedHotPathNumpy:
     )
     def test_fusion_switch_is_bitwise_invisible(self, kernel, xz):
         x, z = xz
-        assert fusion_enabled()
-        fused = kernel(x, z)
-        with use_fusion(False):
-            assert not fusion_enabled()
-            unfused = kernel(x, z)
-        np.testing.assert_array_equal(fused, unfused)
+        np.testing.assert_array_equal(kernel(x, z), _decomposed(kernel, x, z))
 
     def test_fused_block_matches_kernel_call(self, xz):
         x, z = xz
@@ -629,9 +638,9 @@ class TestFusedHotPathNumpy:
         kernel = GaussianKernel(bandwidth=2.0)
         with meter_scope() as fused_meter:
             kernel_matvec(kernel, x, z, w, max_scalars=300)
-        with use_fusion(False), meter_scope() as unfused_meter:
+        with use_backend(_DecomposedNumpy()), meter_scope() as decomposed_meter:
             kernel_matvec(kernel, x, z, w, max_scalars=300)
-        assert fused_meter.as_dict() == unfused_meter.as_dict()
+        assert fused_meter.as_dict() == decomposed_meter.as_dict()
 
 
 @requires_torch
@@ -648,13 +657,10 @@ class TestFusedHotPathTorch:
         x, z = xz
 
         def both():
-            fused = kernel(x, z)
-            with use_fusion(False):
-                unfused = kernel(x, z)
-            return fused, unfused
+            return kernel(x, z), _decomposed(kernel, x, z)
 
-        fused, unfused = run_on("torch", both)
-        np.testing.assert_array_equal(fused, unfused)
+        fused, decomposed = run_on("torch", both)
+        np.testing.assert_array_equal(fused, decomposed)
 
     @pytest.mark.parametrize(
         "kernel", ALL_KERNELS[:2], ids=KERNEL_IDS[:2]

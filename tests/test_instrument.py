@@ -9,10 +9,12 @@ from repro.config import use_precision
 from repro.instrument import (
     OP_CATEGORIES,
     OpMeter,
-    iter_categories,
+    SpanEvent,
+    Tracer,
+    capture,
     meter_scope,
     record_ops,
-    relay_op_counts,
+    trace_scope,
 )
 from repro.kernels import GaussianKernel, LaplacianKernel, kernel_matvec
 
@@ -32,23 +34,10 @@ class TestOpMeter:
         m.record("x", 4)
         assert m.total("x", "missing") == 4
 
-    def test_reset(self):
-        m = OpMeter()
-        m.record("a", 1)
-        m.reset()
-        assert m.total() == 0
-
     def test_as_dict(self):
         m = OpMeter()
         m.record("k", 7)
         assert m.as_dict() == {"k": 7}
-
-    def test_iter_categories_sorted(self):
-        m = OpMeter()
-        m.record("small", 1)
-        m.record("big", 100)
-        names = [name for name, _ in iter_categories(m)]
-        assert names == ["big", "small"]
 
 
 class TestMeterScope:
@@ -161,10 +150,10 @@ class TestMeterThreading:
             }
 
     def test_relay_under_concurrent_meter_scopes(self):
-        """relay_op_counts records onto *this* thread's meters only:
-        concurrent relays from many threads, each holding nested
-        scopes, never cross-talk (the PendingMap relay path run
-        g-wide)."""
+        """A relay through this thread's snapshot records onto *this*
+        thread's meters only: concurrent relays from many threads, each
+        holding nested scopes, never cross-talk (the PendingMap relay
+        path run g-wide)."""
         n_threads = 6
         results = {}
         errors = []
@@ -175,7 +164,7 @@ class TestMeterThreading:
                 start.wait()
                 with meter_scope() as outer, meter_scope() as inner:
                     for _ in range(40):
-                        relay_op_counts({"gemm": tid + 1, f"t{tid}": 2})
+                        capture().relay(ops={"gemm": tid + 1, f"t{tid}": 2})
                 results[tid] = (outer.as_dict(), inner.as_dict())
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
@@ -199,12 +188,40 @@ class TestMeterThreading:
         """Zero deltas are dropped so relaying never inflates a
         category's calls count with empty records."""
         with meter_scope() as meter:
-            relay_op_counts({"gemm": 0, "kernel_eval": 5})
+            capture().relay(ops={"gemm": 0, "kernel_eval": 5})
         assert meter.as_dict() == {"kernel_eval": 5}
         assert "gemm" not in meter.counts
 
     def test_relay_without_active_meter_is_noop(self):
-        relay_op_counts({"gemm": 7})  # must not raise
+        capture().relay(ops={"gemm": 7})  # must not raise
+
+    def test_relay_from_another_thread_reaches_captured_sinks(self):
+        """The serving relay: a snapshot taken on the submitting thread
+        carries its meters and tracers to a thread with no scopes of
+        its own, and only those sinks receive the relayed work."""
+        meter, tracer = OpMeter(), Tracer()
+        with meter_scope(meter), trace_scope(tracer):
+            snapshot = capture()
+        assert snapshot.tracing
+
+        seen = []
+
+        def relay() -> None:
+            seen.append(capture())
+            snapshot.relay(
+                ops={"gemm": 4},
+                spans=[
+                    SpanEvent("serve/queue", 0.0, 0.5),
+                    {"name": "form_block", "start_s": 1.0, "duration_s": 0.25},
+                ],
+            )
+
+        t = threading.Thread(target=relay)
+        t.start()
+        t.join()
+        assert seen == [((), ())]
+        assert meter.as_dict() == {"gemm": 4}
+        assert tracer.counts() == {"serve/queue": 1, "form_block": 1}
 
     def test_metered_kernel_work_across_threads(self):
         """Real kernel evaluations metered concurrently stay per-thread

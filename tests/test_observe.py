@@ -25,7 +25,7 @@ import pytest
 
 from repro.backend import NumpyBackend
 from repro.core.eigenpro2 import EigenPro2
-from repro.instrument import OpMeter, meter_scope
+from repro.instrument import OpMeter, capture
 from repro.kernels import GaussianKernel
 from repro.observe import (
     MetricsRegistry,
@@ -37,11 +37,9 @@ from repro.observe import (
     new_run_id,
     perfetto_payload,
     record_span,
-    relay_spans,
     render_comparison,
     span,
     trace_scope,
-    tracing_active,
     validate_perfetto,
 )
 from repro.shard import ShardedEigenPro2, registered_transports, transport_available
@@ -78,14 +76,16 @@ class TestSpanAndScope:
         """The no-op pin: outside any trace_scope, spans cost one
         attribute check and record zero events anywhere."""
         tracer = Tracer()
-        assert not tracing_active()
+        assert not capture().tracing
         with span("form_block"):
             with span("gemm"):
                 pass
         record_span("recovery", 0.0, 1.0)
-        relay_spans([{"name": "x", "start_s": 0.0, "duration_s": 1.0}])
+        capture().relay(
+            spans=[{"name": "x", "start_s": 0.0, "duration_s": 1.0}]
+        )
         assert len(tracer) == 0
-        assert not tracing_active()
+        assert not capture().tracing
 
     def test_nesting_depth_recorded(self):
         tracer = Tracer()
@@ -115,7 +115,7 @@ class TestSpanAndScope:
                 raise ValueError("boom")
         except ValueError:
             pass
-        assert not tracing_active()
+        assert not capture().tracing
         with span("after"):
             pass
         assert len(tracer) == 0
@@ -173,14 +173,14 @@ class TestSpanAndScope:
         assert tracer.totals()["recovery"] == pytest.approx(1.0)
         assert tracer.counts() == {"recovery": 2}
 
-    def test_relay_spans_round_trip(self):
+    def test_relay_span_payload_round_trip(self):
         tracer = Tracer()
         payload = SpanEvent(
             name="gemm", start_s=1.0, duration_s=0.5,
             thread="worker", depth=1, attrs={"shard": 3},
         ).as_dict()
         with trace_scope(tracer):
-            relay_spans([payload])
+            capture().relay(spans=[payload])
         (ev,) = tracer.events
         assert ev == SpanEvent.from_dict(payload)
         assert ev.attrs["shard"] == 3
@@ -219,7 +219,7 @@ class TestWorkerReplyShapes:
 
     def test_worker_trace_does_not_leak_to_caller_stack(self):
         self._worker().run_metered(self._task, (), {}, None, True)
-        assert not tracing_active()
+        assert not capture().tracing
 
 
 class TestTransportSpanRelayParity:
@@ -328,7 +328,7 @@ class TestExporters:
             with span("epoch", epoch=1):
                 with span("allreduce", g=2):
                     pass
-            relay_spans([
+            capture().relay(spans=[
                 SpanEvent(
                     name="form_block", start_s=2.0, duration_s=0.5,
                     thread="shard-0", attrs={"shard": 0},
@@ -392,7 +392,7 @@ class TestExporters:
         assert header["run_id"]["id"] == run_id["id"]
         replayed = Tracer()
         with trace_scope(replayed):
-            relay_spans(spans)
+            capture().relay(spans=spans)
         assert replayed.totals() == pytest.approx(tracer.totals())
         starts = [s["start_s"] for s in spans]
         assert starts == sorted(starts)
@@ -557,8 +557,6 @@ class TestSpanEntryAttribution:
     concurrent callers sharing an engine."""
 
     def test_tracer_exited_before_span_close_still_records(self):
-        from repro.observe.tracer import active_tracers
-
         tracer = Tracer()
         scope = trace_scope(tracer)
         scope.__enter__()
@@ -576,15 +574,18 @@ class TestSpanEntryAttribution:
             s.__exit__(None, None, None)
         assert len(late) == 0
 
-    def test_active_tracers_returns_copy(self):
-        from repro.observe.tracer import active_tracers
-
-        tracer = Tracer()
+    def test_captured_tracers_are_a_copy(self):
+        tracer, later = Tracer(), Tracer()
         with trace_scope(tracer):
-            stack = active_tracers()
-            stack.clear()  # mutating the copy must not detach the tracer
+            snapshot = capture()
+            with trace_scope(later):
+                # Scopes entered after the capture do not reach it...
+                assert snapshot.tracers == (tracer,)
             with span("work"):
                 pass
+        # ...nor do scopes exited after it.
+        assert snapshot.tracers == (tracer,)
+        assert capture().tracers == ()
         assert tracer.counts() == {"work": 1}
 
     def test_concurrent_callers_get_exact_counts(self):

@@ -49,8 +49,9 @@ import pytest
 from repro.core.eigenpro2 import EigenPro2
 from repro.device.presets import titan_xp
 from repro.exceptions import ConfigurationError
-from repro.instrument import meter_scope
+from repro.instrument import meter_scope, record_ops
 from repro.kernels import GaussianKernel, LaplacianKernel
+from repro.observe import Tracer, span, trace_scope
 from repro.shard import (
     ShardGroup,
     ShardedEigenPro2,
@@ -123,6 +124,13 @@ BANDWIDTH = 2.5
 # Module-level task (picklable) used by the mirror write-through test.
 def _read_weight_rows_task(worker, local_idx):
     return np.asarray(worker.weights[local_idx]).copy()
+
+
+# Module-level task (picklable) used by the wire-contract test.
+def _wire_task(worker, n):
+    with span("wire", n=n):
+        record_ops("gemm", n)
+    return 2 * n
 
 
 @pytest.fixture(scope="module")
@@ -321,6 +329,66 @@ class TestProcessMirrorBack:
                 assert ex.rpc_count == expected
         finally:
             trainer.close()
+
+
+class _RecordingConn:
+    """Parent end of a worker pipe that keeps every message it carries."""
+
+    def __init__(self, conn):
+        self.conn = conn
+        self.sent: list = []
+        self.received: list = []
+
+    def send(self, msg):
+        self.sent.append(msg)
+        self.conn.send(msg)
+
+    def recv(self):
+        reply = self.conn.recv()
+        self.received.append(reply)
+        return reply
+
+    def __getattr__(self, name):
+        return getattr(self.conn, name)
+
+
+class TestProcessWireContract:
+    """The parent-worker pipe format of the process-based transports:
+    an untraced task is sent as ``(fn, args, kwargs, precision, False)``
+    and answered with ``("ok", result, delta, stats)``; a traced task
+    differs only in the flag and in the span list its reply carries."""
+
+    @nonthread_transports
+    def test_task_and_reply_tuples(self, problem, transport):
+        centers, weights, _ = problem
+        with ShardGroup.build(
+            centers, weights, g=1, transport=transport
+        ) as group:
+            ex = group.executors[0]
+            ex._conn = wire = _RecordingConn(ex._conn)
+            try:
+                plain = ex.submit_metered(_wire_task, 3).result()
+                with trace_scope(Tracer()):
+                    traced = ex.submit_metered(_wire_task, 3).result()
+            finally:
+                ex._conn = wire.conn
+        assert wire.sent == [
+            (_wire_task, (3,), {}, None, False),
+            (_wire_task, (3,), {}, None, True),
+        ]
+        untraced_reply, traced_reply = wire.received
+        kind, result, delta, (counts, peak) = untraced_reply
+        assert (kind, result, delta) == ("ok", 6, {"gemm": 3})
+        assert counts == {"gemm": 3} and int(peak) >= 0
+        assert len(traced_reply) == 5
+        assert traced_reply[:3] == untraced_reply[:3]
+        (payload,) = traced_reply[3]
+        assert payload["name"] == "wire"
+        assert payload["attrs"] == {"n": 3, "shard": 0}
+        counts, peak = traced_reply[4]
+        assert counts == {"gemm": 6} and int(peak) >= 0
+        assert plain == (6, {"gemm": 3})
+        assert traced == (6, {"gemm": 3}, traced_reply[3])
 
 
 class TestTorchDistCollective:
