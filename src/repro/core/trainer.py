@@ -20,10 +20,22 @@ coordinate update, correction) before the next step starts.  The speed
 comes from the analytic batch size filling the device with one block,
 not from overlapping steps.
 
+The full-batch regime (``m >= n``, where the paper's analytic batch size
+lands on small data) is the one exception.  Every epoch is then a single
+step over the whole training set, and a full-batch step does not depend
+on row order (except in the last bits of its sums), so the rows run in
+the identity order instead of a fresh permutation.  Every epoch's block
+is then the same ``(n, n)`` matrix ``K(X, X)``: the first step forms it
+into an array the fit owns (not a workspace view, which the monitor and
+validation predicts would overwrite), later epochs reuse it, and each
+epoch's train-MSE monitor reads its rows instead of evaluating the
+kernel again.  The fit drops the block when it returns or raises.
+
 Under an active tracer (:mod:`repro.observe`) a fit records one
 ``setup`` span, an ``epoch`` span per epoch holding the steps'
 ``form_block``, ``gemm`` and ``correction`` spans, and a ``monitor``
-span per epoch around the train-MSE predict.
+span per epoch around the train-MSE predict.  A full-batch fit records
+one ``form_block`` span in all: later epochs reuse the block.
 
 Update convention
 -----------------
@@ -42,7 +54,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, match_dtype
+from repro.backend import get_backend, match_dtype, to_numpy
 from repro.config import (
     DEFAULT_BLOCK_SCALARS,
     accumulate_dtype,
@@ -50,7 +62,11 @@ from repro.config import (
     mixed_precision_active,
 )
 from repro.core.model import KernelModel, as_labels
-from repro.kernels.ops import block_workspace, center_sq_norms
+from repro.kernels.ops import (
+    block_workspace,
+    center_sq_norms,
+    iter_row_blocks,
+)
 from repro.core.stopping import TrainMSETarget, ValidationPlateau
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -183,6 +199,10 @@ class BaseKernelTrainer:
         # the fit's shuffling RNG and the 1-based epoch being run.
         self._rng: np.random.Generator | None = None
         self._epoch: int = 0
+        # Full-batch fits (m >= n) keep the one (n, n) block K(X, X) for
+        # the whole fit (module docstring); both reset when fit exits.
+        self._keep_block = False
+        self._kept_block: Any | None = None
         # Fitted state.
         self._x_sq_norms: Any | None = None
         self.model_: KernelModel | None = None
@@ -321,6 +341,7 @@ class BaseKernelTrainer:
         m = int(min(self.batch_size_, n))
         self.batch_size_ = m
         gamma = self.step_size_ / m
+        full_batch = m == n
 
         # Exposed as an attribute so checkpoints (repro.shard.recovery)
         # can capture the generator state alongside the epoch cursor.
@@ -340,6 +361,7 @@ class BaseKernelTrainer:
         best_val = float("inf")
         best_alpha: Any | None = None
         t0 = time.perf_counter()
+        self._keep_block = full_batch
         try:
             if self.device is not None:
                 wanted = {
@@ -353,7 +375,9 @@ class BaseKernelTrainer:
                     allocations.append(name)
             for epoch in range(1, epochs + 1):
                 self._epoch = epoch
-                perm = rng.permutation(n)
+                # A full-batch step does not depend on row order, so it
+                # takes the identity and leaves the RNG stream alone.
+                perm = np.arange(n) if full_batch else rng.permutation(n)
                 # The epoch's batch index blocks, computed once per
                 # permutation (checkpoints record a cursor into this list).
                 blocks = [perm[start : start + m] for start in range(0, n, m)]
@@ -372,7 +396,11 @@ class BaseKernelTrainer:
                         ops += self._extra_iteration_ops(idx.shape[0])
                         self.device.charge_iteration(ops)
                 with span("monitor", epoch=epoch, rows=int(monitor_idx.shape[0])):
-                    train_mse = self.model_.mse(x[monitor_idx], y[monitor_idx])
+                    train_mse = (
+                        self.model_.mse(x[monitor_idx], y[monitor_idx])
+                        if self._kept_block is None
+                        else self._kept_block_mse(monitor_idx, y)
+                    )
                 val_error = (
                     self.model_.classification_error(x_val, y_val)
                     if x_val is not None and y_val is not None
@@ -408,9 +436,12 @@ class BaseKernelTrainer:
             if self.device is not None:
                 for name in allocations:
                     self.device.memory.free_allocation(name)
-            # The pooled (m, n) batch block can dwarf the blocked-predict
-            # budget; don't leave it pinned for the thread's lifetime.
+            # The pooled (m, n) batch block, or the kept full-batch one,
+            # can dwarf the blocked-predict budget; don't leave it pinned
+            # for the thread's (or the trainer's) lifetime.
             block_workspace().reset()
+            self._keep_block = False
+            self._kept_block = None
         if best_alpha is not None:
             self._alpha[...] = best_alpha
         return self
@@ -445,23 +476,38 @@ class BaseKernelTrainer:
         re-allocated every step, and both row and center squared norms
         come precomputed: the batch rows are sliced from
         ``self._x_sq_norms`` rather than re-reduced every iteration.
+
+        The exception is a full-batch fit: its ``(n, n)`` block is formed
+        once into an array of its own and returned again, without a
+        kernel evaluation, by every later epoch's step.  A workspace view
+        would not survive that long: the monitor and validation predicts
+        between epochs reuse the same pooled buffer.
         """
+        if self._kept_block is not None:
+            return self._kept_block
         bk = get_backend()
         block_dtype = self.kernel._eval_dtype(x, x)
         with span("form_block", m=int(idx.shape[0])):
-            scratch = block_workspace().get(
-                bk, idx.shape[0], x.shape[0], block_dtype
+            out = (
+                bk.empty((idx.shape[0], x.shape[0]), dtype=block_dtype)
+                if self._keep_block
+                else block_workspace().get(
+                    bk, idx.shape[0], x.shape[0], block_dtype
+                )
             )
             x_norms = (
                 None if self._x_sq_norms is None else self._x_sq_norms[idx]
             )
-            return self.kernel(
+            kb = self.kernel(
                 x[idx],
                 x,
-                out=scratch,
+                out=out,
                 x_sq_norms=x_norms,
                 z_sq_norms=self._x_sq_norms,
             )  # (m, n): records kernel_eval ops
+        if self._keep_block:
+            self._kept_block = kb
+        return kb
 
     def _consume_block(
         self, kb: Any, x: Any, y: Any, idx: np.ndarray, gamma: float
@@ -469,26 +515,54 @@ class BaseKernelTrainer:
         """Steps 2–5 given the batch block: GEMM, coordinate update,
         correction.  Must finish before the next step's block reuses the
         workspace buffer."""
-        bk = get_backend()
-        alpha_dtype = bk.dtype_of(self._alpha)
         with span("gemm", m=int(idx.shape[0])):
-            if mixed_precision_active() and bk.dtype_of(kb) != alpha_dtype:
-                # Mixed precision: the heavy (m, n, l) contraction runs in
-                # the block's compute dtype against a downcast copy of the
-                # master weights; the predictions are lifted back so the
-                # residual and both updates accumulate in float64.
-                w_lo = match_dtype(self._alpha, bk.dtype_of(kb), bk)
-                f = match_dtype(kb @ w_lo, alpha_dtype, bk)  # (m, l)
-            else:
-                kb = match_dtype(kb, alpha_dtype, bk)
-                f = kb @ self._alpha  # (m, l)
-            record_ops(
-                "gemm", idx.shape[0] * x.shape[0] * self._alpha.shape[1]
-            )
+            kb, f = self._contract(kb)  # f: (m, l)
         g = f - y[idx]
         self._alpha[idx] -= gamma * g
         with span("correction", m=int(idx.shape[0])):
             self._apply_correction(kb, idx, g, gamma)
+
+    def _contract(self, kb: Any) -> tuple[Any, Any]:
+        """Predictions ``kb @ alpha`` for the rows of a kernel block, in
+        the master dtype; records the GEMM's ops.
+
+        Returns the block as the correction reads it, and the
+        predictions.  Mixed precision: the heavy ``(b, n, l)``
+        contraction runs in the block's compute dtype against a downcast
+        copy of the master weights, and the predictions are lifted back
+        so the residual and both updates accumulate in float64.
+        Otherwise a block of a lower dtype than the weights (a kernel
+        pinned to it) is cast up first.
+        """
+        bk = get_backend()
+        alpha_dtype = bk.dtype_of(self._alpha)
+        if mixed_precision_active() and bk.dtype_of(kb) != alpha_dtype:
+            w_lo = match_dtype(self._alpha, bk.dtype_of(kb), bk)
+            f = match_dtype(kb @ w_lo, alpha_dtype, bk)
+        else:
+            kb = match_dtype(kb, alpha_dtype, bk)
+            f = kb @ self._alpha
+        record_ops("gemm", kb.shape[0] * kb.shape[1] * self._alpha.shape[1])
+        return kb, f
+
+    def _kept_block_mse(self, rows: np.ndarray, y: Any) -> float:
+        """Train MSE at ``rows`` read from the kept full-batch block.
+
+        Equal, up to the last bits of its sums, to
+        ``self.model_.mse(x[rows], y[rows])`` without evaluating the
+        kernel: in the identity order of a full-batch step, row ``i`` of
+        the block is already ``k(x_i, X)``.  The rows are gathered in
+        chunks no larger than a blocked predict's, so the monitor adds
+        no buffer beyond the predict it replaces.
+        """
+        kb = self._kept_block
+        pred = np.concatenate([
+            to_numpy(self._contract(kb[rows[chunk]])[1])
+            for chunk in iter_row_blocks(
+                rows.shape[0], kb.shape[1], self.block_scalars
+            )
+        ])
+        return float(np.mean((pred - to_numpy(y[rows])) ** 2))
 
     # ------------------------------------------------------------ inference
     def _require_fitted(self) -> KernelModel:

@@ -1,12 +1,18 @@
 """Tests for the shared mini-batch training loop."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from repro.baselines import KernelSGD
+from repro.baselines import EigenPro1, KernelSGD
+from repro.config import use_precision
+from repro.core.eigenpro2 import EigenPro2
 from repro.core.trainer import BaseKernelTrainer
 from repro.device import titan_xp
 from repro.exceptions import ConfigurationError, NotFittedError
+from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel
 
 
@@ -224,3 +230,175 @@ class TestDeterminism:
         t = KernelSGD(GaussianKernel(bandwidth=2.0), seed=0)
         t.fit(x, y[:, 0], epochs=1)
         assert t.model_.weights.shape == (x.shape[0], 1)
+
+
+class _Recording(BaseKernelTrainer):
+    """Explicit-parameter trainer that records each epoch's batch
+    schedule and the blocks its steps consume."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.schedule = []
+        self.blocks = []  # weak references: the trainer owns the blocks
+        self.reused = []  # per step: the very block of the first step?
+
+    def _run_epoch(self, x, y, blocks, gamma):
+        self.schedule.append(np.concatenate(blocks))
+        super()._run_epoch(x, y, blocks, gamma)
+
+    def _apply_correction(self, kb, idx, g, gamma):
+        if self.blocks:
+            self.reused.append(kb is self.blocks[0]())
+        self.blocks.append(weakref.ref(kb))
+
+
+class _FailsInEpochTwo(_Recording):
+    def _apply_correction(self, kb, idx, g, gamma):
+        super()._apply_correction(kb, idx, g, gamma)
+        if self._epoch == 2:
+            raise RuntimeError("correction failed")
+
+
+def _full_batch_trainer(name, n, **kwargs):
+    # The subsample is all n points: with s < n the analytic step at
+    # m = n diverges on this data, and a diverging fit would make the
+    # comparisons below vacuous.
+    kernel = GaussianKernel(bandwidth=2.5)
+    common = dict(batch_size=n, seed=0, monitor_size=100, **kwargs)
+    if name == "eigenpro2":
+        return EigenPro2(kernel, s=n, damping=0.9, **common)
+    if name == "sgd":
+        return KernelSGD(kernel, **common)
+    return EigenPro1(kernel, q=20, s=n, **common)
+
+
+class TestFullBatchRegime:
+    """At ``m >= n`` a fit forms ``K(X, X)`` once, in the identity row
+    order, and reads every epoch's monitor from it; below full batch
+    nothing changes."""
+
+    #: Agreement of the monitor read from the kept block with
+    #: ``KernelModel.mse`` per precision tier: the two differ only in the
+    #: order of their sums.
+    TIER_RTOL = {"float64": 1e-10, "float32": 1e-4, "mixed": 1e-4}
+
+    def _explicit(self, m, cls=_Recording):
+        return cls(
+            GaussianKernel(bandwidth=2.0), batch_size=m, step_size=1.0,
+            seed=3, monitor_size=40,
+        )
+
+    def test_one_block_per_fit(self, xy):
+        x, y = xy
+        (n, d), l = x.shape, y.shape[1]
+        t = self._explicit(n)
+        with meter_scope() as meter:
+            t.fit(x, y, epochs=3)
+        # One (n, n) block; the monitor's GEMMs are still counted.
+        assert meter.total("kernel_eval") == n * n * d
+        assert meter.total("gemm") == 3 * (n * n * l + 40 * n * l)
+        assert t.reused == [True, True]
+
+    def test_one_block_per_fit_plus_setup(self, small_dataset):
+        ds = small_dataset
+        (n, d), l = ds.x_train.shape, ds.y_train.shape[1]
+        with meter_scope() as setup:
+            _full_batch_trainer("eigenpro2", n).prepare(ds.x_train, l)
+        with meter_scope() as meter:
+            t = _full_batch_trainer("eigenpro2", n)
+            t.fit(ds.x_train, ds.y_train, epochs=3)
+        assert t.batch_size_ == n
+        assert meter.total("kernel_eval") == (
+            setup.total("kernel_eval") + n * n * d
+        )
+
+    def test_mini_batch_counts_unchanged(self, xy):
+        x, y = xy
+        (n, d), l = x.shape, y.shape[1]
+        t = self._explicit(16)
+        with meter_scope() as meter:
+            t.fit(x, y, epochs=3)
+        # Every epoch forms its blocks and the monitor evaluates its rows.
+        assert meter.total("kernel_eval") == 3 * (n * n * d + 40 * n * d)
+        assert meter.total("gemm") == 3 * (n * n * l + 40 * n * l)
+        assert not any(t.reused)
+
+    @pytest.mark.parametrize("tier", ["float64", "float32", "mixed"])
+    @pytest.mark.parametrize("name", ["eigenpro2", "sgd", "eigenpro1"])
+    def test_monitor_matches_model_mse(self, small_dataset, name, tier):
+        ds = small_dataset
+        x, y = ds.x_train, ds.y_train
+        n = x.shape[0]
+        rows = np.random.default_rng(0).choice(n, size=100, replace=False)
+        with use_precision(tier):
+            t = _full_batch_trainer(name, n).fit(x, y, epochs=2)
+            want = t.model_.mse(x[rows], y[rows])
+        got = t.history_.final.train_mse
+        assert t.batch_size_ == n
+        assert got < t.history_[0].train_mse < 1.0
+        assert got == pytest.approx(want, rel=self.TIER_RTOL[tier])
+
+    @pytest.mark.parametrize("keep_best_val", [False, True])
+    def test_validation_predicts_leave_kept_block_intact(
+        self, small_dataset, keep_best_val
+    ):
+        """The validation predicts between epochs use the pooled
+        workspace; a kept block living there would be overwritten and
+        every later epoch would step on the wrong matrix."""
+        ds = small_dataset
+        x, y = ds.x_train, ds.y_train
+        n = x.shape[0]
+        plain = _full_batch_trainer("eigenpro2", n).fit(x, y, epochs=4)
+        val = _full_batch_trainer("eigenpro2", n).fit(
+            x, y, epochs=4, x_val=ds.x_test, y_val=ds.labels_test,
+            keep_best_val=keep_best_val,
+        )
+        np.testing.assert_array_equal(
+            val.history_.series("train_mse"),
+            plain.history_.series("train_mse"),
+        )
+        # keep_best_val restores the best epoch; a full-batch fit does
+        # not depend on the RNG, so that is the plain fit of that length.
+        best = (
+            int(np.argmin(val.history_.series("val_error"))) + 1
+            if keep_best_val
+            else 4
+        )
+        ref = _full_batch_trainer("eigenpro2", n).fit(x, y, epochs=best)
+        np.testing.assert_array_equal(val.model_.weights, ref.model_.weights)
+
+    def test_kept_block_released_after_fit(self, xy):
+        x, y = xy
+        t = self._explicit(x.shape[0])
+        t.fit(x, y, epochs=2)
+        gc.collect()
+        assert t.blocks[0]() is None
+
+    def test_kept_block_released_when_a_step_raises(self, xy):
+        x, y = xy
+        t = self._explicit(x.shape[0], cls=_FailsInEpochTwo)
+        with pytest.raises(RuntimeError, match="correction failed"):
+            t.fit(x, y, epochs=3)
+        assert len(t.blocks) == 2
+        gc.collect()
+        assert t.blocks[0]() is None
+
+    def test_mini_batch_schedule_is_the_permutation_stream(self, xy):
+        x, y = xy
+        n = x.shape[0]
+        t = self._explicit(16)
+        t.fit(x, y, epochs=2)
+        rng = np.random.default_rng(3)
+        rng.choice(n, size=40, replace=False)  # the monitor rows
+        assert len(t.schedule) == 2
+        for got in t.schedule:
+            np.testing.assert_array_equal(got, rng.permutation(n))
+
+    def test_full_batch_schedule_is_the_identity(self, xy):
+        x, y = xy
+        n = x.shape[0]
+        t = self._explicit(n)
+        t.fit(x, y, epochs=2)
+        assert len(t.schedule) == 2
+        for got in t.schedule:
+            np.testing.assert_array_equal(got, np.arange(n))

@@ -220,8 +220,9 @@ class TestShardedOps:
 
 
 class TestShardedEigenPro2:
-    def _fit_pair(self, dataset, g, epochs=2):
+    def _fit_pair(self, dataset, g, epochs=2, **overrides):
         kwargs = dict(s=80, batch_size=32, seed=0, damping=0.9)
+        kwargs.update(overrides)
         ref = EigenPro2(
             GaussianKernel(bandwidth=2.5), device=titan_xp(), **kwargs
         )
@@ -249,6 +250,34 @@ class TestShardedEigenPro2:
                 rtol=1e-6,
             )
             # Selection (Steps 1-3) is identical: same device, same seed.
+            assert sharded.params_.q_adjusted == ref.params_.q_adjusted
+            assert sharded.step_size_ == ref.step_size_
+        finally:
+            sharded.close()
+
+    def test_matches_unsharded_trainer_at_full_batch(self, small_dataset):
+        """At m >= n the unsharded trainer keeps K(X, X) for the fit and
+        reads its monitor from it; the sharded one forms its per-shard
+        blocks every step.  Both run the identity row order."""
+        n = small_dataset.x_train.shape[0]
+        # s = n: with s < n the analytic step at m = n diverges here.
+        ref, sharded = self._fit_pair(
+            small_dataset, 2, epochs=3, batch_size=10 * n, s=n
+        )
+        try:
+            assert sharded.transport == "thread"
+            assert sharded.batch_size_ == ref.batch_size_ == n
+            train_mse = ref.history_.series("train_mse")
+            assert train_mse[-1] < train_mse[0] < 1.0
+            scale = max(float(np.abs(ref._alpha).max()), 1.0)
+            np.testing.assert_allclose(
+                sharded._alpha, ref._alpha, atol=1e-6 * scale, rtol=0
+            )
+            np.testing.assert_allclose(
+                sharded.history_.series("train_mse"),
+                ref.history_.series("train_mse"),
+                rtol=1e-6,
+            )
             assert sharded.params_.q_adjusted == ref.params_.q_adjusted
             assert sharded.step_size_ == ref.step_size_
         finally:
