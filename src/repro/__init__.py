@@ -112,9 +112,11 @@ model against the engine's measured per-iteration time::
 (:mod:`repro.shard.transport`), discovered by name through one registry
 (:func:`repro.shard.transport.register_transport` /
 :func:`repro.shard.available_transports` — register a
-:class:`~repro.shard.ShardTransport` subclass and the group builder,
-trainer, validation harness, bench CLI and conformance suite all see
-it).  ``transport="thread"`` (default) drives in-process worker threads
+:class:`~repro.shard.ShardTransport` subclass and ``ShardGroup.build``,
+the trainer, validation harness, bench CLI and conformance suite all see
+it).  The engine a build returns *is* the transport:
+:class:`~repro.shard.ShardGroup` is another name for
+:class:`~repro.shard.ShardTransport`.  ``transport="thread"`` (default) drives in-process worker threads
 whose "network" is a host memcpy; ``transport="process"`` runs one
 worker process per shard over ``multiprocessing.shared_memory``
 center/weight blocks, paying a real IPC round-trip per collective step
@@ -158,8 +160,8 @@ process dying mid-epoch raises
 :class:`~repro.exceptions.ShardError` (no hang, shared-memory segments
 and process groups always reclaimed); platforms without the needed
 support keep ``transport="thread"`` (see
-:func:`repro.shard.process_transport_available` /
-:func:`repro.shard.torchdist_available`).
+:func:`repro.shard.transport_available`, e.g.
+``transport_available("process")``).
 
 Checkpointing and elastic fault recovery
 ----------------------------------------
@@ -227,8 +229,8 @@ Serving
 :mod:`repro.serve` turns a fitted model into a persistent serving
 session for concurrent traffic.  A :class:`~repro.serve.ModelServer`
 keeps the centers/weights resident on a shard group (built from a
-fitted :class:`~repro.core.KernelModel`, or borrowed from training via
-:meth:`ShardGroup.serve <repro.shard.ShardGroup.serve>`) and
+fitted :class:`~repro.core.KernelModel`, or borrowed from training as
+``ModelServer(group=group)``) and
 micro-batches concurrent requests: a dispatcher tick coalesces every
 in-flight request into one fused ``map_allreduce`` round-trip and
 scatters per-request rows back to waiting futures — each response
@@ -349,10 +351,8 @@ from repro.shard import (
     ThreadTransport,
     TorchDistributedTransport,
     available_transports,
-    process_transport_available,
     register_transport,
     registered_transports,
-    torchdist_available,
 )
 
 __all__ = [
@@ -407,9 +407,7 @@ __all__ = [
     "TorchDistributedTransport",
     "register_transport",
     "registered_transports",
-    "torchdist_available",
     "available_transports",
-    "process_transport_available",
     # serving
     "ModelServer",
     "ServeOptions",

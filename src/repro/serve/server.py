@@ -305,9 +305,10 @@ class ModelServer:
     - ``ModelServer(model, g=2, transport="thread")`` shards a fitted
       :class:`~repro.core.model.KernelModel`'s centers/weights across a
       fresh group the server *owns* (closed with the server);
-    - ``ModelServer(group=group)`` (or :meth:`ShardGroup.serve
-      <repro.shard.ShardGroup.serve>`) borrows a live, already-loaded
-      group — closing the server drains requests but leaves it open.
+    - ``ModelServer(group=group)`` borrows a live, already-loaded
+      group (any :class:`~repro.shard.ShardGroup`, i.e. any
+      :class:`~repro.shard.transport.ShardTransport`) — closing the
+      server drains requests but leaves it open.
 
     Request lifecycle: :meth:`submit_request` (or the blocking
     :meth:`predict_request`) validates the input, snapshots the
@@ -425,7 +426,7 @@ class ModelServer:
         _LOG.info(
             "serve.open run=%s transport=%s g=%d owns_group=%s "
             "max_batch_requests=%d max_batch_rows=%d",
-            self._run_short, self.group.transport.name, self.group.g,
+            self._run_short, self.group.name, self.group.g,
             self._owns_group, self.options.max_batch_requests,
             self.options.max_batch_rows,
         )
@@ -921,7 +922,7 @@ class ModelServer:
         return {
             "status": "closed" if self._closed else "ok",
             "run_id": self._run_id,
-            "transport": self.group.transport.name,
+            "transport": self.group.name,
             "g": self.group.g,
         }
 
@@ -934,6 +935,6 @@ class ModelServer:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else "open"
         return (
-            f"<ModelServer {state} transport={self.group.transport.name} "
+            f"<ModelServer {state} transport={self.group.name} "
             f"g={self.group.g} run={self._run_short}>"
         )

@@ -10,11 +10,16 @@ real array backends:
 
 - :class:`~repro.shard.plan.ShardPlan` — the balanced contiguous
   partition of the ``n`` centers (and weight rows) into ``g`` shards;
-- :mod:`repro.shard.transport` — the transport layer separating *what a
-  shard does* from *where it runs*: a
+- :mod:`repro.shard.transport` — the engine, separating *what a shard
+  does* from *where it runs*: a
   :class:`~repro.shard.transport.ShardWorker` (the shard's arrays,
   private op meter, precomputed center norms and execution scopes) driven
-  through a :class:`~repro.shard.transport.ShardTransport`.  Three
+  through a :class:`~repro.shard.transport.ShardTransport`, the one
+  engine object (public name :class:`~repro.shard.ShardGroup`): build it
+  with ``ShardGroup.build(..., transport=<any registered name>)``, run
+  collective steps with ``map`` / ``map_async`` and combine partials
+  with ``allreduce`` (communication metered separately under the
+  ``"allreduce"`` category).  Three
   transports ship, discovered through one registry
   (:func:`~repro.shard.transport.register_transport` /
   :func:`~repro.shard.transport.available_transports`): ``"thread"``
@@ -29,12 +34,6 @@ real array backends:
   when CUDA backends are requested:
   ``ShardedEigenPro2(transport="torchdist",
   shard_backends=["torch:cuda:0", "torch:cuda:1"])``);
-- :class:`~repro.shard.group.ShardGroup` — the engine facade: build with
-  ``ShardGroup.build(..., transport=<any registered name>)``, run
-  collective steps with :meth:`~repro.shard.group.ShardGroup.map` /
-  :meth:`~repro.shard.group.ShardGroup.map_async`, combine partials with
-  :meth:`~repro.shard.group.ShardGroup.allreduce` (communication metered
-  separately under the ``"allreduce"`` category);
 - :func:`~repro.shard.ops.sharded_kernel_matvec` /
   :func:`~repro.shard.ops.sharded_predict` — the data-parallel streamed
   primitives mirroring :mod:`repro.kernels.ops`;
@@ -71,8 +70,8 @@ top of that, :mod:`repro.shard.recovery` provides the restore path and
 - every ``checkpoint_every`` steps (and at every epoch start) the
   trainer takes a :class:`~repro.shard.recovery.ShardCheckpoint` — the
   full weight matrix via
-  :meth:`~repro.shard.group.ShardGroup.gather_weights` (a host memcpy
-  on shared-memory transports), the shuffling RNG state, the
+  :meth:`~repro.shard.transport.ShardTransport.gather_weights` (a host
+  memcpy on shared-memory transports), the shuffling RNG state, the
   epoch/batch cursor and the op-meter totals; in memory by default,
   mirrored to disk when ``checkpoint_dir`` is set;
 - :meth:`~repro.shard.transport.ShardTransport.alive` probes per-shard
@@ -113,7 +112,7 @@ The whole sharded stack is span-instrumented through
 :class:`~repro.observe.Tracer` (``with trace_scope(tracer):``) the
 trainer brackets every phase (``epoch``, ``form_block``/``gemm`` waits,
 ``correction``, ``checkpoint``, ``scatter_state`` and the
-``recovery/*`` detour), the group brackets every collective
+``recovery/*`` detour), the transport brackets every collective
 (``allreduce``, ``mirror``, ``gather``), and each *worker* records its
 own ``form_block``/``gemm`` spans — stamped ``shard=<id>`` and relayed
 back on the existing metered-reply path with the op-count deltas
@@ -130,16 +129,16 @@ zero-copy weight views, so nothing is mirrored and no span is emitted.
 Serving
 -------
 A live group doubles as the compute fabric of the micro-batched
-prediction server: ``group.serve()`` (or
-``repro.serve.ModelServer(group=group)``) starts a persistent session
-whose dispatcher coalesces concurrent :meth:`~repro.serve.ModelServer
-.submit_request` calls into one fused ``map_allreduce`` tick — one task
-round-trip plus one collective for the whole batch — and scatters
-per-request rows back to the callers' futures, each bitwise-equal to a
-solo :func:`~repro.shard.ops.sharded_predict` call.  The server
-*borrows* the group: closing the server drains in-flight requests but
-leaves the group open for training or another session.  Lifecycle is a
-transport contract: :meth:`~repro.shard.group.ShardGroup.close` is
+prediction server: ``repro.serve.ModelServer(group=group)`` starts a
+persistent session whose dispatcher coalesces concurrent
+:meth:`~repro.serve.ModelServer.submit_request` calls into one fused
+``map_allreduce`` tick — one task round-trip plus one collective for
+the whole batch — and scatters per-request rows back to the callers'
+futures, each bitwise-equal to a solo
+:func:`~repro.shard.ops.sharded_predict` call.  The server *borrows*
+the group: closing the server drains in-flight requests but leaves the
+group open for training or another session.  Lifecycle is a transport
+contract: :meth:`~repro.shard.transport.ShardTransport.close` is
 idempotent, groups are context managers, and any submission — task,
 weight gather or mirror — after close raises a clean
 :class:`~repro.exceptions.ShardError` on every transport (the
@@ -178,11 +177,9 @@ from repro.shard.transport import (
     ThreadTransport,
     TorchDistributedTransport,
     available_transports,
-    process_transport_available,
     register_transport,
     registered_transports,
     resolve_transport,
-    torchdist_available,
     transport_available,
     unregister_transport,
 )
@@ -203,13 +200,11 @@ __all__ = [
     "TorchDistributedTransport",
     "allreduce_sum",
     "available_transports",
-    "process_transport_available",
     "register_transport",
     "registered_transports",
     "resolve_transport",
     "sharded_kernel_matvec",
     "sharded_predict",
-    "torchdist_available",
     "transport_available",
     "unregister_transport",
 ]

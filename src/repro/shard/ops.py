@@ -100,7 +100,8 @@ def sharded_predict(
     """Sharded model evaluation ``f(x) = sum_i alpha_i k(c_i, x)`` — the
     data-parallel counterpart of :meth:`repro.core.model.KernelModel.predict`.
 
-    ``kernel`` defaults to the kernel the group was built with.
+    ``kernel`` defaults to the group's :attr:`kernel`, the one
+    ``ShardGroup.build(kernel=...)`` attached.
     """
     kernel = kernel if kernel is not None else group.kernel
     if kernel is None:

@@ -8,7 +8,7 @@
    against its own centers on its own backend and contracts it with its
    own weight rows (Algorithm 1 step 2, split over shards);
 2. the ``(m, l)`` partial batch predictions are all-reduced
-   (:meth:`~repro.shard.ShardGroup.allreduce` — the collective whose
+   (:meth:`~repro.shard.ShardTransport.allreduce` — the collective whose
    cost the cluster model charges per iteration);
 3. the SGD coordinate update and the EigenPro correction (steps 3–5) are
    applied to the full weight vector; shards holding zero-copy views see
@@ -560,7 +560,7 @@ class ShardedEigenPro2(EigenPro2):
                 ),
                 op_counts=group.op_counts(),
                 g=group.g,
-                transport=type(group.transport).name,
+                transport=group.name,
             )
             self.last_checkpoint_ = ckpt
             self._steps_since_checkpoint = 0

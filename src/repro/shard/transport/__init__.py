@@ -1,6 +1,7 @@
 """Shard transports: where a shard runs (threads, processes, ranks...).
 
-The :class:`~repro.shard.transport.base.ShardTransport` interface splits
+:class:`~repro.shard.transport.base.ShardTransport` is the one shard
+engine object (public name ``repro.shard.ShardGroup``).  It splits
 *what a shard does* (the task functions of :mod:`repro.shard.trainer` /
 :mod:`repro.shard.ops`, executed against a
 :class:`~repro.shard.transport.base.ShardWorker`) from *where it runs*:
@@ -27,7 +28,7 @@ The registry
 Transports are discovered by name through one registry: the built-ins
 register here at import, and :func:`register_transport` files any
 :class:`~repro.shard.transport.base.ShardTransport` subclass so that
-``ShardGroup.build(transport=...)``,
+``ShardTransport.build(transport=...)`` (alias ``ShardGroup.build``),
 :class:`~repro.shard.trainer.ShardedEigenPro2`,
 ``run_shard_validation``, ``benchmarks/bench_shard.py --transport`` and
 the conformance suite's parametrization all see it — no per-call-site
@@ -35,7 +36,8 @@ string matching.  :func:`registered_transports` lists every name;
 :func:`available_transports` filters by each class's
 ``is_available()`` (platform support, optional dependencies), which is
 how torch-dependent cases *report* a skip instead of failing when torch
-is absent.
+is absent; :func:`transport_available` answers the same question for one
+name.
 """
 
 from __future__ import annotations
@@ -48,16 +50,9 @@ from repro.shard.transport.base import (
     ShardWorker,
     allreduce_sum,
 )
-from repro.shard.transport.process import (
-    ProcessShardExecutor,
-    ProcessTransport,
-    process_transport_available,
-)
+from repro.shard.transport.process import ProcessShardExecutor, ProcessTransport
 from repro.shard.transport.thread import ShardExecutor, ThreadTransport
-from repro.shard.transport.torchdist import (
-    TorchDistributedTransport,
-    torchdist_available,
-)
+from repro.shard.transport.torchdist import TorchDistributedTransport
 
 __all__ = [
     "PendingMap",
@@ -71,11 +66,9 @@ __all__ = [
     "TorchDistributedTransport",
     "allreduce_sum",
     "available_transports",
-    "process_transport_available",
     "register_transport",
     "registered_transports",
     "resolve_transport",
-    "torchdist_available",
     "transport_available",
     "unregister_transport",
 ]

@@ -1,4 +1,4 @@
-"""The shard transport contract: *what a shard does* vs *where it runs*.
+"""The shard engine: *what a shard does* vs *where it runs*.
 
 A shard is a contiguous slice of the kernel centers and weight rows plus
 the machinery to run tasks against them.  This module splits that into
@@ -12,12 +12,12 @@ two halves:
   ``state`` dict for per-fit context (the kernel, subsample indices) and
   the in-flight kernel ``block`` between a *form* and its *contract*
   task.
-- :class:`ShardTransport` — the caller-side engine that owns ``g``
-  workers and moves work and data to them: ``submit``/``map_async``
+- :class:`ShardTransport` — the one caller-side engine object that owns
+  ``g`` workers and moves work and data to them: ``submit``/``map_async``
   (queue a task on every shard's FIFO worker), ``allreduce`` (combine
   per-shard partials), ``mirror_rows`` (push updated weight rows back to
   the shards) and the weight scatter/gather, accounting and lifecycle
-  methods.
+  methods.  Public name: ``repro.shard.ShardGroup``.
 
 Tasks are plain callables ``fn(worker, *args, **kwargs)``.  Transports
 that cross a process boundary pickle them, so anything submitted through
@@ -25,12 +25,13 @@ the sharded trainer or the sharded ops must be a module-level function
 (all the built-in tasks are); the thread transport additionally accepts
 closures for ad-hoc in-process work.
 
-Conformance contract (pinned by
+Conformance contract (pinned by ``tests/test_shard_parity.py`` and
 ``tests/test_shard_transport_conformance.py``): every transport executes
 the *same task functions* on the same shard slices, so for a fixed shard
 plan the produced numbers are bitwise identical across transports, the
-relayed op-count deltas are identical, and communication is metered
-separately under ``"allreduce"``.
+op-count deltas (and worker spans, when tracing) that
+:meth:`PendingMap.result` relays to the calling thread are identical,
+and communication is metered separately under ``"allreduce"``.
 
 Ordering contract: each worker runs its queue FIFO.  This is what makes
 the asynchronous mirror-back sound — a mirror queued (or, for
@@ -68,6 +69,7 @@ from repro.instrument import (
     span,
     trace_scope,
 )
+from repro.kernels.base import Kernel
 from repro.kernels.ops import block_workspace
 from repro.shard.plan import ShardPlan
 
@@ -177,7 +179,7 @@ class ShardWorker:
         #: High-water mark of this shard's block-workspace scratch.
         self.workspace_peak = 0
         #: Per-fit context pushed by the caller (kernel, subsample
-        #: indices, ...) via the transport's state broadcast/scatter.
+        #: indices, ...) via :meth:`ShardTransport.scatter_state_items`.
         self.state: dict[str, Any] = {}
         #: The in-flight kernel block: a *form* task stashes it here so
         #: the matching *contract* task can consume it without the block
@@ -416,11 +418,18 @@ def _push_rows_task(
 class ShardTransport(abc.ABC):
     """Caller-side engine driving ``g`` shard workers somewhere.
 
+    Build one with :meth:`build`, run collective steps with :meth:`map`
+    / :meth:`map_async` and combine partials with :meth:`allreduce` (or
+    fuse both with :meth:`map_allreduce`); close it, or use it as a
+    context manager.
+
     Implementations own the workers' lifetime and the channel that moves
     tasks, results and weight rows between the caller and the shards.
     Every transport must preserve two invariants: per-worker FIFO task
     order (see the module docstring) and bit-exact task results — the
-    transport moves bytes, it never re-computes.
+    transport moves bytes, it never re-computes.  Subclasses customise
+    dispatch through :meth:`_submit_all` and :meth:`_launch_reduce`,
+    never the public ``map*`` methods, which external profilers may wrap.
     """
 
     #: Registry name ("thread", "process", "torchdist"); the key under
@@ -445,6 +454,11 @@ class ShardTransport(abc.ABC):
     #: share the caller's process and so its thread count.
     worker_blas_threads: int | None = None
 
+    #: Kernel attached by :meth:`build`; lets
+    #: :func:`repro.shard.sharded_predict` and
+    #: :class:`repro.serve.ModelServer` run without re-passing it.
+    kernel: Kernel | None = None
+
     plan: ShardPlan
     #: Caller-side executor handles, one per shard, in shard order.  Their
     #: concrete type is transport-specific but all expose ``shard_id``,
@@ -460,6 +474,68 @@ class ShardTransport(abc.ABC):
     @property
     def g(self) -> int:
         return self.plan.g
+
+    @classmethod
+    def build(
+        cls,
+        centers: Any,
+        weights: Any | None = None,
+        *,
+        g: int | None = None,
+        backends: str | ArrayBackend | Sequence[str | ArrayBackend] | None = None,
+        kernel: Kernel | None = None,
+        transport: str | type["ShardTransport"] = "thread",
+        **transport_options: Any,
+    ) -> "ShardTransport":
+        """Shard ``centers`` (and optionally ``weights``) across ``g``
+        workers of the chosen transport.
+
+        Parameters
+        ----------
+        g:
+            Shard count; defaults to ``len(backends)`` when a backend
+            list is given, else 1.
+        backends:
+            ``None`` (a fresh :class:`~repro.backend.NumpyBackend`
+            instance per shard), one spec applied to every shard
+            (``"torch:cpu"``), or one spec per shard
+            (``["torch:cuda:0", "torch:cuda:1"]``).  The process
+            transport accepts NumPy specs only.
+        kernel:
+            Optional kernel, kept as :attr:`kernel`.
+        transport:
+            Any name in
+            :func:`repro.shard.transport.registered_transports` —
+            ``"thread"`` (default), ``"process"``, ``"torchdist"`` — or
+            a :class:`ShardTransport` subclass; extra keyword arguments
+            are forwarded to the transport constructor (e.g.
+            ``start_method=`` for the process transport, ``timeout_s=``
+            for torchdist).
+        """
+        from repro.shard.transport import resolve_transport
+
+        centers_np = np.asarray(to_numpy(centers))
+        if centers_np.ndim == 1:
+            centers_np = centers_np[None, :]
+        weights_np = None if weights is None else np.asarray(to_numpy(weights))
+        if isinstance(backends, (str, ArrayBackend)) or backends is None:
+            g = 1 if g is None else int(g)
+            backend_specs: list[Any] = [backends] * g
+        else:
+            backend_specs = list(backends)
+            if g is not None and int(g) != len(backend_specs):
+                raise ConfigurationError(
+                    f"g={g} conflicts with {len(backend_specs)} backend specs"
+                )
+            g = len(backend_specs)
+        plan = ShardPlan.contiguous(centers_np.shape[0], g)
+        transport_cls = resolve_transport(transport)
+        engine = transport_cls(
+            plan, centers_np, weights_np, backends=backend_specs,
+            **transport_options,
+        )
+        engine.kernel = kernel
+        return engine
 
     # ------------------------------------------------------ registry hooks
     @classmethod
@@ -525,19 +601,39 @@ class ShardTransport(abc.ABC):
         with span("submit", transport=self.name, to_shard=shard_id):
             return self.executors[shard_id].submit(fn, *args, **kwargs)
 
-    def map_async(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> PendingMap:
-        """Queue ``fn(worker, *args, **kwargs)`` on every shard *without
-        barriering*; returns a :class:`PendingMap` to be awaited when
-        (and where) the values are consumed."""
+    def _submit_all(
+        self, fn: Callable[..., Any], args: tuple, kwargs: dict
+    ) -> PendingMap:
+        """Queue ``fn(worker, *args, **kwargs)`` on every shard: the
+        dispatch behind :meth:`map_async`, :meth:`map` and every
+        internal collective."""
         self._require_serving()
         return PendingMap(
             [ex.submit_metered(fn, *args, **kwargs) for ex in self.executors]
         )
 
+    def _launch_reduce(
+        self,
+        fn: Callable[..., Any],
+        args: tuple,
+        kwargs: dict,
+        bk: ArrayBackend | None,
+    ) -> PendingReduce:
+        """Launch a fused map + all-reduce step: the dispatch behind
+        :meth:`map_allreduce_async` and :meth:`map_allreduce`."""
+        return PendingReduce(self, self._submit_all(fn, args, kwargs), bk)
+
+    def map_async(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> PendingMap:
+        """Queue ``fn(worker, *args, **kwargs)`` on every shard *without
+        barriering*; returns a :class:`PendingMap` to be awaited when
+        (and where) the values are consumed.  Any number of pending maps
+        may overlap; each worker runs its queue FIFO."""
+        return self._submit_all(fn, args, kwargs)
+
     def map(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> list[Any]:
         """Run ``fn(worker, *args, **kwargs)`` on every shard in parallel;
         barriers and relays op-count deltas (see :class:`PendingMap`)."""
-        return self.map_async(fn, *args, **kwargs).result()
+        return self._submit_all(fn, args, kwargs).result()
 
     def map_allreduce_async(
         self,
@@ -551,15 +647,15 @@ class ShardTransport(abc.ABC):
 
         ``fn`` returns either a bare partial or a ``(partial, extra)``
         tuple; awaiting the returned :class:`PendingReduce` yields
-        ``(reduced, extras)``.  The base implementation is
-        :meth:`map_async` plus a host-side combine at await time — the
-        same traffic as mapping and reducing separately.  Transports
-        whose collective itself rides the task channel override this to
-        run ``fn`` and the fabric all-reduce inside *one* task per
-        shard, halving the per-step round-trips of the serial sharded
-        iteration (torchdist: 2 RPCs → 1).
+        ``(reduced, extras)``.  The base implementation maps and then
+        combines host-side at await time — the same traffic as mapping
+        and reducing separately.  Transports whose collective itself
+        rides the task channel override :meth:`_launch_reduce` to run
+        ``fn`` and the fabric all-reduce inside *one* task per shard,
+        halving the per-step round-trips of the serial sharded iteration
+        (torchdist: 2 RPCs → 1).
         """
-        return PendingReduce(self, self.map_async(fn, *args, **kwargs), bk)
+        return self._launch_reduce(fn, args, kwargs, bk)
 
     def map_allreduce(
         self,
@@ -571,7 +667,7 @@ class ShardTransport(abc.ABC):
         """Barriering form of :meth:`map_allreduce_async`: returns
         ``(reduced, extras)`` with op deltas relayed and the collective
         charged under ``"allreduce"`` on the calling thread."""
-        return self.map_allreduce_async(fn, *args, bk=bk, **kwargs).result()
+        return self._launch_reduce(fn, args, kwargs, bk).result()
 
     # ----------------------------------------------------------- collective
     def allreduce(self, partials: Sequence[Any], bk: ArrayBackend | None = None) -> Any:
@@ -582,24 +678,11 @@ class ShardTransport(abc.ABC):
             return allreduce_sum(partials, bk=bk)
 
     # ----------------------------------------------------------- state push
-    def broadcast_state(self, **items: Any) -> None:
-        """Merge ``items`` into every worker's ``state`` dict (barriers;
-        values must be picklable for cross-process transports)."""
-        self.map(_update_state_task, items)
-
-    def scatter_state(self, key: str, values: Sequence[Any]) -> None:
-        """Set ``state[key]`` to a *different* value per shard."""
-        if len(values) != self.g:
-            raise ConfigurationError(
-                f"scatter_state needs {self.g} values, got {len(values)}"
-            )
-        self.scatter_state_items([{key: value} for value in values])
-
     def scatter_state_items(self, items: Sequence[dict[str, Any]]) -> None:
         """Merge a per-shard dict of state entries into each worker's
-        ``state`` — the batched form of :meth:`broadcast_state` /
-        :meth:`scatter_state`: however many keys are pushed, each worker
-        sees exactly one task, so message-passing transports pay one RPC
+        ``state`` (barriers; values must be picklable for cross-process
+        transports).  However many keys are pushed, each worker sees
+        exactly one task, so message-passing transports pay one RPC
         round-trip for the whole per-fit setup."""
         if len(items) != self.g:
             raise ConfigurationError(
@@ -649,7 +732,7 @@ class ShardTransport(abc.ABC):
             queued=self.g,
         ):
             parts = self.plan.localize(np.asarray(global_idx))
-            return self.map_async(_push_rows_task, parts, rows)
+            return self._submit_all(_push_rows_task, (parts, rows), {})
 
     def gather_weights(self) -> np.ndarray:
         """Concatenate all shard weight rows back into one host array."""
@@ -663,9 +746,9 @@ class ShardTransport(abc.ABC):
             return np.concatenate(parts, axis=0)
 
     @abc.abstractmethod
-    def set_weights(self, weights: np.ndarray) -> None:
-        """Scatter a full ``(n, l)`` host weight array onto the shards
-        (barriers: on return every shard sees the new rows)."""
+    def set_weights(self, weights: Any) -> None:
+        """Scatter a full ``(n, l)`` weight array (any backend's) onto
+        the shards (barriers: on return every shard sees the new rows)."""
 
     # ------------------------------------------------------------- liveness
     def alive(self) -> list[bool]:
@@ -709,7 +792,7 @@ class ShardTransport(abc.ABC):
     def reset_workspaces(self) -> None:
         """Drop pooled scratch buffers on every shard's worker (keeps the
         workers alive)."""
-        self.map(_drain_workspace_task)
+        self._submit_all(_drain_workspace_task, (), {}).result()
 
     # ------------------------------------------------------------ lifecycle
     @abc.abstractmethod

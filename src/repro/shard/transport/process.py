@@ -57,7 +57,8 @@ Availability: requires :mod:`multiprocessing.shared_memory` and a
 ``fork`` start method (the default here; ``spawn`` is accepted via
 ``start_method=`` for platforms that need it, with the stricter
 requirement that every submitted task live in an importable module).
-Use :func:`process_transport_available` to gate tests.
+Gate tests with ``transport_available("process")``
+(:func:`repro.shard.transport.transport_available`).
 
 This architecture is designed for reuse: a subclass can give each child
 a non-NumPy backend (``_WorkerSpec.backend_spec``) and run module-level
@@ -87,6 +88,7 @@ from repro.backend import (
     current_precision,
     resolve_backend,
     set_blas_threads,
+    to_numpy,
 )
 from repro.backend.threads import usable_cpus
 from repro.exceptions import ConfigurationError, ShardError
@@ -97,7 +99,6 @@ from repro.shard.transport.base import ShardTransport, ShardWorker
 __all__ = [
     "ProcessShardExecutor",
     "ProcessTransport",
-    "process_transport_available",
 ]
 
 _SHUTDOWN = None  # sentinel message ending a worker's loop
@@ -105,17 +106,6 @@ _SHUTDOWN = None  # sentinel message ending a worker's loop
 #: Environment variables whose explicit thread count overrides the
 #: computed worker budget, in the order OpenBLAS itself reads them.
 _THREAD_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
-
-
-def process_transport_available() -> bool:
-    """True when this platform supports the process transport's default
-    configuration: POSIX shared memory plus a fork-safe start method
-    (fork keeps arbitrary module-level task functions unpicklable-import
-    free and is what the test suite exercises)."""
-    try:
-        return "fork" in multiprocessing.get_all_start_methods()
-    except Exception:  # pragma: no cover - exotic platforms
-        return False
 
 
 def _worker_blas_budget(g: int) -> int:
@@ -538,7 +528,14 @@ class ProcessTransport(ShardTransport):
 
     @classmethod
     def is_available(cls) -> bool:
-        return process_transport_available()
+        """True when this platform supports the process transport's
+        default configuration: POSIX shared memory plus a fork-safe
+        start method (fork keeps arbitrary module-level task functions
+        unpicklable-import free and is what the test suite exercises)."""
+        try:
+            return "fork" in multiprocessing.get_all_start_methods()
+        except Exception:  # pragma: no cover - exotic platforms
+            return False
 
     # ------------------------------------------------------ subclass hooks
     def _validate_backends(
@@ -560,7 +557,7 @@ class ProcessTransport(ShardTransport):
         return [None] * plan.g
 
     def _default_start_method(self) -> str:
-        return "fork" if process_transport_available() else "spawn"
+        return "fork" if ProcessTransport.is_available() else "spawn"
 
     def _child_spec(
         self,
@@ -706,11 +703,11 @@ class ProcessTransport(ShardTransport):
         with span("gather", transport=self.name, g=self.g):
             return self._weights_view.copy()
 
-    def set_weights(self, weights: np.ndarray) -> None:
+    def set_weights(self, weights: Any) -> None:
         self._require_serving()
         if self._weights_view is None:
             raise ConfigurationError("transport holds no weights")
-        weights_np = np.asarray(weights)
+        weights_np = np.asarray(to_numpy(weights))
         if weights_np.shape != self._weights_view.shape:
             raise ConfigurationError(
                 f"weights shape {weights_np.shape} does not match "

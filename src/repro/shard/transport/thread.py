@@ -166,9 +166,9 @@ class ThreadTransport(ShardTransport):
         ]
 
     # -------------------------------------------------------------- weights
-    def set_weights(self, weights: np.ndarray) -> None:
+    def set_weights(self, weights: Any) -> None:
         self._require_serving()
-        weights_np = np.asarray(weights)
+        weights_np = np.asarray(to_numpy(weights))
         if weights_np.shape[0] != self.plan.n:
             raise ConfigurationError(
                 f"weights has {weights_np.shape[0]} rows, plan expects "

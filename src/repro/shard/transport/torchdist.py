@@ -41,12 +41,12 @@ death, segments always unlinked.  This transport adds:
   :attr:`exact_collective_max_g` is 2 and the conformance suite's
   bitwise tests stop there.
 - **Fused forward + all-reduce.**  :meth:`map_allreduce` /
-  :meth:`map_allreduce_async` override the base host-combine path with
-  :func:`_fused_collective_task`: each rank runs the forward task *and*
-  its ``dist.all_reduce`` inside one RPC, so a sharded training step
-  costs **two** round-trips (prefetched form, fused contract +
-  all-reduce) instead of three — the RPC pins in the conformance
-  suite.  Rank 0's reply carries the reduced array; the caller still
+  :meth:`map_allreduce_async` replace the base host-combine path (the
+  ``_launch_reduce`` hook) with :func:`_fused_collective_task`: each
+  rank runs the forward task *and* its ``dist.all_reduce`` inside one
+  RPC, so a sharded training step costs **two** round-trips
+  (prefetched form, fused contract + all-reduce) instead of three — the
+  RPC pins in the conformance suite.  Rank 0's reply carries the reduced array; the caller still
   records the ``(g - 1) * payload`` ``"allreduce"`` ops, and under
   ``use_precision("mixed")`` each rank upcasts its float32 partial to
   float64 before the collective, matching the host-side accumulate
@@ -95,6 +95,7 @@ from repro.shard.plan import ShardPlan
 from repro.shard.transport.base import (
     PendingMap,
     PendingReduce,
+    ShardTransport,
     ShardWorker,
     _split_partial,
 )
@@ -102,17 +103,7 @@ from repro.shard.transport.process import ProcessTransport, _SegmentSpec, _Worke
 
 __all__ = [
     "TorchDistributedTransport",
-    "torchdist_available",
 ]
-
-
-def torchdist_available() -> bool:
-    """True when torch (and with it ``torch.distributed``'s gloo backend
-    on every supported platform) is installed.  Probed without importing
-    torch, so calling this — e.g. from the transport registry — never
-    pays torch's import cost or initializes its thread pools in the
-    parent."""
-    return importlib.util.find_spec("torch") is not None
 
 
 def _spec_wants_cuda(spec: Any) -> bool:
@@ -295,7 +286,12 @@ class TorchDistributedTransport(ProcessTransport):
 
     @classmethod
     def is_available(cls) -> bool:
-        return torchdist_available()
+        """True when torch (and with it ``torch.distributed``'s gloo
+        backend on every supported platform) is installed.  Probed
+        without importing torch, so calling this — e.g. from the
+        transport registry — never pays torch's import cost or
+        initializes its thread pools in the parent."""
+        return importlib.util.find_spec("torch") is not None
 
     @classmethod
     def link_name(cls, backends: Any | None = None) -> str:
@@ -317,7 +313,7 @@ class TorchDistributedTransport(ProcessTransport):
         timeout_s: float = 60.0,
         start_method: str | None = None,
     ) -> None:
-        if not torchdist_available():
+        if not self.is_available():
             raise ConfigurationError(
                 "transport='torchdist' requires torch (pip install "
                 "repro[torch]); available transports exclude it on this "
@@ -438,12 +434,12 @@ class TorchDistributedTransport(ProcessTransport):
             record_ops("allreduce", (self.g - 1) * int(np.asarray(out).size))
             return bk.asarray(out)
 
-    def map_allreduce_async(
+    def _launch_reduce(
         self,
         fn: Any,
-        *args: Any,
-        bk: ArrayBackend | None = None,
-        **kwargs: Any,
+        args: tuple,
+        kwargs: dict,
+        bk: ArrayBackend | None,
     ) -> PendingReduce:
         """Fused form of map + all-reduce: each rank runs ``fn`` *and*
         the ``dist.all_reduce`` inside a single task — one RPC round-trip
@@ -452,13 +448,8 @@ class TorchDistributedTransport(ProcessTransport):
         keep the base path — no collective task, no ``"allreduce"`` ops,
         matching the cost model's ``g = 1`` short circuit."""
         if self.g == 1:
-            return super().map_allreduce_async(fn, *args, bk=bk, **kwargs)
-        pending = PendingMap(
-            [
-                ex.submit_metered(_fused_collective_task, fn, args, kwargs)
-                for ex in self.executors
-            ]
-        )
+            return super()._launch_reduce(fn, args, kwargs, bk)
+        pending = self._submit_all(_fused_collective_task, (fn, args, kwargs), {})
         return _DistPendingReduce(self, pending, bk)
 
     # -------------------------------------------------------------- weights
@@ -472,15 +463,10 @@ class TorchDistributedTransport(ProcessTransport):
         if not self._torch_workers:
             return super().mirror_rows(global_idx, rows)
         # Keep the shared segment authoritative for the parent, then push
-        # rows to the device copies (FIFO order makes this async-safe,
-        # exactly as for the thread transport's device shards).
+        # rows to the device copies with the base class's queued push
+        # (FIFO order makes this async-safe, as for thread device shards).
         super().mirror_rows(global_idx, rows)
-        from repro.shard.transport.base import _push_rows_task
-
-        idx = np.asarray(global_idx)
-        with span("mirror", transport=self.name, rows=len(idx), queued=self.g):
-            parts = self.plan.localize(idx)
-            return self.map_async(_push_rows_task, parts, rows)
+        return ShardTransport.mirror_rows(self, global_idx, rows)
 
     def gather_weights(self) -> np.ndarray:
         if not self._torch_workers:
@@ -488,10 +474,10 @@ class TorchDistributedTransport(ProcessTransport):
         with span("gather", transport=self.name, g=self.g):
             return np.concatenate(self.map(_pull_weights_task), axis=0)
 
-    def set_weights(self, weights: np.ndarray) -> None:
-        super().set_weights(weights)
+    def set_weights(self, weights: Any) -> None:
+        weights_np = np.asarray(to_numpy(weights))
+        super().set_weights(weights_np)
         if self._torch_workers:
-            weights_np = np.asarray(weights)
             futures = [
                 ex.submit(_set_rows_task, weights_np[sl])
                 for ex, sl in zip(self.executors, self.plan.slices)

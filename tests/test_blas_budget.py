@@ -20,7 +20,7 @@ from repro.backend import threads as blas_module
 from repro.exceptions import ConfigurationError
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, new_run_id
-from repro.shard import ShardGroup, process_transport_available, transport_available
+from repro.shard import ShardGroup, transport_available
 from repro.shard.trainer import _form_block_task as _ORIGINAL_FORM_TASK
 from repro.shard.transport import process as process_module
 
@@ -28,7 +28,7 @@ needs_openblas = pytest.mark.skipif(
     blas_threads() is None, reason="numpy bundles no OpenBLAS on this build"
 )
 needs_process = pytest.mark.skipif(
-    not process_transport_available(),
+    not transport_available("process"),
     reason="platform lacks fork-safe shared memory",
 )
 
@@ -84,7 +84,7 @@ def _group(g: int, transport: str) -> ShardGroup:
 def _assert_workers_report(group: ShardGroup, budget: int) -> None:
     assert group.worker_blas_threads == budget
     assert group.map(_report_blas_threads) == [budget] * group.g
-    if group.transport.name == "torchdist":
+    if group.name == "torchdist":
         assert group.map(_report_torch_threads) == [budget] * group.g
 
 

@@ -22,7 +22,7 @@ from repro.core.eigenpro2 import EigenPro2
 from repro.device import DeviceSpec, SimulatedDevice
 from repro.exceptions import ConfigurationError, DeviceMemoryError, ShardError
 from repro.kernels import GaussianKernel
-from repro.shard import process_transport_available, transport_available
+from repro.shard import transport_available
 
 
 def tiny_memory_device(scalars: float) -> SimulatedDevice:
@@ -249,7 +249,7 @@ def _rank_kill_watcher(trainer, killed, timeout_s=60.0):
 
 
 def _leaked_segment_names(group):
-    return [shm.name for shm in group.transport._segments]
+    return [shm.name for shm in group._segments]
 
 
 def _assert_segments_unlinked(names):
@@ -261,7 +261,7 @@ def _assert_segments_unlinked(names):
 
 
 needs_process = pytest.mark.skipif(
-    not process_transport_available(),
+    not transport_available("process"),
     reason="platform lacks fork-safe shared memory",
 )
 
@@ -293,9 +293,9 @@ class TestProcessTransportFailure:
                 group.map(_noop_task)
             # Subsequent submissions fail fast, not by timeout.
             with pytest.raises(ShardError, match="unavailable"):
-                group.transport.submit(1, _noop_task).result()
+                group.submit(1, _noop_task).result()
             # The surviving shard still works.
-            assert group.transport.submit(0, _noop_task).result() == 0
+            assert group.submit(0, _noop_task).result() == 0
         finally:
             group.close()
         _assert_segments_unlinked(names)
@@ -326,7 +326,7 @@ class TestProcessTransportFailure:
             assert group.dead_shards() == [1]
             # Probing latched the death: submissions now fail fast.
             with pytest.raises(ShardError, match="unavailable"):
-                group.transport.submit(1, _noop_task).result()
+                group.submit(1, _noop_task).result()
         finally:
             group.close()
 
@@ -345,7 +345,7 @@ class TestProcessTransportFailure:
         group.close()
         _assert_segments_unlinked(names)
         with pytest.raises(ShardError, match="closed"):
-            group.transport.submit(0, _noop_task)
+            group.submit(0, _noop_task)
 
     def test_rejected_config_leaves_no_segments(self):
         """A configuration rejected at construction (weights rows not
@@ -546,23 +546,23 @@ class TestTorchDistTransportFailure:
 
     def _assert_torn_down(self, group, names):
         _assert_segments_unlinked(names)
-        assert group.transport._init_dir is None
+        assert group._init_dir is None
         for ex in group.executors:
             assert not ex.process.is_alive()
 
     def test_killed_rank_raises_shard_error(self):
         group = self._group()
         names = _leaked_segment_names(group)
-        init_dir = group.transport._init_dir
+        init_dir = group._init_dir
         try:
             assert group.map(_noop_task) == [0, 1]
             group.executors[1].process.kill()
             with pytest.raises(ShardError, match="shard 1.*died"):
                 group.map(_noop_task)
             with pytest.raises(ShardError, match="unavailable"):
-                group.transport.submit(1, _noop_task).result()
+                group.submit(1, _noop_task).result()
             # The surviving rank still serves non-collective tasks.
-            assert group.transport.submit(0, _noop_task).result() == 0
+            assert group.submit(0, _noop_task).result() == 0
         finally:
             group.close()
         self._assert_torn_down(group, names)
@@ -597,13 +597,13 @@ class TestTorchDistTransportFailure:
     def test_close_is_idempotent_and_cleans_up(self):
         group = self._group()
         names = _leaked_segment_names(group)
-        init_dir = group.transport._init_dir
+        init_dir = group._init_dir
         group.close()
         group.close()
         self._assert_torn_down(group, names)
         assert not os.path.exists(init_dir)
         with pytest.raises(ConfigurationError, match="closed"):
-            group.transport.submit(0, _noop_task)
+            group.submit(0, _noop_task)
 
     def test_trainer_survives_rank_death(self, small_dataset):
         from repro.shard import ShardedEigenPro2

@@ -476,25 +476,35 @@ class TestComparePhases:
     def test_calibrated_report_renders(self):
         tracer = Tracer()
         with trace_scope(tracer):
+            record_span("setup", 2.0, 2.0)
             record_span("form_block", 0.0, 1.0)
             record_span("gemm", 1.0, 0.5)
-            record_span("allreduce", 1.5, 0.1, g=2)
+            record_span("correction", 1.5, 0.25)
+            record_span("allreduce", 1.75, 0.1, g=2)
         report = compare_phases(
             tracer,
             g=2,
             link="thread",
             allreduce_payload_scalars=64.0,
-            op_counts={"kernel_eval": 1_000, "gemm": 500},
+            op_counts={
+                "kernel_eval": 1_000, "gemm": 500, "precond": 250,
+                # Setup eigensystem work: outside every step span.
+                "eig": 1_000_000,
+            },
         )
         phases = {p["phase"]: p for p in report["phases"]}
-        # Rate calibrated from the run: 1500 ops / 1.5 s = 1000/s, so
-        # modelled compute phases reproduce their measured times.
+        # Rate calibrated from the run: 1750 ops / 1.75 s = 1000/s, so
+        # modelled compute phases reproduce their measured times; the
+        # setup eig ops move neither the rate nor the correction.
         assert report["calibration"]["calibrated_from_run"]
         assert report["calibration"]["scalar_rate"] == pytest.approx(1000.0)
         assert phases["form_block"]["modelled_s"] == pytest.approx(1.0)
         assert phases["gemm"]["modelled_s"] == pytest.approx(0.5)
+        assert phases["correction"]["modelled_s"] == pytest.approx(0.25)
         assert phases["allreduce"]["modelled_s"] is not None
         assert phases["mirror"]["modelled_s"] is None
+        assert phases["setup"]["modelled_s"] is None
+        assert phases["setup"]["measured_s"] == pytest.approx(2.0)
         rendered = render_comparison(report)
         assert "form_block" in rendered and "TOTAL" in rendered
 

@@ -23,18 +23,14 @@ from repro.exceptions import ConfigurationError, ReproError, ShardError
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, Tracer, trace_scope
 from repro.serve import ModelServer, PredictRequest, ServeOptions
-from repro.shard import (
-    ShardGroup,
-    process_transport_available,
-    sharded_predict,
-)
+from repro.shard import ShardGroup, sharded_predict, transport_available
 
 N, D, L = 193, 5, 3
 
 
 def _transport_param(name: str):
     marks = []
-    if name == "process" and not process_transport_available():
+    if name == "process" and not transport_available("process"):
         marks.append(pytest.mark.skip(reason="no fork-safe shared memory"))
     return pytest.param(name, marks=marks)
 
@@ -313,19 +309,6 @@ def test_owned_group_closes_with_server(problem):
     np.testing.assert_array_equal(got, want)
     server.close()
     assert server.group.closed
-
-
-def test_group_serve_borrows(problem):
-    """ShardGroup.serve() hands back a borrowing ModelServer."""
-    _, _, _, x = problem
-    with _build_group(problem, "thread", 2) as group:
-        with group.serve(options=ServeOptions(pipeline_depth=1)) as server:
-            assert isinstance(server, ModelServer)
-            np.testing.assert_array_equal(
-                server.predict_request(x, timeout=60).values,
-                np.asarray(sharded_predict(group, x)),
-            )
-        assert not group.closed
 
 
 def test_backpressure_queue_full(problem):

@@ -56,7 +56,6 @@ from repro.shard import (
     ShardGroup,
     ShardedEigenPro2,
     available_transports,
-    process_transport_available,
     registered_transports,
     resolve_transport,
     sharded_kernel_matvec,
@@ -99,7 +98,7 @@ nonthread_transports = pytest.mark.parametrize(
 )
 
 needs_process = pytest.mark.skipif(
-    not process_transport_available(),
+    not transport_available("process"),
     reason="platform lacks fork-safe shared memory",
 )
 needs_torchdist = pytest.mark.skipif(
@@ -301,7 +300,7 @@ class TestProcessMirrorBack:
             for shard_id, (positions, local) in enumerate(parts):
                 if not positions.size:
                     continue
-                seen = group.transport.submit(
+                seen = group.submit(
                     shard_id, _read_weight_rows_task, local
                 ).result()
                 np.testing.assert_array_equal(seen, rows[positions])
@@ -476,7 +475,7 @@ class TestTransportSelection:
     def test_available_transports_lists_thread(self):
         names = available_transports()
         assert "thread" in names
-        if process_transport_available():
+        if transport_available("process"):
             assert "process" in names
 
     def test_registered_transports_include_builtins(self):

@@ -67,7 +67,7 @@ class TestRegistration:
         with ShardGroup.build(
             centers, weights, g=2, transport=DummyTransport.name
         ) as group:
-            assert type(group.transport) is DummyTransport
+            assert type(group) is DummyTransport
             assert group.g == 2
 
     def test_registered_transport_reaches_trainer(self, registered_dummy):
