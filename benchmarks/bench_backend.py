@@ -1,7 +1,7 @@
 """NumPy vs Torch-CPU micro-benchmarks of the backend dispatch layer.
 
-Times the two operations that dominate training — ``kernel_matvec`` (the
-streamed model evaluation) and ``predict_in_blocks`` — on each available
+Times the operation that dominates training and prediction —
+``kernel_matvec``, the streamed model evaluation — on each available
 backend at a realistic shape, plus the dispatch overhead itself on a tiny
 shape (the backend layer must not tax the small-problem path).  Torch
 cases appear only when torch is installed; results print with ``pytest -s``
@@ -21,7 +21,7 @@ import pytest
 
 from repro.backend import use_backend
 from repro.kernels import GaussianKernel, LaplacianKernel
-from repro.kernels.ops import block_workspace, kernel_matvec, predict_in_blocks
+from repro.kernels.ops import block_workspace, kernel_matvec
 
 N, D, M, L = 4000, 400, 400, 10
 BLOCK_SCALARS = 200_000
@@ -62,22 +62,6 @@ def test_kernel_matvec_backend(benchmark, data, backend_name, kernel):
                 kernel_matvec(
                     kernel, batch, centers, w, max_scalars=BLOCK_SCALARS
                 ),
-                bk.synchronize(),
-            )[0]
-        )
-        assert tuple(out.shape) == (M, L)
-
-
-@pytest.mark.benchmark(group="predict_in_blocks")
-def test_predict_in_blocks_backend(benchmark, data, backend_name):
-    """Model-centric blocked prediction under the default memory budget."""
-    centers, batch, w = data
-    kernel = GaussianKernel(bandwidth=5.0)
-    with use_backend(backend_name) as bk:
-        block_workspace().reset()
-        out = benchmark(
-            lambda: (
-                predict_in_blocks(kernel, centers, w, batch),
                 bk.synchronize(),
             )[0]
         )

@@ -80,12 +80,13 @@ and ``mixed`` land within documented relative-error bounds of the
 float64 trajectory, with mixed paying float32 compute but keeping
 full-precision state.
 
-The per-step hot chain — pairwise distances → kernel profile → GEMM —
-additionally routes through the backends' **fused** entry points
-(:meth:`repro.backend.ArrayBackend.fused_kernel_block` /
-:meth:`~repro.backend.ArrayBackend.fused_kernel_matvec`): NumPy
-decomposes them to the historical pooled-workspace ops (bitwise
-identical either way), the Torch backend compiles the chain with
+Every radial kernel block — training steps and each block of the one
+streamed matvec, :func:`repro.kernels.ops.kernel_matvec` — is formed
+by the backends' one **fused** block former,
+:meth:`repro.backend.ArrayBackend.fused_kernel_block`, or by the
+matvec's once-per-call binding of the same ops: NumPy decomposes it to
+the historical pooled-workspace ops (bitwise identical either way), the
+Torch backend compiles the distance + profile chain with
 ``torch.compile``.
 
 Operation counts recorded via :mod:`repro.instrument` are derived from

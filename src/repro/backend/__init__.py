@@ -29,14 +29,16 @@ working dtype, ``use_precision("mixed")`` splits it — kernel blocks and
 GEMMs in float32 (:func:`get_precision`), the all-reduce combine and the
 EigenPro correction accumulating in float64
 (:func:`~repro.config.accumulate_dtype`).  Every backend also exposes a
-*fused* kernel hot path (:meth:`~repro.backend.base.ArrayBackend.
-fused_kernel_block` / ``fused_kernel_matvec``): the NumPy backend
-decomposes it to the identical pooled-workspace ops (bit-for-bit equal
-to the unfused chain, with the elementwise tail after the GEMM run in
-row tiles over the process's compute threads), while the Torch backend
-compiles the ``cdist + profile + matmul`` chain into one graph via
-``torch.compile`` (falling back to an eager fused form when compilation
-is unavailable).
+*fused* kernel hot path, one entry point
+(:meth:`~repro.backend.base.ArrayBackend.fused_kernel_block`) that
+every radial kernel block reaches: the NumPy backend decomposes it to
+the identical pooled-workspace ops (bit-for-bit equal to the unfused
+chain, with the elementwise tail after the GEMM run in row tiles over
+the process's compute threads), while the Torch backend compiles the
+distance + profile chain into one graph via ``torch.compile`` (falling
+back to an eager fused form when compilation is unavailable).  The
+streamed matvec binds that chain and its GEMM once per call
+(:meth:`~repro.backend.base.ArrayBackend.prepared_fused_matvec`).
 
 BLAS threads
 ------------

@@ -26,12 +26,18 @@ Conventions shared by all implementations:
 Fused hot path
 --------------
 The per-step hot chain — pairwise squared distances → kernel profile →
-GEMM — is exposed as two backend entry points so implementations may fuse
-it: :meth:`ArrayBackend.fused_kernel_block` (distances + profile, i.e. one
-``(b, n)`` kernel block) and :meth:`ArrayBackend.fused_kernel_matvec`
-(block + contraction against the weights).  The base implementations
-*decompose* to exactly the historical pooled-workspace ops, so op counts
-stay shape-derived and backend-invariant (the NumPy backend's row-tiled
+GEMM — has one backend entry point implementations may fuse:
+:meth:`ArrayBackend.fused_kernel_block` (distances + profile, i.e. one
+``(b, n)`` kernel block).  Every radial kernel evaluation reaches it
+through :meth:`repro.kernels.base.Kernel.__call__`.  The one streamed
+matvec (:func:`repro.kernels.ops.kernel_matvec`) binds the invariant
+side of that chain once per call instead, through
+:meth:`ArrayBackend.prepared_fused_matvec`: a closure that forms each
+block and contracts it with :meth:`ArrayBackend.matmul`, replaying the
+same ops (a backend that overrides the block former is called through
+it).  The base implementation *decomposes* to exactly the historical
+pooled-workspace ops, so op counts stay shape-derived and
+backend-invariant (the NumPy backend's row-tiled
 :meth:`~ArrayBackend._kernel_tail` override keeps each element's ops and
 their order); the Torch backend overrides the block former with a
 ``torch.compile`` fused kernel (eager fused fallback).  The base
@@ -278,34 +284,6 @@ class ArrayBackend(abc.ABC):
         d = self.matmul(x, z.T, out=out)
         return self._kernel_tail(d, x_sq_norms, z_sq_norms, profile, scale)
 
-    def fused_kernel_matvec(
-        self,
-        x: Any,
-        z: Any,
-        weights: Any,
-        *,
-        profile: str,
-        scale: float,
-        out: Any | None = None,
-        block_out: Any | None = None,
-        x_sq_norms: Any | None = None,
-        z_sq_norms: Any | None = None,
-        dtype: object | None = None,
-    ) -> Any:
-        """One streamed matvec step: ``profile(dist²(x, z)) @ weights``.
-
-        ``block_out`` is the pooled scratch the intermediate kernel block
-        is formed in; ``out`` receives the ``(n_x, l)`` contraction.  The
-        base implementation is block former + :meth:`matmul`; the caller
-        records the shape-derived ``kernel_eval``/``gemm`` op counts, so
-        fused implementations change codegen only, never accounting.
-        """
-        block = self.fused_kernel_block(
-            x, z, profile=profile, scale=scale, out=block_out,
-            x_sq_norms=x_sq_norms, z_sq_norms=z_sq_norms, dtype=dtype,
-        )
-        return self.matmul(block, weights, out=out)
-
     def prepared_fused_matvec(
         self,
         z: Any,
@@ -316,38 +294,33 @@ class ArrayBackend(abc.ABC):
         z_sq_norms: Any,
         dtype: object,
     ) -> Any:
-        """Precompile the fused matvec against fixed ``z``/``weights``.
+        """One streamed matvec block, ``profile(dist²(x, z)) @ weights``,
+        with ``z``, ``weights`` and the profile bound once.
 
-        Returns ``run(x, x_sq_norms, out, block_out)`` evaluating one
-        ``profile(dist²(x, z)) @ weights`` block.  The closure hoists
-        everything :meth:`fused_kernel_matvec` re-derives per call —
-        center transpose, norm casts, profile dispatch, scratch
-        validation — which is what a serving tick that evaluates many
-        small per-request segments against one model pays over and over.
-
-        Contract: the caller passes ``x`` already cast to ``dtype``,
-        ``x_sq_norms`` as :meth:`row_sq_norms` of that cast ``x``, and
-        ``out``/``block_out`` shape/dtype-matched — exactly the state
-        the blocked matvec loop holds.  Under that contract the closure
-        replays the decomposed chain operation for operation, so results
-        are bit-identical to :meth:`fused_kernel_matvec`.  A subclass
-        that overrides the fused entry points (a fusing compiler) is
-        respected: the closure then simply forwards to its
-        :meth:`fused_kernel_matvec`.
+        Returns ``run(x, x_sq_norms, out, block_out)``, which replays
+        :meth:`fused_kernel_block` then :meth:`matmul` op for op, so its
+        bits are theirs; the per-call work — center cast and transpose,
+        norm casts, profile dispatch, scratch checks — is done here
+        once.  :func:`repro.kernels.ops.kernel_matvec` builds one per
+        call and runs it on every block.  The caller passes ``x`` cast to
+        ``dtype``, ``x_sq_norms`` as :meth:`row_sq_norms` of that ``x``
+        and shape/dtype-matched ``out``/``block_out``: the state the
+        block loop holds.  A backend that overrides
+        :meth:`fused_kernel_block` gets a closure that calls it.
         """
         if (
-            type(self).fused_kernel_matvec
-            is not ArrayBackend.fused_kernel_matvec
-            or type(self).fused_kernel_block
+            type(self).fused_kernel_block
             is not ArrayBackend.fused_kernel_block
         ):
-            def forward(x: Any, x_sq_norms: Any, out: Any, block_out: Any) -> Any:
-                return self.fused_kernel_matvec(
-                    x, z, weights, profile=profile, scale=scale,
-                    out=out, block_out=block_out,
+            def forward(
+                x: Any, x_sq_norms: Any, out: Any, block_out: Any
+            ) -> Any:
+                block = self.fused_kernel_block(
+                    x, z, profile=profile, scale=scale, out=block_out,
                     x_sq_norms=x_sq_norms, z_sq_norms=z_sq_norms,
                     dtype=dtype,
                 )
+                return self.matmul(block, weights, out=out)
 
             return forward
         if profile not in FUSED_PROFILES:

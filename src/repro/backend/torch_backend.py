@@ -13,10 +13,14 @@ precision.
 
 Fused hot path
 --------------
-:meth:`TorchBackend.fused_kernel_block` overrides the decomposed base
-implementation with a single ``torch.compile``-compiled kernel per radial
-profile (GEMM expansion → norm broadcast → clamp → profile in one graph,
-letting the inductor fuse the memory-bound elementwise chain).  The
+:meth:`TorchBackend.fused_kernel_block` — the backend's one fusion
+point, which every radial kernel block reaches, including each block of
+the streamed matvec (:func:`repro.kernels.ops.kernel_matvec`, through
+the base :meth:`~repro.backend.base.ArrayBackend.prepared_fused_matvec`)
+— overrides the decomposed base implementation with a single
+``torch.compile``-compiled kernel per radial profile (GEMM expansion →
+norm broadcast → clamp → profile in one graph, letting the inductor fuse
+the memory-bound elementwise chain).  The
 compiled function preserves the decomposed path's elementwise operation
 order, so float64 fused blocks are bit-identical to unfused ones on this
 backend.  Compilation failures (unsupported platform, missing compiler

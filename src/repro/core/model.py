@@ -44,6 +44,16 @@ def as_labels(y: Any) -> np.ndarray:
     raise ConfigurationError(f"cannot interpret labels of shape {y.shape}")
 
 
+def _check_targets(y: np.ndarray, pred: np.ndarray) -> None:
+    """Raise unless targets and predictions match shape exactly — a
+    broadcast would score the model against the wrong targets."""
+    if y.shape != pred.shape:
+        raise ConfigurationError(
+            f"targets have shape {y.shape} but predictions have shape "
+            f"{pred.shape}"
+        )
+
+
 @dataclass
 class KernelModel:
     """A fitted kernel machine.
@@ -105,18 +115,21 @@ class KernelModel:
     def mse(self, x: Any, y: Any) -> float:
         """Mean squared error of ``f`` against targets ``y`` — the
         empirical loss ``L(f)`` of Remark 2.1, averaged over points *and*
-        output columns."""
+        output columns.  ``y`` has the predictions' shape ``(n_x, l)``;
+        a 1-D ``y`` is accepted for a single-output model."""
         y = to_numpy(y)
-        if y.ndim == 1:
+        if y.ndim == 1 and self.n_outputs == 1:
             y = y[:, None]
         pred = to_numpy(self.predict(x))
+        _check_targets(y, pred)
         return float(np.mean((pred - y) ** 2))
 
     def classification_error(self, x: Any, y: Any) -> float:
         """Fraction of misclassified points; ``y`` may be integer labels or
-        one-hot targets."""
+        one-hot targets, one per row of ``x``."""
         labels = as_labels(y)
         pred = self.predict_labels(x)
+        _check_targets(labels, pred)
         return float(np.mean(pred != labels))
 
     def rkhs_norm_squared(self) -> float:

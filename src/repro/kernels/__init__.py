@@ -23,9 +23,7 @@ from repro.kernels.ops import (
     BlockWorkspace,
     block_workspace,
     kernel_matrix,
-    KernelMatvecPlan,
     kernel_matvec,
-    predict_in_blocks,
     row_block_sizes,
 )
 
@@ -42,9 +40,7 @@ __all__ = [
     "sq_euclidean_distances",
     "euclidean_distances",
     "kernel_matrix",
-    "KernelMatvecPlan",
     "kernel_matvec",
-    "predict_in_blocks",
     "row_block_sizes",
 ]
 

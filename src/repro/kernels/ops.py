@@ -60,8 +60,6 @@ __all__ = [
     "take_columns",
     "kernel_matrix",
     "kernel_matvec",
-    "KernelMatvecPlan",
-    "predict_in_blocks",
 ]
 
 
@@ -292,19 +290,26 @@ def kernel_matvec(
     """Compute ``K(x, centers) @ weights`` without materialising ``K``.
 
     This is the model evaluation ``f(x_j) = sum_i alpha_i k(c_i, x_j)``
-    (Algorithm 1, step 2) for every row of ``x``.  Cost per the paper's
-    model: ``n_x * n * d`` kernel evaluations plus ``n_x * n * l`` GEMM
-    operations, both recorded on the active :class:`~repro.instrument.OpMeter`.
-    Streamed ``(b, n)`` kernel blocks live in the shared
-    :class:`BlockWorkspace`, so the distance/kernel block is never
+    (Algorithm 1, step 2) for every row of ``x``, and the package's one
+    streamed matvec: prediction, shard executors and every serving tick
+    run this block loop.  Cost per the paper's model: ``n_x * n * d``
+    kernel evaluations plus ``n_x * n * l`` GEMM operations, both on the
+    active :class:`~repro.instrument.OpMeter`.  Each ``(b, n)`` block is
+    formed into pooled :class:`BlockWorkspace` scratch, so it is never
     re-allocated per block (profiles needing an auxiliary array, e.g.
-    Matérn ν ≥ 3/2, still allocate that one temporary).
+    Matérn ν ≥ 3/2, still allocate that one temporary), then contracted
+    against the weights.
 
-    Kernels that advertise a :attr:`~repro.kernels.base.Kernel.fused_spec`
-    contract each block through the backend's
-    :meth:`~repro.backend.ArrayBackend.fused_kernel_matvec` — one entry
-    point per block instead of a kernel call plus a separate GEMM — with
-    the op counts still recorded here from shapes.
+    How a block is formed is settled once per call.  A radial kernel
+    with a :attr:`~repro.kernels.base.Kernel.fused_spec` whose block
+    dtype is the data dtype runs the backend's
+    :meth:`~repro.backend.ArrayBackend.prepared_fused_matvec` closure:
+    the :meth:`~repro.backend.ArrayBackend.fused_kernel_block` chain and
+    the GEMM with the centers, weights and profile bound once, the same
+    ops on the same bits.  Every other kernel, or a kernel pinned to
+    another dtype, forms each block with its own ``__call__`` (radial
+    ones reach ``fused_kernel_block`` from there) and is cast up with
+    :func:`~repro.backend.match_dtype` before the GEMM.
 
     Parameters
     ----------
@@ -327,277 +332,67 @@ def kernel_matvec(
     Array of shape ``(n_x,)`` or ``(n_x, l)`` matching ``weights``, native
     to the active backend.
     """
-    plan = KernelMatvecPlan(
-        kernel, centers, weights, max_scalars=max_scalars,
-        z_sq_norms=z_sq_norms, x_like=x,
-    )
-    return plan(x, x_sq_norms=x_sq_norms)
-
-
-class KernelMatvecPlan:
-    """:func:`kernel_matvec` with the per-call prologue hoisted.
-
-    Every :func:`kernel_matvec` call re-resolves dtypes, re-casts
-    ``centers``/``weights``, re-derives the fused dispatch and
-    re-validates shapes before touching a single block.  For one call
-    over a large ``x`` that prologue is noise; for a serving tick that
-    evaluates many small *segments* against the same model it dominates.
-    The plan runs the prologue once for a fixed ``(kernel, centers,
-    weights, max_scalars)`` and then ``plan(x_seg)`` executes only the
-    ``x``-dependent tail — the identical block loop
-    :func:`kernel_matvec` runs, so for any ``x_seg`` whose dtype matches
-    the ``x_like`` exemplar the plan was built from, ``plan(x_seg)`` is
-    bitwise-equal to a fresh ``kernel_matvec(kernel, x_seg, ...)``.
-    (:func:`kernel_matvec` itself now delegates to a throwaway plan, so
-    the two paths cannot drift.)  A call whose dtype does *not* match
-    the exemplar silently falls back to the full-prologue path with the
-    original (uncast) arrays — correct, just not hoisted.
-
-    Plans hold backend casts of the model arrays; build them where the
-    calls will run (e.g. inside a shard worker task) and do not reuse a
-    plan after mutating the underlying weights.
-    """
-
-    __slots__ = (
-        "kernel", "max_scalars", "_bk", "_x_dtype", "_data_dtype",
-        "_block_dtype", "_out_dtype", "_centers", "_w2", "_squeeze",
-        "_z_sq_norms", "_fused_spec", "_fast_block", "_n", "_l",
-        "_fallback",
-    )
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        centers: Any,
-        weights: Any,
-        max_scalars: int = DEFAULT_BLOCK_SCALARS,
-        z_sq_norms: Any | None = None,
-        x_like: Any | None = None,
-    ) -> None:
-        bk = get_backend()
-        # Originals (pre-cast) kept for the dtype-mismatch fallback: a
-        # fresh kernel_matvec call must see what this caller was given.
-        self._fallback = (centers, weights, z_sq_norms)
-        data_dtype = compute_dtype(x_like, centers, weights)
-        centers = bk.as_2d(bk.asarray(centers, dtype=data_dtype))
-        # An explicitly requested kernel dtype participates in the output
-        # dtype (it must not be silently downcast away in the streamed
-        # path).  ``x_like`` only contributes its dtype here, exactly as
-        # the cast ``x`` contributes only its dtype in the direct path.
-        block_dtype = kernel._eval_dtype(
-            _DtypeExemplar(data_dtype), centers
+    bk = get_backend()
+    data_dtype = compute_dtype(x, centers, weights)
+    x = bk.as_2d(bk.asarray(x, dtype=data_dtype))
+    centers = bk.as_2d(bk.asarray(centers, dtype=data_dtype))
+    # An explicitly requested kernel dtype participates in the output
+    # dtype: it must not be silently downcast away.
+    block_dtype = kernel._eval_dtype(x, centers)
+    out_dtype = np.result_type(data_dtype, block_dtype)
+    weights = bk.asarray(weights, dtype=out_dtype)
+    n_x, n = x.shape[0], centers.shape[0]
+    if weights.shape[0] != n:
+        raise ConfigurationError(
+            f"weights has {weights.shape[0]} rows but there are {n} centers"
         )
-        out_dtype = np.result_type(data_dtype, block_dtype)
-        weights = bk.asarray(weights, dtype=out_dtype)
-        if weights.shape[0] != centers.shape[0]:
-            raise ConfigurationError(
-                f"weights has {weights.shape[0]} rows but there are "
-                f"{centers.shape[0]} centers"
+    squeeze = weights.ndim == 1
+    w2 = weights[:, None] if squeeze else weights
+    l = w2.shape[1]
+    if z_sq_norms is None:
+        z_sq_norms = center_sq_norms(kernel, centers, bk)
+    if x_sq_norms is None and block_dtype == data_dtype:
+        # Row norms of the evaluation points, once for all blocks.  Only
+        # when the block dtype matches the data dtype: a kernel pinned to
+        # a different precision computes norms of the *cast* rows inside
+        # each block evaluation, and precomputing at data dtype would
+        # change those bits.
+        x_sq_norms = center_sq_norms(kernel, x, bk)
+    out = bk.empty((n_x, l), dtype=out_dtype)
+    sizes = row_block_sizes(n_x, n, max_scalars)
+    # The first block is the widest: every block's scratch is a row
+    # prefix of one pooled buffer.
+    scratch = _WORKSPACE.get(bk, sizes[0] if sizes else 0, n, block_dtype)
+    spec = kernel.fused_spec
+    if spec is not None and block_dtype == data_dtype:
+        contract = bk.prepared_fused_matvec(
+            centers, w2, profile=spec[0], scale=spec[1],
+            z_sq_norms=z_sq_norms, dtype=block_dtype,
+        )
+        # Norms in the working dtype: a no-op for the ones computed
+        # above, the cast the kernel call would apply to a caller's.
+        x_sq_norms = bk.asarray(x_sq_norms, dtype=block_dtype)
+        # Shape-derived, as the kernel call records it in the other arm.
+        record_ops("kernel_eval", n_x * n * x.shape[1])
+    else:
+        def contract(
+            x_rows: Any, x_norms: Any, out_rows: Any, block_out: Any
+        ) -> None:
+            block = kernel(
+                x_rows, centers, out=block_out, x_sq_norms=x_norms,
+                z_sq_norms=z_sq_norms,
             )
-        self.kernel = kernel
-        self.max_scalars = max_scalars
-        self._bk = bk
-        self._x_dtype = getattr(x_like, "dtype", None)
-        self._data_dtype = data_dtype
-        self._block_dtype = block_dtype
-        self._out_dtype = out_dtype
-        self._centers = centers
-        self._squeeze = weights.ndim == 1
-        self._w2 = weights[:, None] if self._squeeze else weights
-        self._z_sq_norms = (
-            center_sq_norms(kernel, centers, bk)
-            if z_sq_norms is None
-            else z_sq_norms
+            # A kernel pinned to a lower precision than the data casts up
+            # before the contraction.
+            bk.matmul(match_dtype(block, out_dtype, bk), w2, out=out_rows)
+
+    lo = 0
+    for b in sizes:
+        hi = lo + b
+        contract(
+            x[lo:hi], None if x_sq_norms is None else x_sq_norms[lo:hi],
+            out[lo:hi], scratch[:b],
         )
-        self._fused_spec = (
-            kernel.fused_spec if block_dtype == out_dtype else None
-        )
-        self._n = centers.shape[0]
-        self._l = self._w2.shape[1]
-        # Precompiled per-block closure (backend-side invariant hoist):
-        # only for the cast-free case, where every block's inputs are
-        # already in the working dtype — precisely when the plan holds
-        # precomputed x row norms (see __call__).
-        self._fast_block = None
-        if (
-            self._fused_spec is not None
-            and block_dtype == data_dtype == out_dtype
-        ):
-            profile, scale = self._fused_spec
-            self._fast_block = bk.prepared_fused_matvec(
-                centers, self._w2, profile=profile, scale=scale,
-                z_sq_norms=self._z_sq_norms, dtype=block_dtype,
-            )
-
-    def __call__(self, x: Any, x_sq_norms: Any | None = None) -> Any:
-        if getattr(x, "dtype", None) != self._x_dtype:
-            # Built from a different exemplar: the hoisted dtypes may not
-            # be the ones a direct call would resolve — take that path.
-            centers, weights, z_sq_norms = self._fallback
-            return kernel_matvec(
-                self.kernel, x, centers, weights,
-                max_scalars=self.max_scalars, z_sq_norms=z_sq_norms,
-                x_sq_norms=x_sq_norms,
-            )
-        bk = self._bk
-        x = bk.as_2d(bk.asarray(x, dtype=self._data_dtype))
-        n_x, n, l = x.shape[0], self._n, self._l
-        if x_sq_norms is None and self._block_dtype == self._data_dtype:
-            # Row norms of the evaluation points, once for all blocks.
-            # Only when the block dtype matches the data dtype: a kernel
-            # pinned to a different precision computes norms of the
-            # *cast* rows inside each block evaluation, and precomputing
-            # at data dtype would change those bits.
-            x_sq_norms = center_sq_norms(self.kernel, x, bk)
-        out = bk.empty((n_x, l), dtype=self._out_dtype)
-        if self._fast_block is not None and x_sq_norms is not None:
-            # Cast-free fused path with the backend-side hoist: norms in
-            # the working dtype (a no-op for plan-computed norms, the
-            # same cast sq_euclidean_distances would apply otherwise).
-            x_sq_norms = bk.asarray(x_sq_norms, dtype=self._block_dtype)
-            for rows in iter_row_blocks(n_x, n, self.max_scalars):
-                b = rows.stop - rows.start
-                scratch = _WORKSPACE.get(bk, b, n, self._block_dtype)
-                self._fast_block(
-                    x[rows], x_sq_norms[rows], out[rows], scratch
-                )
-                record_ops("kernel_eval", b * n * x.shape[1])
-                record_ops("gemm", b * n * l)
-            return out[:, 0] if self._squeeze else out
-        for rows in iter_row_blocks(n_x, n, self.max_scalars):
-            b = rows.stop - rows.start
-            x_norms = None if x_sq_norms is None else x_sq_norms[rows]
-            scratch = _WORKSPACE.get(bk, b, n, self._block_dtype)
-            if self._fused_spec is not None:
-                profile, scale = self._fused_spec
-                bk.fused_kernel_matvec(
-                    x[rows], self._centers, self._w2,
-                    profile=profile, scale=scale,
-                    out=out[rows], block_out=scratch,
-                    x_sq_norms=x_norms, z_sq_norms=self._z_sq_norms,
-                    dtype=self._block_dtype,
-                )
-                # Op counts from shapes only, as in the unfused arm
-                # below — fused dispatch changes codegen, never
-                # accounting.
-                record_ops("kernel_eval", b * n * x.shape[1])
-            else:
-                block = self.kernel(
-                    x[rows], self._centers, out=scratch,
-                    x_sq_norms=x_norms, z_sq_norms=self._z_sq_norms,
-                )
-                # A kernel pinned to a lower precision than the data
-                # casts up before the contraction.
-                block = match_dtype(block, self._out_dtype, bk)
-                bk.matmul(block, self._w2, out=out[rows])
-            record_ops("gemm", b * n * l)
-        return out[:, 0] if self._squeeze else out
-
-    def run_segments(self, x: Any, bounds: Any) -> Any:
-        """Evaluate every segment ``x[lo:hi]`` into one output array.
-
-        The serving tick's inner loop.  ``bounds`` is a sequence of
-        ``(lo, hi)`` row ranges that tile ``[0, n_x)`` in order without
-        overlap (zero-length segments allowed); the returned array's
-        rows ``lo:hi`` are bitwise-equal to ``plan(x[lo:hi])`` for each
-        segment.  Segments are tiny in a serving tick, so the remaining
-        per-call machinery — the row-norm reduction, output allocation,
-        op accounting and the final concatenation — is amortised over
-        the whole tick: one norm pass over ``x`` (row-wise reductions
-        are per-row independent, so sliced norms carry the bits a
-        per-segment reduction would), one output buffer each segment's
-        final GEMM writes in place, one op-count record.  Dtypes or
-        kernels without the precompiled fast block take the per-segment
-        ``plan(...)`` road into the shared buffer instead — same bits,
-        no hoist.
-        """
-        bk = self._bk
-        if (
-            self._fast_block is None
-            or getattr(x, "dtype", None) != self._x_dtype
-        ):
-            out = None
-            for lo, hi in bounds:
-                seg = self(x[lo:hi])
-                if out is None:
-                    shape = (
-                        (x.shape[0],) if seg.ndim == 1
-                        else (x.shape[0], seg.shape[1])
-                    )
-                    out = bk.empty(shape, dtype=seg.dtype)
-                out[lo:hi] = seg
-            if out is None:  # no bounds at all
-                out = self(x[:0])
-            return out
-        x = bk.as_2d(bk.asarray(x, dtype=self._data_dtype))
-        n, l = self._n, self._l
-        x_sq_norms = bk.asarray(
-            center_sq_norms(self.kernel, x, bk), dtype=self._block_dtype
-        )
-        out = bk.empty((x.shape[0], l), dtype=self._out_dtype)
-        # Serving segments are overwhelmingly single-block (the same
-        # split iter_row_blocks would produce for them), so resolve the
-        # block budget once and memoize the scratch buffer across
-        # equal-sized segments instead of paying the generator and the
-        # workspace lookup per segment.
-        rows_per_block = max(1, self.max_scalars // max(1, n))
-        fast_block = self._fast_block
-        covered = 0
-        scratch_rows = -1
-        scratch = None
-        for lo, hi in bounds:
-            seg = hi - lo
-            covered += seg
-            if seg <= rows_per_block:
-                if seg == 0:
-                    continue
-                if seg != scratch_rows:
-                    scratch = _WORKSPACE.get(bk, seg, n, self._block_dtype)
-                    scratch_rows = seg
-                fast_block(x[lo:hi], x_sq_norms[lo:hi], out[lo:hi], scratch)
-                continue
-            for rows in iter_row_blocks(seg, n, self.max_scalars):
-                s0, s1 = lo + rows.start, lo + rows.stop
-                if s1 - s0 != scratch_rows:
-                    scratch = _WORKSPACE.get(
-                        bk, s1 - s0, n, self._block_dtype
-                    )
-                    scratch_rows = s1 - s0
-                fast_block(
-                    x[s0:s1], x_sq_norms[s0:s1], out[s0:s1], scratch
-                )
-        # Same totals a per-segment loop would record, once per tick.
-        record_ops("kernel_eval", covered * n * x.shape[1])
-        record_ops("gemm", covered * n * l)
-        return out[:, 0] if self._squeeze else out
-
-
-class _DtypeExemplar:
-    """Stand-in carrying only a dtype, for dtype-resolution helpers that
-    read nothing else (``compute_dtype`` / ``Kernel._eval_dtype``)."""
-
-    __slots__ = ("dtype",)
-
-    def __init__(self, dtype: object) -> None:
-        self.dtype = dtype
-
-
-def predict_in_blocks(
-    kernel: Kernel,
-    centers: Any,
-    weights: Any,
-    x: Any,
-    max_scalars: int = DEFAULT_BLOCK_SCALARS,
-    z_sq_norms: Any | None = None,
-    x_sq_norms: Any | None = None,
-) -> Any:
-    """Alias of :func:`kernel_matvec` with model-centric argument order.
-
-    ``x_sq_norms``/``z_sq_norms`` are threaded straight through, so a
-    serving caller holding precomputed evaluation-point or center norms
-    pays the ``O(n_x d)`` / ``O(n d)`` norm reductions once, not per call
-    (and never per block)."""
-    return kernel_matvec(
-        kernel, x, centers, weights, max_scalars=max_scalars,
-        z_sq_norms=z_sq_norms, x_sq_norms=x_sq_norms,
-    )
+        lo = hi
+    record_ops("gemm", n_x * n * l)
+    return out[:, 0] if squeeze else out

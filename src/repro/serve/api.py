@@ -23,7 +23,8 @@ work runs (see the scheduling notes in :mod:`repro.serve.server`), so a
 
 from __future__ import annotations
 
-import uuid
+import os
+import random
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
@@ -34,8 +35,17 @@ from repro.exceptions import ConfigurationError
 __all__ = ["PredictRequest", "PredictResponse"]
 
 
+#: Request ids label responses and spans: they must be unique, not
+#: secret, so they come from a private generator instead of ``uuid4``,
+#: whose ``os.urandom`` is a system call (and a GIL hand-off) on every
+#: request.  A forked child reseeds it, as :mod:`random` does its own.
+_IDS = random.Random()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_IDS.seed)
+
+
 def _new_request_id() -> str:
-    return f"r-{uuid.uuid4().hex[:12]}"
+    return f"r-{_IDS.getrandbits(48):012x}"
 
 
 @dataclass(frozen=True)

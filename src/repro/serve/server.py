@@ -8,11 +8,13 @@ serving task every transport ships to its workers.
 Bitwise contract
 ----------------
 The dispatcher coalesces concurrent requests into one task round-trip
-and one all-reduce per tick, but each request's rows are computed by the
-request's *own* streamed :func:`~repro.kernels.ops.kernel_matvec` call
-inside the worker task (:func:`_serve_batch_task`).  A single coalesced
-``(B, n)`` GEMM would be faster still, yet BLAS does not guarantee that
-a row of a batched product equals the same row computed alone — so it
+and one all-reduce per tick, but each request's rows are computed as the
+request's *own* kernel blocks: inside the worker task
+(:func:`_serve_batch_task`) the streamed
+:func:`~repro.kernels.ops.kernel_matvec` forms exactly the blocks a solo
+call over that request would.  A single coalesced ``(B, n)`` GEMM would
+be faster still, yet BLAS does not guarantee that a row of a batched
+product equals the same row computed alone — so it
 could not keep the serving invariant this repo's suite pins: *a batched
 response is bit-identical to the per-request*
 :func:`~repro.shard.sharded_predict` *loop*.  Segment-wise evaluation
@@ -78,7 +80,7 @@ from repro.instrument import (
     trace_scope,
 )
 from repro.kernels.base import Kernel
-from repro.kernels.ops import KernelMatvecPlan
+from repro.kernels.ops import kernel_matvec, row_block_sizes
 from repro.observe.metrics import MetricsRegistry
 from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
@@ -103,32 +105,38 @@ def _serve_batch_task(
     """Per-shard partial of one serving tick (module-level so every
     transport — including cross-process ones — can ship it).
 
-    ``bounds`` delimits the per-request row segments of ``x_host``; each
-    segment runs its own streamed matvec with the same block budget a
-    solo :func:`~repro.shard.sharded_predict` would use, so the batched
-    partial is a row-for-row bitwise concatenation of the per-request
-    partials (see the module docstring).  Zero-row segments contribute
-    well-formed ``(0, l)`` blocks.
-
-    The matvec prologue (dtype resolution, model-array casts, fused
-    dispatch) is hoisted into one :class:`~repro.kernels.ops
-    .KernelMatvecPlan` per tick, and the segment loop runs through
-    :meth:`~repro.kernels.ops.KernelMatvecPlan.run_segments`, which
-    amortises the per-segment machinery (norm reductions, allocation,
-    op accounting, concatenation) too: segments are small, so that
-    per-segment python is what separates a coalesced tick from a loop
-    of solo calls.  The per-segment *arithmetic* is untouched — each
-    segment's rows carry the bits a solo call would produce.
+    ``bounds`` holds the per-request row segments, which tile
+    ``x_host`` in order.  A solo :func:`~repro.shard.sharded_predict`
+    of an ``r``-row request streams it in the blocks
+    :func:`~repro.kernels.ops.row_block_sizes` gives under
+    ``max_scalars``.  When that is one block, a run of consecutive
+    ``r``-row segments is one :func:`~repro.kernels.ops.kernel_matvec`
+    call whose budget is exactly ``r`` rows, so each of its blocks is
+    one request's block; a longer segment gets its own call under
+    ``max_scalars``.  Row norms are per-row and op counts shape-derived,
+    so the partial matches the per-request loop in bits and in op
+    totals while the matvec prologue runs once per run, not once per
+    request.  Zero-row segments add no rows; a tick of only those yields
+    a well-formed ``(0, l)`` partial.
     """
-    plan = KernelMatvecPlan(
-        kernel,
-        worker.centers,
-        worker.weights,
-        max_scalars=max_scalars,
-        z_sq_norms=worker.center_sq_norms,
-        x_like=x_host,
-    )
-    return np.asarray(to_numpy(plan.run_segments(x_host, bounds)))
+    n = max(1, worker.centers.shape[0])
+    calls: list[list[int]] = []  # [lo, hi, budget, rows per segment]
+    for lo, hi in bounds:
+        rows = hi - lo
+        if rows and calls and calls[-1][3] == rows:
+            calls[-1][1] = hi  # one more r-row block in the same call
+        elif len(row_block_sizes(rows, n, max_scalars)) == 1:
+            calls.append([lo, hi, rows * n, rows])
+        elif rows:
+            calls.append([lo, hi, max_scalars, 0])
+    parts = [
+        np.asarray(to_numpy(kernel_matvec(
+            kernel, x_host[lo:hi], worker.centers, worker.weights,
+            max_scalars=budget, z_sq_norms=worker.center_sq_norms,
+        )))
+        for lo, hi, budget, _ in calls or ((0, 0, max_scalars, 0),)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,10 @@
 """Sharded streaming primitives: the data-parallel ``K(x, Z) @ W``.
 
-These mirror :func:`repro.kernels.ops.kernel_matvec` /
-:func:`~repro.kernels.ops.predict_in_blocks` with the centers and weights
-split across a :class:`~repro.shard.ShardGroup`: every shard computes the
-batch-vs-shard kernel block against its own centers on its own backend
-(reusing its precomputed center norms) and contracts it against its own
-weight rows; the ``(n_x, l)`` partials are then summed by
+These mirror :func:`repro.kernels.ops.kernel_matvec` with the centers
+and weights split across a :class:`~repro.shard.ShardGroup`: every shard
+runs that one streamed matvec against its own centers and weight rows
+on its own backend (reusing its precomputed center norms); the
+``(n_x, l)`` partials are then summed by
 :func:`~repro.shard.allreduce_sum` — exactly the per-iteration collective
 the cluster cost model (:mod:`repro.device.cluster`) charges for.
 

@@ -604,13 +604,14 @@ class TestFusedHotPathNumpy:
         x, z = xz
         rng = np.random.default_rng(1)
         w = rng.standard_normal((z.shape[0], 2))
-        bk = get_backend()
         kernel = GaussianKernel(bandwidth=2.0)
-        profile, scale = kernel.fused_spec
-        got = bk.fused_kernel_matvec(x, z, w, profile=profile, scale=scale)
+        got = kernel_matvec(kernel, x, z, w)  # one block
         np.testing.assert_array_equal(
             np.asarray(got), np.asarray(kernel(x, z)) @ w
         )
+        with use_backend(_DecomposedNumpy()):
+            decomposed = kernel_matvec(kernel, x, z, w)
+        np.testing.assert_array_equal(np.asarray(decomposed), np.asarray(got))
 
     def test_unknown_profile_rejected(self, xz):
         x, z = xz

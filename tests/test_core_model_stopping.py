@@ -82,6 +82,38 @@ class TestKernelModel:
             x, labels
         ) == model.classification_error(x, one_hot)
 
+    def test_mse_rejects_1d_targets_for_multi_output(self, model, rng):
+        x = rng.standard_normal((5, 4))
+        with pytest.raises(ConfigurationError, match="shape"):
+            model.mse(x, rng.standard_normal(5))
+
+    def test_mse_rejects_broadcast_row(self, model, rng):
+        x = rng.standard_normal((5, 4))
+        with pytest.raises(ConfigurationError, match="shape"):
+            model.mse(x, rng.standard_normal((1, 3)))
+
+    def test_mse_rejects_row_mismatch(self, model, rng):
+        x = rng.standard_normal((5, 4))
+        with pytest.raises(ConfigurationError, match="shape"):
+            model.mse(x, rng.standard_normal((6, 3)))
+
+    def test_mse_accepts_1d_targets_for_single_output(self, rng):
+        centers = rng.standard_normal((5, 2))
+        m = KernelModel(GaussianKernel(bandwidth=1.0), centers, np.ones(5))
+        x = rng.standard_normal((4, 2))
+        y = rng.standard_normal(4)
+        assert m.mse(x, y) == m.mse(x, y[:, None])
+
+    def test_classification_error_rejects_single_label(self, model, rng):
+        x = rng.standard_normal((5, 4))
+        with pytest.raises(ConfigurationError, match="shape"):
+            model.classification_error(x, np.array([2]))
+
+    def test_classification_error_rejects_row_mismatch(self, model, rng):
+        x = rng.standard_normal((5, 4))
+        with pytest.raises(ConfigurationError, match="shape"):
+            model.classification_error(x, rng.integers(0, 3, 6))
+
     def test_rkhs_norm_positive(self, model):
         assert model.rkhs_norm_squared() > 0
 

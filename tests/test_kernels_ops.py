@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
+from repro.core.model import KernelModel
 from repro.exceptions import ConfigurationError
 from repro.kernels import GaussianKernel
 from repro.kernels.ops import (
     iter_row_blocks,
     kernel_matrix,
     kernel_matvec,
-    predict_in_blocks,
     row_block_sizes,
 )
 
@@ -110,10 +110,20 @@ class TestKernelMatvec:
             )
 
     def test_predict_alias(self, rng):
+        """Model-centric prediction is the streamed matvec itself."""
         k = GaussianKernel(bandwidth=1.0)
         x = rng.standard_normal((8, 3))
         c = rng.standard_normal((6, 3))
         w = rng.standard_normal((6, 2))
-        np.testing.assert_allclose(
-            predict_in_blocks(k, c, w, x), kernel_matvec(k, x, c, w), atol=1e-12
+        np.testing.assert_array_equal(
+            KernelModel(k, c, w).predict(x), kernel_matvec(k, x, c, w)
         )
+
+    @pytest.mark.parametrize("weights_shape", [(6,), (6, 2)])
+    def test_zero_rows(self, rng, weights_shape):
+        k = GaussianKernel(bandwidth=1.0)
+        w = rng.standard_normal(weights_shape)
+        out = kernel_matvec(
+            k, np.empty((0, 3)), rng.standard_normal((6, 3)), w
+        )
+        assert out.shape == (0,) + weights_shape[1:]

@@ -1,7 +1,8 @@
 """Edge-case regression tests for the blocked-operation layer.
 
 Covers :func:`repro.kernels.ops.row_block_sizes` corner cases and the
-memory contract of :func:`predict_in_blocks`: streamed temporaries must
+memory contract of streamed prediction
+(:func:`~repro.kernels.ops.kernel_matvec`): streamed temporaries must
 respect the scalar budget (:data:`~repro.config.DEFAULT_BLOCK_SCALARS` by
 default), which the shared :class:`~repro.kernels.ops.BlockWorkspace`
 makes directly observable via its per-thread high-water mark.
@@ -14,13 +15,13 @@ import pytest
 
 from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.core.eigenpro2 import EigenPro2
+from repro.core.model import KernelModel
 from repro.device.presets import titan_xp
 from repro.exceptions import ConfigurationError
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.kernels.ops import (
     block_workspace,
     kernel_matvec,
-    predict_in_blocks,
     row_block_sizes,
 )
 
@@ -78,7 +79,7 @@ class TestWorkspaceBudget:
         centers = rng.standard_normal((300, 8))
         w = rng.standard_normal((300, 2))
         x = rng.standard_normal((500, 8))
-        predict_in_blocks(GaussianKernel(bandwidth=2.0), centers, w, x)
+        KernelModel(GaussianKernel(bandwidth=2.0), centers, w).predict(x)
         assert 0 < block_workspace().peak_scalars <= DEFAULT_BLOCK_SCALARS
 
     def test_tight_budget_respected(self):

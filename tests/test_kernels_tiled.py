@@ -13,6 +13,8 @@ host.
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -22,10 +24,11 @@ from repro.backend import threads as threads_module
 from repro.config import use_precision
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel
-from repro.kernels.ops import block_workspace, kernel_matvec, KernelMatvecPlan
+from repro.kernels.ops import block_workspace, center_sq_norms, kernel_matvec
 from repro.linalg.eigensystem import top_eigensystem
 from repro.linalg import nystrom as nystrom_module
 from repro.linalg.nystrom import nystrom_extension
+from repro.serve.server import _serve_batch_task
 
 #: Shrunk tile: 3 rows of a 4001-column float64 block, 6 of float32.
 TILE_BYTES = 100_000
@@ -186,21 +189,26 @@ def test_single_row_never_touches_the_pool(monkeypatch, tile_calls):
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_matvec_paths_match_single_pass(kernel, tile_calls):
+    """The streamed matvec, over the whole batch and over a serving
+    tick's per-request segments, tiles its blocks and keeps the bits."""
     x, z = _points(50, 4001)
     w = np.random.default_rng(1).standard_normal((4001, 3))
     budget = 20 * 4001  # 20-row blocks: several tiles each
-    tiled = kernel_matvec(kernel, x, z, w, max_scalars=budget)
-    bounds = [(0, 1), (1, 30), (30, 50)]
-    plan = KernelMatvecPlan(kernel, z, w, max_scalars=budget, x_like=x)
-    planned = plan(x)
-    segments = plan.run_segments(x, bounds)
-    assert tile_calls  # the hoisted serving path tiles too
+    bounds = ((0, 1), (1, 30), (30, 40), (40, 50))
+
+    def paths():
+        whole = kernel_matvec(kernel, x, z, w, max_scalars=budget)
+        worker = SimpleNamespace(
+            centers=z, weights=w, center_sq_norms=center_sq_norms(kernel, z)
+        )
+        segments = _serve_batch_task(worker, kernel, x, bounds, budget)
+        return whole, segments
+
+    tiled, segments = paths()
+    assert tile_calls
     with use_backend(SINGLE):
-        ref = kernel_matvec(kernel, x, z, w, max_scalars=budget)
-        ref_plan = KernelMatvecPlan(kernel, z, w, max_scalars=budget, x_like=x)
-        ref_segments = np.concatenate([ref_plan(x[lo:hi]) for lo, hi in bounds])
+        ref, ref_segments = paths()
     np.testing.assert_array_equal(tiled, ref)
-    np.testing.assert_array_equal(planned, ref)
     np.testing.assert_array_equal(segments, ref_segments)
 
 

@@ -20,6 +20,7 @@ import pytest
 
 from repro.core.model import KernelModel
 from repro.exceptions import ConfigurationError, ReproError, ShardError
+from repro.instrument import OpMeter, meter_scope
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, Tracer, trace_scope
 from repro.serve import ModelServer, PredictRequest, ServeOptions
@@ -92,6 +93,35 @@ def test_batched_bitwise_vs_solo_loop(problem, transport, g):
         assert got.dtype == want.dtype
         np.testing.assert_array_equal(got, want)
     assert max_batch >= 2, "dispatcher never coalesced; parity test is vacuous"
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_batched_op_counts_match_solo_loop(problem, g):
+    """A tick coalescing k requests records the kernel_eval and gemm
+    totals of k solo sharded_predict calls on the server's meter."""
+    rng = np.random.default_rng(12)
+    requests = [rng.standard_normal((r, D)) for r in (1, 4, 0, 2, 7)]
+    with _build_group(problem, "thread", g) as group:
+        with meter_scope(OpMeter()) as solo:
+            for x in requests:
+                sharded_predict(group, x)
+        server = ModelServer(
+            group=group,
+            options=ServeOptions(
+                max_batch_requests=len(requests), batch_wait=0.2
+            ),
+        )
+        try:
+            futures = [server.submit_request(x) for x in requests]
+            for f in futures:
+                f.result(timeout=60)
+        finally:
+            server.close()
+        batches = server.stats()["histograms"]["serve/batch_requests"]
+    assert batches["max"] >= 2, "dispatcher never coalesced"
+    served, want = server.meter.as_dict(), solo.as_dict()
+    for category in ("kernel_eval", "gemm"):
+        assert served[category] == want[category] > 0
 
 
 @transports

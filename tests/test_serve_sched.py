@@ -12,6 +12,9 @@ timed-out caller's request must not occupy cohort budget).
 from __future__ import annotations
 
 import json
+import os
+import random
+import re
 import threading
 import time
 from concurrent.futures import TimeoutError as FutureTimeout
@@ -66,6 +69,38 @@ class TestRequestAPI:
         b = PredictRequest(rows=np.zeros((2, D)))
         assert a.priority == 0 and a.deadline_s is None
         assert a.request_id and b.request_id and a.request_id != b.request_id
+
+    def test_auto_request_ids_unique_and_unseeded(self):
+        """Default ids are ``r-`` + 12 hex digits, unique, and not tied
+        to the global :mod:`random` state a caller may seed."""
+        def ids(k):
+            return [PredictRequest(rows=np.zeros((1, D))).request_id
+                    for _ in range(k)]
+
+        many = ids(20_000)
+        assert len(set(many)) == len(many)
+        assert all(re.fullmatch(r"r-[0-9a-f]{12}", rid) for rid in many)
+        random.seed(0)
+        first = ids(3)
+        random.seed(0)
+        assert ids(3) != first
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_draws_its_own_request_ids(self):
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # child: report one id and leave at once
+            try:
+                rid = PredictRequest(rows=np.zeros((1, D))).request_id
+                os.write(write_end, rid.encode())
+            finally:
+                os._exit(0)
+        os.close(write_end)
+        child_id = os.read(read_end, 64).decode()
+        os.close(read_end)
+        os.waitpid(pid, 0)
+        assert child_id.startswith("r-")
+        assert child_id != PredictRequest(rows=np.zeros((1, D))).request_id
 
     @pytest.mark.parametrize("deadline", [0.0, -1.0])
     def test_nonpositive_deadline_rejected(self, deadline):
