@@ -28,7 +28,10 @@ the two are selected together: ``use_precision("float32")`` pins the
 working dtype, ``use_precision("mixed")`` splits it — kernel blocks and
 GEMMs in float32 (:func:`get_precision`), the all-reduce combine and the
 EigenPro correction accumulating in float64
-(:func:`~repro.config.accumulate_dtype`).  Every backend also exposes a
+(:func:`~repro.config.master_dtype`).  :func:`master_matmul` is the one
+rule for contracting a kernel block with higher-precision weights: the
+training step's prediction GEMM (serial and per shard) and the
+correction's ``Phi^T g`` both go through it.  Every backend also exposes a
 *fused* kernel hot path, one entry point
 (:meth:`~repro.backend.base.ArrayBackend.fused_kernel_block`) that
 every radial kernel block reaches: the NumPy backend decomposes it to
@@ -104,6 +107,7 @@ __all__ = [
     "backend_of",
     "blas_threads",
     "get_backend",
+    "master_matmul",
     "match_dtype",
     "resolve_backend",
     "set_backend",
@@ -240,3 +244,22 @@ def match_dtype(x: Any, dtype: object, bk: ArrayBackend | None = None) -> Any:
     if bk.dtype_of(x) != dtype:
         return bk.asarray(x, dtype=dtype)
     return x
+
+
+def master_matmul(block: Any, w: Any, bk: ArrayBackend | None = None) -> Any:
+    """``block @ w`` in ``w``'s dtype; records no ops.
+
+    The one contraction rule of the training step.  Under mixed
+    precision a block in another dtype than ``w`` (a float32 kernel
+    block against float64 master weights) is multiplied by a downcast
+    copy of ``w``, so the heavy contraction runs in the compute dtype,
+    and the product is lifted back.  Otherwise the block is cast to
+    ``w``'s dtype first (a kernel pinned below the working precision):
+    NumPy would promote implicitly, ``torch.matmul`` refuses.
+    """
+    bk = backend_of(w) if bk is None else bk
+    w_dtype = bk.dtype_of(w)
+    block_dtype = bk.dtype_of(block)
+    if block_dtype != w_dtype and mixed_precision_active():
+        return match_dtype(block @ match_dtype(w, block_dtype, bk), w_dtype, bk)
+    return match_dtype(block, w_dtype, bk) @ w

@@ -27,6 +27,8 @@ and resource adaptation rather than tuning luck.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.core.cost import exact_original_overhead_ops
@@ -45,8 +47,7 @@ class EigenPro1(BaseKernelTrainer):
 
     Parameters
     ----------
-    kernel, device, batch_size, step_size, seed, block_scalars,
-    monitor_size, damping:
+    kernel, device, batch_size, step_size, seed, monitor_size, damping:
         As in :class:`~repro.core.trainer.BaseKernelTrainer`.
     q:
         Number of flattened eigendirections (the original paper's
@@ -65,29 +66,9 @@ class EigenPro1(BaseKernelTrainer):
     method_name = "eigenpro1"
 
     def __init__(
-        self,
-        kernel,
-        *,
-        device=None,
-        q: int = 160,
-        s: int | None = None,
-        batch_size: int | None = None,
-        step_size: float | None = None,
-        seed: int | None = 0,
-        block_scalars: int = 8_000_000,
-        monitor_size: int = 2000,
-        damping: float = 1.0,
+        self, kernel, *, q: int = 160, s: int | None = None, **options: Any
     ) -> None:
-        super().__init__(
-            kernel,
-            device=device,
-            batch_size=batch_size,
-            step_size=step_size,
-            seed=seed,
-            block_scalars=block_scalars,
-            monitor_size=monitor_size,
-            damping=damping,
-        )
+        super().__init__(kernel, **options)
         if q < 2:
             raise ConfigurationError(f"q must be >= 2, got {q}")
         self.q = int(q)

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import get_backend, match_dtype, to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS, compute_dtype
+from repro.config import compute_dtype
 from repro.core.model import KernelModel, as_labels
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -64,8 +64,6 @@ class Falkon:
     device:
         Optional simulated device; CG sweeps charge ``2*n*M*(d+l)`` ops
         per iteration plus the setup factorizations.
-    block_scalars:
-        Memory budget for the blocked ``(n, M)`` kernel sweeps.
 
     Attributes
     ----------
@@ -87,7 +85,6 @@ class Falkon:
         tol: float = 1e-8,
         seed: int | None = 0,
         device: SimulatedDevice | None = None,
-        block_scalars: int = DEFAULT_BLOCK_SCALARS,
     ) -> None:
         if n_centers < 1:
             raise ConfigurationError(f"n_centers must be >= 1, got {n_centers}")
@@ -106,7 +103,6 @@ class Falkon:
         self.tol = float(tol)
         self.seed = seed
         self.device = device
-        self.block_scalars = int(block_scalars)
         self.model_: KernelModel | None = None
         self.n_iters_: int = 0
 
@@ -156,24 +152,14 @@ class Falkon:
 
         def h_apply(alpha):
             """H alpha = K_Mn K_nM alpha / n + lambda K_MM alpha."""
-            knm_alpha = kernel_matvec(
-                self.kernel, x, centers, alpha, max_scalars=self.block_scalars
-            )
-            kmn_knm = kernel_matvec(
-                self.kernel,
-                centers,
-                x,
-                knm_alpha,
-                max_scalars=self.block_scalars,
-            )
+            knm_alpha = kernel_matvec(self.kernel, x, centers, alpha)
+            kmn_knm = kernel_matvec(self.kernel, centers, x, knm_alpha)
             if self.device is not None:
                 self.device.charge_iteration(2 * n * m_centers * (d + l))
             return kmn_knm / n + self.reg_lambda * (k_mm @ alpha)
 
         # Right-hand side in beta space.
-        kmn_y = kernel_matvec(
-            self.kernel, centers, x, y, max_scalars=self.block_scalars
-        )
+        kmn_y = kernel_matvec(self.kernel, centers, x, y)
         b = prec_apply_t(kmn_y / n)
 
         # Block CG on B^T H B beta = b, one column per output.  CG vectors
@@ -222,7 +208,7 @@ class Falkon:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Model outputs ``f(x)``."""
-        return self._require_fitted().predict(x, max_scalars=self.block_scalars)
+        return self._require_fitted().predict(x)
 
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Predicted class labels."""

@@ -17,7 +17,6 @@ from __future__ import annotations
 import numpy as np
 import scipy.linalg
 
-from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.core.model import KernelModel, as_labels
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -55,7 +54,6 @@ class NystromRidge:
         reg_lambda: float = 1e-6,
         seed: int | None = 0,
         device: SimulatedDevice | None = None,
-        block_scalars: int = DEFAULT_BLOCK_SCALARS,
     ) -> None:
         if n_centers < 1:
             raise ConfigurationError(f"n_centers must be >= 1, got {n_centers}")
@@ -68,7 +66,6 @@ class NystromRidge:
         self.reg_lambda = float(reg_lambda)
         self.seed = seed
         self.device = device
-        self.block_scalars = int(block_scalars)
         self.model_: KernelModel | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "NystromRidge":
@@ -93,7 +90,7 @@ class NystromRidge:
         k_mn_y = np.zeros((m_centers, l))
         from repro.kernels.ops import iter_row_blocks
 
-        for rows in iter_row_blocks(n, m_centers, self.block_scalars):
+        for rows in iter_row_blocks(n, m_centers):
             block = self.kernel(x[rows], centers)  # (b, M)
             gram += block.T @ block
             k_mn_y += block.T @ y[rows]
@@ -115,7 +112,7 @@ class NystromRidge:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Model outputs ``f(x)``."""
-        return self._require_fitted().predict(x, max_scalars=self.block_scalars)
+        return self._require_fitted().predict(x)
 
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Predicted class labels."""

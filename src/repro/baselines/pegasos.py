@@ -27,7 +27,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.backend import to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.core.model import KernelModel, as_labels
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -65,7 +64,6 @@ class PegasosSVM:
         batch_size: int = 64,
         seed: int | None = 0,
         device: SimulatedDevice | None = None,
-        block_scalars: int = DEFAULT_BLOCK_SCALARS,
     ) -> None:
         if reg_lambda <= 0:
             raise ConfigurationError(
@@ -80,7 +78,6 @@ class PegasosSVM:
         self.batch_size = int(batch_size)
         self.seed = seed
         self.device = device
-        self.block_scalars = int(block_scalars)
         self.model_: KernelModel | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray, *, epochs: int = 1) -> "PegasosSVM":
@@ -133,7 +130,7 @@ class PegasosSVM:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Per-class decision scores."""
-        return self._require_fitted().predict(x, max_scalars=self.block_scalars)
+        return self._require_fitted().predict(x)
 
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Predicted class labels."""

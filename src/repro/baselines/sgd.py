@@ -11,6 +11,8 @@ step size is the Ma-et-al. optimum for whatever batch size is used.
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
 from repro.core.spectrum import estimate_beta, estimate_lambda1_operator
@@ -25,8 +27,7 @@ class KernelSGD(BaseKernelTrainer):
 
     Parameters
     ----------
-    kernel, device, batch_size, step_size, seed, block_scalars,
-    monitor_size, damping:
+    kernel, device, batch_size, step_size, seed, monitor_size, damping:
         As in :class:`~repro.core.trainer.BaseKernelTrainer`.  When
         ``batch_size`` is ``None`` it defaults to ``round(m*(k))``; when
         ``step_size`` is ``None`` it is the analytic optimum for the batch
@@ -43,28 +44,9 @@ class KernelSGD(BaseKernelTrainer):
     method_name = "sgd"
 
     def __init__(
-        self,
-        kernel,
-        *,
-        device=None,
-        batch_size: int | None = None,
-        step_size: float | None = None,
-        seed: int | None = 0,
-        block_scalars: int = 8_000_000,
-        monitor_size: int = 2000,
-        damping: float = 1.0,
-        spectrum_sample: int = 2000,
+        self, kernel, *, spectrum_sample: int = 2000, **options: Any
     ) -> None:
-        super().__init__(
-            kernel,
-            device=device,
-            batch_size=batch_size,
-            step_size=step_size,
-            seed=seed,
-            block_scalars=block_scalars,
-            monitor_size=monitor_size,
-            damping=damping,
-        )
+        super().__init__(kernel, **options)
         self.spectrum_sample = int(spectrum_sample)
         self.beta_: float | None = None
         self.lambda1_: float | None = None

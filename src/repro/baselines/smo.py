@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.backend import backend_of, to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.core.model import as_labels
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.instrument import record_ops
@@ -114,7 +113,6 @@ class SMOSVM:
         tol: float = 1e-3,
         max_iter: int = 100_000,
         cache_rows: int = 512,
-        block_scalars: int = DEFAULT_BLOCK_SCALARS,
     ) -> None:
         if c <= 0:
             raise ConfigurationError(f"C must be > 0, got {c}")
@@ -127,7 +125,6 @@ class SMOSVM:
         self.tol = float(tol)
         self.max_iter = int(max_iter)
         self.cache_rows = int(cache_rows)
-        self.block_scalars = int(block_scalars)
         # Fitted state.
         self.x_: np.ndarray | None = None
         self.dual_coef_: np.ndarray | None = None  # (n, n_classes): alpha*y
@@ -247,10 +244,7 @@ class SMOSVM:
         """Per-class decision values ``sum_i (alpha_i y_i) k(x_i, x) + b``,
         native to the active backend."""
         self._require_fitted()
-        scores = kernel_matvec(
-            self.kernel, x, self.x_, self.dual_coef_,
-            max_scalars=self.block_scalars,
-        )
+        scores = kernel_matvec(self.kernel, x, self.x_, self.dual_coef_)
         bk = backend_of(scores)
         intercepts = bk.asarray(
             self.intercepts_, dtype=bk.dtype_of(scores)

@@ -28,9 +28,10 @@ Mixed precision
 GEMMs run in float32 (:func:`get_precision`, the **compute** dtype) while
 the numerically sensitive accumulations — the all-reduce combine and the
 EigenPro correction applied to the master weights — run in float64
-(:func:`accumulate_dtype`).  A :class:`Precision` spec carries both dtypes;
-for a plain dtype the two coincide, so every existing call site that only
-asks :func:`get_precision` keeps its historical behavior.  The spec is
+(:func:`accumulate_dtype`; :func:`master_dtype` lifts a data dtype to
+it).  A :class:`Precision` spec carries both dtypes; for a plain dtype
+the two coincide, so every existing call site that only asks
+:func:`get_precision` keeps its historical behavior.  The spec is
 picklable and travels with submitted shard tasks, so worker processes see
 the same split the caller selected.
 """
@@ -240,6 +241,17 @@ def mixed_precision_active() -> bool:
     (``use_precision("mixed")`` or a custom split :class:`Precision`)."""
     current = _PRECISION.current()
     return current is not None and current.is_mixed
+
+
+def master_dtype(dtype: object) -> np.dtype:
+    """The dtype sums over ``dtype`` data accumulate in: ``dtype``
+    lifted to :func:`accumulate_dtype` under mixed precision, else
+    ``dtype`` itself.  The trainer's master weights, the host all-reduce
+    and the torchdist collective all take their dtype from here."""
+    dtype = np.dtype(dtype)
+    if mixed_precision_active():
+        return np.result_type(dtype, accumulate_dtype())
+    return dtype
 
 
 def precision_is_explicit() -> bool:

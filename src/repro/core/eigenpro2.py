@@ -249,7 +249,7 @@ class EigenPro2(BaseKernelTrainer):
         (Eq. 7 + Appendix-B adjustment), ``0`` disables preconditioning.
     q_max:
         Number of eigenpairs extracted for the Eq.-7 scan.
-    batch_size, step_size, damping, seed, block_scalars, monitor_size:
+    batch_size, step_size, damping, seed, monitor_size:
         See :class:`~repro.core.trainer.BaseKernelTrainer`.
 
     Attributes
@@ -281,22 +281,12 @@ class EigenPro2(BaseKernelTrainer):
         s: int | None = None,
         q: int | None = None,
         q_max: int | None = None,
-        batch_size: int | None = None,
-        step_size: float | None = None,
-        seed: int | None = 0,
-        block_scalars: int = 8_000_000,
-        monitor_size: int = 2000,
-        damping: float = 1.0,
+        **options: Any,
     ) -> None:
         super().__init__(
             kernel,
             device=device if device is not None else titan_xp(),
-            batch_size=batch_size,
-            step_size=step_size,
-            seed=seed,
-            block_scalars=block_scalars,
-            monitor_size=monitor_size,
-            damping=damping,
+            **options,
         )
         self.requested_s = s
         self.requested_q = q
@@ -310,22 +300,7 @@ class EigenPro2(BaseKernelTrainer):
 
     # --------------------------------------------------------------- setup
     def _setup(self, x: np.ndarray, y: np.ndarray) -> None:
-        params, precond, extension = select_parameters(
-            self.kernel,
-            x,
-            y.shape[1],
-            self.device,
-            s=self.requested_s,
-            q=self.requested_q,
-            q_max=self.requested_q_max,
-            batch_size=self.requested_batch_size,
-            step_size=self.requested_step_size,
-            damping=self.damping,
-            seed=self.seed,
-        )
-        self.params_ = params
-        self.preconditioner_ = precond
-        self._sub_idx = extension.indices
+        params = self.prepare(x, y.shape[1])
         self._corr_comp = None  # fresh compensation per fit
         self.batch_size_ = params.batch_size
         self.step_size_ = params.eta
@@ -366,22 +341,30 @@ class EigenPro2(BaseKernelTrainer):
             return
         # Columns of the already-computed batch block at the subsample
         # indices give Phi^T for free (no new kernel evaluations).
-        phi_block = take_columns(kb, self._sub_idx)
-        self._accumulate_correction(
-            self.preconditioner_.correction(phi_block, g), gamma
-        )
+        self._correct(take_columns(kb, self._sub_idx), g, gamma)
 
-    def _accumulate_correction(self, correction: Any, gamma: float) -> None:
-        """``alpha[sub_idx] += gamma * correction``.
+    def _correct(self, phi: Any, g: Any, gamma: float) -> None:
+        """Algorithm 1 steps 4–5: ``alpha[sub_idx] += gamma * V D V^T
+        Phi g`` for the batch's ``Phi^T`` columns ``phi`` and residuals
+        ``g``.  Shared by the serial and sharded
+        (:class:`repro.shard.trainer.ShardedEigenPro2`) steps.
+
+        ``phi`` arrives in the fit's working dtype (that of ``x``), so
+        under mixed precision it stays in the compute dtype and the
+        correction's ``Phi^T g`` lifts its product
+        (:meth:`NystromPreconditioner.correction`).
 
         The fixed coordinate block receives one dense update *every*
         iteration, so under mixed precision this running sum is where
         rounding would pile up fastest; on the NumPy backend it is
         accumulated with Kahan compensation (one ``(s, l)`` compensation
-        buffer, reset per fit).  Shared by the serial and sharded
-        (:class:`repro.shard.trainer.ShardedEigenPro2`) correction paths.
+        buffer, reset per fit).
         """
-        update = gamma * correction
+        bk = get_backend()
+        update = gamma * bk.asarray(
+            self.preconditioner_.correction(phi, g),
+            dtype=bk.dtype_of(self._alpha),
+        )
         if not (
             mixed_precision_active()
             and isinstance(self._alpha, np.ndarray)

@@ -42,7 +42,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import backend_of, match_dtype
+from repro.backend import backend_of, master_matmul, match_dtype
 from repro.config import EPS
 from repro.exceptions import ConfigurationError
 from repro.instrument import record_ops
@@ -157,30 +157,23 @@ class NystromPreconditioner:
                 f"g must have shape ({phi_block.shape[0]}, l), got {g.shape}"
             )
         bk = backend_of(phi_block)
-        block_dtype = bk.dtype_of(phi_block)
-        g_dtype = bk.dtype_of(g)
         m, l = g.shape
         # Phi^T g first: the only term with m in it costs s*m*l, which
-        # s <= n keeps below the step's own n*m*l prediction GEMM.
-        if g_dtype != block_dtype:
-            # Mixed precision: residuals arrive in the accumulation dtype
-            # (float64) while the block stayed in the compute dtype.  The
-            # s*m*l contraction runs low against a downcast copy of g
-            # (as the prediction GEMM does with the weights); the small
-            # (s, q, l) tails and the returned correction run — and
-            # accumulate — in the residual's dtype, with the D diagonal
-            # taken from its float64 source rather than the downcast
-            # native copy.
-            acc_dtype = np.result_type(block_dtype, g_dtype)
-            h = phi_block.T @ match_dtype(g, block_dtype, bk)
-            h = match_dtype(h, acc_dtype, bk)  # (s, l): s*m*l ops
+        # s <= n keeps below the step's own n*m*l prediction GEMM.  It
+        # runs as the prediction GEMM does (master_matmul): under mixed
+        # precision a compute-dtype Phi meets a downcast copy of the
+        # float64 residuals and the product is lifted back.
+        h = master_matmul(phi_block.T, g, bk)  # (s, l): s*m*l ops
+        # The small (s, q, l) tails and the returned correction run, and
+        # accumulate, in the residuals' dtype, with the stored eigensystem
+        # lifted to it.  D comes from its float64 source when Phi is in
+        # another dtype (mixed precision), else from the native copy,
+        # which a kernel pinned below the working precision keeps in its
+        # own dtype (the trainer hands its Phi over cast up).
+        acc_dtype = bk.dtype_of(h)
+        if bk.dtype_of(phi_block) != acc_dtype:
             d = bk.asarray(self.d_scale, dtype=acc_dtype)
         else:
-            # A kernel pinned below the working precision delivers the
-            # batch block up-cast (see trainer._consume_block); the stored
-            # eigensystem is lifted to match below.
-            acc_dtype = block_dtype
-            h = phi_block.T @ g  # (s, l): s*m*l ops
             d = match_dtype(self._d_scale_native, acc_dtype, bk)
         v = match_dtype(self.extension.eigvecs, acc_dtype, bk)  # (s, q)
         t = v.T @ h  # (q, l): s*q*l ops

@@ -20,6 +20,13 @@ coordinate update, correction) before the next step starts.  The speed
 comes from the analytic batch size filling the device with one block,
 not from overlapping steps.
 
+Each numeric rule of the step has one implementation, which the
+sharded trainer (:mod:`repro.shard.trainer`) reuses: the prediction
+GEMM is :func:`~repro.backend.master_matmul` (also per shard), the
+dtype of ``alpha`` and ``y`` is :func:`~repro.config.master_dtype`,
+step 3 is :meth:`BaseKernelTrainer._update`, and EigenPro's steps 4–5
+are :meth:`~repro.core.eigenpro2.EigenPro2._correct`.
+
 The full-batch regime (``m >= n``, where the paper's analytic batch size
 lands on small data) is the one exception.  Every epoch is then a single
 step over the whole training set, and a full-batch step does not depend
@@ -54,13 +61,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, match_dtype, to_numpy
-from repro.config import (
-    DEFAULT_BLOCK_SCALARS,
-    accumulate_dtype,
-    compute_dtype,
-    mixed_precision_active,
-)
+from repro.backend import get_backend, master_matmul, match_dtype, to_numpy
+from repro.config import compute_dtype, master_dtype
 from repro.core.model import KernelModel, as_labels
 from repro.kernels.ops import (
     block_workspace,
@@ -137,8 +139,6 @@ class BaseKernelTrainer:
         ``eta``; subclasses compute it analytically when ``None``.
     seed:
         Seed for batch shuffling (and any subsampling in subclasses).
-    block_scalars:
-        Memory budget for blocked prediction.
     monitor_size:
         Size of the fixed random training subset on which train MSE is
         monitored each epoch (monitoring on all of ``x`` would dominate
@@ -169,7 +169,6 @@ class BaseKernelTrainer:
         batch_size: int | None = None,
         step_size: float | None = None,
         seed: int | None = 0,
-        block_scalars: int = DEFAULT_BLOCK_SCALARS,
         monitor_size: int = 2000,
         damping: float = 1.0,
     ) -> None:
@@ -192,7 +191,6 @@ class BaseKernelTrainer:
         self.requested_batch_size = batch_size
         self.requested_step_size = step_size
         self.seed = seed
-        self.block_scalars = int(block_scalars)
         self.monitor_size = int(monitor_size)
         self.damping = float(damping)
         # Cursor state exposed for checkpointing (repro.shard.recovery):
@@ -235,7 +233,8 @@ class BaseKernelTrainer:
         Parameters
         ----------
         kb:
-            The ``(m, n)`` batch-vs-centers kernel block of this iteration.
+            The ``(m, n)`` batch-vs-centers kernel block of this
+            iteration, in the fit's working dtype.
         idx:
             Batch indices into the training set.
         g:
@@ -304,13 +303,9 @@ class BaseKernelTrainer:
         # use_precision("mixed") where alpha and y are held in float64 so
         # residuals, coordinate updates and the EigenPro correction
         # accumulate above the float32 kernel blocks and GEMMs.
-        master_dtype = (
-            np.result_type(dtype, accumulate_dtype())
-            if mixed_precision_active()
-            else dtype
-        )
+        w_dtype = master_dtype(dtype)
         x = bk.ascontiguous(bk.as_2d(bk.asarray(x, dtype=dtype)))
-        y = bk.asarray(y, dtype=master_dtype)
+        y = bk.asarray(y, dtype=w_dtype)
         if y.ndim == 1:
             y = y[:, None]
         if y.shape[0] != x.shape[0]:
@@ -331,7 +326,7 @@ class BaseKernelTrainer:
         # Center norms are reused by every iteration's batch-vs-centers
         # block (shift-invariant kernels only; None otherwise).
         self._x_sq_norms = center_sq_norms(self.kernel, x, bk)
-        self._alpha = bk.zeros((n, l), dtype=master_dtype)
+        self._alpha = bk.zeros((n, l), dtype=w_dtype)
         with span("setup", n=n):
             self._setup(x, y)
         if self.batch_size_ is None or self.step_size_ is None:
@@ -463,11 +458,22 @@ class BaseKernelTrainer:
 
         Step 2 (predictions) and step 3 (batch coordinate update) are the
         standard SGD of Eq. 3; the correction hook implements steps 4–5.
-        ``x``/``y``/``alpha`` are backend-native; ``idx`` stays a NumPy
-        index array (both backends accept it), and all op counts derive
-        from shapes, keeping the meter backend-invariant.
+        The step consumes its block before the next step's block reuses
+        the workspace buffer.  ``x``/``y``/``alpha`` are backend-native;
+        ``idx`` stays a NumPy index array (both backends accept it), and
+        all op counts derive from shapes, keeping the meter
+        backend-invariant.
         """
-        self._consume_block(self._form_block(x, idx), x, y, idx, gamma)
+        kb = self._form_block(x, idx)
+        with span("gemm", m=int(idx.shape[0])):
+            # The step reads the block in the fit's working dtype (that
+            # of x): a kernel pinned below it is cast up, a block under
+            # mixed precision stays in the compute dtype.
+            kb = match_dtype(kb, get_backend().dtype_of(x))
+            f = self._contract(kb)  # (m, l)
+        g = self._update(f, y, idx, gamma)
+        with span("correction", m=int(idx.shape[0])):
+            self._apply_correction(kb, idx, g, gamma)
 
     def _form_block(self, x: Any, idx: np.ndarray) -> Any:
         """Form the ``(m, n)`` batch-vs-centers kernel block.
@@ -509,41 +515,21 @@ class BaseKernelTrainer:
             self._kept_block = kb
         return kb
 
-    def _consume_block(
-        self, kb: Any, x: Any, y: Any, idx: np.ndarray, gamma: float
-    ) -> None:
-        """Steps 2–5 given the batch block: GEMM, coordinate update,
-        correction.  Must finish before the next step's block reuses the
-        workspace buffer."""
-        with span("gemm", m=int(idx.shape[0])):
-            kb, f = self._contract(kb)  # f: (m, l)
+    def _contract(self, kb: Any) -> Any:
+        """Predictions ``kb @ alpha`` for the rows of a kernel block, in
+        the master dtype (:func:`~repro.backend.master_matmul`); records
+        the GEMM's ops."""
+        f = master_matmul(kb, self._alpha, get_backend())
+        record_ops("gemm", kb.shape[0] * kb.shape[1] * self._alpha.shape[1])
+        return f
+
+    def _update(self, f: Any, y: Any, idx: np.ndarray, gamma: float) -> Any:
+        """Step 3: the residuals ``g = f - y`` of the batch and its
+        coordinate update ``alpha[idx] -= gamma * g``; returns ``g``.
+        Both run in the master dtype of ``alpha`` and ``y``."""
         g = f - y[idx]
         self._alpha[idx] -= gamma * g
-        with span("correction", m=int(idx.shape[0])):
-            self._apply_correction(kb, idx, g, gamma)
-
-    def _contract(self, kb: Any) -> tuple[Any, Any]:
-        """Predictions ``kb @ alpha`` for the rows of a kernel block, in
-        the master dtype; records the GEMM's ops.
-
-        Returns the block as the correction reads it, and the
-        predictions.  Mixed precision: the heavy ``(b, n, l)``
-        contraction runs in the block's compute dtype against a downcast
-        copy of the master weights, and the predictions are lifted back
-        so the residual and both updates accumulate in float64.
-        Otherwise a block of a lower dtype than the weights (a kernel
-        pinned to it) is cast up first.
-        """
-        bk = get_backend()
-        alpha_dtype = bk.dtype_of(self._alpha)
-        if mixed_precision_active() and bk.dtype_of(kb) != alpha_dtype:
-            w_lo = match_dtype(self._alpha, bk.dtype_of(kb), bk)
-            f = match_dtype(kb @ w_lo, alpha_dtype, bk)
-        else:
-            kb = match_dtype(kb, alpha_dtype, bk)
-            f = kb @ self._alpha
-        record_ops("gemm", kb.shape[0] * kb.shape[1] * self._alpha.shape[1])
-        return kb, f
+        return g
 
     def _kept_block_mse(self, rows: np.ndarray, y: Any) -> float:
         """Train MSE at ``rows`` read from the kept full-batch block.
@@ -557,10 +543,8 @@ class BaseKernelTrainer:
         """
         kb = self._kept_block
         pred = np.concatenate([
-            to_numpy(self._contract(kb[rows[chunk]])[1])
-            for chunk in iter_row_blocks(
-                rows.shape[0], kb.shape[1], self.block_scalars
-            )
+            to_numpy(self._contract(kb[rows[chunk]]))
+            for chunk in iter_row_blocks(rows.shape[0], kb.shape[1])
         ])
         return float(np.mean((pred - to_numpy(y[rows])) ** 2))
 
@@ -574,7 +558,7 @@ class BaseKernelTrainer:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Model outputs ``f(x)``; see :meth:`KernelModel.predict`."""
-        return self._require_fitted().predict(x, max_scalars=self.block_scalars)
+        return self._require_fitted().predict(x)
 
     def predict_labels(self, x: np.ndarray) -> np.ndarray:
         """Predicted class labels."""

@@ -29,6 +29,11 @@ measure-one-anchor idiom the shard-validation harness uses for its
 ``g=1`` device spec.  The ``eig`` ops of the one-time setup eigensystem
 fall outside every per-step span, so they are charged to no compute
 phase and never enter the calibrated rate.
+
+Each row sums every span of its phase.  The TOTAL row counts wall time
+instead: the shards run side by side, so a worker phase (spans carrying
+a ``shard`` attribute) enters it as the slowest shard's sum, and TOTAL
+cannot exceed the fit's wall time.
 """
 
 from __future__ import annotations
@@ -82,6 +87,23 @@ class PhaseComparison:
         }
 
 
+def _wall_seconds(tracer: Tracer) -> dict[str, float]:
+    """Per span name: caller spans summed, plus the slowest shard's sum
+    of the worker spans (those with a ``shard`` attribute)."""
+    wall: dict[str, float] = {}
+    shards: dict[str, dict[Any, float]] = {}
+    for ev in tracer.events:
+        shard = ev.attrs.get("shard")
+        if shard is None:
+            wall[ev.name] = wall.get(ev.name, 0.0) + ev.duration_s
+        else:
+            sums = shards.setdefault(ev.name, {})
+            sums[shard] = sums.get(shard, 0.0) + ev.duration_s
+    for name, sums in shards.items():
+        wall[name] = wall.get(name, 0.0) + max(sums.values())
+    return wall
+
+
 def compare_phases(
     tracer: Tracer,
     *,
@@ -131,6 +153,7 @@ def compare_phases(
     )
     totals = tracer.totals()
     counts = tracer.counts()
+    wall = _wall_seconds(tracer)
     op_counts = dict(op_counts or {})
     recovery_events = list(recovery_events)
 
@@ -210,7 +233,9 @@ def compare_phases(
             "compute_s": compute_s,
         },
         "totals": {
-            "measured_s": sum(r.measured_s for r in rows),
+            "measured_s": measured_recovery + sum(
+                wall.get(r.phase, 0.0) for r in rows if r.phase != "recovery"
+            ),
             "modelled_s": sum(
                 r.modelled_s for r in rows if r.modelled_s is not None
             ),

@@ -2,15 +2,16 @@
 
 See :mod:`repro.serve` for the architecture overview.  This module holds
 the two public pieces — :class:`ServeOptions` (validated serving knobs)
-and :class:`ModelServer` (the persistent session) — plus the module-level
-serving task every transport ships to its workers.
+and :class:`ModelServer` (the persistent session).  The serving task
+every transport ships to its workers is the shards' one matvec task,
+:func:`repro.shard.ops._serve_batch_task`.
 
 Bitwise contract
 ----------------
 The dispatcher coalesces concurrent requests into one task round-trip
 and one all-reduce per tick, but each request's rows are computed as the
 request's *own* kernel blocks: inside the worker task
-(:func:`_serve_batch_task`) the streamed
+(:func:`repro.shard.ops._serve_batch_task`) the streamed
 :func:`~repro.kernels.ops.kernel_matvec` forms exactly the blocks a solo
 call over that request would.  A single coalesced ``(B, n)`` GEMM would
 be faster still, yet BLAS does not guarantee that a row of a batched
@@ -80,11 +81,11 @@ from repro.instrument import (
     trace_scope,
 )
 from repro.kernels.base import Kernel
-from repro.kernels.ops import kernel_matvec, row_block_sizes
 from repro.observe.metrics import MetricsRegistry
 from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.shard.group import ShardGroup
+from repro.shard.ops import _serve_batch_task
 
 __all__ = ["ADAPTIVE", "ModelServer", "ServeOptions"]
 
@@ -93,50 +94,6 @@ __all__ = ["ADAPTIVE", "ModelServer", "ServeOptions"]
 ADAPTIVE = "adaptive"
 
 _LOG = logging.getLogger("repro.serve")
-
-
-def _serve_batch_task(
-    worker,
-    kernel: Kernel,
-    x_host: np.ndarray,
-    bounds: tuple[tuple[int, int], ...],
-    max_scalars: int,
-) -> np.ndarray:
-    """Per-shard partial of one serving tick (module-level so every
-    transport — including cross-process ones — can ship it).
-
-    ``bounds`` holds the per-request row segments, which tile
-    ``x_host`` in order.  A solo :func:`~repro.shard.sharded_predict`
-    of an ``r``-row request streams it in the blocks
-    :func:`~repro.kernels.ops.row_block_sizes` gives under
-    ``max_scalars``.  When that is one block, a run of consecutive
-    ``r``-row segments is one :func:`~repro.kernels.ops.kernel_matvec`
-    call whose budget is exactly ``r`` rows, so each of its blocks is
-    one request's block; a longer segment gets its own call under
-    ``max_scalars``.  Row norms are per-row and op counts shape-derived,
-    so the partial matches the per-request loop in bits and in op
-    totals while the matvec prologue runs once per run, not once per
-    request.  Zero-row segments add no rows; a tick of only those yields
-    a well-formed ``(0, l)`` partial.
-    """
-    n = max(1, worker.centers.shape[0])
-    calls: list[list[int]] = []  # [lo, hi, budget, rows per segment]
-    for lo, hi in bounds:
-        rows = hi - lo
-        if rows and calls and calls[-1][3] == rows:
-            calls[-1][1] = hi  # one more r-row block in the same call
-        elif len(row_block_sizes(rows, n, max_scalars)) == 1:
-            calls.append([lo, hi, rows * n, rows])
-        elif rows:
-            calls.append([lo, hi, max_scalars, 0])
-    parts = [
-        np.asarray(to_numpy(kernel_matvec(
-            kernel, x_host[lo:hi], worker.centers, worker.weights,
-            max_scalars=budget, z_sq_norms=worker.center_sq_norms,
-        )))
-        for lo, hi, budget, _ in calls or ((0, 0, max_scalars, 0),)
-    ]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 @dataclass(frozen=True)

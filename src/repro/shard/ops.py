@@ -6,7 +6,10 @@ runs that one streamed matvec against its own centers and weight rows
 on its own backend (reusing its precomputed center norms); the
 ``(n_x, l)`` partials are then summed by
 :func:`~repro.shard.allreduce_sum` — exactly the per-iteration collective
-the cluster cost model (:mod:`repro.device.cluster`) charges for.
+the cluster cost model (:mod:`repro.device.cluster`) charges for.  One
+worker task, :func:`_serve_batch_task`, runs it: a serving tick
+(:mod:`repro.serve`) passes its request segments,
+:func:`sharded_kernel_matvec` one segment spanning ``x``.
 
 Because each shard's op counts are shape-derived and the shards tile the
 center set, the aggregate ``kernel_eval`` / ``gemm`` counts equal the
@@ -30,25 +33,56 @@ from repro.backend import get_backend, to_numpy
 from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.exceptions import ConfigurationError, ShardError
 from repro.kernels.base import Kernel
-from repro.kernels.ops import kernel_matvec
+from repro.kernels.ops import kernel_matvec, row_block_sizes
 from repro.shard.group import ShardGroup
 
 __all__ = ["sharded_kernel_matvec", "sharded_predict"]
 
 
-def _matvec_task(
-    worker, kernel: Kernel, x_host: np.ndarray, max_scalars: int
-) -> Any:
-    """Per-shard streamed ``K(x, centers_i) @ weights_i`` (module-level so
-    every transport — including cross-process ones — can ship it)."""
-    return kernel_matvec(
-        kernel,
-        x_host,
-        worker.centers,
-        worker.weights,
-        max_scalars=max_scalars,
-        z_sq_norms=worker.center_sq_norms,
-    )
+def _serve_batch_task(
+    worker,
+    kernel: Kernel,
+    x_host: np.ndarray,
+    bounds: tuple[tuple[int, int], ...],
+    max_scalars: int,
+) -> np.ndarray:
+    """Per-shard ``K(x, centers_i) @ weights_i`` over request segments
+    (module-level so every transport — including cross-process ones —
+    can ship it): one serving tick of :mod:`repro.serve`, or one
+    segment spanning ``x_host`` for :func:`sharded_kernel_matvec`.
+
+    ``bounds`` holds the per-request row segments, which tile
+    ``x_host`` in order.  A solo :func:`~repro.shard.sharded_predict`
+    of an ``r``-row request streams it in the blocks
+    :func:`~repro.kernels.ops.row_block_sizes` gives under
+    ``max_scalars``.  When that is one block, a run of consecutive
+    ``r``-row segments is one :func:`~repro.kernels.ops.kernel_matvec`
+    call whose budget is exactly ``r`` rows, so each of its blocks is
+    one request's block; a longer segment gets its own call under
+    ``max_scalars``.  Row norms are per-row and op counts shape-derived,
+    so the partial matches the per-request loop in bits and in op
+    totals while the matvec prologue runs once per run, not once per
+    request.  Zero-row segments add no rows; a tick of only those yields
+    a well-formed ``(0, l)`` partial.
+    """
+    n = max(1, worker.centers.shape[0])
+    calls: list[list[int]] = []  # [lo, hi, budget, rows per segment]
+    for lo, hi in bounds:
+        rows = hi - lo
+        if rows and calls and calls[-1][3] == rows:
+            calls[-1][1] = hi  # one more r-row block in the same call
+        elif len(row_block_sizes(rows, n, max_scalars)) == 1:
+            calls.append([lo, hi, rows * n, rows])
+        elif rows:
+            calls.append([lo, hi, max_scalars, 0])
+    parts = [
+        np.asarray(to_numpy(kernel_matvec(
+            kernel, x_host[lo:hi], worker.centers, worker.weights,
+            max_scalars=budget, z_sq_norms=worker.center_sq_norms,
+        )))
+        for lo, hi, budget, _ in calls or ((0, 0, max_scalars, 0),)
+    ]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sharded_kernel_matvec(
@@ -81,11 +115,14 @@ def sharded_kernel_matvec(
         )
     if any(ex.weights is None for ex in group.executors):
         raise ConfigurationError("group executors hold no weights")
-    x_host = np.asarray(to_numpy(x))
+    x_host = np.atleast_2d(to_numpy(x))
     # Fused map + all-reduce: one task per shard carries both the
     # streamed matvec and (on collective-fabric transports) the reduction.
+    # A single segment forms exactly the blocks kernel_matvec forms
+    # under max_scalars.
     reduced, _ = group.map_allreduce(
-        _matvec_task, kernel, x_host, max_scalars, bk=get_backend()
+        _serve_batch_task, kernel, x_host, ((0, x_host.shape[0]),),
+        max_scalars, bk=get_backend(),
     )
     return reduced
 

@@ -34,6 +34,14 @@ shared-memory weight blocks (``transport="process"``).  The formed block
 never crosses the transport: a *form* task stashes it in
 ``worker.block`` and the matching *contract* task consumes it there.
 
+The sharded step has no numeric rule of its own.  The contract task is
+the serial step's contraction (:func:`~repro.backend.master_matmul`) on
+the shard's rows, so under mixed precision each partial arrives already
+lifted to float64.  The caller then runs the serial step's update
+(:meth:`~repro.core.trainer.BaseKernelTrainer._update`) and correction
+(:meth:`~repro.core.eigenpro2.EigenPro2._correct`) on ``Phi`` put
+together from the shards' column parts.
+
 Step schedule
 -------------
 The kernel block of step ``t+1`` depends only on the batch rows and the
@@ -87,8 +95,8 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, match_dtype, to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS, mixed_precision_active
+from repro.backend import ArrayBackend, get_backend, master_matmul, to_numpy
+from repro.config import DEFAULT_BLOCK_SCALARS
 from repro.core.eigenpro2 import EigenPro2
 from repro.device.cluster import Interconnect, multi_gpu
 from repro.device.presets import titan_xp
@@ -154,20 +162,11 @@ def _contract_task(worker: ShardWorker) -> Any:
     rows (weight-dependent: FIFO order guarantees the previous step's
     update has been mirrored by the time this runs)."""
     kb, worker.block = worker.block, None
-    ebk = worker.backend
+    w = worker.weights
     with span("gemm", m=int(kb.shape[0])):
-        w = worker.weights
-        w_dtype = ebk.dtype_of(w)
-        if mixed_precision_active() and ebk.dtype_of(kb) != w_dtype:
-            # Mixed precision: the shard holds float64 master rows but
-            # the heavy (m, n_i, l) contraction runs in the compute
-            # dtype — downcast the weights to the block, mirroring the
-            # unsharded trainer's _consume_block; the float64 bits come
-            # back in the all-reduce accumulation.
-            w = match_dtype(w, ebk.dtype_of(kb), ebk)
-        else:
-            kb = match_dtype(kb, w_dtype, ebk)
-        f_i = kb @ w  # (m, l) partial prediction
+        # The serial step's contraction: under mixed precision the
+        # partial comes back lifted to the weights' float64.
+        f_i = master_matmul(kb, w, worker.backend)  # (m, l) partial
         l = w.shape[1] if w.ndim == 2 else 1
         record_ops("gemm", kb.shape[0] * worker.n_centers * l)
     return f_i
@@ -357,17 +356,12 @@ class ShardedEigenPro2(EigenPro2):
         shard group over the current ``self._alpha`` and push the per-fit
         worker context."""
         backends = self.shard_backends
-        if backends is None or isinstance(backends, (str, ArrayBackend)):
-            group = ShardGroup.build(
-                x, self._alpha, g=g, backends=backends, kernel=self.kernel,
-                transport=self.transport, **self.transport_options,
-            )
-        else:
-            group = ShardGroup.build(
-                x, self._alpha, backends=list(backends)[:g],
-                kernel=self.kernel, transport=self.transport,
-                **self.transport_options,
-            )
+        if isinstance(backends, list):  # one spec per shard
+            backends = backends[:g]
+        group = ShardGroup.build(
+            x, self._alpha, g=g, backends=backends, kernel=self.kernel,
+            transport=self.transport, **self.transport_options,
+        )
         # Build-before-close: a failing rebuild must leave the previous
         # (still open) group in place for fit's cleanup path.
         if self.shard_group_ is not None:
@@ -412,44 +406,26 @@ class ShardedEigenPro2(EigenPro2):
         idx: np.ndarray,
         gamma: float,
     ) -> None:
-        """Apply the coordinate update + EigenPro correction (Algorithm 1
-        steps 3–5) to the already all-reduced batch prediction ``f`` on
-        the caller thread; mirror touched rows to the shards
-        asynchronously."""
+        """Apply the serial step's coordinate update and EigenPro
+        correction (Algorithm 1 steps 3–5) to the already all-reduced
+        batch prediction ``f`` on the caller thread, with ``Phi`` put
+        together from the shards' column parts; mirror touched rows to
+        the shards asynchronously."""
         self._drain_pending_mirror()
-        bk = get_backend()
-        alpha_dtype = bk.dtype_of(self._alpha)
-        f = match_dtype(f, alpha_dtype, bk)
-        g_res = f - y[idx]
-        self._alpha[idx] -= gamma * g_res
+        g = self._update(f, y, idx, gamma)
         touched = [idx]
-        if self.preconditioner_ is not None and self._sub_parts is not None:
+        if self._sub_parts is not None:
             with span("correction", step=self._cursor, m=int(idx.shape[0])):
-                m, s = idx.shape[0], self._sub_idx.shape[0]
-                phi_np = [
-                    None if phi_i is None else np.asarray(to_numpy(phi_i))
-                    for phi_i in phi_parts
-                ]
-                shard_dtypes = [p.dtype for p in phi_np if p is not None]
-                if mixed_precision_active() and shard_dtypes:
-                    # The blocks (and with them the Phi columns) stayed in
-                    # the compute dtype; hand the correction the same
-                    # split the unsharded trainer does — a low-precision
-                    # Phi against float64 residuals.
-                    phi_dtype = np.result_type(*shard_dtypes)
-                else:
-                    phi_dtype = np.dtype(alpha_dtype)
-                phi = np.empty((m, s), dtype=phi_dtype)
-                for ex, phi_i in zip(group.executors, phi_np):
+                # In the fit's working dtype, as the serial step reads it.
+                phi = np.empty(
+                    (idx.shape[0], self._sub_idx.shape[0]),
+                    dtype=get_backend().dtype_of(self._x),
+                )
+                for ex, phi_i in zip(group.executors, phi_parts):
                     positions, _ = self._sub_parts[ex.shard_id]
                     if positions.size:
-                        phi[:, positions] = phi_i
-                correction = self.preconditioner_.correction(
-                    phi, to_numpy(g_res)
-                )
-                self._accumulate_correction(
-                    bk.asarray(correction, dtype=alpha_dtype), gamma
-                )
+                        phi[:, positions] = to_numpy(phi_i)
+                self._correct(phi, to_numpy(g), gamma)
             touched.append(self._sub_idx)
         self._mirror_rows(np.concatenate(touched))
 

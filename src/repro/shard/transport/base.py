@@ -58,7 +58,7 @@ from repro.backend import (
     use_backend,
     use_precision,
 )
-from repro.config import Precision, accumulate_dtype, mixed_precision_active
+from repro.config import Precision, master_dtype
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import (
     OpMeter,
@@ -95,10 +95,10 @@ def allreduce_sum(partials: Sequence[Any], bk: ArrayBackend | None = None) -> An
     nothing for a single shard, matching the model's ``g = 1`` short
     circuit.
 
-    Under mixed precision (``use_precision("mixed")``) the combine is
-    lifted to the accumulate dtype: float32 partials sum into a float64
-    accumulator, so the reduction never loses bits the master weights
-    keep.
+    The combine runs in :func:`~repro.config.master_dtype` of the
+    partials: under mixed precision (``use_precision("mixed")``) float32
+    partials sum into a float64 accumulator, so the reduction never
+    loses bits the master weights keep.
     """
     if not partials:
         raise ConfigurationError("allreduce_sum needs at least one partial")
@@ -106,10 +106,9 @@ def allreduce_sum(partials: Sequence[Any], bk: ArrayBackend | None = None) -> An
     # Accumulate at the joint result dtype: summing in-place into
     # ``arrays[0]``'s dtype would silently downcast any higher-precision
     # partial that appears later in shard order.
-    acc_dtype = np.result_type(*arrays)
-    if mixed_precision_active():
-        acc_dtype = np.result_type(acc_dtype, accumulate_dtype())
-    out = np.array(arrays[0], dtype=acc_dtype, copy=True)
+    out = np.array(
+        arrays[0], dtype=master_dtype(np.result_type(*arrays)), copy=True
+    )
     for arr in arrays[1:]:
         out += arr
     if len(arrays) > 1:

@@ -90,13 +90,6 @@ class ShardExecutor(ShardWorker):
             self.run_metered, fn, args, kwargs, precision, capture().tracing
         )
 
-    def pull_rows(self, local_idx: np.ndarray) -> np.ndarray:
-        """Host copy of the given weight rows (mirror-back path for
-        executors whose weights are device copies rather than views)."""
-        if self.weights is None:
-            raise ConfigurationError(f"shard {self.shard_id} holds no weights")
-        return to_numpy(self.weights[local_idx])
-
     def alive(self) -> bool:
         """Liveness probe: an in-process worker thread cannot die
         independently of the caller, so a thread executor is alive

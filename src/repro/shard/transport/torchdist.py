@@ -88,7 +88,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, NumpyBackend, get_backend, to_numpy
-from repro.config import accumulate_dtype, mixed_precision_active
+from repro.config import master_dtype
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import record_ops, span
 from repro.shard.plan import ShardPlan
@@ -169,18 +169,16 @@ def _dist_allreduce_task(worker: ShardWorker, partial: np.ndarray) -> np.ndarray
     comparable across thread/process/torchdist.
 
     Under mixed precision (the task runs inside the submitter's
-    re-established precision scope) the partial is lifted to the
-    accumulate dtype (float64) *before* the collective, so the fabric's
-    ring reduction carries the same precision as the host-side
+    re-established precision scope) the partial is lifted to
+    :func:`~repro.config.master_dtype` (float64) *before* the
+    collective, so the fabric's ring reduction carries the same
+    precision as the host-side
     :func:`~repro.shard.transport.base.allreduce_sum`."""
     import torch
     import torch.distributed as dist
 
     arr = np.ascontiguousarray(partial)
-    if mixed_precision_active():
-        acc = np.result_type(arr.dtype, accumulate_dtype())
-        if arr.dtype != acc:
-            arr = arr.astype(acc)
+    arr = arr.astype(master_dtype(arr.dtype), copy=False)
     if arr.size == 0:
         # Zero-row batch (an empty serving tick): every rank's partial is
         # empty, so the reduction is the empty array itself.  Skip the

@@ -4,7 +4,7 @@
 :func:`~repro.kernels.ops.row_block_sizes` and forms each block with the
 ops a dense kernel call uses, so a single-block call is *bitwise* the
 dense ``kernel(x, z) @ w`` in the resolved output dtype.  The serving
-tick (:func:`repro.serve.server._serve_batch_task`) evaluates each run of
+tick (:func:`repro.shard.ops._serve_batch_task`) evaluates each run of
 equal-length request segments with one such call whose blocks are the
 segments, so each segment's rows are bitwise-equal to evaluating that
 segment alone — the invariant the serving engine's batched-vs-solo
@@ -22,7 +22,7 @@ from repro.exceptions import ConfigurationError
 from repro.instrument import OpMeter, meter_scope
 from repro.kernels import CauchyKernel, GaussianKernel, LaplacianKernel
 from repro.kernels.ops import center_sq_norms, kernel_matvec
-from repro.serve.server import _serve_batch_task
+from repro.shard.ops import _serve_batch_task
 
 KERNELS = [
     GaussianKernel(bandwidth=2.0),

@@ -28,7 +28,7 @@ from repro.kernels.ops import block_workspace, center_sq_norms, kernel_matvec
 from repro.linalg.eigensystem import top_eigensystem
 from repro.linalg import nystrom as nystrom_module
 from repro.linalg.nystrom import nystrom_extension
-from repro.serve.server import _serve_batch_task
+from repro.shard.ops import _serve_batch_task
 
 #: Shrunk tile: 3 rows of a 4001-column float64 block, 6 of float32.
 TILE_BYTES = 100_000

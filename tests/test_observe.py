@@ -508,6 +508,20 @@ class TestComparePhases:
         rendered = render_comparison(report)
         assert "form_block" in rendered and "TOTAL" in rendered
 
+    def test_total_counts_parallel_shards_once(self):
+        """Two shards' overlapping 1 s GEMMs take 1 s of wall time, not
+        2 s: TOTAL counts a worker phase as its slowest shard, while the
+        phase row still sums every span."""
+        tracer = Tracer()
+        with trace_scope(tracer):
+            record_span("gemm", 0.0, 1.0, shard=0)
+            record_span("gemm", 0.0, 1.0, shard=1)
+            record_span("correction", 1.0, 0.5)
+        report = compare_phases(tracer, g=2)
+        phases = {p["phase"]: p for p in report["phases"]}
+        assert phases["gemm"]["measured_s"] == pytest.approx(2.0)
+        assert report["totals"]["measured_s"] == pytest.approx(1.5)
+
 
 class TestPercentiles:
     """The percentile path production latency reporting reads."""
