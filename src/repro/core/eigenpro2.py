@@ -63,8 +63,11 @@ def default_q_max(s: int) -> int:
     """Number of subsample eigenpairs to extract for the Eq.-7 scan.
 
     The paper's selected (adjusted) ``q`` ranges from ~100 to 850 with
-    ``s`` up to 1.2e4; extracting ``min(s - 1, 300)`` pairs keeps setup
-    cheap while covering that range at reproduction scale.
+    ``s`` up to 1.2e4; extracting ``min(s - 1, 300)`` pairs covers that
+    range at reproduction scale.  Setup's cost is the subset eigensolve:
+    its tridiagonal reduction is cubic in ``s`` whatever ``q`` is, and the
+    ``q`` pairs add the vector work and, on the float32 route, a float64
+    Ritz pass of order ``s²·q`` (:func:`repro.linalg.top_eigensystem`).
     """
     if s < 1:
         raise ConfigurationError(f"s must be >= 1, got {s}")
@@ -305,8 +308,9 @@ class EigenPro2(BaseKernelTrainer):
         self.batch_size_ = params.batch_size
         self.step_size_ = params.eta
         if self.device is not None:
-            # One-time setup cost: the s x s kernel block plus the
-            # (randomized) top-q eigensolve, charged as a single launch.
+            # One-time setup cost: the s x s kernel block plus the top-q
+            # eigensolve (whichever route top_eigensystem takes), charged
+            # as a single launch.
             s_eff, q_cap = params.s, max(params.q_adjusted, 1)
             self.device.charge_iteration(
                 s_eff * s_eff * params.d + s_eff * s_eff * q_cap

@@ -179,7 +179,11 @@ def nystrom_extension(
         Drawn indices come back sorted.
     method:
         Eigensolver selection, forwarded to
-        :func:`repro.linalg.top_eigensystem`.
+        :func:`repro.linalg.top_eigensystem`.  ``"auto"`` solves a float64
+        ``K_s`` with ``s >= 1024`` in float32 and keeps the pairs only if
+        a float64 Ritz pass certifies their residuals, else solves it in
+        float64; ``"dense"`` always runs the exact solve in ``K_s``'s
+        dtype.
     indices:
         Explicit subsample indices into ``x`` (deduplicated order kept).
     """
