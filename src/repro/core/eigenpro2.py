@@ -39,7 +39,6 @@ from repro.device.presets import titan_xp
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
-from repro.kernels.ops import take_columns
 from repro.linalg.nystrom import NystromExtension, nystrom_extension
 
 __all__ = [
@@ -296,9 +295,8 @@ class EigenPro2(BaseKernelTrainer):
         self.requested_q_max = q_max
         self.params_: AutoParameters | None = None
         self.preconditioner_: NystromPreconditioner | None = None
-        self._sub_idx: np.ndarray | None = None
         # Kahan compensation for the correction's running sum into
-        # alpha[sub_idx] under mixed precision (NumPy backend only).
+        # alpha[:s] under mixed precision (NumPy backend only).
         self._corr_comp: np.ndarray | None = None
 
     # --------------------------------------------------------------- setup
@@ -319,7 +317,7 @@ class EigenPro2(BaseKernelTrainer):
     def prepare(self, x: np.ndarray, l: int) -> AutoParameters:
         """Run parameter selection only (no training) — used by the
         Table-4 experiment and 'interactive' exploration."""
-        params, precond, extension = select_parameters(
+        params, precond, _ = select_parameters(
             self.kernel,
             x,
             l,
@@ -334,23 +332,35 @@ class EigenPro2(BaseKernelTrainer):
         )
         self.params_ = params
         self.preconditioner_ = precond
-        self._sub_idx = extension.indices
         return params
 
     # ---------------------------------------------------------- correction
+    def _center_order(self, n: int) -> np.ndarray | None:
+        """Subsample first: the drawn indices, then the other rows in
+        ascending order (``None`` when that is the caller's order)."""
+        if self.preconditioner_ is None:
+            return None
+        sub = self.preconditioner_.indices
+        order = np.concatenate(
+            [sub, np.setdiff1d(np.arange(n), sub, assume_unique=True)]
+        )
+        return None if np.array_equal(order, np.arange(n)) else order
+
     def _apply_correction(
         self, kb: np.ndarray, idx: np.ndarray, g: np.ndarray, gamma: float
     ) -> None:
         if self.preconditioner_ is None:
             return
-        # Columns of the already-computed batch block at the subsample
-        # indices give Phi^T for free (no new kernel evaluations).
-        self._correct(take_columns(kb, self._sub_idx), g, gamma)
+        # The subsample leads the held center order, so the first s
+        # columns of the already-computed batch block are Phi^T: a view,
+        # no new kernel evaluations and no copy.
+        self._correct(kb[:, : self.preconditioner_.s], g, gamma)
 
     def _correct(self, phi: Any, g: Any, gamma: float) -> None:
-        """Algorithm 1 steps 4–5: ``alpha[sub_idx] += gamma * V D V^T
-        Phi g`` for the batch's ``Phi^T`` columns ``phi`` and residuals
-        ``g``.  Shared by the serial and sharded
+        """Algorithm 1 steps 4–5: ``alpha[:s] += gamma * V D V^T Phi g``
+        for the batch's ``Phi^T`` columns ``phi`` and residuals ``g``;
+        the fit holds the subsample's weights first
+        (:meth:`_center_order`).  Shared by the serial and sharded
         (:class:`repro.shard.trainer.ShardedEigenPro2`) steps.
 
         ``phi`` arrives in the fit's working dtype (that of ``x``), so
@@ -369,21 +379,21 @@ class EigenPro2(BaseKernelTrainer):
             self.preconditioner_.correction(phi, g),
             dtype=bk.dtype_of(self._alpha),
         )
+        block = self._alpha[: update.shape[0]]  # a view
         if not (
             mixed_precision_active()
             and isinstance(self._alpha, np.ndarray)
             and isinstance(update, np.ndarray)
         ):
-            self._alpha[self._sub_idx] += update
+            block += update
             return
         comp = self._corr_comp
         if comp is None or comp.shape != update.shape:
             comp = self._corr_comp = np.zeros_like(update)
-        acc = self._alpha[self._sub_idx]  # fancy index: a copy
         u = update - comp
-        t = acc + u
-        comp[...] = (t - acc) - u
-        self._alpha[self._sub_idx] = t
+        t = block + u
+        comp[...] = (t - block) - u
+        block[...] = t
 
     def _extra_iteration_ops(self, m: int) -> int:
         if self.preconditioner_ is None:

@@ -131,10 +131,11 @@ class NystromPreconditioner:
         ----------
         phi_block:
             ``Phi^T`` of shape ``(m, s)`` — the kernel block between the
-            mini-batch and the subsample points.  In training this is a
-            column slice of the batch-vs-centers block already computed in
-            step 2 (:func:`~repro.kernels.ops.take_columns`), so it costs
-            no extra kernel evaluations.
+            mini-batch and the subsample points.  In training this is the
+            view ``kb[:, :s]`` of the batch-vs-centers block already
+            computed in step 2 (the trainer holds the subsample first:
+            :meth:`~repro.core.eigenpro2.EigenPro2._center_order`), so it
+            costs no extra kernel evaluations and no copy.
         g:
             Batch residuals ``f(x_t) - y_t`` of shape ``(m, l)``.
 

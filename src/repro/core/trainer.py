@@ -27,16 +27,29 @@ dtype of ``alpha`` and ``y`` is :func:`~repro.config.master_dtype`,
 step 3 is :meth:`BaseKernelTrainer._update`, and EigenPro's steps 4–5
 are :meth:`~repro.core.eigenpro2.EigenPro2._correct`.
 
+Layout: a subclass may hold the fit's centers in an order of its own
+(:meth:`BaseKernelTrainer._center_order`).  EigenPro 2.0 puts its
+subsample first, so the columns ``kb[:, :s]`` of every step's kernel
+block *are* ``Phi^T``, a view with no copy, and steps 4–5 update the
+slice ``alpha[:s]``.  ``x``, ``y``, their norms and ``alpha`` are held
+in that order from the end of setup to the fit's exit, where ``alpha``
+is put back once; setup itself, the RNG's batch and monitor draws (each
+batch is the same caller rows, at their held positions),
+:attr:`~BaseKernelTrainer.model_` and the sharded trainer's checkpoints
+are in the caller's row order.  Trainers without a preconditioner hold
+the caller's order, and nothing is moved.
+
 The full-batch regime (``m >= n``, where the paper's analytic batch size
 lands on small data) is the one exception.  Every epoch is then a single
 step over the whole training set, and a full-batch step does not depend
 on row order (except in the last bits of its sums), so the rows run in
-the identity order instead of a fresh permutation.  Every epoch's block
-is then the same ``(n, n)`` matrix ``K(X, X)``: the first step forms it
-into an array the fit owns (not a workspace view, which the monitor and
-validation predicts would overwrite), later epochs reuse it, and each
-epoch's train-MSE monitor reads its rows instead of evaluating the
-kernel again.  The fit drops the block when it returns or raises.
+the identity of the held order instead of a fresh permutation.  Every
+epoch's block is then the same ``(n, n)`` matrix ``K(X, X)``: the first
+step forms it into an array the fit owns (not a workspace view, which
+the monitor and validation predicts would overwrite), later epochs
+reuse it, and each epoch's train-MSE monitor reads its rows instead of
+evaluating the kernel again.  The fit drops the block when it returns or
+raises.
 
 Under an active tracer (:mod:`repro.observe`) a fit records one
 ``setup`` span, an ``epoch`` span per epoch holding the steps'
@@ -197,6 +210,10 @@ class BaseKernelTrainer:
         # the fit's shuffling RNG and the 1-based epoch being run.
         self._rng: np.random.Generator | None = None
         self._epoch: int = 0
+        # The fit's center order (module docstring: layout): held
+        # position -> caller row, and its inverse; None for the caller's.
+        self._order: np.ndarray | None = None
+        self._inv: np.ndarray | None = None
         # Full-batch fits (m >= n) keep the one (n, n) block K(X, X) for
         # the whole fit (module docstring); both reset when fit exits.
         self._keep_block = False
@@ -236,12 +253,28 @@ class BaseKernelTrainer:
             The ``(m, n)`` batch-vs-centers kernel block of this
             iteration, in the fit's working dtype.
         idx:
-            Batch indices into the training set.
+            Batch rows, at their held positions (module docstring:
+            layout).
         g:
             Residuals ``f(x_t) - y_t``, shape ``(m, l)``.
         gamma:
             The per-coordinate step ``eta / m``.
         """
+
+    def _center_order(self, n: int) -> np.ndarray | None:
+        """Subclass hook: the order the fit holds its ``n`` centers in,
+        as caller row indices (``None``: the caller's order).  Called
+        once, after :meth:`_setup`."""
+        return None
+
+    def _bind_centers(self, x: Any) -> None:
+        """Subclass hook: the fit's centers ``x``, in the held order,
+        are final; called once per fit, inside the ``setup`` span."""
+
+    def _held_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Held positions of caller rows ``rows`` (themselves when the
+        fit holds the caller's order)."""
+        return rows if self._inv is None else self._inv[rows]
 
     def _extra_iteration_ops(self, m: int) -> int:
         """Subclass hook: operation count of the correction (0 for SGD)."""
@@ -327,8 +360,22 @@ class BaseKernelTrainer:
         # block (shift-invariant kernels only; None otherwise).
         self._x_sq_norms = center_sq_norms(self.kernel, x, bk)
         self._alpha = bk.zeros((n, l), dtype=w_dtype)
+        self._order = self._inv = None
+        caller = (x, y, self._x_sq_norms)
         with span("setup", n=n):
             self._setup(x, y)
+            # From here to the fit's exit, x, y, their norms and alpha are
+            # held in the center order (module docstring: layout).
+            order = self._center_order(n)
+            if order is not None:
+                self._order = order
+                self._inv = np.empty_like(order)
+                self._inv[order] = np.arange(n)
+                self._x, self._y = x[order], y[order]
+                if self._x_sq_norms is not None:
+                    self._x_sq_norms = self._x_sq_norms[order]
+            self._bind_centers(self._x)
+        x, y = self._x, self._y
         if self.batch_size_ is None or self.step_size_ is None:
             raise ConfigurationError(
                 f"{type(self).__name__}._setup failed to choose batch/step size"
@@ -341,7 +388,7 @@ class BaseKernelTrainer:
         # Exposed as an attribute so checkpoints (repro.shard.recovery)
         # can capture the generator state alongside the epoch cursor.
         self._rng = rng = np.random.default_rng(self.seed)
-        monitor_idx = (
+        monitor_idx = self._held_rows(
             np.arange(n)
             if n <= self.monitor_size
             else rng.choice(n, size=self.monitor_size, replace=False)
@@ -371,8 +418,14 @@ class BaseKernelTrainer:
             for epoch in range(1, epochs + 1):
                 self._epoch = epoch
                 # A full-batch step does not depend on row order, so it
-                # takes the identity and leaves the RNG stream alone.
-                perm = np.arange(n) if full_batch else rng.permutation(n)
+                # takes the identity of the held order and leaves the RNG
+                # stream alone; a mini-batch runs the caller's rows in the
+                # permutation's order, at their held positions.
+                perm = (
+                    np.arange(n)
+                    if full_batch
+                    else self._held_rows(rng.permutation(n))
+                )
                 # The epoch's batch index blocks, computed once per
                 # permutation (checkpoints record a cursor into this list).
                 blocks = [perm[start : start + m] for start in range(0, n, m)]
@@ -427,6 +480,8 @@ class BaseKernelTrainer:
                     break
                 if stop_now:
                     break
+            if best_alpha is not None:
+                self._alpha[...] = best_alpha
         finally:
             if self.device is not None:
                 for name in allocations:
@@ -437,8 +492,11 @@ class BaseKernelTrainer:
             block_workspace().reset()
             self._keep_block = False
             self._kept_block = None
-        if best_alpha is not None:
-            self._alpha[...] = best_alpha
+            if self._inv is not None:
+                # Back to the caller's row order, returned or raised.
+                self._x, self._y, self._x_sq_norms = caller
+                self._alpha = self._alpha[self._inv]
+                self.model_ = KernelModel(self.kernel, caller[0], self._alpha)
         return self
 
     # ------------------------------------------------------------ the epoch

@@ -57,7 +57,6 @@ __all__ = [
     "block_workspace",
     "center_sq_norms",
     "row_block_sizes",
-    "take_columns",
     "kernel_matrix",
     "kernel_matvec",
 ]
@@ -167,21 +166,6 @@ def row_block_sizes(
     if rem:
         sizes.append(rem)
     return sizes
-
-
-def take_columns(block: Any, idx: np.ndarray) -> Any:
-    """The columns ``block[:, idx]`` as a new array.
-
-    On NumPy this is ``np.take(block, idx, axis=1)``: bitwise the same
-    copy as fancy indexing, but several times faster on a wide block,
-    and fastest when ``idx`` is sorted.  Taking 2000 of the columns of
-    an 8000 x 8000 float64 block on a 2-vCPU x86 host: fancy indexing
-    ~420 ms, ``np.take`` ~100 ms unsorted and ~80 ms sorted.  Other
-    backends index.
-    """
-    if isinstance(block, np.ndarray):
-        return np.take(block, idx, axis=1)
-    return block[:, idx]
 
 
 def iter_row_blocks(

@@ -197,9 +197,10 @@ def nystrom_extension(
     if not 1 <= q < max(s, 2):
         raise ConfigurationError(f"q must be in [1, {s - 1}], got {q}")
     if indices is None:
-        # Sorted, so Phi's column gather from each batch block walks
-        # memory forward (see repro.kernels.ops.take_columns); the set
-        # drawn for a seed is unchanged.
+        # Sorted: the subsample (and so K_s, its eigensystem and every
+        # parameter selected from it) is the same for a seed whatever
+        # order the draw returns, and EigenPro 2.0 holds these rows
+        # first, in this order, as the leading columns of Phi.
         rng = np.random.default_rng(seed)
         indices = np.sort(rng.choice(n, size=s, replace=False))
     else:

@@ -71,7 +71,8 @@ class ShardCheckpoint:
     ----------
     weights:
         Full ``(n, l)`` host weight matrix at snapshot time (gathered via
-        :meth:`~repro.shard.ShardGroup.gather_weights`).
+        :meth:`~repro.shard.ShardGroup.gather_weights`), in the caller's
+        row order.
     epoch:
         1-based epoch the cursor points into.
     batch_cursor:
@@ -90,6 +91,10 @@ class ShardCheckpoint:
         Shard count of the group the snapshot was taken from.
     transport:
         Registry name of the transport that produced it.
+    correction_comp:
+        The EigenPro correction's ``(s, l)`` Kahan compensation at
+        snapshot time (mixed precision on NumPy), restored with the
+        weights; ``None`` when the fit keeps none.
     """
 
     weights: np.ndarray
@@ -99,6 +104,7 @@ class ShardCheckpoint:
     op_counts: dict[str, int] = field(default_factory=dict)
     g: int = 1
     transport: str = "thread"
+    correction_comp: np.ndarray | None = None
 
     @property
     def scalars(self) -> int:

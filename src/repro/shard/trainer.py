@@ -17,13 +17,20 @@
 
 The Nyström preconditioner state is *replicated* (it is ``s*q + 2q``
 scalars, independent of ``n``), but its ``Phi^T`` block is never
-recomputed: each shard contributes the columns of its already-computed
-batch block at the subsample indices it owns, exactly as the unsharded
-trainer slices them from the full block.  All selected parameters, op
-counts and simulated-device charges are identical to the unsharded
-trainer by construction, which is what lets the validation harness
-(``benchmarks/bench_shard.py``) compare modelled against measured time
-for the *same* iteration.
+recomputed.  The shards hold contiguous row ranges of the unsharded
+trainer's center order, subsample first
+(:meth:`~repro.core.eigenpro2.EigenPro2._center_order`), so the
+subsample is the first ``s`` global centers: each shard that owns
+``s_i`` of them copies its batch block's first ``s_i`` columns, and
+the caller concatenates the copies in shard order into the unsharded
+trainer's ``kb[:, :s]``.  The order is global, not per shard, and does
+not depend on ``g``: an elastic rebuild at a smaller ``g`` re-plans
+the same held centers, and the only work left unbalanced is the copy of
+``Phi``'s columns on the shards that own them.  All selected
+parameters, op counts and simulated-device charges are identical to
+the unsharded trainer by construction, which is what lets the
+validation harness (``benchmarks/bench_shard.py``) compare modelled
+against measured time for the *same* iteration.
 
 The per-shard work is expressed as module-level *task functions*
 (:func:`_form_block_task`, :func:`_contract_task`) acting on a
@@ -104,7 +111,7 @@ from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import capture, record_ops, record_span, span
 from repro.kernels.base import Kernel
-from repro.kernels.ops import block_workspace, take_columns
+from repro.kernels.ops import block_workspace
 from repro.shard.group import PendingMap, ShardGroup
 from repro.shard.ops import sharded_predict
 from repro.shard.recovery import RecoveryEvent, ShardCheckpoint
@@ -115,8 +122,9 @@ __all__ = ["ShardedEigenPro2"]
 
 # ---------------------------------------------------------------------------
 # Worker-side task functions (module-level: picklable on every transport).
-# The per-fit context they need — the kernel and this shard's subsample
-# column indices — is pushed into ``worker.state`` at group build time.
+# The per-fit context they need — the kernel and how many of this shard's
+# leading centers are subsample points — is pushed into ``worker.state``
+# at group build time.
 # ---------------------------------------------------------------------------
 
 
@@ -126,11 +134,13 @@ def _form_block_task(
     xb_sq_norms: np.ndarray | None,
 ) -> Any | None:
     """Form the batch-vs-shard block ``(m, n_i)`` and copy out its
-    ``Phi`` columns (both weight-independent, hence prefetchable).
+    leading ``phi_cols`` columns, this shard's part of ``Phi`` (both
+    weight-independent, hence prefetchable).
 
     The block is stashed in ``worker.block`` for the matching
     :func:`_contract_task`; only the (small) ``Phi`` column copy is
-    returned across the transport.
+    returned across the transport, and ``None`` by a shard that owns
+    no subsample center.
     """
     kernel: Kernel = worker.state["kernel"]
     ebk = worker.backend
@@ -147,14 +157,10 @@ def _form_block_task(
             z_sq_norms=worker.center_sq_norms,
         )  # (m, n_i): records kernel_eval on the shard meter
         worker.block = kb
-        phi_i = None
-        local = worker.state.get("local_sub")
-        if local is not None and local.size:
-            # Columns of the batch block at this shard's subsample
-            # centers — a copy, so the block scratch may be recycled
-            # (and the copy shipped cross-process) safely.
-            phi_i = take_columns(kb, local)
-    return phi_i
+        cols = worker.state.get("phi_cols", 0)
+        # A copy, so the block scratch may be recycled (and the copy
+        # shipped cross-process) safely.
+        return ebk.copy(kb[:, :cols]) if cols else None
 
 
 def _contract_task(worker: ShardWorker) -> Any:
@@ -333,7 +339,6 @@ class ShardedEigenPro2(EigenPro2):
         self._recoveries_used = 0
         self._steps_since_checkpoint = 0
         self._cursor = 0
-        self._sub_parts: list[tuple[np.ndarray, np.ndarray]] | None = None
         self._pending_mirror: PendingMap | None = None
         #: Open replay window after a recovery, for the tracer only:
         #: ``(resumed_step, failed_step, t0)``; closed (and recorded as
@@ -349,12 +354,14 @@ class ShardedEigenPro2(EigenPro2):
         self._recoveries_used = 0
         self._steps_since_checkpoint = 0
         self._replay_window = None
+
+    def _bind_centers(self, x: Any) -> None:
         self._build_group(x, min(self.n_shards, x.shape[0]))
 
     def _build_group(self, x: Any, g: int) -> None:
         """Build (or, during recovery, rebuild at a smaller ``g``) the
-        shard group over the current ``self._alpha`` and push the per-fit
-        worker context."""
+        shard group over the held centers ``x`` and the current
+        ``self._alpha`` and push the per-fit worker context."""
         backends = self.shard_backends
         if isinstance(backends, list):  # one spec per shard
             backends = backends[:g]
@@ -368,23 +375,16 @@ class ShardedEigenPro2(EigenPro2):
             self.shard_group_.close()
         self.shard_group_ = group
         self._pending_mirror = None
-        self._sub_parts = (
-            group.plan.localize(self._sub_idx)
-            if self.preconditioner_ is not None and self._sub_idx is not None
-            else None
-        )
         # Per-fit worker context: the kernel every form task evaluates,
-        # and the shard-local subsample column indices for Phi extraction
-        # — batched into a single task per worker, so message-passing
-        # transports pay exactly one setup round-trip per fit.
-        locals_ = (
-            [local for _, local in self._sub_parts]
-            if self._sub_parts is not None
-            else [None] * group.g
-        )
-        group.scatter_state_items(
-            [{"kernel": self.kernel, "local_sub": local} for local in locals_]
-        )
+        # and how many of the shard's leading centers are the subsample's
+        # (Phi's columns) — batched into a single task per worker, so
+        # message-passing transports pay exactly one setup round-trip
+        # per fit.
+        s = 0 if self.preconditioner_ is None else self.preconditioner_.s
+        group.scatter_state_items([
+            {"kernel": self.kernel, "phi_cols": max(0, min(s, b) - a)}
+            for a, b in zip(group.plan.bounds, group.plan.bounds[1:])
+        ])
 
     # ----------------------------------------------------------- iteration
     def _drain_pending_mirror(self) -> None:
@@ -408,25 +408,24 @@ class ShardedEigenPro2(EigenPro2):
     ) -> None:
         """Apply the serial step's coordinate update and EigenPro
         correction (Algorithm 1 steps 3–5) to the already all-reduced
-        batch prediction ``f`` on the caller thread, with ``Phi`` put
-        together from the shards' column parts; mirror touched rows to
-        the shards asynchronously."""
+        batch prediction ``f`` on the caller thread, with ``Phi`` the
+        shards' column parts concatenated in shard order; mirror touched
+        rows to the shards asynchronously."""
         self._drain_pending_mirror()
         g = self._update(f, y, idx, gamma)
         touched = [idx]
-        if self._sub_parts is not None:
+        if self.preconditioner_ is not None:
             with span("correction", step=self._cursor, m=int(idx.shape[0])):
                 # In the fit's working dtype, as the serial step reads it.
-                phi = np.empty(
-                    (idx.shape[0], self._sub_idx.shape[0]),
-                    dtype=get_backend().dtype_of(self._x),
+                dtype = get_backend().dtype_of(self._x)
+                parts = [to_numpy(p) for p in phi_parts if p is not None]
+                phi = (
+                    np.asarray(parts[0], dtype=dtype)
+                    if len(parts) == 1
+                    else np.concatenate(parts, axis=1, dtype=dtype)
                 )
-                for ex, phi_i in zip(group.executors, phi_parts):
-                    positions, _ = self._sub_parts[ex.shard_id]
-                    if positions.size:
-                        phi[:, positions] = to_numpy(phi_i)
                 self._correct(phi, to_numpy(g), gamma)
-            touched.append(self._sub_idx)
+            touched.append(np.arange(phi.shape[1]))
         self._mirror_rows(np.concatenate(touched))
 
     # ---------------------------------------------------- epoch w/ recovery
@@ -519,15 +518,18 @@ class ShardedEigenPro2(EigenPro2):
     def _take_checkpoint(self, cursor: int) -> ShardCheckpoint:
         """Snapshot the training state at batch cursor ``cursor`` of the
         current epoch.  Weights come through the transport's host-visible
-        surface (a memcpy, no extra RPC on shared-memory transports); the
-        queued mirror is drained first so device-copy shards are not
-        snapshotted mid-push."""
+        surface (a memcpy, no extra RPC on shared-memory transports) and
+        are stored in the caller's row order; the queued mirror is
+        drained first so device-copy shards are not snapshotted
+        mid-push."""
         group = self.shard_group_
         with span("checkpoint", cursor=int(cursor), g=group.g):
             self._drain_pending_mirror()
             rng = self._rng
+            weights = group.gather_weights()
+            comp = self._corr_comp
             ckpt = ShardCheckpoint(
-                weights=group.gather_weights(),
+                weights=weights if self._inv is None else weights[self._inv],
                 epoch=self._epoch,
                 batch_cursor=int(cursor),
                 rng_state=(
@@ -537,6 +539,7 @@ class ShardedEigenPro2(EigenPro2):
                 op_counts=group.op_counts(),
                 g=group.g,
                 transport=group.name,
+                correction_comp=None if comp is None else comp.copy(),
             )
             self.last_checkpoint_ = ckpt
             self._steps_since_checkpoint = 0
@@ -582,12 +585,19 @@ class ShardedEigenPro2(EigenPro2):
         # Restore weights caller-side first: the rebuilt group shards
         # whatever ``self._alpha`` holds (zero-copy-view transports adopt
         # it directly, copying transports scatter it), so restoring into
-        # alpha *is* the ``set_weights`` of the new group.
+        # alpha *is* the ``set_weights`` of the new group.  The held
+        # order does not depend on g: the new group is re-planned over
+        # the same held centers.  The correction's Kahan compensation
+        # rolls back with the weights it compensates.
         with span("recovery/restore", cursor=ckpt.batch_cursor):
             bk = get_backend()
+            weights = ckpt.weights
             self._alpha[...] = bk.asarray(
-                ckpt.weights, dtype=bk.dtype_of(self._alpha)
+                weights if self._order is None else weights[self._order],
+                dtype=bk.dtype_of(self._alpha),
             )
+            comp = ckpt.correction_comp
+            self._corr_comp = None if comp is None else comp.copy()
         with span("recovery/rebuild", new_g=new_g):
             self._build_group(x, new_g)
         self._recoveries_used += 1
@@ -674,7 +684,11 @@ class ShardedEigenPro2(EigenPro2):
                         group.plan.n == self._alpha.shape[0]
                         and group.needs_final_sync
                     ):
-                        group.set_weights(to_numpy(self._alpha))
+                        # The group keeps the fit's held center order.
+                        w = to_numpy(self._alpha)
+                        group.set_weights(
+                            w if self._order is None else w[self._order]
+                        )
                 except ShardError:
                     # A dead transport must not mask the original
                     # (already-propagating) failure; with no failure in

@@ -9,7 +9,7 @@ two halves:
   the shard's centers/weights on its own
   :class:`~repro.backend.ArrayBackend` instance, the precomputed center
   squared norms, a private :class:`~repro.instrument.OpMeter`, a
-  ``state`` dict for per-fit context (the kernel, subsample indices) and
+  ``state`` dict for per-fit context (the kernel, ``Phi``'s columns) and
   the in-flight kernel ``block`` between a *form* and its *contract*
   task.
 - :class:`ShardTransport` — the one caller-side engine object that owns

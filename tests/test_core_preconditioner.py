@@ -14,7 +14,6 @@ from repro.core.preconditioner import NystromPreconditioner
 from repro.exceptions import ConfigurationError
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel
-from repro.kernels.ops import take_columns
 from repro.linalg import nystrom_extension, top_eigensystem
 
 
@@ -179,23 +178,10 @@ class TestCorrection:
 
 
 class TestPhiGather:
-    """Phi is a column gather from the batch block; drawn subsample
-    indices are sorted so that gather walks memory forward."""
-
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_take_columns_bitwise_equals_fancy_index(self, dtype):
-        rng = np.random.default_rng(4)
-        kb = rng.standard_normal((37, 300)).astype(dtype)
-        for idx in (
-            np.sort(rng.choice(300, 50, replace=False)),
-            rng.choice(300, 50, replace=False),
-            np.array([299, 0, 5], dtype=np.intp),
-        ):
-            got = take_columns(kb, idx)
-            ref = kb[:, idx]
-            assert got.dtype == ref.dtype and got.shape == ref.shape
-            np.testing.assert_array_equal(got, ref)
-            assert got.flags.c_contiguous and not np.shares_memory(got, kb)
+    """Drawn subsample indices are sorted, so the subsample a seed draws
+    (and every parameter selected from it) does not depend on the order
+    the draw returns; a trainer holds them first, in this order, as the
+    leading columns of Phi."""
 
     def test_drawn_indices_sorted_same_points_as_rng_choice(self, setup):
         kernel, x, _ = setup
