@@ -39,15 +39,14 @@ Two additional trial modes ride the same harness:
   (the ``serve/batch_requests`` histogram sums to the admitted count
   exactly), and ``serve/deadline-throughput-2x`` — admitted traffic
   still clears the >= 2x one-at-a-time gate while the shedding runs
-  (payload ``serve-deadline``; its top-concurrency server row is the
-  ``serve-deadline/<transport>`` trajectory series).
+  (payload ``serve-deadline``).
 
 CLI: ``python benchmarks/bench_serve.py [--smoke] [--http] [--deadline]
 [--out PATH]``; JSON on stdout and under ``benchmarks/results/``
 (``serve.json`` / ``serve_http.json`` / ``serve_deadline.json``).  The
-load payload's highest-concurrency server row is the
-``serve-load/<transport>`` series of the bench trajectory
-(``merge_trajectory.py`` / ``check_trajectory.py``).
+exit code gates on the claims; serving latency and throughput are
+tracked by the repository benchmark's ``serve-http`` workload
+(``perfbench/``).
 """
 
 from __future__ import annotations

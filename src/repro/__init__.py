@@ -101,8 +101,9 @@ direction): centers and weights split contiguously across ``g`` executors,
 each owning its own backend instance, with per-shard partial predictions
 all-reduced each step.  :class:`~repro.shard.ShardedEigenPro2` trains the
 exact EigenPro 2.0 iteration that way, and
-:func:`repro.experiments.run_shard_validation` compares the cluster cost
-model against the engine's measured per-iteration time::
+:func:`repro.observe.compare_phases` (``python -m repro.experiments
+observe-report``) judges the cluster cost model against a traced fit,
+phase by phase::
 
     from repro.shard import ShardedEigenPro2
 
@@ -114,8 +115,8 @@ model against the engine's measured per-iteration time::
 (:func:`repro.shard.transport.register_transport` /
 :func:`repro.shard.available_transports` — register a
 :class:`~repro.shard.ShardTransport` subclass and ``ShardGroup.build``,
-the trainer, validation harness, bench CLI and conformance suite all see
-it).  The engine a build returns *is* the transport:
+the trainer, the ``observe-report`` experiment and the conformance suite
+all see it).  The engine a build returns *is* the transport:
 :class:`~repro.shard.ShardGroup` is another name for
 :class:`~repro.shard.ShardTransport`.  ``transport="thread"`` (default) drives in-process worker threads
 whose "network" is a host memcpy; ``transport="process"`` runs one
@@ -194,7 +195,8 @@ out-of-band resumption.  A recovered fit matches the failure-free run
 up to the collective's association order over the shrunken plan
 (1e-6-of-scale); :func:`repro.device.cluster.recovery_time` prices the
 detour (re-shard + restore + replayed steps) in the analytic cost
-model, validated by ``benchmarks/bench_shard.py --inject-failure``.
+model, which :func:`repro.observe.compare_phases` joins against the
+measured ``recovery_log_`` as its ``recovery`` row.
 
 Observability
 -------------

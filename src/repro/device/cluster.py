@@ -100,9 +100,10 @@ def allreduce_time(
 #: bandwidth.  The process transport pays a pickle + pipe round-trip per
 #: collective contribution: ~100x the latency, an order of magnitude less
 #: effective bandwidth.  These are calibration-scale figures (the
-#: shard-validation harness recalibrates throughput from a measured g=1
-#: run); their role is to let the modelled allreduce term *differ by
-#: transport*, the way a NCCL link would differ from Ethernet.
+#: compute rate is calibrated from each run by
+#: :func:`repro.observe.compare_phases`); their role is to let the
+#: modelled allreduce term *differ by transport*, the way a NCCL link
+#: would differ from Ethernet.
 TRANSPORT_INTERCONNECTS: dict[str, Interconnect] = {
     "thread": Interconnect(latency_s=2e-5, bandwidth_scalars_per_s=5e9),
     "process": Interconnect(latency_s=2e-4, bandwidth_scalars_per_s=6e8),
@@ -134,10 +135,9 @@ def link_cost(
     transport: str, n_devices: int, payload_scalars: float
 ) -> float:
     """Modelled per-iteration collective cost of a shard transport:
-    :func:`allreduce_time` under that transport's link model.  This is
-    the per-transport term the validation harness folds into the
-    aggregate device spec, so modelled allreduce time differs between a
-    host memcpy (threads) and IPC (processes)."""
+    :func:`allreduce_time` under that transport's link model, so
+    modelled allreduce time differs between a host memcpy (threads) and
+    IPC (processes)."""
     return allreduce_time(
         transport_interconnect(transport), n_devices, payload_scalars
     )

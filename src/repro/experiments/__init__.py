@@ -27,12 +27,7 @@ from repro.experiments.ablations import (
 )
 from repro.experiments.cluster_scaling import (
     ClusterScalingConfig,
-    FailureInjectionConfig,
-    ShardValidationConfig,
-    failure_injection_supported,
     run_cluster_scaling,
-    run_failure_injection,
-    run_shard_validation,
 )
 from repro.experiments.figure1 import Figure1Config, run_figure1
 from repro.experiments.figure2 import Figure2Config, run_figure2
@@ -61,11 +56,6 @@ __all__ = [
     "run_figure2",
     "ClusterScalingConfig",
     "run_cluster_scaling",
-    "ShardValidationConfig",
-    "run_shard_validation",
-    "FailureInjectionConfig",
-    "run_failure_injection",
-    "failure_injection_supported",
     "ObserveReportConfig",
     "run_observe_report",
     "ServeReportConfig",
@@ -96,8 +86,6 @@ EXPERIMENTS = {
     "figure1": run_figure1,
     "figure2": run_figure2,
     "cluster-scaling": run_cluster_scaling,
-    "shard-validation": run_shard_validation,
-    "failure-injection": run_failure_injection,
     "observe-report": run_observe_report,
     "serve-report": run_serve_report,
     "figure3a": run_figure3a,

@@ -67,7 +67,7 @@ __all__ = [
 #: buckets simulated time by them, transports relay worker-side deltas
 #: keyed by them, and :class:`repro.observe.MetricsRegistry` exposes one
 #: ``ops/<category>`` counter per entry.  Renaming or removing an entry
-#: is a breaking change to persisted bench/trajectory artifacts;
+#: is a breaking change to persisted benchmark artifacts;
 #: additions append.
 #:
 #: - ``"kernel_eval"`` — pairwise kernel evaluations, ``m * n * d`` scale.

@@ -1,12 +1,12 @@
 """Measured-vs-modelled per-phase attribution report.
 
-The simulator-vs-engine validation harness
-(:func:`repro.experiments.run_shard_validation`) checks *one* number —
-total per-iteration time — against the Table-1 cost model.  This module
-splits that residual into phases: it joins the wall-clock span totals a
-traced fit produced (:class:`~repro.observe.Tracer`) against the
-analytic model's per-phase predictions, so a mismatch says *which*
-phase the model got wrong.
+The one path that checks the analytic cost model against measurement:
+it joins the wall-clock span totals a traced fit produced
+(:class:`~repro.observe.Tracer`) against the model's per-phase
+predictions, so a mismatch says *which* phase the model got wrong.
+``python -m repro.experiments observe-report`` runs it on a traced
+sharded fit, and the repository benchmark (``perfbench/``) reads its
+per-phase ratios.
 
 Phase mapping
 -------------
@@ -24,9 +24,7 @@ Phase           Measured from spans   Modelled from
 ==============  ====================  ================================
 
 The scalar rate is calibrated from the run itself unless given: total
-mapped compute ops divided by total mapped compute seconds — the same
-measure-one-anchor idiom the shard-validation harness uses for its
-``g=1`` device spec.  The ``eig`` ops of the one-time setup eigensystem
+mapped compute ops divided by total mapped compute seconds.  The ``eig`` ops of the one-time setup eigensystem
 fall outside every per-step span, so they are charged to no compute
 phase and never enter the calibrated rate.
 

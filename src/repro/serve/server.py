@@ -764,8 +764,11 @@ class ModelServer:
                     ),
                 ])
             if not tick_finite and not np.isfinite(values).all():
-                # A NaN/inf prediction must not pass as a success.
+                # A NaN/inf prediction must not pass as a success.  It is
+                # counted before its future fails, so a caller woken by
+                # the failure reads it in stats().
                 failed += 1
+                self.metrics.inc("serve/failed_requests")
                 req.future.set_exception(
                     ReproError(
                         f"request {req.request_id} produced a non-finite "
@@ -790,7 +793,6 @@ class ModelServer:
             _LOG.error(
                 "serve.non_finite run=%s requests=%d", self._run_short, failed
             )
-            self.metrics.inc("serve/failed_requests", failed)
         # One registry round-trip per tick, not per request: the scatter
         # loop runs with callers actively waking up, so its lock traffic
         # is on the latency path.

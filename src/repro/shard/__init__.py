@@ -97,13 +97,11 @@ Because per-shard op counts are shape-derived and the shards tile the
 centers, aggregate counts equal the unsharded counts exactly, and every
 transport executes the *same task functions*, so results are bitwise
 identical across transports (``tests/test_shard_parity.py``,
-``tests/test_shard_transport_conformance.py``).  The validation harness
-(``benchmarks/bench_shard.py`` /
-:func:`repro.experiments.cluster_scaling.run_shard_validation`) closes
-the MLSYSIM-style loop per transport: the same ``(n, m, g)`` workload
-runs through the cluster cost model — with the matching
-:func:`~repro.device.cluster.link_cost` — *and* this engine, reporting
-modelled against measured per-iteration time.
+``tests/test_shard_transport_conformance.py``).
+:func:`repro.observe.compare_phases` (``python -m repro.experiments
+observe-report``) closes the MLSYSIM-style loop per transport: a traced
+fit on this engine is joined phase by phase against the cluster cost
+model, with the transport's link model pricing the all-reduce.
 
 Observability
 -------------

@@ -28,9 +28,9 @@ not depend on ``g``: an elastic rebuild at a smaller ``g`` re-plans
 the same held centers, and the only work left unbalanced is the copy of
 ``Phi``'s columns on the shards that own them.  All selected
 parameters, op counts and simulated-device charges are identical to
-the unsharded trainer by construction, which is what lets the
-validation harness (``benchmarks/bench_shard.py``) compare modelled
-against measured time for the *same* iteration.
+the unsharded trainer by construction, which is what lets
+:func:`repro.observe.compare_phases` compare modelled against measured
+time for the *same* iteration.
 
 The per-shard work is expressed as module-level *task functions*
 (:func:`_form_block_task`, :func:`_contract_task`) acting on a

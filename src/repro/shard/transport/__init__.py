@@ -29,9 +29,9 @@ Transports are discovered by name through one registry: the built-ins
 register here at import, and :func:`register_transport` files any
 :class:`~repro.shard.transport.base.ShardTransport` subclass so that
 ``ShardTransport.build(transport=...)`` (alias ``ShardGroup.build``),
-:class:`~repro.shard.trainer.ShardedEigenPro2`,
-``run_shard_validation``, ``benchmarks/bench_shard.py --transport`` and
-the conformance suite's parametrization all see it — no per-call-site
+:class:`~repro.shard.trainer.ShardedEigenPro2`, the ``observe-report``
+experiment, the repository benchmark and the conformance suite's
+parametrization all see it — no per-call-site
 string matching.  :func:`registered_transports` lists every name;
 :func:`available_transports` filters by each class's
 ``is_available()`` (platform support, optional dependencies), which is
@@ -80,7 +80,7 @@ def register_transport(
     cls: type[ShardTransport], *, replace: bool = False
 ) -> type[ShardTransport]:
     """File a transport class under its ``name`` so every transport
-    consumer (group builder, trainer, validation harness, bench CLI,
+    consumer (group builder, trainer, ``observe-report`` experiment,
     conformance suite) discovers it.
 
     Registration is by class attribute ``name`` and never requires the

@@ -12,7 +12,10 @@ Pins the contracts the rest of the stack relies on:
   per-shard attribution, riding the metered-reply path;
 - the Perfetto export is schema-valid and round-trips the span data;
 - the metrics registry unifies op counts, span durations and recovery
-  events under one run-ID-stamped snapshot.
+  events under one run-ID-stamped snapshot;
+- ``compare_phases`` joins measured phases against the cost model, and
+  the ``observe-report`` experiment built on it holds its claims on
+  every transport.
 """
 
 from __future__ import annotations
@@ -25,6 +28,8 @@ import pytest
 
 from repro.backend import NumpyBackend
 from repro.core.eigenpro2 import EigenPro2
+from repro.device.cluster import recovery_time, transport_interconnect
+from repro.experiments import ObserveReportConfig, run_observe_report
 from repro.instrument import OpMeter, capture
 from repro.kernels import GaussianKernel
 from repro.observe import (
@@ -42,7 +47,12 @@ from repro.observe import (
     trace_scope,
     validate_perfetto,
 )
-from repro.shard import ShardedEigenPro2, registered_transports, transport_available
+from repro.shard import (
+    RecoveryEvent,
+    ShardedEigenPro2,
+    registered_transports,
+    transport_available,
+)
 from repro.shard.transport.base import ShardWorker
 
 transports = pytest.mark.parametrize(
@@ -521,6 +531,71 @@ class TestComparePhases:
         phases = {p["phase"]: p for p in report["phases"]}
         assert phases["gemm"]["measured_s"] == pytest.approx(2.0)
         assert report["totals"]["measured_s"] == pytest.approx(1.5)
+
+    def test_recovery_row_prices_each_event(self):
+        events = [
+            RecoveryEvent(
+                epoch=1, failed_step=9, resumed_step=6, replayed_steps=3,
+                old_g=4, new_g=3, dead_shards=(3,), error="ShardError: x",
+                recovery_s=0.25,
+            ),
+            RecoveryEvent(
+                epoch=2, failed_step=4, resumed_step=4, replayed_steps=0,
+                old_g=3, new_g=2, dead_shards=(), error="ShardError: y",
+                recovery_s=0.5,
+            ),
+        ]
+        report = compare_phases(
+            Tracer(), g=2, link="process", weight_scalars=600.0,
+            recovery_events=events,
+        )
+        row = {p["phase"]: p for p in report["phases"]}["recovery"]
+        link = transport_interconnect("process")
+        assert row["spans"] == 2
+        assert row["measured_s"] == pytest.approx(0.75)
+        assert row["modelled_s"] == pytest.approx(sum(
+            recovery_time(
+                link, ev.new_g, weight_scalars=600.0,
+                replayed_iterations=ev.replayed_steps,
+            )
+            for ev in events
+        ))
+
+        measured_only = compare_phases(
+            Tracer(), g=2, link="process", recovery_events=events
+        )
+        row = {p["phase"]: p for p in measured_only["phases"]}["recovery"]
+        assert row["measured_s"] == pytest.approx(0.75)
+        assert row["modelled_s"] is None
+
+
+class TestObserveReport:
+    """The one model-vs-measured experiment holds every claim on every
+    transport, with one row per compare_phases phase."""
+
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            pytest.param(
+                t,
+                marks=pytest.mark.skipif(
+                    not transport_available(t),
+                    reason=f"transport {t!r} is not available on this host",
+                ),
+            )
+            for t in ("thread", "process")
+        ],
+    )
+    def test_claims_hold(self, transport):
+        result = run_observe_report(
+            ObserveReportConfig(n=600, s=100, transport=transport)
+        )
+        failed = [c.claim_id for c in result.claims if c.holds is False]
+        assert result.all_hold, f"{transport}: claims failed: {failed}"
+        assert [row["phase"] for row in result.rows] == [
+            "form_block", "gemm", "correction", "allreduce",
+            "setup", "mirror", "checkpoint", "recovery",
+        ]
 
 
 class TestPercentiles:

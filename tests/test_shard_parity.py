@@ -408,23 +408,6 @@ class TestShardedEigenPro2:
             trainer.close()
 
 
-class TestShardValidationHarness:
-    def test_emits_modelled_vs_measured(self):
-        from repro.experiments import ShardValidationConfig, run_shard_validation
-
-        cfg = ShardValidationConfig(
-            n=400, m=32, shard_counts=tuple(G_VALUES),
-            n_iterations=3, warmup=1,
-        )
-        result = run_shard_validation(cfg)
-        assert len(result.rows) == len(G_VALUES)
-        for row in result.rows:
-            assert row["modelled_ms"] > 0
-            assert row["measured_ms"] > 0
-        failed = [c.claim_id for c in result.claims if c.holds is False]
-        assert not failed, f"claims failed: {failed}"
-
-
 class TestRidgeOnBackendLayer:
     """The ridge baseline now dispatches through the backend layer, so it
     can run on any backend instance — including inside a shard executor."""

@@ -1,7 +1,7 @@
 """The shard-transport registry: one discovery point for every consumer.
 
-``ShardGroup.build(transport=...)``, ``ShardedEigenPro2``,
-``run_shard_validation``, the bench CLI and the conformance suite's
+``ShardGroup.build(transport=...)``, ``ShardedEigenPro2``, the
+``observe-report`` experiment and the conformance suite's
 parametrization all resolve transports through
 :mod:`repro.shard.transport`'s registry — so registering a transport
 class is sufficient for the whole stack (including the test matrix) to
