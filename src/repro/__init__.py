@@ -155,10 +155,9 @@ views, process/torchdist shards read the parent's direct shared-memory
 writes — ordering is guaranteed by each worker's FIFO task queue, never
 by a per-update barrier.  The cluster cost model carries a
 per-transport link model
-(:func:`repro.device.cluster.transport_interconnect` /
-:func:`~repro.device.cluster.link_cost` — memcpy, IPC, gloo and NCCL
-entries), so modelled allreduce time differs by fabric.  A worker
-process dying mid-epoch raises
+(:func:`repro.device.cluster.transport_interconnect` — memcpy, IPC,
+gloo and NCCL entries), so modelled allreduce time differs by fabric.
+A worker process dying mid-epoch raises
 :class:`~repro.exceptions.ShardError` (no hang, shared-memory segments
 and process groups always reclaimed); platforms without the needed
 support keep ``transport="thread"`` (see
@@ -260,14 +259,16 @@ coalescing window with an EWMA arrival-rate controller
 :class:`~repro.serve.WindowOptions`.  The engine is reachable over the
 network through the stdlib HTTP adapter
 (:class:`~repro.serve.ServeHTTPServer` — JSON in/out, float64 bitwise
-across the wire) and its client (:class:`~repro.serve.HttpClient`)::
+across the wire, kept-alive HTTP/1.1 connections) and its client
+(:class:`~repro.serve.HttpClient`, one persistent connection per
+calling thread)::
 
     from repro.serve import HttpClient, ServeHTTPServer
 
     with ModelServer(model, g=2) as engine:
         with ServeHTTPServer(engine) as http_srv:
-            client = HttpClient(http_srv.url)
-            y = client.predict_request(x_batch).values  # same bits
+            with HttpClient(http_srv.url) as client:
+                y = client.predict_request(x_batch).values  # same bits
 
 Per-request ``serve/{queue,batch,kernel,scatter}`` spans are relayed to
 the submitting caller's tracers (the worker-span discipline), latencies

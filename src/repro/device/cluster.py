@@ -40,7 +40,6 @@ __all__ = [
     "serving_latency",
     "TRANSPORT_INTERCONNECTS",
     "transport_interconnect",
-    "link_cost",
 ]
 
 
@@ -129,18 +128,6 @@ def transport_interconnect(transport: str) -> Interconnect:
             f"no interconnect model for transport {transport!r}; known: "
             + ", ".join(sorted(TRANSPORT_INTERCONNECTS))
         ) from None
-
-
-def link_cost(
-    transport: str, n_devices: int, payload_scalars: float
-) -> float:
-    """Modelled per-iteration collective cost of a shard transport:
-    :func:`allreduce_time` under that transport's link model, so
-    modelled allreduce time differs between a host memcpy (threads) and
-    IPC (processes)."""
-    return allreduce_time(
-        transport_interconnect(transport), n_devices, payload_scalars
-    )
 
 
 def recovery_time(

@@ -207,7 +207,7 @@ def compare_phases(
         modelled_recovery = sum(
             recovery_time(
                 interconnect,
-                ev.new_g,
+                ev.old_g,
                 weight_scalars=weight_scalars,
                 replayed_iterations=ev.replayed_steps,
             )

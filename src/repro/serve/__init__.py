@@ -45,7 +45,9 @@ histogram.
 ``POST /predict`` JSON in/out (float64 survives the JSON round trip
 bitwise), ``GET /healthz`` (:meth:`~ModelServer.health`) and
 ``GET /metrics`` — and :class:`HttpClient` (:mod:`repro.serve.client`)
-calls it, raising the exception types the engine raises in process.
+calls it over one persistent connection per calling thread (resent
+once on a fresh connection if the server closed an idle one), raising
+the exception types the engine raises in process.
 
 **Failures.**  A tick that dies with a
 :class:`~repro.exceptions.ShardError` is retried up to

@@ -1,9 +1,15 @@
 """The HTTP serving client.
 
 :class:`HttpClient` speaks JSON to a :class:`~repro.serve.http
-.ServeHTTPServer` over stdlib :mod:`urllib` (no third-party HTTP stack)
-and raises the exception types the engine raises in process —
-:class:`~repro.exceptions.DeadlineExceeded` for shed requests,
+.ServeHTTPServer` over stdlib :mod:`http.client` (no third-party HTTP
+stack), holding one persistent HTTP/1.1 connection per calling thread:
+a caller pays the TCP handshake once, not per request, and a client
+shared across threads never interleaves two requests on one socket.  A
+*reused* connection that the server has closed in the meantime (its
+idle timeout, or a reply that ended the connection) fails before any
+response byte arrives; the client reconnects and sends that request
+once more.  It raises the exception types the engine raises in process
+— :class:`~repro.exceptions.DeadlineExceeded` for shed requests,
 :class:`~repro.exceptions.ShardError` for backpressure, an unavailable
 engine or an engine-side failure, and
 :class:`~repro.exceptions.ConfigurationError` for malformed input — so
@@ -20,9 +26,10 @@ JSON round-trips float64 losslessly in both directions, so its
 
 from __future__ import annotations
 
+import http.client
 import json
-import urllib.error
-import urllib.request
+import threading
+import weakref
 from typing import Any
 
 import numpy as np
@@ -32,13 +39,42 @@ from repro.serve.api import PredictRequest, PredictResponse
 
 __all__ = ["HttpClient"]
 
+#: Failures of a reused connection that mean the server closed it before
+#: reading the request: nothing of a response arrived, so the request
+#: can be sent again on a fresh connection.  A timeout is not one.
+_STALE_CONNECTION = (
+    http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError,
+)
+
 
 class HttpClient:
     """A client of a :class:`~repro.serve.http.ServeHTTPServer` base URL
-    (e.g. ``"http://127.0.0.1:8041"``)."""
+    (e.g. ``"http://127.0.0.1:8041"``).
+
+    Each calling thread gets its own persistent connection (an
+    ``HTTPSConnection`` for ``https://`` URLs), opened on its first
+    request and reused after that, so one client may be shared by any
+    number of threads.  When a request on a reused connection fails
+    with a disconnect before any response arrived
+    (``RemoteDisconnected``, ``ConnectionResetError`` or
+    ``BrokenPipeError``), the client reconnects and resends it exactly
+    once; after a timeout, or once a response has started, it never
+    resends.  The resend is safe because every endpoint it calls is a
+    pure read: ``POST /predict`` evaluates the model and changes no
+    server state.
+
+    :meth:`close` closes every connection the client opened, on every
+    thread (a later request reconnects); the client is also a context
+    manager::
+
+        with HttpClient(http_srv.url) as client:
+            client.predict_request(x).values
+    """
 
     def __init__(self, base_url: str, *, timeout_s: float = 60.0) -> None:
-        if not str(base_url).startswith(("http://", "https://")):
+        scheme, _, rest = str(base_url).partition("://")
+        netloc, _, path = rest.partition("/")
+        if scheme not in ("http", "https") or not netloc:
             raise ConfigurationError(
                 f"base_url must be an http(s) URL, got {base_url!r}"
             )
@@ -48,8 +84,28 @@ class HttpClient:
                 f"timeout_s must be > 0, got {timeout_s!r}"
             )
         self.timeout_s = float(timeout_s)
+        self._netloc = netloc
+        self._path_prefix = ("/" + path).rstrip("/")
+        self._connection_type = (
+            http.client.HTTPSConnection if scheme == "https"
+            else http.client.HTTPConnection
+        )
+        # The thread's connection lives in its thread-local slot; the
+        # weak set only lets close() reach every live one.
+        self._local = threading.local()
+        self._connections: weakref.WeakSet = weakref.WeakSet()
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- plumbing
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "connection", None)
+        if conn is None:
+            conn = self._connection_type(self._netloc, timeout=self.timeout_s)
+            self._local.connection = conn
+            with self._lock:
+                self._connections.add(conn)
+        return conn
+
     def _round_trip(
         self,
         path: str,
@@ -57,24 +113,51 @@ class HttpClient:
         timeout: float | None = None,
     ) -> tuple[int, dict]:
         data = None if body is None else json.dumps(body).encode("utf-8")
-        req = urllib.request.Request(
-            f"{self.base_url}{path}",
-            data=data,
-            headers={"Content-Type": "application/json"} if data else {},
-            method="POST" if data is not None else "GET",
-        )
-        timeout = self.timeout_s if timeout is None else float(timeout)
+        method = "GET" if data is None else "POST"
+        headers = {} if data is None else {"Content-Type": "application/json"}
+        conn = self._connection()
+        conn.timeout = self.timeout_s if timeout is None else float(timeout)
         try:
-            with urllib.request.urlopen(req, timeout=timeout) as resp:
-                return resp.status, json.loads(resp.read())
-        except urllib.error.HTTPError as exc:
-            # Error statuses still carry a JSON body (the adapter's
-            # error schema); surface it instead of the bare HTTPError.
-            try:
-                payload = json.loads(exc.read())
-            except Exception:
-                payload = {"error": "http_error", "detail": str(exc)}
-            return exc.code, payload
+            resp = self._send(
+                conn, method, self._path_prefix + path, data, headers
+            )
+            raw = resp.read()
+        except BaseException:
+            conn.close()  # never leave a half-used connection for reuse
+            raise
+        try:
+            return resp.status, json.loads(raw)
+        except ValueError:
+            if resp.status == 200:
+                raise
+            # Error statuses carry the adapter's JSON error schema; the
+            # stdlib's own error pages (malformed request line) do not.
+            detail = f"{resp.status} {resp.reason}"
+            return resp.status, {"error": "http_error", "detail": detail}
+
+    @staticmethod
+    def _send(
+        conn: http.client.HTTPConnection,
+        method: str,
+        url: str,
+        data: bytes | None,
+        headers: dict,
+    ) -> http.client.HTTPResponse:
+        """Send one request and read its status line and headers,
+        resending once on a fresh connection if a reused one turns out
+        closed by the server."""
+        reused = conn.sock is not None
+        if reused:
+            conn.sock.settimeout(conn.timeout)
+        try:
+            conn.request(method, url, body=data, headers=headers)
+            return conn.getresponse()
+        except _STALE_CONNECTION:
+            if not reused:
+                raise
+        conn.close()
+        conn.request(method, url, body=data, headers=headers)
+        return conn.getresponse()
 
     @staticmethod
     def _raise_for(status: int, payload: dict) -> None:
@@ -125,3 +208,17 @@ class HttpClient:
         if status != 200:  # pragma: no cover - adapter always serves it
             self._raise_for(status, payload)
         return payload
+
+    # -------------------------------------------------------------- teardown
+    def close(self) -> None:
+        """Close every connection this client opened, on every thread."""
+        with self._lock:
+            connections = list(self._connections)
+        for conn in connections:
+            conn.close()
+
+    def __enter__(self) -> "HttpClient":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()

@@ -553,9 +553,10 @@ class TestComparePhases:
         link = transport_interconnect("process")
         assert row["spans"] == 2
         assert row["measured_s"] == pytest.approx(0.75)
+        # Priced with the shard count before each failure (4, then 3).
         assert row["modelled_s"] == pytest.approx(sum(
             recovery_time(
-                link, ev.new_g, weight_scalars=600.0,
+                link, ev.old_g, weight_scalars=600.0,
                 replayed_iterations=ev.replayed_steps,
             )
             for ev in events
@@ -567,6 +568,26 @@ class TestComparePhases:
         row = {p["phase"]: p for p in measured_only["phases"]}["recovery"]
         assert row["measured_s"] == pytest.approx(0.75)
         assert row["modelled_s"] is None
+
+    def test_recovery_row_prices_shrink_to_one_shard(self):
+        """A ``g = 2`` fit that loses a shard runs on alone; its
+        recovery is priced at the two shards it had, not rejected."""
+        event = RecoveryEvent(
+            epoch=0, failed_step=5, resumed_step=4, replayed_steps=1,
+            old_g=2, new_g=1, dead_shards=(1,), error="ShardError: z",
+            recovery_s=0.125,
+        )
+        report = compare_phases(
+            Tracer(), g=2, link="process", weight_scalars=600.0,
+            recovery_events=[event],
+        )
+        row = {p["phase"]: p for p in report["phases"]}["recovery"]
+        assert row["spans"] == 1
+        assert row["measured_s"] == pytest.approx(0.125)
+        assert row["modelled_s"] == pytest.approx(recovery_time(
+            transport_interconnect("process"), 2, weight_scalars=600.0,
+            replayed_iterations=1,
+        ))
 
 
 class TestObserveReport:

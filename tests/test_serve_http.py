@@ -7,13 +7,19 @@ solo :func:`~repro.shard.sharded_predict` — because JSON round-trips
 float64 losslessly.  Around that: the health/metrics endpoints, the
 error mapping (400 malformed / 500 engine failure / 503 backpressure /
 504 shed), a property test that ``/predict`` answers every JSON body,
-the per-request timings on the wire, and :class:`~repro.serve
-.HttpClient` agreeing with the engine it calls.
+the per-request timings on the wire, :class:`~repro.serve
+.HttpClient` agreeing with the engine it calls, and the kept-alive
+connections: reused per calling thread, re-opened once after the server
+closed an idle one, never left holding unread request bytes, and ended
+by the adapter's ``close()``.
 """
 
 from __future__ import annotations
 
 import json
+import socket
+import threading
+import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -40,6 +46,7 @@ from repro.serve import (
     ServeHTTPServer,
     ServeOptions,
 )
+from repro.serve.http import _Handler
 from repro.shard import ShardGroup, sharded_predict
 
 N, D, L = 151, 4, 3
@@ -421,3 +428,186 @@ def test_owns_server_ties_lifecycles(served):
         pass
     assert engine.closed
     assert not group.closed  # the group stays borrowed throughout
+
+
+# --------------------------------------------------------------------------
+# Kept-alive connections
+# --------------------------------------------------------------------------
+
+
+def _connections(server: ModelServer) -> float:
+    """Connections the server's HTTP adapters have accepted so far."""
+    return server.stats()["counters"].get("serve/http_connections", 0)
+
+
+def _handler_threads(adapter: ServeHTTPServer) -> list[threading.Thread]:
+    name = f"repro-serve-http:{adapter.port}"
+    return [t for t in threading.enumerate() if t.name == name]
+
+
+def test_one_connection_serves_sequential_requests(served):
+    group, server, http_srv = served
+    x = np.random.default_rng(53).standard_normal((2, D))
+    want = np.asarray(sharded_predict(group, x))
+    before = _connections(server)
+    with HttpClient(http_srv.url) as client:
+        for _ in range(8):
+            np.testing.assert_array_equal(
+                client.predict_request(x).values, want
+            )
+        assert client.health()["status"] == "ok"
+        assert client.stats()["run_id"]["id"] == server.run_id
+    assert _connections(server) - before == 1
+
+
+def test_idle_closed_connection_reconnects_transparently(served, monkeypatch):
+    """The server ends a connection idle past the handler timeout; the
+    client's next request fails on the dead socket before any response
+    and is resent once on a fresh connection."""
+    group, server, _ = served
+    monkeypatch.setattr(_Handler, "timeout", 0.2)
+    x = np.random.default_rng(59).standard_normal((1, D))
+    want = np.asarray(sharded_predict(group, x))
+    with ServeHTTPServer(server) as adapter:
+        before = _connections(server)
+        client = HttpClient(adapter.url)
+        np.testing.assert_array_equal(client.predict_request(x).values, want)
+        deadline = time.monotonic() + 10
+        while _handler_threads(adapter) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not _handler_threads(adapter), "idle connection not closed"
+        np.testing.assert_array_equal(client.predict_request(x).values, want)
+        assert _connections(server) - before == 2
+        client.close()
+
+
+def test_shared_client_one_connection_per_thread(served):
+    group, server, http_srv = served
+    rng = np.random.default_rng(61)
+    xs = [rng.standard_normal((k % 3 + 1, D)) for k in range(20)]
+    wants = [np.asarray(sharded_predict(group, x)) for x in xs]
+    before = _connections(server)
+    barrier = threading.Barrier(4, timeout=30)
+
+    def run(i: int) -> list[np.ndarray]:
+        barrier.wait()  # all four threads hold a connection at once
+        return [client.predict_request(x).values for x in xs[i::4]]
+
+    with HttpClient(http_srv.url) as client:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(run, range(4)))
+    for i, got in enumerate(results):
+        for values, want in zip(got, wants[i::4]):
+            np.testing.assert_array_equal(values, want)
+    assert _connections(server) - before == 4
+
+
+def test_client_close_ends_connections_and_reconnects(served):
+    group, server, http_srv = served
+    x = np.zeros((1, D))
+    want = np.asarray(sharded_predict(group, x))
+    before = _connections(server)
+    client = HttpClient(http_srv.url)
+    client.predict_request(x)
+    client.close()
+    np.testing.assert_array_equal(client.predict_request(x).values, want)
+    client.close()
+    assert _connections(server) - before == 2
+
+
+def test_replies_disable_nagle(served, monkeypatch):
+    """A reply is written as headers then body; on a kept-alive socket
+    with Nagle's algorithm on, the body would wait for the client's
+    delayed ACK.  Every accepted socket has TCP_NODELAY set."""
+    _, server, _ = served
+    nodelay: list[int] = []
+    setup = _Handler.setup
+
+    def spy(handler: _Handler) -> None:
+        setup(handler)
+        nodelay.append(handler.connection.getsockopt(
+            socket.IPPROTO_TCP, socket.TCP_NODELAY
+        ))
+
+    monkeypatch.setattr(_Handler, "setup", spy)
+    with ServeHTTPServer(server) as adapter:
+        with HttpClient(adapter.url) as client:
+            client.predict_request(np.zeros((1, D)))
+    assert nodelay and all(nodelay)
+
+
+def test_unread_body_never_reaches_the_next_request(served):
+    """A ``POST`` to an unknown route is answered without reading its
+    body; the reply ends the connection, so the client's next request
+    is not parsed out of the leftover body bytes."""
+    group, _, http_srv = served
+    x = np.random.default_rng(67).standard_normal((3, D))
+    with HttpClient(http_srv.url) as client:
+        status, payload = client._round_trip(
+            "/nope", {"rows": x.tolist(), "pad": "x" * 4096}
+        )
+        assert status == 404 and payload["error"] == "not_found"
+        np.testing.assert_array_equal(
+            client.predict_request(x).values,
+            np.asarray(sharded_predict(group, x)),
+        )
+
+
+_BODY = b'{"rows": [[0.0, 0.0, 0.0, 0.0]]}'
+
+
+@pytest.mark.parametrize(
+    "request_line, header, status",
+    [
+        ("POST /predict", "Content-Length: abc", 400),
+        ("POST /predict", "Content-Length: 0", 400),
+        ("POST /predict", f"Content-Length: {10**12}", 400),
+        ("POST /predict", "Transfer-Encoding: chunked", 400),
+        ("GET /healthz", f"Content-Length: {len(_BODY)}", 200),
+    ],
+    ids=["non-numeric-length", "zero-length", "huge-length", "chunked",
+         "get-with-body"],
+)
+def test_reply_leaving_body_unread_closes_connection(
+    served, request_line, header, status
+):
+    """A reply sent without reading the request's body says
+    ``Connection: close`` and ends the connection."""
+    _, _, http_srv = served
+    with socket.create_connection((http_srv.host, http_srv.port), 30) as sock:
+        sock.sendall(
+            f"{request_line} HTTP/1.1\r\nHost: x\r\n{header}\r\n\r\n"
+            .encode() + _BODY
+        )
+        reply = b""
+        while chunk := sock.recv(65536):  # the server ends the connection
+            reply += chunk
+    head_bytes, _, payload = reply.partition(b"\r\n\r\n")
+    assert head_bytes.startswith(f"HTTP/1.1 {status}".encode())
+    assert b"Connection: close" in head_bytes
+    json.loads(payload)  # one complete JSON reply, nothing after it
+
+
+def test_closed_adapter_stops_serving_kept_alive_connections(served):
+    """After close(), a client holding a live connection is never
+    served again: its socket is shut down, the resend finds no
+    listener, and the engine sees no further request."""
+    group, _, _ = served
+    engine = ModelServer(group=group)
+    try:
+        adapter = ServeHTTPServer(engine)
+        client = HttpClient(adapter.url, timeout_s=10)
+        x = np.zeros((1, D))
+        client.predict_request(x)
+        assert _handler_threads(adapter)  # the kept-alive connection
+        counters = dict(engine.stats()["counters"])
+        adapter.close()
+        assert not _handler_threads(adapter)
+        with pytest.raises((ShardError, ConnectionError)):
+            client.predict_request(x)
+        after = engine.stats()["counters"]
+        for name in ("serve/requests", "serve/http_requests"):
+            assert after.get(name, 0) == counters.get(name, 0), name
+        client.close()
+    finally:
+        engine.close()
