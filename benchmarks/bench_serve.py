@@ -25,28 +25,21 @@ Claims recorded in the JSON payload:
   micro-batched server sustains >= 2x the one-at-a-time baseline's
   throughput (asserted: this is the serving engine's reason to exist).
 
-Two additional trial modes ride the same harness:
+One additional trial mode rides the same harness: ``--deadline`` mixes
+doomed traffic (vanishing ``deadline_s``) into an admitted closed-loop
+load and asserts the QoS contract: ``serve/deadline-shed-fast`` — every
+doomed request fails with :class:`~repro.exceptions.DeadlineExceeded`
+and consumes no tick (the ``serve/batch_requests`` histogram sums to the
+admitted count exactly), and ``serve/deadline-throughput-2x`` —
+admitted traffic still clears the >= 2x one-at-a-time gate while the
+shedding runs (payload ``serve-deadline``).  HTTP bitwise parity is
+pinned by ``tests/test_serve_http.py``.
 
-- ``--http`` swaps the in-process client for the stdlib HTTP transport
-  (:class:`repro.serve.ServeHTTPServer` + ``HttpClient``) at one offered
-  concurrency and asserts the wire adds a transport, not a numeric
-  path: ``serve/http-bitwise`` — every HTTP response carries exactly
-  the solo ``sharded_predict`` bits (payload ``serve-http``);
-- ``--deadline`` mixes doomed traffic (vanishing ``deadline_s``) into
-  an admitted closed-loop load and asserts the QoS contract:
-  ``serve/deadline-shed-fast`` — every doomed request fails with
-  :class:`~repro.exceptions.DeadlineExceeded` and consumes no tick
-  (the ``serve/batch_requests`` histogram sums to the admitted count
-  exactly), and ``serve/deadline-throughput-2x`` — admitted traffic
-  still clears the >= 2x one-at-a-time gate while the shedding runs
-  (payload ``serve-deadline``).
-
-CLI: ``python benchmarks/bench_serve.py [--smoke] [--http] [--deadline]
+CLI: ``python benchmarks/bench_serve.py [--smoke] [--deadline]
 [--out PATH]``; JSON on stdout and under ``benchmarks/results/``
-(``serve.json`` / ``serve_http.json`` / ``serve_deadline.json``).  The
-exit code gates on the claims; serving latency and throughput are
-tracked by the repository benchmark's ``serve-http`` workload
-(``perfbench/``).
+(``serve.json`` / ``serve_deadline.json``).  The exit code gates on the
+claims; serving latency and throughput are tracked by the repository
+benchmark's ``serve-http`` workload (``perfbench/``).
 """
 
 from __future__ import annotations
@@ -306,105 +299,6 @@ def run_bench(
     }
 
 
-def run_http_bench(
-    *,
-    n: int,
-    d: int,
-    l: int,
-    rows_per_request: int,
-    requests_per_client: int,
-    concurrency: int,
-    transport: str,
-    g: int,
-) -> dict:
-    """Closed-loop load through the stdlib HTTP adapter: the wire must
-    add a transport, not a numeric path (bitwise vs solo
-    ``sharded_predict``)."""
-    from repro.serve import HttpClient, ServeHTTPServer
-
-    rng = np.random.default_rng(1)
-    centers = rng.standard_normal((n, d))
-    weights = rng.standard_normal((n, l))
-    kernel = GaussianKernel(bandwidth=4.0)
-    run_id = new_run_id()
-    requests = _make_requests(
-        rng, concurrency, requests_per_client, rows_per_request, d
-    )
-    outputs: list[list[np.ndarray]] = [
-        [None] * len(reqs) for reqs in requests
-    ]
-
-    registry = MetricsRegistry(run_id=run_id)
-    with ShardGroup.build(
-        centers, weights, g=g, kernel=kernel, transport=transport
-    ) as group:
-        expected = [
-            [np.asarray(sharded_predict(group, x)) for x in reqs]
-            for reqs in requests
-        ]
-        with ModelServer(
-            group=group, metrics=registry,
-            options=serve_options(concurrency),
-        ) as server:
-            with ServeHTTPServer(server) as http_srv:
-                client = HttpClient(http_srv.url, timeout_s=300)
-
-                def load(i: int) -> None:
-                    for j, x in enumerate(requests[i]):
-                        outputs[i][j] = client.predict_request(x).values
-
-                threads = [
-                    threading.Thread(
-                        target=load, args=(i,), name=f"http-load-{i}"
-                    )
-                    for i in range(concurrency)
-                ]
-                t0 = time.perf_counter()
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                wall_s = time.perf_counter() - t0
-
-    bitwise = all(
-        np.array_equal(got, want, equal_nan=True)
-        for outs, wants in zip(outputs, expected)
-        for got, want in zip(outs, wants)
-    )
-    total = concurrency * requests_per_client
-    snapshot = registry.snapshot()
-    hist = snapshot["histograms"].get("serve/request_s", {})
-    row = {
-        "mode": "http",
-        "concurrency": concurrency,
-        "requests": total,
-        "throughput_rps": total / wall_s if wall_s > 0 else None,
-        "p50_ms": 1e3 * hist.get("p50", float("nan")),
-        "p95_ms": 1e3 * hist.get("p95", float("nan")),
-        "http_requests": snapshot["counters"].get("serve/http_requests", 0),
-        "bitwise_identical": bitwise,
-    }
-    return {
-        "benchmark": "serve-http",
-        "run_id": run_id,
-        "transport": transport,
-        "config": {
-            "n": n, "d": d, "l": l,
-            "rows_per_request": rows_per_request,
-            "requests_per_client": requests_per_client,
-            "concurrency": concurrency, "transport": transport, "g": g,
-        },
-        "rows": [row],
-        "claims": [
-            {
-                "claim_id": "serve/http-bitwise",
-                "measured": f"{total} HTTP responses compared",
-                "holds": bitwise,
-            },
-        ],
-    }
-
-
 #: Doomed requests' deadline: expired by the time any cohort can form
 #: (dispatch-loop iterations are microseconds; this is a nanosecond).
 DOOMED_DEADLINE_S = 1e-9
@@ -638,9 +532,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help="shrink the workload for CI")
-    parser.add_argument("--http", action="store_true",
-                        help="run the HTTP-adapter trial instead of the "
-                             "in-process load sweep")
     parser.add_argument("--deadline", action="store_true",
                         help="run the deadline-load trial instead of the "
                              "in-process load sweep")
@@ -648,21 +539,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--transport", default="thread")
     parser.add_argument("--g", type=int, default=2)
     args = parser.parse_args(argv)
-    if args.http and args.deadline:
-        parser.error("--http and --deadline are separate trials")
-
-    if args.http:
-        shape = (
-            dict(n=2_048, d=16, l=4, rows_per_request=1,
-                 requests_per_client=20, concurrency=4)
-            if args.smoke
-            else dict(n=8_192, d=32, l=8, rows_per_request=1,
-                      requests_per_client=40, concurrency=8)
-        )
-        payload = run_http_bench(transport=args.transport, g=args.g, **shape)
-        payload["smoke"] = args.smoke
-        # serve/http-bitwise gates: the wire must not change the bits.
-        return _emit(payload, args.out, "serve_http.json")
 
     if args.deadline:
         shape = (

@@ -28,7 +28,6 @@ from repro.device.cluster import (
     Interconnect,
     allreduce_time,
     multi_gpu,
-    serving_latency,
 )
 from repro.device.presets import (
     cpu_sequential,
@@ -46,7 +45,6 @@ __all__ = [
     "Interconnect",
     "multi_gpu",
     "allreduce_time",
-    "serving_latency",
     "titan_xp",
     "titan_x",
     "tesla_k40",

@@ -37,7 +37,6 @@ __all__ = [
     "multi_gpu",
     "allreduce_time",
     "recovery_time",
-    "serving_latency",
     "TRANSPORT_INTERCONNECTS",
     "transport_interconnect",
 ]
@@ -218,65 +217,6 @@ def recovery_time(
     restore = survivors * interconnect.latency_s + float(weight_scalars) / beta
     replay = int(replayed_iterations) * float(iteration_time_s)
     return reshard + restore + replay
-
-
-def serving_latency(
-    interconnect: Interconnect,
-    n_devices: int,
-    *,
-    payload_scalars: float,
-    queue_wait_s: float = 0.0,
-    block_time_s: float = 0.0,
-    fused: bool = True,
-    deadline_s: float | None = None,
-) -> float:
-    """Modelled end-to-end latency of one micro-batched serving request
-    (the :mod:`repro.serve` dispatcher path): time spent waiting for the
-    tick, plus the tick's fused kernel block, plus the collective that
-    combines the per-shard partials.
-
-    Three terms, mirroring the measured ``serve/{queue,kernel}`` spans:
-
-    - **queue wait**: how long the request sat before its dispatcher
-      tick fired (measured ``serve/queue_s``; under closed-loop load
-      roughly half a tick on average);
-    - **block**: the sharded kernel block + GEMM for the whole coalesced
-      batch (shared by every request riding the tick);
-    - **all-reduce**: :func:`allreduce_time` over the tick's
-      ``payload_scalars`` (the coalesced ``B * l`` response block).
-      ``fused=True`` (the ``map_allreduce`` path the server actually
-      runs) shaves one ``interconnect.latency_s`` dispatch, exactly as
-      :func:`multi_gpu` does with ``fused_collective`` — fusion removes a
-      round-trip, not bytes.
-
-    ``deadline_s`` models the dispatcher's shedding rule: a request
-    whose deadline expires while queued never reaches the shard group,
-    so when ``queue_wait_s >= deadline_s`` the modelled latency is just
-    ``deadline_s`` — the moment the engine fails the future with
-    :class:`~repro.exceptions.DeadlineExceeded` — and *no* block or
-    collective term is charged.  ``None`` (default) never sheds.
-    """
-    if queue_wait_s < 0:
-        raise ConfigurationError(
-            f"queue_wait_s must be >= 0, got {queue_wait_s}"
-        )
-    if block_time_s < 0:
-        raise ConfigurationError(
-            f"block_time_s must be >= 0, got {block_time_s}"
-        )
-    if deadline_s is not None:
-        if not float(deadline_s) > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 (or None), got {deadline_s}"
-            )
-        if float(queue_wait_s) >= float(deadline_s):
-            # Shed while queued: the caller hears back at the deadline,
-            # and the tick spends nothing on the request.
-            return float(deadline_s)
-    sync = allreduce_time(interconnect, n_devices, payload_scalars)
-    if fused and n_devices > 1:
-        sync = max(0.0, sync - interconnect.latency_s)
-    return float(queue_wait_s) + float(block_time_s) + sync
 
 
 def multi_gpu(

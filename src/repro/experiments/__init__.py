@@ -37,10 +37,6 @@ from repro.experiments.observe_report import (
     ObserveReportConfig,
     run_observe_report,
 )
-from repro.experiments.serve_report import (
-    ServeReportConfig,
-    run_serve_report,
-)
 from repro.experiments.table1 import Table1Config, run_table1
 from repro.experiments.table2 import PAPER_TABLE2, Table2Config, run_table2
 from repro.experiments.table3 import PAPER_TABLE3, Table3Config, run_table3
@@ -58,8 +54,6 @@ __all__ = [
     "run_cluster_scaling",
     "ObserveReportConfig",
     "run_observe_report",
-    "ServeReportConfig",
-    "run_serve_report",
     "Figure3Config",
     "run_figure3a",
     "run_figure3b",
@@ -87,7 +81,6 @@ EXPERIMENTS = {
     "figure2": run_figure2,
     "cluster-scaling": run_cluster_scaling,
     "observe-report": run_observe_report,
-    "serve-report": run_serve_report,
     "figure3a": run_figure3a,
     "figure3b": run_figure3b,
     "table1": run_table1,

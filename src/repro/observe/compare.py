@@ -28,6 +28,11 @@ mapped compute ops divided by total mapped compute seconds.  The ``eig`` ops of 
 fall outside every per-step span, so they are charged to no compute
 phase and never enter the calibrated rate.
 
+A recovery's replayed steps are priced at the run's own per-step time:
+the wall seconds of the step phases (``form_block``, ``gemm``,
+``correction``, ``allreduce``) over the number of steps traced, one
+``correction`` span per step (``0`` when none were traced).
+
 Each row sums every span of its phase.  The TOTAL row counts wall time
 instead: the shards run side by side, so a worker phase (spans carrying
 a ``shard`` attribute) enters it as the slowest shard's sum, and TOTAL
@@ -55,6 +60,9 @@ PHASE_OP_CATEGORIES: dict[str, tuple[str, ...]] = {
     "gemm": ("gemm",),
     "correction": ("precond",),
 }
+
+#: Phases whose wall time makes up one training step.
+STEP_PHASES: tuple[str, ...] = (*PHASE_OP_CATEGORIES, "allreduce")
 
 #: Phases reported measured-only (no analytic model term).
 UNMODELLED_PHASES: tuple[str, ...] = ("setup", "mirror", "checkpoint")
@@ -201,6 +209,10 @@ def compare_phases(
             spans=counts.get(phase, 0),
         ))
 
+    steps = counts.get("correction", 0)
+    step_s = (
+        sum(wall.get(p, 0.0) for p in STEP_PHASES) / steps if steps else 0.0
+    )
     measured_recovery = sum(ev.recovery_s for ev in recovery_events)
     modelled_recovery = None
     if recovery_events and weight_scalars is not None:
@@ -210,6 +222,7 @@ def compare_phases(
                 ev.old_g,
                 weight_scalars=weight_scalars,
                 replayed_iterations=ev.replayed_steps,
+                iteration_time_s=step_s,
             )
             for ev in recovery_events
         )

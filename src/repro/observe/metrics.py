@@ -106,9 +106,7 @@ class MetricsRegistry:
         :meth:`snapshot` summarizes to percentiles; this accessor is
         for callers that need the individual samples — e.g. asserting
         the serving dispatcher's ``serve/batch_requests`` per-tick
-        cohort sizes sum to exactly the admitted request count, or
-        checking every ``serve/window_s`` decision stayed inside the
-        adaptive controller's configured band.
+        cohort sizes sum to exactly the admitted request count.
         """
         with self._lock:
             return list(self._histograms.get(name, ()))

@@ -32,14 +32,6 @@ queued is *shed*: its future fails with
 before any shard work is spent on it (``serve/shed_requests`` counts
 them).
 
-**Adaptive window.**  ``ServeOptions(batch_wait="adaptive")`` replaces
-the fixed coalescing window with :class:`AdaptiveWindow` — an EWMA of
-observed inter-arrival gaps sizes each tick's window inside a
-``[floor_s, ceiling_s]`` band (:class:`WindowOptions`), so bursts
-dispatch immediately while sparse traffic stops paying for stragglers
-that are not coming.  Every decision lands in the ``serve/window_s``
-histogram.
-
 **Transports.**  :class:`~repro.serve.http.ServeHTTPServer`
 (:mod:`repro.serve.http`) exposes a live engine over stdlib HTTP —
 ``POST /predict`` JSON in/out (float64 survives the JSON round trip
@@ -62,28 +54,20 @@ Latency is observable end to end: ``serve/{queue,batch,kernel,
 scatter}`` spans are relayed to each submitting caller's tracers, and
 the server's :class:`~repro.observe.MetricsRegistry` carries
 run-ID-stamped ``serve/*`` histograms (p50/p95/p99 in
-:meth:`~ModelServer.stats`).  The modelled cost of one request is
-:func:`repro.device.cluster.serving_latency` (queue wait + fused block
-+ all-reduce, with deadline shedding); ``benchmarks/bench_serve.py``
-measures the real thing under closed-loop load, and the
-``serve-report`` experiment (:mod:`repro.experiments.serve_report`)
-checks the two against each other.
+:meth:`~ModelServer.stats`).  ``benchmarks/bench_serve.py`` measures
+throughput under closed-loop load.
 """
 
-from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.serve.client import HttpClient
 from repro.serve.http import ServeHTTPServer
-from repro.serve.server import ADAPTIVE, ModelServer, ServeOptions
+from repro.serve.server import ModelServer, ServeOptions
 
 __all__ = [
-    "ADAPTIVE",
-    "AdaptiveWindow",
     "HttpClient",
     "ModelServer",
     "PredictRequest",
     "PredictResponse",
     "ServeHTTPServer",
     "ServeOptions",
-    "WindowOptions",
 ]

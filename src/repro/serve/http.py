@@ -53,8 +53,7 @@ round-trip reprs and ``json.loads`` parses them back to the identical
 IEEE-754 double, so ``POST /predict`` responses carry *exactly* the
 bits an in-process :meth:`~repro.serve.ModelServer.predict_request` —
 and therefore a solo :func:`~repro.shard.sharded_predict` — would return
-(pinned by ``tests/test_serve_http.py`` and the
-``bench_serve.py --http`` smoke).
+(pinned by ``tests/test_serve_http.py``).
 
 The adapter *borrows* the :class:`~repro.serve.ModelServer` by default
 (closing the adapter stops the listener and ends its connections but

@@ -31,20 +31,13 @@ each tick the dispatcher first sheds every queued request whose
 their futures fail with :class:`~repro.exceptions.DeadlineExceeded`
 *before* any shard work runs, so an already-late caller never consumes
 tick capacity other requests could use (``serve/shed_requests`` counts
-them; :func:`repro.device.cluster.serving_latency` prices the policy
-via its ``deadline_s`` hook).  Surviving requests are ordered by
-descending priority (stable, so equal priorities keep arrival order)
-and the cohort budgets (``max_batch_requests`` / ``max_batch_rows``)
-are filled from the front.  Sustained high-priority load can therefore
+them).  Surviving requests are ordered by descending priority (stable,
+so equal priorities keep arrival order) and the cohort budgets
+(``max_batch_requests`` / ``max_batch_rows``) are filled from the
+front.  Sustained high-priority load can therefore
 starve low-priority requests — that is the policy, not an accident;
 latency-sensitive deployments bound the damage with deadlines, which
 turn starvation into fast, observable shedding.
-
-The micro-batching window is either a fixed ``batch_wait`` in seconds
-or ``"adaptive"``: an :class:`~repro.serve.adaptive.AdaptiveWindow`
-sizes each tick's window from an EWMA of observed inter-arrival gaps,
-clamped to the configured floor/ceiling band, and every decision lands
-in the ``serve/window_s`` histogram.
 """
 
 from __future__ import annotations
@@ -82,16 +75,11 @@ from repro.instrument import (
 )
 from repro.kernels.base import Kernel
 from repro.observe.metrics import MetricsRegistry
-from repro.serve.adaptive import AdaptiveWindow, WindowOptions
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.shard.group import ShardGroup
 from repro.shard.ops import _serve_batch_task
 
-__all__ = ["ADAPTIVE", "ModelServer", "ServeOptions"]
-
-#: Sentinel accepted by ``ServeOptions(batch_wait=...)`` to enable the
-#: arrival-rate-driven window (:mod:`repro.serve.adaptive`).
-ADAPTIVE = "adaptive"
+__all__ = ["ModelServer", "ServeOptions"]
 
 _LOG = logging.getLogger("repro.serve")
 
@@ -105,27 +93,18 @@ class ServeOptions:
     max_batch_requests:
         Most requests one dispatcher tick coalesces.
     batch_wait:
-        Micro-batching window: once a request is waiting, how long the
-        dispatcher keeps listening for more arrivals before launching
-        the tick (it launches early the moment ``max_batch_requests``
-        are queued, and never waits while closing).  ``0`` — the default
+        Micro-batching window in seconds: once a request is waiting, how
+        long the dispatcher keeps listening for more arrivals before
+        launching the tick (it launches early the moment
+        ``max_batch_requests`` are queued, and never waits while
+        closing).  ``0`` — the default
         — is latency-first: a tick launches the instant the dispatcher
         is free.  Throughput-oriented deployments set a window on the
         order of the inter-arrival jitter so one tick coalesces a full
         cohort of concurrent callers instead of whatever fraction had
-        arrived first; ``batch_wait="adaptive"`` closes that loop —
-        an :class:`~repro.serve.adaptive.AdaptiveWindow` sizes each
-        tick's window from the observed arrival rate inside the
-        ``adaptive`` options' floor/ceiling band, recording every
-        decision in the ``serve/window_s`` histogram.  In-flight ticks
-        keep the workers busy while the window runs, so with
-        ``pipeline_depth > 1`` it costs dispatch latency only, not
-        pipeline occupancy.
-    adaptive:
-        :class:`~repro.serve.adaptive.WindowOptions` for the adaptive
-        window (floor/ceiling band, EWMA dynamics).  Only meaningful —
-        and only accepted — with ``batch_wait="adaptive"``; ``None``
-        there means defaults.
+        arrived first.  In-flight ticks keep the workers busy while the
+        window runs, so with ``pipeline_depth > 1`` it costs dispatch
+        latency only, not pipeline occupancy.
     pipeline_depth:
         Ticks in flight at once.  The default ``2`` double-buffers the
         serving loop: the workers compute tick ``t`` while the
@@ -163,7 +142,7 @@ class ServeOptions:
     """
 
     max_batch_requests: int = 64
-    batch_wait: float | str = 0.0
+    batch_wait: float = 0.0
     pipeline_depth: int = 2
     max_batch_rows: int = 4096
     max_queue: int = 4096
@@ -171,7 +150,6 @@ class ServeOptions:
     max_retries: int = 1
     retry_backoff_s: float = 0.05
     drain_timeout_s: float = 30.0
-    adaptive: WindowOptions | None = None
 
     def __post_init__(self) -> None:
         for name in (
@@ -195,37 +173,14 @@ class ServeOptions:
             raise ConfigurationError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s!r}"
             )
-        wait = self.batch_wait
-        if isinstance(wait, str):
-            if wait != ADAPTIVE:
-                raise ConfigurationError(
-                    f"batch_wait must be seconds >= 0 or {ADAPTIVE!r}, "
-                    f"got {wait!r}"
-                )
-        else:
-            wait = float(wait)
-            if wait < 0:
-                raise ConfigurationError(
-                    f"batch_wait must be >= 0, got {wait!r}"
-                )
-            if self.adaptive is not None:
-                raise ConfigurationError(
-                    "adaptive window options require "
-                    f"batch_wait={ADAPTIVE!r} (got batch_wait={wait!r})"
-                )
-        if self.adaptive is not None and not isinstance(
-            self.adaptive, WindowOptions
-        ):
+        if isinstance(self.batch_wait, (str, bytes)):
             raise ConfigurationError(
-                f"adaptive must be a WindowOptions, got "
-                f"{type(self.adaptive).__name__}"
+                f"batch_wait must be seconds >= 0, got {self.batch_wait!r}"
             )
+        wait = float(self.batch_wait)
+        if wait < 0:
+            raise ConfigurationError(f"batch_wait must be >= 0, got {wait!r}")
         object.__setattr__(self, "batch_wait", wait)
-
-    @property
-    def adaptive_window(self) -> bool:
-        """True when the window is controller-driven (``"adaptive"``)."""
-        return self.batch_wait == ADAPTIVE
 
 
 @dataclass
@@ -370,16 +325,6 @@ class ModelServer:
         self._cv = threading.Condition()
         self._closing = False
         self._closed = False
-        #: Arrival-rate window controller (None on a fixed window);
-        #: mutated/read only under ``self._cv``.
-        self._window = (
-            AdaptiveWindow(
-                self.options.adaptive,
-                max_batch_requests=self.options.max_batch_requests,
-            )
-            if self.options.adaptive_window
-            else None
-        )
         self._run_id = str(self.metrics.run_id.get("id", ""))
         self._run_short = self._run_id[:8]
         self._dispatcher = threading.Thread(
@@ -452,11 +397,6 @@ class ModelServer:
                 raise ShardError(
                     "server is closed and no longer accepts requests"
                 )
-            if self._window is not None:
-                # Every offered request is an arrival, including ones
-                # the backpressure check below turns away — rejected
-                # load is still load the window should adapt to.
-                self._window.observe_arrival(now)
             if len(self._queue) >= self.options.max_queue:
                 raise ShardError(
                     f"serve queue is full ({self.options.max_queue} "
@@ -565,7 +505,6 @@ class ModelServer:
                 batch: list[_Request] = []
                 shed: list[_Request] = []
                 abandoned: list[_Request] = []
-                window_used: float | None = None
                 with self._cv:
                     while (
                         not self._queue
@@ -584,10 +523,7 @@ class ModelServer:
                         # keep the workers busy through the wait, so the
                         # window trades only dispatch latency — never
                         # pipeline occupancy — for cohort fullness.
-                        if self._window is not None:
-                            wait_s = window_used = self._window.window_s()
-                        else:
-                            wait_s = float(self.options.batch_wait)
+                        wait_s = self.options.batch_wait
                         if (
                             wait_s > 0.0
                             and not self._closing
@@ -617,8 +553,6 @@ class ModelServer:
                     self.metrics.inc(
                         "serve/abandoned_requests", len(abandoned)
                     )
-                if window_used is not None:
-                    self.metrics.observe("serve/window_s", window_used)
                 if batch:
                     inflight.append(self._launch_batch(batch))
                     if len(inflight) < depth:

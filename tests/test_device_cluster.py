@@ -7,7 +7,6 @@ from repro.device import (
     Interconnect,
     allreduce_time,
     multi_gpu,
-    serving_latency,
     titan_xp,
 )
 from repro.exceptions import ConfigurationError
@@ -162,83 +161,3 @@ class TestRecoveryTime:
             recovery_time(net, 2, weight_scalars=1.0, worker_spawn_s=-0.1)
         with pytest.raises(ConfigurationError):
             recovery_time(net, 2, weight_scalars=1.0, resident_scalars=-1.0)
-
-
-class TestServingLatency:
-    """Cost model for the micro-batched serving request path."""
-
-    def _link(self):
-        return Interconnect(latency_s=5e-6, bandwidth_scalars_per_s=1e9)
-
-    def test_all_terms_contribute(self):
-        link = self._link()
-        base = serving_latency(link, 2, payload_scalars=1e4)
-        with_queue = serving_latency(
-            link, 2, payload_scalars=1e4, queue_wait_s=1e-3
-        )
-        with_block = serving_latency(
-            link, 2, payload_scalars=1e4, block_time_s=2e-3
-        )
-        assert base > 0.0
-        assert with_queue == pytest.approx(base + 1e-3)
-        assert with_block == pytest.approx(base + 2e-3)
-
-    def test_fused_shaves_one_dispatch_latency(self):
-        link = self._link()
-        fused = serving_latency(link, 4, payload_scalars=1e5, fused=True)
-        unfused = serving_latency(link, 4, payload_scalars=1e5, fused=False)
-        assert unfused - fused == pytest.approx(link.latency_s)
-
-    def test_single_device_no_collective(self):
-        link = self._link()
-        assert serving_latency(link, 1, payload_scalars=1e6) == 0.0
-        assert serving_latency(
-            link, 1, payload_scalars=1e6, queue_wait_s=1e-3,
-            block_time_s=1e-3,
-        ) == pytest.approx(2e-3)
-
-    def test_monotone_in_payload(self):
-        link = self._link()
-        small = serving_latency(link, 2, payload_scalars=1e3)
-        large = serving_latency(link, 2, payload_scalars=1e6)
-        assert large > small
-
-    def test_validation(self):
-        link = self._link()
-        with pytest.raises(ConfigurationError):
-            serving_latency(link, 2, payload_scalars=1e4, queue_wait_s=-1.0)
-        with pytest.raises(ConfigurationError):
-            serving_latency(link, 2, payload_scalars=1e4, block_time_s=-1.0)
-        for bad in (0.0, -1e-3):
-            with pytest.raises(ConfigurationError):
-                serving_latency(
-                    link, 2, payload_scalars=1e4, deadline_s=bad
-                )
-
-    def test_deadline_shed_charges_only_the_deadline(self):
-        """A request whose queue wait reaches its deadline is shed: the
-        modelled latency is the deadline itself — no block, no
-        collective — mirroring the dispatcher's shedding rule."""
-        link = self._link()
-        shed = serving_latency(
-            link, 4, payload_scalars=1e6,
-            queue_wait_s=5e-3, block_time_s=10.0, deadline_s=2e-3,
-        )
-        assert shed == 2e-3
-        # Boundary: wait == deadline also sheds.
-        assert serving_latency(
-            link, 4, payload_scalars=1e6,
-            queue_wait_s=2e-3, block_time_s=10.0, deadline_s=2e-3,
-        ) == 2e-3
-
-    def test_deadline_met_changes_nothing(self):
-        """An admitted request (wait < deadline) prices identically to
-        the no-deadline model — the hook only carves out the shed
-        branch."""
-        link = self._link()
-        kwargs = dict(
-            payload_scalars=1e4, queue_wait_s=1e-4, block_time_s=2e-3
-        )
-        assert serving_latency(
-            link, 2, deadline_s=60.0, **kwargs
-        ) == serving_latency(link, 2, **kwargs)

@@ -589,6 +589,43 @@ class TestComparePhases:
             replayed_iterations=1,
         ))
 
+    def test_recovery_row_prices_replayed_steps(self):
+        """Each replayed step costs the run's measured per-step time:
+        the step phases' wall seconds over the traced step count."""
+        tracer = Tracer()
+        with trace_scope(tracer):
+            for step in range(2):
+                t0 = float(step)
+                record_span("form_block", t0, 0.25, shard=0)
+                record_span("form_block", t0, 0.5, shard=1)
+                record_span("gemm", t0 + 0.5, 0.125, shard=0)
+                record_span("gemm", t0 + 0.5, 0.125, shard=1)
+                record_span("allreduce", t0 + 0.625, 0.0625)
+                record_span("correction", t0 + 0.6875, 0.0625)
+        # Wall per step: 0.5 (slowest form_block) + 0.125 + 0.0625
+        # + 0.0625 = 0.75 s.
+        step_s = 0.75
+        link = transport_interconnect("process")
+
+        def modelled(replayed_steps: int) -> float:
+            event = RecoveryEvent(
+                epoch=0, failed_step=5, resumed_step=2,
+                replayed_steps=replayed_steps, old_g=2, new_g=1,
+                dead_shards=(1,), error="ShardError: r", recovery_s=0.5,
+            )
+            report = compare_phases(
+                tracer, g=2, link="process", weight_scalars=600.0,
+                recovery_events=[event],
+            )
+            return {p["phase"]: p for p in report["phases"]}[
+                "recovery"
+            ]["modelled_s"]
+
+        assert modelled(3) - modelled(0) == pytest.approx(3 * step_s)
+        assert modelled(0) == pytest.approx(
+            recovery_time(link, 2, weight_scalars=600.0)
+        )
+
 
 class TestObserveReport:
     """The one model-vs-measured experiment holds every claim on every

@@ -249,6 +249,8 @@ def test_mixed_zero_row_in_batch(problem):
         {"max_retries": -1},
         {"retry_backoff_s": -0.1},
         {"batch_wait": -1e-3},
+        {"batch_wait": "adaptive"},
+        {"batch_wait": "0.1s"},
         {"drain_timeout_s": 0.0},
     ],
 )
@@ -611,26 +613,3 @@ def test_export_writes_json_snapshot(problem, tmp_path):
 
     payload = json.loads(out.read_text())
     assert payload["counters"]["serve/requests"] == 1
-
-
-# --------------------------------------------------------------------------
-# serve-report experiment
-# --------------------------------------------------------------------------
-
-
-def test_serve_report_experiment_smoke():
-    from repro.experiments.serve_report import (
-        ServeReportConfig,
-        run_serve_report,
-    )
-
-    result = run_serve_report(
-        ServeReportConfig(
-            n=199, d=4, l=2, g=2, transport="thread",
-            n_clients=3, requests_per_client=2, rows_per_request=3,
-        )
-    )
-    claims = {c.claim_id: c for c in result.claims}
-    assert set(claims) >= {"serve/batched-bitwise", "serve/drain-on-close"}
-    for claim in result.claims:
-        assert claim.holds, claim.claim_id

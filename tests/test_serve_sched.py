@@ -4,9 +4,8 @@ Covers the request-API redesign and the dispatcher's scheduling
 policies: the typed :class:`~repro.serve.PredictRequest` /
 :class:`~repro.serve.PredictResponse` vocabulary, priority-first cohort
 formation, deadline shedding (``DeadlineExceeded`` before any shard
-work), the adaptive micro-batch window's ``[floor, ceiling]`` contract
-under bursty vs steady arrivals, and the timeout-abandon bugfix (a
-timed-out caller's request must not occupy cohort budget).
+work), and the timeout-abandon bugfix (a timed-out caller's request
+must not occupy cohort budget).
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import os
 import random
 import re
 import threading
-import time
 from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
@@ -26,13 +24,10 @@ from repro.exceptions import ConfigurationError, DeadlineExceeded
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry
 from repro.serve import (
-    ADAPTIVE,
-    AdaptiveWindow,
     ModelServer,
     PredictRequest,
     PredictResponse,
     ServeOptions,
-    WindowOptions,
 )
 from repro.shard import ShardGroup, sharded_predict
 
@@ -320,117 +315,6 @@ class TestPriorityScheduling:
         finally:
             server.close()
         assert order == ["first", "second", "third"]
-
-
-# --------------------------------------------------------------------------
-# Adaptive micro-batch window
-# --------------------------------------------------------------------------
-
-
-class TestAdaptiveWindow:
-    def test_burst_collapses_to_floor(self):
-        win = AdaptiveWindow(
-            WindowOptions(floor_s=1e-5, ceiling_s=2e-3, target_requests=8)
-        )
-        t = 0.0
-        for _ in range(50):
-            win.observe_arrival(t)
-            t += 1e-7  # back-to-back burst
-        assert win.window_s() == pytest.approx(1e-5)  # clamped to floor
-
-    def test_steady_sparse_hits_ceiling(self):
-        win = AdaptiveWindow(
-            WindowOptions(floor_s=0.0, ceiling_s=2e-3, target_requests=8)
-        )
-        t = 0.0
-        for _ in range(50):
-            win.observe_arrival(t)
-            t += 1e-3  # 1ms apart: projected 7ms >> ceiling
-        assert win.window_s() == pytest.approx(2e-3)
-
-    def test_window_tracks_gap_between_bounds(self):
-        win = AdaptiveWindow(
-            WindowOptions(floor_s=0.0, ceiling_s=1.0, target_requests=4)
-        )
-        t = 0.0
-        for _ in range(200):
-            win.observe_arrival(t)
-            t += 1e-3
-        # EWMA converges to the true gap; projection = gap * (target-1).
-        assert win.gap_ewma_s == pytest.approx(1e-3, rel=1e-6)
-        assert win.window_s() == pytest.approx(3e-3, rel=1e-6)
-
-    def test_idle_gap_does_not_poison_estimate(self):
-        win = AdaptiveWindow(
-            WindowOptions(
-                floor_s=0.0, ceiling_s=10.0, target_requests=2,
-                max_gap_s=0.5,
-            )
-        )
-        win.observe_arrival(0.0)
-        win.observe_arrival(1e-3)
-        before = win.window_s()
-        win.observe_arrival(60.0)  # server sat idle for a minute
-        assert win.window_s() == before
-        # The post-idle arrival restarts the pair: the next gap counts.
-        win.observe_arrival(60.0 + 1e-3)
-        assert win.gap_ewma_s is not None
-
-    def test_no_estimate_means_floor(self):
-        win = AdaptiveWindow(WindowOptions(floor_s=1e-4, ceiling_s=1e-2))
-        assert win.window_s() == pytest.approx(1e-4)
-        win.observe_arrival(0.0)  # one arrival: still no gap
-        assert win.window_s() == pytest.approx(1e-4)
-
-    def test_options_validation(self):
-        with pytest.raises(ConfigurationError, match="ceiling_s"):
-            WindowOptions(floor_s=1e-3, ceiling_s=1e-4)
-        with pytest.raises(ConfigurationError, match="alpha"):
-            WindowOptions(alpha=0.0)
-        with pytest.raises(ConfigurationError, match="target_requests"):
-            WindowOptions(target_requests=0)
-        with pytest.raises(ConfigurationError, match="max_gap_s"):
-            WindowOptions(max_gap_s=0.0)
-
-    def test_serve_options_adaptive_spelling(self):
-        opts = ServeOptions(batch_wait=ADAPTIVE)
-        assert opts.adaptive_window
-        assert ServeOptions(batch_wait="adaptive").adaptive_window
-        assert not ServeOptions(batch_wait=1e-3).adaptive_window
-        with pytest.raises(ConfigurationError):
-            ServeOptions(batch_wait="sometimes")
-        with pytest.raises(ConfigurationError):
-            # WindowOptions without opting into the adaptive window.
-            ServeOptions(batch_wait=1e-3, adaptive=WindowOptions())
-
-    @pytest.mark.parametrize(
-        "load", ["bursty", "steady"], ids=["bursty", "steady"]
-    )
-    def test_served_windows_stay_in_band(self, problem, group, load):
-        """End to end: every serve/window_s decision the dispatcher
-        records stays inside the configured band, bursty or steady."""
-        _, _, _, x = problem
-        win = WindowOptions(floor_s=0.0, ceiling_s=1.5e-3)
-        metrics = MetricsRegistry()
-        server = ModelServer(
-            group=group, metrics=metrics,
-            options=ServeOptions(batch_wait="adaptive", adaptive=win),
-        )
-        try:
-            want = np.asarray(sharded_predict(group, x))
-            for _ in range(4):
-                futures = [server.submit_request(x) for _ in range(6)]
-                for f in futures:
-                    np.testing.assert_array_equal(
-                        f.result(timeout=60).values, want
-                    )
-                if load == "steady":
-                    time.sleep(2e-3)
-        finally:
-            server.close()
-        windows = metrics.histogram_values("serve/window_s")
-        assert windows, "adaptive dispatcher recorded no window decisions"
-        assert all(win.floor_s <= w <= win.ceiling_s for w in windows)
 
 
 # --------------------------------------------------------------------------
