@@ -76,7 +76,6 @@ from repro.config import (
     Precision,
     get_precision,
     mixed_precision_active,
-    set_precision,
     use_precision,
 )
 from repro.kernels import (
@@ -149,7 +148,6 @@ __all__ = [
     "set_backend",
     "use_backend",
     "get_precision",
-    "set_precision",
     "use_precision",
     "MIXED_PRECISION",
     "Precision",

@@ -94,7 +94,6 @@ from repro.config import (
     mixed_precision_active,
     precision_is_explicit,
     scoped_value,
-    set_precision,
     use_precision,
 )
 from repro.exceptions import ConfigurationError
@@ -121,7 +120,6 @@ __all__ = [
     "current_precision",
     "get_precision",
     "mixed_precision_active",
-    "set_precision",
     "use_precision",
     "precision_is_explicit",
 ]
@@ -233,11 +231,10 @@ def to_numpy(x: Any) -> np.ndarray:
 def match_dtype(x: Any, dtype: object, bk: ArrayBackend | None = None) -> Any:
     """Return ``x`` cast to ``dtype``; no copy when it already matches.
 
-    The shared "cast up" helper for blocks produced by a kernel pinned
-    below the working precision: NumPy would promote implicitly when such
-    a block is contracted against higher-precision weights, but
-    ``torch.matmul`` refuses mixed dtypes, so the training and streaming
-    paths lift the block explicitly before the GEMM.
+    NumPy promotes implicitly when arrays of two dtypes meet, but
+    ``torch.matmul`` and the triangular solves refuse mixed dtypes, so
+    paths that combine arrays of different precisions (the mixed-precision
+    contraction, the preconditioner's float64 correction) cast explicitly.
     """
     bk = backend_of(x) if bk is None else bk
     dtype = np.dtype(dtype)
@@ -254,8 +251,7 @@ def master_matmul(block: Any, w: Any, bk: ArrayBackend | None = None) -> Any:
     block against float64 master weights) is multiplied by a downcast
     copy of ``w``, so the heavy contraction runs in the compute dtype,
     and the product is lifted back.  Otherwise the block is cast to
-    ``w``'s dtype first (a kernel pinned below the working precision):
-    NumPy would promote implicitly, ``torch.matmul`` refuses.
+    ``w``'s dtype first, a no-op when the two already match.
     """
     bk = backend_of(w) if bk is None else bk
     w_dtype = bk.dtype_of(w)

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.backend import get_backend, match_dtype, to_numpy
+from repro.backend import get_backend, to_numpy
 from repro.config import compute_dtype
 from repro.core.model import KernelModel, as_labels
 from repro.device.simulator import SimulatedDevice
@@ -110,9 +110,7 @@ class Falkon:
     def fit(self, x: np.ndarray, y: np.ndarray) -> "Falkon":
         """Solve the preconditioned normal equations by CG."""
         bk = get_backend()
-        dtype = np.result_type(
-            compute_dtype(x, y), self.kernel._eval_dtype(x, x)
-        )
+        dtype = compute_dtype(x, y)
         x = bk.ascontiguous(bk.as_2d(bk.asarray(x, dtype=dtype)))
         y = bk.asarray(y, dtype=dtype)
         if y.ndim == 1:
@@ -126,7 +124,6 @@ class Falkon:
         centers = x[rng.choice(n, size=m_centers, replace=False)]
 
         k_mm = self.kernel(centers, centers)
-        k_mm = match_dtype(k_mm, dtype, bk)
         # T (lower; NumPy/SciPy convention) such that K_MM = T T^T.
         t_chol, _ = jitter_cholesky(k_mm)
         # A A^T = T^T T / M + lambda I  (preconditioner inner factor).

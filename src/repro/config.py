@@ -6,21 +6,20 @@ precision in a single place rather than scattering dtype literals.
 Precision switch
 ----------------
 The paper trains in float32 on the GPU while our CPU default is float64 for
-eigensolver headroom.  :func:`use_precision` / :func:`set_precision` select
-the working dtype for the whole kernel substrate without threading a
-``dtype=`` argument through every call::
+eigensolver headroom.  :func:`use_precision` selects the working dtype for
+the whole kernel substrate without threading a ``dtype=`` argument through
+every call::
 
     from repro.config import use_precision
 
     with use_precision("float32"):
         model.fit(x, y, epochs=5)   # all kernel blocks held in float32
 
-The switch is honored by :func:`resolve_dtype` (used by kernels constructed
-with ``dtype=None``) and by :func:`compute_dtype` (used by the pairwise /
-blocked-operation layer to pick a working dtype from its inputs).  When no
-precision is *explicitly* selected, ``compute_dtype`` preserves the floating
-dtype of its inputs — float32 data stays float32 instead of being silently
-promoted to float64.
+The switch is honored by :func:`compute_dtype`, which every kernel, the
+pairwise layer and the blocked operations use to pick a working dtype from
+their inputs.  When no precision is selected, ``compute_dtype`` preserves
+the floating dtype of its inputs — float32 data stays float32 instead of
+being silently promoted to float64.
 
 Mixed precision
 ---------------
@@ -212,19 +211,17 @@ _PRECISION = ScopedOverride()
 
 def get_precision() -> np.dtype:
     """The working (*compute*) dtype: innermost :func:`use_precision`
-    scope, else the :func:`set_precision` global, else
-    :data:`DEFAULT_DTYPE`.  Under ``"mixed"`` this is float32 — the dtype
-    kernel blocks and GEMMs run in; see :func:`accumulate_dtype` for the
-    accumulation side."""
+    scope, else :data:`DEFAULT_DTYPE`.  Under ``"mixed"`` this is
+    float32 — the dtype kernel blocks and GEMMs run in; see
+    :func:`accumulate_dtype` for the accumulation side."""
     current = _PRECISION.current()
     return DEFAULT_DTYPE if current is None else current.compute
 
 
 def current_precision() -> Precision | None:
     """The explicitly selected :class:`Precision` spec, or ``None`` when
-    no :func:`use_precision` scope / :func:`set_precision` global is
-    active.  This is what shard transports capture at submit time and
-    re-establish on the worker."""
+    no :func:`use_precision` scope is active.  This is what shard
+    transports capture at submit time and re-establish on the worker."""
     return _PRECISION.current()
 
 
@@ -255,15 +252,9 @@ def master_dtype(dtype: object) -> np.dtype:
 
 
 def precision_is_explicit() -> bool:
-    """True when a precision was selected via :func:`use_precision` or
-    :func:`set_precision` (in which case it overrides input dtypes)."""
+    """True when a precision was selected via :func:`use_precision` (in
+    which case it overrides input dtypes)."""
     return _PRECISION.is_explicit()
-
-
-def set_precision(dtype: object | None) -> None:
-    """Set (or with ``None`` clear) the process-wide working precision.
-    Accepts any float dtype, ``"mixed"``, or a :class:`Precision`."""
-    _PRECISION.set_global(None if dtype is None else _as_precision(dtype))
 
 
 class use_precision(scoped_value):
@@ -292,21 +283,6 @@ class use_precision(scoped_value):
         return self.value
 
 
-def resolve_dtype(dtype: object | None) -> np.dtype:
-    """Return ``dtype`` as a NumPy dtype, defaulting to the active precision
-    (:func:`get_precision`, normally :data:`DEFAULT_DTYPE`).
-
-    Parameters
-    ----------
-    dtype:
-        Anything accepted by :class:`numpy.dtype`, or ``None`` for the
-        package default.
-    """
-    if dtype is None:
-        return get_precision()
-    return _as_float_dtype(dtype)
-
-
 #: Debug switch for the pooled-scratch contract of the streaming layer.
 #: When enabled, a caller-provided ``out`` buffer that a kernel or the
 #: pairwise layer would silently *discard* (shape or dtype mismatch)
@@ -326,11 +302,6 @@ def workspace_debug_enabled() -> bool:
     """True when discarded scratch buffers should raise (see
     :class:`debug_workspace`)."""
     return _WORKSPACE_DEBUG["enabled"]
-
-
-def set_workspace_debug(enabled: bool) -> None:
-    """Set the process-wide workspace debug flag."""
-    _WORKSPACE_DEBUG["enabled"] = bool(enabled)
 
 
 class debug_workspace:
@@ -359,8 +330,8 @@ class debug_workspace:
 def compute_dtype(*arrays: object) -> np.dtype:
     """Working dtype for a computation over ``arrays``.
 
-    - Under an explicit precision (:func:`use_precision` /
-      :func:`set_precision`), that dtype wins unconditionally.
+    - Under an explicit precision (:func:`use_precision`), that dtype
+      wins unconditionally.
     - Otherwise the floating result type of the inputs is preserved —
       float32 inputs compute in float32 rather than silently promoting
       to float64.

@@ -168,9 +168,8 @@ class NystromPreconditioner:
         # The small (s, q, l) tails and the returned correction run, and
         # accumulate, in the residuals' dtype, with the stored eigensystem
         # lifted to it.  D comes from its float64 source when Phi is in
-        # another dtype (mixed precision), else from the native copy,
-        # which a kernel pinned below the working precision keeps in its
-        # own dtype (the trainer hands its Phi over cast up).
+        # another dtype (mixed precision), else from the native copy in
+        # the eigenvectors' dtype.
         acc_dtype = bk.dtype_of(h)
         if bk.dtype_of(phi_block) != acc_dtype:
             d = bk.asarray(self.d_scale, dtype=acc_dtype)

@@ -74,7 +74,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, master_matmul, match_dtype, to_numpy
+from repro.backend import get_backend, master_matmul, to_numpy
 from repro.config import compute_dtype, master_dtype
 from repro.core.model import KernelModel, as_labels
 from repro.kernels.ops import (
@@ -93,6 +93,14 @@ __all__ = [
     "TrainingHistory",
     "BaseKernelTrainer",
 ]
+
+#: Scalars per chunk when the full-batch monitor gathers rows of the kept
+#: ``(n, n)`` block.  Once the block is kept, this gather copy is the
+#: fit's largest temporary: with a blocked predict's 8M-scalar chunks
+#: (61 MB at ``n = 8000``) ``perfbench``'s ``fit-large-batch`` peaked at
+#: 698 MB RSS, with 1M-scalar chunks (8 MB) at 637 MB (2-vCPU x86 host,
+#: seeds 1-3, ``test_mse`` unchanged).
+_MONITOR_CHUNK_SCALARS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -325,13 +333,8 @@ class BaseKernelTrainer:
         # All hot arrays (x, y, alpha, kernel blocks) live on the active
         # backend; orchestration state (RNG, permutations, metrics) stays
         # in NumPy.  Under the default NumPy backend this is a no-op.
-        # A kernel pinned to an explicit dtype participates in the working
-        # dtype so kb/alpha/y stay contractible on backends without
-        # implicit promotion (torch).
         bk = get_backend()
-        dtype = np.result_type(
-            compute_dtype(x, y), self.kernel._eval_dtype(x, x)
-        )
+        dtype = compute_dtype(x, y)
         # Master (accumulation) dtype: the data dtype, except under
         # use_precision("mixed") where alpha and y are held in float64 so
         # residuals, coordinate updates and the EigenPro correction
@@ -524,10 +527,6 @@ class BaseKernelTrainer:
         """
         kb = self._form_block(x, idx)
         with span("gemm", m=int(idx.shape[0])):
-            # The step reads the block in the fit's working dtype (that
-            # of x): a kernel pinned below it is cast up, a block under
-            # mixed precision stays in the compute dtype.
-            kb = match_dtype(kb, get_backend().dtype_of(x))
             f = self._contract(kb)  # (m, l)
         g = self._update(f, y, idx, gamma)
         with span("correction", m=int(idx.shape[0])):
@@ -550,14 +549,12 @@ class BaseKernelTrainer:
         if self._kept_block is not None:
             return self._kept_block
         bk = get_backend()
-        block_dtype = self.kernel._eval_dtype(x, x)
+        dtype = compute_dtype(x)
         with span("form_block", m=int(idx.shape[0])):
             out = (
-                bk.empty((idx.shape[0], x.shape[0]), dtype=block_dtype)
+                bk.empty((idx.shape[0], x.shape[0]), dtype=dtype)
                 if self._keep_block
-                else block_workspace().get(
-                    bk, idx.shape[0], x.shape[0], block_dtype
-                )
+                else block_workspace().get(bk, idx.shape[0], x.shape[0], dtype)
             )
             x_norms = (
                 None if self._x_sq_norms is None else self._x_sq_norms[idx]
@@ -596,13 +593,15 @@ class BaseKernelTrainer:
         ``self.model_.mse(x[rows], y[rows])`` without evaluating the
         kernel: in the identity order of a full-batch step, row ``i`` of
         the block is already ``k(x_i, X)``.  The rows are gathered in
-        chunks no larger than a blocked predict's, so the monitor adds
-        no buffer beyond the predict it replaces.
+        chunks of :data:`_MONITOR_CHUNK_SCALARS`, so the monitor adds no
+        buffer beyond a small gather copy.
         """
         kb = self._kept_block
         pred = np.concatenate([
             to_numpy(self._contract(kb[rows[chunk]]))
-            for chunk in iter_row_blocks(rows.shape[0], kb.shape[1])
+            for chunk in iter_row_blocks(
+                rows.shape[0], kb.shape[1], _MONITOR_CHUNK_SCALARS
+            )
         ])
         return float(np.mean((pred - to_numpy(y[rows])) ** 2))
 

@@ -225,7 +225,6 @@ def multi_gpu(
     *,
     interconnect: Interconnect | None = None,
     sync_payload_scalars: float = 100_000.0,
-    fused_collective: bool = False,
 ) -> SimulatedDevice:
     """Aggregate ``n_devices`` copies of ``base`` into one simulated device.
 
@@ -243,12 +242,6 @@ def multi_gpu(
         ``m ~ 1000, l ~ 100``.  The resulting cost is folded into the
         aggregate spec's launch overhead (charged once per iteration),
         which keeps the composed object a plain :class:`DeviceSpec`.
-    fused_collective:
-        Model the fused forward + all-reduce step (the transport layer's
-        ``map_allreduce``): one task round-trip — one
-        ``interconnect.latency_s`` — is shaved off the per-iteration
-        collective.  The payload traversal cost is unchanged: fusion
-        removes a dispatch, not bytes.
     """
     spec = base.spec if isinstance(base, SimulatedDevice) else base
     n_devices = int(n_devices)
@@ -256,8 +249,6 @@ def multi_gpu(
         raise ConfigurationError(f"n_devices must be >= 1, got {n_devices}")
     interconnect = interconnect or Interconnect()
     sync = allreduce_time(interconnect, n_devices, sync_payload_scalars)
-    if fused_collective and n_devices > 1:
-        sync = max(0.0, sync - interconnect.latency_s)
     aggregate = DeviceSpec(
         name=f"{spec.name}-x{n_devices}",
         parallel_capacity=spec.parallel_capacity * n_devices,

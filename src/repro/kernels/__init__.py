@@ -22,7 +22,6 @@ from repro.kernels.pairwise import euclidean_distances, sq_euclidean_distances
 from repro.kernels.ops import (
     BlockWorkspace,
     block_workspace,
-    kernel_matrix,
     kernel_matvec,
     row_block_sizes,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "PolynomialKernel",
     "sq_euclidean_distances",
     "euclidean_distances",
-    "kernel_matrix",
     "kernel_matvec",
     "row_block_sizes",
 ]

@@ -29,7 +29,7 @@ from typing import Any
 import numpy as np
 
 from repro.backend import get_backend
-from repro.config import compute_dtype, resolve_dtype, workspace_debug_enabled
+from repro.config import compute_dtype, workspace_debug_enabled
 from repro.exceptions import ConfigurationError
 from repro.instrument import record_ops
 from repro.kernels.pairwise import sq_euclidean_distances
@@ -61,24 +61,6 @@ class Kernel(abc.ABC):
     #: paper notes that for normalized shift-invariant kernels
     #: ``beta(K) == 1``.
     is_normalized: bool = False
-
-    #: Explicitly requested dtype (``None`` = follow inputs / precision
-    #: switch); set by subclass constructors accepting ``dtype=``.
-    _requested_dtype: np.dtype | None = None
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The dtype kernel evaluations resolve to *right now* — the
-        explicitly requested one, else the active precision."""
-        return resolve_dtype(self._requested_dtype)
-
-    def _eval_dtype(self, x: Any, z: Any) -> np.dtype:
-        """Working dtype for one evaluation: an explicit constructor dtype
-        wins; otherwise float32 inputs stay float32 and the precision
-        switch applies (:func:`repro.config.compute_dtype`)."""
-        if self._requested_dtype is not None:
-            return self._requested_dtype
-        return compute_dtype(x, z)
 
     # ------------------------------------------------------------------ api
     def __call__(
@@ -126,15 +108,17 @@ class Kernel(abc.ABC):
             )
         if out is not None:
             bk = get_backend()
-            if tuple(out.shape) != (x.shape[0], z.shape[0]) or bk.dtype_of(
-                out
-            ) != self._eval_dtype(x, z):
+            dtype = compute_dtype(x, z)
+            if (
+                tuple(out.shape) != (x.shape[0], z.shape[0])
+                or bk.dtype_of(out) != dtype
+            ):
                 if workspace_debug_enabled():
                     raise ConfigurationError(
                         f"{type(self).__name__} declined its out scratch: "
                         f"got shape {tuple(out.shape)} dtype "
                         f"{bk.dtype_of(out)}, needs "
-                        f"{(x.shape[0], z.shape[0])} {self._eval_dtype(x, z)}"
+                        f"{(x.shape[0], z.shape[0])} {dtype}"
                     )
                 out = None
         result = self._cross(
@@ -212,16 +196,13 @@ class RadialKernel(Kernel):
     is_shift_invariant = True
     is_normalized = True
 
-    def __init__(self, bandwidth: float, dtype: object | None = None) -> None:
+    def __init__(self, bandwidth: float) -> None:
         bandwidth = float(bandwidth)
         if not np.isfinite(bandwidth) or bandwidth <= 0.0:
             raise ConfigurationError(
                 f"bandwidth must be a positive finite number, got {bandwidth}"
             )
         self.bandwidth = bandwidth
-        self._requested_dtype = (
-            None if dtype is None else resolve_dtype(dtype)
-        )
 
     @abc.abstractmethod
     def _profile(self, sq_dists: Any) -> Any:
@@ -246,17 +227,16 @@ class RadialKernel(Kernel):
             return get_backend().fused_kernel_block(
                 x, z, profile=profile, scale=scale, out=out,
                 x_sq_norms=x_sq_norms, z_sq_norms=z_sq_norms,
-                dtype=self._eval_dtype(x, z),
+                dtype=compute_dtype(x, z),
             )
         sq = sq_euclidean_distances(
             x, z, x_sq_norms=x_sq_norms, z_sq_norms=z_sq_norms, out=out,
-            dtype=self._eval_dtype(x, z),
         )
         return self._profile(sq)
 
     def diag(self, x: Any) -> Any:
         x = _as_2d("x", x)
-        return get_backend().ones(x.shape[0], dtype=self._eval_dtype(x, x))
+        return get_backend().ones(x.shape[0], dtype=compute_dtype(x))
 
     def params(self) -> dict[str, Any]:
         return {"bandwidth": self.bandwidth}

@@ -21,9 +21,6 @@ class GaussianKernel(RadialKernel):
     ----------
     bandwidth:
         The ``sigma`` in ``exp(-||x-z||^2 / (2 sigma^2))``; must be > 0.
-    dtype:
-        Floating dtype for kernel evaluations (default: follow inputs and
-        the precision switch).
     """
 
     name = "gaussian"

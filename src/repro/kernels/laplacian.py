@@ -22,9 +22,6 @@ class LaplacianKernel(RadialKernel):
     ----------
     bandwidth:
         The ``sigma`` in ``exp(-||x-z|| / sigma)``; must be > 0.
-    dtype:
-        Floating dtype for kernel evaluations (default: follow inputs and
-        the precision switch).
     """
 
     name = "laplacian"

@@ -45,10 +45,8 @@ class MaternKernel(RadialKernel):
 
     name = "matern"
 
-    def __init__(
-        self, bandwidth: float, nu: float = 1.5, dtype: object | None = None
-    ) -> None:
-        super().__init__(bandwidth, dtype=dtype)
+    def __init__(self, bandwidth: float, nu: float = 1.5) -> None:
+        super().__init__(bandwidth)
         nu = float(nu)
         if nu not in _SUPPORTED_NU:
             raise ConfigurationError(

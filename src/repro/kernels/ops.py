@@ -46,7 +46,7 @@ from typing import Any, Iterator
 
 import numpy as np
 
-from repro.backend import ArrayBackend, get_backend, match_dtype
+from repro.backend import ArrayBackend, get_backend
 from repro.config import DEFAULT_BLOCK_SCALARS, compute_dtype
 from repro.exceptions import ConfigurationError
 from repro.instrument import record_ops
@@ -57,7 +57,6 @@ __all__ = [
     "block_workspace",
     "center_sq_norms",
     "row_block_sizes",
-    "kernel_matrix",
     "kernel_matvec",
 ]
 
@@ -178,78 +177,6 @@ def iter_row_blocks(
         start += size
 
 
-def kernel_matrix(
-    kernel: Kernel,
-    x: Any,
-    z: Any | None = None,
-    max_scalars: int = DEFAULT_BLOCK_SCALARS,
-    out: Any | None = None,
-) -> Any:
-    """Dense kernel matrix ``K(x, z)``, computed in row blocks.
-
-    Unlike ``kernel(x, z)`` this never holds more than one block of
-    *intermediate* distance matrix at a time (the output itself is dense);
-    each block is in fact written straight into its slice of ``out``, so no
-    per-block temporary exists at all.
-
-    Parameters
-    ----------
-    kernel:
-        The kernel function.
-    x, z:
-        Point sets; ``z`` defaults to ``x``.
-    max_scalars:
-        Temporary-block budget in scalars.
-    out:
-        Optional preallocated ``(n_x, n_z)`` output.
-    """
-    bk = get_backend()
-    x = bk.as_2d(bk.asarray(x))
-    z = x if z is None else bk.as_2d(bk.asarray(z))
-    n_x, n_z = x.shape[0], z.shape[0]
-    if out is None:
-        # As in kernel_matvec: an explicitly pinned kernel dtype must not
-        # be silently downcast away (and matching dtypes lets each block
-        # be written straight into its out slice).
-        dtype = np.result_type(compute_dtype(x, z), kernel._eval_dtype(x, z))
-        out = bk.empty((n_x, n_z), dtype=dtype)
-    elif tuple(out.shape) != (n_x, n_z):
-        raise ConfigurationError(
-            f"out has shape {tuple(out.shape)}, expected {(n_x, n_z)}"
-        )
-    z_sq_norms = center_sq_norms(kernel, z, bk)
-    # Scratch is requested up front in the kernel's own working dtype: a
-    # destination the kernel would decline (e.g. float64 output slices for
-    # a float32-pinned kernel) is replaced by a pooled eval-dtype block so
-    # no per-block temporary is silently allocated (the debug_workspace
-    # flag turns any such decline into an error).
-    block_dtype = kernel._eval_dtype(x, z)
-    writes_direct = bk.dtype_of(out) == block_dtype
-    # Row norms once for all blocks (dtype guard as in kernel_matvec:
-    # a precision-pinned kernel computes norms of the cast rows itself).
-    x_sq_norms = (
-        center_sq_norms(kernel, x, bk)
-        if bk.dtype_of(x) == block_dtype
-        else None
-    )
-    for rows in iter_row_blocks(n_x, n_z, max_scalars):
-        dest = (
-            out[rows]
-            if writes_direct
-            else _WORKSPACE.get(bk, rows.stop - rows.start, n_z, block_dtype)
-        )
-        block = kernel(
-            x[rows], z, out=dest,
-            x_sq_norms=None if x_sq_norms is None else x_sq_norms[rows],
-            z_sq_norms=z_sq_norms,
-        )
-        if not writes_direct or block is not dest:
-            # Pooled scratch (cast on copy-back), or a kernel profile that
-            # returns a fresh array (e.g. Matérn nu >= 3/2).
-            out[rows] = block
-    return out
-
-
 def center_sq_norms(kernel: Kernel, z: Any, bk: ArrayBackend | None = None) -> Any | None:
     """Row squared norms of the centers ``z`` when ``kernel`` consumes
     distances (shift-invariant); ``None`` otherwise.  Streaming callers
@@ -285,15 +212,13 @@ def kernel_matvec(
     against the weights.
 
     How a block is formed is settled once per call.  A radial kernel
-    with a :attr:`~repro.kernels.base.Kernel.fused_spec` whose block
-    dtype is the data dtype runs the backend's
-    :meth:`~repro.backend.ArrayBackend.prepared_fused_matvec` closure:
-    the :meth:`~repro.backend.ArrayBackend.fused_kernel_block` chain and
-    the GEMM with the centers, weights and profile bound once, the same
-    ops on the same bits.  Every other kernel, or a kernel pinned to
-    another dtype, forms each block with its own ``__call__`` (radial
-    ones reach ``fused_kernel_block`` from there) and is cast up with
-    :func:`~repro.backend.match_dtype` before the GEMM.
+    with a :attr:`~repro.kernels.base.Kernel.fused_spec` runs the
+    backend's :meth:`~repro.backend.ArrayBackend.prepared_fused_matvec`
+    closure: the :meth:`~repro.backend.ArrayBackend.fused_kernel_block`
+    chain and the GEMM with the centers, weights and profile bound once,
+    the same ops on the same bits.  Every other kernel forms each block
+    with its own ``__call__``.  Blocks, weights and the output all hold
+    the working dtype of :func:`~repro.config.compute_dtype`.
 
     Parameters
     ----------
@@ -317,14 +242,10 @@ def kernel_matvec(
     to the active backend.
     """
     bk = get_backend()
-    data_dtype = compute_dtype(x, centers, weights)
-    x = bk.as_2d(bk.asarray(x, dtype=data_dtype))
-    centers = bk.as_2d(bk.asarray(centers, dtype=data_dtype))
-    # An explicitly requested kernel dtype participates in the output
-    # dtype: it must not be silently downcast away.
-    block_dtype = kernel._eval_dtype(x, centers)
-    out_dtype = np.result_type(data_dtype, block_dtype)
-    weights = bk.asarray(weights, dtype=out_dtype)
+    dtype = compute_dtype(x, centers, weights)
+    x = bk.as_2d(bk.asarray(x, dtype=dtype))
+    centers = bk.as_2d(bk.asarray(centers, dtype=dtype))
+    weights = bk.asarray(weights, dtype=dtype)
     n_x, n = x.shape[0], centers.shape[0]
     if weights.shape[0] != n:
         raise ConfigurationError(
@@ -335,27 +256,23 @@ def kernel_matvec(
     l = w2.shape[1]
     if z_sq_norms is None:
         z_sq_norms = center_sq_norms(kernel, centers, bk)
-    if x_sq_norms is None and block_dtype == data_dtype:
-        # Row norms of the evaluation points, once for all blocks.  Only
-        # when the block dtype matches the data dtype: a kernel pinned to
-        # a different precision computes norms of the *cast* rows inside
-        # each block evaluation, and precomputing at data dtype would
-        # change those bits.
+    if x_sq_norms is None:
+        # Row norms of the evaluation points, once for all blocks.
         x_sq_norms = center_sq_norms(kernel, x, bk)
-    out = bk.empty((n_x, l), dtype=out_dtype)
+    out = bk.empty((n_x, l), dtype=dtype)
     sizes = row_block_sizes(n_x, n, max_scalars)
     # The first block is the widest: every block's scratch is a row
     # prefix of one pooled buffer.
-    scratch = _WORKSPACE.get(bk, sizes[0] if sizes else 0, n, block_dtype)
+    scratch = _WORKSPACE.get(bk, sizes[0] if sizes else 0, n, dtype)
     spec = kernel.fused_spec
-    if spec is not None and block_dtype == data_dtype:
+    if spec is not None:
         contract = bk.prepared_fused_matvec(
             centers, w2, profile=spec[0], scale=spec[1],
-            z_sq_norms=z_sq_norms, dtype=block_dtype,
+            z_sq_norms=z_sq_norms, dtype=dtype,
         )
         # Norms in the working dtype: a no-op for the ones computed
         # above, the cast the kernel call would apply to a caller's.
-        x_sq_norms = bk.asarray(x_sq_norms, dtype=block_dtype)
+        x_sq_norms = bk.asarray(x_sq_norms, dtype=dtype)
         # Shape-derived, as the kernel call records it in the other arm.
         record_ops("kernel_eval", n_x * n * x.shape[1])
     else:
@@ -366,9 +283,7 @@ def kernel_matvec(
                 x_rows, centers, out=block_out, x_sq_norms=x_norms,
                 z_sq_norms=z_sq_norms,
             )
-            # A kernel pinned to a lower precision than the data casts up
-            # before the contraction.
-            bk.matmul(match_dtype(block, out_dtype, bk), w2, out=out_rows)
+            bk.matmul(block, w2, out=out_rows)
 
     lo = 0
     for b in sizes:

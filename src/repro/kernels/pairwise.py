@@ -42,7 +42,6 @@ def sq_euclidean_distances(
     x_sq_norms: Any | None = None,
     z_sq_norms: Any | None = None,
     out: Any | None = None,
-    dtype: Any | None = None,
 ) -> Any:
     """Squared Euclidean distance matrix ``D[i, j] = ||x_i - z_j||^2``.
 
@@ -60,10 +59,6 @@ def sq_euclidean_distances(
         Optional preallocated ``(n_x, n_z)`` destination in the working
         dtype; reused by the blocked operations of
         :mod:`repro.kernels.ops` to avoid per-block allocation.
-    dtype:
-        Explicit working dtype; overrides both input dtypes and the
-        ambient precision switch (used by kernels constructed with an
-        explicit ``dtype=``).
 
     Returns
     -------
@@ -71,7 +66,7 @@ def sq_euclidean_distances(
     backend.
     """
     bk, x, z, x_sq_norms, z_sq_norms, out = distance_operands(
-        x, z, x_sq_norms, z_sq_norms, out, dtype
+        x, z, x_sq_norms, z_sq_norms, out, compute_dtype(x, z)
     )
     d = bk.matmul(x, z.T, out=out)
     return distance_tail(bk, d, x_sq_norms, z_sq_norms)
@@ -150,7 +145,6 @@ def euclidean_distances(
     x_sq_norms: Any | None = None,
     z_sq_norms: Any | None = None,
     out: Any | None = None,
-    dtype: Any | None = None,
 ) -> Any:
     """Euclidean distance matrix ``D[i, j] = ||x_i - z_j||``.
 
@@ -158,6 +152,6 @@ def euclidean_distances(
     taken in place on the squared distances.
     """
     bk = get_backend()
-    d = sq_euclidean_distances(x, z, x_sq_norms, z_sq_norms, out=out, dtype=dtype)
+    d = sq_euclidean_distances(x, z, x_sq_norms, z_sq_norms, out=out)
     bk.sqrt(d, out=d)
     return d

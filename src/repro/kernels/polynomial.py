@@ -13,7 +13,7 @@ from typing import Any
 import numpy as np
 
 from repro.backend import get_backend
-from repro.config import resolve_dtype
+from repro.config import compute_dtype
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel, _as_2d
 
@@ -41,7 +41,6 @@ class PolynomialKernel(Kernel):
         degree: int = 3,
         gamma: float = 1.0,
         coef0: float = 1.0,
-        dtype: object | None = None,
     ) -> None:
         degree = int(degree)
         if degree < 1:
@@ -53,9 +52,6 @@ class PolynomialKernel(Kernel):
         self.degree = degree
         self.gamma = float(gamma)
         self.coef0 = float(coef0)
-        self._requested_dtype = (
-            None if dtype is None else resolve_dtype(dtype)
-        )
 
     def _cross(
         self,
@@ -69,7 +65,7 @@ class PolynomialKernel(Kernel):
         # polynomial kernel consumes inner products, not distances, so
         # both are unused.
         bk = get_backend()
-        dtype = self._eval_dtype(x, z)
+        dtype = compute_dtype(x, z)
         x = bk.asarray(x, dtype=dtype)
         z = bk.asarray(z, dtype=dtype)
         out = bk.matmul(x, z.T, out=out)
@@ -81,7 +77,8 @@ class PolynomialKernel(Kernel):
 
     def diag(self, x: Any) -> Any:
         bk = get_backend()
-        x = bk.asarray(_as_2d("x", x), dtype=self._eval_dtype(x, x))
+        x = _as_2d("x", x)
+        x = bk.asarray(x, dtype=compute_dtype(x))
         sq = bk.row_sq_norms(x)
         out = self.gamma * sq + self.coef0
         if self.degree != 1:

@@ -622,9 +622,9 @@ class ModelServer:
                 time.sleep(self.options.retry_backoff_s)
             try:
                 if attempt == 0 and inflight.pending is not None:
-                    reduced, _ = inflight.pending.result()
+                    reduced = inflight.pending.result()
                 else:
-                    reduced, _ = self.group.map_allreduce(
+                    reduced = self.group.map_allreduce(
                         *inflight.call, bk=get_backend()
                     )
                 return np.asarray(to_numpy(reduced)), attempt

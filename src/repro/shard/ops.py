@@ -120,11 +120,10 @@ def sharded_kernel_matvec(
     # streamed matvec and (on collective-fabric transports) the reduction.
     # A single segment forms exactly the blocks kernel_matvec forms
     # under max_scalars.
-    reduced, _ = group.map_allreduce(
+    return group.map_allreduce(
         _serve_batch_task, kernel, x_host, ((0, x_host.shape[0]),),
         max_scalars, bk=get_backend(),
     )
-    return reduced
 
 
 def sharded_predict(

@@ -103,7 +103,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend, master_matmul, to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS
+from repro.config import DEFAULT_BLOCK_SCALARS, compute_dtype
 from repro.core.eigenpro2 import EigenPro2
 from repro.device.cluster import Interconnect, multi_gpu
 from repro.device.presets import titan_xp
@@ -144,10 +144,10 @@ def _form_block_task(
     """
     kernel: Kernel = worker.state["kernel"]
     ebk = worker.backend
-    block_dtype = kernel._eval_dtype(xb, worker.centers)
     with span("form_block", m=int(xb.shape[0])):
         scratch = block_workspace().get(
-            ebk, xb.shape[0], worker.n_centers, block_dtype
+            ebk, xb.shape[0], worker.n_centers,
+            compute_dtype(xb, worker.centers),
         )
         kb = kernel(
             xb,
@@ -500,7 +500,7 @@ class ShardedEigenPro2(EigenPro2):
             if t + 1 < len(blocks):
                 pending = prefetch(blocks[t + 1])
             with span("gemm_wait", step=t):
-                f, _ = contracting.result()  # relays gemm + allreduce ops
+                f = contracting.result()  # relays gemm + allreduce ops
             self._apply_shard_step(group, f, phi_parts, y, idx, gamma)
             self._maybe_checkpoint(t + 1)
             self._note_step_complete(t)
@@ -682,7 +682,7 @@ class ShardedEigenPro2(EigenPro2):
                     # exception.
                     if (
                         group.plan.n == self._alpha.shape[0]
-                        and group.needs_final_sync
+                        and group.needs_mirror
                     ):
                         # The group keeps the fit's held center order.
                         w = to_numpy(self._alpha)

@@ -341,25 +341,13 @@ class PendingMap:
         return self._results
 
 
-def _split_partial(result: Any) -> tuple[Any, Any | None]:
-    """Split one shard's :meth:`ShardTransport.map_allreduce` task result
-    into ``(partial, extra)``: a tuple result is ``(partial, extra)``
-    (e.g. the forward task's ``(f_i, phi_i)``), anything else is a bare
-    partial with no extra."""
-    if isinstance(result, tuple):
-        return result[0], (result[1] if len(result) > 1 else None)
-    return result, None
-
-
 class PendingReduce:
     """One in-flight fused map + all-reduce step across all shards.
 
     Returned by :meth:`ShardTransport.map_allreduce_async`;
     :meth:`result` barriers (relaying per-shard op deltas exactly like
-    :meth:`PendingMap.result`) and returns ``(reduced, extras)`` — the
-    all-reduced first element of every shard's task result on the
-    requested backend, plus the per-shard second elements (``None`` where
-    a task returned a bare partial).
+    :meth:`PendingMap.result`) and returns the all-reduced sum of every
+    shard's task result on the requested backend.
 
     This base form awaits the underlying :class:`PendingMap` and then
     combines host-side through the transport's :meth:`~ShardTransport.
@@ -379,12 +367,8 @@ class PendingReduce:
         self._pending = pending
         self._bk = bk
 
-    def result(self) -> tuple[Any, list[Any | None]]:
-        split = [_split_partial(r) for r in self._pending.result()]
-        reduced = self._transport.allreduce(
-            [partial for partial, _ in split], bk=self._bk
-        )
-        return reduced, [extra for _, extra in split]
+    def result(self) -> Any:
+        return self._transport.allreduce(self._pending.result(), bk=self._bk)
 
 
 # ---------------------------------------------------------------------------
@@ -642,13 +626,12 @@ class ShardTransport(abc.ABC):
         **kwargs: Any,
     ) -> PendingReduce:
         """Queue ``fn`` on every shard and fuse the all-reduce of its
-        (first) result into the step, without barriering.
+        result into the step, without barriering.
 
-        ``fn`` returns either a bare partial or a ``(partial, extra)``
-        tuple; awaiting the returned :class:`PendingReduce` yields
-        ``(reduced, extras)``.  The base implementation maps and then
-        combines host-side at await time — the same traffic as mapping
-        and reducing separately.  Transports whose collective itself
+        ``fn`` returns the shard's partial; awaiting the returned
+        :class:`PendingReduce` yields the reduced sum.  The base
+        implementation maps and then combines host-side at await time —
+        the same traffic as mapping and reducing separately.  Transports whose collective itself
         rides the task channel override :meth:`_launch_reduce` to run
         ``fn`` and the fabric all-reduce inside *one* task per shard,
         halving the per-step round-trips of the serial sharded iteration
@@ -662,10 +645,10 @@ class ShardTransport(abc.ABC):
         *args: Any,
         bk: ArrayBackend | None = None,
         **kwargs: Any,
-    ) -> tuple[Any, list[Any | None]]:
-        """Barriering form of :meth:`map_allreduce_async`: returns
-        ``(reduced, extras)`` with op deltas relayed and the collective
-        charged under ``"allreduce"`` on the calling thread."""
+    ) -> Any:
+        """Barriering form of :meth:`map_allreduce_async`: returns the
+        reduced sum with op deltas relayed and the collective charged
+        under ``"allreduce"`` on the calling thread."""
         return self._launch_reduce(fn, args, kwargs, bk).result()
 
     # ----------------------------------------------------------- collective
@@ -702,12 +685,6 @@ class ShardTransport(abc.ABC):
         shards (False when every shard adopted a zero-copy view of the
         caller's weights)."""
         return any(not ex.weights_is_view for ex in self.executors)
-
-    @property
-    def needs_final_sync(self) -> bool:
-        """True when a full :meth:`set_weights` is required after the
-        caller restored an out-of-band weight snapshot."""
-        return self.needs_mirror
 
     def mirror_rows(
         self, global_idx: np.ndarray, rows: np.ndarray

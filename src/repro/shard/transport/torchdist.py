@@ -97,7 +97,6 @@ from repro.shard.transport.base import (
     PendingReduce,
     ShardTransport,
     ShardWorker,
-    _split_partial,
 )
 from repro.shard.transport.process import ProcessTransport, _SegmentSpec, _WorkerSpec
 
@@ -210,17 +209,13 @@ def _fused_collective_task(
     fn: Any,
     args: tuple,
     kwargs: dict | None,
-) -> tuple:
+) -> np.ndarray | None:
     """Run ``fn(worker, *args, **kwargs)`` and all-reduce the partial it
-    produced — one task, one RPC round-trip per rank and step, where the
-    unfused path pays two (compute, then collective).  ``fn`` follows the
-    :meth:`~repro.shard.transport.base.ShardTransport.map_allreduce`
-    contract: a bare partial, or ``(partial, extra)`` with the extra
-    returned untouched next to rank 0's reduced array."""
-    result = fn(worker, *args, **(kwargs or {}))
-    partial, extra = _split_partial(result)
-    reduced = _dist_allreduce_task(worker, np.asarray(to_numpy(partial)))
-    return reduced, extra
+    returns — one task, one RPC round-trip per rank and step, where the
+    unfused path pays two (compute, then collective).  Rank 0 returns the
+    reduced array, every other rank ``None``."""
+    partial = fn(worker, *args, **(kwargs or {}))
+    return _dist_allreduce_task(worker, np.asarray(to_numpy(partial)))
 
 
 class _DistPendingReduce(PendingReduce):
@@ -230,14 +225,14 @@ class _DistPendingReduce(PendingReduce):
     deltas, and records the caller-side shape-derived ``"allreduce"``
     charge — identical to the unfused path's accounting."""
 
-    def result(self) -> tuple[Any, list[Any | None]]:
-        replies = self._pending.result()  # [(reduced | None, extra)] per rank
-        out = np.asarray(replies[0][0])
+    def result(self) -> Any:
+        replies = self._pending.result()  # [reduced, None, ...] per rank
+        out = np.asarray(replies[0])
         g = self._transport.g
         with span("allreduce", transport=self._transport.name, g=g, fused=True):
             record_ops("allreduce", (g - 1) * int(out.size))
         bk = self._bk if self._bk is not None else get_backend()
-        return bk.asarray(out), [extra for _, extra in replies]
+        return bk.asarray(out)
 
 
 def _pull_weights_task(worker: ShardWorker) -> np.ndarray:

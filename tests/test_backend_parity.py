@@ -440,12 +440,6 @@ class TestPrecisionSwitch:
         assert out64.dtype == np.float64
         np.testing.assert_allclose(out32, out64, atol=1e-4)
 
-    def test_explicit_kernel_dtype_still_wins(self, xz):
-        x, z = xz
-        k = GaussianKernel(bandwidth=2.0, dtype=np.float32)
-        with use_precision("float64"):
-            assert k(x, z).dtype == np.float32
-
     def test_float32_values_match_float64(self, xz):
         x, z = xz
         k = LaplacianKernel(bandwidth=2.0)

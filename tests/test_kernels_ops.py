@@ -8,7 +8,6 @@ from repro.exceptions import ConfigurationError
 from repro.kernels import GaussianKernel
 from repro.kernels.ops import (
     iter_row_blocks,
-    kernel_matrix,
     kernel_matvec,
     row_block_sizes,
 )
@@ -44,29 +43,6 @@ class TestRowBlockSizes:
         slices = list(iter_row_blocks(100, 7, max_scalars=50))
         covered = np.concatenate([np.arange(s.start, s.stop) for s in slices])
         np.testing.assert_array_equal(covered, np.arange(100))
-
-
-class TestKernelMatrix:
-    def test_matches_direct_evaluation(self, rng):
-        k = GaussianKernel(bandwidth=2.0)
-        x = rng.standard_normal((40, 6))
-        z = rng.standard_normal((25, 6))
-        np.testing.assert_allclose(
-            kernel_matrix(k, x, z, max_scalars=100), k(x, z), atol=1e-12
-        )
-
-    def test_out_buffer_reused(self, rng):
-        k = GaussianKernel(bandwidth=2.0)
-        x = rng.standard_normal((10, 3))
-        out = np.empty((10, 10))
-        res = kernel_matrix(k, x, out=out)
-        assert res is out
-
-    def test_bad_out_shape_raises(self, rng):
-        k = GaussianKernel(bandwidth=2.0)
-        x = rng.standard_normal((10, 3))
-        with pytest.raises(ConfigurationError):
-            kernel_matrix(k, x, out=np.empty((3, 3)))
 
 
 class TestKernelMatvec:

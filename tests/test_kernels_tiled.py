@@ -21,7 +21,7 @@ import pytest
 from repro.backend import ArrayBackend, NumpyBackend, use_backend
 from repro.backend import numpy_backend
 from repro.backend import threads as threads_module
-from repro.config import use_precision
+from repro.config import compute_dtype, use_precision
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.kernels.ops import block_workspace, center_sq_norms, kernel_matvec
@@ -80,7 +80,7 @@ def _rows_per_tile(n_z: int, dtype) -> int:
 def _both(kernel, x, z, **kwargs):
     """The tiled block and the single-pass reference for one call."""
     profile, scale = kernel.fused_spec
-    dtype = kernel._eval_dtype(x, z)
+    dtype = compute_dtype(x, z)
     blocks = []
     for bk in (NumpyBackend(), SINGLE):
         with use_backend(bk):

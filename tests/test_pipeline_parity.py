@@ -150,8 +150,8 @@ class TestWorkspaceDebugFlag:
     def test_streaming_paths_clean_under_debug(self, small_dataset):
         """The hot paths request correctly-dtyped scratch up front, so the
         debug assertions never fire on them — unsharded and sharded
-        training alike, including a dtype-pinned kernel."""
-        from repro.kernels.ops import kernel_matrix, kernel_matvec
+        training alike."""
+        from repro.kernels.ops import kernel_matvec
 
         ds = small_dataset
         rng = np.random.default_rng(1)
@@ -160,10 +160,6 @@ class TestWorkspaceDebugFlag:
             kernel_matvec(
                 GaussianKernel(bandwidth=2.5), ds.x_test, ds.x_train, w
             )
-            # float32-pinned kernel against float64 data: kernel_matrix
-            # must route blocks through pooled eval-dtype scratch.
-            pinned = GaussianKernel(bandwidth=2.5, dtype=np.float32)
-            kernel_matrix(pinned, ds.x_test[:16], ds.x_train[:32])
             trainer = EigenPro2(
                 GaussianKernel(bandwidth=2.5), device=titan_xp(), **KW
             )

@@ -132,6 +132,12 @@ def _wire_task(worker, n):
     return 2 * n
 
 
+# Module-level task (picklable) used by the map_allreduce return test:
+# shard i contributes an (m, l) partial filled with i + 1.
+def _filled_partial_task(worker, m, l):
+    return np.full((m, l), float(worker.shard_id + 1))
+
+
 @pytest.fixture(scope="module")
 def problem():
     rng = np.random.default_rng(13)
@@ -268,7 +274,16 @@ class TestShardedOpsConformance:
             with meter_scope() as meter:
                 got = sharded_predict(group, x)
             per_shard = group.op_counts()
+            reduced = group.map_allreduce(
+                _filled_partial_task, x.shape[0], weights.shape[1]
+            )
         np.testing.assert_allclose(got, ref, atol=1e-6, rtol=0)
+        # map_allreduce returns the reduced (m, l) array alone.
+        assert not isinstance(reduced, tuple)
+        np.testing.assert_array_equal(
+            np.asarray(reduced),
+            np.full((x.shape[0], weights.shape[1]), g * (g + 1) / 2),
+        )
         for category in ("kernel_eval", "gemm"):
             assert meter.counts[category].ops == ref_meter.counts[category].ops
             assert per_shard[category] == ref_meter.counts[category].ops

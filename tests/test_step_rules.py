@@ -180,8 +180,8 @@ def test_worker_lifted_partials_reduce_to_the_same_bits(transport):
     try:
         with use_precision("mixed"):
             parts32 = group.map(_f32_partial_task, x)
-            lifted, _ = group.map_allreduce(_lifted_partial_task, x)
-            legacy, _ = group.map_allreduce(_f32_partial_task, x)
+            lifted = group.map_allreduce(_lifted_partial_task, x)
+            legacy = group.map_allreduce(_f32_partial_task, x)
     finally:
         group.close()
     assert all(np.asarray(p).dtype == np.float32 for p in parts32)
