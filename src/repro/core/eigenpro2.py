@@ -29,7 +29,11 @@ from repro.backend import get_backend
 from repro.config import compute_dtype, mixed_precision_active
 from repro.core.acceleration import predicted_acceleration
 from repro.core.cost import exact_improved_overhead_ops
-from repro.core.preconditioner import NystromPreconditioner
+from repro.core.preconditioner import (
+    NystromPreconditioner,
+    correction_partial,
+    correction_rows,
+)
 from repro.core.qselection import adjusted_q, select_q
 from repro.core.resource import max_device_batch_size
 from repro.core.spectrum import estimate_beta
@@ -44,6 +48,7 @@ from repro.linalg.nystrom import NystromExtension, nystrom_extension
 __all__ = [
     "AutoParameters",
     "EigenPro2",
+    "correct_block",
     "default_subsample_size",
     "default_q_max",
     "select_parameters",
@@ -71,6 +76,54 @@ def default_q_max(s: int) -> int:
     if s < 1:
         raise ConfigurationError(f"s must be >= 1, got {s}")
     return max(1, min(s - 1, 300))
+
+
+def correct_block(
+    block: Any,
+    p: Any,
+    eigvecs: Any,
+    d_scale: np.ndarray,
+    phi_dtype: object,
+    gamma: float,
+    comp: np.ndarray | None,
+) -> np.ndarray | None:
+    """Algorithm 1 steps 4–5 on a range of the subsample's weight rows:
+    ``block += gamma * V_i D p``, where ``block`` is that range of
+    ``alpha[:s]`` (a view, updated in place), ``eigvecs`` its rows of
+    ``V`` and ``p`` the summed partial ``V^T Phi^T g``
+    (:func:`~repro.core.preconditioner.correction_partial`).  The one
+    rule of the correction's update: :meth:`EigenPro2._correct` applies
+    it to all of ``alpha[:s]``, the sharded trainer's subsample-holding
+    shards to their rows (:mod:`repro.shard.trainer`).
+
+    The update is cast to ``block``'s (master) dtype.  The fixed
+    coordinate block receives one dense update *every* iteration, so
+    under mixed precision this running sum is where rounding would pile
+    up fastest; on NumPy it is accumulated with Kahan compensation in
+    ``comp`` (same shape as ``block``; allocated when ``None``).
+    Returns the compensation, ``None`` when the sum is not compensated.
+    Kahan works row by row, so compensating a row range with its rows of
+    one ``(s, l)`` compensation matches compensating all of ``alpha[:s]``.
+    """
+    bk = get_backend()
+    update = gamma * bk.asarray(
+        correction_rows(p, eigvecs, d_scale, phi_dtype),
+        dtype=bk.dtype_of(block),
+    )
+    if not (
+        mixed_precision_active()
+        and isinstance(block, np.ndarray)
+        and isinstance(update, np.ndarray)
+    ):
+        block += update
+        return None
+    if comp is None or comp.shape != update.shape:
+        comp = np.zeros_like(update)
+    u = update - comp
+    t = block + u
+    comp[...] = (t - block) - u
+    block[...] = t
+    return comp
 
 
 @dataclass(frozen=True)
@@ -360,40 +413,28 @@ class EigenPro2(BaseKernelTrainer):
         """Algorithm 1 steps 4–5: ``alpha[:s] += gamma * V D V^T Phi g``
         for the batch's ``Phi^T`` columns ``phi`` and residuals ``g``;
         the fit holds the subsample's weights first
-        (:meth:`_center_order`).  Shared by the serial and sharded
-        (:class:`repro.shard.trainer.ShardedEigenPro2`) steps.
+        (:meth:`_center_order`).
 
         ``phi`` arrives in the fit's working dtype (that of ``x``), so
         under mixed precision it stays in the compute dtype and the
         correction's ``Phi^T g`` lifts its product
-        (:meth:`NystromPreconditioner.correction`).
-
-        The fixed coordinate block receives one dense update *every*
-        iteration, so under mixed precision this running sum is where
-        rounding would pile up fastest; on the NumPy backend it is
-        accumulated with Kahan compensation (one ``(s, l)`` compensation
-        buffer, reset per fit).
+        (:func:`~repro.core.preconditioner.correction_partial`).  The
+        update goes through :func:`correct_block`, with its Kahan
+        compensation (mixed precision) kept in one ``(s, l)`` buffer,
+        reset per fit.  :class:`~repro.shard.trainer.ShardedEigenPro2`
+        does not call this: its subsample-holding shards run the same
+        two functions on their own rows.
         """
-        bk = get_backend()
-        update = gamma * bk.asarray(
-            self.preconditioner_.correction(phi, g),
-            dtype=bk.dtype_of(self._alpha),
+        v = self.preconditioner_.extension.eigvecs
+        self._corr_comp = correct_block(
+            self._alpha[: v.shape[0]],  # a view
+            correction_partial(phi, g, v),
+            v,
+            self.preconditioner_.d_scale,
+            get_backend().dtype_of(phi),
+            gamma,
+            self._corr_comp,
         )
-        block = self._alpha[: update.shape[0]]  # a view
-        if not (
-            mixed_precision_active()
-            and isinstance(self._alpha, np.ndarray)
-            and isinstance(update, np.ndarray)
-        ):
-            block += update
-            return
-        comp = self._corr_comp
-        if comp is None or comp.shape != update.shape:
-            comp = self._corr_comp = np.zeros_like(update)
-        u = update - comp
-        t = block + u
-        comp[...] = (t - block) - u
-        block[...] = t
 
     def _extra_iteration_ops(self, m: int) -> int:
         if self.preconditioner_ is None:

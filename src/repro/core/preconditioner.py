@@ -29,6 +29,14 @@ GEMM ``K[batch, :] @ alpha`` (``n*m*l``), because ``s <= n``.  The
 ``V^T Phi``-first order costs ``q/l`` times more: 7.5x that GEMM at
 ``n = 8000``, ``s = 2000``, ``q = 300``, ``l = 10``.
 
+The chain splits over the subsample rows: :func:`correction_partial`
+forms ``V_i^T Phi_i^T g`` for a row range ``i``, the shard-order sum of
+those partials is ``V^T Phi^T g``, and :func:`correction_rows` maps the
+sum back to that range's rows ``V_i D (.)``.  With one range covering
+all ``s`` rows this is :meth:`NystromPreconditioner.correction`; the
+sharded trainer runs the split on the shards that hold the subsample
+(:mod:`repro.shard.trainer`).
+
 :meth:`NystromPreconditioner.modified_kernel` materialises the adaptive
 kernel ``k_G`` *explicitly* — not used in training (it would defeat the
 purpose) but invaluable for tests: the modified kernel matrix must be PSD,
@@ -48,7 +56,50 @@ from repro.exceptions import ConfigurationError
 from repro.instrument import record_ops
 from repro.linalg.nystrom import NystromExtension
 
-__all__ = ["NystromPreconditioner"]
+__all__ = ["NystromPreconditioner", "correction_partial", "correction_rows"]
+
+
+def correction_partial(phi: Any, g: Any, eigvecs: Any) -> Any:
+    """``V_i^T Phi_i^T g`` of shape ``(q, l)``: the first half of the
+    correction over the subsample rows ``i`` that ``phi``'s columns
+    (``(m, s_i)``) and ``eigvecs``'s rows (``(s_i, q)``) cover.
+
+    The full ``V^T Phi^T g`` is the shard-order sum of these partials;
+    with every subsample row in one call it is that product itself.
+    ``Phi^T g`` runs as the prediction GEMM does
+    (:func:`~repro.backend.master_matmul`): under mixed precision a
+    compute-dtype ``Phi`` meets a downcast copy of the float64 residuals
+    and the product is lifted back; ``V`` is lifted to that product's
+    dtype.  Records ``s_i*m*l + s_i*q*l`` ``"precond"`` operations.
+    """
+    bk = backend_of(phi)
+    m, l = g.shape
+    s_i, q = eigvecs.shape
+    h = master_matmul(phi.T, g, bk)  # (s_i, l): s_i*m*l ops
+    v = match_dtype(eigvecs, bk.dtype_of(h), bk)
+    record_ops("precond", s_i * m * l + s_i * q * l)
+    return v.T @ h  # (q, l): s_i*q*l ops
+
+
+def correction_rows(
+    p: Any, eigvecs: Any, d_scale: np.ndarray, phi_dtype: object
+) -> Any:
+    """``V_i D p`` of shape ``(s_i, l)``: the correction's rows for the
+    subsample rows ``eigvecs`` (``(s_i, q)``) covers, from the summed
+    partial ``p`` (:func:`correction_partial`).
+
+    Runs, and accumulates, in ``p``'s dtype.  ``D`` comes from its
+    float64 source ``d_scale`` when ``Phi`` (of dtype ``phi_dtype``) was
+    lifted to reach ``p``'s dtype (mixed precision), else by way of the
+    eigenvectors' dtype.  Records ``s_i*q*l`` ``"precond"`` operations.
+    """
+    bk = backend_of(p)
+    acc = bk.dtype_of(p)
+    via = acc if np.dtype(phi_dtype) != acc else bk.dtype_of(eigvecs)
+    d = match_dtype(bk.asarray(d_scale, dtype=via), acc, bk)
+    v = match_dtype(eigvecs, acc, bk)
+    record_ops("precond", eigvecs.shape[0] * eigvecs.shape[1] * p.shape[1])
+    return v @ (p * d[:, None])  # (s_i, l): s_i*q*l ops
 
 
 class NystromPreconditioner:
@@ -83,12 +134,7 @@ class NystromPreconditioner:
         d_scale = (1.0 - self.sigma_q / safe) / safe
         # Directions with vanished eigenvalues carry no usable information.
         d_scale[sig <= EPS] = 0.0
-        self.d_scale = d_scale  # (q,), NumPy — feeds scalar analysis
-        # Native copy on the eigenvectors' backend for the training path.
-        bk = backend_of(ext.eigvecs)
-        self._d_scale_native = bk.asarray(
-            d_scale, dtype=bk.dtype_of(ext.eigvecs)
-        )
+        self.d_scale = d_scale  # (q,), float64 NumPy
 
     # ------------------------------------------------------------ metadata
     @property
@@ -157,30 +203,11 @@ class NystromPreconditioner:
             raise ConfigurationError(
                 f"g must have shape ({phi_block.shape[0]}, l), got {g.shape}"
             )
-        bk = backend_of(phi_block)
-        m, l = g.shape
-        # Phi^T g first: the only term with m in it costs s*m*l, which
-        # s <= n keeps below the step's own n*m*l prediction GEMM.  It
-        # runs as the prediction GEMM does (master_matmul): under mixed
-        # precision a compute-dtype Phi meets a downcast copy of the
-        # float64 residuals and the product is lifted back.
-        h = master_matmul(phi_block.T, g, bk)  # (s, l): s*m*l ops
-        # The small (s, q, l) tails and the returned correction run, and
-        # accumulate, in the residuals' dtype, with the stored eigensystem
-        # lifted to it.  D comes from its float64 source when Phi is in
-        # another dtype (mixed precision), else from the native copy in
-        # the eigenvectors' dtype.
-        acc_dtype = bk.dtype_of(h)
-        if bk.dtype_of(phi_block) != acc_dtype:
-            d = bk.asarray(self.d_scale, dtype=acc_dtype)
-        else:
-            d = match_dtype(self._d_scale_native, acc_dtype, bk)
-        v = match_dtype(self.extension.eigvecs, acc_dtype, bk)  # (s, q)
-        t = v.T @ h  # (q, l): s*q*l ops
-        t *= d[:, None]
-        out = v @ t  # (s, l): s*q*l ops
-        record_ops("precond", self.s * m * l + 2 * self.s * self.q * l)
-        return out
+        v = self.extension.eigvecs
+        p = correction_partial(phi_block, g, v)
+        return correction_rows(
+            p, v, self.d_scale, backend_of(phi_block).dtype_of(phi_block)
+        )
 
     # ------------------------------------------------------------ analysis
     def projection_weights(self) -> np.ndarray:

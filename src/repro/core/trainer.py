@@ -24,8 +24,11 @@ Each numeric rule of the step has one implementation, which the
 sharded trainer (:mod:`repro.shard.trainer`) reuses: the prediction
 GEMM is :func:`~repro.backend.master_matmul` (also per shard), the
 dtype of ``alpha`` and ``y`` is :func:`~repro.config.master_dtype`,
-step 3 is :meth:`BaseKernelTrainer._update`, and EigenPro's steps 4–5
-are :meth:`~repro.core.eigenpro2.EigenPro2._correct`.
+step 3 is :func:`coordinate_update` (through
+:meth:`BaseKernelTrainer._update`), and EigenPro's steps 4–5 are
+:func:`~repro.core.preconditioner.correction_partial` and
+:func:`~repro.core.eigenpro2.correct_block` (through
+:meth:`~repro.core.eigenpro2.EigenPro2._correct`).
 
 Layout: a subclass may hold the fit's centers in an order of its own
 (:meth:`BaseKernelTrainer._center_order`).  EigenPro 2.0 puts its
@@ -92,6 +95,7 @@ __all__ = [
     "EpochRecord",
     "TrainingHistory",
     "BaseKernelTrainer",
+    "coordinate_update",
 ]
 
 #: Scalars per chunk when the full-batch monitor gathers rows of the kept
@@ -101,6 +105,14 @@ __all__ = [
 #: 698 MB RSS, with 1M-scalar chunks (8 MB) at 637 MB (2-vCPU x86 host,
 #: seeds 1-3, ``test_mse`` unchanged).
 _MONITOR_CHUNK_SCALARS = 1_000_000
+
+
+def coordinate_update(alpha: Any, rows: Any, g: Any, gamma: float) -> None:
+    """Step 3 on weight rows ``rows``: ``alpha[rows] -= gamma * g``, with
+    ``g`` the residuals of those rows in the same order.  Elementwise, so
+    splitting a batch's rows over several callers (the sharded trainer's
+    parent and its subsample-holding shards) gives the same bits."""
+    alpha[rows] -= gamma * g
 
 
 @dataclass(frozen=True)
@@ -583,7 +595,7 @@ class BaseKernelTrainer:
         coordinate update ``alpha[idx] -= gamma * g``; returns ``g``.
         Both run in the master dtype of ``alpha`` and ``y``."""
         g = f - y[idx]
-        self._alpha[idx] -= gamma * g
+        coordinate_update(self._alpha, idx, g, gamma)
         return g
 
     def _kept_block_mse(self, rows: np.ndarray, y: Any) -> float:

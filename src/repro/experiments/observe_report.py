@@ -4,9 +4,10 @@ The repository's one model-vs-measured experiment (``python -m
 repro.experiments observe-report``; the exit code gates on its claims).
 It runs a real :class:`~repro.shard.ShardedEigenPro2` fit under an
 active :class:`repro.observe.Tracer` and judges the analytic cost model
-phase by phase: worker-side ``form_block``/``gemm`` spans (relayed
-through the transport's metered-reply path), caller-side
-``correction`` / ``allreduce`` / ``mirror`` / ``checkpoint`` spans, and
+phase by phase: worker-side ``form_block``/``gemm``/``correction``
+spans (relayed through the transport's metered-reply path; the
+correction runs on the shard holding the subsample), caller-side
+``allreduce`` / ``mirror`` / ``checkpoint`` spans, and
 — when the fit recovered from a failure — the ``recovery`` span family,
 each joined against the matching model term by
 :func:`repro.observe.compare_phases`.

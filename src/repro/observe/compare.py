@@ -30,13 +30,19 @@ phase and never enter the calibrated rate.
 
 A recovery's replayed steps are priced at the run's own per-step time:
 the wall seconds of the step phases (``form_block``, ``gemm``,
-``correction``, ``allreduce``) over the number of steps traced, one
-``correction`` span per step (``0`` when none were traced).
+``correction``, ``allreduce``) over the number of steps traced (``0``
+when none were).  A step contracts exactly once on every timeline that
+runs it — the caller's in a serial fit, each shard's in a sharded one —
+so the steps are the most ``gemm`` spans one timeline recorded.  The
+``correction`` spans do not count steps: a sharded fit runs each step's
+correction on the shard(s) holding the subsample, some of it in a
+separate settle task before a checkpoint or at the end of a span.
 
-Each row sums every span of its phase.  The TOTAL row counts wall time
-instead: the shards run side by side, so a worker phase (spans carrying
-a ``shard`` attribute) enters it as the slowest shard's sum, and TOTAL
-cannot exceed the fit's wall time.
+Each row sums every span of its phase.  The TOTAL row and the per-step
+time count wall time instead: the shards run side by side, so a worker
+phase (spans carrying a ``shard`` attribute) enters them as the slowest
+shard's sum — for ``correction``, the slowest of the shards holding the
+subsample — and TOTAL cannot exceed the fit's wall time.
 """
 
 from __future__ import annotations
@@ -108,6 +114,17 @@ def _wall_seconds(tracer: Tracer) -> dict[str, float]:
     for name, sums in shards.items():
         wall[name] = wall.get(name, 0.0) + max(sums.values())
     return wall
+
+
+def _step_count(tracer: Tracer) -> int:
+    """Steps traced: the most ``gemm`` spans one timeline (the caller,
+    or one shard) recorded (module docstring)."""
+    per_timeline: dict[Any, int] = {}
+    for ev in tracer.events:
+        if ev.name == "gemm":
+            shard = ev.attrs.get("shard")
+            per_timeline[shard] = per_timeline.get(shard, 0) + 1
+    return max(per_timeline.values(), default=0)
 
 
 def compare_phases(
@@ -209,7 +226,7 @@ def compare_phases(
             spans=counts.get(phase, 0),
         ))
 
-    steps = counts.get("correction", 0)
+    steps = _step_count(tracer)
     step_s = (
         sum(wall.get(p, 0.0) for p in STEP_PHASES) / steps if steps else 0.0
     )

@@ -43,11 +43,13 @@ real array backends:
   :func:`repro.device.cluster.multi_gpu` aggregate device (with a
   per-transport link model via
   :func:`repro.device.cluster.transport_interconnect`).  While step
-  ``t``'s partial predictions are all-reduced and its update/correction
-  applied on the caller thread, every shard worker is already forming
-  step ``t+1``'s kernel block; FIFO worker order runs contraction ``t``
+  ``t``'s partial predictions are all-reduced and its update applied
+  on the caller thread, every shard worker is already forming step
+  ``t+1``'s kernel block; FIFO worker order runs contraction ``t``
   before formation ``t+1``, so one workspace buffer per shard suffices
-  and the block never crosses the transport.
+  and the block never crosses the transport.  The EigenPro correction
+  runs on the shard(s) holding the subsample's rows, ahead of their
+  next contraction, so ``Phi`` never crosses it either.
 
 Mirror-back of updated weight rows is *asynchronous* on every transport:
 NumPy thread shards see updates through zero-copy views, device-copy
@@ -108,11 +110,12 @@ Observability
 The whole sharded stack is span-instrumented through
 :mod:`repro.observe`: under an active
 :class:`~repro.observe.Tracer` (``with trace_scope(tracer):``) the
-trainer brackets every phase (``epoch``, ``form_block``/``gemm`` waits,
-``correction``, ``checkpoint``, ``scatter_state`` and the
+trainer brackets every phase (``epoch``, ``form_block``/``gemm``/
+``correction`` waits, ``checkpoint``, ``scatter_state`` and the
 ``recovery/*`` detour), the transport brackets every collective
 (``allreduce``, ``mirror``, ``gather``), and each *worker* records its
-own ``form_block``/``gemm`` spans — stamped ``shard=<id>`` and relayed
+own ``form_block``/``gemm`` spans, and the subsample's holders their
+``correction`` spans — stamped ``shard=<id>`` and relayed
 back on the existing metered-reply path with the op-count deltas
 (:meth:`repro.instrument.Telemetry.relay`).  Export per-shard timelines with
 :func:`~repro.observe.export_perfetto` and join measured span totals

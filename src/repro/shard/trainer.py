@@ -10,33 +10,29 @@
 2. the ``(m, l)`` partial batch predictions are all-reduced
    (:meth:`~repro.shard.ShardTransport.allreduce` — the collective whose
    cost the cluster model charges per iteration);
-3. the SGD coordinate update and the EigenPro correction (steps 3–5) are
-   applied to the full weight vector; shards holding zero-copy views see
-   the update immediately, all other shards get the touched rows
-   mirrored back *asynchronously* (below).
+3. the SGD coordinate update (step 3) runs where each weight row is
+   owned, and the EigenPro correction (steps 4–5) on the shard(s)
+   holding the subsample's rows (below); shards holding zero-copy views
+   see the caller's updates immediately, all other shards get the
+   touched rows mirrored back *asynchronously* (below).
 
-The Nyström preconditioner state is *replicated* (it is ``s*q + 2q``
-scalars, independent of ``n``), but its ``Phi^T`` block is never
-recomputed.  The shards hold contiguous row ranges of the unsharded
-trainer's center order, subsample first
+The shards hold contiguous row ranges of the unsharded trainer's center
+order, subsample first
 (:meth:`~repro.core.eigenpro2.EigenPro2._center_order`), so the
-subsample is the first ``s`` global centers: each shard that owns
-``s_i`` of them copies its batch block's first ``s_i`` columns, and
-the caller concatenates the copies in shard order into the unsharded
-trainer's ``kb[:, :s]``.  The order is global, not per shard, and does
-not depend on ``g``: an elastic rebuild at a smaller ``g`` re-plans
-the same held centers, and the only work left unbalanced is the copy of
-``Phi``'s columns on the shards that own them.  All selected
-parameters, op counts and simulated-device charges are identical to
-the unsharded trainer by construction, which is what lets
+subsample is the first ``s`` global centers and ``Phi^T``'s columns are
+the leading columns of the blocks of the shards that hold them.  The
+order is global, not per shard, and does not depend on ``g``: an
+elastic rebuild at a smaller ``g`` re-plans the same held centers.  All
+selected parameters, op counts and simulated-device charges are
+identical to the unsharded trainer by construction, which is what lets
 :func:`repro.observe.compare_phases` compare modelled against measured
 time for the *same* iteration.
 
 The per-shard work is expressed as module-level *task functions*
-(:func:`_form_block_task`, :func:`_contract_task`) acting on a
-:class:`~repro.shard.transport.ShardWorker`, so the same arithmetic runs
-unchanged on every transport — in-process worker threads
-(``transport="thread"``, the default) or worker processes over
+(:func:`_form_block_task`, :func:`_contract_task`, :func:`_settle_task`)
+acting on a :class:`~repro.shard.transport.ShardWorker`, so the same
+arithmetic runs unchanged on every transport — in-process worker
+threads (``transport="thread"``, the default) or worker processes over
 shared-memory weight blocks (``transport="process"``).  The formed block
 never crosses the transport: a *form* task stashes it in
 ``worker.block`` and the matching *contract* task consumes it there.
@@ -44,25 +40,54 @@ never crosses the transport: a *form* task stashes it in
 The sharded step has no numeric rule of its own.  The contract task is
 the serial step's contraction (:func:`~repro.backend.master_matmul`) on
 the shard's rows, so under mixed precision each partial arrives already
-lifted to float64.  The caller then runs the serial step's update
-(:meth:`~repro.core.trainer.BaseKernelTrainer._update`) and correction
-(:meth:`~repro.core.eigenpro2.EigenPro2._correct`) on ``Phi`` put
-together from the shards' column parts.
+lifted to float64; step 3 is :func:`~repro.core.trainer.coordinate_update`
+and steps 4–5 are :func:`~repro.core.preconditioner.correction_partial`
+and :func:`~repro.core.eigenpro2.correct_block`, the functions the
+serial step runs.
+
+Who owns ``alpha[:s]``
+----------------------
+The shards holding subsample centers — the *owners*, shard 0 alone
+unless ``s`` exceeds its rows — own the subsample's weight rows
+``alpha[:s]`` and the correction's Kahan compensation.  Each gets, once
+per fit in its setup task, its rows of ``V`` (through shared memory on
+the process transport), ``D`` and its rows of the compensation.  The
+caller updates and mirrors only the rows at or past ``s``; an owner
+applies step 3 to the batch rows it holds and then the correction
+``gamma * V_i D p`` to its rows, where ``p`` is the shard-order sum of
+the owners' partials ``V_i^T Phi_i^T g``.  A sole owner forms ``p``
+itself, its own partial; several owners send theirs to the caller first
+(one more round trip per step, only when the subsample spans shards).
+The caller's copy of ``alpha[:s]`` and of the compensation is refreshed
+from the owners whenever they are settled (below): before every
+checkpoint and at the end of every span, so the monitor, the
+checkpoints and ``model_`` read the exact iteration.  Recovery restores
+the caller's copy and rebuilds the group from it.
 
 Step schedule
 -------------
 The kernel block of step ``t+1`` depends only on the batch rows and the
 (immutable) shard centers — never on the weights — so its formation is
-*prefetched*: while step ``t``'s partial predictions are all-reduced and
-the coordinate update + correction run on the caller thread, every shard
-worker is already forming step ``t+1``'s ``(m, n_i)`` block.  Each step
-splits into
+*prefetched* behind step ``t``'s contraction.  Per step ``t`` each
+worker's FIFO runs
 
-1. **contract** (weight-dependent): ``kb_t @ w``, fused with the
-   all-reduce and queued first on each worker's FIFO;
-2. **prefetch** (weight-independent): form ``kb_{t+1}`` and copy out its
-   ``Phi`` columns, queued right behind the contraction so it fills the
-   worker's idle time during the caller-side collective + update.
+1. **form** ``kb_t`` (weight-independent; queued during step ``t-1``);
+2. **contract**: an owner first applies step ``t-1``'s update rows and
+   correction, reading the ``Phi`` columns it kept from ``kb_{t-1}``,
+   keeps ``kb_t``'s, then every shard contracts ``kb_t @ w``, fused with
+   the all-reduce.  The caller queues it as soon as step ``t-1``'s
+   update is done, behind the prefetched form, without waiting for it;
+3. **form** ``kb_{t+1}``, queued right behind the contraction.
+
+What crosses the transport per step: the batch rows ``(m, d)`` and their
+norms in each form task; step ``t-1``'s batch positions and residuals
+``g`` (``m*l``) — plus ``p`` (``q*l``) with several owners — in each
+contract task; the ``(m, l)`` partial in each contract reply.  ``Phi``
+(``m*s``) never does, and the caller runs no correction.  A span (an
+epoch, or its replay after a recovery) starts with no correction
+pending; before a checkpoint and after its last step a *settle* task
+applies the pending one instead of the next contraction, and the last
+settle of a span also drops the shards' block scratch.
 
 FIFO order runs contraction ``t`` before formation ``t+1`` on every
 worker, so one workspace buffer per shard suffices.  This is the only
@@ -72,12 +97,12 @@ form + contract task) was slower in 18 of 20 paired runs.  That
 comparison predates the per-worker BLAS thread budget
 (:mod:`repro.shard.transport.process`): both schedules ran with every
 worker's OpenBLAS oversubscribing the cores.  Nothing stale is ever
-read — the prefetch touches no array the update writes — so the weights
-match the unsharded trainer.
+read — the prefetch touches no array the update or the correction
+writes — so the weights match the unsharded trainer.
 
 Asynchronous mirror-back
 ------------------------
-The mirror of updated weight rows never barriers the caller:
+The mirror of the rows the caller updated never barriers the caller:
 
 - thread transport, NumPy shards: the shards hold zero-copy views of
   ``alpha`` — the update *is* the mirror;
@@ -96,6 +121,8 @@ The mirror of updated weight rows never barriers the caller:
 from __future__ import annotations
 
 import copy
+import functools
+import operator
 import time
 from pathlib import Path
 from typing import Any, Sequence
@@ -103,8 +130,14 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend, master_matmul, to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS, compute_dtype
-from repro.core.eigenpro2 import EigenPro2
+from repro.config import (
+    DEFAULT_BLOCK_SCALARS,
+    compute_dtype,
+    mixed_precision_active,
+)
+from repro.core.eigenpro2 import EigenPro2, correct_block
+from repro.core.preconditioner import correction_partial
+from repro.core.trainer import coordinate_update
 from repro.device.cluster import Interconnect, multi_gpu
 from repro.device.presets import titan_xp
 from repro.device.simulator import SimulatedDevice
@@ -122,9 +155,10 @@ __all__ = ["ShardedEigenPro2"]
 
 # ---------------------------------------------------------------------------
 # Worker-side task functions (module-level: picklable on every transport).
-# The per-fit context they need — the kernel and how many of this shard's
-# leading centers are subsample points — is pushed into ``worker.state``
-# at group build time.
+# The per-fit context they need — the kernel, how many of this shard's
+# leading centers are subsample points and, on the shards holding some,
+# their part of the preconditioner — is pushed into ``worker.state`` at
+# group build time (ShardedEigenPro2._shard_state).
 # ---------------------------------------------------------------------------
 
 
@@ -132,42 +166,80 @@ def _form_block_task(
     worker: ShardWorker,
     xb: np.ndarray,
     xb_sq_norms: np.ndarray | None,
-) -> Any | None:
-    """Form the batch-vs-shard block ``(m, n_i)`` and copy out its
-    leading ``phi_cols`` columns, this shard's part of ``Phi`` (both
-    weight-independent, hence prefetchable).
-
-    The block is stashed in ``worker.block`` for the matching
-    :func:`_contract_task`; only the (small) ``Phi`` column copy is
-    returned across the transport, and ``None`` by a shard that owns
-    no subsample center.
-    """
+) -> None:
+    """Form the batch-vs-shard block ``(m, n_i)`` (weight-independent,
+    hence prefetchable) and stash it in ``worker.block`` for the
+    matching :func:`_contract_task`; nothing crosses the transport."""
     kernel: Kernel = worker.state["kernel"]
-    ebk = worker.backend
     with span("form_block", m=int(xb.shape[0])):
         scratch = block_workspace().get(
-            ebk, xb.shape[0], worker.n_centers,
+            worker.backend, xb.shape[0], worker.n_centers,
             compute_dtype(xb, worker.centers),
         )
-        kb = kernel(
+        worker.block = kernel(
             xb,
             worker.centers,
             out=scratch,
             x_sq_norms=xb_sq_norms,
             z_sq_norms=worker.center_sq_norms,
         )  # (m, n_i): records kernel_eval on the shard meter
-        worker.block = kb
-        cols = worker.state.get("phi_cols", 0)
-        # A copy, so the block scratch may be recycled (and the copy
-        # shipped cross-process) safely.
-        return ebk.copy(kb[:, :cols]) if cols else None
 
 
-def _contract_task(worker: ShardWorker) -> Any:
-    """Contract the stashed block against the shard's *current* weight
-    rows (weight-dependent: FIFO order guarantees the previous step's
-    update has been mirrored by the time this runs)."""
+def _apply_pending(worker: ShardWorker, pending: tuple | None) -> None:
+    """Algorithm 1 steps 3–5 of the previous step on the subsample rows
+    this shard holds (module docstring: the correction's owners).
+
+    ``pending`` is ``(idx, g, gamma, p)``: the step's batch rows (held
+    positions), residuals and per-coordinate step, and the shard-order
+    sum ``p`` of the owners' partials ``V_i^T Phi_i^T g`` — ``None``
+    when this shard is the only owner, which then forms the sum, its own
+    partial, here.  Reads the ``Phi`` columns the previous contraction
+    kept."""
+    st = worker.state
+    cols = st.get("phi_cols", 0)
+    if pending is None or not cols:
+        return
+    idx, g, gamma, p = pending
+    bk = worker.backend
+    g = bk.asarray(g)
+    v = st["eigvecs"] = bk.asarray(st["eigvecs"])
+    row0 = st["row0"]
+    mine = np.flatnonzero((idx >= row0) & (idx < row0 + cols))
+    coordinate_update(worker.weights, idx[mine] - row0, g[mine], gamma)
+    if p is None:
+        p = correction_partial(worker.phi, g, v)
+    st["comp"] = correct_block(
+        worker.weights[:cols],
+        bk.asarray(p),
+        v,
+        st["d_scale"],
+        bk.dtype_of(worker.phi),
+        gamma,
+        st.get("comp"),
+    )
+
+
+def _contract_task(worker: ShardWorker, pending: tuple | None) -> Any:
+    """Apply the previous step's pending update and correction to the
+    subsample rows this shard holds, keep this step's ``Phi`` columns
+    for the next one, then contract the stashed block against the
+    shard's *current* weight rows (FIFO order guarantees the previous
+    step's update of the other rows has been mirrored by now)."""
     kb, worker.block = worker.block, None
+    if kb is None:
+        raise ShardError(
+            f"shard {worker.shard_id} has no formed block to contract "
+            "(its form task failed)"
+        )
+    cols = worker.state.get("phi_cols", 0)
+    if cols:
+        with span("correction", m=int(kb.shape[0])):
+            _apply_pending(worker, pending)
+            phi = worker.phi
+            if phi is None or phi.shape != (kb.shape[0], cols):
+                worker.phi = worker.backend.copy(kb[:, :cols])
+            else:
+                phi[...] = kb[:, :cols]
     w = worker.weights
     with span("gemm", m=int(kb.shape[0])):
         # The serial step's contraction: under mixed precision the
@@ -176,6 +248,36 @@ def _contract_task(worker: ShardWorker) -> Any:
         l = w.shape[1] if w.ndim == 2 else 1
         record_ops("gemm", kb.shape[0] * worker.n_centers * l)
     return f_i
+
+
+def _correction_partial_task(worker: ShardWorker, g: np.ndarray) -> Any:
+    """This shard's partial ``V_i^T Phi_i^T g`` of the correction, on
+    the kept ``Phi`` columns (``None`` on a shard that holds no
+    subsample row); the caller sums the owners' partials in shard
+    order when the subsample spans several shards."""
+    st = worker.state
+    if not st.get("phi_cols", 0):
+        return None
+    bk = worker.backend
+    v = st["eigvecs"] = bk.asarray(st["eigvecs"])
+    with span("correction", m=int(g.shape[0])):
+        return to_numpy(correction_partial(worker.phi, bk.asarray(g), v))
+
+
+def _settle_task(
+    worker: ShardWorker, pending: tuple | None, drain: bool
+) -> np.ndarray | None:
+    """Apply a pending correction without a contraction (before a
+    checkpoint, and at the end of a span, where ``drain`` also drops
+    the shard's block scratch and kept ``Phi``); returns this shard's
+    rows of the Kahan compensation, or ``None`` when it keeps none."""
+    if worker.state.get("phi_cols", 0) and pending is not None:
+        with span("correction", m=int(pending[0].shape[0])):
+            _apply_pending(worker, pending)
+    if drain:
+        worker.drain_workspace()
+    comp = worker.state.get("comp")
+    return None if comp is None else to_numpy(comp)
 
 
 class ShardedEigenPro2(EigenPro2):
@@ -223,8 +325,10 @@ class ShardedEigenPro2(EigenPro2):
         within the current epoch).  ``0`` disables checkpointing *and*
         elastic recovery — a worker failure then propagates as before.
         Default 25; a checkpoint is a host copy of the weights through
-        the transport's host-visible surface, so the steady-state
-        overhead is one ``(n, l)`` memcpy per K steps.
+        the transport's host-visible surface, taken after one settle
+        task has applied the pending correction, so the steady-state
+        overhead is one round trip and one ``(n, l)`` memcpy per K
+        steps.
     max_recoveries:
         Elastic-recovery retry budget per fit.  On a
         :class:`~repro.exceptions.ShardError` inside the epoch loop the
@@ -340,6 +444,10 @@ class ShardedEigenPro2(EigenPro2):
         self._steps_since_checkpoint = 0
         self._cursor = 0
         self._pending_mirror: PendingMap | None = None
+        #: Subsample rows ``alpha[:s]`` the owner shards update (``0``
+        #: without a preconditioner), and how many shards hold them.
+        self._owned_rows = 0
+        self._owners = 0
         #: Open replay window after a recovery, for the tracer only:
         #: ``(resumed_step, failed_step, t0)``; closed (and recorded as
         #: a ``"recovery/replay"`` span) when the loop passes the step
@@ -375,16 +483,49 @@ class ShardedEigenPro2(EigenPro2):
             self.shard_group_.close()
         self.shard_group_ = group
         self._pending_mirror = None
-        # Per-fit worker context: the kernel every form task evaluates,
-        # and how many of the shard's leading centers are the subsample's
-        # (Phi's columns) — batched into a single task per worker, so
-        # message-passing transports pay exactly one setup round-trip
-        # per fit.
-        s = 0 if self.preconditioner_ is None else self.preconditioner_.s
-        group.scatter_state_items([
-            {"kernel": self.kernel, "phi_cols": max(0, min(s, b) - a)}
-            for a, b in zip(group.plan.bounds, group.plan.bounds[1:])
-        ])
+        group.scatter_state_items(self._shard_state(group))
+
+    def _shard_state(self, group: ShardGroup) -> list[dict[str, Any]]:
+        """Per-fit worker context, one dict per shard (a single setup
+        task per worker): the kernel every form task evaluates, and how
+        many of the shard's leading centers are subsample points
+        (``phi_cols``).  A shard holding some of them — an *owner* —
+        also gets their offset, their rows of ``V``, ``D`` and their
+        rows of the Kahan compensation (module docstring)."""
+        precond = self.preconditioner_
+        s = 0 if precond is None else precond.s
+        bounds = group.plan.bounds
+        self._owned_rows = s
+        self._owners = sum(1 for a in bounds[:-1] if a < s)
+        if (
+            s
+            and self._corr_comp is None
+            and mixed_precision_active()
+            and isinstance(self._alpha, np.ndarray)
+        ):
+            # The owners accumulate into their rows of this buffer (the
+            # thread transport's NumPy shards in place, through views).
+            self._corr_comp = np.zeros(
+                (s, self._alpha.shape[1]), dtype=self._alpha.dtype
+            )
+        eigvecs = (
+            None if precond is None else to_numpy(precond.extension.eigvecs)
+        )
+        comp = self._corr_comp
+        items = []
+        for a, b in zip(bounds, bounds[1:]):
+            cols = max(0, min(s, b) - a)
+            item: dict[str, Any] = {"kernel": self.kernel, "phi_cols": cols}
+            if cols:
+                rows = slice(a, a + cols)
+                item.update(
+                    row0=a,
+                    eigvecs=eigvecs[rows],
+                    d_scale=precond.d_scale,
+                    comp=None if comp is None else comp[rows],
+                )
+            items.append(item)
+        return items
 
     # ----------------------------------------------------------- iteration
     def _drain_pending_mirror(self) -> None:
@@ -398,35 +539,57 @@ class ShardedEigenPro2(EigenPro2):
             pending.result()
 
     def _apply_shard_step(
-        self,
-        group: ShardGroup,
-        f: Any,
-        phi_parts: list[Any | None],
-        y: Any,
-        idx: np.ndarray,
-        gamma: float,
-    ) -> None:
-        """Apply the serial step's coordinate update and EigenPro
-        correction (Algorithm 1 steps 3–5) to the already all-reduced
-        batch prediction ``f`` on the caller thread, with ``Phi`` the
-        shards' column parts concatenated in shard order; mirror touched
-        rows to the shards asynchronously."""
+        self, f: Any, y: Any, idx: np.ndarray, gamma: float
+    ) -> tuple | None:
+        """Step 3 on the rows this caller owns, for the already
+        all-reduced batch prediction ``f``, with the touched rows
+        mirrored to the shards asynchronously.  Returns the owners'
+        payload for the rest of the step — ``(idx, g, gamma, p)``, see
+        :func:`_apply_pending` — or ``None`` without a preconditioner.
+        """
         self._drain_pending_mirror()
-        g = self._update(f, y, idx, gamma)
-        touched = [idx]
-        if self.preconditioner_ is not None:
-            with span("correction", step=self._cursor, m=int(idx.shape[0])):
-                # In the fit's working dtype, as the serial step reads it.
-                dtype = get_backend().dtype_of(self._x)
-                parts = [to_numpy(p) for p in phi_parts if p is not None]
-                phi = (
-                    np.asarray(parts[0], dtype=dtype)
-                    if len(parts) == 1
-                    else np.concatenate(parts, axis=1, dtype=dtype)
-                )
-                self._correct(phi, to_numpy(g), gamma)
-            touched.append(np.arange(phi.shape[1]))
-        self._mirror_rows(np.concatenate(touched))
+        g = f - y[idx]
+        mine = idx >= self._owned_rows  # the subsample's rows: the owners'
+        coordinate_update(self._alpha, idx[mine], g[mine], gamma)
+        self._mirror_rows(idx[mine])
+        if not self._owned_rows:
+            return None
+        g = np.asarray(to_numpy(g))
+        p = None
+        if self._owners > 1:
+            with span("correction_wait", step=self._cursor):
+                parts = [
+                    part
+                    for part in self.shard_group_.map(
+                        _correction_partial_task, g
+                    )
+                    if part is not None
+                ]
+            p = functools.reduce(operator.add, parts)
+        return idx, g, gamma, p
+
+    def _settle(self, pending: tuple | None, drain: bool) -> None:
+        """Have the owners apply ``pending`` now (before a checkpoint,
+        and with ``drain`` at the end of a span), then refresh this
+        caller's copy of the subsample's weight rows and Kahan
+        compensation from them."""
+        if pending is None and not drain:
+            return  # no preconditioner: nothing to apply or refresh
+        group = self.shard_group_
+        with span("correction_wait", step=self._cursor, drain=drain):
+            comps = group.map(_settle_task, pending, drain)
+        s = self._owned_rows
+        if not s:
+            return
+        if self._corr_comp is not None:
+            for a, comp in zip(group.plan.bounds, comps):
+                if comp is not None:
+                    self._corr_comp[a : a + comp.shape[0]] = comp
+        if group.needs_mirror:
+            bk = get_backend()
+            self._alpha[:s] = bk.asarray(
+                group.gather_weights()[:s], dtype=bk.dtype_of(self._alpha)
+            )
 
     # ---------------------------------------------------- epoch w/ recovery
     def _run_epoch(
@@ -464,13 +627,15 @@ class ShardedEigenPro2(EigenPro2):
         periodic checkpoints, starting with the span-anchor checkpoint at
         ``start`` itself.
 
-        Per step ``t``: await the prefetched blocks, queue the fused
-        contraction + all-reduce against the current weights, queue step
-        ``t+1``'s prefetch right behind it, then — while the workers run
-        — await the partial predictions and apply the update/correction
-        on this thread.  The update (+ mirror) completes before step
-        ``t+1``'s contraction is queued, so every contraction sees the
-        weights of the previous step.
+        Per step ``t`` (step ``t``'s form and contraction already
+        queued): queue step ``t+1``'s prefetch, await the blocks and the
+        all-reduced prediction, apply step 3 to this caller's rows, then
+        either settle the owners (checkpoint due, or the span's last
+        step) or hand them the step in step ``t+1``'s contraction.  The
+        update (+ mirror) completes before step ``t+1``'s contraction is
+        queued, and the owners apply step ``t``'s correction before they
+        contract, so every contraction sees the weights of the previous
+        step.
         """
         if self.checkpoint_every > 0:
             self._take_checkpoint(start)
@@ -487,34 +652,58 @@ class ShardedEigenPro2(EigenPro2):
             )
             return group.map_async(_form_block_task, xb, xb_sq_norms)
 
-        pending = prefetch(blocks[start])
+        # Fused contract + all-reduce: transports with a task-channel
+        # collective run both in one task per rank (one round-trip); the
+        # others combine host-side at await time.  A span starts with no
+        # correction pending.
+        forming = prefetch(blocks[start])
+        contracting = group.map_allreduce_async(_contract_task, None)
         for t in range(start, len(blocks)):
             self._cursor = t
             idx = blocks[t]
-            with span("form_block_wait", step=t):
-                phi_parts = pending.result()  # [phi_i] — relays kernel_eval
-            # Fused contract + all-reduce: transports with a task-channel
-            # collective run both in one task per rank (one round-trip);
-            # the others combine host-side at await time.
-            contracting = group.map_allreduce_async(_contract_task)
-            if t + 1 < len(blocks):
-                pending = prefetch(blocks[t + 1])
-            with span("gemm_wait", step=t):
-                f = contracting.result()  # relays gemm + allreduce ops
-            self._apply_shard_step(group, f, phi_parts, y, idx, gamma)
-            self._maybe_checkpoint(t + 1)
+            last = t + 1 == len(blocks)
+            if not last:
+                upcoming = prefetch(blocks[t + 1])
+            f = self._await_step(t, forming, contracting)
+            pending = self._apply_shard_step(f, y, idx, gamma)
+            self._steps_since_checkpoint += 1
+            checkpoint = (
+                0 < self.checkpoint_every <= self._steps_since_checkpoint
+            )
+            if last or checkpoint:
+                self._settle(pending, drain=last)
+                pending = None
+            if checkpoint:
+                self._take_checkpoint(t + 1)
+            if not last:
+                forming = upcoming
+                contracting = group.map_allreduce_async(_contract_task, pending)
             self._note_step_complete(t)
 
-    # ----------------------------------------------------------- checkpoint
-    def _maybe_checkpoint(self, cursor: int) -> None:
-        """Periodic-cadence hook, called after each completed step with
-        the cursor of the *next* block to run."""
-        if self.checkpoint_every <= 0:
-            return
-        self._steps_since_checkpoint += 1
-        if self._steps_since_checkpoint >= self.checkpoint_every:
-            self._take_checkpoint(cursor)
+    def _await_step(
+        self, t: int, forming: PendingMap, contracting: Any
+    ) -> Any:
+        """Await step ``t``'s blocks (relaying ``kernel_eval``) and its
+        contraction (relaying ``gemm``, ``precond`` and ``allreduce``);
+        returns the all-reduced prediction.  Both are drained before the
+        first error (the forms') is raised, so the error leaves none of
+        the step's tasks running and the ops of those that ran relayed."""
+        error: Exception | None = None
+        with span("form_block_wait", step=t):
+            try:
+                forming.result()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = exc
+        with span("gemm_wait", step=t):
+            try:
+                f = contracting.result()
+            except Exception as exc:  # noqa: BLE001 - re-raised below
+                error = error or exc
+        if error is not None:
+            raise error
+        return f
 
+    # ----------------------------------------------------------- checkpoint
     def _take_checkpoint(self, cursor: int) -> ShardCheckpoint:
         """Snapshot the training state at batch cursor ``cursor`` of the
         current epoch.  Weights come through the transport's host-visible
@@ -672,8 +861,11 @@ class ShardedEigenPro2(EigenPro2):
                     self._drain_pending_mirror()
                     # Per-shard (m, n_i) batch scratch should not stay
                     # pinned on the workers after training, mirroring the
-                    # base trainer's main-thread workspace reset.
-                    group.reset_workspaces()
+                    # base trainer's main-thread workspace reset.  A fit
+                    # that completed dropped it with each span's last
+                    # settle (_run_span).
+                    if failed:
+                        group.reset_workspaces()
                     # keep_best_val may have restored an earlier weight
                     # snapshot after the last mirror; re-sync shard
                     # copies.  Guarded by the plan size so a fit that

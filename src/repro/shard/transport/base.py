@@ -9,9 +9,10 @@ two halves:
   the shard's centers/weights on its own
   :class:`~repro.backend.ArrayBackend` instance, the precomputed center
   squared norms, a private :class:`~repro.instrument.OpMeter`, a
-  ``state`` dict for per-fit context (the kernel, ``Phi``'s columns) and
-  the in-flight kernel ``block`` between a *form* and its *contract*
-  task.
+  ``state`` dict for per-fit context (the kernel, the shard's part of
+  the preconditioner), the in-flight kernel ``block`` between a *form*
+  and its *contract* task, and the kept ``phi`` columns the next
+  correction reads.
 - :class:`ShardTransport` — the one caller-side engine object that owns
   ``g`` workers and moves work and data to them: ``submit``/``map_async``
   (queue a task on every shard's FIFO worker), ``allreduce`` (combine
@@ -184,6 +185,9 @@ class ShardWorker:
         #: the matching *contract* task can consume it without the block
         #: ever crossing the transport.
         self.block: Any | None = None
+        #: The last contracted block's subsample columns (``Phi``'s part
+        #: on this shard), kept for the correction that consumes them.
+        self.phi: Any | None = None
 
     # ------------------------------------------------------------- geometry
     @property
@@ -284,6 +288,7 @@ class ShardWorker:
         self.workspace_peak = max(self.workspace_peak, ws.peak_scalars)
         ws.reset()
         self.block = None
+        self.phi = None
 
 
 class PendingMap:

@@ -39,8 +39,11 @@ Architecture
 
 - **BLAS thread budget.**  Each worker process runs its OpenBLAS with
   ``max(1, usable_cpus // (g + 1))`` threads (usable CPUs from the
-  parent's affinity mask; ``+ 1`` leaves room for the parent, which runs
-  the correction and update while the workers form the next block).  An
+  parent's affinity mask; ``+ 1`` leaves room for the parent, which
+  unpickles the replies, sums the partial predictions and applies the
+  coordinate update while the workers form the next block; the
+  EigenPro correction runs on the worker holding the subsample's rows,
+  inside its budget — see :mod:`repro.shard.trainer`).  An
   ``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` in the parent's
   environment wins.  The parent computes the budget
   (:attr:`ProcessTransport.worker_blas_threads`) and ships it in the
@@ -180,6 +183,32 @@ def _attach_segment(
     return shm, view
 
 
+#: Shared-memory segments this worker process attached for pushed state
+#: (:class:`_SharedArray`); closed when its serve loop ends.
+_STATE_SEGMENTS: list[shared_memory.SharedMemory] = []
+
+
+def _attach_state_array(spec: _SegmentSpec, unregister: bool) -> np.ndarray:
+    """Child side of :class:`_SharedArray`: the pickled handle unpickles
+    into a view of the parent's segment."""
+    shm, view = _attach_segment(spec, unregister)
+    _STATE_SEGMENTS.append(shm)
+    return view
+
+
+@dataclass(frozen=True)
+class _SharedArray:
+    """A NumPy array pushed as worker state through shared memory: it
+    pickles as the segment's name and layout, and unpickles in the child
+    as a view of the segment (:meth:`ProcessTransport.scatter_state_items`)."""
+
+    spec: _SegmentSpec
+    unregister: bool
+
+    def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
+        return _attach_state_array, (self.spec, self.unregister)
+
+
 def _dump_exception(exc: BaseException) -> tuple[str, Any]:
     """Best-effort picklable form of a worker-side exception."""
     try:
@@ -299,6 +328,7 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
             del weights_all
         except NameError:
             pass
+        segments += _STATE_SEGMENTS
         for shm in segments:
             try:
                 shm.close()
@@ -597,6 +627,7 @@ class ProcessTransport(ShardTransport):
         ctx = multiprocessing.get_context(start_method)
         self.plan = plan
         self.worker_blas_threads = _worker_blas_budget(plan.g)
+        self._unregister_segments = start_method != "fork"
 
         # Validate before any shared-memory segment exists: a rejected
         # configuration must not leave an orphaned segment behind.
@@ -609,6 +640,9 @@ class ProcessTransport(ShardTransport):
                     f"{plan.n}"
                 )
         self._segments: list[shared_memory.SharedMemory] = []
+        #: Names of every segment this transport created, for the
+        #: interpreter-exit backstop (grows with pushed state arrays).
+        self._segment_names: list[str] = []
         self._centers_view: np.ndarray | None = None
         self._weights_view: np.ndarray | None = None
         self.executors: list[ProcessShardExecutor] = []
@@ -618,9 +652,7 @@ class ProcessTransport(ShardTransport):
             if weights is not None:
                 weights_spec, self._weights_view = self._new_segment(weights)
             self._finalizer = weakref.finalize(
-                self,
-                _release_segments,
-                tuple(shm.name for shm in self._segments),
+                self, _release_segments, self._segment_names
             )
             for i, (lo, hi) in enumerate(
                 zip(plan.bounds, plan.bounds[1:])
@@ -660,6 +692,7 @@ class ProcessTransport(ShardTransport):
             create=True, size=max(int(source.nbytes), 1)
         )
         self._segments.append(shm)
+        self._segment_names.append(shm.name)
         view = np.ndarray(source.shape, dtype=source.dtype, buffer=shm.buf)
         view[...] = source
         return (
@@ -670,6 +703,26 @@ class ProcessTransport(ShardTransport):
             ),
             view,
         )
+
+    # ----------------------------------------------------------- state push
+    def scatter_state_items(self, items: Sequence[dict[str, Any]]) -> None:
+        """As :meth:`ShardTransport.scatter_state_items`, but every NumPy
+        array among the values is copied once into a shared-memory
+        segment of its own and reaches the worker as a view of it: the
+        setup task pickles segment names, not array payloads (a worker's
+        rows of the ``(s, q)`` eigenvectors are megabytes).  The
+        segments live until :meth:`close`."""
+        self._require_serving()
+        super().scatter_state_items([
+            {key: self._share(value) for key, value in shard_items.items()}
+            for shard_items in items
+        ])
+
+    def _share(self, value: Any) -> Any:
+        if not isinstance(value, np.ndarray) or value.dtype.hasobject:
+            return value
+        spec, _ = self._new_segment(np.ascontiguousarray(value))
+        return _SharedArray(spec, self._unregister_segments)
 
     # -------------------------------------------------------------- weights
     @property

@@ -193,6 +193,28 @@ def _form_block_kill_once_task(worker, xb, xb_sq_norms):
     return _ORIGINAL_FORM_TASK(worker, xb, xb_sq_norms)
 
 
+_OWNER_KILL_COUNTER = {"n": 0}
+
+
+def _form_block_kill_owner_task(worker, xb, xb_sq_norms):
+    # Kill-once, like the helper above, but of shard 0 — the shard that
+    # holds the subsample's weight rows and runs the correction — at its
+    # fourth form task: with a checkpoint every two steps, step 3's
+    # block, while step 2's correction is still pending on it.
+    _OWNER_KILL_COUNTER["n"] += 1
+    flag = os.environ.get(_KILL_FLAG_ENV)
+    if (
+        flag
+        and worker.shard_id == 0
+        and _OWNER_KILL_COUNTER["n"] == 4
+        and not os.path.exists(flag)
+    ):
+        with open(flag, "w") as fh:
+            fh.write("0")
+        os._exit(7)
+    return _ORIGINAL_FORM_TASK(worker, xb, xb_sq_norms)
+
+
 def _recovery_problem(n=240, d=8, l=3, seed=0):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
@@ -472,6 +494,91 @@ class TestProcessElasticRecovery:
 
         scale = float(np.max(np.abs(ref_w)))
         assert np.max(np.abs(recovered_w - ref_w)) <= 1e-6 * scale
+
+    @pytest.mark.parametrize("tier", ["float64", "mixed"])
+    def test_killed_owner_recovers_with_pending_correction(
+        self, tier, tmp_path, monkeypatch
+    ):
+        """Killing the shard that runs the correction loses the
+        correction it had pending.  The checkpoint recovery resumes from
+        already holds every correction before its cursor (its weights
+        match the serial trainer's after as many steps, and under mixed
+        precision it carries the Kahan compensation), so the recovered
+        fit matches a failure-free one."""
+        from repro.config import use_precision
+        from repro.shard import ShardedEigenPro2
+        from repro.shard import trainer as shard_trainer
+
+        x, y = _recovery_problem()
+        checkpoints = {}
+        take = ShardedEigenPro2._take_checkpoint
+
+        def keep(self, cursor):
+            ckpt = take(self, cursor)
+            checkpoints.setdefault((ckpt.epoch, ckpt.batch_cursor), ckpt)
+            return ckpt
+
+        monkeypatch.setattr(ShardedEigenPro2, "_take_checkpoint", keep)
+        with use_precision(tier):
+            ref = _recovery_trainer(2, "process")
+            try:
+                ref.fit(x, y, epochs=2)
+                ref_w = np.array(ref._alpha)
+            finally:
+                ref.close()
+
+            restored = []
+            recover = ShardedEigenPro2._recover_or_reraise
+
+            def spy(self, exc, x):
+                restored.append(self.last_checkpoint_)
+                return recover(self, exc, x)
+
+            monkeypatch.setattr(ShardedEigenPro2, "_recover_or_reraise", spy)
+            monkeypatch.setenv(_KILL_FLAG_ENV, str(tmp_path / "killed.flag"))
+            monkeypatch.setattr(
+                shard_trainer, "_form_block_task", _form_block_kill_owner_task
+            )
+            _OWNER_KILL_COUNTER["n"] = 0  # forked workers start from here
+            trainer = _recovery_trainer(2, "process")
+            try:
+                trainer.fit(x, y, epochs=2)
+                (event,) = trainer.recovery_log_
+                assert event.dead_shards == (0,) and event.new_g == 1
+                recovered_w = np.array(trainer._alpha)
+            finally:
+                trainer.close()
+
+            (ckpt,) = restored
+            assert (ckpt.epoch, ckpt.batch_cursor) == (1, 2)
+            assert event.resumed_step == 2
+            serial = EigenPro2(
+                GaussianKernel(bandwidth=2.0), s=48, batch_size=32, seed=0,
+                damping=0.5,
+            )
+            serial.fit(x, y, epochs=1, max_iterations=ckpt.batch_cursor)
+        want = np.asarray(serial.model_.weights)
+        scale = float(np.max(np.abs(want)))
+        # Without step 1's correction the checkpoint is off by ~0.7 of
+        # scale; mixed precision's float32 blocks allow ~1e-6.
+        tol = 1e-10 if tier == "float64" else 1e-4
+        assert np.max(np.abs(ckpt.weights - want)) <= tol * scale
+        # Bitwise the failure-free fit's checkpoint at the same cursor.
+        twin = checkpoints[(1, 2)]
+        assert twin is not ckpt
+        np.testing.assert_array_equal(ckpt.weights, twin.weights)
+        if tier == "mixed":
+            assert ckpt.correction_comp.shape == (48, y.shape[1])
+            np.testing.assert_array_equal(
+                ckpt.correction_comp, twin.correction_comp
+            )
+        else:
+            assert ckpt.correction_comp is None
+        # The replay contracts over one shard instead of two: float64
+        # keeps the class's 1e-6 bound, float32 blocks read ~3e-6.
+        tol = 1e-6 if tier == "float64" else 1e-5
+        scale = float(np.max(np.abs(ref_w)))
+        assert np.max(np.abs(recovered_w - ref_w)) <= tol * scale
 
     def test_checkpoint_persists_to_disk_and_roundtrips(self, tmp_path):
         from repro.shard.recovery import ShardCheckpoint

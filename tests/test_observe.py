@@ -30,7 +30,7 @@ from repro.backend import NumpyBackend
 from repro.core.eigenpro2 import EigenPro2
 from repro.device.cluster import recovery_time, transport_interconnect
 from repro.experiments import ObserveReportConfig, run_observe_report
-from repro.instrument import OpMeter, capture
+from repro.instrument import OpMeter, capture, meter_scope
 from repro.kernels import GaussianKernel
 from repro.observe import (
     MetricsRegistry,
@@ -294,6 +294,40 @@ class TestTransportSpanRelayParity:
         assert got - ref <= {"mirror"}, (
             f"{transport}: unexpected spans {got - ref}"
         )
+
+
+class TestCorrectionRunsOnTheOwner:
+    """A sharded fit runs Algorithm 1 steps 4–5 on the shard holding the
+    subsample: every ``correction`` span carries that shard's id, the
+    caller records none, and the owners' relayed ``precond`` ops equal
+    the unsharded fit's."""
+
+    @transports
+    def test_correction_spans_carry_the_owner(self, transport):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((160, 6))
+        y = np.tanh(x @ rng.standard_normal((6, 2)))
+        opts = dict(s=24, batch_size=32, seed=0)
+        with meter_scope() as ref:
+            EigenPro2(GaussianKernel(bandwidth=2.0), **opts).fit(x, y)
+        tracer = Tracer()
+        trainer = ShardedEigenPro2(
+            GaussianKernel(bandwidth=2.0), n_shards=2,
+            transport=transport, checkpoint_every=2, **opts,
+        )
+        try:
+            with trace_scope(tracer), meter_scope() as meter:
+                trainer.fit(x, y)
+        finally:
+            trainer.close()
+        owners = {
+            ev.attrs.get("shard")
+            for ev in tracer.events
+            if ev.name == "correction"
+        }
+        # s = 24 < 80 rows per shard: shard 0 holds the whole subsample.
+        assert owners == {0}
+        assert meter.total("precond") == ref.total("precond") > 0
 
 
 class TestFitPhaseSpans:
@@ -624,6 +658,50 @@ class TestComparePhases:
         assert modelled(3) - modelled(0) == pytest.approx(3 * step_s)
         assert modelled(0) == pytest.approx(
             recovery_time(link, 2, weight_scalars=600.0)
+        )
+
+
+    def test_steps_counted_once_with_owner_and_settle_spans(self):
+        """A sharded step's correction may run on several owners, and
+        one more settle runs before a checkpoint: the steps are still
+        counted once each, and the per-step time takes the slowest
+        owner's correction."""
+        tracer = Tracer()
+        with trace_scope(tracer):
+            for step in range(2):
+                t0 = float(step)
+                for shard in (0, 1):
+                    record_span("form_block", t0, 0.25, shard=shard)
+                    record_span("gemm", t0 + 0.5, 0.125, shard=shard)
+                record_span("correction", t0 + 0.25, 0.0625, shard=0)
+                record_span("correction", t0 + 0.25, 0.125, shard=1)
+                record_span("allreduce", t0 + 0.625, 0.0625)
+            # The settle before a checkpoint, on both owners.
+            record_span("correction", 2.0, 0.0625, shard=0)
+            record_span("correction", 2.0, 0.125, shard=1)
+        report = compare_phases(
+            tracer, g=2, link="process", weight_scalars=600.0,
+            recovery_events=[
+                RecoveryEvent(
+                    epoch=0, failed_step=3, resumed_step=2,
+                    replayed_steps=1, old_g=2, new_g=1, dead_shards=(1,),
+                    error="ShardError: r", recovery_s=0.5,
+                )
+            ],
+        )
+        phases = {p["phase"]: p for p in report["phases"]}
+        assert phases["correction"]["spans"] == 6
+        # Wall: form_block 0.5 + gemm 0.25 + allreduce 0.125, and the
+        # slowest owner's correction 3 * 0.125 = 0.375, over 2 steps.
+        step_s = (0.5 + 0.25 + 0.125 + 0.375) / 2
+        assert phases["recovery"]["modelled_s"] == pytest.approx(
+            recovery_time(
+                transport_interconnect("process"), 2, weight_scalars=600.0,
+                replayed_iterations=1, iteration_time_s=step_s,
+            )
+        )
+        assert report["totals"]["measured_s"] == pytest.approx(
+            0.5 + 0.25 + 0.125 + 0.375 + 0.5
         )
 
 

@@ -34,6 +34,7 @@ from repro.shard import (
     allreduce_sum,
     sharded_kernel_matvec,
     sharded_predict,
+    transport_available,
 )
 
 _ENV_G = os.environ.get("REPRO_SHARD_G")
@@ -220,7 +221,7 @@ class TestShardedOps:
 
 
 class TestShardedEigenPro2:
-    def _fit_pair(self, dataset, g, epochs=2, **overrides):
+    def _fit_pair(self, dataset, g, epochs=2, transport="thread", **overrides):
         kwargs = dict(s=80, batch_size=32, seed=0, damping=0.9)
         kwargs.update(overrides)
         ref = EigenPro2(
@@ -231,6 +232,7 @@ class TestShardedEigenPro2:
             GaussianKernel(bandwidth=2.5),
             n_shards=g,
             device=titan_xp(),
+            transport=transport,
             **kwargs,
         )
         sharded.fit(dataset.x_train, dataset.y_train, epochs=epochs)
@@ -255,17 +257,36 @@ class TestShardedEigenPro2:
         finally:
             sharded.close()
 
-    def test_matches_unsharded_trainer_at_full_batch(self, small_dataset):
+    @pytest.mark.parametrize(
+        "transport",
+        [
+            "thread",
+            pytest.param(
+                "process",
+                marks=pytest.mark.skipif(
+                    not transport_available("process"),
+                    reason="platform lacks fork-safe shared memory",
+                ),
+            ),
+        ],
+    )
+    def test_matches_unsharded_trainer_at_full_batch(
+        self, small_dataset, transport
+    ):
         """At m >= n the unsharded trainer keeps K(X, X) for the fit and
         reads its monitor from it; the sharded one forms its per-shard
-        blocks every step.  Both run the identity row order."""
+        blocks every step.  Both run the identity row order.  With
+        s = n the subsample spans both shards, so each runs the
+        correction on its own rows."""
         n = small_dataset.x_train.shape[0]
         # s = n: with s < n the analytic step at m = n diverges here.
         ref, sharded = self._fit_pair(
-            small_dataset, 2, epochs=3, batch_size=10 * n, s=n
+            small_dataset, 2, epochs=3, transport=transport,
+            batch_size=10 * n, s=n,
         )
         try:
-            assert sharded.transport == "thread"
+            assert sharded.transport == transport
+            assert sharded._owners == 2
             assert sharded.batch_size_ == ref.batch_size_ == n
             train_mse = ref.history_.series("train_mse")
             assert train_mse[-1] < train_mse[0] < 1.0
@@ -282,6 +303,46 @@ class TestShardedEigenPro2:
             assert sharded.step_size_ == ref.step_size_
         finally:
             sharded.close()
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_copying_shards_match_view_shards(self, small_dataset, g):
+        """Shards whose backend copies the weights (as device backends
+        do) get the caller's rows mirrored, and the subsample's holders
+        update their copies, which the caller reads back: weights and
+        history are bitwise those of zero-copy-view shards.  At g = 4
+        the subsample (s = 80) spans two shards."""
+        from repro.backend import NumpyBackend
+        from repro.config import use_precision
+
+        class _Copying(NumpyBackend):
+            def asarray(self, x, dtype=None):
+                return np.array(
+                    x, dtype=None if dtype is None else self._dtype(dtype)
+                )
+
+        fits = []
+        for backends in (None, [_Copying() for _ in range(g)]):
+            trainer = ShardedEigenPro2(
+                GaussianKernel(bandwidth=2.5), n_shards=g,
+                shard_backends=backends, device=titan_xp(), s=80,
+                batch_size=32, seed=0, damping=0.9, checkpoint_every=3,
+            )
+            try:
+                with use_precision("mixed"):
+                    trainer.fit(
+                        small_dataset.x_train, small_dataset.y_train, epochs=2
+                    )
+                fits.append((
+                    trainer.shard_group_.needs_mirror,
+                    np.array(trainer._alpha),
+                    trainer.history_.series("train_mse"),
+                ))
+            finally:
+                trainer.close()
+        (views, a_view, h_view), (copies, a_copy, h_copy) = fits
+        assert not views and copies
+        np.testing.assert_array_equal(a_copy, a_view)
+        assert h_copy == h_view
 
     @shard_counts
     def test_sharded_predict_matches_model(self, small_dataset, g):

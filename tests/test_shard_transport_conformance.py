@@ -46,6 +46,7 @@ import os
 import numpy as np
 import pytest
 
+from repro.config import use_precision
 from repro.core.eigenpro2 import EigenPro2
 from repro.device.presets import titan_xp
 from repro.exceptions import ConfigurationError
@@ -130,6 +131,12 @@ def _wire_task(worker, n):
     with span("wire", n=n):
         record_ops("gemm", n)
     return 2 * n
+
+
+# Module-level task (picklable) used by the shared-state test.
+def _state_summary_task(worker):
+    v = worker.state["v"]
+    return float(v.sum()), v.shape, worker.state["k"]
 
 
 # Module-level task (picklable) used by the map_allreduce return test:
@@ -403,6 +410,91 @@ class TestProcessWireContract:
         assert counts == {"gemm": 6} and int(peak) >= 0
         assert plain == (6, {"gemm": 3})
         assert traced == (6, {"gemm": 3}, traced_reply[3])
+
+
+class _WireTapTrainer(ShardedEigenPro2):
+    """Records every message on its workers' pipes after the per-fit
+    setup task."""
+
+    def _build_group(self, x, g):
+        super()._build_group(x, g)
+        for ex in self.shard_group_.executors:
+            ex._conn = _RecordingConn(ex._conn)
+
+
+class TestProcessWireTraffic:
+    """What a process-based fit moves per step: the EigenPro correction
+    runs on the shard holding the subsample, so no reply carries ``Phi``
+    (``m * s`` scalars); a step's replies are the ``(m, l)`` partials,
+    and the settle replies the ``(s, l)`` compensation at most."""
+
+    @nonthread_transports
+    def test_replies_carry_no_phi(self, transport):
+        import pickle
+
+        from repro.shard.trainer import _form_block_task
+
+        n, m, s, l, g = 800, 100, 200, 2, 2
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((n, 6))
+        y = np.tanh(x @ rng.standard_normal((6, l)))
+        trainer = _WireTapTrainer(
+            GaussianKernel(bandwidth=BANDWIDTH), n_shards=g,
+            transport=transport, s=s, q=40, batch_size=m, seed=0,
+            damping=0.9,
+        )
+        try:
+            with use_precision("mixed"):
+                trainer.fit(x, y, epochs=2)
+            iterations = trainer.history_.final.iterations
+            wires = [ex._conn for ex in trainer.shard_group_.executors]
+        finally:
+            trainer.close()
+        assert trainer._owners == 1  # shard 0 holds the whole subsample
+        reply_bytes = 0
+        for wire in wires:
+            tasks = [msg for msg in wire.sent if msg is not None]
+            assert len(tasks) == len(wire.received)  # None: the shutdown
+            for task, reply in zip(tasks, wire.received):
+                if task[0] is _form_block_task:
+                    assert reply[1] is None  # ("ok", result, delta, stats)
+                reply_bytes += len(pickle.dumps(reply))
+        per_step = reply_bytes / iterations
+        assert per_step <= 8 * (m + s) * l * g
+        assert per_step < 8 * m * s / 10
+
+
+    @needs_process
+    def test_state_arrays_ride_shared_memory(self, problem):
+        """``scatter_state_items`` on the process transport sends array
+        values as shared-memory segment names, not payloads; the worker
+        reads them as arrays, and ``close()`` unlinks the segments."""
+        import pickle
+        from multiprocessing import shared_memory
+
+        centers, weights, _ = problem
+        big = np.arange(50_000, dtype=np.float64).reshape(500, 100)
+        with ShardGroup.build(
+            centers, weights, g=2, transport="process"
+        ) as group:
+            wires = []
+            for ex in group.executors:
+                ex._conn = _RecordingConn(ex._conn)
+                wires.append(ex._conn)
+            group.scatter_state_items(
+                [{"v": big[:250], "k": 3}, {"v": big[250:], "k": 4}]
+            )
+            got = group.map(_state_summary_task)
+            names = [shm.name for shm in group._segments]
+        assert got == [
+            (float(big[:250].sum()), (250, 100), 3),
+            (float(big[250:].sum()), (250, 100), 4),
+        ]
+        for wire in wires:
+            assert len(pickle.dumps(wire.sent[0])) < big.nbytes // 100
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
 
 
 class TestTorchDistCollective:
