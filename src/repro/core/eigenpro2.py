@@ -193,6 +193,13 @@ def select_parameters(
     the corresponding automatic choices; pass ``q=0`` to force the
     original kernel.
 
+    Setup forms the ``(s, s)`` subsample kernel ``K_s`` once: the
+    eigensystem, the Eq.-7 ``beta(K_{P_i})`` table and Step 3's
+    ``beta(K_G)`` all come from it.  ``beta(K_G)`` is the table's entry
+    at the ``q`` used, not a second pass over the subsample
+    (:meth:`NystromPreconditioner.beta_kg` computes the same quantity
+    from scratch, for analysis).
+
     Returns
     -------
     (params, preconditioner, extension):
@@ -235,7 +242,9 @@ def select_parameters(
         NystromPreconditioner(extension, q_used) if q_used >= 2 else None
     )
     if preconditioner is not None:
-        beta_kg = preconditioner.beta_kg()
+        # modified_diag's weights (sigma_j - sigma_q)/sigma_j^2 are the
+        # table's terms at q = q_used, which q_cap always covers.
+        beta_kg = float(selection.beta_table[q_used - 1])
         lambda_q = preconditioner.lambda_top
     else:
         beta_kg = beta_k

@@ -249,7 +249,12 @@ class NystromPreconditioner:
         seed: int | None = 0,
     ) -> float:
         """``beta(K_G) = max_x k_G(x, x)`` estimated on a sample
-        (paper Step 2; empirically ``≈ beta(K)``)."""
+        (paper Step 2; empirically ``≈ beta(K)``).
+
+        Over the subsample (``eval_x=None``) this equals the Eq.-7
+        table's entry at ``q`` (:func:`repro.core.qselection.beta_pq_table`),
+        which is what :func:`~repro.core.eigenpro2.select_parameters`
+        reads; this second pass is kept for analysis and tests."""
         if eval_x is None:
             pts = self.points
         else:

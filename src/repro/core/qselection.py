@@ -15,9 +15,15 @@ the device.  Both ingredients are estimated from the subsample eigensystem:
 
     beta(K_{P_q}) ≈ max_x [ k(x,x) - sum_{j<=q} ((sigma_j - sigma_q)/sigma_j^2) (e_j^T phi(x))^2 ]
 
-(the paper's Step-2 expression written in subsample quantities; the
-``x``-maximum is taken over a small evaluation sample, which the paper
-notes is accurate).
+(the paper's Step-2 expression written in subsample quantities).  The
+paper takes the ``x``-maximum over "a small evaluation sample" and notes
+it is accurate; here it is taken over the subsample points themselves,
+where the top-``q`` projection removes most of ``k(x, x)``, so the
+estimate reads low at large ``q`` (ROADMAP, "Make the analytic step safe
+where its estimates break").  The subsample table comes with the
+extension (:func:`repro.linalg.nystrom.nystrom_extension` forms it from
+one ``K_s V`` product while it holds ``K_s``), and Step 3's
+``beta(K_G)`` is its entry at the ``q`` used.
 
 Appendix B adds a practical twist: training converges faster when ``q`` is
 *increased beyond* the Eq.-7 value (Remark 3.1 shows any ``p > q`` keeps
@@ -39,7 +45,7 @@ import numpy as np
 from repro.backend import to_numpy
 from repro.config import EPS
 from repro.exceptions import ConfigurationError
-from repro.linalg.nystrom import NystromExtension
+from repro.linalg.nystrom import NystromExtension, beta_table
 
 __all__ = ["QSelection", "beta_pq_table", "m_star_pq_table", "select_q", "adjusted_q"]
 
@@ -83,7 +89,8 @@ def beta_pq_table(
         Subsample eigensystem with ``Q`` pairs.
     eval_x:
         Points over which the diagonal maximum is taken; defaults to the
-        subsample points themselves.
+        subsample points themselves, whose table an extension from
+        :func:`~repro.linalg.nystrom.nystrom_extension` already holds.
 
     Returns
     -------
@@ -92,20 +99,15 @@ def beta_pq_table(
         clipped below at a small positive floor (they are provably
         positive in exact arithmetic).
     """
+    if eval_x is None and extension._subsample_beta is not None:
+        return extension._subsample_beta
     pts = extension.points if eval_x is None else eval_x
-    sig = np.maximum(extension.eigvals, EPS)  # (Q,)
-    big_q = sig.shape[0]
     # Raw projections a_j(x) = e_j^T phi(x), shape (n_eval, Q).  The table
-    # scan below is scalar NumPy math, so pull results to the host.
+    # scan is scalar NumPy math, so pull results to the host.
     proj = to_numpy(extension.projections(pts))
-    proj_sq = proj**2
-    diag = to_numpy(extension.kernel.diag(pts))  # (n_eval,)
-    # beta_q(x) = diag(x) - sum_{j<=q} a_j^2/sigma_j + sigma_q * sum_{j<=q} a_j^2/sigma_j^2
-    cum1 = np.cumsum(proj_sq / sig[None, :], axis=1)  # (n_eval, Q)
-    cum2 = np.cumsum(proj_sq / (sig**2)[None, :], axis=1)
-    per_point = diag[:, None] - cum1 + sig[None, :] * cum2
-    table = per_point.max(axis=0)
-    return np.maximum(table, EPS)
+    return beta_table(
+        proj, to_numpy(extension.kernel.diag(pts)), extension.eigvals
+    )
 
 
 def m_star_pq_table(

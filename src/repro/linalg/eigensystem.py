@@ -83,7 +83,11 @@ def top_eigensystem(
     ----------
     a:
         Symmetric matrix of shape ``(s, s)``.  Mild asymmetry from floating
-        point accumulation is symmetrized away.
+        point accumulation is symmetrized away on the routes that read
+        both triangles or hand ``a`` to a full symmetric solver: the
+        randomized route and the dense solve, fallback included.  The
+        float32 route casts ``a`` as it is: LAPACK reads one triangle,
+        and the Ritz pass's quadratic form sees only the symmetric part.
     q:
         Number of eigenpairs, ``1 <= q <= s``.
     method:
@@ -116,7 +120,6 @@ def top_eigensystem(
         if method == "randomized":
             return randomized_top_eigensystem(a, q, seed=seed)
 
-        a = symmetrize(a)
         record_ops("eig", s * s * s)  # cubic dense-eigensolver cost model
         if (
             method == "auto"
@@ -131,7 +134,7 @@ def top_eigensystem(
                 return pairs
         bk = get_backend()
         sp.attrs["route"] = bk.dtype_of(a).name
-        return bk.top_eigh(a, q)
+        return bk.top_eigh(symmetrize(a), q)
 
 
 def _float32_ritz(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray] | None:
@@ -139,9 +142,12 @@ def _float32_ritz(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray] | None
     float64 Rayleigh–Ritz pass, or ``None`` if a residual exceeds
     ``_RITZ_RTOL · θ_q``.
 
-    Besides ``a`` and its float32 copy (freed once LAPACK is done), the
-    pass holds two ``(s, q)`` float64 arrays: the basis ``Q`` and ``AQ``,
-    whose buffer receives the Ritz vectors.
+    ``a`` is not symmetrized first: LAPACK reads the lower triangle of
+    the float32 copy, and the Ritz matrix ``Qᵀ A Q`` is symmetrized, so
+    the pairs judged are those of ``(A + Aᵀ)/2`` up to ``A``'s last-ulp
+    asymmetry.  Besides ``a`` and its float32 copy (freed once LAPACK is
+    done), the pass holds two ``(s, q)`` float64 arrays: the basis ``Q``
+    and ``AQ``, whose buffer receives the Ritz vectors.
     """
     s = a.shape[0]
     try:

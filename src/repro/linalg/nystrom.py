@@ -21,12 +21,12 @@ property-style in ``tests/test_linalg_nystrom.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.backend import backend_of, get_backend
+from repro.backend import backend_of, get_backend, to_numpy
 from repro.config import EPS
 from repro.exceptions import ConfigurationError
 from repro.kernels.base import Kernel
@@ -56,6 +56,12 @@ class NystromExtension:
     indices:
         Indices of the subsample within the original training set, or
         ``None`` when the points were supplied directly.
+    _subsample_beta:
+        ``(q,)`` table of ``beta(K_{P_i})`` over the subsample points
+        (:func:`repro.core.qselection.beta_pq_table`), formed by
+        :func:`nystrom_extension` from one ``K_s V`` product while it
+        holds ``K_s``; ``None`` for pairs given directly.  Truncation
+        keeps its prefix.
     """
 
     kernel: Kernel
@@ -63,6 +69,9 @@ class NystromExtension:
     eigvals: np.ndarray
     eigvecs: Any
     indices: np.ndarray | None = None
+    _subsample_beta: np.ndarray | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.points.ndim != 2:
@@ -145,7 +154,31 @@ class NystromExtension:
             eigvals=self.eigvals[:q],
             eigvecs=self.eigvecs[:, :q],
             indices=self.indices,
+            _subsample_beta=(
+                None if self._subsample_beta is None
+                else self._subsample_beta[:q]
+            ),
         )
+
+
+def beta_table(
+    proj: np.ndarray, diag: np.ndarray, eigvals: np.ndarray
+) -> np.ndarray:
+    """``beta(K_{P_q})`` for ``q = 1..Q`` from the raw projections
+    ``proj = phi(x) V`` (``(n_x, Q)``) and the kernel diagonal ``diag``
+    (``(n_x,)``) at the same points: the maximum over the points of
+
+        k(x, x) - sum_{j<=q} a_j^2 / sigma_j + sigma_q sum_{j<=q} a_j^2 / sigma_j^2,
+
+    clipped below at a small positive floor (the values are provably
+    positive in exact arithmetic).  Entry ``q - 1`` depends only on the
+    first ``q`` columns, so the table of a truncation is this prefix."""
+    sig = np.maximum(eigvals, EPS)  # (Q,)
+    proj_sq = proj**2
+    cum1 = np.cumsum(proj_sq / sig[None, :], axis=1)  # (n_x, Q)
+    cum2 = np.cumsum(proj_sq / (sig**2)[None, :], axis=1)
+    per_point = diag[:, None] - cum1 + sig[None, :] * cum2
+    return np.maximum(per_point.max(axis=0), EPS)
 
 
 def nystrom_extension(
@@ -186,6 +219,10 @@ def nystrom_extension(
         dtype.
     indices:
         Explicit subsample indices into ``x`` (deduplicated order kept).
+
+    ``K_s`` is formed once.  After the eigensolve one GEMM gives the
+    subsample projections ``K_s V``, from which the extension keeps only
+    the ``(q,)`` table of ``beta(K_{P_i})`` over the subsample points.
     """
     bk = get_backend()
     x = bk.as_2d(bk.asarray(x))
@@ -216,10 +253,18 @@ def nystrom_extension(
     eigvals, eigvecs = top_eigensystem(k_s, q, method=method, seed=seed)
     # Guard against tiny negative values from floating point round-off.
     eigvals = np.maximum(eigvals, 0.0)
+    # The subsample projections K_s V, from the real product: on a route
+    # that is not certified (the randomized one) it is not V diag(sigma),
+    # and it is the product the training correction applies.
+    proj = to_numpy(k_s @ eigvecs)
+    del k_s
+    table = beta_table(proj, to_numpy(kernel.diag(points)), eigvals)
+    table.setflags(write=False)  # shared by every truncation
     return NystromExtension(
         kernel=kernel,
         points=points,
         eigvals=eigvals,
         eigvecs=eigvecs,
         indices=indices,
+        _subsample_beta=table,
     )

@@ -143,13 +143,6 @@ class _WorkerSpec:
     hi: int
     centers: _SegmentSpec
     weights: _SegmentSpec | None
-    #: True for start methods where the child runs its *own* resource
-    #: tracker (spawn): the attach below registers the segment there, and
-    #: without an unregister that tracker would re-unlink the parent's
-    #: segment at child exit.  Under fork the tracker is shared with the
-    #: parent (its registry is a set, so the duplicate register from the
-    #: attach is harmless) and unregistering would over-remove.
-    unregister_segments: bool
     #: BLAS thread count the child sets before serving (module docstring).
     blas_threads: int
     #: Backend spec the child resolves for its worker (``None`` → a fresh
@@ -169,16 +162,12 @@ class _WorkerSpec:
 
 
 def _attach_segment(
-    spec: _SegmentSpec, unregister: bool
+    spec: _SegmentSpec,
 ) -> tuple[shared_memory.SharedMemory, np.ndarray]:
+    # Every start method shares the parent's resource tracker, whose
+    # registry is a set: the attach's duplicate register is harmless, and
+    # the parent's unlink at close() is the one unregister.
     shm = shared_memory.SharedMemory(name=spec.shm_name)
-    if unregister:
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.unregister(shm._name, "shared_memory")  # type: ignore[attr-defined]
-        except Exception:  # pragma: no cover - tracker API drift
-            pass
     view = np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
     return shm, view
 
@@ -188,10 +177,10 @@ def _attach_segment(
 _STATE_SEGMENTS: list[shared_memory.SharedMemory] = []
 
 
-def _attach_state_array(spec: _SegmentSpec, unregister: bool) -> np.ndarray:
+def _attach_state_array(spec: _SegmentSpec) -> np.ndarray:
     """Child side of :class:`_SharedArray`: the pickled handle unpickles
     into a view of the parent's segment."""
-    shm, view = _attach_segment(spec, unregister)
+    shm, view = _attach_segment(spec)
     _STATE_SEGMENTS.append(shm)
     return view
 
@@ -203,10 +192,9 @@ class _SharedArray:
     as a view of the segment (:meth:`ProcessTransport.scatter_state_items`)."""
 
     spec: _SegmentSpec
-    unregister: bool
 
     def __reduce__(self) -> tuple[Any, tuple[Any, ...]]:
-        return _attach_state_array, (self.spec, self.unregister)
+        return _attach_state_array, (self.spec,)
 
 
 def _dump_exception(exc: BaseException) -> tuple[str, Any]:
@@ -232,15 +220,11 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
 
         block_workspace().reset()
         set_blas_threads(spec.blas_threads)
-        shm_c, centers_all = _attach_segment(
-            spec.centers, spec.unregister_segments
-        )
+        shm_c, centers_all = _attach_segment(spec.centers)
         segments.append(shm_c)
         weights = None
         if spec.weights is not None:
-            shm_w, weights_all = _attach_segment(
-                spec.weights, spec.unregister_segments
-            )
+            shm_w, weights_all = _attach_segment(spec.weights)
             segments.append(shm_w)
             weights = weights_all[spec.lo : spec.hi]
         if spec.bootstrap is not None:
@@ -596,7 +580,6 @@ class ProcessTransport(ShardTransport):
         hi: int,
         centers_spec: _SegmentSpec,
         weights_spec: _SegmentSpec | None,
-        start_method: str,
     ) -> _WorkerSpec:
         """The :class:`_WorkerSpec` shipped to one child; subclasses
         extend it (backend specs, bootstrap/teardown hooks) via
@@ -607,7 +590,6 @@ class ProcessTransport(ShardTransport):
             hi=hi,
             centers=centers_spec,
             weights=weights_spec,
-            unregister_segments=start_method != "fork",
             backend_spec=self._backend_specs[shard_id],
             blas_threads=self.worker_blas_threads,
         )
@@ -627,7 +609,6 @@ class ProcessTransport(ShardTransport):
         ctx = multiprocessing.get_context(start_method)
         self.plan = plan
         self.worker_blas_threads = _worker_blas_budget(plan.g)
-        self._unregister_segments = start_method != "fork"
 
         # Validate before any shared-memory segment exists: a rejected
         # configuration must not leave an orphaned segment behind.
@@ -659,8 +640,7 @@ class ProcessTransport(ShardTransport):
             ):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
                 spec = self._child_spec(
-                    i, int(lo), int(hi), centers_spec, weights_spec,
-                    start_method,
+                    i, int(lo), int(hi), centers_spec, weights_spec
                 )
                 proc = ctx.Process(
                     target=_worker_main,
@@ -722,7 +702,7 @@ class ProcessTransport(ShardTransport):
         if not isinstance(value, np.ndarray) or value.dtype.hasobject:
             return value
         spec, _ = self._new_segment(np.ascontiguousarray(value))
-        return _SharedArray(spec, self._unregister_segments)
+        return _SharedArray(spec)
 
     # -------------------------------------------------------------- weights
     @property

@@ -376,10 +376,9 @@ class TorchDistributedTransport(ProcessTransport):
         hi: int,
         centers_spec: _SegmentSpec,
         weights_spec: _SegmentSpec | None,
-        start_method: str,
     ) -> _WorkerSpec:
         spec = super()._child_spec(
-            shard_id, lo, hi, centers_spec, weights_spec, start_method
+            shard_id, lo, hi, centers_spec, weights_spec
         )
         return dataclasses.replace(
             spec,

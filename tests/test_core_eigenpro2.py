@@ -11,10 +11,14 @@ from repro.core.eigenpro2 import (
     default_subsample_size,
     select_parameters,
 )
+from repro.core.stepsize import analytic_step_size
 from repro.device import DeviceSpec, SimulatedDevice, titan_xp
 from repro.exceptions import ConfigurationError
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel
+from repro.kernels.base import Kernel
+from repro.linalg import eigensystem
+from repro.observe import Tracer, trace_scope
 
 
 class TestDefaults:
@@ -106,6 +110,72 @@ class TestSelectParameters:
             select_parameters(
                 GaussianKernel(bandwidth=2.0), data, l=0, device=titan_xp()
             )
+
+
+def _traced_select(x, s, **kwargs):
+    """``select_parameters`` under a meter and a tracer: its result, the
+    op counts, and the route of its one ``eigensolve`` span."""
+    tracer = Tracer()
+    with meter_scope() as meter, trace_scope(tracer):
+        out = select_parameters(
+            GaussianKernel(bandwidth=4.0), x, l=3, device=titan_xp(), s=s,
+            seed=0, **kwargs,
+        )
+    (ev,) = [e for e in tracer.events if e.name == "eigensolve"]
+    return out, meter.as_dict(), ev.attrs["route"]
+
+
+class TestOnePassSetup:
+    """Setup forms the subsample kernel ``K_s`` once: the eigensystem,
+    the Eq.-7 table and Step 3's ``beta(K_G)`` all read it."""
+
+    @pytest.mark.parametrize(
+        "n, s, route", [(1100, 1024, "float32+ritz"), (300, 120, "float64")]
+    )
+    def test_kernel_evaluated_once(self, monkeypatch, n, s, route):
+        d = 32
+        x = np.random.default_rng(5).standard_normal((n, d))
+        calls = []
+        real_call = Kernel.__call__
+
+        def spy(self, x, z=None, *args, **kwargs):
+            calls.append((x.shape[0], x.shape[0] if z is None else z.shape[0]))
+            return real_call(self, x, z, *args, **kwargs)
+
+        monkeypatch.setattr(Kernel, "__call__", spy)
+        _, ops, got_route = _traced_select(x, s, q_max=100)
+        assert got_route == route
+        assert ops["kernel_eval"] == s * s * d
+        assert calls == [(s, s)]
+
+    @pytest.mark.parametrize("route", ["float32+ritz", "float64", "randomized"])
+    @pytest.mark.parametrize("explicit_q", [False, True])
+    def test_beta_kg_is_the_table_entry(self, monkeypatch, route, explicit_q):
+        """``params.beta_kg`` (the Eq.-7 table's entry at the ``q`` used)
+        equals the two-pass ``modified_diag`` maximum over the subsample,
+        and so does the step size built from it."""
+        n, s, q_max = {
+            "float32+ritz": (1100, 1024, 40),
+            "float64": (300, 120, 20),
+            "randomized": (500, 400, 20),
+        }[route]
+        if route == "randomized":
+            monkeypatch.setattr(eigensystem, "_DENSE_SIDE_LIMIT", 100)
+        q = 2 * q_max if explicit_q else None
+        x = np.random.default_rng(9).standard_normal((n, 32))
+        (params, precond, _), _, got_route = _traced_select(
+            x, s, q=q, q_max=q_max
+        )
+        assert got_route == route
+        assert precond is not None
+        if explicit_q:
+            assert params.q_adjusted == q > q_max
+        reference = precond.beta_kg()  # modified_diag over the subsample
+        np.testing.assert_allclose(params.beta_kg, reference, rtol=1e-12)
+        eta = analytic_step_size(
+            params.batch_size, reference, precond.lambda_top
+        )
+        np.testing.assert_allclose(params.eta, eta, rtol=1e-12)
 
 
 class TestEigenPro2Training:

@@ -167,6 +167,28 @@ class TestFloat32Route:
             vecs.T @ vecs, np.eye(self.Q), rtol=0, atol=1e-12
         )
 
+    def test_certified_route_does_not_symmetrize(self, monkeypatch):
+        """LAPACK reads one triangle and the Ritz pass sees only the
+        symmetric part, so the float32 route casts ``a`` as it is, on a
+        kernel matrix whose triangles differ in the last ulp."""
+        a = _gaussian_matrix(4.0, self.S)
+        assert not np.array_equal(a, a.T)
+        calls = []
+
+        def spy(m):
+            calls.append(m.shape)
+            return symmetrize(m)
+
+        monkeypatch.setattr(eigensystem, "symmetrize", spy)
+        vals, vecs, attrs = _traced(a, self.Q)
+        assert (attrs["route"], attrs["certified"]) == ("float32+ritz", True)
+        assert calls == []
+        ref_vals, _, _ = _traced(a, self.Q, method="dense")
+        assert calls == [a.shape]  # the dense solve still symmetrizes
+        np.testing.assert_allclose(vals, ref_vals, rtol=1e-8, atol=0)
+        resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+        assert resid.max() <= eigensystem._RITZ_RTOL * vals[-1]
+
     def test_below_float32_resolution_falls_back(self, below_float32):
         a, (vals, vecs, attrs) = below_float32
         assert attrs["route"] == "float64"

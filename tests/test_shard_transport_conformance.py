@@ -497,6 +497,58 @@ class TestProcessWireTraffic:
                 shared_memory.SharedMemory(name=name)
 
 
+_SPAWN_FIT = """
+import json
+import numpy as np
+from repro.kernels import GaussianKernel
+from repro.shard import ShardedEigenPro2
+
+rng = np.random.default_rng(0)
+x = rng.standard_normal((300, 4))
+y = np.tanh(x[:, :2])
+trainer = ShardedEigenPro2(
+    GaussianKernel(bandwidth=2.0), n_shards=2, transport="process",
+    transport_options={"start_method": "spawn"}, s=100, seed=0,
+)
+trainer.fit(x, y, epochs=1)
+names = list(trainer.shard_group_._segment_names)
+trainer.close()
+print(json.dumps(names))
+"""
+
+
+class TestSpawnSegments:
+    """Spawned workers share the parent's resource tracker, so the
+    parent's unlink at ``close()`` is each segment's one unregister."""
+
+    @needs_process
+    def test_spawn_fit_closes_without_tracker_errors(self):
+        import json
+        import subprocess
+        import sys
+        from multiprocessing import shared_memory
+
+        # A fresh interpreter starts its own resource tracker, which
+        # inherits the stderr pipe: the pipe reaches EOF only once the
+        # tracker has handled every unregister and exited.
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", _SPAWN_FIT], env=env, timeout=300,
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "KeyError" not in proc.stderr, proc.stderr
+        names = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert len(names) > 2  # centers, weights and the pushed state
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)
+
+
 class TestTorchDistCollective:
     """The torchdist-specific contract: the all-reduce is a *real*
     ``dist.all_reduce`` riding one task per rank, metered with the same
