@@ -31,7 +31,7 @@ EigenPro correction accumulating in float64
 (:func:`~repro.config.master_dtype`).  :func:`master_matmul` is the one
 rule for contracting a kernel block with higher-precision weights: the
 training step's prediction GEMM (serial and per shard) and the
-correction's ``Phi^T g`` both go through it.  Every backend also exposes a
+correction's ``g^T Phi`` both go through it.  Every backend also exposes a
 *fused* kernel hot path, one entry point
 (:meth:`~repro.backend.base.ArrayBackend.fused_kernel_block`) that
 every radial kernel block reaches: the NumPy backend decomposes it to
@@ -243,8 +243,11 @@ def match_dtype(x: Any, dtype: object, bk: ArrayBackend | None = None) -> Any:
     return x
 
 
-def master_matmul(block: Any, w: Any, bk: ArrayBackend | None = None) -> Any:
-    """``block @ w`` in ``w``'s dtype; records no ops.
+def master_matmul(
+    block: Any, w: Any, bk: ArrayBackend | None = None, *, w_first: bool = False
+) -> Any:
+    """``block @ w`` (``w @ block`` with ``w_first``) in ``w``'s dtype;
+    records no ops.
 
     The one contraction rule of the training step.  Under mixed
     precision a block in another dtype than ``w`` (a float32 kernel
@@ -257,5 +260,7 @@ def master_matmul(block: Any, w: Any, bk: ArrayBackend | None = None) -> Any:
     w_dtype = bk.dtype_of(w)
     block_dtype = bk.dtype_of(block)
     if block_dtype != w_dtype and mixed_precision_active():
-        return match_dtype(block @ match_dtype(w, block_dtype, bk), w_dtype, bk)
-    return match_dtype(block, w_dtype, bk) @ w
+        w = match_dtype(w, block_dtype, bk)
+    else:
+        block = match_dtype(block, w_dtype, bk)
+    return match_dtype(w @ block if w_first else block @ w, w_dtype, bk)

@@ -128,8 +128,8 @@ class EigenPro1(BaseKernelTrainer):
     ) -> None:
         v = self.eigvecs_full_
         (n, q), (m, l) = v.shape, g.shape
-        # Same right-to-left order as the improved chain, with n in place
-        # of s: the overhead ratio is exactly n/s (Table 1).
+        # The improved chain's op count with n in place of s: the
+        # overhead ratio is exactly n/s (Table 1).
         t = v.T @ (kb.T @ g)  # (n, l) then (q, l): n*m*l + n*q*l ops
         t *= self._d_scale[:, None]
         self._alpha += gamma * (v @ t)  # (n, l): n*q*l ops

@@ -16,10 +16,13 @@ The overhead terms (in bold in the paper) are ``s*m*q`` vs ``n*m*q`` — the
 improvement of Section 4 is exactly replacing ``n`` by ``s`` there.  The
 ``*_cost`` functions express that *leading-order* table as printed.
 
-The code evaluates the correction chain ``V D V^T Phi g`` right to left
-(``Phi^T g`` first; see :mod:`repro.core.preconditioner`), so what it
-actually performs — and what the ``exact_*`` functions count, for the
-instrumentation tests to assert equality against — is
+The code evaluates the correction chain ``V D V^T Phi g`` with ``g``
+first, as row vectors: ``g^T Phi``, then ``(.) V``, then ``(. D) V^T``,
+transposing the small ``(l, .)`` results (see
+:mod:`repro.core.preconditioner`; every GEMM reads ``Phi`` and ``V``
+along their contiguous rows).  What it actually performs — and what the
+``exact_*`` functions count, for the instrumentation tests to assert
+equality against — is
 
 - improved: ``s*m*l + 2*s*q*l``
 - original: ``n*m*l + 2*n*q*l``
@@ -27,6 +30,11 @@ instrumentation tests to assert equality against — is
 Their ratio is exactly ``n/s``, as in the table.  The batch term ``s*m*l``
 is bounded by the SGD step's own prediction GEMM ``n*m*l`` (``s <= n``),
 whereas the table's ``s*m*q`` exceeds that GEMM whenever ``s*q > n*l``.
+
+The sharded trainer sizes its shards with the same counts
+(:meth:`repro.shard.ShardPlan.balanced`): ``exact_sgd_ops(1, m, d, l)``
+per center, plus ``exact_improved_overhead_ops(m, l, s, q) / s`` per
+subsample center on the shard that runs the correction.
 """
 
 from __future__ import annotations
@@ -125,8 +133,8 @@ def exact_sgd_ops(n: int, m: int, d: int, l: int) -> int:
 
 def exact_improved_overhead_ops(m: int, l: int, s: int, q: int) -> int:
     """Operations of the improved preconditioner chain
-    ``V @ (D * (V^T (Phi^T g)))`` evaluated as
-    ``Phi^T g -> (s,l)``, ``V^T @ -> (q,l)``, ``V @ -> (s,l)``:
+    ``V D V^T Phi^T g`` evaluated as
+    ``g^T Phi -> (l,s)``, ``@ V -> (l,q)``, ``* D @ V^T -> (l,s)``:
     ``s*m*l + 2*s*q*l``."""
     _check_dims(m=m, l=l, s=s, q=q)
     return s * m * l + 2 * s * q * l

@@ -426,7 +426,7 @@ class EigenPro2(BaseKernelTrainer):
 
         ``phi`` arrives in the fit's working dtype (that of ``x``), so
         under mixed precision it stays in the compute dtype and the
-        correction's ``Phi^T g`` lifts its product
+        correction's ``g^T Phi`` lifts its product
         (:func:`~repro.core.preconditioner.correction_partial`).  The
         update goes through :func:`correct_block`, with its Kahan
         compensation (mixed precision) kept in one ``(s, l)`` buffer,

@@ -17,11 +17,13 @@ step 5) costs ``s*q`` extra memory (Table 1) — independent of ``n``.
 
 Section 4 prices the correction ``V D V^T Phi g`` at ``s*m*q``
 operations, the cost of forming ``V^T Phi`` first.  The code evaluates
-the same product right to left instead:
+the same product with ``g`` first instead, as row vectors, so every GEMM
+reads ``Phi`` (``(m, s)``) and ``V`` (``(s, q)``) along their contiguous
+rows, and transposes the small results:
 
-    h = Phi^T g        (s, l)   s*m*l
-    t = D * (V^T h)    (q, l)   s*q*l
-    V t                (s, l)   s*q*l
+    h = g^T Phi        (l, s)   s*m*l
+    t = (h V) * D      (l, q)   s*q*l
+    (t V^T)^T          (s, l)   s*q*l
 
 for ``s*m*l + 2*s*q*l`` operations in total.  The one term that grows
 with the batch, ``s*m*l``, can never exceed the step's own prediction
@@ -66,7 +68,9 @@ def correction_partial(phi: Any, g: Any, eigvecs: Any) -> Any:
 
     The full ``V^T Phi^T g`` is the shard-order sum of these partials;
     with every subsample row in one call it is that product itself.
-    ``Phi^T g`` runs as the prediction GEMM does
+    It is formed as ``(g^T Phi_i) V_i`` and transposed, so both GEMMs
+    read ``Phi`` and ``V`` along their contiguous rows.  ``g^T Phi``
+    runs as the prediction GEMM does
     (:func:`~repro.backend.master_matmul`): under mixed precision a
     compute-dtype ``Phi`` meets a downcast copy of the float64 residuals
     and the product is lifted back; ``V`` is lifted to that product's
@@ -75,10 +79,10 @@ def correction_partial(phi: Any, g: Any, eigvecs: Any) -> Any:
     bk = backend_of(phi)
     m, l = g.shape
     s_i, q = eigvecs.shape
-    h = master_matmul(phi.T, g, bk)  # (s_i, l): s_i*m*l ops
+    h = master_matmul(phi, g.T, bk, w_first=True)  # (l, s_i): s_i*m*l ops
     v = match_dtype(eigvecs, bk.dtype_of(h), bk)
     record_ops("precond", s_i * m * l + s_i * q * l)
-    return v.T @ h  # (q, l): s_i*q*l ops
+    return (h @ v).T  # (q, l): s_i*q*l ops
 
 
 def correction_rows(
@@ -88,10 +92,12 @@ def correction_rows(
     subsample rows ``eigvecs`` (``(s_i, q)``) covers, from the summed
     partial ``p`` (:func:`correction_partial`).
 
-    Runs, and accumulates, in ``p``'s dtype.  ``D`` comes from its
-    float64 source ``d_scale`` when ``Phi`` (of dtype ``phi_dtype``) was
-    lifted to reach ``p``'s dtype (mixed precision), else by way of the
-    eigenvectors' dtype.  Records ``s_i*q*l`` ``"precond"`` operations.
+    Formed as ``(p^T D) V_i^T`` and transposed, so the GEMM reads ``V``
+    along its contiguous rows.  Runs, and accumulates, in ``p``'s dtype.
+    ``D`` comes from its float64 source ``d_scale`` when ``Phi`` (of
+    dtype ``phi_dtype``) was lifted to reach ``p``'s dtype (mixed
+    precision), else by way of the eigenvectors' dtype.  Records
+    ``s_i*q*l`` ``"precond"`` operations.
     """
     bk = backend_of(p)
     acc = bk.dtype_of(p)
@@ -99,7 +105,7 @@ def correction_rows(
     d = match_dtype(bk.asarray(d_scale, dtype=via), acc, bk)
     v = match_dtype(eigvecs, acc, bk)
     record_ops("precond", eigvecs.shape[0] * eigvecs.shape[1] * p.shape[1])
-    return v @ (p * d[:, None])  # (s_i, l): s_i*q*l ops
+    return ((p.T * d) @ v.T).T  # (s_i, l): s_i*q*l ops
 
 
 class NystromPreconditioner:

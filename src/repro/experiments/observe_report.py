@@ -10,7 +10,9 @@ correction runs on the shard holding the subsample), caller-side
 ``allreduce`` / ``mirror`` / ``checkpoint`` spans, and
 — when the fit recovered from a failure — the ``recovery`` span family,
 each joined against the matching model term by
-:func:`repro.observe.compare_phases`.
+:func:`repro.observe.compare_phases`.  Its notes also give each shard's
+busy time (worker ``form_block`` + ``gemm`` + ``correction`` seconds) and
+their max/min ratio, so a trace alone shows how even the shard plan is.
 
 Artifacts (when ``export_dir`` is set): a Chrome/Perfetto
 ``trace.json`` with per-shard process timelines (load in
@@ -53,6 +55,31 @@ EXPECTED_SPANS: tuple[str, ...] = (
     "allreduce",
     "checkpoint",
 )
+
+
+#: Worker spans that make up a shard's busy time in the per-shard line.
+_BUSY_SPANS: tuple[str, ...] = ("form_block", "gemm", "correction")
+
+
+def _busy_line(tracer: Tracer) -> str:
+    """One notes line: each shard's summed :data:`_BUSY_SPANS` seconds,
+    by ``shard`` attribute, and their max/min ratio.  Spans are read at
+    every depth (process-transport worker spans arrive one level down);
+    a report only, no claim reads it."""
+    busy: dict[int, float] = {}
+    for ev in tracer.events:
+        if ev.name in _BUSY_SPANS and "shard" in ev.attrs:
+            shard = int(ev.attrs["shard"])
+            busy[shard] = busy.get(shard, 0.0) + ev.duration_s
+    shards = ", ".join(
+        f"shard {i} {1e3 * t:.3f} ms" for i, t in sorted(busy.items())
+    )
+    low = min(busy.values(), default=0.0)
+    ratio = f"{max(busy.values()) / low:.2f}" if low > 0 else "n/a"
+    return (
+        f"per-shard busy ({' + '.join(_BUSY_SPANS)}): {shards}; "
+        f"max/min {ratio}"
+    )
 
 
 @dataclass
@@ -162,6 +189,8 @@ def run_observe_report(
             f"s={cfg.s}, g={cfg.g}, epochs={cfg.epochs}; "
             f"{len(tracer)} spans recorded; run {run_id['id'][:12]}; "
             "compute rate calibrated from the run's own worker spans.\n"
+            + _busy_line(tracer)
+            + "\n"
             + render_comparison(report)
         ),
     )

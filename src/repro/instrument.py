@@ -73,7 +73,7 @@ __all__ = [
 #: - ``"kernel_eval"`` — pairwise kernel evaluations, ``m * n * d`` scale.
 #: - ``"gemm"`` — dense matrix products such as ``K @ W``, ``m * n * l``.
 #: - ``"precond"`` — the EigenPro correction chain, ``s*m*l + 2*s*q*l``
-#:   as executed (``Phi^T g`` first; the paper's Table 1 prices the
+#:   as executed (``g^T Phi`` first; the paper's Table 1 prices the
 #:   ``V^T Phi``-first order at ``s*m*q``).
 #: - ``"eig"`` — one-time eigensystem setup work.
 #: - ``"allreduce"`` — cross-shard reduction traffic, ``(g-1) * payload``

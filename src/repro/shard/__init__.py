@@ -8,8 +8,11 @@ block, and all-reduce the ``(m, l)`` batch predictions under an
 alpha-beta network model.  This package *executes* the same scheme on
 real array backends:
 
-- :class:`~repro.shard.plan.ShardPlan` — the balanced contiguous
-  partition of the ``n`` centers (and weight rows) into ``g`` shards;
+- :class:`~repro.shard.plan.ShardPlan` — the contiguous partition of
+  the ``n`` centers (and weight rows) into ``g`` shards, balanced by
+  cost: equal rows (:meth:`~repro.shard.plan.ShardPlan.contiguous`) or,
+  for the sharded trainer, equal step op counts
+  (:meth:`~repro.shard.plan.ShardPlan.balanced`);
 - :mod:`repro.shard.transport` — the engine, separating *what a shard
   does* from *where it runs*: a
   :class:`~repro.shard.transport.ShardWorker` (the shard's arrays,

@@ -49,8 +49,19 @@ Who owns ``alpha[:s]``
 ----------------------
 The shards holding subsample centers — the *owners*, shard 0 alone
 unless ``s`` exceeds its rows — own the subsample's weight rows
-``alpha[:s]`` and the correction's Kahan compensation.  Each gets, once
-per fit in its setup task, its rows of ``V`` (through shared memory on
+``alpha[:s]`` and the correction's Kahan compensation.  Since an owner
+runs the correction on top of its share of step 2, it holds fewer
+centers: the group's plan is :meth:`~repro.shard.ShardPlan.balanced`
+by the step's Table-1 op counts (:mod:`repro.core.cost`), ``m*(d+l)``
+per center (:func:`~repro.core.cost.exact_sgd_ops`) plus ``l*(m+2q)``
+per subsample center
+(:func:`~repro.core.cost.exact_improved_overhead_ops` over ``s``), and
+the subsample spans no more shards than under the contiguous plan.  At
+``n=8000, d=32, l=10, m=256, s=2000, q=300`` and ``g=2`` the owner
+holds 3204 centers and the other shard 4796.  Every build re-plans
+(the first, and each elastic rebuild) and records one ``group_build``
+span with the plan's ``bounds`` and the owner count.  Each owner gets,
+once per fit in its setup task, its rows of ``V`` (through shared memory on
 the process transport), ``D`` and its rows of the compensation.  The
 caller updates and mirrors only the rows at or past ``s``; an owner
 applies step 3 to the batch rows it holds and then the correction
@@ -135,6 +146,7 @@ from repro.config import (
     compute_dtype,
     mixed_precision_active,
 )
+from repro.core.cost import exact_improved_overhead_ops, exact_sgd_ops
 from repro.core.eigenpro2 import EigenPro2, correct_block
 from repro.core.preconditioner import correction_partial
 from repro.core.trainer import coordinate_update
@@ -147,6 +159,7 @@ from repro.kernels.base import Kernel
 from repro.kernels.ops import block_workspace
 from repro.shard.group import PendingMap, ShardGroup
 from repro.shard.ops import sharded_predict
+from repro.shard.plan import ShardPlan
 from repro.shard.recovery import RecoveryEvent, ShardCheckpoint
 from repro.shard.transport import ShardTransport, ShardWorker, resolve_transport
 
@@ -473,10 +486,17 @@ class ShardedEigenPro2(EigenPro2):
         backends = self.shard_backends
         if isinstance(backends, list):  # one spec per shard
             backends = backends[:g]
-        group = ShardGroup.build(
-            x, self._alpha, g=g, backends=backends, kernel=self.kernel,
-            transport=self.transport, **self.transport_options,
-        )
+        precond = self.preconditioner_
+        s, q = (0, 0) if precond is None else (precond.s, precond.q)
+        plan = self._plan(x, g, s, q)
+        self._owned_rows = s
+        self._owners = sum(1 for a in plan.bounds[:-1] if a < s)
+        with span("group_build", bounds=plan.bounds, owners=self._owners):
+            group = ShardGroup.build(
+                x, self._alpha, g=g, backends=backends, kernel=self.kernel,
+                transport=self.transport, plan=plan,
+                **self.transport_options,
+            )
         # Build-before-close: a failing rebuild must leave the previous
         # (still open) group in place for fit's cleanup path.
         if self.shard_group_ is not None:
@@ -484,6 +504,19 @@ class ShardedEigenPro2(EigenPro2):
         self.shard_group_ = group
         self._pending_mirror = None
         group.scatter_state_items(self._shard_state(group))
+
+    def _plan(self, x: Any, g: int, s: int, q: int) -> ShardPlan:
+        """The shard plan over the held centers ``x``, balanced by the
+        step's Table-1 op counts for subsample size ``s`` and EigenPro
+        parameter ``q`` (module docstring: who owns ``alpha[:s]``)."""
+        n, d = x.shape
+        m, l = min(self.batch_size_, n), self._alpha.shape[1]
+        return ShardPlan.balanced(
+            n, g,
+            row_cost=exact_sgd_ops(1, m, d, l),
+            lead_rows=s,
+            lead_cost=exact_improved_overhead_ops(m, l, s, q) // max(s, 1),
+        )
 
     def _shard_state(self, group: ShardGroup) -> list[dict[str, Any]]:
         """Per-fit worker context, one dict per shard (a single setup
@@ -493,10 +526,8 @@ class ShardedEigenPro2(EigenPro2):
         also gets their offset, their rows of ``V``, ``D`` and their
         rows of the Kahan compensation (module docstring)."""
         precond = self.preconditioner_
-        s = 0 if precond is None else precond.s
+        s = self._owned_rows
         bounds = group.plan.bounds
-        self._owned_rows = s
-        self._owners = sum(1 for a in bounds[:-1] if a < s)
         if (
             s
             and self._corr_comp is None

@@ -473,6 +473,7 @@ class ShardTransport(abc.ABC):
         backends: str | ArrayBackend | Sequence[str | ArrayBackend] | None = None,
         kernel: Kernel | None = None,
         transport: str | type["ShardTransport"] = "thread",
+        plan: ShardPlan | None = None,
         **transport_options: Any,
     ) -> "ShardTransport":
         """Shard ``centers`` (and optionally ``weights``) across ``g``
@@ -499,6 +500,10 @@ class ShardTransport(abc.ABC):
             are forwarded to the transport constructor (e.g.
             ``start_method=`` for the process transport, ``timeout_s=``
             for torchdist).
+        plan:
+            Row partition of ``centers`` into the ``g`` shards; defaults
+            to :meth:`ShardPlan.contiguous`.  The sharded trainer passes
+            a :meth:`ShardPlan.balanced` one.
         """
         from repro.shard.transport import resolve_transport
 
@@ -516,7 +521,13 @@ class ShardTransport(abc.ABC):
                     f"g={g} conflicts with {len(backend_specs)} backend specs"
                 )
             g = len(backend_specs)
-        plan = ShardPlan.contiguous(centers_np.shape[0], g)
+        if plan is None:
+            plan = ShardPlan.contiguous(centers_np.shape[0], g)
+        elif (plan.n, plan.g) != (centers_np.shape[0], g):
+            raise ConfigurationError(
+                f"plan covers n={plan.n} rows in {plan.g} shards; the "
+                f"group has {centers_np.shape[0]} centers and g={g}"
+            )
         transport_cls = resolve_transport(transport)
         engine = transport_cls(
             plan, centers_np, weights_np, backends=backend_specs,

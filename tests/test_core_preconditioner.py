@@ -10,7 +10,12 @@ import numpy as np
 import pytest
 
 from repro.core.cost import exact_improved_overhead_ops
-from repro.core.preconditioner import NystromPreconditioner
+from repro.config import mixed_precision_active, use_precision
+from repro.core.preconditioner import (
+    NystromPreconditioner,
+    correction_partial,
+    correction_rows,
+)
 from repro.exceptions import ConfigurationError
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel
@@ -175,6 +180,50 @@ class TestCorrection:
             p.correction(np.zeros((4, 199)), np.zeros((4, 1)))
         with pytest.raises(ConfigurationError):
             p.correction(np.zeros((4, 200)), np.zeros((3, 1)))
+
+
+class TestCorrectionOrientation:
+    """The correction forms ``(g^T Phi) V`` and ``(p^T D) V^T`` and
+    transposes them, so its GEMMs read ``Phi`` and ``V`` along their
+    rows.  The old order (``Phi^T g``, ``V^T h``, ``V (D p)``) is the
+    reference: same arithmetic, same op counts, under every tier."""
+
+    @staticmethod
+    def _old_order(phi, g, v, d_scale):
+        if phi.dtype != g.dtype and mixed_precision_active():
+            h = (phi.T @ g.astype(phi.dtype)).astype(g.dtype)
+        else:
+            h = phi.T.astype(g.dtype) @ g
+        p = v.astype(h.dtype).T @ h
+        d = d_scale.astype(p.dtype if phi.dtype != p.dtype else v.dtype)
+        return p, v.astype(p.dtype) @ (p * d.astype(p.dtype)[:, None])
+
+    @pytest.mark.parametrize("tier", ["float64", "float32", "mixed"])
+    @pytest.mark.parametrize(
+        "m,s,q,l", [(256, 2000, 300, 10), (64, 200, 40, 3), (32, 24, 23, 2)]
+    )
+    def test_matches_old_order(self, tier, m, s, q, l):
+        rng = np.random.default_rng(5)
+        with use_precision(tier):
+            work = np.float64 if tier == "float64" else np.float32
+            master = np.float32 if tier == "float32" else np.float64
+            phi = rng.random((m, s + 7)).astype(work)[:, :s]  # a block view
+            g = rng.standard_normal((m, l)).astype(master)
+            v = np.linalg.qr(rng.standard_normal((s, q)))[0].astype(work)
+            d_scale = rng.random(q)
+            ref_p, ref_rows = self._old_order(phi, g, v, d_scale)
+            with meter_scope() as meter:
+                p = correction_partial(phi, g, v)
+                rows = correction_rows(p, v, d_scale, phi.dtype)
+        assert p.dtype == ref_p.dtype == master
+        assert rows.dtype == ref_rows.dtype == master
+        assert p.shape == (q, l) and rows.shape == (s, l)
+        # 1e-12 is below float32's resolution; there the bound is its
+        # own rounding.
+        tol = 1e-12 if master == np.float64 else 1e-5
+        for new, ref in ((p, ref_p), (rows, ref_rows)):
+            assert np.abs(new - ref).max() <= tol * np.abs(ref).max()
+        assert meter.total("precond") == exact_improved_overhead_ops(m, l, s, q)
 
 
 class TestPhiGather:

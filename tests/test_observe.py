@@ -21,6 +21,7 @@ Pins the contracts the rest of the stack relies on:
 from __future__ import annotations
 
 import json
+import re
 import threading
 
 import numpy as np
@@ -732,6 +733,18 @@ class TestObserveReport:
             "form_block", "gemm", "correction", "allreduce",
             "setup", "mirror", "checkpoint", "recovery",
         ]
+        # The per-shard busy line names every shard with a nonzero time.
+        (line,) = [
+            ln for ln in result.notes.splitlines()
+            if ln.startswith("per-shard busy")
+        ]
+        busy = {
+            int(i): float(ms)
+            for i, ms in re.findall(r"shard (\d+) ([0-9.]+) ms", line)
+        }
+        assert sorted(busy) == [0, 1]
+        assert all(ms > 0 for ms in busy.values())
+        assert "max/min" in line
 
 
 class TestPercentiles:

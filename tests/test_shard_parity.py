@@ -21,12 +21,15 @@ import numpy as np
 import pytest
 
 from repro.baselines.ridge import solve_ridge
+from repro.core.cost import exact_improved_overhead_ops, exact_sgd_ops
 from repro.core.eigenpro2 import EigenPro2
 from repro.device.presets import titan_xp
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel, LaplacianKernel, PolynomialKernel
 from repro.kernels.ops import kernel_matvec
+from repro.observe import Tracer, trace_scope
+from repro.serve import ModelServer
 from repro.shard import (
     ShardGroup,
     ShardPlan,
@@ -467,6 +470,151 @@ class TestShardedEigenPro2:
                 assert 0 < ex.workspace_peak <= m * ex.n_centers
         finally:
             trainer.close()
+
+
+class TestBalancedShardPlan:
+    """The sharded trainer sizes its shards from the step's Table-1 op
+    counts (:meth:`ShardPlan.balanced`): the shard owning ``alpha[:s]``
+    also runs the correction, so it holds fewer centers.  Every other
+    group keeps :meth:`ShardPlan.contiguous`."""
+
+    KW = dict(s=40, batch_size=32, seed=0, damping=0.9)
+
+    def _trainer(self, g, transport="thread"):
+        return ShardedEigenPro2(
+            GaussianKernel(bandwidth=2.5), n_shards=g, device=titan_xp(),
+            transport=transport, **self.KW,
+        )
+
+    def _serial(self, x, y, epochs):
+        ref = EigenPro2(
+            GaussianKernel(bandwidth=2.5), device=titan_xp(), **self.KW
+        )
+        ref.fit(x, y, epochs=epochs)
+        return ref
+
+    @staticmethod
+    def _expected_plan(trainer, x, g):
+        n, d = x.shape
+        m, l = trainer.batch_size_, trainer._alpha.shape[1]
+        s, q = trainer.preconditioner_.s, trainer.preconditioner_.q
+        return ShardPlan.balanced(
+            n, g,
+            row_cost=exact_sgd_ops(1, m, d, l),
+            lead_rows=s,
+            lead_cost=exact_improved_overhead_ops(m, l, s, q) // s,
+        )
+
+    @shard_counts
+    def test_fit_plans_by_op_counts(self, small_dataset, g):
+        """One ``group_build`` span per build carries the plan's bounds
+        and the owner count."""
+        x = small_dataset.x_train
+        tracer = Tracer()
+        trainer = self._trainer(g)
+        try:
+            with trace_scope(tracer):
+                trainer.fit(x, small_dataset.y_train, epochs=1)
+            plan = trainer.shard_group_.plan
+            assert plan == self._expected_plan(trainer, x, g)
+            if g > 1:
+                contiguous = ShardPlan.contiguous(x.shape[0], g)
+                assert plan.sizes[0] < contiguous.sizes[0]
+            builds = [ev for ev in tracer.events if ev.name == "group_build"]
+            assert len(builds) == 1
+            assert builds[0].attrs["bounds"] == plan.bounds
+            assert sum(plan.sizes) == x.shape[0]
+            assert builds[0].attrs["owners"] == trainer._owners == 1
+        finally:
+            trainer.close()
+
+    @pytest.mark.skipif(
+        not transport_available("process"),
+        reason="platform lacks fork-safe shared memory",
+    )
+    def test_thread_and_process_bitwise_equal(self, small_dataset):
+        x, y = small_dataset.x_train, small_dataset.y_train
+        ref = self._serial(x, y, epochs=2)
+        alphas = {}
+        for transport in ("thread", "process"):
+            trainer = self._trainer(2, transport)
+            try:
+                trainer.fit(x, y, epochs=2)
+                assert trainer.shard_group_.plan == self._expected_plan(
+                    trainer, x, 2
+                )
+                alphas[transport] = np.array(trainer._alpha)
+            finally:
+                trainer.close()
+        np.testing.assert_array_equal(alphas["process"], alphas["thread"])
+        scale = max(float(np.abs(ref._alpha).max()), 1.0)
+        np.testing.assert_allclose(
+            alphas["thread"], ref._alpha, atol=1e-6 * scale, rtol=0
+        )
+
+    def test_single_shard_bitwise_serial(self, small_dataset):
+        x, y = small_dataset.x_train, small_dataset.y_train
+        ref = self._serial(x, y, epochs=2)
+        trainer = self._trainer(1)
+        try:
+            trainer.fit(x, y, epochs=2)
+            np.testing.assert_array_equal(trainer._alpha, ref._alpha)
+        finally:
+            trainer.close()
+
+    def test_elastic_shrink_replans(self, small_dataset, monkeypatch):
+        """A shard failure at ``g = 2`` rebuilds one shard over every
+        row, and the rebuild records its own ``group_build`` span."""
+        from repro.shard import trainer as shard_trainer
+
+        original = shard_trainer._form_block_task
+        calls = {"n": 0}
+
+        def fail_once(worker, xb, xb_sq_norms):
+            if worker.shard_id == 1:
+                calls["n"] += 1
+                if calls["n"] == 3:
+                    raise ShardError("injected shard failure")
+            return original(worker, xb, xb_sq_norms)
+
+        monkeypatch.setattr(shard_trainer, "_form_block_task", fail_once)
+        x = small_dataset.x_train
+        n = x.shape[0]
+        tracer = Tracer()
+        trainer = self._trainer(2)
+        try:
+            with trace_scope(tracer):
+                trainer.fit(x, small_dataset.y_train, epochs=1)
+            assert [(e.old_g, e.new_g) for e in trainer.recovery_log_] == [
+                (2, 1)
+            ]
+            builds = [ev for ev in tracer.events if ev.name == "group_build"]
+            assert [ev.attrs["bounds"] for ev in builds] == [
+                self._expected_plan(trainer, x, 2).bounds,
+                (0, n),
+            ]
+            assert trainer.shard_group_.plan.bounds == (0, n)
+        finally:
+            trainer.close()
+
+    def test_build_rejects_mismatched_plan(self, problem):
+        centers, weights, _ = problem
+        with pytest.raises(ConfigurationError):
+            ShardGroup.build(
+                centers, weights, g=2,
+                plan=ShardPlan.contiguous(centers.shape[0], 3),
+            )
+        with pytest.raises(ConfigurationError):
+            ShardGroup.build(
+                centers, weights, g=2,
+                plan=ShardPlan.contiguous(centers.shape[0] - 1, 2),
+            )
+
+    def test_model_server_keeps_contiguous(self, small_dataset):
+        x, y = small_dataset.x_train, small_dataset.y_train
+        ref = self._serial(x, y, epochs=1)
+        with ModelServer(ref.model_, g=2) as server:
+            assert server.group.plan == ShardPlan.contiguous(x.shape[0], 2)
 
 
 class TestRidgeOnBackendLayer:

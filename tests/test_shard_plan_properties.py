@@ -5,15 +5,20 @@ transport slices centers/weights by ``plan.slices`` and reassembles
 scatter/gather round-trips by ``plan.localize``.  Hypothesis pins the
 invariants over the full (n, g) lattice — balanced ragged tails, the
 n < g rejection, and exact global↔local index round-trips — rather than
-the handful of fixed cases in ``tests/test_shard_parity.py``.
+the handful of fixed cases in ``tests/test_shard_parity.py``.  The
+cost-balanced constructor (:meth:`ShardPlan.balanced`) is pinned the same
+way, and against an exhaustive search over every plan of a small ``n``.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.cost import exact_improved_overhead_ops, exact_sgd_ops
 from repro.exceptions import ConfigurationError
 from repro.shard import ShardPlan
 
@@ -142,3 +147,125 @@ class TestLocalizeProperties:
             plan.localize(np.array([-1]))
         with pytest.raises(ConfigurationError):
             plan.shard_of(n)
+
+
+# ---------------------------------------------------------------------------
+# ShardPlan.balanced: rows cost ``c``, the first ``s`` rows ``c + e``.
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def costed(draw, sizes=n_and_g()):
+    n, g = draw(sizes)
+    s = draw(st.integers(min_value=0, max_value=n))
+    c = draw(st.integers(min_value=1, max_value=10_000))
+    e = draw(st.integers(min_value=0, max_value=10_000))
+    return n, g, s, c, e
+
+
+@st.composite
+def small_n_and_g(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    g = draw(st.integers(min_value=1, max_value=min(n, 4)))
+    return n, g
+
+
+def _balanced(n, g, s, c, e):
+    return ShardPlan.balanced(n, g, row_cost=c, lead_rows=s, lead_cost=e)
+
+
+def _costs(bounds, s, c, e):
+    cum = [c * k + e * min(k, s) for k in bounds]
+    return [b - a for a, b in zip(cum, cum[1:])]
+
+
+def _owners(bounds, s):
+    return sum(1 for a in bounds[:-1] if a < s)
+
+
+class TestBalancedPlan:
+    @SETTINGS
+    @given(costed())
+    def test_covers_rows_with_nonempty_shards(self, case):
+        n, g, s, c, e = case
+        plan = _balanced(n, g, s, c, e)
+        assert plan.g == g
+        assert plan.bounds[0] == 0 and plan.bounds[-1] == n
+        assert sum(plan.sizes) == n
+        assert min(plan.sizes) >= 1
+
+    @SETTINGS
+    @given(costed())
+    def test_equal_row_costs_give_contiguous(self, case):
+        """No extra lead cost (or every row a lead row): the bounds are
+        exactly :meth:`ShardPlan.contiguous`'s."""
+        n, g, s, c, _ = case
+        contiguous = ShardPlan.contiguous(n, g).bounds
+        assert _balanced(n, g, s, c, 0).bounds == contiguous
+        assert _balanced(n, g, n, c, 7).bounds == contiguous
+        assert _balanced(n, g, 0, c, 7).bounds == contiguous
+
+    @SETTINGS
+    @given(costed())
+    def test_never_more_owners_than_contiguous(self, case):
+        n, g, s, c, e = case
+        plan = _balanced(n, g, s, c, e)
+        assert _owners(plan.bounds, s) <= _owners(
+            ShardPlan.contiguous(n, g).bounds, s
+        )
+
+    @SETTINGS
+    @given(costed())
+    def test_costs_within_one_lead_row_unless_capped(self, case):
+        """Max and min shard cost differ by at most ``c + e``.  The one
+        exception is a binding owner cap, where the owners hold exactly
+        the lead rows (the cap forbids giving them fewer)."""
+        n, g, s, c, e = case
+        plan = _balanced(n, g, s, c, e)
+        costs = _costs(plan.bounds, s, c, e)
+        if max(costs) - min(costs) > c + e:
+            cap = _owners(ShardPlan.contiguous(n, g).bounds, s)
+            assert plan.bounds[cap] == s
+
+    @settings(max_examples=200, deadline=None)
+    @given(costed(sizes=small_n_and_g()))
+    def test_matches_exhaustive_search(self, case):
+        """Over every plan of a small ``n`` that keeps the owner cap,
+        none spans a narrower cost range (clipped at ``c + e``), and
+        none of those has a lower maximum cost."""
+        n, g, s, c, e = case
+        plan = _balanced(n, g, s, c, e)
+        cap = _owners(ShardPlan.contiguous(n, g).bounds, s)
+
+        def key(bounds):
+            costs = _costs(bounds, s, c, e)
+            return max(max(costs) - min(costs), c + e), max(costs)
+
+        best = min(
+            key(bounds)
+            for cut in itertools.combinations(range(1, n), g - 1)
+            for bounds in [(0, *cut, n)]
+            if _owners(bounds, s) <= cap
+        )
+        if e and 0 < s < n:
+            assert key(plan.bounds) == best
+
+    def test_fit_sharded_shapes(self):
+        """The ``fit-sharded`` benchmark workload: n=8000, d=32, l=10,
+        m=256, s=2000, q=300 at g=2."""
+        m, d, l, s, q = 256, 32, 10, 2000, 300
+        plan = ShardPlan.balanced(
+            8000, 2,
+            row_cost=exact_sgd_ops(1, m, d, l),
+            lead_rows=s,
+            lead_cost=exact_improved_overhead_ops(m, l, s, q) // s,
+        )
+        assert plan.bounds == (0, 3204, 8000)
+
+    def test_rejects_bad_costs(self):
+        with pytest.raises(ConfigurationError):
+            ShardPlan.balanced(10, 2, row_cost=0)
+        with pytest.raises(ConfigurationError):
+            ShardPlan.balanced(10, 2, row_cost=1, lead_rows=3, lead_cost=-1)
+        with pytest.raises(ConfigurationError):
+            ShardPlan.balanced(10, 2, row_cost=1, lead_rows=11, lead_cost=1)

@@ -2,7 +2,7 @@
 
 :func:`repro.backend.master_matmul` is the step's one contraction (the
 serial prediction GEMM, every shard's partial and the correction's
-``Phi^T g``) and :func:`repro.config.master_dtype` its one
+``g^T Phi``) and :func:`repro.config.master_dtype` its one
 accumulate-dtype rule (the master weights, the host all-reduce and the
 torchdist collective).  These cases hold both to the written-out
 formulas bit for bit under every precision tier, and pin the one place
