@@ -14,9 +14,9 @@ Conventions shared by all implementations:
 - dtypes are *NumPy* dtypes at the interface; backends translate internally.
 - ``out=`` arguments are optional destinations that must match shape and
   dtype; passing ``None`` allocates.
-- eigen/QR/Cholesky factorizations follow NumPy's layout conventions
-  (eigenvalues ascending from :meth:`eigh`, descending from
-  :meth:`top_eigh`; eigenvectors as columns).
+- eigen/Cholesky factorizations follow NumPy's layout conventions
+  (eigenvalues descending from :meth:`top_eigh`; eigenvectors as
+  columns).
 - :meth:`top_eigh` returns eigen*values* as a NumPy array regardless of
   backend — they are tiny, and all parameter-selection logic (Eq. 7 scans,
   step sizes) is scalar NumPy math.  Eigen*vectors* stay native.
@@ -191,30 +191,12 @@ class ArrayBackend(abc.ABC):
         return self.solve(a.T if trans else a, b)
 
     @abc.abstractmethod
-    def qr(self, a: Any) -> tuple[Any, Any]:
-        """Reduced QR decomposition ``a = q @ r``."""
-
-    @abc.abstractmethod
-    def eigh(self, a: Any) -> tuple[Any, Any]:
-        """Full symmetric eigendecomposition, eigenvalues *ascending*
-        (NumPy convention), eigenvectors as columns.  Both native."""
-
-    @abc.abstractmethod
-    def flip_columns(self, a: Any) -> Any:
-        """Reverse the column order of a 2-D array."""
-
     def top_eigh(self, a: Any, q: int) -> tuple[np.ndarray, Any]:
         """Top-``q`` eigenpairs of symmetric ``a``, eigenvalues *descending*.
 
         Returns ``(eigvals, eigvecs)`` with ``eigvals`` a NumPy ``(q,)``
         array (see module docstring) and ``eigvecs`` native ``(s, q)``.
-        The default implementation does a full :meth:`eigh` and slices;
-        backends may override with a subset solver.
         """
-        vals, vecs = self.eigh(a)
-        vals = self.to_numpy(vals)[::-1][:q].copy()
-        vecs = self.flip_columns(vecs)[:, :q]
-        return vals, vecs
 
     # ---------------------------------------------------- fused hot path
     def _apply_profile(self, sq: Any, profile: str, scale: float) -> Any:

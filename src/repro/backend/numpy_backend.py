@@ -130,15 +130,6 @@ class NumpyBackend(ArrayBackend):
             a, b, lower=lower, trans="T" if trans else "N"
         )
 
-    def qr(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.qr(a)
-
-    def eigh(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return np.linalg.eigh(a)
-
-    def flip_columns(self, a: np.ndarray) -> np.ndarray:
-        return a[:, ::-1]
-
     def top_eigh(self, a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray]:
         s = a.shape[0]
         vals, vecs = scipy.linalg.eigh(a, subset_by_index=(s - q, s - 1))

@@ -249,15 +249,11 @@ class TorchBackend(ArrayBackend):
         out = self.torch.linalg.solve_triangular(a, b2, upper=upper)
         return out if b.ndim == 2 else out.squeeze(1)
 
-    def qr(self, a: Any) -> tuple[Any, Any]:
-        return self.torch.linalg.qr(a)
-
-    def eigh(self, a: Any) -> tuple[Any, Any]:
+    def top_eigh(self, a: Any, q: int) -> tuple[np.ndarray, Any]:
+        # torch has no subset driver: solve the full eigensystem and slice.
         vals, vecs = self.torch.linalg.eigh(a)
-        return vals, vecs
-
-    def flip_columns(self, a: Any) -> Any:
-        return a.flip(1)
+        vals = self.to_numpy(vals)[::-1][:q].copy()
+        return vals, vecs.flip(1)[:, :q]
 
     # ---------------------------------------------------- fused hot path
     def _fused_profile_fns(self, profile: str) -> tuple[Any, Any] | None:

@@ -32,6 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.cost import exact_original_overhead_ops
+from repro.core.eigenpro2 import default_subsample_size
 from repro.core.spectrum import estimate_beta
 from repro.core.stepsize import analytic_step_size
 from repro.core.trainer import BaseKernelTrainer
@@ -82,7 +83,7 @@ class EigenPro1(BaseKernelTrainer):
         n = x.shape[0]
         s = self.requested_s
         if s is None:
-            s = min(n, 2000 if n <= 100_000 else 12_000)
+            s = default_subsample_size(n)
         s = min(s, n)
         q = min(self.q, s - 1)
         ext = nystrom_extension(self.kernel, x, s, q, seed=self.seed)

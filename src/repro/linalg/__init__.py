@@ -13,20 +13,19 @@ where ``(sigma_i, e_i)`` are subsample eigenpairs and ``phi`` is the kernel
 feature map against the subsample points.  This subpackage provides:
 
 - :func:`top_eigensystem` — top-q eigenpairs of a dense symmetric matrix
-  (LAPACK subset or randomized SVD, chosen by size);
+  (LAPACK subset, exact or float32-solved and certified in float64);
 - :class:`NystromExtension` — the lifted eigensystem with operator
   eigenvalue estimates and eigenfunction evaluation;
 - stability helpers (:func:`symmetrize`, :func:`jitter_cholesky`).
 """
 
-from repro.linalg.eigensystem import top_eigensystem, randomized_top_eigensystem
+from repro.linalg.eigensystem import top_eigensystem
 from repro.linalg.nystrom import NystromExtension, nystrom_extension
 from repro.linalg.power import power_iteration
 from repro.linalg.stable import jitter_cholesky, symmetrize
 
 __all__ = [
     "top_eigensystem",
-    "randomized_top_eigensystem",
     "NystromExtension",
     "nystrom_extension",
     "power_iteration",

@@ -1,32 +1,29 @@
-"""Top-q eigensystem solvers for symmetric PSD matrices.
+"""Top-q eigensystem solver for symmetric PSD matrices.
 
-Three routes, behind one entry point (:func:`top_eigensystem`):
+Two routes, behind one entry point (:func:`top_eigensystem`):
 
 - **Dense subset** (``method="dense"``, and ``"auto"`` below
   ``_FLOAT32_SIDE_MIN`` or for any matrix that is not a float64 NumPy
-  array): exact, the right choice when the matrix side is at most a few
-  thousand, the usual case since EigenPro's subsample size ``s`` is
-  ``2e3``–``1.2e4``.  On the NumPy backend this is LAPACK ``syevr`` via
+  array): exact.  On the NumPy backend this is LAPACK ``syevr`` via
   :func:`scipy.linalg.eigh` in the matrix's own dtype; the Torch backend
   solves the full eigensystem and slices (torch has no subset driver).
   ``method="dense"`` is the float64 reference.
 - **Float32 subset + float64 Ritz pass** (``"auto"`` on a float64 NumPy
-  matrix of side ``_FLOAT32_SIDE_MIN`` to ``_DENSE_SIDE_LIMIT``, or
-  beyond when ``q`` is large): ``syevr`` on a float32 copy, about half
-  the float64 time, then one Rayleigh–Ritz pass in float64 on the
-  orthonormalised float32 vectors.  The pairs are returned only if every
-  residual ``||A u_i - θ_i u_i||`` is at most ``_RITZ_RTOL · θ_q``;
-  otherwise the dense float64 solve runs as well.  Spectra that decay
-  below float32 resolution within the top ``q`` fall back.
-- **Randomized range-finder** (Halko-Martinsson-Tropp): O(s^2 (q + p))
-  instead of O(s^3); used automatically for large ``s`` with modest ``q``,
-  and directly exercised by the original-EigenPro baseline which computed
-  its eigensystem this way.
+  matrix of side ``_FLOAT32_SIDE_MIN`` or more): ``syevr`` on a float32
+  copy, about half the float64 time, then one Rayleigh–Ritz pass in
+  float64 on the orthonormalised float32 vectors.  The pairs are
+  returned only if every residual ``||A u_i - θ_i u_i||`` is at most
+  ``_RITZ_RTOL · θ_q``; otherwise the dense float64 solve runs as well.
+  Spectra that decay below float32 resolution within the top ``q`` fall
+  back.
 
-All return eigen*values* in *descending* order as NumPy arrays (they feed
-the scalar parameter-selection math) and eigen*vectors* as columns, native
-to the active :class:`~repro.backend.ArrayBackend`.  A traced call records
-one ``eigensolve`` span with the route taken.
+Every pair returned is therefore either an exact LAPACK pair or one
+certified to ``_RITZ_RTOL · θ_q``: EigenPro 2.0 reads its step size and
+preconditioner straight from these pairs.  Eigen*values* come back in
+*descending* order as NumPy arrays (they feed the scalar
+parameter-selection math) and eigen*vectors* as columns, native to the
+active :class:`~repro.backend.ArrayBackend`.  A traced call records one
+``eigensolve`` span with the route taken.
 """
 
 from __future__ import annotations
@@ -41,11 +38,7 @@ from repro.exceptions import ConfigurationError
 from repro.instrument import record_ops, span
 from repro.linalg.stable import symmetrize
 
-__all__ = ["top_eigensystem", "randomized_top_eigensystem"]
-
-#: Above this matrix side, :func:`top_eigensystem` switches to the
-#: randomized solver when q is small relative to the side.
-_DENSE_SIDE_LIMIT = 4096
+__all__ = ["top_eigensystem"]
 
 #: From this matrix side up, ``method="auto"`` solves a float64 NumPy
 #: matrix in float32 and certifies the pairs in float64.  Below it the
@@ -75,7 +68,6 @@ def top_eigensystem(
     q: int,
     *,
     method: str = "auto",
-    seed: int | None = 0,
 ) -> tuple[np.ndarray, Any]:
     """Top-``q`` eigenpairs of symmetric PSD ``a``, eigenvalues descending.
 
@@ -83,20 +75,17 @@ def top_eigensystem(
     ----------
     a:
         Symmetric matrix of shape ``(s, s)``.  Mild asymmetry from floating
-        point accumulation is symmetrized away on the routes that read
-        both triangles or hand ``a`` to a full symmetric solver: the
-        randomized route and the dense solve, fallback included.  The
-        float32 route casts ``a`` as it is: LAPACK reads one triangle,
-        and the Ritz pass's quadratic form sees only the symmetric part.
+        point accumulation is symmetrized away before the dense solve
+        (fallback included), which may hand ``a`` to a full symmetric
+        solver.  The float32 route casts ``a`` as it is: LAPACK reads one
+        triangle, and the Ritz pass's quadratic form sees only the
+        symmetric part.
     q:
         Number of eigenpairs, ``1 <= q <= s``.
     method:
-        ``"auto"`` (default), ``"dense"``, or ``"randomized"``.
-        ``"dense"`` is the exact subset solve in ``a``'s dtype; ``"auto"``
-        picks one of the three routes of the module docstring from the
-        side, ``q``, dtype and backend.
-    seed:
-        RNG seed for the randomized path.
+        ``"auto"`` (default) or ``"dense"``.  ``"dense"`` is the exact
+        subset solve in ``a``'s dtype; ``"auto"`` picks one of the two
+        routes of the module docstring from the side, dtype and backend.
 
     Returns
     -------
@@ -110,16 +99,11 @@ def top_eigensystem(
     q = int(q)
     if not 1 <= q <= s:
         raise ConfigurationError(f"q must be in [1, {s}], got {q}")
-    if method not in ("auto", "dense", "randomized"):
+    if method not in ("auto", "dense"):
         raise ConfigurationError(f"unknown eigensystem method {method!r}")
     # The span's route and certificate are known only after the solve;
     # a span reads its attributes when it closes.
     with span("eigensolve", s=s, q=q, route=method, certified=None) as sp:
-        if method == "auto" and s > _DENSE_SIDE_LIMIT and q < s // 4:
-            method = sp.attrs["route"] = "randomized"
-        if method == "randomized":
-            return randomized_top_eigensystem(a, q, seed=seed)
-
         record_ops("eig", s * s * s)  # cubic dense-eigensolver cost model
         if (
             method == "auto"
@@ -176,54 +160,3 @@ def _float32_ritz(a: np.ndarray, q: int) -> tuple[np.ndarray, np.ndarray] | None
         return None
     return theta, np.matmul(basis, w, out=aq)
 
-
-def randomized_top_eigensystem(
-    a: Any,
-    q: int,
-    *,
-    n_oversample: int = 10,
-    n_power_iter: int = 2,
-    seed: int | None = 0,
-) -> tuple[np.ndarray, Any]:
-    """Randomized top-``q`` eigensystem (Halko et al., 2011, Alg. 5.3-ish).
-
-    Builds an orthonormal basis ``Q`` for the range of ``a`` from a Gaussian
-    sketch with ``q + n_oversample`` columns, optionally sharpened by
-    ``n_power_iter`` subspace iterations, then solves the small projected
-    problem exactly.  For PSD matrices with rapid spectral decay — exactly
-    the kernel matrices of this paper — a handful of power iterations gives
-    near machine-precision leading eigenpairs.
-
-    The Gaussian sketch is always drawn with NumPy's generator and pushed
-    to the backend, so the result is backend-independent for a given seed.
-
-    Returns
-    -------
-    (eigvals, eigvecs):
-        As in :func:`top_eigensystem`.
-    """
-    bk = get_backend()
-    a = symmetrize(_validate_square(a))
-    s = a.shape[0]
-    q = int(q)
-    if not 1 <= q <= s:
-        raise ConfigurationError(f"q must be in [1, {s}], got {q}")
-    rng = np.random.default_rng(seed)
-    n_cols = min(s, q + int(n_oversample))
-    sketch = bk.asarray(
-        rng.standard_normal((s, n_cols)), dtype=bk.dtype_of(a)
-    )
-    y = a @ sketch
-    record_ops("eig", s * s * n_cols)
-    # Subspace (power) iteration with re-orthogonalization for stability.
-    for _ in range(int(n_power_iter)):
-        quu, _ = bk.qr(y)
-        y = a @ quu
-        record_ops("eig", s * s * n_cols)
-    qmat, _ = bk.qr(y)
-    small = symmetrize(qmat.T @ a @ qmat)
-    record_ops("eig", 2 * s * s * n_cols)
-    vals, vecs = bk.eigh(small)
-    vals_np = bk.to_numpy(vals)[::-1][:q].copy()
-    vecs = bk.matmul(qmat, bk.flip_columns(vecs))[:, :q]
-    return vals_np, vecs

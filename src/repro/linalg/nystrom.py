@@ -188,7 +188,6 @@ def nystrom_extension(
     q: int,
     *,
     seed: int | None = 0,
-    method: str = "auto",
     indices: np.ndarray | None = None,
 ) -> NystromExtension:
     """Build a :class:`NystromExtension` from training data.
@@ -210,15 +209,13 @@ def nystrom_extension(
     seed:
         RNG seed for the subsample draw (ignored if ``indices`` given).
         Drawn indices come back sorted.
-    method:
-        Eigensolver selection, forwarded to
-        :func:`repro.linalg.top_eigensystem`.  ``"auto"`` solves a float64
-        ``K_s`` with ``s >= 1024`` in float32 and keeps the pairs only if
-        a float64 Ritz pass certifies their residuals, else solves it in
-        float64; ``"dense"`` always runs the exact solve in ``K_s``'s
-        dtype.
     indices:
         Explicit subsample indices into ``x`` (deduplicated order kept).
+
+    The eigensystem of ``K_s`` comes from
+    :func:`repro.linalg.top_eigensystem` (``"auto"``): a float64 ``K_s``
+    with ``s >= 1024`` is solved in float32 and kept only if a float64
+    Ritz pass certifies its residuals, else solved in float64.
 
     ``K_s`` is formed once.  After the eigensolve one GEMM gives the
     subsample projections ``K_s V``, from which the extension keeps only
@@ -250,12 +247,12 @@ def nystrom_extension(
             raise ConfigurationError("subsample indices must be unique")
     points = x[indices]
     k_s = kernel(points, points)
-    eigvals, eigvecs = top_eigensystem(k_s, q, method=method, seed=seed)
+    eigvals, eigvecs = top_eigensystem(k_s, q)
     # Guard against tiny negative values from floating point round-off.
     eigvals = np.maximum(eigvals, 0.0)
-    # The subsample projections K_s V, from the real product: on a route
-    # that is not certified (the randomized one) it is not V diag(sigma),
-    # and it is the product the training correction applies.
+    # The subsample projections K_s V, from the real product: certified
+    # Ritz pairs only satisfy K_s V ~ V diag(sigma) to their residual, and
+    # K_s V is the product the training correction applies.
     proj = to_numpy(k_s @ eigvecs)
     del k_s
     table = beta_table(proj, to_numpy(kernel.diag(points)), eigvals)

@@ -9,7 +9,7 @@ from repro.core import EigenPro2
 from repro.exceptions import ConfigurationError
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel
-from repro.linalg import eigensystem, randomized_top_eigensystem, top_eigensystem
+from repro.linalg import eigensystem, top_eigensystem
 from repro.linalg.stable import symmetrize
 from repro.observe import Tracer, trace_scope
 
@@ -57,39 +57,15 @@ class TestDense:
 
     def test_unknown_method(self, rng):
         a, _, _ = _psd_matrix(rng)
-        with pytest.raises(ConfigurationError):
-            top_eigensystem(a, 2, method="magic")
+        for method in ("magic", "randomized"):
+            with pytest.raises(ConfigurationError):
+                top_eigensystem(a, 2, method=method)
 
 
 class TestRandomized:
-    def test_close_to_dense_with_decay(self):
-        # Pinned generator (not the session ``rng`` fixture): the sketch
-        # accuracy of the randomized solver depends on the drawn matrix,
-        # and this test was order-dependent on the shared fixture state.
-        a, vals, _ = _psd_matrix(np.random.default_rng(1234), n=60, decay=2.5)
-        got_vals, got_vecs = randomized_top_eigensystem(a, 5, seed=1)
-        np.testing.assert_allclose(got_vals, vals[:5], rtol=1e-6)
-        # Eigenvector quality via the residual (sign-agnostic).
-        for i in range(5):
-            resid = a @ got_vecs[:, i] - got_vals[i] * got_vecs[:, i]
-            assert np.linalg.norm(resid) < 1e-5
-
-    def test_kernel_matrix_spectrum(self, rng):
-        """On a real kernel matrix randomized and dense agree to high
-        precision — kernel spectra decay fast."""
-        x = rng.standard_normal((80, 5))
-        kmat = GaussianKernel(bandwidth=2.0)(x, x)
-        dense_vals, _ = top_eigensystem(kmat, 6, method="dense")
-        rand_vals, _ = randomized_top_eigensystem(
-            kmat, 6, n_power_iter=5, seed=0
-        )
-        np.testing.assert_allclose(rand_vals, dense_vals, rtol=1e-6)
-
-    def test_deterministic_given_seed(self, rng):
-        a, _, _ = _psd_matrix(rng)
-        v1, _ = randomized_top_eigensystem(a, 4, seed=42)
-        v2, _ = randomized_top_eigensystem(a, 4, seed=42)
-        np.testing.assert_array_equal(v1, v2)
+    """``"auto"`` has no randomized route: a small side takes the exact
+    solve, and ``method="randomized"`` is rejected
+    (``TestDense::test_unknown_method``)."""
 
     def test_auto_dispatch_small_uses_dense(self, rng):
         a, vals, _ = _psd_matrix(rng, n=30)
@@ -196,6 +172,16 @@ class TestFloat32Route:
         ref_vals, ref_vecs = top_eigensystem(a, self.Q, method="dense")
         np.testing.assert_array_equal(vals, ref_vals)
         np.testing.assert_array_equal(vecs, ref_vecs)
+
+    def test_large_side_small_q_is_certified(self):
+        """A large side with a small ``q`` is solved in float32 and
+        certified too: a randomized sketch of this matrix leaves
+        residuals up to ~0.04·θ_q, four times the certificate."""
+        a = _gaussian_matrix(4.0, 4097)
+        vals, vecs, attrs = _traced(a, 20)
+        assert (attrs["route"], attrs["certified"]) == ("float32+ritz", True)
+        resid = np.linalg.norm(a @ vecs - vecs * vals, axis=0)
+        assert resid.max() <= eigensystem._RITZ_RTOL * vals[-1]
 
     @pytest.mark.parametrize(
         "method, dtype, side, route",
