@@ -87,14 +87,13 @@ def correct_block(
     gamma: float,
     comp: np.ndarray | None,
 ) -> np.ndarray | None:
-    """Algorithm 1 steps 4–5 on a range of the subsample's weight rows:
-    ``block += gamma * V_i D p``, where ``block`` is that range of
-    ``alpha[:s]`` (a view, updated in place), ``eigvecs`` its rows of
-    ``V`` and ``p`` the summed partial ``V^T Phi^T g``
-    (:func:`~repro.core.preconditioner.correction_partial`).  The one
-    rule of the correction's update: :meth:`EigenPro2._correct` applies
-    it to all of ``alpha[:s]``, the sharded trainer's subsample-holding
-    shards to their rows (:mod:`repro.shard.trainer`).
+    """Algorithm 1 steps 4–5 on the subsample's weight rows:
+    ``block += gamma * V D p``, where ``block`` is ``alpha[:s]`` (a view,
+    updated in place), ``eigvecs`` is ``V`` and ``p`` is
+    ``V^T Phi^T g`` (:func:`~repro.core.preconditioner.correction_partial`).
+    The one rule of the correction's update: :meth:`EigenPro2._correct`
+    applies it serially, the sharded trainer on shard 0, which holds
+    ``alpha[:s]`` (:mod:`repro.shard.trainer`).
 
     The update is cast to ``block``'s (master) dtype.  The fixed
     coordinate block receives one dense update *every* iteration, so
@@ -102,8 +101,6 @@ def correct_block(
     up fastest; on NumPy it is accumulated with Kahan compensation in
     ``comp`` (same shape as ``block``; allocated when ``None``).
     Returns the compensation, ``None`` when the sum is not compensated.
-    Kahan works row by row, so compensating a row range with its rows of
-    one ``(s, l)`` compensation matches compensating all of ``alpha[:s]``.
     """
     bk = get_backend()
     update = gamma * bk.asarray(
@@ -431,8 +428,8 @@ class EigenPro2(BaseKernelTrainer):
         update goes through :func:`correct_block`, with its Kahan
         compensation (mixed precision) kept in one ``(s, l)`` buffer,
         reset per fit.  :class:`~repro.shard.trainer.ShardedEigenPro2`
-        does not call this: its subsample-holding shards run the same
-        two functions on their own rows.
+        does not call this: its shard 0 runs the same two functions on
+        the rows it holds.
         """
         v = self.preconditioner_.extension.eigvecs
         self._corr_comp = correct_block(

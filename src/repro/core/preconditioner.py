@@ -31,13 +31,12 @@ GEMM ``K[batch, :] @ alpha`` (``n*m*l``), because ``s <= n``.  The
 ``V^T Phi``-first order costs ``q/l`` times more: 7.5x that GEMM at
 ``n = 8000``, ``s = 2000``, ``q = 300``, ``l = 10``.
 
-The chain splits over the subsample rows: :func:`correction_partial`
-forms ``V_i^T Phi_i^T g`` for a row range ``i``, the shard-order sum of
-those partials is ``V^T Phi^T g``, and :func:`correction_rows` maps the
-sum back to that range's rows ``V_i D (.)``.  With one range covering
-all ``s`` rows this is :meth:`NystromPreconditioner.correction`; the
-sharded trainer runs the split on the shards that hold the subsample
-(:mod:`repro.shard.trainer`).
+The chain splits in two: :func:`correction_partial` forms
+``p = V^T Phi^T g`` and :func:`correction_rows` maps it back to the
+subsample rows ``V D p``.  Together they are
+:meth:`NystromPreconditioner.correction`; the serial step runs them in
+:meth:`~repro.core.eigenpro2.EigenPro2._correct`, the sharded trainer on
+shard 0, which holds the subsample (:mod:`repro.shard.trainer`).
 
 :meth:`NystromPreconditioner.modified_kernel` materialises the adaptive
 kernel ``k_G`` *explicitly* — not used in training (it would defeat the
@@ -62,42 +61,38 @@ __all__ = ["NystromPreconditioner", "correction_partial", "correction_rows"]
 
 
 def correction_partial(phi: Any, g: Any, eigvecs: Any) -> Any:
-    """``V_i^T Phi_i^T g`` of shape ``(q, l)``: the first half of the
-    correction over the subsample rows ``i`` that ``phi``'s columns
-    (``(m, s_i)``) and ``eigvecs``'s rows (``(s_i, q)``) cover.
+    """``V^T Phi^T g`` of shape ``(q, l)``: the first half of the
+    correction, for ``phi`` (``(m, s)``) and ``eigvecs`` (``(s, q)``).
 
-    The full ``V^T Phi^T g`` is the shard-order sum of these partials;
-    with every subsample row in one call it is that product itself.
-    It is formed as ``(g^T Phi_i) V_i`` and transposed, so both GEMMs
+    It is formed as ``(g^T Phi) V`` and transposed, so both GEMMs
     read ``Phi`` and ``V`` along their contiguous rows.  ``g^T Phi``
     runs as the prediction GEMM does
     (:func:`~repro.backend.master_matmul`): under mixed precision a
     compute-dtype ``Phi`` meets a downcast copy of the float64 residuals
     and the product is lifted back; ``V`` is lifted to that product's
-    dtype.  Records ``s_i*m*l + s_i*q*l`` ``"precond"`` operations.
+    dtype.  Records ``s*m*l + s*q*l`` ``"precond"`` operations.
     """
     bk = backend_of(phi)
     m, l = g.shape
-    s_i, q = eigvecs.shape
-    h = master_matmul(phi, g.T, bk, w_first=True)  # (l, s_i): s_i*m*l ops
+    s, q = eigvecs.shape
+    h = master_matmul(phi, g.T, bk, w_first=True)  # (l, s): s*m*l ops
     v = match_dtype(eigvecs, bk.dtype_of(h), bk)
-    record_ops("precond", s_i * m * l + s_i * q * l)
-    return (h @ v).T  # (q, l): s_i*q*l ops
+    record_ops("precond", s * m * l + s * q * l)
+    return (h @ v).T  # (q, l): s*q*l ops
 
 
 def correction_rows(
     p: Any, eigvecs: Any, d_scale: np.ndarray, phi_dtype: object
 ) -> Any:
-    """``V_i D p`` of shape ``(s_i, l)``: the correction's rows for the
-    subsample rows ``eigvecs`` (``(s_i, q)``) covers, from the summed
-    partial ``p`` (:func:`correction_partial`).
+    """``V D p`` of shape ``(s, l)``: the correction's subsample rows,
+    from ``eigvecs`` (``(s, q)``) and ``p`` (:func:`correction_partial`).
 
-    Formed as ``(p^T D) V_i^T`` and transposed, so the GEMM reads ``V``
+    Formed as ``(p^T D) V^T`` and transposed, so the GEMM reads ``V``
     along its contiguous rows.  Runs, and accumulates, in ``p``'s dtype.
     ``D`` comes from its float64 source ``d_scale`` when ``Phi`` (of
     dtype ``phi_dtype``) was lifted to reach ``p``'s dtype (mixed
     precision), else by way of the eigenvectors' dtype.  Records
-    ``s_i*q*l`` ``"precond"`` operations.
+    ``s*q*l`` ``"precond"`` operations.
     """
     bk = backend_of(p)
     acc = bk.dtype_of(p)
@@ -105,7 +100,7 @@ def correction_rows(
     d = match_dtype(bk.asarray(d_scale, dtype=via), acc, bk)
     v = match_dtype(eigvecs, acc, bk)
     record_ops("precond", eigvecs.shape[0] * eigvecs.shape[1] * p.shape[1])
-    return ((p.T * d) @ v.T).T  # (s_i, l): s_i*q*l ops
+    return ((p.T * d) @ v.T).T  # (s, l): s*q*l ops
 
 
 class NystromPreconditioner:

@@ -111,7 +111,7 @@ def coordinate_update(alpha: Any, rows: Any, g: Any, gamma: float) -> None:
     """Step 3 on weight rows ``rows``: ``alpha[rows] -= gamma * g``, with
     ``g`` the residuals of those rows in the same order.  Elementwise, so
     splitting a batch's rows over several callers (the sharded trainer's
-    parent and its subsample-holding shards) gives the same bits."""
+    parent and its shard 0) gives the same bits."""
     alpha[rows] -= gamma * g
 
 

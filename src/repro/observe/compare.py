@@ -35,14 +35,14 @@ when none were).  A step contracts exactly once on every timeline that
 runs it — the caller's in a serial fit, each shard's in a sharded one —
 so the steps are the most ``gemm`` spans one timeline recorded.  The
 ``correction`` spans do not count steps: a sharded fit runs each step's
-correction on the shard(s) holding the subsample, some of it in a
+correction on shard 0, which holds the subsample, some of it in a
 separate settle task before a checkpoint or at the end of a span.
 
 Each row sums every span of its phase.  The TOTAL row and the per-step
 time count wall time instead: the shards run side by side, so a worker
 phase (spans carrying a ``shard`` attribute) enters them as the slowest
-shard's sum — for ``correction``, the slowest of the shards holding the
-subsample — and TOTAL cannot exceed the fit's wall time.
+shard's sum — for ``correction`` in a sharded fit, shard 0's — and
+TOTAL cannot exceed the fit's wall time.
 """
 
 from __future__ import annotations

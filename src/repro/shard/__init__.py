@@ -11,8 +11,8 @@ real array backends:
 - :class:`~repro.shard.plan.ShardPlan` — the contiguous partition of
   the ``n`` centers (and weight rows) into ``g`` shards, balanced by
   cost: equal rows (:meth:`~repro.shard.plan.ShardPlan.contiguous`) or,
-  for the sharded trainer, equal step op counts
-  (:meth:`~repro.shard.plan.ShardPlan.balanced`);
+  for the sharded trainer, the subsample on shard 0 and the least
+  largest step op count (:meth:`~repro.shard.plan.ShardPlan.balanced`);
 - :mod:`repro.shard.transport` — the engine, separating *what a shard
   does* from *where it runs*: a
   :class:`~repro.shard.transport.ShardWorker` (the shard's arrays,
@@ -51,8 +51,8 @@ real array backends:
   ``t+1``'s kernel block; FIFO worker order runs contraction ``t``
   before formation ``t+1``, so one workspace buffer per shard suffices
   and the block never crosses the transport.  The EigenPro correction
-  runs on the shard(s) holding the subsample's rows, ahead of their
-  next contraction, so ``Phi`` never crosses it either.
+  runs on shard 0, which holds every subsample row, ahead of its next
+  contraction, so ``Phi`` never crosses it either.
 
 Mirror-back of updated weight rows is *asynchronous* on every transport:
 NumPy thread shards see updates through zero-copy views, device-copy

@@ -9,15 +9,15 @@ queries (:meth:`shard_of`, :meth:`localize`) a binary search.
 
 Two constructors balance the shards by cost.  :meth:`ShardPlan.contiguous`
 prices every row the same, so shard sizes differ by at most one row.
-:meth:`ShardPlan.balanced` lets the leading rows cost more: the sharded
-trainer holds the EigenPro subsample first, and the shard holding it also
-runs the correction (:mod:`repro.shard.trainer`).
+:meth:`ShardPlan.balanced` lets the leading rows cost more and gives
+them all to shard 0: the sharded trainer holds the EigenPro subsample
+first, and shard 0 also runs the correction on it
+(:mod:`repro.shard.trainer`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
@@ -30,7 +30,7 @@ __all__ = ["ShardPlan"]
 class ShardPlan:
     """Contiguous partition of ``n`` rows into ``g`` shards, balanced by
     cost (:meth:`contiguous`: every row costs the same; :meth:`balanced`:
-    the leading rows cost more).
+    the leading rows cost more, and shard 0 holds them all).
 
     Attributes
     ----------
@@ -82,80 +82,43 @@ class ShardPlan:
         lead_rows: int = 0,
         lead_cost: int = 0,
     ) -> "ShardPlan":
-        """Plan whose shards cost the same, to within one row if it can.
+        """Plan whose shard 0 holds the leading rows and no shard costs
+        more than it must.
 
         Every row costs ``row_cost``, and each of the first ``lead_rows``
-        rows costs ``lead_cost`` more (integers, ``row_cost >= 1``).  The
-        leading rows are held by the *owners*, the shards starting below
-        ``lead_rows``; no plan here has more owners than
-        :meth:`contiguous`, because each owner costs the sharded trainer
-        a blocking round trip per step.
-
-        Of the plans keeping that cap, this returns one whose shard costs
-        span the narrowest range no narrower than one leading row
-        (``row_cost + lead_cost``), and of those one with the lowest
-        maximum cost; each bound, from the last one back, is the lowest
-        that keeps the range.  The range is one leading row unless the
-        cap binds.  Every shard holds at least one row, and when every
-        row costs the same the plan *is* :meth:`contiguous`.
+        rows costs ``lead_cost`` more (integers, ``row_cost >= 1``).
+        Shard 0 holds ``k >= lead_rows`` rows, the other ``g - 1``
+        shards split the remaining ``n - k`` as :meth:`contiguous` does,
+        and ``k`` minimizes the largest shard cost, ties going to the
+        largest ``k``.  Every shard holds at least one row, so
+        ``lead_rows`` may not exceed ``n - g + 1``.  When every row costs
+        the same and ``lead_rows <= ceil(n / g)`` the plan *is*
+        :meth:`contiguous`.
         """
+        n, g = int(n), int(g)
         base = cls.contiguous(n, g)
-        lead_rows, lead_cost = int(lead_rows), int(lead_cost)
-        if row_cost < 1 or lead_cost < 0 or not 0 <= lead_rows <= n:
+        c, lead, e = int(row_cost), int(lead_rows), int(lead_cost)
+        if c < 1 or e < 0 or not 0 <= lead <= n - g + 1:
             raise ConfigurationError(
                 f"need row_cost >= 1, lead_cost >= 0 and lead_rows in "
-                f"[0, {n}]; got {row_cost}, {lead_cost}, {lead_rows}"
+                f"[0, {n - g + 1}] for n={n}, g={g}; got {c}, {e}, {lead}"
             )
-        if not lead_cost or lead_rows in (0, n):
-            return base  # every row costs the same
-        cap = sum(1 for a in base.bounds[:-1] if a < lead_rows)
-        cost = _CumulativeCost(n, int(row_cost), lead_rows, lead_cost)
-        dearest = cost.row + cost.extra  # no plan's maximum is below it
+        if g == 1:
+            return base
+        lo, hi = max(lead, 1), n - g + 1
 
-        # Level j's pair bounds every ``bounds[j]`` that j non-empty
-        # shards, each costing ``low`` to ``low + width``, can reach: one
-        # interval, because ``low + width`` is at least one row's cost.
-        # Both ends grow with ``low``, so the ``low`` that fit form one
-        # run; bisect for its start on the upper ends alone.
-        def levels(low: int, width: int) -> list[tuple[int, int]]:
-            a = b = 0
-            out = []
-            for j in range(1, g + 1):
-                a = cost.first_at_least(cost(a) + max(low, 1))
-                if j == cap:
-                    a = max(a, lead_rows)
-                b = cost.last_at_most(cost(b) + low + width)
-                out.append((a, b))
-            return out
+        def top(k: int) -> int:  # the largest shard cost
+            return max(c * k + e * lead, c * -(-(n - k) // (g - 1)))
 
-        def reaches(low: int, width: int) -> bool:
-            ends = levels(low, width)
-            return ends[-1][1] == n and ends[cap - 1][1] >= lead_rows
-
-        def least(fits: Any, lo: int, hi: int) -> int:
-            while lo < hi:
-                mid = (lo + hi) // 2
-                lo, hi = (lo, mid) if fits(mid) else (mid + 1, hi)
-            return lo
-
-        def lowest(width: int) -> int:
-            return least(
-                lambda low: reaches(low, width), dearest - width, cost(n)
-            )
-
-        def fits(width: int) -> bool:
-            return all(a <= b for a, b in levels(lowest(width), width))
-
-        # A wider window admits every plan a narrower one does.
-        width = least(fits, dearest, cost(n))
-        low = lowest(width)
-        # Walk back from ``n``: each bound is the lowest in its level that
-        # keeps the next shard's cost inside the window.
-        bounds = [n]
-        for a, _ in reversed(levels(low, width)[:-1]):
-            after = cost(bounds[-1]) - low - width
-            bounds.append(max(a, cost.first_at_least(after)))
-        return cls(n=n, bounds=(0, *reversed(bounds)))
+        # The least k at which shard 0 costs at least every other shard:
+        # ceil((n - k) / (g - 1)) <= k + floor(e * lead / c).
+        k = -(-(n - (g - 1) * (e * lead // c)) // g)
+        k = min(
+            {min(max(j, lo), hi) for j in (k - 1, k)},
+            key=lambda j: (top(j), -j),
+        )
+        rest = cls.contiguous(n - k, g - 1).bounds
+        return cls(n=n, bounds=(0, *(k + b for b in rest)))
 
     # -------------------------------------------------------------- queries
     @property
@@ -210,36 +173,3 @@ class ShardPlan:
             positions = np.nonzero(owners == s)[0]
             out.append((positions, idx[positions] - self.bounds[s]))
         return out
-
-
-@dataclass(frozen=True)
-class _CumulativeCost:
-    """Cost of rows ``[0, k)`` when every row costs ``row`` and each of
-    the first ``lead`` rows ``extra`` more, with its two inverses over
-    ``k`` in ``[0, n]``."""
-
-    n: int
-    row: int
-    lead: int
-    extra: int
-
-    def __call__(self, k: int) -> int:
-        return self.row * k + self.extra * min(k, self.lead)
-
-    def first_at_least(self, t: int) -> int:
-        """Least ``k`` with ``cost(k) >= t``; ``n + 1`` when none."""
-        head = (self.row + self.extra) * self.lead
-        if t <= head:
-            k = -(-max(t, 0) // (self.row + self.extra))
-        else:
-            k = self.lead + -(-(t - head) // self.row)
-        return min(k, self.n + 1)
-
-    def last_at_most(self, t: int) -> int:
-        """Greatest ``k <= n`` with ``cost(k) <= t`` (``t >= 0``)."""
-        head = (self.row + self.extra) * self.lead
-        if t < head:
-            k = t // (self.row + self.extra)
-        else:
-            k = self.lead + (t - head) // self.row
-        return min(k, self.n)

@@ -11,8 +11,8 @@
    (:meth:`~repro.shard.ShardTransport.allreduce` — the collective whose
    cost the cluster model charges per iteration);
 3. the SGD coordinate update (step 3) runs where each weight row is
-   owned, and the EigenPro correction (steps 4–5) on the shard(s)
-   holding the subsample's rows (below); shards holding zero-copy views
+   owned, and the EigenPro correction (steps 4–5) on shard 0, which
+   holds the subsample's rows (below); shards holding zero-copy views
    see the caller's updates immediately, all other shards get the
    touched rows mirrored back *asynchronously* (below).
 
@@ -20,9 +20,9 @@ The shards hold contiguous row ranges of the unsharded trainer's center
 order, subsample first
 (:meth:`~repro.core.eigenpro2.EigenPro2._center_order`), so the
 subsample is the first ``s`` global centers and ``Phi^T``'s columns are
-the leading columns of the blocks of the shards that hold them.  The
-order is global, not per shard, and does not depend on ``g``: an
-elastic rebuild at a smaller ``g`` re-plans the same held centers.  All
+the leading columns of shard 0's block.  The order is global, not per
+shard, and does not depend on ``g``: an elastic rebuild at a smaller
+``g`` re-plans the same held centers.  All
 selected parameters, op counts and simulated-device charges are
 identical to the unsharded trainer by construction, which is what lets
 :func:`repro.observe.compare_phases` compare modelled against measured
@@ -47,31 +47,27 @@ serial step runs.
 
 Who owns ``alpha[:s]``
 ----------------------
-The shards holding subsample centers — the *owners*, shard 0 alone
-unless ``s`` exceeds its rows — own the subsample's weight rows
-``alpha[:s]`` and the correction's Kahan compensation.  Since an owner
-runs the correction on top of its share of step 2, it holds fewer
-centers: the group's plan is :meth:`~repro.shard.ShardPlan.balanced`
-by the step's Table-1 op counts (:mod:`repro.core.cost`), ``m*(d+l)``
-per center (:func:`~repro.core.cost.exact_sgd_ops`) plus ``l*(m+2q)``
-per subsample center
-(:func:`~repro.core.cost.exact_improved_overhead_ops` over ``s``), and
-the subsample spans no more shards than under the contiguous plan.  At
-``n=8000, d=32, l=10, m=256, s=2000, q=300`` and ``g=2`` the owner
-holds 3204 centers and the other shard 4796.  Every build re-plans
-(the first, and each elastic rebuild) and records one ``group_build``
-span with the plan's ``bounds`` and the owner count.  Each owner gets,
-once per fit in its setup task, its rows of ``V`` (through shared memory on
-the process transport), ``D`` and its rows of the compensation.  The
-caller updates and mirrors only the rows at or past ``s``; an owner
-applies step 3 to the batch rows it holds and then the correction
-``gamma * V_i D p`` to its rows, where ``p`` is the shard-order sum of
-the owners' partials ``V_i^T Phi_i^T g``.  A sole owner forms ``p``
-itself, its own partial; several owners send theirs to the caller first
-(one more round trip per step, only when the subsample spans shards).
-The caller's copy of ``alpha[:s]`` and of the compensation is refreshed
-from the owners whenever they are settled (below): before every
-checkpoint and at the end of every span, so the monitor, the
+Shard 0 — the *owner* — holds every subsample center at every ``g``, and
+with them the subsample's weight rows ``alpha[:s]`` and the correction's
+Kahan compensation.  Since it runs the correction on top of its share
+of step 2, it may hold fewer centers than the others: the group's plan
+is :meth:`~repro.shard.ShardPlan.balanced` by the step's Table-1 op
+counts (:mod:`repro.core.cost`), ``m*(d+l)`` per center
+(:func:`~repro.core.cost.exact_sgd_ops`) plus ``l*(m+2q)`` per subsample
+center (:func:`~repro.core.cost.exact_improved_overhead_ops` over
+``s``).  At ``n=8000, d=32, l=10, m=256, s=2000, q=300`` and ``g=2``
+the owner holds 3204 centers and the other shard 4796.  Every shard
+holds at least one row, so a fit clamps ``g`` to ``n - s + 1``.  Every
+build re-plans (the first, and each elastic rebuild) and records one
+``group_build`` span with the plan's ``bounds``.  The owner gets, once
+per fit in its setup task, ``V`` (through shared memory on the process
+transport), ``D`` and the compensation.  The caller updates and mirrors
+only the rows at or past ``s``; the owner applies step 3 to the batch
+rows it holds and then the correction ``gamma * V D V^T Phi^T g``, the
+computation :meth:`~repro.core.eigenpro2.EigenPro2._correct` runs
+serially.  The caller's copy of ``alpha[:s]`` and of the compensation
+is refreshed from the owner whenever it is settled (below): before
+every checkpoint and at the end of every span, so the monitor, the
 checkpoints and ``model_`` read the exact iteration.  Recovery restores
 the caller's copy and rebuilds the group from it.
 
@@ -83,7 +79,7 @@ The kernel block of step ``t+1`` depends only on the batch rows and the
 worker's FIFO runs
 
 1. **form** ``kb_t`` (weight-independent; queued during step ``t-1``);
-2. **contract**: an owner first applies step ``t-1``'s update rows and
+2. **contract**: the owner first applies step ``t-1``'s update rows and
    correction, reading the ``Phi`` columns it kept from ``kb_{t-1}``,
    keeps ``kb_t``'s, then every shard contracts ``kb_t @ w``, fused with
    the all-reduce.  The caller queues it as soon as step ``t-1``'s
@@ -92,9 +88,9 @@ worker's FIFO runs
 
 What crosses the transport per step: the batch rows ``(m, d)`` and their
 norms in each form task; step ``t-1``'s batch positions and residuals
-``g`` (``m*l``) — plus ``p`` (``q*l``) with several owners — in each
-contract task; the ``(m, l)`` partial in each contract reply.  ``Phi``
-(``m*s``) never does, and the caller runs no correction.  A span (an
+``g`` (``m*l``) in each contract task; the ``(m, l)`` partial in each
+contract reply.  ``Phi`` (``m*s``) never does, and the caller runs no
+correction.  A span (an
 epoch, or its replay after a recovery) starts with no correction
 pending; before a checkpoint and after its last step a *settle* task
 applies the pending one instead of the next contraction, and the last
@@ -132,8 +128,6 @@ The mirror of the rows the caller updated never barriers the caller:
 from __future__ import annotations
 
 import copy
-import functools
-import operator
 import time
 from pathlib import Path
 from typing import Any, Sequence
@@ -169,8 +163,8 @@ __all__ = ["ShardedEigenPro2"]
 # ---------------------------------------------------------------------------
 # Worker-side task functions (module-level: picklable on every transport).
 # The per-fit context they need — the kernel, how many of this shard's
-# leading centers are subsample points and, on the shards holding some,
-# their part of the preconditioner — is pushed into ``worker.state`` at
+# leading centers are subsample points and, on shard 0, which holds them
+# all, the preconditioner — is pushed into ``worker.state`` at
 # group build time (ShardedEigenPro2._shard_state).
 # ---------------------------------------------------------------------------
 
@@ -199,31 +193,25 @@ def _form_block_task(
 
 
 def _apply_pending(worker: ShardWorker, pending: tuple | None) -> None:
-    """Algorithm 1 steps 3–5 of the previous step on the subsample rows
-    this shard holds (module docstring: the correction's owners).
+    """Algorithm 1 steps 3–5 of the previous step on the subsample rows,
+    which this shard holds (module docstring: who owns ``alpha[:s]``).
 
-    ``pending`` is ``(idx, g, gamma, p)``: the step's batch rows (held
-    positions), residuals and per-coordinate step, and the shard-order
-    sum ``p`` of the owners' partials ``V_i^T Phi_i^T g`` — ``None``
-    when this shard is the only owner, which then forms the sum, its own
-    partial, here.  Reads the ``Phi`` columns the previous contraction
-    kept."""
+    ``pending`` is ``(idx, g, gamma)``: the step's batch rows (held
+    positions), residuals and per-coordinate step.  Reads the ``Phi``
+    columns the previous contraction kept."""
     st = worker.state
     cols = st.get("phi_cols", 0)
     if pending is None or not cols:
         return
-    idx, g, gamma, p = pending
+    idx, g, gamma = pending
     bk = worker.backend
     g = bk.asarray(g)
     v = st["eigvecs"] = bk.asarray(st["eigvecs"])
-    row0 = st["row0"]
-    mine = np.flatnonzero((idx >= row0) & (idx < row0 + cols))
-    coordinate_update(worker.weights, idx[mine] - row0, g[mine], gamma)
-    if p is None:
-        p = correction_partial(worker.phi, g, v)
+    mine = np.flatnonzero(idx < cols)
+    coordinate_update(worker.weights, idx[mine], g[mine], gamma)
     st["comp"] = correct_block(
         worker.weights[:cols],
-        bk.asarray(p),
+        correction_partial(worker.phi, g, v),
         v,
         st["d_scale"],
         bk.dtype_of(worker.phi),
@@ -234,8 +222,8 @@ def _apply_pending(worker: ShardWorker, pending: tuple | None) -> None:
 
 def _contract_task(worker: ShardWorker, pending: tuple | None) -> Any:
     """Apply the previous step's pending update and correction to the
-    subsample rows this shard holds, keep this step's ``Phi`` columns
-    for the next one, then contract the stashed block against the
+    subsample rows if this shard holds them, keep this step's ``Phi``
+    columns for the next one, then contract the stashed block against the
     shard's *current* weight rows (FIFO order guarantees the previous
     step's update of the other rows has been mirrored by now)."""
     kb, worker.block = worker.block, None
@@ -263,27 +251,13 @@ def _contract_task(worker: ShardWorker, pending: tuple | None) -> Any:
     return f_i
 
 
-def _correction_partial_task(worker: ShardWorker, g: np.ndarray) -> Any:
-    """This shard's partial ``V_i^T Phi_i^T g`` of the correction, on
-    the kept ``Phi`` columns (``None`` on a shard that holds no
-    subsample row); the caller sums the owners' partials in shard
-    order when the subsample spans several shards."""
-    st = worker.state
-    if not st.get("phi_cols", 0):
-        return None
-    bk = worker.backend
-    v = st["eigvecs"] = bk.asarray(st["eigvecs"])
-    with span("correction", m=int(g.shape[0])):
-        return to_numpy(correction_partial(worker.phi, bk.asarray(g), v))
-
-
 def _settle_task(
     worker: ShardWorker, pending: tuple | None, drain: bool
 ) -> np.ndarray | None:
     """Apply a pending correction without a contraction (before a
     checkpoint, and at the end of a span, where ``drain`` also drops
-    the shard's block scratch and kept ``Phi``); returns this shard's
-    rows of the Kahan compensation, or ``None`` when it keeps none."""
+    the shard's block scratch and kept ``Phi``); returns the Kahan
+    compensation this shard keeps, or ``None`` when it keeps none."""
     if worker.state.get("phi_cols", 0) and pending is not None:
         with span("correction", m=int(pending[0].shape[0])):
             _apply_pending(worker, pending)
@@ -301,7 +275,9 @@ class ShardedEigenPro2(EigenPro2):
     kernel:
         Kernel function.
     n_shards:
-        Number of shards ``g``; clamped to the training-set size at fit.
+        Number of shards ``g``; clamped at fit to ``n - s + 1`` (``n``
+        without a preconditioner), so that shard 0 holds the whole
+        subsample and every other shard at least one center.
         Defaults to 2, or to ``len(shard_backends)`` when a backend
         sequence is given; giving both and disagreeing is an error.
     shard_backends:
@@ -457,10 +433,9 @@ class ShardedEigenPro2(EigenPro2):
         self._steps_since_checkpoint = 0
         self._cursor = 0
         self._pending_mirror: PendingMap | None = None
-        #: Subsample rows ``alpha[:s]`` the owner shards update (``0``
-        #: without a preconditioner), and how many shards hold them.
+        #: Subsample rows ``alpha[:s]`` the owner, shard 0, updates
+        #: (``0`` without a preconditioner).
         self._owned_rows = 0
-        self._owners = 0
         #: Open replay window after a recovery, for the tracer only:
         #: ``(resumed_step, failed_step, t0)``; closed (and recorded as
         #: a ``"recovery/replay"`` span) when the loop passes the step
@@ -477,7 +452,9 @@ class ShardedEigenPro2(EigenPro2):
         self._replay_window = None
 
     def _bind_centers(self, x: Any) -> None:
-        self._build_group(x, min(self.n_shards, x.shape[0]))
+        precond = self.preconditioner_
+        s = 0 if precond is None else precond.s
+        self._build_group(x, min(self.n_shards, x.shape[0] - max(s, 1) + 1))
 
     def _build_group(self, x: Any, g: int) -> None:
         """Build (or, during recovery, rebuild at a smaller ``g``) the
@@ -490,8 +467,7 @@ class ShardedEigenPro2(EigenPro2):
         s, q = (0, 0) if precond is None else (precond.s, precond.q)
         plan = self._plan(x, g, s, q)
         self._owned_rows = s
-        self._owners = sum(1 for a in plan.bounds[:-1] if a < s)
-        with span("group_build", bounds=plan.bounds, owners=self._owners):
+        with span("group_build", bounds=plan.bounds):
             group = ShardGroup.build(
                 x, self._alpha, g=g, backends=backends, kernel=self.kernel,
                 transport=self.transport, plan=plan,
@@ -522,40 +498,32 @@ class ShardedEigenPro2(EigenPro2):
         """Per-fit worker context, one dict per shard (a single setup
         task per worker): the kernel every form task evaluates, and how
         many of the shard's leading centers are subsample points
-        (``phi_cols``).  A shard holding some of them — an *owner* —
-        also gets their offset, their rows of ``V``, ``D`` and their
-        rows of the Kahan compensation (module docstring)."""
+        (``phi_cols``: ``s`` on shard 0, none elsewhere).  Shard 0 also
+        gets ``V``, ``D`` and the Kahan compensation (module
+        docstring)."""
         precond = self.preconditioner_
         s = self._owned_rows
-        bounds = group.plan.bounds
         if (
             s
             and self._corr_comp is None
             and mixed_precision_active()
             and isinstance(self._alpha, np.ndarray)
         ):
-            # The owners accumulate into their rows of this buffer (the
-            # thread transport's NumPy shards in place, through views).
+            # The owner accumulates into this buffer (the thread
+            # transport's NumPy shard in place).
             self._corr_comp = np.zeros(
                 (s, self._alpha.shape[1]), dtype=self._alpha.dtype
             )
-        eigvecs = (
-            None if precond is None else to_numpy(precond.extension.eigvecs)
-        )
-        comp = self._corr_comp
-        items = []
-        for a, b in zip(bounds, bounds[1:]):
-            cols = max(0, min(s, b) - a)
-            item: dict[str, Any] = {"kernel": self.kernel, "phi_cols": cols}
-            if cols:
-                rows = slice(a, a + cols)
-                item.update(
-                    row0=a,
-                    eigvecs=eigvecs[rows],
-                    d_scale=precond.d_scale,
-                    comp=None if comp is None else comp[rows],
-                )
-            items.append(item)
+        items = [
+            {"kernel": self.kernel, "phi_cols": 0} for _ in range(group.g)
+        ]
+        if s:
+            items[0].update(
+                phi_cols=s,
+                eigvecs=to_numpy(precond.extension.eigvecs),
+                d_scale=precond.d_scale,
+                comp=self._corr_comp,
+            )
         return items
 
     # ----------------------------------------------------------- iteration
@@ -574,48 +542,34 @@ class ShardedEigenPro2(EigenPro2):
     ) -> tuple | None:
         """Step 3 on the rows this caller owns, for the already
         all-reduced batch prediction ``f``, with the touched rows
-        mirrored to the shards asynchronously.  Returns the owners'
-        payload for the rest of the step — ``(idx, g, gamma, p)``, see
+        mirrored to the shards asynchronously.  Returns the owner's
+        payload for the rest of the step — ``(idx, g, gamma)``, see
         :func:`_apply_pending` — or ``None`` without a preconditioner.
         """
         self._drain_pending_mirror()
         g = f - y[idx]
-        mine = idx >= self._owned_rows  # the subsample's rows: the owners'
+        mine = idx >= self._owned_rows  # the subsample's rows: the owner's
         coordinate_update(self._alpha, idx[mine], g[mine], gamma)
         self._mirror_rows(idx[mine])
         if not self._owned_rows:
             return None
-        g = np.asarray(to_numpy(g))
-        p = None
-        if self._owners > 1:
-            with span("correction_wait", step=self._cursor):
-                parts = [
-                    part
-                    for part in self.shard_group_.map(
-                        _correction_partial_task, g
-                    )
-                    if part is not None
-                ]
-            p = functools.reduce(operator.add, parts)
-        return idx, g, gamma, p
+        return idx, np.asarray(to_numpy(g)), gamma
 
     def _settle(self, pending: tuple | None, drain: bool) -> None:
-        """Have the owners apply ``pending`` now (before a checkpoint,
+        """Have the owner apply ``pending`` now (before a checkpoint,
         and with ``drain`` at the end of a span), then refresh this
         caller's copy of the subsample's weight rows and Kahan
-        compensation from them."""
+        compensation from it."""
         if pending is None and not drain:
             return  # no preconditioner: nothing to apply or refresh
         group = self.shard_group_
         with span("correction_wait", step=self._cursor, drain=drain):
-            comps = group.map(_settle_task, pending, drain)
+            comp = group.map(_settle_task, pending, drain)[0]
         s = self._owned_rows
         if not s:
             return
-        if self._corr_comp is not None:
-            for a, comp in zip(group.plan.bounds, comps):
-                if comp is not None:
-                    self._corr_comp[a : a + comp.shape[0]] = comp
+        if comp is not None and self._corr_comp is not None:
+            self._corr_comp[...] = comp
         if group.needs_mirror:
             bk = get_backend()
             self._alpha[:s] = bk.asarray(
@@ -661,11 +615,11 @@ class ShardedEigenPro2(EigenPro2):
         Per step ``t`` (step ``t``'s form and contraction already
         queued): queue step ``t+1``'s prefetch, await the blocks and the
         all-reduced prediction, apply step 3 to this caller's rows, then
-        either settle the owners (checkpoint due, or the span's last
-        step) or hand them the step in step ``t+1``'s contraction.  The
+        either settle the owner (checkpoint due, or the span's last
+        step) or hand it the step in step ``t+1``'s contraction.  The
         update (+ mirror) completes before step ``t+1``'s contraction is
-        queued, and the owners apply step ``t``'s correction before they
-        contract, so every contraction sees the weights of the previous
+        queued, and the owner applies step ``t``'s correction before it
+        contracts, so every contraction sees the weights of the previous
         step.
         """
         if self.checkpoint_every > 0:

@@ -298,37 +298,39 @@ class TestTransportSpanRelayParity:
 
 
 class TestCorrectionRunsOnTheOwner:
-    """A sharded fit runs Algorithm 1 steps 4–5 on the shard holding the
-    subsample: every ``correction`` span carries that shard's id, the
-    caller records none, and the owners' relayed ``precond`` ops equal
-    the unsharded fit's."""
+    """A sharded fit runs Algorithm 1 steps 4–5 on shard 0, which holds
+    the subsample: every ``correction`` span carries its id, the caller
+    records none, and its relayed ``precond`` ops equal the unsharded
+    fit's.  That holds where the subsample exceeds a contiguous shard
+    (``s = 60`` over 4 shards of 40 rows) too."""
 
     @transports
     def test_correction_spans_carry_the_owner(self, transport):
         rng = np.random.default_rng(5)
         x = rng.standard_normal((160, 6))
         y = np.tanh(x @ rng.standard_normal((6, 2)))
-        opts = dict(s=24, batch_size=32, seed=0)
-        with meter_scope() as ref:
-            EigenPro2(GaussianKernel(bandwidth=2.0), **opts).fit(x, y)
-        tracer = Tracer()
-        trainer = ShardedEigenPro2(
-            GaussianKernel(bandwidth=2.0), n_shards=2,
-            transport=transport, checkpoint_every=2, **opts,
-        )
-        try:
-            with trace_scope(tracer), meter_scope() as meter:
-                trainer.fit(x, y)
-        finally:
-            trainer.close()
-        owners = {
-            ev.attrs.get("shard")
-            for ev in tracer.events
-            if ev.name == "correction"
-        }
-        # s = 24 < 80 rows per shard: shard 0 holds the whole subsample.
-        assert owners == {0}
-        assert meter.total("precond") == ref.total("precond") > 0
+        for g, s in [(2, 24), (4, 60)]:
+            opts = dict(s=s, batch_size=32, seed=0)
+            with meter_scope() as ref:
+                EigenPro2(GaussianKernel(bandwidth=2.0), **opts).fit(x, y)
+            tracer = Tracer()
+            trainer = ShardedEigenPro2(
+                GaussianKernel(bandwidth=2.0), n_shards=g,
+                transport=transport, checkpoint_every=2, **opts,
+            )
+            try:
+                with trace_scope(tracer), meter_scope() as meter:
+                    trainer.fit(x, y)
+                assert trainer.shard_group_.g == g
+            finally:
+                trainer.close()
+            owners = {
+                ev.attrs.get("shard")
+                for ev in tracer.events
+                if ev.name == "correction"
+            }
+            assert owners == {0}, (g, s)
+            assert meter.total("precond") == ref.total("precond") > 0
 
 
 class TestFitPhaseSpans:
@@ -663,10 +665,10 @@ class TestComparePhases:
 
 
     def test_steps_counted_once_with_owner_and_settle_spans(self):
-        """A sharded step's correction may run on several owners, and
-        one more settle runs before a checkpoint: the steps are still
-        counted once each, and the per-step time takes the slowest
-        owner's correction."""
+        """Worker ``correction`` spans on several shards, and one more
+        settle before a checkpoint: the steps are still counted once
+        each, and the per-step time takes the slowest shard's
+        correction."""
         tracer = Tracer()
         with trace_scope(tracer):
             for step in range(2):
@@ -677,7 +679,7 @@ class TestComparePhases:
                 record_span("correction", t0 + 0.25, 0.0625, shard=0)
                 record_span("correction", t0 + 0.25, 0.125, shard=1)
                 record_span("allreduce", t0 + 0.625, 0.0625)
-            # The settle before a checkpoint, on both owners.
+            # The settle before a checkpoint, on both shards.
             record_span("correction", 2.0, 0.0625, shard=0)
             record_span("correction", 2.0, 0.125, shard=1)
         report = compare_phases(

@@ -278,18 +278,18 @@ class TestShardedEigenPro2:
     ):
         """At m >= n the unsharded trainer keeps K(X, X) for the fit and
         reads its monitor from it; the sharded one forms its per-shard
-        blocks every step.  Both run the identity row order.  With
-        s = n the subsample spans both shards, so each runs the
-        correction on its own rows."""
+        blocks every step.  Both run the identity row order.  The
+        subsample (s = 160 of 240) fills shard 0, which runs the
+        correction."""
         n = small_dataset.x_train.shape[0]
-        # s = n: with s < n the analytic step at m = n diverges here.
+        # With s = 120, q = 40 the analytic step at m = n diverges here.
         ref, sharded = self._fit_pair(
             small_dataset, 2, epochs=3, transport=transport,
-            batch_size=10 * n, s=n,
+            batch_size=10 * n, s=160, q=40,
         )
         try:
             assert sharded.transport == transport
-            assert sharded._owners == 2
+            assert sharded.shard_group_.plan.bounds == (0, 160, n)
             assert sharded.batch_size_ == ref.batch_size_ == n
             train_mse = ref.history_.series("train_mse")
             assert train_mse[-1] < train_mse[0] < 1.0
@@ -307,13 +307,35 @@ class TestShardedEigenPro2:
         finally:
             sharded.close()
 
+    def test_subsample_of_every_row_builds_one_shard(self, small_dataset):
+        """At s = n shard 0 must hold every row, so the fit builds one
+        shard whatever ``n_shards`` asks, and matches the serial fit."""
+        n = small_dataset.x_train.shape[0]
+        ref, sharded = self._fit_pair(
+            small_dataset, 2, epochs=3, batch_size=10 * n, s=n,
+        )
+        try:
+            assert sharded.shard_group_.plan.bounds == (0, n)
+            train_mse = ref.history_.series("train_mse")
+            assert train_mse[-1] < train_mse[0] < 1.0
+            scale = max(float(np.abs(ref._alpha).max()), 1.0)
+            np.testing.assert_allclose(
+                sharded._alpha, ref._alpha, atol=1e-6 * scale, rtol=0
+            )
+            np.testing.assert_allclose(
+                sharded.history_.series("train_mse"), train_mse, rtol=1e-6
+            )
+        finally:
+            sharded.close()
+
     @pytest.mark.parametrize("g", [2, 4])
     def test_copying_shards_match_view_shards(self, small_dataset, g):
         """Shards whose backend copies the weights (as device backends
         do) get the caller's rows mirrored, and the subsample's holders
         update their copies, which the caller reads back: weights and
         history are bitwise those of zero-copy-view shards.  At g = 4
-        the subsample (s = 80) spans two shards."""
+        shard 0 holds the subsample (s = 80) on more rows than the
+        others."""
         from repro.backend import NumpyBackend
         from repro.config import use_precision
 
@@ -507,8 +529,8 @@ class TestBalancedShardPlan:
 
     @shard_counts
     def test_fit_plans_by_op_counts(self, small_dataset, g):
-        """One ``group_build`` span per build carries the plan's bounds
-        and the owner count."""
+        """One ``group_build`` span per build carries the plan's bounds,
+        and shard 0 holds the whole subsample."""
         x = small_dataset.x_train
         tracer = Tracer()
         trainer = self._trainer(g)
@@ -524,7 +546,7 @@ class TestBalancedShardPlan:
             assert len(builds) == 1
             assert builds[0].attrs["bounds"] == plan.bounds
             assert sum(plan.sizes) == x.shape[0]
-            assert builds[0].attrs["owners"] == trainer._owners == 1
+            assert plan.bounds[1] >= trainer.preconditioner_.s
         finally:
             trainer.close()
 

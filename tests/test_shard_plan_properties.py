@@ -7,7 +7,8 @@ invariants over the full (n, g) lattice — balanced ragged tails, the
 n < g rejection, and exact global↔local index round-trips — rather than
 the handful of fixed cases in ``tests/test_shard_parity.py``.  The
 cost-balanced constructor (:meth:`ShardPlan.balanced`) is pinned the same
-way, and against an exhaustive search over every plan of a small ``n``.
+way, and against an exhaustive search over every plan of a small ``n``
+whose shard 0 holds the lead rows.
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ class TestLocalizeProperties:
 @st.composite
 def costed(draw, sizes=n_and_g()):
     n, g = draw(sizes)
-    s = draw(st.integers(min_value=0, max_value=n))
+    s = draw(st.integers(min_value=0, max_value=n - g + 1))
     c = draw(st.integers(min_value=1, max_value=10_000))
     e = draw(st.integers(min_value=0, max_value=10_000))
     return n, g, s, c, e
@@ -165,7 +166,7 @@ def costed(draw, sizes=n_and_g()):
 
 @st.composite
 def small_n_and_g(draw):
-    n = draw(st.integers(min_value=1, max_value=12))
+    n = draw(st.integers(min_value=1, max_value=14))
     g = draw(st.integers(min_value=1, max_value=min(n, 4)))
     return n, g
 
@@ -179,88 +180,66 @@ def _costs(bounds, s, c, e):
     return [b - a for a, b in zip(cum, cum[1:])]
 
 
-def _owners(bounds, s):
-    return sum(1 for a in bounds[:-1] if a < s)
-
-
 class TestBalancedPlan:
     @SETTINGS
     @given(costed())
     def test_covers_rows_with_nonempty_shards(self, case):
+        """Shard 0 holds every lead row, and every shard a row."""
         n, g, s, c, e = case
         plan = _balanced(n, g, s, c, e)
         assert plan.g == g
         assert plan.bounds[0] == 0 and plan.bounds[-1] == n
         assert sum(plan.sizes) == n
         assert min(plan.sizes) >= 1
+        assert plan.bounds[1] >= s
 
     @SETTINGS
     @given(costed())
     def test_equal_row_costs_give_contiguous(self, case):
-        """No extra lead cost (or every row a lead row): the bounds are
-        exactly :meth:`ShardPlan.contiguous`'s."""
+        """No extra lead cost, with no more lead rows than contiguous
+        shard 0 holds: the bounds are exactly :meth:`contiguous`'s."""
         n, g, s, c, _ = case
         contiguous = ShardPlan.contiguous(n, g).bounds
+        s = min(s, contiguous[1])
         assert _balanced(n, g, s, c, 0).bounds == contiguous
-        assert _balanced(n, g, n, c, 7).bounds == contiguous
         assert _balanced(n, g, 0, c, 7).bounds == contiguous
 
-    @SETTINGS
-    @given(costed())
-    def test_never_more_owners_than_contiguous(self, case):
-        n, g, s, c, e = case
-        plan = _balanced(n, g, s, c, e)
-        assert _owners(plan.bounds, s) <= _owners(
-            ShardPlan.contiguous(n, g).bounds, s
-        )
-
-    @SETTINGS
-    @given(costed())
-    def test_costs_within_one_lead_row_unless_capped(self, case):
-        """Max and min shard cost differ by at most ``c + e``.  The one
-        exception is a binding owner cap, where the owners hold exactly
-        the lead rows (the cap forbids giving them fewer)."""
-        n, g, s, c, e = case
-        plan = _balanced(n, g, s, c, e)
-        costs = _costs(plan.bounds, s, c, e)
-        if max(costs) - min(costs) > c + e:
-            cap = _owners(ShardPlan.contiguous(n, g).bounds, s)
-            assert plan.bounds[cap] == s
-
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(costed(sizes=small_n_and_g()))
     def test_matches_exhaustive_search(self, case):
-        """Over every plan of a small ``n`` that keeps the owner cap,
-        none spans a narrower cost range (clipped at ``c + e``), and
-        none of those has a lower maximum cost."""
+        """Over every plan of a small ``n`` whose shard 0 holds ``k >= s``
+        rows and whose other shards split the rest contiguously, none
+        has a lower maximum cost, nor the same one at a larger ``k``."""
         n, g, s, c, e = case
         plan = _balanced(n, g, s, c, e)
-        cap = _owners(ShardPlan.contiguous(n, g).bounds, s)
-
-        def key(bounds):
-            costs = _costs(bounds, s, c, e)
-            return max(max(costs) - min(costs), c + e), max(costs)
-
+        candidates = []
+        for cut in itertools.combinations(range(1, n), g - 1):
+            bounds = (0, *cut, n)
+            k = bounds[1]
+            rest = ShardPlan.contiguous(n - k, g - 1).bounds if g > 1 else (0,)
+            if k >= s and bounds[1:] == tuple(k + b for b in rest):
+                candidates.append(bounds)
         best = min(
-            key(bounds)
-            for cut in itertools.combinations(range(1, n), g - 1)
-            for bounds in [(0, *cut, n)]
-            if _owners(bounds, s) <= cap
+            candidates, key=lambda b: (max(_costs(b, s, c, e)), -b[1])
         )
-        if e and 0 < s < n:
-            assert key(plan.bounds) == best
+        assert plan.bounds == best
 
     def test_fit_sharded_shapes(self):
         """The ``fit-sharded`` benchmark workload: n=8000, d=32, l=10,
-        m=256, s=2000, q=300 at g=2."""
+        m=256, s=2000, q=300, at its g=2 and at g=3, 4."""
         m, d, l, s, q = 256, 32, 10, 2000, 300
-        plan = ShardPlan.balanced(
-            8000, 2,
-            row_cost=exact_sgd_ops(1, m, d, l),
-            lead_rows=s,
-            lead_cost=exact_improved_overhead_ops(m, l, s, q) // s,
-        )
-        assert plan.bounds == (0, 3204, 8000)
+
+        def plan(g):
+            return ShardPlan.balanced(
+                8000, g,
+                row_cost=exact_sgd_ops(1, m, d, l),
+                lead_rows=s,
+                lead_cost=exact_improved_overhead_ops(m, l, s, q) // s,
+            )
+
+        assert plan(2).bounds == (0, 3204, 8000)
+        assert plan(3).bounds == (0, 2000, 5000, 8000)
+        assert plan(4).bounds == (0, 2000, 4000, 6000, 8000)
 
     def test_rejects_bad_costs(self):
         with pytest.raises(ConfigurationError):
@@ -269,3 +248,11 @@ class TestBalancedPlan:
             ShardPlan.balanced(10, 2, row_cost=1, lead_rows=3, lead_cost=-1)
         with pytest.raises(ConfigurationError):
             ShardPlan.balanced(10, 2, row_cost=1, lead_rows=11, lead_cost=1)
+        # Shard 0 cannot hold more than n - g + 1 rows.
+        assert ShardPlan.balanced(10, 3, row_cost=1, lead_rows=8).bounds == (
+            0, 8, 9, 10,
+        )
+        with pytest.raises(ConfigurationError):
+            ShardPlan.balanced(10, 3, row_cost=1, lead_rows=9)
+        with pytest.raises(ConfigurationError):
+            ShardPlan.balanced(10, 2, row_cost=1, lead_rows=10, lead_cost=1)
