@@ -49,16 +49,23 @@ on row order (except in the last bits of its sums), so the rows run in
 the identity of the held order instead of a fresh permutation.  Every
 epoch's block is then the same ``(n, n)`` matrix ``K(X, X)``: the first
 step forms it into an array the fit owns (not a workspace view, which
-the monitor and validation predicts would overwrite), later epochs
-reuse it, and each epoch's train-MSE monitor reads its rows instead of
-evaluating the kernel again.  The fit drops the block when it returns or
+the validation predicts would overwrite), and later epochs reuse it.
+With ``l`` columns in ``alpha`` the product with that block is bound by
+the bytes it reads, so the fit reads it once per step: it carries the
+prediction ``f = K(X, X) alpha``, zero while ``alpha`` is, and each step
+runs its update and correction from the carried ``f`` and ends with the
+one product of the block and the updated ``alpha``.  The epoch's
+train-MSE monitor reads its rows of that product, and the next step
+starts from it.  The fit drops the block and ``f`` when it returns or
 raises.
 
 Under an active tracer (:mod:`repro.observe`) a fit records one
 ``setup`` span, an ``epoch`` span per epoch holding the steps'
 ``form_block``, ``gemm`` and ``correction`` spans, and a ``monitor``
-span per epoch around the train-MSE predict.  A full-batch fit records
-one ``form_block`` span in all: later epochs reuse the block.
+span per epoch around the train-MSE predict.  Every step records one
+``gemm`` span.  A full-batch fit records one ``form_block`` span in
+all, its ``gemm`` span follows the ``correction`` span, and its
+``monitor`` spans run no GEMM.
 
 Update convention
 -----------------
@@ -80,11 +87,7 @@ import numpy as np
 from repro.backend import get_backend, master_matmul, to_numpy
 from repro.config import compute_dtype, master_dtype
 from repro.core.model import KernelModel, as_labels
-from repro.kernels.ops import (
-    block_workspace,
-    center_sq_norms,
-    iter_row_blocks,
-)
+from repro.kernels.ops import block_workspace, center_sq_norms
 from repro.core.stopping import TrainMSETarget, ValidationPlateau
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, NotFittedError
@@ -97,14 +100,6 @@ __all__ = [
     "BaseKernelTrainer",
     "coordinate_update",
 ]
-
-#: Scalars per chunk when the full-batch monitor gathers rows of the kept
-#: ``(n, n)`` block.  Once the block is kept, this gather copy is the
-#: fit's largest temporary: with a blocked predict's 8M-scalar chunks
-#: (61 MB at ``n = 8000``) ``perfbench``'s ``fit-large-batch`` peaked at
-#: 698 MB RSS, with 1M-scalar chunks (8 MB) at 637 MB (2-vCPU x86 host,
-#: seeds 1-3, ``test_mse`` unchanged).
-_MONITOR_CHUNK_SCALARS = 1_000_000
 
 
 def coordinate_update(alpha: Any, rows: Any, g: Any, gamma: float) -> None:
@@ -175,7 +170,9 @@ class BaseKernelTrainer:
     monitor_size:
         Size of the fixed random training subset on which train MSE is
         monitored each epoch (monitoring on all of ``x`` would dominate
-        runtime at scale).
+        runtime at scale).  A full-batch fit reads these rows of its
+        steps' own product ``K(X, X) alpha``, with no kernel evaluation
+        and no GEMM of its own.
     damping:
         Safety factor multiplied into the analytic step size; 1.0 applies
         the theoretical optimum, values slightly below absorb estimation
@@ -234,10 +231,12 @@ class BaseKernelTrainer:
         # position -> caller row, and its inverse; None for the caller's.
         self._order: np.ndarray | None = None
         self._inv: np.ndarray | None = None
-        # Full-batch fits (m >= n) keep the one (n, n) block K(X, X) for
-        # the whole fit (module docstring); both reset when fit exits.
+        # Full-batch fits (m >= n) keep the one (n, n) block K(X, X) and
+        # carry the prediction K(X, X) alpha for the whole fit (module
+        # docstring); all three reset when fit exits.
         self._keep_block = False
         self._kept_block: Any | None = None
+        self._kept_f: Any | None = None
         # Fitted state.
         self._x_sq_norms: Any | None = None
         self.model_: KernelModel | None = None
@@ -461,7 +460,7 @@ class BaseKernelTrainer:
                 with span("monitor", epoch=epoch, rows=int(monitor_idx.shape[0])):
                     train_mse = (
                         self.model_.mse(x[monitor_idx], y[monitor_idx])
-                        if self._kept_block is None
+                        if self._kept_f is None
                         else self._kept_block_mse(monitor_idx, y)
                     )
                 val_error = (
@@ -506,7 +505,7 @@ class BaseKernelTrainer:
             # for the thread's (or the trainer's) lifetime.
             block_workspace().reset()
             self._keep_block = False
-            self._kept_block = None
+            self._kept_block = self._kept_f = None
             if self._inv is not None:
                 # Back to the caller's row order, returned or raised.
                 self._x, self._y, self._x_sq_norms = caller
@@ -536,13 +535,23 @@ class BaseKernelTrainer:
         ``idx`` stays a NumPy index array (both backends accept it), and
         all op counts derive from shapes, keeping the meter
         backend-invariant.
+
+        A full-batch step takes its predictions from the carried ``f``
+        and contracts last, for the updated ``alpha`` (module docstring):
+        each step runs one GEMM either way.
         """
         kb = self._form_block(x, idx)
-        with span("gemm", m=int(idx.shape[0])):
-            f = self._contract(kb)  # (m, l)
+        m = int(idx.shape[0])
+        f = self._kept_f
+        if f is None:
+            with span("gemm", m=m):
+                f = self._contract(kb)  # (m, l)
         g = self._update(f, y, idx, gamma)
-        with span("correction", m=int(idx.shape[0])):
+        with span("correction", m=m):
             self._apply_correction(kb, idx, g, gamma)
+        if self._kept_f is not None:
+            with span("gemm", m=m):
+                self._kept_f = self._contract(kb)
 
     def _form_block(self, x: Any, idx: np.ndarray) -> Any:
         """Form the ``(m, n)`` batch-vs-centers kernel block.
@@ -555,8 +564,9 @@ class BaseKernelTrainer:
         The exception is a full-batch fit: its ``(n, n)`` block is formed
         once into an array of its own and returned again, without a
         kernel evaluation, by every later epoch's step.  A workspace view
-        would not survive that long: the monitor and validation predicts
-        between epochs reuse the same pooled buffer.
+        would not survive that long: the validation predicts between
+        epochs reuse the same pooled buffer.  Forming it starts the
+        carried prediction at zero: ``alpha`` is still zero.
         """
         if self._kept_block is not None:
             return self._kept_block
@@ -580,13 +590,29 @@ class BaseKernelTrainer:
             )  # (m, n): records kernel_eval ops
         if self._keep_block:
             self._kept_block = kb
+            self._kept_f = bk.zeros(
+                self._alpha.shape, dtype=bk.dtype_of(self._alpha)
+            )
         return kb
 
     def _contract(self, kb: Any) -> Any:
         """Predictions ``kb @ alpha`` for the rows of a kernel block, in
         the master dtype (:func:`~repro.backend.master_matmul`); records
-        the GEMM's ops."""
-        f = master_matmul(kb, self._alpha, get_backend())
+        the GEMM's ops.
+
+        The kept full-batch block is contracted as ``(alpha^T kb^T)^T``,
+        with the same bits.  With OpenBLAS on a 2-vCPU x86 host, at
+        ``(8000, 8000) @ (8000, 10)``, that takes 64 ms instead of 98 ms
+        in float64 (57 ms instead of 49 ms in float32).  A mini-batch block
+        keeps ``kb @ alpha``, the orientation of every shard's
+        contraction, so the serial and sharded steps keep their bits.
+        """
+        bk = get_backend()
+        f = (
+            master_matmul(kb.T, self._alpha.T, bk, w_first=True).T
+            if kb is self._kept_block
+            else master_matmul(kb, self._alpha, bk)
+        )
         record_ops("gemm", kb.shape[0] * kb.shape[1] * self._alpha.shape[1])
         return f
 
@@ -599,22 +625,16 @@ class BaseKernelTrainer:
         return g
 
     def _kept_block_mse(self, rows: np.ndarray, y: Any) -> float:
-        """Train MSE at ``rows`` read from the kept full-batch block.
+        """Train MSE at ``rows`` read from the carried full-batch
+        prediction.
 
         Equal, up to the last bits of its sums, to
         ``self.model_.mse(x[rows], y[rows])`` without evaluating the
-        kernel: in the identity order of a full-batch step, row ``i`` of
-        the block is already ``k(x_i, X)``.  The rows are gathered in
-        chunks of :data:`_MONITOR_CHUNK_SCALARS`, so the monitor adds no
-        buffer beyond a small gather copy.
+        kernel or contracting: in the identity order of a full-batch
+        step, row ``i`` of the last step's ``K(X, X) alpha`` is already
+        ``f(x_i)`` for the current weights.
         """
-        kb = self._kept_block
-        pred = np.concatenate([
-            to_numpy(self._contract(kb[rows[chunk]]))
-            for chunk in iter_row_blocks(
-                rows.shape[0], kb.shape[1], _MONITOR_CHUNK_SCALARS
-            )
-        ])
+        pred = to_numpy(self._kept_f[rows])
         return float(np.mean((pred - to_numpy(y[rows])) ** 2))
 
     # ------------------------------------------------------------ inference

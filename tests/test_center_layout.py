@@ -68,16 +68,16 @@ def _assert_matches_reference(trainer, x, y, epochs):
 
 class _PhiSpy(EigenPro2):
     """Records, per correction, whether ``phi`` is a view of the block
-    the step just contracted."""
+    the step formed (a full-batch step corrects before it contracts)."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         self.shared = []
         self._block = None
 
-    def _contract(self, kb):
-        self._block = kb
-        return super()._contract(kb)
+    def _form_block(self, x, idx):
+        self._block = super()._form_block(x, idx)
+        return self._block
 
     def _correct(self, phi, g, gamma):
         self.shared.append(np.shares_memory(phi, self._block))

@@ -1,6 +1,7 @@
 """Tests for the shared mini-batch training loop."""
 
 import gc
+import time
 import weakref
 
 import numpy as np
@@ -12,8 +13,8 @@ from repro.core.eigenpro2 import EigenPro2
 from repro.core.trainer import BaseKernelTrainer
 from repro.device import titan_xp
 from repro.exceptions import ConfigurationError, NotFittedError
-from repro.instrument import meter_scope
-from repro.kernels import GaussianKernel
+from repro.instrument import OpMeter, Tracer, meter_scope, trace_scope
+from repro.kernels import GaussianKernel, PolynomialKernel
 
 
 @pytest.fixture()
@@ -274,10 +275,10 @@ def _full_batch_trainer(name, n, **kwargs):
 
 class TestFullBatchRegime:
     """At ``m >= n`` a fit forms ``K(X, X)`` once, in the identity row
-    order, and reads every epoch's monitor from it; below full batch
-    nothing changes."""
+    order, contracts it once a step, and reads every epoch's monitor from
+    that product; below full batch nothing changes."""
 
-    #: Agreement of the monitor read from the kept block with
+    #: Agreement of the monitor read from the carried product with
     #: ``KernelModel.mse`` per precision tier: the two differ only in the
     #: order of their sums.
     TIER_RTOL = {"float64": 1e-10, "float32": 1e-4, "mixed": 1e-4}
@@ -294,10 +295,65 @@ class TestFullBatchRegime:
         t = self._explicit(n)
         with meter_scope() as meter:
             t.fit(x, y, epochs=3)
-        # One (n, n) block; the monitor's GEMMs are still counted.
+        # One (n, n) block and one product with it a step; the monitor
+        # reads that product and adds no GEMM.
         assert meter.total("kernel_eval") == n * n * d
-        assert meter.total("gemm") == 3 * (n * n * l + 40 * n * l)
+        assert meter.total("gemm") == 3 * n * n * l
         assert t.reused == [True, True]
+
+    def test_one_gemm_span_per_step_none_in_the_monitor(self, xy):
+        x, y = xy
+        n = x.shape[0]
+        gemm_at = []  # perf_counter() at each recorded GEMM
+
+        class _TimedMeter(OpMeter):
+            def record(self, category, ops):
+                if category == "gemm":
+                    gemm_at.append(time.perf_counter())
+                super().record(category, ops)
+
+        tracer = Tracer()
+        with trace_scope(tracer), meter_scope(_TimedMeter()):
+            self._explicit(n).fit(x, y, epochs=3)
+
+        def intervals(name):
+            return [
+                (ev.start_s, ev.start_s + ev.duration_s)
+                for ev in tracer.events
+                if ev.name == name
+            ]
+
+        assert tracer.counts()["epoch"] == len(intervals("gemm")) == 3
+        assert len(gemm_at) == 3
+        for t in gemm_at:
+            assert any(a <= t <= b for a, b in intervals("gemm"))
+            assert not any(a <= t <= b for a, b in intervals("monitor"))
+
+    def test_full_batch_sgd_is_the_written_out_loop(self, xy):
+        """``f = K alpha`` from ``alpha = 0``, ``alpha -= gamma (f - y)``
+        per epoch, the monitor reading ``K alpha`` after each update; the
+        polynomial block has negative entries, so a signed-zero start
+        would show."""
+        x, y = xy
+        n = x.shape[0]
+        kernel = PolynomialKernel(degree=3)
+        kb = kernel(x, x)
+        assert (kb < 0).any()
+        gamma = 1.0 / np.linalg.eigvalsh(kb)[-1]
+        alpha = np.zeros_like(y)
+        mse = []
+        for _ in range(3):
+            alpha -= gamma * (kb @ alpha - y)
+            mse.append(np.mean((kb @ alpha - y) ** 2))
+        t = KernelSGD(
+            kernel, batch_size=n, step_size=gamma * n, seed=0, monitor_size=n
+        ).fit(x, y, epochs=3)
+        assert t.batch_size_ == n
+        got = np.asarray(t.model_.weights)
+        assert np.max(np.abs(got - alpha)) <= 1e-12 * np.max(np.abs(alpha))
+        np.testing.assert_allclose(
+            t.history_.series("train_mse"), mse, rtol=1e-12
+        )
 
     def test_one_block_per_fit_plus_setup(self, small_dataset):
         ds = small_dataset

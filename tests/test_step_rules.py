@@ -22,6 +22,7 @@ from repro.backend import master_matmul
 from repro.config import (
     Precision,
     accumulate_dtype,
+    compute_dtype,
     master_dtype,
     mixed_precision_active,
     use_precision,
@@ -107,6 +108,28 @@ class TestMasterMatmul:
             got = master_matmul(block, g)
             want = _written_out_contract(block, g)
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("tier", TIERS, ids=TIER_IDS)
+    def test_kept_block_orientation(self, operands, tier):
+        """The full-batch step contracts its kept block as
+        ``(w^T block^T)^T``: the same rule, with the operands swapped."""
+        block, w = operands
+        with _scope(tier):
+            dtype = compute_dtype(block)
+            block, w = block.astype(dtype), w.astype(master_dtype(dtype))
+            got = master_matmul(block.T, w.T, w_first=True).T
+            if mixed_precision_active() and block.dtype != w.dtype:
+                want = (w.T.astype(block.dtype) @ block.T).astype(w.dtype).T
+            else:
+                want = (w.T @ block.T.astype(w.dtype)).T
+        assert got.dtype == w.dtype
+        np.testing.assert_array_equal(got, want)
+
+    def test_kept_block_orientation_is_the_product(self, operands):
+        block, w = operands
+        got = master_matmul(block.T, w.T, w_first=True).T
+        want = block @ w
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_records_no_ops(self, operands):
         block, w = operands
