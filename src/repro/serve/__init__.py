@@ -16,9 +16,12 @@ and answers concurrent requests through a micro-batching queue:
   a :class:`PredictResponse` with per-request timings
   (``queue_s``/``batch_s``), run id and retry count — the one request
   type from the HTTP handler down to the dispatcher;
-- a dispatcher thread coalesces the queue into one tick — one fused
-  ``map_allreduce`` round-trip over the group, the engine's sweet
-  spot — and scatters per-request result rows back to the futures;
+- a dispatcher thread coalesces the queue into one tick and scatters
+  per-request result rows back to the futures.  A small tick of a group
+  whose shards live in this process on host NumPy arrays (the thread
+  transport's default) runs every shard's task on the dispatcher; any
+  other tick is one fused ``map_allreduce`` round trip to the workers.
+  Either way the partials are summed by one collective;
 - every response is **bit-identical** to what the request would get
   from a solo :func:`~repro.shard.sharded_predict` call (see
   :mod:`repro.serve.server` for why the tick evaluates per-request

@@ -8,9 +8,9 @@ every transport ships to its workers is the shards' one matvec task,
 
 Bitwise contract
 ----------------
-The dispatcher coalesces concurrent requests into one task round-trip
+The dispatcher coalesces concurrent requests into one task per shard
 and one all-reduce per tick, but each request's rows are computed as the
-request's *own* kernel blocks: inside the worker task
+request's *own* kernel blocks: inside the shard task
 (:func:`repro.shard.ops._serve_batch_task`) the streamed
 :func:`~repro.kernels.ops.kernel_matvec` forms exactly the blocks a solo
 call over that request would.  A single coalesced ``(B, n)`` GEMM would
@@ -21,7 +21,18 @@ response is bit-identical to the per-request*
 :func:`~repro.shard.sharded_predict` *loop*.  Segment-wise evaluation
 reproduces the per-request arithmetic exactly, and the element-wise
 all-reduce is row-stable, so bitwise parity holds by construction while
-the tick still pays one round-trip + one collective for the whole batch.
+the tick still pays one collective for the whole batch.
+
+Where the task runs does not change its bits.  A *local* tick — one of
+a group whose shards live in this process on host NumPy arrays (the
+thread transport with NumPy backends), whose rows times the largest
+shard's center count fit one tail tile of the NumPy backend
+(``_LOCAL_TICK_SCALARS``) — runs the task for each shard in shard order
+on the dispatcher thread and sums the partials with the group's
+``allreduce``: the same function on the same arrays with the same
+shard-order sum as the workers.  Such a block runs its tail on one
+thread wherever it runs, so the worker hop would buy it nothing.  Every
+other tick makes one round trip to the workers.
 
 Scheduling
 ----------
@@ -42,6 +53,7 @@ turn starvation into fast, observable shedding.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import pathlib
@@ -55,8 +67,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.backend import get_backend, to_numpy
-from repro.config import DEFAULT_BLOCK_SCALARS
+from repro.backend import NumpyBackend, get_backend, to_numpy, use_backend
+from repro.backend.numpy_backend import _TILE_BYTES
+from repro.config import (
+    DEFAULT_BLOCK_SCALARS,
+    current_precision,
+    use_precision,
+)
 from repro.exceptions import (
     ConfigurationError,
     DeadlineExceeded,
@@ -78,10 +95,18 @@ from repro.observe.metrics import MetricsRegistry
 from repro.serve.api import PredictRequest, PredictResponse
 from repro.shard.group import ShardGroup
 from repro.shard.ops import _serve_batch_task
+from repro.shard.transport.base import ShardWorker
 
 __all__ = ["ModelServer", "ServeOptions"]
 
 _LOG = logging.getLogger("repro.serve")
+
+#: Largest local tick: its rows times its group's largest shard center
+#: count, in scalars, may fill one float64 row tile of the NumPy
+#: backend's kernel tail.  A block below one tile runs its tail on the
+#: calling thread anyway, so a worker hop buys such a tick no
+#: parallelism, only the hop.
+_LOCAL_TICK_SCALARS = _TILE_BYTES // np.dtype(np.float64).itemsize
 
 
 @dataclass(frozen=True)
@@ -106,16 +131,18 @@ class ServeOptions:
         window runs, so with ``pipeline_depth > 1`` it costs dispatch
         latency only, not pipeline occupancy.
     pipeline_depth:
-        Ticks in flight at once.  The default ``2`` double-buffers the
-        serving loop: the workers compute tick ``t`` while the
-        dispatcher scatters ``t - 1``'s rows, callers wake, and the
-        queue refills — so worker compute, host scatter and client
-        turnaround overlap instead of serialising.  Each shard's
+        Worker ticks in flight at once.  The default ``2``
+        double-buffers the serving loop: the workers compute tick ``t``
+        while the dispatcher scatters ``t - 1``'s rows, callers wake,
+        and the queue refills — so worker compute, host scatter and
+        client turnaround overlap instead of serialising.  Each shard's
         executor runs its tasks FIFO, so in-flight ticks never run
         concurrently *on a worker* and the per-worker scratch discipline
         is untouched.  ``1`` restores the strictly serial
         launch-harvest-launch loop (lowest latency jitter, idle workers
-        during scatter).
+        during scatter).  A local tick (computed on the dispatcher, see
+        the module docstring) has nothing to overlap with: the
+        dispatcher harvests it as soon as it is launched.
     max_batch_rows:
         Row budget per tick: a request that would push the batch past it
         waits for the next tick (a single over-budget request still runs
@@ -214,7 +241,36 @@ class _Inflight:
     call: tuple
     rows: int
     dispatch_s: float
-    pending: Any = None  # PendingReduce, or None if launching failed
+    #: Computed on the dispatcher (:class:`_LocalTick`), not the workers.
+    local: bool = False
+    #: PendingReduce or _LocalTick; None if launching failed.
+    pending: Any = None
+
+
+class _LocalTick:
+    """A launched local tick: :meth:`result` runs the tick's task for
+    every shard in shard order on the calling thread, then combines the
+    partials with the group's ``allreduce``.
+
+    Same task, same arrays and the same shard-order sum as the workers
+    would run, so the bits match; the ops land once, on the calling
+    thread's meters.  Nothing runs before :meth:`result`, so the
+    compute falls inside the tick's ``serve/kernel`` span.
+    """
+
+    def __init__(self, group: ShardGroup, call: tuple) -> None:
+        self._group = group
+        self._call = call
+
+    def result(self) -> Any:
+        group = self._group
+        group._require_serving()
+        fn, *args = self._call
+        partials = []
+        for ex in group.executors:
+            with use_backend(ex.backend):
+                partials.append(fn(ex, *args))
+        return group.allreduce(partials, bk=get_backend())
 
 
 class ModelServer:
@@ -237,16 +293,27 @@ class ModelServer:
     (futures fail with :class:`~repro.exceptions.DeadlineExceeded`, no
     tick consumed), coalesces the survivors in priority-then-FIFO order
     (up to the :class:`ServeOptions` budgets) into one tick, runs
-    :func:`_serve_batch_task` through the group's fused
-    ``map_allreduce`` — one task round-trip + one collective per tick —
-    and scatters per-request :class:`~repro.serve.PredictResponse`
-    objects back to the futures.  Before a future resolves,
+    :func:`_serve_batch_task` for it — on the dispatcher thread for a
+    local tick (see the module docstring), else through the group's
+    fused ``map_allreduce``, one task round-trip per shard — sums the
+    partials with one collective, and scatters per-request
+    :class:`~repro.serve.PredictResponse` objects back to the futures.
+    The tick's compute and collective fall inside its ``serve/kernel``
+    span on either path.  Before a future resolves,
     ``serve/{queue,batch,kernel,scatter}`` spans are relayed to the
     tracers captured at submit time (the same relay discipline as
     worker spans), and per-request latencies land in the server's
     run-ID-stamped :class:`~repro.observe.MetricsRegistry`
     (``serve/queue_s`` / ``serve/request_s`` histograms — p50/p95/p99 in
     :meth:`stats`).
+
+    Op counts land once, on :attr:`meter`: a worker tick's shard deltas
+    are relayed there, a local tick records there directly.  A local
+    tick therefore never reaches the shards' private meters, so on a
+    thread group ``group.op_counts()`` no longer sees it; read
+    :attr:`meter`.  The dispatcher serves under the precision
+    (:func:`~repro.config.use_precision`) active where the server was
+    built, as :func:`~repro.shard.sharded_predict` called there would.
 
     Failure policy: a tick that dies with an engine
     :class:`~repro.exceptions.ShardError` is retried up to
@@ -312,13 +379,30 @@ class ModelServer:
             self._owns_group = True
         ex0 = self.group.executors[0]
         self._d = int(ex0.centers.shape[1])
+        #: The largest shard's center count when every shard's state
+        #: lives in this process on host NumPy arrays (the executors are
+        #: the workers: thread transport, NumPy backends), else ``None``
+        #: — small ticks of such a group run on the dispatcher.
+        self._local_centers = (
+            max(ex.n_centers for ex in self.group.executors)
+            if all(
+                isinstance(ex, ShardWorker)
+                and isinstance(ex.backend, NumpyBackend)
+                for ex in self.group.executors
+            )
+            else None
+        )
+        #: The precision active where the server was built; the
+        #: dispatcher serves under it.
+        self._precision = current_precision()
         self.metrics = (
             metrics if metrics is not None else MetricsRegistry(run_id=run_id)
         )
         #: Server-owned observability: the dispatcher runs under these,
-        #: so worker-side spans and op deltas of every tick are relayed
-        #: here (per-request spans additionally go to the submitting
-        #: caller's tracers).
+        #: so every tick's spans and op counts land here — relayed from
+        #: the workers, or recorded directly by a local tick
+        #: (per-request spans additionally go to the submitting caller's
+        #: tracers).
         self.tracer = Tracer()
         self.meter = OpMeter()
         self._queue: deque[_Request] = deque()
@@ -500,7 +584,12 @@ class ModelServer:
     def _dispatch_loop(self) -> None:
         inflight: deque[_Inflight] = deque()
         depth = self.options.pipeline_depth
-        with meter_scope(self.meter), trace_scope(self.tracer):
+        precision = (
+            use_precision(self._precision)
+            if self._precision is not None
+            else contextlib.nullcontext()
+        )
+        with precision, meter_scope(self.meter), trace_scope(self.tracer):
             while True:
                 batch: list[_Request] = []
                 shed: list[_Request] = []
@@ -555,10 +644,11 @@ class ModelServer:
                     )
                 if batch:
                     inflight.append(self._launch_batch(batch))
-                    if len(inflight) < depth:
+                    if len(inflight) < depth and not inflight[-1].local:
                         # Room for another tick behind this one — only
                         # harvest once the pipeline is primed or the
-                        # queue runs dry.
+                        # queue runs dry.  A local tick has nothing to
+                        # overlap with: it computes when harvested.
                         continue
                 if inflight:
                     self._finish_batch(inflight.popleft())
@@ -588,17 +678,37 @@ class ModelServer:
             ),
             rows=lo,
             dispatch_s=dispatch_s,
+            local=(
+                self._local_centers is not None
+                and lo * self._local_centers <= _LOCAL_TICK_SCALARS
+            ),
         )
         try:
-            inflight.pending = self.group.map_allreduce_async(
-                *inflight.call, bk=get_backend()
-            )
+            inflight.pending = self._reduce_tick(inflight, wait=False)
         except Exception:
             # Submission itself failed (e.g. transport torn down under
             # us): leave pending=None — attempt 0 of the retry loop
             # then runs the tick synchronously.
             pass
         return inflight
+
+    def _reduce_tick(self, inflight: "_Inflight", *, wait: bool) -> Any:
+        """Start (``wait=False``: returns a handle whose ``result()``
+        yields the sum) or run (``wait=True``: returns the sum) one
+        tick's fused map + all-reduce.
+
+        The one place a tick reaches the group, on both paths: a local
+        tick becomes a :class:`_LocalTick`, any other goes through the
+        group's ``map_allreduce_async`` / ``map_allreduce``.
+        """
+        if inflight.local:
+            tick = _LocalTick(self.group, inflight.call)
+            return tick.result() if wait else tick
+        if wait:
+            return self.group.map_allreduce(*inflight.call, bk=get_backend())
+        return self.group.map_allreduce_async(
+            *inflight.call, bk=get_backend()
+        )
 
     def _run_tick(self, inflight: "_Inflight") -> tuple[np.ndarray, int]:
         """Harvest one tick with bounded retries; returns ``(reduced,
@@ -624,9 +734,7 @@ class ModelServer:
                 if attempt == 0 and inflight.pending is not None:
                     reduced = inflight.pending.result()
                 else:
-                    reduced = self.group.map_allreduce(
-                        *inflight.call, bk=get_backend()
-                    )
+                    reduced = self._reduce_tick(inflight, wait=True)
                 return np.asarray(to_numpy(reduced)), attempt
             except ShardError:
                 if attempt == max_retries:

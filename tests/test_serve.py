@@ -14,16 +14,19 @@ run-ID-stamped latency histograms, and the JSON snapshot export.
 from __future__ import annotations
 
 import threading
+import time
 
 import numpy as np
 import pytest
 
+from repro.config import use_precision
 from repro.core.model import KernelModel
 from repro.exceptions import ConfigurationError, ReproError, ShardError
 from repro.instrument import OpMeter, meter_scope
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, Tracer, trace_scope
 from repro.serve import ModelServer, PredictRequest, ServeOptions
+from repro.serve.server import _LOCAL_TICK_SCALARS
 from repro.shard import ShardGroup, sharded_predict, transport_available
 
 N, D, L = 193, 5, 3
@@ -38,6 +41,9 @@ def _transport_param(name: str):
 
 transports = pytest.mark.parametrize(
     "transport", [_transport_param("thread"), _transport_param("process")]
+)
+needs_process = pytest.mark.skipif(
+    not transport_available("process"), reason="no fork-safe shared memory"
 )
 
 
@@ -56,6 +62,27 @@ def _build_group(problem, transport: str, g: int) -> ShardGroup:
     return ShardGroup.build(
         centers, weights, g=g, kernel=kernel, transport=transport
     )
+
+
+def _inject(server: ModelServer, seam) -> list[bool]:
+    """Route every tick of ``server`` through ``seam(real, inflight,
+    wait)``, ``real`` being the server's own tick seam — the one place a
+    tick reaches the group on the local and the worker path alike.
+    Returns the ``local`` flag of each tick seen, so a test can check
+    which path it exercised."""
+    real = server._reduce_tick
+    seen: list[bool] = []
+
+    def wrapped(inflight, *, wait):
+        seen.append(inflight.local)
+        return seam(real, inflight, wait)
+
+    server._reduce_tick = wrapped
+    return seen
+
+
+def _clear_injection(server: ModelServer) -> None:
+    server.__dict__.pop("_reduce_tick", None)
 
 
 # --------------------------------------------------------------------------
@@ -124,6 +151,190 @@ def test_batched_op_counts_match_solo_loop(problem, g):
         assert served[category] == want[category] > 0
 
 
+# --------------------------------------------------------------------------
+# Local ticks: small ticks of an in-process NumPy group run on the
+# dispatcher; large ticks and every other group's ticks go to the workers
+# --------------------------------------------------------------------------
+
+
+def _count_submits(group: ShardGroup) -> list[int]:
+    """Count each executor's submit_metered calls from now on."""
+    counts = [0] * group.g
+    for i, ex in enumerate(group.executors):
+        real = ex.submit_metered
+
+        def counted(*args, _i=i, _real=real, **kwargs):
+            counts[_i] += 1
+            return _real(*args, **kwargs)
+
+        ex.submit_metered = counted
+    return counts
+
+
+def test_small_ticks_never_reach_the_workers(problem):
+    """A burst of small requests on a thread group is served without one
+    submit_metered call: every tick runs on the dispatcher."""
+    rng = np.random.default_rng(21)
+    requests = [rng.standard_normal((r, D)) for r in (1, 2, 1, 3) * 8]
+    with _build_group(problem, "thread", 2) as group:
+        expected = [np.asarray(sharded_predict(group, x)) for x in requests]
+        submits = _count_submits(group)
+        with ModelServer(group=group) as server:
+            futures = [server.submit_request(x) for x in requests]
+            results = [f.result(timeout=60).values for f in futures]
+        assert submits == [0, 0]
+    assert server.stats()["counters"]["serve/batches"] >= 1
+    for got, want in zip(results, expected):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_large_tick_goes_to_the_workers(problem):
+    """A 1024-row tick whose block outgrows one tail tile still goes to
+    the workers, one task each; a 1-row tick of the same group stays on
+    the dispatcher."""
+    kernel = problem[0]
+    rng = np.random.default_rng(22)
+    centers = rng.standard_normal((600, D))
+    weights = rng.standard_normal((600, L))
+    big, small = rng.standard_normal((1024, D)), rng.standard_normal((1, D))
+    assert 1024 * 300 > _LOCAL_TICK_SCALARS >= 300
+    with ShardGroup.build(
+        centers, weights, g=2, kernel=kernel, transport="thread"
+    ) as group:
+        want_big = np.asarray(sharded_predict(group, big))
+        want_small = np.asarray(sharded_predict(group, small))
+        submits = _count_submits(group)
+        with ModelServer(group=group) as server:
+            got_big = server.predict_request(big, timeout=60).values
+            assert submits == [1, 1]
+            got_small = server.predict_request(small, timeout=60).values
+            assert submits == [1, 1]
+        # One request per tick: local ticks queue up behind a worker tick
+        # still in flight, and every response keeps its bits and order.
+        with ModelServer(
+            group=group, options=ServeOptions(max_batch_requests=1)
+        ) as server:
+            mixed = [
+                server.submit_request(x) for x in (big, small, big, small)
+            ]
+            got_mixed = [f.result(timeout=60).values for f in mixed]
+        assert submits == [3, 3]
+    np.testing.assert_array_equal(got_big, want_big)
+    np.testing.assert_array_equal(got_small, want_small)
+    for got, want in zip(got_mixed, (want_big, want_small) * 2):
+        np.testing.assert_array_equal(got, want)
+
+
+@needs_process
+def test_process_tick_is_one_task_per_worker(problem):
+    """On a process group every tick goes to the workers: rpc_count
+    rises by exactly one task per worker per tick."""
+    _, _, _, x = problem
+    with _build_group(problem, "process", 2) as group:
+        before = [ex.rpc_count for ex in group.executors]
+        with ModelServer(group=group) as server:
+            for i in range(5):
+                server.predict_request(x[i : i + 1], timeout=60)
+        ticks = server.stats()["counters"]["serve/batches"]
+        after = [ex.rpc_count for ex in group.executors]
+    assert ticks == 5
+    assert [a - b for a, b in zip(after, before)] == [ticks] * 2
+
+
+@transports
+def test_closed_group_fails_ticks_with_shard_error(problem, transport):
+    """A borrowed group closed under a live server fails each tick with
+    ShardError after the retries, on the local and the worker path."""
+    _, _, _, x = problem
+    group = _build_group(problem, transport, 2)
+    server = ModelServer(
+        group=group,
+        options=ServeOptions(max_retries=1, retry_backoff_s=0.0),
+    )
+    try:
+        server.predict_request(x[:1], timeout=60)
+        group.close()
+        with pytest.raises(ShardError, match="closed"):
+            server.predict_request(x[:1], timeout=60)
+        counters = server.stats()["counters"]
+        assert counters["serve/retries"] == 1
+        assert counters["serve/failed_requests"] == 1
+    finally:
+        server.close()
+        group.close()
+
+
+@pytest.mark.parametrize("precision", [np.float64, np.float32, "mixed"])
+@pytest.mark.parametrize("g", [1, 2, 4])
+def test_local_ticks_bitwise_vs_solo(problem, g, precision):
+    """Local ticks mixing 0-, 1-, 4- and 7-row requests carry the bits
+    of a solo sharded_predict per request, in every precision tier (the
+    server serves under the precision active where it was built)."""
+    rng = np.random.default_rng(23)
+    requests = [rng.standard_normal((r, D)) for r in (0, 1, 4, 7, 1, 0, 7, 4)]
+    with _build_group(problem, "thread", g) as group, use_precision(precision):
+        expected = [np.asarray(sharded_predict(group, x)) for x in requests]
+        submits = _count_submits(group)
+        server = ModelServer(
+            group=group,
+            options=ServeOptions(
+                max_batch_requests=len(requests), batch_wait=0.05
+            ),
+        )
+        try:
+            futures = [server.submit_request(x) for x in requests]
+            results = [f.result(timeout=60).values for f in futures]
+        finally:
+            server.close()
+        assert submits == [0] * g
+    max_batch = server.stats()["histograms"]["serve/batch_requests"]["max"]
+    assert max_batch >= 2, "dispatcher never coalesced; parity test is vacuous"
+    for got, want in zip(results, expected):
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+
+
+def test_local_tick_computes_inside_its_kernel_span(problem, monkeypatch):
+    """A local tick's kernel_eval ops are recorded while its serve/kernel
+    span is open — never inside serve/batch — and serve/kernel_s holds
+    the same intervals."""
+    _, _, _, x = problem
+    records: list[tuple[OpMeter, str, float]] = []
+    real_record = OpMeter.record
+
+    def timed_record(self, category, ops):
+        records.append((self, category, time.perf_counter()))
+        real_record(self, category, ops)
+
+    monkeypatch.setattr(OpMeter, "record", timed_record)
+    tracer = Tracer()
+    with _build_group(problem, "thread", 2) as group:
+        with ModelServer(group=group) as server, trace_scope(tracer):
+            for i in range(5):
+                server.predict_request(x[2 * i : 2 * i + 2], timeout=60)
+    kernel_spans = [
+        (ev.start_s, ev.start_s + ev.duration_s, ev.duration_s)
+        for ev in server.tracer.events if ev.name == "serve/kernel"
+    ]
+    batch_spans = [
+        (ev.start_s, ev.start_s + ev.duration_s)
+        for ev in tracer.events if ev.name == "serve/batch"
+    ]
+    evals = [
+        t for meter, category, t in records
+        if meter is server.meter and category == "kernel_eval"
+    ]
+    assert len(kernel_spans) == len(batch_spans) == 5
+    assert len(evals) >= 5
+    for t in evals:
+        assert any(lo <= t <= hi for lo, hi, _ in kernel_spans)
+        assert not any(lo <= t <= hi for lo, hi in batch_spans)
+    assert server.metrics.histogram_values("serve/kernel_s") == [
+        d for _, _, d in kernel_spans
+    ]
+
+
 @transports
 def test_drain_on_close_resolves_burst(problem, transport):
     """close() with the default drain serves every queued request."""
@@ -142,20 +353,19 @@ def test_drain_on_close_resolves_burst(problem, transport):
         sharded_predict(group, requests[0])
 
 
-def test_close_without_drain_fails_queued(problem):
+def test_close_without_drain_fails_queued(problem, transport="thread"):
     """close(drain=False) fails still-queued futures with ShardError,
     counts each under failed (or abandoned, when its caller had already
     cancelled) and leaves the in-flight tick to complete."""
-    with _build_group(problem, "thread", 2) as group:
+    with _build_group(problem, transport, 2) as group:
         entered, release = threading.Event(), threading.Event()
-        real_async = group.map_allreduce_async
 
-        def blocking_async(*args, **kwargs):
-            entered.set()
-            release.wait(timeout=30)
-            return real_async(*args, **kwargs)
+        def blocking_launch(real, inflight, wait):
+            if not wait:
+                entered.set()
+                release.wait(timeout=30)
+            return real(inflight, wait=wait)
 
-        group.map_allreduce_async = blocking_async
         try:
             server = ModelServer(
                 group=group,
@@ -163,6 +373,7 @@ def test_close_without_drain_fails_queued(problem):
                     max_batch_requests=1, pipeline_depth=1, batch_wait=0.0
                 ),
             )
+            seen = _inject(server, blocking_launch)
             inflight = server.submit_request(np.zeros((1, D)))
             assert entered.wait(timeout=10)
             queued = [
@@ -179,9 +390,15 @@ def test_close_without_drain_fails_queued(problem):
             assert counters["serve/failed_requests"] == 2
             assert counters["serve/abandoned_requests"] == 1
             assert counters["serve/requests"] == 1
+            assert seen == [transport == "thread"]
         finally:
-            group.map_allreduce_async = real_async
             release.set()
+
+
+@needs_process
+def test_close_without_drain_fails_queued_on_workers(problem):
+    """The same, on a process group: the worker path."""
+    test_close_without_drain_fails_queued(problem, "process")
 
 
 # --------------------------------------------------------------------------
@@ -343,18 +560,17 @@ def test_owned_group_closes_with_server(problem):
     assert server.group.closed
 
 
-def test_backpressure_queue_full(problem):
+def test_backpressure_queue_full(problem, transport="thread"):
     """Submissions past max_queue raise instead of queueing unboundedly."""
-    with _build_group(problem, "thread", 1) as group:
+    with _build_group(problem, transport, 1) as group:
         entered, release = threading.Event(), threading.Event()
-        real_async = group.map_allreduce_async
 
-        def blocking_async(*args, **kwargs):
-            entered.set()
-            release.wait(timeout=30)
-            return real_async(*args, **kwargs)
+        def blocking_launch(real, inflight, wait):
+            if not wait:
+                entered.set()
+                release.wait(timeout=30)
+            return real(inflight, wait=wait)
 
-        group.map_allreduce_async = blocking_async
         try:
             server = ModelServer(
                 group=group,
@@ -362,6 +578,7 @@ def test_backpressure_queue_full(problem):
                     max_batch_requests=1, pipeline_depth=1, max_queue=2
                 ),
             )
+            seen = _inject(server, blocking_launch)
             first = server.submit_request(np.zeros((1, D)))
             assert entered.wait(timeout=10)
             queued = [
@@ -373,9 +590,15 @@ def test_backpressure_queue_full(problem):
             for f in [first, *queued]:
                 assert f.result(timeout=30).values.shape == (1, L)
             server.close()
+            assert set(seen) == {transport == "thread"}
         finally:
-            group.map_allreduce_async = real_async
             release.set()
+
+
+@needs_process
+def test_backpressure_queue_full_on_workers(problem):
+    """The same, on a process group: the worker path."""
+    test_backpressure_queue_full(problem, "process")
 
 
 # --------------------------------------------------------------------------
@@ -388,72 +611,74 @@ class _FailingPending:
         raise ShardError("injected async tick failure")
 
 
-def test_retry_recovers_and_is_metered(problem):
+def test_retry_recovers_and_is_metered(problem, transport="thread"):
     """A failed async tick is retried synchronously; the response still
     carries solo bits and serve/retries records the one retry."""
     _, _, _, x = problem
-    with _build_group(problem, "thread", 1) as group:
+    with _build_group(problem, transport, 1) as group:
         want = np.asarray(sharded_predict(group, x))
-        real_async = group.map_allreduce_async
         fail_once = {"armed": True}
 
-        def flaky_async(*args, **kwargs):
-            if fail_once["armed"]:
+        def flaky_launch(real, inflight, wait):
+            if not wait and fail_once["armed"]:
                 fail_once["armed"] = False
                 return _FailingPending()
-            return real_async(*args, **kwargs)
+            return real(inflight, wait=wait)
 
-        group.map_allreduce_async = flaky_async
-        try:
-            server = ModelServer(
-                group=group,
-                options=ServeOptions(max_retries=1, retry_backoff_s=0.0),
-            )
-            resp = server.predict_request(x, timeout=60)
-            server.close()
-        finally:
-            group.map_allreduce_async = real_async
+        server = ModelServer(
+            group=group,
+            options=ServeOptions(max_retries=1, retry_backoff_s=0.0),
+        )
+        seen = _inject(server, flaky_launch)
+        resp = server.predict_request(x, timeout=60)
+        server.close()
         np.testing.assert_array_equal(resp.values, want)
         assert resp.retries == 1
         counters = server.stats()["counters"]
         assert counters.get("serve/retries", 0) == 1
         assert counters.get("serve/failed_requests", 0) == 0
+        assert seen == [transport == "thread"] * 2
+
+
+@needs_process
+def test_retry_recovers_and_is_metered_on_workers(problem):
+    """The same, on a process group: the worker path."""
+    test_retry_recovers_and_is_metered(problem, "process")
 
 
 @pytest.mark.parametrize("max_retries", [0, 1, 2])
-def test_exhausted_retries_fail_futures(problem, max_retries):
+def test_exhausted_retries_fail_futures(
+    problem, max_retries, transport="thread"
+):
     """When every attempt dies, the batch's futures carry the error and
     serve/failed_requests counts them; serve/retries counts exactly the
     retries made — the server stays usable."""
     _, _, _, x = problem
-    with _build_group(problem, "thread", 1) as group:
-        real_async = group.map_allreduce_async
-        real_sync = group.map_allreduce
-        group.map_allreduce_async = lambda *a, **k: _FailingPending()
+    with _build_group(problem, transport, 1) as group:
         sync_calls = []
 
-        def failing_sync(*args, **kwargs):
+        def failing_tick(real, inflight, wait):
+            if not wait:
+                return _FailingPending()
             sync_calls.append(1)
             raise ShardError("injected sync tick failure")
 
-        group.map_allreduce = failing_sync
-        try:
-            server = ModelServer(
-                group=group,
-                options=ServeOptions(
-                    max_retries=max_retries, retry_backoff_s=0.0
-                ),
-            )
-            fut = server.submit_request(x)
-            with pytest.raises(ShardError):
-                fut.result(timeout=60)
-            counters = server.stats()["counters"]
-            assert counters.get("serve/failed_requests", 0) == 1
-            assert counters.get("serve/retries", 0) == max_retries
-            assert len(sync_calls) == max_retries
-        finally:
-            group.map_allreduce_async = real_async
-            group.map_allreduce = real_sync
+        server = ModelServer(
+            group=group,
+            options=ServeOptions(
+                max_retries=max_retries, retry_backoff_s=0.0
+            ),
+        )
+        seen = _inject(server, failing_tick)
+        fut = server.submit_request(x)
+        with pytest.raises(ShardError):
+            fut.result(timeout=60)
+        counters = server.stats()["counters"]
+        assert counters.get("serve/failed_requests", 0) == 1
+        assert counters.get("serve/retries", 0) == max_retries
+        assert len(sync_calls) == max_retries
+        assert set(seen) == {transport == "thread"}
+        _clear_injection(server)
         # Engine recovers once the fault clears.
         got = server.predict_request(x, timeout=60).values
         server.close()
@@ -462,27 +687,44 @@ def test_exhausted_retries_fail_futures(problem, max_retries):
         )
 
 
-def test_failed_launch_runs_attempt_zero_synchronously(problem):
+@needs_process
+@pytest.mark.parametrize("max_retries", [0, 1, 2])
+def test_exhausted_retries_fail_futures_on_workers(problem, max_retries):
+    """The same, on a process group: the worker path."""
+    test_exhausted_retries_fail_futures(problem, max_retries, "process")
+
+
+def test_failed_launch_runs_attempt_zero_synchronously(
+    problem, transport="thread"
+):
     """A tick whose launch raised runs attempt 0 as a synchronous call:
     served without a retry."""
     _, _, _, x = problem
-    with _build_group(problem, "thread", 1) as group:
-        real_async = group.map_allreduce_async
+    with _build_group(problem, transport, 1) as group:
+        launches = []
 
-        def broken_launch(*args, **kwargs):
-            raise RuntimeError("injected launch failure")
+        def broken_launch(real, inflight, wait):
+            if not wait:
+                launches.append(1)
+                raise RuntimeError("injected launch failure")
+            return real(inflight, wait=wait)
 
-        group.map_allreduce_async = broken_launch
-        try:
-            with ModelServer(group=group) as server:
-                resp = server.predict_request(x, timeout=60)
-        finally:
-            group.map_allreduce_async = real_async
+        with ModelServer(group=group) as server:
+            seen = _inject(server, broken_launch)
+            resp = server.predict_request(x, timeout=60)
         np.testing.assert_array_equal(
             resp.values, np.asarray(sharded_predict(group, x))
         )
         assert resp.retries == 0
         assert server.stats()["counters"].get("serve/retries", 0) == 0
+        assert launches == [1]
+        assert seen == [transport == "thread"] * 2
+
+
+@needs_process
+def test_failed_launch_runs_attempt_zero_synchronously_on_workers(problem):
+    """The same, on a process group: the worker path."""
+    test_failed_launch_runs_attempt_zero_synchronously(problem, "process")
 
 
 def test_nan_weight_fails_requests_not_served(problem):

@@ -29,7 +29,7 @@ from repro.serve import (
     PredictResponse,
     ServeOptions,
 )
-from repro.shard import ShardGroup, sharded_predict
+from repro.shard import ShardGroup, sharded_predict, transport_available
 
 N, D, L = 167, 4, 3
 
@@ -49,6 +49,20 @@ def group(problem):
     kernel, centers, weights, _ = problem
     with ShardGroup.build(
         centers, weights, g=2, kernel=kernel, transport="thread"
+    ) as g:
+        yield g
+
+
+needs_process = pytest.mark.skipif(
+    not transport_available("process"), reason="no fork-safe shared memory"
+)
+
+
+@pytest.fixture()
+def process_group(problem):
+    kernel, centers, weights, _ = problem
+    with ShardGroup.build(
+        centers, weights, g=2, kernel=kernel, transport="process"
     ) as g:
         yield g
 
@@ -223,16 +237,7 @@ class TestPriorityScheduling:
         order: list[int] = []
         lock = threading.Lock()
         gate = threading.Event()
-        real_async = group.map_allreduce_async
         first_tick = threading.Event()
-
-        def gated_async(*args, **kwargs):
-            if not first_tick.is_set():
-                first_tick.set()
-                gate.wait(timeout=30)
-            return real_async(*args, **kwargs)
-
-        group.map_allreduce_async = gated_async
         server = ModelServer(
             group=group,
             options=ServeOptions(
@@ -241,6 +246,17 @@ class TestPriorityScheduling:
                 pipeline_depth=1,
             ),
         )
+        # Gate the first tick's launch at the server's one tick seam,
+        # which local and worker ticks both pass through.
+        real_tick = server._reduce_tick
+
+        def gated_tick(inflight, *, wait):
+            if not first_tick.is_set():
+                first_tick.set()
+                gate.wait(timeout=30)
+            return real_tick(inflight, wait=wait)
+
+        server._reduce_tick = gated_tick
         try:
             plug = server.submit_request(x)  # rides the gated first tick
             assert first_tick.wait(timeout=30)
@@ -264,7 +280,6 @@ class TestPriorityScheduling:
         finally:
             gate.set()
             server.close()
-            group.map_allreduce_async = real_async
         return order
 
     def test_priority_beats_fifo_across_ticks(self, problem, group):
@@ -285,6 +300,20 @@ class TestPriorityScheduling:
             group, x, [0, 0, 5, 5], max_batch_requests=2
         )
         assert order[:2] == [5, 5]
+
+    @needs_process
+    def test_priority_beats_fifo_across_ticks_on_workers(
+        self, problem, process_group
+    ):
+        """The same probe on a process group: the worker path."""
+        self.test_priority_beats_fifo_across_ticks(problem, process_group)
+
+    @needs_process
+    def test_high_priority_rides_first_cohort_on_workers(
+        self, problem, process_group
+    ):
+        """The same probe on a process group: the worker path."""
+        self.test_high_priority_rides_first_cohort(problem, process_group)
 
     def test_equal_priority_keeps_fifo(self, problem, group):
         _, _, _, x = problem

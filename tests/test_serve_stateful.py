@@ -1,16 +1,19 @@
 """Stateful property test of the serving engine's request lifecycle.
 
 A Hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives
-one thread-transport ``g=1`` :class:`~repro.serve.ModelServer` through
-interleavings of submits (with priorities and short deadlines), caller
-timeouts and cancels, injected tick failures and ``close(drain=True |
-False)``, then checks the two lifecycle invariants:
+one ``g=1`` :class:`~repro.serve.ModelServer` through interleavings of
+submits (with priorities and short deadlines), caller timeouts and
+cancels, injected tick failures and ``close(drain=True | False)``, then
+checks the two lifecycle invariants:
 
 - every admitted future resolves exactly once (its done-callbacks run
   once — a cancel, a shed, a failure or a result, never two);
 - every admitted request is counted exactly once:
   ``admitted == serve/requests + serve/shed_requests +
   serve/abandoned_requests + serve/failed_requests``.
+
+It runs on a thread group, whose ticks run on the dispatcher, and on a
+process group, whose ticks go to the workers.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from concurrent.futures import Future
 from concurrent.futures import TimeoutError as FutureTimeout
 
 import numpy as np
+import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -32,7 +36,7 @@ from hypothesis.stateful import (
 from repro.exceptions import ShardError
 from repro.kernels import GaussianKernel
 from repro.serve import ModelServer, PredictRequest, ServeOptions
-from repro.shard import ShardGroup
+from repro.shard import ShardGroup, transport_available
 
 N, D, L = 61, 3, 2
 _RNG = np.random.default_rng(17)
@@ -47,11 +51,16 @@ class _FailingPending:
 
 
 class ServeLifecycle(RuleBasedStateMachine):
+    #: The thread transport serves these ticks on the dispatcher (the
+    #: local path); :class:`ServeLifecycleOnWorkers` runs the machine
+    #: over a process group, whose ticks go to the workers.
+    transport = "thread"
+
     def __init__(self) -> None:
         super().__init__()
         self.group = ShardGroup.build(
             CENTERS, WEIGHTS, g=1, kernel=GaussianKernel(bandwidth=2.0),
-            transport="thread",
+            transport=self.transport,
         )
         self.server = ModelServer(
             group=self.group,
@@ -60,10 +69,10 @@ class ServeLifecycle(RuleBasedStateMachine):
         self.futures: list[Future] = []
         self.callbacks: dict[int, int] = {}
         self.lock = threading.Lock()
-        #: Tick attempts still to fail, consumed by the wrapped group.
+        #: Tick attempts still to fail, consumed by the wrapped tick
+        #: seam (the one place local and worker ticks reach the group).
         self.failures = 0
-        real_async = self.group.map_allreduce_async
-        real_sync = self.group.map_allreduce
+        real_tick = self.server._reduce_tick
 
         def take_failure() -> bool:
             with self.lock:
@@ -72,18 +81,14 @@ class ServeLifecycle(RuleBasedStateMachine):
                     return True
                 return False
 
-        def flaky_async(*args, **kwargs):
+        def flaky_tick(inflight, *, wait):
             if take_failure():
+                if wait:
+                    raise ShardError("injected sync tick failure")
                 return _FailingPending()
-            return real_async(*args, **kwargs)
+            return real_tick(inflight, wait=wait)
 
-        def flaky_sync(*args, **kwargs):
-            if take_failure():
-                raise ShardError("injected sync tick failure")
-            return real_sync(*args, **kwargs)
-
-        self.group.map_allreduce_async = flaky_async
-        self.group.map_allreduce = flaky_sync
+        self.server._reduce_tick = flaky_tick
 
     def _on_done(self, future: Future) -> None:
         with self.lock:
@@ -162,3 +167,13 @@ ServeLifecycle.TestCase.settings = settings(
     max_examples=50, stateful_step_count=30, deadline=None
 )
 TestServeLifecycle = ServeLifecycle.TestCase
+
+
+class ServeLifecycleOnWorkers(ServeLifecycle):
+    transport = "process"
+
+
+ServeLifecycleOnWorkers.TestCase.settings = ServeLifecycle.TestCase.settings
+TestServeLifecycleOnWorkers = pytest.mark.skipif(
+    not transport_available("process"), reason="no fork-safe shared memory"
+)(ServeLifecycleOnWorkers.TestCase)
