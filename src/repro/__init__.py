@@ -121,10 +121,6 @@ from repro.shard import (
     ShardTransport,
     ShardedEigenPro2,
     ThreadTransport,
-    TorchDistributedTransport,
-    available_transports,
-    register_transport,
-    registered_transports,
 )
 
 __all__ = [
@@ -175,10 +171,6 @@ __all__ = [
     "ShardTransport",
     "ThreadTransport",
     "ProcessTransport",
-    "TorchDistributedTransport",
-    "register_transport",
-    "registered_transports",
-    "available_transports",
     # serving
     "ModelServer",
     "ServeOptions",

@@ -47,8 +47,8 @@ BLAS threads
 ------------
 :func:`blas_threads` and :func:`set_blas_threads` read and set this
 process's OpenBLAS thread count (:mod:`repro.backend.threads`; no-ops
-when numpy and scipy bundle no OpenBLAS).  The process and torchdist
-shard transports use them to give every worker process a budget of
+when numpy and scipy bundle no OpenBLAS).  The process shard transport
+uses them to give every worker process a budget of
 ``max(1, usable_cpus // (g + 1))`` threads, with the usable CPUs taken
 from the process's affinity mask and the ``+ 1`` leaving room for the
 parent, which runs the correction and update while the workers form the

@@ -243,8 +243,8 @@ def mixed_precision_active() -> bool:
 def master_dtype(dtype: object) -> np.dtype:
     """The dtype sums over ``dtype`` data accumulate in: ``dtype``
     lifted to :func:`accumulate_dtype` under mixed precision, else
-    ``dtype`` itself.  The trainer's master weights, the host all-reduce
-    and the torchdist collective all take their dtype from here."""
+    ``dtype`` itself.  The trainer's master weights and the host
+    all-reduce take their dtype from here."""
     dtype = np.dtype(dtype)
     if mixed_precision_active():
         return np.result_type(dtype, accumulate_dtype())

@@ -100,25 +100,16 @@ def allreduce_time(
 #: effective bandwidth.  These are calibration-scale figures (the
 #: compute rate is calibrated from each run by
 #: :func:`repro.observe.compare_phases`); their role is to let the
-#: modelled allreduce term *differ by transport*, the way a NCCL link
-#: would differ from Ethernet.
+#: modelled allreduce term *differ by transport*.
 TRANSPORT_INTERCONNECTS: dict[str, Interconnect] = {
     "thread": Interconnect(latency_s=2e-5, bandwidth_scalars_per_s=5e9),
     "process": Interconnect(latency_s=2e-4, bandwidth_scalars_per_s=6e8),
-    # torch.distributed links for the torchdist transport.  gloo runs the
-    # ring over loopback TCP sockets *plus* the transport's pickle+pipe
-    # task round-trip that ships each rank its partial, so it is the
-    # highest-latency, lowest-bandwidth link in the table.  NCCL is the
-    # NVLink-class fabric the generic Interconnect() default idealizes:
-    # ~10 us ring launch, ~50 GB/s of float32 payload per link.
-    "gloo": Interconnect(latency_s=5e-4, bandwidth_scalars_per_s=3e8),
-    "nccl": Interconnect(latency_s=1e-5, bandwidth_scalars_per_s=1.25e10),
 }
 
 
 def transport_interconnect(transport: str) -> Interconnect:
-    """The link model for a named shard-transport fabric (``"thread"``,
-    ``"process"``, ``"gloo"``, ``"nccl"`` — the
+    """The link model for a named shard transport (``"thread"`` or
+    ``"process"`` — the
     :meth:`repro.shard.transport.ShardTransport.link_name` keys)."""
     try:
         return TRANSPORT_INTERCONNECTS[transport]

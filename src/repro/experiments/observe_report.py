@@ -94,7 +94,7 @@ class ObserveReportConfig:
     g: int = 2
     epochs: int = 2
     checkpoint_every: int = 8
-    #: Transport the traced fit runs on (any registered name).
+    #: Transport the traced fit runs on ("thread" or "process").
     transport: str = "process"
     transport_options: dict = field(default_factory=dict)
     bandwidth: float = 4.0

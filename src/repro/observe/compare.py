@@ -148,8 +148,8 @@ def compare_phases(
     g:
         Shard count of the fit.
     link:
-        Link-model name (``"thread"``, ``"process"``, ``"gloo"``,
-        ``"nccl"``) or an explicit :class:`Interconnect`.
+        Link-model name (``"thread"`` or ``"process"``) or an explicit
+        :class:`Interconnect`.
     allreduce_payload_scalars:
         Scalars reduced per allreduce call (``m * l`` for a fit with
         batch ``m`` and ``l`` outputs).

@@ -19,24 +19,15 @@ real array backends:
   private op meter, precomputed center norms and execution scopes) driven
   through a :class:`~repro.shard.transport.ShardTransport`, the one
   engine object (public name :class:`~repro.shard.ShardGroup`): build it
-  with ``ShardGroup.build(..., transport=<any registered name>)``, run
+  with ``ShardGroup.build(..., transport="thread" | "process")``, run
   collective steps with ``map`` / ``map_async`` and combine partials
   with ``allreduce`` (communication metered separately under the
-  ``"allreduce"`` category).  Three
-  transports ship, discovered through one registry
-  (:func:`~repro.shard.transport.register_transport` /
-  :func:`~repro.shard.transport.available_transports`): ``"thread"``
+  ``"allreduce"`` category).  Two transports ship: ``"thread"``
   (in-process worker threads, zero-copy weight views, any backend per
-  shard — ``torch:cuda:<i>`` included), ``"process"`` (one worker
+  shard — ``torch:cuda:<i>`` included) and ``"process"`` (one worker
   process per shard over ``multiprocessing.shared_memory``
   center/weight blocks, tasks shipped by pickle over per-shard pipes —
-  a real IPC round-trip for the prefetch to hide) and ``"torchdist"``
-  (the process architecture with every worker a rank of a
-  ``torch.distributed`` process group, so the all-reduce is a *real*
-  collective — gloo over CPU tensors anywhere torch is installed, NCCL
-  when CUDA backends are requested:
-  ``ShardedEigenPro2(transport="torchdist",
-  shard_backends=["torch:cuda:0", "torch:cuda:1"])``);
+  a real IPC round-trip for the prefetch to hide);
 - :func:`~repro.shard.ops.sharded_kernel_matvec` /
   :func:`~repro.shard.ops.sharded_predict` — the data-parallel streamed
   primitives mirroring :mod:`repro.kernels.ops`;
@@ -66,10 +57,9 @@ update it must observe.
 Checkpointing and elastic fault recovery
 ----------------------------------------
 A worker failure is never the end of the fit.  Detection came first:
-a killed worker process, dead rank or failed collective surfaces as a
-clean :class:`~repro.exceptions.ShardError` naming the shard — never a
-hang (the torchdist group timeout bounds dead-peer collectives).  On
-top of that, :mod:`repro.shard.recovery` provides the restore path and
+a killed worker process or failed task surfaces as a clean
+:class:`~repro.exceptions.ShardError` naming the shard — never a
+hang.  On top of that, :mod:`repro.shard.recovery` provides the restore path and
 :class:`~repro.shard.trainer.ShardedEigenPro2` the policy:
 
 - every ``checkpoint_every`` steps (and at every epoch start) the
@@ -84,8 +74,8 @@ top of that, :mod:`repro.shard.recovery` provides the restore path and
   discovered by the next task's failure;
 - on a ``ShardError`` inside the epoch loop the trainer tears the
   broken transport down, rebuilds the group over the surviving shard
-  count (always at least one fewer — an *elastic shrink* through the
-  same transport registry), restores the checkpoint's weights and
+  count (always at least one fewer — an *elastic shrink* on the same
+  transport), restores the checkpoint's weights and
   resumes at its batch cursor, replaying only the steps since the last
   snapshot.  Retries are bounded by ``max_recoveries``; when the budget
   is exhausted the original ``ShardError`` propagates with the last
@@ -179,13 +169,7 @@ from repro.shard.transport import (
     ShardTransport,
     ShardWorker,
     ThreadTransport,
-    TorchDistributedTransport,
-    available_transports,
-    register_transport,
-    registered_transports,
     resolve_transport,
-    transport_available,
-    unregister_transport,
 )
 
 __all__ = [
@@ -201,14 +185,8 @@ __all__ = [
     "ShardWorker",
     "ShardedEigenPro2",
     "ThreadTransport",
-    "TorchDistributedTransport",
     "allreduce_sum",
-    "available_transports",
-    "register_transport",
-    "registered_transports",
     "resolve_transport",
     "sharded_kernel_matvec",
     "sharded_predict",
-    "transport_available",
-    "unregister_transport",
 ]

@@ -30,7 +30,7 @@ The recovery *policy* lives in
 ``checkpoint_every`` steps, a liveness probe
 (:meth:`~repro.shard.transport.ShardTransport.alive`) to learn which
 workers died, teardown of the broken transport, a rebuild over the
-surviving shard count through the transport registry, weight restore
+surviving shard count on the same transport, weight restore
 from the last checkpoint and resumption at its batch cursor — bounded by
 ``max_recoveries``, after which the original
 :class:`~repro.exceptions.ShardError` propagates with the checkpoint
@@ -90,7 +90,7 @@ class ShardCheckpoint:
     g:
         Shard count of the group the snapshot was taken from.
     transport:
-        Registry name of the transport that produced it.
+        Name of the transport that produced it.
     correction_comp:
         The EigenPro correction's ``(s, l)`` Kahan compensation at
         snapshot time (mixed precision on NumPy), restored with the

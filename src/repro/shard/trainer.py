@@ -155,7 +155,7 @@ from repro.shard.group import PendingMap, ShardGroup
 from repro.shard.ops import sharded_predict
 from repro.shard.plan import ShardPlan
 from repro.shard.recovery import RecoveryEvent, ShardCheckpoint
-from repro.shard.transport import ShardTransport, ShardWorker, resolve_transport
+from repro.shard.transport import ShardWorker, resolve_transport
 
 __all__ = ["ShardedEigenPro2"]
 
@@ -287,16 +287,10 @@ class ShardedEigenPro2(EigenPro2):
         :meth:`repro.shard.ShardGroup.build`.  The process transport
         accepts NumPy specs only.
     transport:
-        Where the shards run — any registered transport name
-        (:func:`repro.shard.transport.available_transports`) or a
-        :class:`~repro.shard.transport.ShardTransport` subclass:
-        ``"thread"`` (default — in-process worker threads),
-        ``"process"`` (one worker process per shard over shared-memory
-        weight blocks) or ``"torchdist"`` (workers as
-        ``torch.distributed`` ranks; the all-reduce is a real collective
-        — gloo on CPU by default, NCCL when ``shard_backends`` names
-        CUDA devices, e.g. ``ShardedEigenPro2(transport="torchdist",
-        shard_backends=["torch:cuda:0", "torch:cuda:1"])``).
+        Where the shards run: ``"thread"`` (default — in-process worker
+        threads) or ``"process"`` (one worker process per shard over
+        shared-memory weight blocks).  Any other name raises
+        :class:`~repro.exceptions.ConfigurationError` here, not at fit.
     device:
         Simulated device the selection steps adapt to.  Defaults to the
         :func:`repro.device.cluster.multi_gpu` aggregate of ``n_shards``
@@ -337,8 +331,7 @@ class ShardedEigenPro2(EigenPro2):
     transport_options:
         Extra keyword arguments forwarded to the transport constructor
         on every group build — initial and rebuilt alike (e.g.
-        ``{"timeout_s": 20.0}`` for torchdist, ``{"start_method":
-        "spawn"}`` for the process transport).
+        ``{"start_method": "spawn"}`` for the process transport).
     **eigenpro_kwargs:
         Everything :class:`~repro.core.eigenpro2.EigenPro2` accepts
         (``s``, ``q``, ``batch_size``, ``step_size``, ``seed``, ...).
@@ -366,7 +359,7 @@ class ShardedEigenPro2(EigenPro2):
         *,
         n_shards: int | None = None,
         shard_backends: str | ArrayBackend | Sequence[str | ArrayBackend] | None = None,
-        transport: str | type[ShardTransport] = "thread",
+        transport: str = "thread",
         device: SimulatedDevice | None = None,
         interconnect: Interconnect | None = None,
         checkpoint_every: int = 25,
@@ -376,6 +369,7 @@ class ShardedEigenPro2(EigenPro2):
         transport_options: dict[str, Any] | None = None,
         **eigenpro_kwargs: Any,
     ) -> None:
+        transport_cls = resolve_transport(transport)
         if checkpoint_every < 0:
             raise ConfigurationError(
                 f"checkpoint_every must be >= 0, got {checkpoint_every}"
@@ -406,14 +400,10 @@ class ShardedEigenPro2(EigenPro2):
             raise ConfigurationError(f"n_shards must be >= 1, got {n_shards}")
         if device is None:
             if interconnect is None:
-                # Each transport names its own link model (IPC for
-                # processes, gloo/NCCL for torchdist; threads keep the
-                # generic default) so Step 1 adapts to the fabric that
-                # actually executes the collective — resolved through
-                # the registry, no per-transport string matching here.
-                interconnect = resolve_transport(
-                    transport
-                ).trainer_interconnect(shard_backends)
+                # The process transport charges its IPC link model, so
+                # Step 1 adapts to the fabric that actually executes the
+                # collective; threads keep the generic default.
+                interconnect = transport_cls.trainer_interconnect()
             device = multi_gpu(titan_xp(), n_shards, interconnect=interconnect)
         super().__init__(kernel, device=device, **eigenpro_kwargs)
         self.n_shards = n_shards

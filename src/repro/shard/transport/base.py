@@ -5,7 +5,7 @@ the machinery to run tasks against them.  This module splits that into
 two halves:
 
 - :class:`ShardWorker` — the state that lives *wherever the shard runs*
-  (an in-process worker thread, a child process, eventually a NCCL rank):
+  (an in-process worker thread or a child process):
   the shard's centers/weights on its own
   :class:`~repro.backend.ArrayBackend` instance, the precomputed center
   squared norms, a private :class:`~repro.instrument.OpMeter`, a
@@ -354,12 +354,9 @@ class PendingReduce:
     :meth:`PendingMap.result`) and returns the all-reduced sum of every
     shard's task result on the requested backend.
 
-    This base form awaits the underlying :class:`PendingMap` and then
-    combines host-side through the transport's :meth:`~ShardTransport.
-    allreduce` — zero extra round-trips on top of the map itself.
-    Transports with a real collective fabric return a subclass whose
-    tasks already reduced in-flight (see
-    ``repro.shard.transport.torchdist``).
+    It awaits the underlying :class:`PendingMap` and then combines
+    host-side through the transport's :meth:`~ShardTransport.allreduce`
+    — zero extra round-trips on top of the map itself.
     """
 
     def __init__(
@@ -415,27 +412,14 @@ class ShardTransport(abc.ABC):
     tasks, results and weight rows between the caller and the shards.
     Every transport must preserve two invariants: per-worker FIFO task
     order (see the module docstring) and bit-exact task results — the
-    transport moves bytes, it never re-computes.  Subclasses customise
-    dispatch through :meth:`_submit_all` and :meth:`_launch_reduce`,
-    never the public ``map*`` methods, which external profilers may wrap.
+    transport moves bytes, it never re-computes.  Every collective
+    dispatches through :meth:`_submit_all`; the public ``map*`` methods
+    are what external profilers wrap.
     """
 
-    #: Registry name ("thread", "process", "torchdist"); the key under
-    #: which :func:`repro.shard.transport.register_transport` files the
-    #: class.
+    #: Transport name ("thread" or "process"), the key
+    #: :func:`repro.shard.transport.resolve_transport` looks up.
     name: str = "abstract"
-
-    #: Largest shard count at which this transport's collective is
-    #: guaranteed bitwise-identical to the host-side shard-order sum of
-    #: :func:`allreduce_sum`.  ``None`` means unlimited (the transport
-    #: sums the partials itself in shard order); a transport that
-    #: delegates the reduction to an external fabric (e.g. a
-    #: ``torch.distributed`` ring all-reduce) sets the bound up to which
-    #: IEEE commutativity alone guarantees the same bits (2 — one
-    #: pairwise sum), because beyond that the fabric chooses the
-    #: association order.  The conformance suite's bitwise tests read
-    #: this to know where exactness ends and 1e-6-of-scale begins.
-    exact_collective_max_g: int | None = None
 
     #: BLAS thread count given to each worker *process* (see
     #: :mod:`repro.shard.transport.process`); ``None`` when the workers
@@ -472,7 +456,7 @@ class ShardTransport(abc.ABC):
         g: int | None = None,
         backends: str | ArrayBackend | Sequence[str | ArrayBackend] | None = None,
         kernel: Kernel | None = None,
-        transport: str | type["ShardTransport"] = "thread",
+        transport: str = "thread",
         plan: ShardPlan | None = None,
         **transport_options: Any,
     ) -> "ShardTransport":
@@ -493,13 +477,9 @@ class ShardTransport(abc.ABC):
         kernel:
             Optional kernel, kept as :attr:`kernel`.
         transport:
-            Any name in
-            :func:`repro.shard.transport.registered_transports` —
-            ``"thread"`` (default), ``"process"``, ``"torchdist"`` — or
-            a :class:`ShardTransport` subclass; extra keyword arguments
-            are forwarded to the transport constructor (e.g.
-            ``start_method=`` for the process transport, ``timeout_s=``
-            for torchdist).
+            ``"thread"`` (default) or ``"process"``; extra keyword
+            arguments are forwarded to the transport constructor (e.g.
+            ``start_method=`` for the process transport).
         plan:
             Row partition of ``centers`` into the ``g`` shards; defaults
             to :meth:`ShardPlan.contiguous`.  The sharded trainer passes
@@ -536,41 +516,24 @@ class ShardTransport(abc.ABC):
         engine.kernel = kernel
         return engine
 
-    # ------------------------------------------------------ registry hooks
+    # ----------------------------------------------------------- link model
     @classmethod
-    def is_available(cls) -> bool:
-        """Whether this transport can run in the current environment
-        (platform support, optional dependencies present).  The registry's
-        :func:`~repro.shard.transport.available_transports` filters on
-        this; registration itself never requires availability."""
-        return True
-
-    @classmethod
-    def link_name(cls, backends: Any | None = None) -> str:
+    def link_name(cls) -> str:
         """Key of this transport's link model in
-        :data:`repro.device.cluster.TRANSPORT_INTERCONNECTS`.  Defaults
-        to the transport name; transports whose fabric depends on the
-        requested backends (e.g. gloo vs NCCL) override."""
+        :data:`repro.device.cluster.TRANSPORT_INTERCONNECTS`: the
+        transport name."""
         return cls.name
 
     @classmethod
-    def trainer_interconnect(cls, backends: Any | None = None):
+    def trainer_interconnect(cls):
         """Link model the sharded trainer's *default* aggregate device
         should charge for this transport's collective, or ``None`` to
         keep the generic NVLink-class default (what the thread transport
         does — its "network" is a host memcpy the generic model already
-        idealizes).  Resolved through the cluster cost model so new
-        transports only need a :meth:`link_name` and a
-        ``TRANSPORT_INTERCONNECTS`` entry."""
-        from repro.device.cluster import (
-            TRANSPORT_INTERCONNECTS,
-            transport_interconnect,
-        )
+        idealizes)."""
+        from repro.device.cluster import transport_interconnect
 
-        name = cls.link_name(backends)
-        if name in TRANSPORT_INTERCONNECTS:
-            return transport_interconnect(name)
-        return None
+        return transport_interconnect(cls.link_name())
 
     # ------------------------------------------------------------ execution
     @property
@@ -611,17 +574,6 @@ class ShardTransport(abc.ABC):
             [ex.submit_metered(fn, *args, **kwargs) for ex in self.executors]
         )
 
-    def _launch_reduce(
-        self,
-        fn: Callable[..., Any],
-        args: tuple,
-        kwargs: dict,
-        bk: ArrayBackend | None,
-    ) -> PendingReduce:
-        """Launch a fused map + all-reduce step: the dispatch behind
-        :meth:`map_allreduce_async` and :meth:`map_allreduce`."""
-        return PendingReduce(self, self._submit_all(fn, args, kwargs), bk)
-
     def map_async(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> PendingMap:
         """Queue ``fn(worker, *args, **kwargs)`` on every shard *without
         barriering*; returns a :class:`PendingMap` to be awaited when
@@ -645,15 +597,11 @@ class ShardTransport(abc.ABC):
         result into the step, without barriering.
 
         ``fn`` returns the shard's partial; awaiting the returned
-        :class:`PendingReduce` yields the reduced sum.  The base
-        implementation maps and then combines host-side at await time —
-        the same traffic as mapping and reducing separately.  Transports whose collective itself
-        rides the task channel override :meth:`_launch_reduce` to run
-        ``fn`` and the fabric all-reduce inside *one* task per shard,
-        halving the per-step round-trips of the serial sharded iteration
-        (torchdist: 2 RPCs → 1).
+        :class:`PendingReduce` yields the reduced sum.  The map runs now
+        and the partials combine host-side at await time — the same
+        traffic as mapping and reducing separately.
         """
-        return self._launch_reduce(fn, args, kwargs, bk)
+        return PendingReduce(self, self._submit_all(fn, args, kwargs), bk)
 
     def map_allreduce(
         self,
@@ -665,13 +613,14 @@ class ShardTransport(abc.ABC):
         """Barriering form of :meth:`map_allreduce_async`: returns the
         reduced sum with op deltas relayed and the collective charged
         under ``"allreduce"`` on the calling thread."""
-        return self._launch_reduce(fn, args, kwargs, bk).result()
+        return PendingReduce(
+            self, self._submit_all(fn, args, kwargs), bk
+        ).result()
 
     # ----------------------------------------------------------- collective
     def allreduce(self, partials: Sequence[Any], bk: ArrayBackend | None = None) -> Any:
         """Combine per-shard partials into the full result on the
-        caller's backend; default is the host-side :func:`allreduce_sum`
-        (transports with a real collective fabric override)."""
+        caller's backend through the host-side :func:`allreduce_sum`."""
         with span("allreduce", transport=self.name, g=self.g):
             return allreduce_sum(partials, bk=bk)
 

@@ -60,15 +60,7 @@ Availability: requires :mod:`multiprocessing.shared_memory` and a
 ``fork`` start method (the default here; ``spawn`` is accepted via
 ``start_method=`` for platforms that need it, with the stricter
 requirement that every submitted task live in an importable module).
-Gate tests with ``transport_available("process")``
-(:func:`repro.shard.transport.transport_available`).
-
-This architecture is designed for reuse: a subclass can give each child
-a non-NumPy backend (``_WorkerSpec.backend_spec``) and run module-level
-``bootstrap``/``teardown`` hooks around the child's serve loop — which
-is exactly how
-:class:`~repro.shard.transport.torchdist.TorchDistributedTransport`
-turns these workers into ``torch.distributed`` ranks.
+Gate tests with :meth:`ProcessTransport.is_available`.
 """
 
 from __future__ import annotations
@@ -79,7 +71,7 @@ import pickle
 import traceback
 import weakref
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Any, Callable, Sequence
 
@@ -89,7 +81,6 @@ from repro.backend import (
     ArrayBackend,
     NumpyBackend,
     current_precision,
-    resolve_backend,
     set_blas_threads,
     to_numpy,
 )
@@ -145,20 +136,6 @@ class _WorkerSpec:
     weights: _SegmentSpec | None
     #: BLAS thread count the child sets before serving (module docstring).
     blas_threads: int
-    #: Backend spec the child resolves for its worker (``None`` → a fresh
-    #: :class:`~repro.backend.NumpyBackend` instance).  Always a string
-    #: or ``None`` — backend *instances* never cross the pickle boundary.
-    backend_spec: str | None = None
-    #: Optional module-level hooks run in the child around the serve
-    #: loop: ``bootstrap(spec)`` after the shared arrays are attached and
-    #: before the worker is built (a ``torch.distributed`` transport
-    #: joins its process group here), ``teardown(spec)`` on loop exit
-    #: (destroy the process group).  Module-level so they pickle by
-    #: reference under every start method.
-    bootstrap: Callable[["_WorkerSpec"], None] | None = None
-    teardown: Callable[["_WorkerSpec"], None] | None = None
-    #: Free-form extras for the hooks (world size, rendezvous file, ...).
-    options: dict[str, Any] = field(default_factory=dict)
 
 
 def _attach_segment(
@@ -227,22 +204,9 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
             shm_w, weights_all = _attach_segment(spec.weights)
             segments.append(shm_w)
             weights = weights_all[spec.lo : spec.hi]
-        if spec.bootstrap is not None:
-            try:
-                spec.bootstrap(spec)
-            except BaseException:
-                # Startup failures surface to the parent as a dead
-                # worker (EOF on the pipe); leave the cause on stderr.
-                traceback.print_exc()
-                raise
-        backend = (
-            NumpyBackend()
-            if spec.backend_spec is None
-            else resolve_backend(spec.backend_spec)
-        )
         worker = ShardWorker(
             spec.shard_id,
-            backend,
+            NumpyBackend(),
             centers_all[spec.lo : spec.hi],
             weights,
         )
@@ -271,8 +235,8 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
                 # An interrupt aimed at the process group must end the
                 # serve loop, not be relayed as a task failure — otherwise
                 # Ctrl-C leaves children behind, still serving.  The
-                # ``finally`` below still runs teardown and segment
-                # cleanup; the parent sees EOF and raises ShardError.
+                # ``finally`` below still runs the segment cleanup; the
+                # parent sees EOF and raises ShardError.
                 raise
             except BaseException as exc:  # noqa: BLE001 - relayed to parent
                 reply = (
@@ -285,11 +249,6 @@ def _worker_main(spec: _WorkerSpec, conn: Any) -> None:
             except (BrokenPipeError, OSError):
                 break
     finally:
-        if spec.teardown is not None:
-            try:
-                spec.teardown(spec)
-            except Exception:  # pragma: no cover - best-effort cleanup
-                traceback.print_exc()
         try:
             conn.close()
         except Exception:
@@ -532,7 +491,7 @@ class ProcessTransport(ShardTransport):
         Per-shard backend specs.  Only NumPy is supported in workers
         (``None``, ``"numpy"`` or a :class:`~repro.backend.NumpyBackend`
         instance — each child builds its own fresh instance); device
-        backends belong to the thread transport or a future NCCL one.
+        backends belong to the thread transport.
     start_method:
         :mod:`multiprocessing` start method; default ``"fork"`` when
         available, else ``"spawn"``.
@@ -551,49 +510,6 @@ class ProcessTransport(ShardTransport):
         except Exception:  # pragma: no cover - exotic platforms
             return False
 
-    # ------------------------------------------------------ subclass hooks
-    def _validate_backends(
-        self,
-        backends: Sequence[str | ArrayBackend | None] | None,
-        plan: ShardPlan,
-    ) -> list[str | None]:
-        """Normalize per-shard backend specs to pickle-safe strings
-        (``None`` → NumPy).  The process transport itself is NumPy-only;
-        subclasses with device-capable workers override."""
-        for spec in backends or []:
-            if spec is None or spec == "numpy" or isinstance(spec, NumpyBackend):
-                continue
-            raise ConfigurationError(
-                "the process transport runs NumPy workers only; got "
-                f"backend spec {spec!r} (use transport='thread' for "
-                "device backends)"
-            )
-        return [None] * plan.g
-
-    def _default_start_method(self) -> str:
-        return "fork" if ProcessTransport.is_available() else "spawn"
-
-    def _child_spec(
-        self,
-        shard_id: int,
-        lo: int,
-        hi: int,
-        centers_spec: _SegmentSpec,
-        weights_spec: _SegmentSpec | None,
-    ) -> _WorkerSpec:
-        """The :class:`_WorkerSpec` shipped to one child; subclasses
-        extend it (backend specs, bootstrap/teardown hooks) via
-        :func:`dataclasses.replace`."""
-        return _WorkerSpec(
-            shard_id=shard_id,
-            lo=lo,
-            hi=hi,
-            centers=centers_spec,
-            weights=weights_spec,
-            backend_spec=self._backend_specs[shard_id],
-            blas_threads=self.worker_blas_threads,
-        )
-
     def __init__(
         self,
         plan: ShardPlan,
@@ -603,9 +519,16 @@ class ProcessTransport(ShardTransport):
         *,
         start_method: str | None = None,
     ) -> None:
-        self._backend_specs = self._validate_backends(backends, plan)
+        for spec in backends or []:
+            if spec is None or spec == "numpy" or isinstance(spec, NumpyBackend):
+                continue
+            raise ConfigurationError(
+                "the process transport runs NumPy workers only; got "
+                f"backend spec {spec!r} (use transport='thread' for "
+                "device backends)"
+            )
         if start_method is None:
-            start_method = self._default_start_method()
+            start_method = "fork" if self.is_available() else "spawn"
         ctx = multiprocessing.get_context(start_method)
         self.plan = plan
         self.worker_blas_threads = _worker_blas_budget(plan.g)
@@ -639,8 +562,13 @@ class ProcessTransport(ShardTransport):
                 zip(plan.bounds, plan.bounds[1:])
             ):
                 parent_conn, child_conn = ctx.Pipe(duplex=True)
-                spec = self._child_spec(
-                    i, int(lo), int(hi), centers_spec, weights_spec
+                spec = _WorkerSpec(
+                    shard_id=i,
+                    lo=int(lo),
+                    hi=int(hi),
+                    centers=centers_spec,
+                    weights=weights_spec,
+                    blas_threads=self.worker_blas_threads,
                 )
                 proc = ctx.Process(
                     target=_worker_main,

@@ -127,7 +127,7 @@ class ThreadTransport(ShardTransport):
     name = "thread"
 
     @classmethod
-    def trainer_interconnect(cls, backends=None):
+    def trainer_interconnect(cls):
         """In-process threads share one memory system; the sharded
         trainer's default aggregate device keeps the generic
         NVLink-class interconnect rather than the calibration-scale

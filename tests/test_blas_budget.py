@@ -1,6 +1,6 @@
-"""Per-worker BLAS thread budget of the process-backed shard transports.
+"""Per-worker BLAS thread budget of the process shard transport.
 
-Each worker process of the process and torchdist transports runs its
+Each worker process of the process transport runs its
 OpenBLAS with ``max(1, usable_cpus // (g + 1))`` threads, unless the
 environment sets ``OPENBLAS_NUM_THREADS`` / ``OMP_NUM_THREADS``; the
 parent and the thread transport keep their own count.  Workers report
@@ -20,7 +20,7 @@ from repro.backend import threads as blas_module
 from repro.exceptions import ConfigurationError
 from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, new_run_id
-from repro.shard import ShardGroup, transport_available
+from repro.shard import ProcessTransport, ShardGroup
 from repro.shard.trainer import _form_block_task as _ORIGINAL_FORM_TASK
 from repro.shard.transport import process as process_module
 
@@ -28,23 +28,13 @@ needs_openblas = pytest.mark.skipif(
     blas_threads() is None, reason="numpy bundles no OpenBLAS on this build"
 )
 needs_process = pytest.mark.skipif(
-    not transport_available("process"),
+    not ProcessTransport.is_available(),
     reason="platform lacks fork-safe shared memory",
 )
 
 worker_transports = pytest.mark.parametrize(
     "transport",
-    [
-        pytest.param("process", marks=needs_process),
-        pytest.param(
-            "torchdist",
-            marks=pytest.mark.skipif(
-                not transport_available("torchdist"),
-                reason="torch is not installed (transport 'torchdist' "
-                "unavailable)",
-            ),
-        ),
-    ],
+    [pytest.param("process", marks=needs_process)],
 )
 
 @pytest.fixture(autouse=True)
@@ -67,12 +57,6 @@ def _report_blas_threads(worker):
     return blas_threads()
 
 
-def _report_torch_threads(worker):
-    import torch
-
-    return torch.get_num_threads()
-
-
 def _group(g: int, transport: str) -> ShardGroup:
     rng = np.random.default_rng(0)
     return ShardGroup.build(
@@ -84,8 +68,6 @@ def _group(g: int, transport: str) -> ShardGroup:
 def _assert_workers_report(group: ShardGroup, budget: int) -> None:
     assert group.worker_blas_threads == budget
     assert group.map(_report_blas_threads) == [budget] * group.g
-    if group.name == "torchdist":
-        assert group.map(_report_torch_threads) == [budget] * group.g
 
 
 # --------------------------------------------------------------------------

@@ -19,12 +19,12 @@ import pytest
 from repro.config import use_precision
 from repro.core.eigenpro2 import EigenPro2
 from repro.kernels import GaussianKernel
-from repro.shard import ShardedEigenPro2, transport_available
+from repro.shard import ProcessTransport, ShardedEigenPro2
 
 KERNEL = GaussianKernel(bandwidth=2.5)
 
 needs_process = pytest.mark.skipif(
-    not transport_available("process"),
+    not ProcessTransport.is_available(),
     reason="platform lacks fork-safe shared memory",
 )
 

@@ -11,7 +11,6 @@ segments), never as a wedged training loop.
 
 import math
 import os
-import threading
 import time
 
 import numpy as np
@@ -22,7 +21,7 @@ from repro.core.eigenpro2 import EigenPro2
 from repro.device import DeviceSpec, SimulatedDevice
 from repro.exceptions import ConfigurationError, DeviceMemoryError, ShardError
 from repro.kernels import GaussianKernel
-from repro.shard import transport_available
+from repro.shard import ProcessTransport
 
 
 def tiny_memory_device(scalars: float) -> SimulatedDevice:
@@ -239,37 +238,6 @@ def _recovery_trainer(g, transport, **kw):
     )
 
 
-def _rank_kill_watcher(trainer, killed, timeout_s=60.0):
-    """Parent-side injector for transports whose workers re-import the
-    real modules (spawn): poll until the first checkpoint of the fit
-    exists, then SIGKILL the last shard's worker process."""
-
-    def run():
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline and not killed.is_set():
-            group = trainer.shard_group_
-            if (
-                group is not None
-                and trainer.last_checkpoint_ is not None
-                and not trainer.recovery_log_
-            ):
-                try:
-                    proc = group.executors[-1].process
-                    if proc.is_alive():
-                        proc.kill()
-                        killed.set()
-                        return
-                except (AttributeError, IndexError):
-                    return  # group torn down under us; the fit is ending
-            time.sleep(0.002)
-
-    thread = threading.Thread(
-        target=run, name="repro-test-rank-killer", daemon=True
-    )
-    thread.start()
-    return thread
-
-
 def _leaked_segment_names(group):
     return [shm.name for shm in group._segments]
 
@@ -283,7 +251,7 @@ def _assert_segments_unlinked(names):
 
 
 needs_process = pytest.mark.skipif(
-    not transport_available("process"),
+    not ProcessTransport.is_available(),
     reason="platform lacks fork-safe shared memory",
 )
 
@@ -624,196 +592,6 @@ class TestProcessElasticRecovery:
             assert excinfo.value.checkpoint is not None
         finally:
             trainer.close()
-
-
-needs_torchdist = pytest.mark.skipif(
-    not transport_available("torchdist"),
-    reason="torch is not installed (transport 'torchdist' unavailable)",
-)
-
-
-@needs_torchdist
-class TestTorchDistTransportFailure:
-    """Killing a torchdist rank must raise a clean ShardError — no hang
-    even when the surviving rank sits in a collective whose peer died —
-    and close() must always tear the process group down: children joined
-    or terminated, shared segments unlinked, rendezvous directory
-    removed."""
-
-    def _group(self, g=2, **options):
-        from repro.shard import ShardGroup
-
-        rng = np.random.default_rng(0)
-        centers = rng.standard_normal((64, 4))
-        weights = rng.standard_normal((64, 2))
-        return ShardGroup.build(
-            centers, weights, g=g, transport="torchdist",
-            kernel=GaussianKernel(bandwidth=2.0), **options,
-        )
-
-    def _assert_torn_down(self, group, names):
-        _assert_segments_unlinked(names)
-        assert group._init_dir is None
-        for ex in group.executors:
-            assert not ex.process.is_alive()
-
-    def test_killed_rank_raises_shard_error(self):
-        group = self._group()
-        names = _leaked_segment_names(group)
-        init_dir = group._init_dir
-        try:
-            assert group.map(_noop_task) == [0, 1]
-            group.executors[1].process.kill()
-            with pytest.raises(ShardError, match="shard 1.*died"):
-                group.map(_noop_task)
-            with pytest.raises(ShardError, match="unavailable"):
-                group.submit(1, _noop_task).result()
-            # The surviving rank still serves non-collective tasks.
-            assert group.submit(0, _noop_task).result() == 0
-        finally:
-            group.close()
-        self._assert_torn_down(group, names)
-        assert not os.path.exists(init_dir)
-
-    def test_collective_with_dead_peer_raises(self):
-        """An all-reduce whose peer rank died must error out (gloo
-        detects the broken connection or hits the group timeout), never
-        hang the caller."""
-        group = self._group(timeout_s=20.0)
-        names = _leaked_segment_names(group)
-        try:
-            group.executors[1].process.kill()
-            rows = np.ones((4, 2))
-            with pytest.raises(ShardError):
-                group.allreduce([rows, rows])
-        finally:
-            group.close()
-        self._assert_torn_down(group, names)
-
-    def test_worker_exception_crosses_transport(self):
-        with self._group() as group:
-            with pytest.raises(ValueError, match="worker-side failure"):
-                group.map(_raise_task)
-            # The failure was the task's: the ranks and their process
-            # group survive and keep serving (including collectives).
-            assert group.map(_noop_task) == [0, 1]
-            rows = np.full((3, 2), 2.0)
-            out = np.asarray(group.allreduce([rows, rows]))
-            np.testing.assert_array_equal(out, 4.0 * rows)
-
-    def test_close_is_idempotent_and_cleans_up(self):
-        group = self._group()
-        names = _leaked_segment_names(group)
-        init_dir = group._init_dir
-        group.close()
-        group.close()
-        self._assert_torn_down(group, names)
-        assert not os.path.exists(init_dir)
-        with pytest.raises(ConfigurationError, match="closed"):
-            group.submit(0, _noop_task)
-
-    def test_trainer_survives_rank_death(self, small_dataset):
-        from repro.shard import ShardedEigenPro2
-
-        trainer = ShardedEigenPro2(
-            GaussianKernel(bandwidth=2.5),
-            n_shards=2,
-            transport="torchdist",
-            s=60,
-            batch_size=32,
-            seed=0,
-        )
-        try:
-            trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
-            names = _leaked_segment_names(trainer.shard_group_)
-            trainer.shard_group_.executors[0].process.kill()
-            with pytest.raises(ShardError):
-                trainer.predict_sharded(small_dataset.x_test)
-        finally:
-            trainer.close()
-        _assert_segments_unlinked(names)
-
-
-@needs_torchdist
-class TestTorchDistElasticRecovery:
-    """Elastic recovery with real ``torch.distributed`` ranks.  The
-    injector is a parent-side watcher thread (spawned workers re-import
-    the real modules, so the fork-inherited task patch the process-
-    transport tests use cannot run there): it polls for the fit's first
-    checkpoint, then SIGKILLs the last rank's worker process.  The group
-    timeout bounds any collective the survivors are blocked in, so the
-    failure surfaces as a ShardError and recovery proceeds — never a
-    hang."""
-
-    OPTIONS = {"timeout_s": 20.0}
-
-    @pytest.mark.parametrize("g", [2, 4])
-    def test_killed_rank_recovers_mid_fit(self, g):
-        x, y = _recovery_problem()
-        ref = _recovery_trainer(
-            g, "torchdist", transport_options=dict(self.OPTIONS)
-        )
-        try:
-            ref.fit(x, y, epochs=2)
-            assert ref.recovery_log_ == []
-            ref_w = np.array(ref._alpha)
-        finally:
-            ref.close()
-
-        trainer = _recovery_trainer(
-            g, "torchdist", transport_options=dict(self.OPTIONS)
-        )
-        killed = threading.Event()
-        try:
-            watcher = _rank_kill_watcher(trainer, killed)
-            trainer.fit(x, y, epochs=2)
-            watcher.join(timeout=60.0)
-            assert killed.is_set()  # the injection actually fired
-            assert len(trainer.recovery_log_) == 1
-            event = trainer.recovery_log_[0]
-            assert event.old_g == g and event.new_g == g - 1
-            assert event.replayed_steps >= 0
-            assert trainer.shard_group_.g == g - 1
-            recovered_w = np.array(trainer._alpha)
-        finally:
-            trainer.close()
-
-        scale = float(np.max(np.abs(ref_w)))
-        assert np.max(np.abs(recovered_w - ref_w)) <= 1e-6 * scale
-
-    def test_dead_peer_group_errors_then_rebuilds(self):
-        """g=3: a collective whose peer rank died must surface as a
-        ShardError on the survivors (gloo broken-connection detection or
-        the group timeout — no hang), after which a fresh group over the
-        surviving shard count serves collectives again: the manual
-        analogue of the trainer's elastic shrink."""
-        from repro.shard import ShardGroup
-
-        rng = np.random.default_rng(0)
-        centers = rng.standard_normal((96, 4))
-        weights = rng.standard_normal((96, 2))
-        kernel = GaussianKernel(bandwidth=2.0)
-        rows = np.ones((4, 2))
-        group = ShardGroup.build(
-            centers, weights, g=3, transport="torchdist",
-            kernel=kernel, **self.OPTIONS,
-        )
-        try:
-            group.executors[-1].process.kill()
-            with pytest.raises(ShardError):
-                group.allreduce([rows, rows, rows])
-            assert 2 in group.dead_shards()
-        finally:
-            group.close()
-        rebuilt = ShardGroup.build(
-            centers, weights, g=2, transport="torchdist",
-            kernel=kernel, **self.OPTIONS,
-        )
-        try:
-            out = np.asarray(rebuilt.allreduce([rows, rows]))
-            np.testing.assert_array_equal(out, 2.0 * rows)
-        finally:
-            rebuilt.close()
 
 
 class TestDegenerateGeometry:

@@ -48,25 +48,20 @@ from repro.observe import (
     trace_scope,
     validate_perfetto,
 )
-from repro.shard import (
-    RecoveryEvent,
-    ShardedEigenPro2,
-    registered_transports,
-    transport_available,
-)
+from repro.shard import ProcessTransport, RecoveryEvent, ShardedEigenPro2
 from repro.shard.transport.base import ShardWorker
 
 transports = pytest.mark.parametrize(
     "transport",
     [
+        "thread",
         pytest.param(
-            t,
+            "process",
             marks=pytest.mark.skipif(
-                not transport_available(t),
-                reason=f"transport {t!r} is not available on this host",
+                not ProcessTransport.is_available(),
+                reason="platform lacks fork-safe shared memory",
             ),
-        )
-        for t in registered_transports()
+        ),
     ],
 )
 
@@ -712,19 +707,7 @@ class TestObserveReport:
     """The one model-vs-measured experiment holds every claim on every
     transport, with one row per compare_phases phase."""
 
-    @pytest.mark.parametrize(
-        "transport",
-        [
-            pytest.param(
-                t,
-                marks=pytest.mark.skipif(
-                    not transport_available(t),
-                    reason=f"transport {t!r} is not available on this host",
-                ),
-            )
-            for t in ("thread", "process")
-        ],
-    )
+    @transports
     def test_claims_hold(self, transport):
         result = run_observe_report(
             ObserveReportConfig(n=600, s=100, transport=transport)

@@ -27,14 +27,14 @@ from repro.kernels import GaussianKernel
 from repro.observe import MetricsRegistry, Tracer, trace_scope
 from repro.serve import ModelServer, PredictRequest, ServeOptions
 from repro.serve.server import _LOCAL_TICK_SCALARS
-from repro.shard import ShardGroup, sharded_predict, transport_available
+from repro.shard import ProcessTransport, ShardGroup, sharded_predict
 
 N, D, L = 193, 5, 3
 
 
 def _transport_param(name: str):
     marks = []
-    if name == "process" and not transport_available("process"):
+    if name == "process" and not ProcessTransport.is_available():
         marks.append(pytest.mark.skip(reason="no fork-safe shared memory"))
     return pytest.param(name, marks=marks)
 
@@ -43,7 +43,7 @@ transports = pytest.mark.parametrize(
     "transport", [_transport_param("thread"), _transport_param("process")]
 )
 needs_process = pytest.mark.skipif(
-    not transport_available("process"), reason="no fork-safe shared memory"
+    not ProcessTransport.is_available(), reason="no fork-safe shared memory"
 )
 
 

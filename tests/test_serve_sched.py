@@ -29,7 +29,7 @@ from repro.serve import (
     PredictResponse,
     ServeOptions,
 )
-from repro.shard import ShardGroup, sharded_predict, transport_available
+from repro.shard import ProcessTransport, ShardGroup, sharded_predict
 
 N, D, L = 167, 4, 3
 
@@ -54,7 +54,7 @@ def group(problem):
 
 
 needs_process = pytest.mark.skipif(
-    not transport_available("process"), reason="no fork-safe shared memory"
+    not ProcessTransport.is_available(), reason="no fork-safe shared memory"
 )
 
 

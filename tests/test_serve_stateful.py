@@ -36,7 +36,7 @@ from hypothesis.stateful import (
 from repro.exceptions import ShardError
 from repro.kernels import GaussianKernel
 from repro.serve import ModelServer, PredictRequest, ServeOptions
-from repro.shard import ShardGroup, transport_available
+from repro.shard import ProcessTransport, ShardGroup
 
 N, D, L = 61, 3, 2
 _RNG = np.random.default_rng(17)
@@ -175,5 +175,5 @@ class ServeLifecycleOnWorkers(ServeLifecycle):
 
 ServeLifecycleOnWorkers.TestCase.settings = ServeLifecycle.TestCase.settings
 TestServeLifecycleOnWorkers = pytest.mark.skipif(
-    not transport_available("process"), reason="no fork-safe shared memory"
+    not ProcessTransport.is_available(), reason="no fork-safe shared memory"
 )(ServeLifecycleOnWorkers.TestCase)

@@ -31,13 +31,13 @@ from repro.kernels.ops import kernel_matvec
 from repro.observe import Tracer, trace_scope
 from repro.serve import ModelServer
 from repro.shard import (
+    ProcessTransport,
     ShardGroup,
     ShardPlan,
     ShardedEigenPro2,
     allreduce_sum,
     sharded_kernel_matvec,
     sharded_predict,
-    transport_available,
 )
 
 _ENV_G = os.environ.get("REPRO_SHARD_G")
@@ -267,7 +267,7 @@ class TestShardedEigenPro2:
             pytest.param(
                 "process",
                 marks=pytest.mark.skipif(
-                    not transport_available("process"),
+                    not ProcessTransport.is_available(),
                     reason="platform lacks fork-safe shared memory",
                 ),
             ),
@@ -551,7 +551,7 @@ class TestBalancedShardPlan:
             trainer.close()
 
     @pytest.mark.skipif(
-        not transport_available("process"),
+        not ProcessTransport.is_available(),
         reason="platform lacks fork-safe shared memory",
     )
     def test_thread_and_process_bitwise_equal(self, small_dataset):

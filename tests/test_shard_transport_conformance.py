@@ -1,20 +1,13 @@
 """Cross-transport conformance suite for the shard transport layer.
 
-One parameterized suite pins every *registered* transport (thread,
-process, torchdist — anything filed via
-:func:`repro.shard.transport.register_transport` joins the list
-automatically at collection) to the same contract:
+One parameterized suite pins both transports (thread and process) to
+the same contract:
 
 - **bitwise parity across transports**: for a fixed shard plan, weights,
   histories and sharded-op results are *bit-identical* between the
-  thread transport and every other transport — every transport runs the
-  same task functions on the same shard slices, and a transport moves
-  bytes, it never re-computes.  Transports whose collective runs on an
-  external fabric (torchdist's ``dist.all_reduce``) declare via
-  ``exact_collective_max_g`` the shard count up to which the fabric's
-  reduction is provably bit-identical to the host-side shard-order sum
-  (2 — IEEE addition of one operand pair is commutative); bitwise cases
-  beyond that bound skip with a reason;
+  thread and the process transport — both run the same task functions
+  on the same shard slices, and a transport moves bytes, it never
+  re-computes;
 - **parity with the unsharded trainer**: exact (bitwise) at ``g = 1``;
   for ``g > 1`` within 1e-6 of scale (the per-shard partial sums
   necessarily associate the floating-point reduction differently than
@@ -26,17 +19,13 @@ automatically at collection) to the same contract:
   direct shared-memory write — visible to the workers, no task, no
   barrier — pinned by exact per-worker RPC counts of the trainer's
   step (a prefetched form task plus a contract task per iteration);
-- **real collective**: the torchdist transport's all-reduce rides one
-  task per rank through ``dist.all_reduce`` and meters the same
-  shape-derived ``(g - 1) * payload`` charge as the host-side sum;
 - seeded runs are reproducible per transport.
 
 ``REPRO_SHARD_G`` restricts the shard counts (single value or comma
 list, e.g. ``REPRO_SHARD_G=2`` or ``REPRO_SHARD_G=1,2,4``);
 ``REPRO_SHARD_TRANSPORT`` restricts the transports — both are how the
-CI matrix splits the suite.  Cases for transports that are registered
-but unavailable here (no fork-safe shared memory, no torch) *skip with
-a reason* rather than disappearing.
+CI matrix splits the suite.  Process cases on a host without fork-safe
+shared memory *skip with a reason* rather than disappearing.
 """
 
 from __future__ import annotations
@@ -54,14 +43,13 @@ from repro.instrument import meter_scope, record_ops
 from repro.kernels import GaussianKernel, LaplacianKernel
 from repro.observe import Tracer, span, trace_scope
 from repro.shard import (
+    ProcessTransport,
     ShardGroup,
     ShardedEigenPro2,
-    available_transports,
-    registered_transports,
+    ThreadTransport,
     resolve_transport,
     sharded_kernel_matvec,
     sharded_predict,
-    transport_available,
 )
 
 _ENV_G = os.environ.get("REPRO_SHARD_G")
@@ -69,8 +57,7 @@ G_VALUES = (
     [int(g) for g in _ENV_G.split(",")] if _ENV_G else [1, 2, 4]
 )
 _ENV_T = os.environ.get("REPRO_SHARD_TRANSPORT")
-#: Registry-discovered: registering a transport parameterizes this suite.
-ALL_TRANSPORTS = registered_transports()
+ALL_TRANSPORTS = ("thread", "process")
 TRANSPORTS = (
     [t for t in ALL_TRANSPORTS if t in _ENV_T.split(",")]
     if _ENV_T
@@ -82,7 +69,7 @@ def _transport_param(t: str) -> object:
     return pytest.param(
         t,
         marks=pytest.mark.skipif(
-            not transport_available(t),
+            t == "process" and not ProcessTransport.is_available(),
             reason=f"transport {t!r} is not available on this host",
         ),
     )
@@ -99,23 +86,9 @@ nonthread_transports = pytest.mark.parametrize(
 )
 
 needs_process = pytest.mark.skipif(
-    not transport_available("process"),
+    not ProcessTransport.is_available(),
     reason="platform lacks fork-safe shared memory",
 )
-needs_torchdist = pytest.mark.skipif(
-    not transport_available("torchdist"),
-    reason="torch is not installed (transport 'torchdist' unavailable)",
-)
-
-
-def _skip_beyond_exact_collective(transport: str, g: int) -> None:
-    limit = resolve_transport(transport).exact_collective_max_g
-    if limit is not None and g > limit:
-        pytest.skip(
-            f"transport {transport!r} guarantees a bitwise collective "
-            f"only up to g={limit} (fabric chooses the association "
-            f"order beyond that)"
-        )
 
 KW = dict(s=80, batch_size=32, seed=0, damping=0.9)
 BANDWIDTH = 2.5
@@ -189,9 +162,7 @@ class TestTrainerConformance:
     @nonthread_transports
     def test_transports_bitwise_identical(self, small_dataset, g, transport):
         """The tentpole invariant: every transport produces weights,
-        histories and op counts bit-identical to the thread transport's
-        (up to its declared exact-collective bound)."""
-        _skip_beyond_exact_collective(transport, g)
+        histories and op counts bit-identical to the thread transport's."""
         a_thread, h_thread, m_thread, p_thread, s_thread = _fit_sharded(
             small_dataset, "thread", g
         )
@@ -253,7 +224,6 @@ class TestShardedOpsConformance:
     @shard_counts
     @nonthread_transports
     def test_matvec_bitwise_across_transports(self, problem, g, transport):
-        _skip_beyond_exact_collective(transport, g)
         centers, weights, x = problem
         kernel = LaplacianKernel(bandwidth=2.0)
         results = {}
@@ -550,77 +520,12 @@ class TestSpawnSegments:
                 shared_memory.SharedMemory(name=name)
 
 
-class TestTorchDistCollective:
-    """The torchdist-specific contract: the all-reduce is a *real*
-    ``dist.all_reduce`` riding one task per rank, metered with the same
-    shape-derived charge as the host-side sum, short-circuiting at a
-    single rank."""
-
-    @needs_torchdist
-    def test_allreduce_is_real_collective(self, problem):
-        centers, weights, _ = problem
-        rng = np.random.default_rng(7)
-        a = rng.standard_normal((12, 3))
-        b = rng.standard_normal((12, 3))
-        with ShardGroup.build(
-            centers, weights, g=2, transport="torchdist"
-        ) as group:
-            before = [ex.rpc_count for ex in group.executors]
-            with meter_scope() as meter:
-                out = np.asarray(group.allreduce([a, b]))
-            # The collective rode the task channel: one RPC per rank.
-            assert [ex.rpc_count for ex in group.executors] == [
-                n + 1 for n in before
-            ]
-        # Bitwise equal to the host shard-order sum at g = 2 (IEEE
-        # commutativity), with the identical "allreduce" charge.
-        np.testing.assert_array_equal(out, a + b)
-        assert meter.as_dict().get("allreduce", 0) == a.size
-
-    @needs_torchdist
-    def test_single_rank_short_circuits(self, problem):
-        centers, weights, _ = problem
-        a = np.arange(12.0).reshape(4, 3)
-        with ShardGroup.build(
-            centers, weights, g=1, transport="torchdist"
-        ) as group:
-            before = [ex.rpc_count for ex in group.executors]
-            with meter_scope() as meter:
-                out = np.asarray(group.allreduce([a]))
-            assert [ex.rpc_count for ex in group.executors] == before
-        np.testing.assert_array_equal(out, a)
-        assert meter.as_dict().get("allreduce", 0) == 0
-
-    @needs_torchdist
-    def test_trainer_rpc_accounting(self, small_dataset):
-        """A torchdist fit's per-worker RPC traffic is exactly
-        setup + (form, fused contract+all-reduce) per iteration + drain:
-        the collective rides *inside* the contraction task
-        (`_fused_collective_task`), so each step costs two round-trips,
-        not three — and mirror-back stays a direct shared-memory write,
-        never a task."""
-        trainer = ShardedEigenPro2(
-            GaussianKernel(bandwidth=BANDWIDTH),
-            n_shards=2,
-            transport="torchdist",
-            device=titan_xp(),
-            **KW,
-        )
-        try:
-            trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
-            assert trainer._pending_mirror is None
-            iterations = trainer.history_.final.iterations
-            expected = 1 + 2 * iterations + 1
-            for ex in trainer.shard_group_.executors:
-                assert ex.rpc_count == expected
-        finally:
-            trainer.close()
-
-
 class TestTransportSelection:
     def test_unknown_transport_rejected(self, problem):
         centers, weights, _ = problem
-        with pytest.raises(ConfigurationError, match="registered"):
+        with pytest.raises(
+            ConfigurationError, match="transports: thread, process$"
+        ):
             ShardGroup.build(centers, weights, g=2, transport="nccl")
 
     @needs_process
@@ -633,28 +538,46 @@ class TestTransportSelection:
             )
 
     def test_available_transports_lists_thread(self):
-        names = available_transports()
-        assert "thread" in names
-        if transport_available("process"):
-            assert "process" in names
+        assert resolve_transport("thread") is ThreadTransport
+        assert resolve_transport("process") is ProcessTransport
 
-    def test_registered_transports_include_builtins(self):
-        names = registered_transports()
-        assert names[:3] == ["thread", "process", "torchdist"]
-        # Registration never requires availability; usability filtering
-        # happens in available_transports().
-        assert set(available_transports()) <= set(names)
+    @pytest.mark.parametrize("name", ["torchdist", "gloo", "nccl"])
+    def test_removed_transport_names_fail_loudly(self, problem, name):
+        """Every entry point that takes a transport name rejects the
+        removed ones, naming exactly the two transports that exist."""
+        from repro.core.model import KernelModel
+        from repro.serve import ModelServer
 
-    def test_torchdist_unavailable_reported(self):
-        """Without torch the transport stays *registered* (so it is
-        listed, and selecting it errors helpfully) but not available."""
-        if transport_available("torchdist"):
-            pytest.skip("torch installed: unavailability path not testable")
-        assert "torchdist" in registered_transports()
-        assert "torchdist" not in available_transports()
-        with pytest.raises(ConfigurationError, match="torch"):
-            ShardGroup.build(
-                np.zeros((4, 2)), g=2, transport="torchdist"
+        centers, weights, _ = problem
+        kernel = GaussianKernel(bandwidth=BANDWIDTH)
+        model = KernelModel(kernel=kernel, centers=centers, weights=weights)
+        message = f"unknown shard transport '{name}'; transports: thread, process"
+        attempts = [
+            lambda: ShardGroup.build(centers, weights, g=2, transport=name),
+            lambda: ShardedEigenPro2(kernel, transport=name),
+            lambda: ModelServer(model, transport=name),
+        ]
+        for attempt in attempts:
+            with pytest.raises(ConfigurationError) as err:
+                attempt()
+            assert str(err.value) == message
+
+    def test_trainer_rejects_bad_name_with_explicit_link(self):
+        """A typo'd name fails at construction even when the caller
+        names the link model, so no fit ever starts with it."""
+        from repro.device.cluster import transport_interconnect
+
+        with pytest.raises(ConfigurationError, match="'proces'"):
+            ShardedEigenPro2(
+                GaussianKernel(bandwidth=BANDWIDTH),
+                transport="proces",
+                interconnect=transport_interconnect("process"),
+            )
+        with pytest.raises(ConfigurationError, match="'proces'"):
+            ShardedEigenPro2(
+                GaussianKernel(bandwidth=BANDWIDTH),
+                transport="proces",
+                device=titan_xp(),
             )
 
 
@@ -698,7 +621,7 @@ class TestAllreduceDtypePromotion:
 class TestMixedPrecisionConformance:
     """``use_precision("mixed")`` across the sharded stack: shards form
     kernel blocks and GEMMs at float32, the collective accumulates the
-    partials at float64 (host combine and torchdist fabric alike), and the
+    partials at float64 in the host combine, and the
     master weights stay float64 end to end."""
 
     def test_mixed_allreduce_accumulates_float64(self):
@@ -722,7 +645,6 @@ class TestMixedPrecisionConformance:
     ):
         from repro.config import use_precision
 
-        _skip_beyond_exact_collective(transport, g)
         with use_precision("mixed"):
             ref = EigenPro2(
                 GaussianKernel(bandwidth=BANDWIDTH), device=titan_xp(), **KW

@@ -3,9 +3,9 @@
 :func:`repro.backend.master_matmul` is the step's one contraction (the
 serial prediction GEMM, every shard's partial and the correction's
 ``g^T Phi``) and :func:`repro.config.master_dtype` its one
-accumulate-dtype rule (the master weights, the host all-reduce and the
-torchdist collective).  These cases hold both to the written-out
-formulas bit for bit under every precision tier, and pin the one place
+accumulate-dtype rule (the master weights and the host all-reduce).
+These cases hold both to the written-out formulas bit for bit under
+every precision tier, and pin the one place
 where the sharded step moves different bytes under mixed precision: a
 worker lifts its float32 partial to float64 before the all-reduce, and
 the sum keeps the bits of lifting inside the all-reduce.
@@ -29,7 +29,7 @@ from repro.config import (
 )
 from repro.instrument import meter_scope
 from repro.kernels import GaussianKernel
-from repro.shard import ShardGroup, allreduce_sum, transport_available
+from repro.shard import ProcessTransport, ShardGroup, allreduce_sum
 
 KERNEL = GaussianKernel(bandwidth=2.5)
 
@@ -189,7 +189,7 @@ def _lifted_partial_task(worker, x):
     [
         "thread",
         pytest.param("process", marks=pytest.mark.skipif(
-            not transport_available("process"),
+            not ProcessTransport.is_available(),
             reason="platform lacks fork-safe shared memory",
         )),
     ],
