@@ -5,8 +5,8 @@ The package implements the full EigenPro 2.0 system described in the paper:
 
 - :mod:`repro.backend` — the pluggable array-backend layer every hot path
   dispatches through: NumPy (default) or Torch (CPU/CUDA, optional).
-- :mod:`repro.config` — working precision: ``float64``, ``float32`` and
-  the ``mixed`` tier (float32 compute, float64 master state).
+- :mod:`repro.config` — working precision: ``float64`` (the default) or
+  ``float32``.
 - :mod:`repro.kernels` — positive-definite kernel functions and blocked,
   memory-bounded kernel-matrix computations.
 - :mod:`repro.linalg` — top-q eigensystem solvers and the Nyström extension
@@ -23,7 +23,7 @@ The package implements the full EigenPro 2.0 system described in the paper:
 - :mod:`repro.baselines` — plain kernel SGD, the original EigenPro 1.0,
   FALKON, Pegasos, an SMO SVM solver (LibSVM stand-in) and exact solves.
 - :mod:`repro.shard` — the Section-6 data-parallel scheme run for real:
-  ``g`` shards over a thread, process or ``torch.distributed`` transport,
+  ``g`` shards over a thread or process transport,
   :class:`~repro.shard.ShardedEigenPro2`, checkpoints and elastic
   recovery.
 - :mod:`repro.instrument` and :mod:`repro.observe` — shape-derived op
@@ -71,13 +71,7 @@ from repro.backend import (
     set_backend,
     use_backend,
 )
-from repro.config import (
-    MIXED_PRECISION,
-    Precision,
-    get_precision,
-    mixed_precision_active,
-    use_precision,
-)
+from repro.config import get_precision, use_precision
 from repro.kernels import (
     CauchyKernel,
     GaussianKernel,
@@ -145,9 +139,6 @@ __all__ = [
     "use_backend",
     "get_precision",
     "use_precision",
-    "MIXED_PRECISION",
-    "Precision",
-    "mixed_precision_active",
     # kernels
     "Kernel",
     "GaussianKernel",

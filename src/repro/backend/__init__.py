@@ -23,16 +23,13 @@ Selection mirrors the precision switch in :mod:`repro.config`::
 
 Precision and fusion
 --------------------
-The precision switch is re-exported here alongside the backends because
-the two are selected together: ``use_precision("float32")`` pins the
-working dtype, ``use_precision("mixed")`` splits it — kernel blocks and
-GEMMs in float32 (:func:`get_precision`), the all-reduce combine and the
-EigenPro correction accumulating in float64
-(:func:`~repro.config.master_dtype`).  :func:`master_matmul` is the one
-rule for contracting a kernel block with higher-precision weights: the
-training step's prediction GEMM (serial and per shard) and the
-correction's ``g^T Phi`` both go through it.  Every backend also exposes a
-*fused* kernel hot path, one entry point
+Backends follow the precision switch of :mod:`repro.config`
+(``use_precision("float32")`` pins the working dtype).
+:func:`master_matmul` is the one rule for contracting a kernel block
+with the weights: the training step's prediction GEMM (serial and per
+shard) and the correction's ``g^T Phi`` both go through it.
+
+Every backend also exposes a *fused* kernel hot path, one entry point
 (:meth:`~repro.backend.base.ArrayBackend.fused_kernel_block`) that
 every radial kernel block reaches: the NumPy backend decomposes it to
 the identical pooled-workspace ops (bit-for-bit equal to the unfused
@@ -84,18 +81,7 @@ from repro.backend.base import ArrayBackend
 from repro.backend.numpy_backend import NumpyBackend
 from repro.backend.threads import blas_threads, set_blas_threads
 from repro.backend.torch_backend import TorchBackend
-from repro.config import (
-    MIXED_PRECISION,
-    Precision,
-    ScopedOverride,
-    accumulate_dtype,
-    current_precision,
-    get_precision,
-    mixed_precision_active,
-    precision_is_explicit,
-    scoped_value,
-    use_precision,
-)
+from repro.config import ScopedOverride, scoped_value
 from repro.exceptions import ConfigurationError
 
 __all__ = [
@@ -113,15 +99,6 @@ __all__ = [
     "set_blas_threads",
     "to_numpy",
     "use_backend",
-    # re-exported precision switch
-    "MIXED_PRECISION",
-    "Precision",
-    "accumulate_dtype",
-    "current_precision",
-    "get_precision",
-    "mixed_precision_active",
-    "use_precision",
-    "precision_is_explicit",
 ]
 
 _NUMPY = NumpyBackend()
@@ -233,8 +210,9 @@ def match_dtype(x: Any, dtype: object, bk: ArrayBackend | None = None) -> Any:
 
     NumPy promotes implicitly when arrays of two dtypes meet, but
     ``torch.matmul`` and the triangular solves refuse mixed dtypes, so
-    paths that combine arrays of different precisions (the mixed-precision
-    contraction, the preconditioner's float64 correction) cast explicitly.
+    paths that combine arrays of different precisions (a block against
+    weights of another dtype, the preconditioner's float64 correction)
+    cast explicitly.
     """
     bk = backend_of(x) if bk is None else bk
     dtype = np.dtype(dtype)
@@ -249,18 +227,9 @@ def master_matmul(
     """``block @ w`` (``w @ block`` with ``w_first``) in ``w``'s dtype;
     records no ops.
 
-    The one contraction rule of the training step.  Under mixed
-    precision a block in another dtype than ``w`` (a float32 kernel
-    block against float64 master weights) is multiplied by a downcast
-    copy of ``w``, so the heavy contraction runs in the compute dtype,
-    and the product is lifted back.  Otherwise the block is cast to
-    ``w``'s dtype first, a no-op when the two already match.
+    The one contraction rule of the training step: the block is cast
+    to ``w``'s dtype first, a no-op when the two already match.
     """
     bk = backend_of(w) if bk is None else bk
-    w_dtype = bk.dtype_of(w)
-    block_dtype = bk.dtype_of(block)
-    if block_dtype != w_dtype and mixed_precision_active():
-        w = match_dtype(w, block_dtype, bk)
-    else:
-        block = match_dtype(block, w_dtype, bk)
-    return match_dtype(w @ block if w_first else block @ w, w_dtype, bk)
+    block = match_dtype(block, bk.dtype_of(w), bk)
+    return w @ block if w_first else block @ w

@@ -25,9 +25,7 @@ compiled function preserves the decomposed path's elementwise operation
 order, so float64 fused blocks are bit-identical to unfused ones on this
 backend.  Compilation failures (unsupported platform, missing compiler
 toolchain) latch a fallback to the *eager* fused function — same
-arithmetic, no codegen.  Under ``use_precision("mixed")`` on CUDA
-devices, TF32 matmul kernels are enabled the first time a fused block is
-formed.
+arithmetic, no codegen.
 """
 
 from __future__ import annotations
@@ -37,12 +35,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend.base import ArrayBackend
-from repro.config import (
-    compute_dtype,
-    get_precision,
-    mixed_precision_active,
-    workspace_debug_enabled,
-)
+from repro.config import compute_dtype, get_precision, workspace_debug_enabled
 from repro.exceptions import (
     BackendLinAlgError,
     BackendUnavailableError,
@@ -133,7 +126,6 @@ class TorchBackend(ArrayBackend):
         #: Latched when torch.compile fails once; all profiles then stay
         #: on the eager fused function for this backend instance.
         self._compile_failed = False
-        self._tf32_enabled = False
 
     # ------------------------------------------------------- helpers
     def _torch_dtype(self, dtype: object | None):
@@ -320,14 +312,6 @@ class TorchBackend(ArrayBackend):
                     f"needs {(x.shape[0], z.shape[0])} {dtype}"
                 )
             out = None
-        if (
-            not self._tf32_enabled
-            and mixed_precision_active()
-            and self.device.type == "cuda"
-        ):  # pragma: no cover - needs GPU
-            self.torch.backends.cuda.matmul.allow_tf32 = True
-            self.torch.backends.cudnn.allow_tf32 = True
-            self._tf32_enabled = True
         compiled, eager = entry
         fn = compiled if compiled is not None else eager
         try:

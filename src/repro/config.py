@@ -21,18 +21,8 @@ their inputs.  When no precision is selected, ``compute_dtype`` preserves
 the floating dtype of its inputs — float32 data stays float32 instead of
 being silently promoted to float64.
 
-Mixed precision
----------------
-``use_precision("mixed")`` selects a *split* precision: kernel blocks and
-GEMMs run in float32 (:func:`get_precision`, the **compute** dtype) while
-the numerically sensitive accumulations — the all-reduce combine and the
-EigenPro correction applied to the master weights — run in float64
-(:func:`accumulate_dtype`; :func:`master_dtype` lifts a data dtype to
-it).  A :class:`Precision` spec carries both dtypes; for a plain dtype
-the two coincide, so every existing call site that only asks
-:func:`get_precision` keeps its historical behavior.  The spec is
-picklable and travels with submitted shard tasks, so worker processes see
-the same split the caller selected.
+The selected dtype is picklable and travels with submitted shard tasks,
+so worker threads and processes run in the precision the caller selected.
 """
 
 from __future__ import annotations
@@ -66,68 +56,6 @@ def _as_float_dtype(dtype: object) -> np.dtype:
     return resolved
 
 
-class Precision:
-    """A working-precision spec: a *compute* dtype plus an *accumulate* dtype.
-
-    For a plain dtype request (``use_precision("float32")``) the two
-    coincide and the spec degenerates to the historical single-dtype
-    switch.  ``use_precision("mixed")`` selects float32 compute with
-    float64 accumulation — kernel blocks and GEMMs form in float32 while
-    the all-reduce combine and the EigenPro correction accumulate into
-    float64 master weights.  Instances are immutable, hashable and
-    picklable (shard transports ship the active spec with each task).
-    """
-
-    __slots__ = ("name", "compute", "accumulate")
-
-    def __init__(self, name: str, compute: object, accumulate: object) -> None:
-        object.__setattr__(self, "name", str(name))
-        object.__setattr__(self, "compute", _as_float_dtype(compute))
-        object.__setattr__(self, "accumulate", _as_float_dtype(accumulate))
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"Precision is immutable (tried to set {key!r})")
-
-    @property
-    def is_mixed(self) -> bool:
-        """True when compute and accumulate dtypes differ."""
-        return self.compute != self.accumulate
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Precision)
-            and self.compute == other.compute
-            and self.accumulate == other.accumulate
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.compute, self.accumulate))
-
-    def __reduce__(self):
-        return (Precision, (self.name, self.compute.str, self.accumulate.str))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"Precision({self.name!r}, compute={self.compute}, "
-            f"accumulate={self.accumulate})"
-        )
-
-
-#: The mixed-precision spec selected by ``use_precision("mixed")``.
-MIXED_PRECISION = Precision("mixed", np.float32, np.float64)
-
-
-def _as_precision(value: object) -> Precision:
-    """Resolve a precision request — a :class:`Precision`, the string
-    ``"mixed"``, or anything :class:`numpy.dtype` accepts — to a spec."""
-    if isinstance(value, Precision):
-        return value
-    if isinstance(value, str) and value == "mixed":
-        return MIXED_PRECISION
-    dtype = _as_float_dtype(value)
-    return Precision(dtype.name, dtype, dtype)
-
-
 class ScopedOverride:
     """Per-thread stack of scoped override values plus a process-wide global.
 
@@ -140,7 +68,10 @@ class ScopedOverride:
 
     The stack is the ``attr`` attribute of ``local``, a private
     ``threading.local`` unless given, so several stacks can live on one
-    per-thread object.
+    per-thread object.  A parallel ``attr + "_owners"`` list records the
+    scope that pushed each value, so a scope that exits out of order
+    (under exceptions) removes its own entry even when another scope
+    pushed an equal value (an interned dtype, a shared backend).
     """
 
     def __init__(
@@ -150,11 +81,11 @@ class ScopedOverride:
         self._attr = attr
         self._global: object | None = None
 
-    def _stack(self) -> list:
-        stack = getattr(self._local, self._attr, None)
+    def _stack(self, suffix: str = "") -> list:
+        stack = getattr(self._local, self._attr + suffix, None)
         if stack is None:
             stack = []
-            setattr(self._local, self._attr, stack)
+            setattr(self._local, self._attr + suffix, stack)
         return stack
 
     def current(self) -> object | None:
@@ -172,16 +103,16 @@ class ScopedOverride:
         """Set (or with ``None`` clear) the process-wide value."""
         self._global = value
 
-    def push(self, value: object) -> None:
+    def push(self, value: object, owner: object) -> None:
         self._stack().append(value)
+        self._stack("_owners").append(owner)
 
-    def pop(self, value: object) -> None:
-        """Remove the innermost occurrence of ``value`` by identity; scopes
-        may exit out of order under exceptions."""
-        stack = self._stack()
-        for pos in range(len(stack) - 1, -1, -1):
-            if stack[pos] is value:
-                del stack[pos]
+    def pop(self, owner: object) -> None:
+        """Remove the innermost entry ``owner`` pushed."""
+        stack, owners = self._stack(), self._stack("_owners")
+        for pos in range(len(owners) - 1, -1, -1):
+            if owners[pos] is owner:
+                del stack[pos], owners[pos]
                 break
 
 
@@ -199,56 +130,28 @@ class scoped_value:
         self.value = value
 
     def __enter__(self):
-        self._state.push(self.value)
+        self._state.push(self.value, self)
         return self.value
 
     def __exit__(self, *exc: object) -> None:
-        self._state.pop(self.value)
+        self._state.pop(self)
 
 
 _PRECISION = ScopedOverride()
 
 
 def get_precision() -> np.dtype:
-    """The working (*compute*) dtype: innermost :func:`use_precision`
-    scope, else :data:`DEFAULT_DTYPE`.  Under ``"mixed"`` this is
-    float32 — the dtype kernel blocks and GEMMs run in; see
-    :func:`accumulate_dtype` for the accumulation side."""
+    """The working dtype: innermost :func:`use_precision` scope, else
+    :data:`DEFAULT_DTYPE`."""
     current = _PRECISION.current()
-    return DEFAULT_DTYPE if current is None else current.compute
+    return DEFAULT_DTYPE if current is None else current
 
 
-def current_precision() -> Precision | None:
-    """The explicitly selected :class:`Precision` spec, or ``None`` when
-    no :func:`use_precision` scope is active.  This is what shard
+def current_precision() -> np.dtype | None:
+    """The explicitly selected dtype, or ``None`` when no
+    :func:`use_precision` scope is active.  This is what shard
     transports capture at submit time and re-establish on the worker."""
     return _PRECISION.current()
-
-
-def accumulate_dtype() -> np.dtype:
-    """The dtype numerically sensitive accumulations run in: the active
-    spec's ``accumulate`` dtype (float64 under ``"mixed"``), else
-    :func:`get_precision` itself."""
-    current = _PRECISION.current()
-    return DEFAULT_DTYPE if current is None else current.accumulate
-
-
-def mixed_precision_active() -> bool:
-    """True when the active precision splits compute from accumulation
-    (``use_precision("mixed")`` or a custom split :class:`Precision`)."""
-    current = _PRECISION.current()
-    return current is not None and current.is_mixed
-
-
-def master_dtype(dtype: object) -> np.dtype:
-    """The dtype sums over ``dtype`` data accumulate in: ``dtype``
-    lifted to :func:`accumulate_dtype` under mixed precision, else
-    ``dtype`` itself.  The trainer's master weights and the host
-    all-reduce take their dtype from here."""
-    dtype = np.dtype(dtype)
-    if mixed_precision_active():
-        return np.result_type(dtype, accumulate_dtype())
-    return dtype
 
 
 def precision_is_explicit() -> bool:
@@ -258,8 +161,8 @@ def precision_is_explicit() -> bool:
 
 
 class use_precision(scoped_value):
-    """Context manager selecting the working precision for the enclosed
-    code: a float dtype, ``"mixed"``, or a :class:`Precision` spec.
+    """Context manager selecting the working precision (a float dtype)
+    for the enclosed code.
 
     Example
     -------
@@ -272,15 +175,7 @@ class use_precision(scoped_value):
     _state = _PRECISION
 
     def __init__(self, dtype: object) -> None:
-        super().__init__(_as_precision(dtype))
-
-    @property
-    def dtype(self) -> np.dtype:
-        return self.value.compute
-
-    @property
-    def precision(self) -> Precision:
-        return self.value
+        super().__init__(_as_float_dtype(dtype))
 
 
 #: Debug switch for the pooled-scratch contract of the streaming layer.

@@ -26,7 +26,7 @@ from typing import Any
 import numpy as np
 
 from repro.backend import get_backend
-from repro.config import compute_dtype, mixed_precision_active
+from repro.config import compute_dtype
 from repro.core.acceleration import predicted_acceleration
 from repro.core.cost import exact_improved_overhead_ops
 from repro.core.preconditioner import (
@@ -85,42 +85,21 @@ def correct_block(
     d_scale: np.ndarray,
     phi_dtype: object,
     gamma: float,
-    comp: np.ndarray | None,
-) -> np.ndarray | None:
+) -> None:
     """Algorithm 1 steps 4–5 on the subsample's weight rows:
     ``block += gamma * V D p``, where ``block`` is ``alpha[:s]`` (a view,
     updated in place), ``eigvecs`` is ``V`` and ``p`` is
     ``V^T Phi^T g`` (:func:`~repro.core.preconditioner.correction_partial`).
     The one rule of the correction's update: :meth:`EigenPro2._correct`
     applies it serially, the sharded trainer on shard 0, which holds
-    ``alpha[:s]`` (:mod:`repro.shard.trainer`).
-
-    The update is cast to ``block``'s (master) dtype.  The fixed
-    coordinate block receives one dense update *every* iteration, so
-    under mixed precision this running sum is where rounding would pile
-    up fastest; on NumPy it is accumulated with Kahan compensation in
-    ``comp`` (same shape as ``block``; allocated when ``None``).
-    Returns the compensation, ``None`` when the sum is not compensated.
+    ``alpha[:s]`` (:mod:`repro.shard.trainer`).  The update is cast to
+    ``block``'s dtype.
     """
     bk = get_backend()
-    update = gamma * bk.asarray(
+    block += gamma * bk.asarray(
         correction_rows(p, eigvecs, d_scale, phi_dtype),
         dtype=bk.dtype_of(block),
     )
-    if not (
-        mixed_precision_active()
-        and isinstance(block, np.ndarray)
-        and isinstance(update, np.ndarray)
-    ):
-        block += update
-        return None
-    if comp is None or comp.shape != update.shape:
-        comp = np.zeros_like(update)
-    u = update - comp
-    t = block + u
-    comp[...] = (t - block) - u
-    block[...] = t
-    return comp
 
 
 @dataclass(frozen=True)
@@ -354,14 +333,10 @@ class EigenPro2(BaseKernelTrainer):
         self.requested_q_max = q_max
         self.params_: AutoParameters | None = None
         self.preconditioner_: NystromPreconditioner | None = None
-        # Kahan compensation for the correction's running sum into
-        # alpha[:s] under mixed precision (NumPy backend only).
-        self._corr_comp: np.ndarray | None = None
 
     # --------------------------------------------------------------- setup
     def _setup(self, x: np.ndarray, y: np.ndarray) -> None:
         params = self.prepare(x, y.shape[1])
-        self._corr_comp = None  # fresh compensation per fit
         self.batch_size_ = params.batch_size
         self.step_size_ = params.eta
         if self.device is not None:
@@ -421,25 +396,19 @@ class EigenPro2(BaseKernelTrainer):
         the fit holds the subsample's weights first
         (:meth:`_center_order`).
 
-        ``phi`` arrives in the fit's working dtype (that of ``x``), so
-        under mixed precision it stays in the compute dtype and the
-        correction's ``g^T Phi`` lifts its product
-        (:func:`~repro.core.preconditioner.correction_partial`).  The
-        update goes through :func:`correct_block`, with its Kahan
-        compensation (mixed precision) kept in one ``(s, l)`` buffer,
-        reset per fit.  :class:`~repro.shard.trainer.ShardedEigenPro2`
-        does not call this: its shard 0 runs the same two functions on
-        the rows it holds.
+        The update goes through :func:`correct_block`.
+        :class:`~repro.shard.trainer.ShardedEigenPro2` does not call
+        this: its shard 0 runs the same two functions on the rows it
+        holds.
         """
         v = self.preconditioner_.extension.eigvecs
-        self._corr_comp = correct_block(
+        correct_block(
             self._alpha[: v.shape[0]],  # a view
             correction_partial(phi, g, v),
             v,
             self.preconditioner_.d_scale,
             get_backend().dtype_of(phi),
             gamma,
-            self._corr_comp,
         )
 
     def _extra_iteration_ops(self, m: int) -> int:

@@ -67,10 +67,9 @@ def correction_partial(phi: Any, g: Any, eigvecs: Any) -> Any:
     It is formed as ``(g^T Phi) V`` and transposed, so both GEMMs
     read ``Phi`` and ``V`` along their contiguous rows.  ``g^T Phi``
     runs as the prediction GEMM does
-    (:func:`~repro.backend.master_matmul`): under mixed precision a
-    compute-dtype ``Phi`` meets a downcast copy of the float64 residuals
-    and the product is lifted back; ``V`` is lifted to that product's
-    dtype.  Records ``s*m*l + s*q*l`` ``"precond"`` operations.
+    (:func:`~repro.backend.master_matmul`, in ``g``'s dtype) and ``V``
+    is cast to that product's dtype.  Records ``s*m*l + s*q*l``
+    ``"precond"`` operations.
     """
     bk = backend_of(phi)
     m, l = g.shape
@@ -90,9 +89,9 @@ def correction_rows(
     Formed as ``(p^T D) V^T`` and transposed, so the GEMM reads ``V``
     along its contiguous rows.  Runs, and accumulates, in ``p``'s dtype.
     ``D`` comes from its float64 source ``d_scale`` when ``Phi`` (of
-    dtype ``phi_dtype``) was lifted to reach ``p``'s dtype (mixed
-    precision), else by way of the eigenvectors' dtype.  Records
-    ``s*q*l`` ``"precond"`` operations.
+    dtype ``phi_dtype``) was cast to reach ``p``'s dtype, else by way
+    of the eigenvectors' dtype.  Records ``s*q*l`` ``"precond"``
+    operations.
     """
     bk = backend_of(p)
     acc = bk.dtype_of(p)

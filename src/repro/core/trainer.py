@@ -22,8 +22,8 @@ not from overlapping steps.
 
 Each numeric rule of the step has one implementation, which the
 sharded trainer (:mod:`repro.shard.trainer`) reuses: the prediction
-GEMM is :func:`~repro.backend.master_matmul` (also per shard), the
-dtype of ``alpha`` and ``y`` is :func:`~repro.config.master_dtype`,
+GEMM is :func:`~repro.backend.master_matmul` (also per shard), ``alpha``
+and ``y`` are held in the fit's :func:`~repro.config.compute_dtype`,
 step 3 is :func:`coordinate_update` (through
 :meth:`BaseKernelTrainer._update`), and EigenPro's steps 4–5 are
 :func:`~repro.core.preconditioner.correction_partial` and
@@ -85,7 +85,7 @@ from typing import Any
 import numpy as np
 
 from repro.backend import get_backend, master_matmul, to_numpy
-from repro.config import compute_dtype, master_dtype
+from repro.config import compute_dtype
 from repro.core.model import KernelModel, as_labels
 from repro.kernels.ops import block_workspace, center_sq_norms
 from repro.core.stopping import TrainMSETarget, ValidationPlateau
@@ -346,13 +346,8 @@ class BaseKernelTrainer:
         # in NumPy.  Under the default NumPy backend this is a no-op.
         bk = get_backend()
         dtype = compute_dtype(x, y)
-        # Master (accumulation) dtype: the data dtype, except under
-        # use_precision("mixed") where alpha and y are held in float64 so
-        # residuals, coordinate updates and the EigenPro correction
-        # accumulate above the float32 kernel blocks and GEMMs.
-        w_dtype = master_dtype(dtype)
         x = bk.ascontiguous(bk.as_2d(bk.asarray(x, dtype=dtype)))
-        y = bk.asarray(y, dtype=w_dtype)
+        y = bk.asarray(y, dtype=dtype)
         if y.ndim == 1:
             y = y[:, None]
         if y.shape[0] != x.shape[0]:
@@ -373,7 +368,7 @@ class BaseKernelTrainer:
         # Center norms are reused by every iteration's batch-vs-centers
         # block (shift-invariant kernels only; None otherwise).
         self._x_sq_norms = center_sq_norms(self.kernel, x, bk)
-        self._alpha = bk.zeros((n, l), dtype=w_dtype)
+        self._alpha = bk.zeros((n, l), dtype=dtype)
         self._order = self._inv = None
         caller = (x, y, self._x_sq_norms)
         with span("setup", n=n):
@@ -597,7 +592,7 @@ class BaseKernelTrainer:
 
     def _contract(self, kb: Any) -> Any:
         """Predictions ``kb @ alpha`` for the rows of a kernel block, in
-        the master dtype (:func:`~repro.backend.master_matmul`); records
+        ``alpha``'s dtype (:func:`~repro.backend.master_matmul`); records
         the GEMM's ops.
 
         The kept full-batch block is contracted as ``(alpha^T kb^T)^T``,
@@ -618,8 +613,7 @@ class BaseKernelTrainer:
 
     def _update(self, f: Any, y: Any, idx: np.ndarray, gamma: float) -> Any:
         """Step 3: the residuals ``g = f - y`` of the batch and its
-        coordinate update ``alpha[idx] -= gamma * g``; returns ``g``.
-        Both run in the master dtype of ``alpha`` and ``y``."""
+        coordinate update ``alpha[idx] -= gamma * g``; returns ``g``."""
         g = f - y[idx]
         coordinate_update(self._alpha, idx, g, gamma)
         return g

@@ -14,7 +14,7 @@ Both sinks hang off one per-thread ambient — the active meters, the
 active tracers and the span depth:
 
 - :class:`meter_scope` and :class:`trace_scope` push a sink for the
-  enclosed code and pop it by identity, so scopes may exit out of order
+  enclosed code and pop their own entry, so scopes may exit out of order
   under errors (the :class:`repro.config.ScopedOverride` scope shared
   with the precision and backend switches);
 - :func:`record_ops` and :func:`span` record against every active sink

@@ -116,10 +116,9 @@ def sharded_kernel_matvec(
     if any(ex.weights is None for ex in group.executors):
         raise ConfigurationError("group executors hold no weights")
     x_host = np.atleast_2d(to_numpy(x))
-    # Fused map + all-reduce: one task per shard carries both the
-    # streamed matvec and (on collective-fabric transports) the reduction.
-    # A single segment forms exactly the blocks kernel_matvec forms
-    # under max_scalars.
+    # Fused map + all-reduce: one streamed-matvec task per shard, its
+    # partials combined host-side.  A single segment forms exactly the
+    # blocks kernel_matvec forms under max_scalars.
     return group.map_allreduce(
         _serve_batch_task, kernel, x_host, ((0, x_host.shape[0]),),
         max_scalars, bk=get_backend(),

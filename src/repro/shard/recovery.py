@@ -91,10 +91,6 @@ class ShardCheckpoint:
         Shard count of the group the snapshot was taken from.
     transport:
         Name of the transport that produced it.
-    correction_comp:
-        The EigenPro correction's ``(s, l)`` Kahan compensation at
-        snapshot time (mixed precision on NumPy), restored with the
-        weights; ``None`` when the fit keeps none.
     """
 
     weights: np.ndarray
@@ -104,7 +100,6 @@ class ShardCheckpoint:
     op_counts: dict[str, int] = field(default_factory=dict)
     g: int = 1
     transport: str = "thread"
-    correction_comp: np.ndarray | None = None
 
     @property
     def scalars(self) -> int:

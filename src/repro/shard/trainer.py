@@ -39,8 +39,7 @@ never crosses the transport: a *form* task stashes it in
 
 The sharded step has no numeric rule of its own.  The contract task is
 the serial step's contraction (:func:`~repro.backend.master_matmul`) on
-the shard's rows, so under mixed precision each partial arrives already
-lifted to float64; step 3 is :func:`~repro.core.trainer.coordinate_update`
+the shard's rows; step 3 is :func:`~repro.core.trainer.coordinate_update`
 and steps 4–5 are :func:`~repro.core.preconditioner.correction_partial`
 and :func:`~repro.core.eigenpro2.correct_block`, the functions the
 serial step runs.
@@ -48,28 +47,28 @@ serial step runs.
 Who owns ``alpha[:s]``
 ----------------------
 Shard 0 — the *owner* — holds every subsample center at every ``g``, and
-with them the subsample's weight rows ``alpha[:s]`` and the correction's
-Kahan compensation.  Since it runs the correction on top of its share
-of step 2, it may hold fewer centers than the others: the group's plan
-is :meth:`~repro.shard.ShardPlan.balanced` by the step's Table-1 op
-counts (:mod:`repro.core.cost`), ``m*(d+l)`` per center
-(:func:`~repro.core.cost.exact_sgd_ops`) plus ``l*(m+2q)`` per subsample
-center (:func:`~repro.core.cost.exact_improved_overhead_ops` over
-``s``).  At ``n=8000, d=32, l=10, m=256, s=2000, q=300`` and ``g=2``
-the owner holds 3204 centers and the other shard 4796.  Every shard
-holds at least one row, so a fit clamps ``g`` to ``n - s + 1``.  Every
-build re-plans (the first, and each elastic rebuild) and records one
-``group_build`` span with the plan's ``bounds``.  The owner gets, once
-per fit in its setup task, ``V`` (through shared memory on the process
-transport), ``D`` and the compensation.  The caller updates and mirrors
-only the rows at or past ``s``; the owner applies step 3 to the batch
-rows it holds and then the correction ``gamma * V D V^T Phi^T g``, the
-computation :meth:`~repro.core.eigenpro2.EigenPro2._correct` runs
-serially.  The caller's copy of ``alpha[:s]`` and of the compensation
-is refreshed from the owner whenever it is settled (below): before
-every checkpoint and at the end of every span, so the monitor, the
-checkpoints and ``model_`` read the exact iteration.  Recovery restores
-the caller's copy and rebuilds the group from it.
+with them the subsample's weight rows ``alpha[:s]``.  Since it runs the
+correction on top of its share of step 2, it may hold fewer centers than
+the others: the group's plan is :meth:`~repro.shard.ShardPlan.balanced`
+by the step's Table-1 op counts (:mod:`repro.core.cost`), ``m*(d+l)``
+per center (:func:`~repro.core.cost.exact_sgd_ops`) plus ``l*(m+2q)``
+per subsample center
+(:func:`~repro.core.cost.exact_improved_overhead_ops` over ``s``).  At
+``n=8000, d=32, l=10, m=256, s=2000, q=300`` and ``g=2`` the owner holds
+3204 centers and the other shard 4796.  Every shard holds at least one
+row, so a fit clamps ``g`` to ``n - s + 1``.  Every build re-plans (the
+first, and each elastic rebuild) and records one ``group_build`` span
+with the plan's ``bounds``.  The owner gets, once per fit in its setup
+task, ``V`` (through shared memory on the process transport) and ``D``.
+The caller updates and mirrors only the rows at or past ``s``; the owner
+applies step 3 to the batch rows it holds and then the correction
+``gamma * V D V^T Phi^T g``, the computation
+:meth:`~repro.core.eigenpro2.EigenPro2._correct` runs serially.  The
+caller's copy of ``alpha[:s]`` is refreshed from the owner whenever it
+is settled (below): before every checkpoint and at the end of every
+span, so the monitor, the checkpoints and ``model_`` read the exact
+iteration.  Recovery restores the caller's copy and rebuilds the group
+from it.
 
 Step schedule
 -------------
@@ -135,11 +134,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.backend import ArrayBackend, get_backend, master_matmul, to_numpy
-from repro.config import (
-    DEFAULT_BLOCK_SCALARS,
-    compute_dtype,
-    mixed_precision_active,
-)
+from repro.config import DEFAULT_BLOCK_SCALARS, compute_dtype
 from repro.core.cost import exact_improved_overhead_ops, exact_sgd_ops
 from repro.core.eigenpro2 import EigenPro2, correct_block
 from repro.core.preconditioner import correction_partial
@@ -209,14 +204,13 @@ def _apply_pending(worker: ShardWorker, pending: tuple | None) -> None:
     v = st["eigvecs"] = bk.asarray(st["eigvecs"])
     mine = np.flatnonzero(idx < cols)
     coordinate_update(worker.weights, idx[mine], g[mine], gamma)
-    st["comp"] = correct_block(
+    correct_block(
         worker.weights[:cols],
         correction_partial(worker.phi, g, v),
         v,
         st["d_scale"],
         bk.dtype_of(worker.phi),
         gamma,
-        st.get("comp"),
     )
 
 
@@ -243,8 +237,6 @@ def _contract_task(worker: ShardWorker, pending: tuple | None) -> Any:
                 phi[...] = kb[:, :cols]
     w = worker.weights
     with span("gemm", m=int(kb.shape[0])):
-        # The serial step's contraction: under mixed precision the
-        # partial comes back lifted to the weights' float64.
         f_i = master_matmul(kb, w, worker.backend)  # (m, l) partial
         l = w.shape[1] if w.ndim == 2 else 1
         record_ops("gemm", kb.shape[0] * worker.n_centers * l)
@@ -253,18 +245,15 @@ def _contract_task(worker: ShardWorker, pending: tuple | None) -> Any:
 
 def _settle_task(
     worker: ShardWorker, pending: tuple | None, drain: bool
-) -> np.ndarray | None:
+) -> None:
     """Apply a pending correction without a contraction (before a
     checkpoint, and at the end of a span, where ``drain`` also drops
-    the shard's block scratch and kept ``Phi``); returns the Kahan
-    compensation this shard keeps, or ``None`` when it keeps none."""
+    the shard's block scratch and kept ``Phi``)."""
     if worker.state.get("phi_cols", 0) and pending is not None:
         with span("correction", m=int(pending[0].shape[0])):
             _apply_pending(worker, pending)
     if drain:
         worker.drain_workspace()
-    comp = worker.state.get("comp")
-    return None if comp is None else to_numpy(comp)
 
 
 class ShardedEigenPro2(EigenPro2):
@@ -489,21 +478,9 @@ class ShardedEigenPro2(EigenPro2):
         task per worker): the kernel every form task evaluates, and how
         many of the shard's leading centers are subsample points
         (``phi_cols``: ``s`` on shard 0, none elsewhere).  Shard 0 also
-        gets ``V``, ``D`` and the Kahan compensation (module
-        docstring)."""
+        gets ``V`` and ``D`` (module docstring)."""
         precond = self.preconditioner_
         s = self._owned_rows
-        if (
-            s
-            and self._corr_comp is None
-            and mixed_precision_active()
-            and isinstance(self._alpha, np.ndarray)
-        ):
-            # The owner accumulates into this buffer (the thread
-            # transport's NumPy shard in place).
-            self._corr_comp = np.zeros(
-                (s, self._alpha.shape[1]), dtype=self._alpha.dtype
-            )
         items = [
             {"kernel": self.kernel, "phi_cols": 0} for _ in range(group.g)
         ]
@@ -512,7 +489,6 @@ class ShardedEigenPro2(EigenPro2):
                 phi_cols=s,
                 eigvecs=to_numpy(precond.extension.eigvecs),
                 d_scale=precond.d_scale,
-                comp=self._corr_comp,
             )
         return items
 
@@ -548,19 +524,14 @@ class ShardedEigenPro2(EigenPro2):
     def _settle(self, pending: tuple | None, drain: bool) -> None:
         """Have the owner apply ``pending`` now (before a checkpoint,
         and with ``drain`` at the end of a span), then refresh this
-        caller's copy of the subsample's weight rows and Kahan
-        compensation from it."""
+        caller's copy of the subsample's weight rows from it."""
         if pending is None and not drain:
             return  # no preconditioner: nothing to apply or refresh
         group = self.shard_group_
         with span("correction_wait", step=self._cursor, drain=drain):
-            comp = group.map(_settle_task, pending, drain)[0]
+            group.map(_settle_task, pending, drain)
         s = self._owned_rows
-        if not s:
-            return
-        if comp is not None and self._corr_comp is not None:
-            self._corr_comp[...] = comp
-        if group.needs_mirror:
+        if s and group.needs_mirror:
             bk = get_backend()
             self._alpha[:s] = bk.asarray(
                 group.gather_weights()[:s], dtype=bk.dtype_of(self._alpha)
@@ -627,10 +598,8 @@ class ShardedEigenPro2(EigenPro2):
             )
             return group.map_async(_form_block_task, xb, xb_sq_norms)
 
-        # Fused contract + all-reduce: transports with a task-channel
-        # collective run both in one task per rank (one round-trip); the
-        # others combine host-side at await time.  A span starts with no
-        # correction pending.
+        # Fused contract + all-reduce: the partials combine host-side at
+        # await time.  A span starts with no correction pending.
         forming = prefetch(blocks[start])
         contracting = group.map_allreduce_async(_contract_task, None)
         for t in range(start, len(blocks)):
@@ -691,7 +660,6 @@ class ShardedEigenPro2(EigenPro2):
             self._drain_pending_mirror()
             rng = self._rng
             weights = group.gather_weights()
-            comp = self._corr_comp
             ckpt = ShardCheckpoint(
                 weights=weights if self._inv is None else weights[self._inv],
                 epoch=self._epoch,
@@ -703,7 +671,6 @@ class ShardedEigenPro2(EigenPro2):
                 op_counts=group.op_counts(),
                 g=group.g,
                 transport=group.name,
-                correction_comp=None if comp is None else comp.copy(),
             )
             self.last_checkpoint_ = ckpt
             self._steps_since_checkpoint = 0
@@ -751,8 +718,7 @@ class ShardedEigenPro2(EigenPro2):
         # it directly, copying transports scatter it), so restoring into
         # alpha *is* the ``set_weights`` of the new group.  The held
         # order does not depend on g: the new group is re-planned over
-        # the same held centers.  The correction's Kahan compensation
-        # rolls back with the weights it compensates.
+        # the same held centers.
         with span("recovery/restore", cursor=ckpt.batch_cursor):
             bk = get_backend()
             weights = ckpt.weights
@@ -760,8 +726,6 @@ class ShardedEigenPro2(EigenPro2):
                 weights if self._order is None else weights[self._order],
                 dtype=bk.dtype_of(self._alpha),
             )
-            comp = ckpt.correction_comp
-            self._corr_comp = None if comp is None else comp.copy()
         with span("recovery/rebuild", new_g=new_g):
             self._build_group(x, new_g)
         self._recoveries_used += 1

@@ -52,14 +52,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import (
-    ArrayBackend,
-    get_backend,
-    to_numpy,
-    use_backend,
-    use_precision,
-)
-from repro.config import Precision, master_dtype
+from repro.backend import ArrayBackend, get_backend, to_numpy, use_backend
+from repro.config import use_precision
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import (
     OpMeter,
@@ -95,11 +89,6 @@ def allreduce_sum(partials: Sequence[Any], bk: ArrayBackend | None = None) -> An
     :func:`repro.device.cluster.allreduce_time` charges for — and records
     nothing for a single shard, matching the model's ``g = 1`` short
     circuit.
-
-    The combine runs in :func:`~repro.config.master_dtype` of the
-    partials: under mixed precision (``use_precision("mixed")``) float32
-    partials sum into a float64 accumulator, so the reduction never
-    loses bits the master weights keep.
     """
     if not partials:
         raise ConfigurationError("allreduce_sum needs at least one partial")
@@ -107,9 +96,7 @@ def allreduce_sum(partials: Sequence[Any], bk: ArrayBackend | None = None) -> An
     # Accumulate at the joint result dtype: summing in-place into
     # ``arrays[0]``'s dtype would silently downcast any higher-precision
     # partial that appears later in shard order.
-    out = np.array(
-        arrays[0], dtype=master_dtype(np.result_type(*arrays)), copy=True
-    )
+    out = np.array(arrays[0], dtype=np.result_type(*arrays), copy=True)
     for arr in arrays[1:]:
         out += arr
     if len(arrays) > 1:
@@ -210,7 +197,7 @@ class ShardWorker:
         fn: Callable[..., Any],
         args: tuple = (),
         kwargs: dict | None = None,
-        precision: Precision | np.dtype | None = None,
+        precision: np.dtype | None = None,
         tracer: Tracer | None = None,
     ) -> Any:
         """Run ``fn(self, *args, **kwargs)`` under this shard's backend
@@ -245,7 +232,7 @@ class ShardWorker:
         fn: Callable[..., Any],
         args: tuple = (),
         kwargs: dict | None = None,
-        precision: Precision | np.dtype | None = None,
+        precision: np.dtype | None = None,
         trace: bool = False,
     ) -> tuple[Any, ...]:
         """Like :meth:`run`, but returns ``(result, op_delta)`` where

@@ -80,11 +80,11 @@ import numpy as np
 from repro.backend import (
     ArrayBackend,
     NumpyBackend,
-    current_precision,
     set_blas_threads,
     to_numpy,
 )
 from repro.backend.threads import usable_cpus
+from repro.config import current_precision
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import capture, span
 from repro.shard.plan import ShardPlan

@@ -20,13 +20,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    current_precision,
-    resolve_backend,
-    to_numpy,
-)
+from repro.backend import ArrayBackend, NumpyBackend, resolve_backend, to_numpy
+from repro.config import current_precision
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import capture
 from repro.shard.plan import ShardPlan
@@ -131,8 +126,9 @@ class ThreadTransport(ShardTransport):
         """In-process threads share one memory system; the sharded
         trainer's default aggregate device keeps the generic
         NVLink-class interconnect rather than the calibration-scale
-        ``"thread"`` link model (which exists for the validation
-        harness's modelled-vs-measured loop)."""
+        ``"thread"`` link model (which
+        :func:`repro.observe.compare_phases` prices a traced fit's
+        all-reduce with)."""
         return None
 
     def __init__(

@@ -33,12 +33,7 @@ from repro.backend import (
     to_numpy,
     use_backend,
 )
-from repro.config import (
-    MIXED_PRECISION,
-    get_precision,
-    mixed_precision_active,
-    use_precision,
-)
+from repro.config import get_precision, use_precision
 from repro.exceptions import BackendUnavailableError, ConfigurationError
 from repro.instrument import meter_scope
 from repro.kernels import (
@@ -450,7 +445,7 @@ class TestPrecisionSwitch:
 
 
 # --------------------------------------------------------------------------
-# Precision tiers: float64 (bitwise) / float32 / mixed (documented bounds)
+# Precision tiers: float64 (bitwise) / float32 (documented bound)
 # --------------------------------------------------------------------------
 
 
@@ -479,18 +474,13 @@ class TestPrecisionTierNumerics:
     - ``float64`` is the *reference* tier — an explicit float64 scope is
       bitwise identical to the ambient default;
     - ``float32`` runs every array at single precision and lands within a
-      documented relative-error bound of the float64 trajectory;
-    - ``mixed`` (:data:`repro.config.MIXED_PRECISION`) forms kernel blocks
-      and GEMMs at float32 but keeps the master ``alpha``/``y`` state —
-      and every accumulation into it — at float64 (Kahan-compensated on
-      NumPy), so its accuracy matches the float32 tier while its state
-      stays full precision.
+      documented relative-error bound of the float64 trajectory.
     """
 
-    #: Relative-error ceiling for the reduced-precision tiers against the
-    #: float64 trajectory of the same seeded fit.  fp32 kernel blocks give
-    #: ~1e-6 per-block error; two epochs of SGD amplify that, and 1e-2 is
-    #: the documented (loose, stable) ceiling the tiers must stay under.
+    #: Relative-error ceiling for the float32 tier against the float64
+    #: trajectory of the same seeded fit.  fp32 kernel blocks give ~1e-6
+    #: per-block error; two epochs of SGD amplify that, and 1e-2 is the
+    #: documented (loose, stable) ceiling the tier must stay under.
     REDUCED_TIER_RTOL = 1e-2
 
     def test_float64_scope_is_bitwise_reference(self, small_dataset):
@@ -498,46 +488,16 @@ class TestPrecisionTierNumerics:
         _, got = _tier_fit(small_dataset, "float64")
         np.testing.assert_array_equal(got, ref)
 
-    @pytest.mark.parametrize("tier", ["float32", "mixed"])
+    @pytest.mark.parametrize("tier", ["float32"])
     def test_reduced_tiers_track_float64(self, small_dataset, tier):
         _, ref = _tier_fit(small_dataset, None)
         _, got = _tier_fit(small_dataset, tier)
         assert np.all(np.isfinite(got))
         assert _rel_err(got, ref) < self.REDUCED_TIER_RTOL
 
-    def test_mixed_accuracy_matches_float32_tier(self, small_dataset):
-        """Mixed precision pays fp32 compute but must not pay *more* error
-        than the all-fp32 tier (fp64 accumulation can only help)."""
-        _, ref = _tier_fit(small_dataset, None)
-        _, p32 = _tier_fit(small_dataset, "float32")
-        _, pmx = _tier_fit(small_dataset, "mixed")
-        assert _rel_err(pmx, ref) <= _rel_err(p32, ref) * 1.5 + 1e-12
-
-    def test_mixed_master_state_is_float64(self, small_dataset):
-        model, _ = _tier_fit(small_dataset, "mixed")
-        assert np.asarray(to_numpy(model.model_.weights)).dtype == np.float64
-
     def test_float32_state_is_float32(self, small_dataset):
         model, _ = _tier_fit(small_dataset, "float32")
         assert np.asarray(to_numpy(model.model_.weights)).dtype == np.float32
-
-    def test_mixed_kernel_blocks_compute_at_float32(self, xz):
-        x, z = xz
-        with use_precision("mixed"):
-            assert mixed_precision_active()
-            assert get_precision() == np.float32
-            assert GaussianKernel(bandwidth=2.0)(x, z).dtype == np.float32
-        assert not mixed_precision_active()
-
-    def test_mixed_spec_shape(self):
-        assert MIXED_PRECISION.compute == np.float32
-        assert MIXED_PRECISION.accumulate == np.float64
-
-    @requires_torch
-    def test_mixed_fit_torch_tracks_numpy(self, small_dataset):
-        ref = run_on("numpy", lambda: _tier_fit(small_dataset, "mixed")[1])
-        got = run_on("torch", lambda: _tier_fit(small_dataset, "mixed")[1])
-        np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-4)
 
 
 # --------------------------------------------------------------------------
@@ -666,15 +626,15 @@ class TestFusedHotPathTorch:
         got = run_on("torch", lambda: kernel(x, z))
         np.testing.assert_allclose(got, ref, rtol=1e-9, atol=1e-12)
 
-    def test_fused_float32_mixed_scope(self, xz):
+    def test_fused_float32_scope(self, xz):
         x, z = xz
         kernel = GaussianKernel(bandwidth=2.0)
 
-        def mixed_block():
-            with use_precision("mixed"):
+        def float32_block():
+            with use_precision("float32"):
                 return kernel(x, z)
 
-        ref = run_on("numpy", mixed_block)
-        got = run_on("torch", mixed_block)
+        ref = run_on("numpy", float32_block)
+        got = run_on("torch", float32_block)
         assert ref.dtype == np.float32 and got.dtype == np.float32
         np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)

@@ -156,9 +156,11 @@ def test_out_buffer_and_precomputed_norms(kernel, dtype):
 
 
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
-def test_mixed_precision_blocks(kernel):
+def test_float32_scope_blocks(kernel):
+    """Float64 points under a float32 scope: tiled blocks equal the
+    single pass."""
     x, z = _points(41, 4001)
-    with use_precision("mixed"):
+    with use_precision("float32"):
         tiled = kernel(x, z)
         with use_backend(SINGLE):
             ref = kernel(x, z)

@@ -264,7 +264,7 @@ def test_closed_group_fails_ticks_with_shard_error(problem, transport):
         group.close()
 
 
-@pytest.mark.parametrize("precision", [np.float64, np.float32, "mixed"])
+@pytest.mark.parametrize("precision", [np.float64, np.float32])
 @pytest.mark.parametrize("g", [1, 2, 4])
 def test_local_ticks_bitwise_vs_solo(problem, g, precision):
     """Local ticks mixing 0-, 1-, 4- and 7-row requests carry the bits

@@ -353,7 +353,7 @@ class TestShardedEigenPro2:
                 batch_size=32, seed=0, damping=0.9, checkpoint_every=3,
             )
             try:
-                with use_precision("mixed"):
+                with use_precision("float32"):
                     trainer.fit(
                         small_dataset.x_train, small_dataset.y_train, epochs=2
                     )

@@ -396,7 +396,7 @@ class TestProcessWireTraffic:
     """What a process-based fit moves per step: the EigenPro correction
     runs on the shard holding the subsample, so no reply carries ``Phi``
     (``m * s`` scalars); a step's replies are the ``(m, l)`` partials,
-    and the settle replies the ``(s, l)`` compensation at most."""
+    and the settle replies carry nothing."""
 
     @nonthread_transports
     def test_replies_carry_no_phi(self, transport):
@@ -414,8 +414,7 @@ class TestProcessWireTraffic:
             damping=0.9,
         )
         try:
-            with use_precision("mixed"):
-                trainer.fit(x, y, epochs=2)
+            trainer.fit(x, y, epochs=2)
             iterations = trainer.history_.final.iterations
             wires = [ex._conn for ex in trainer.shard_group_.executors]
             plan = trainer.shard_group_.plan
@@ -618,34 +617,15 @@ class TestAllreduceDtypePromotion:
         np.testing.assert_array_equal(out, 3.0 * parts[0])
 
 
-class TestMixedPrecisionConformance:
-    """``use_precision("mixed")`` across the sharded stack: shards form
-    kernel blocks and GEMMs at float32, the collective accumulates the
-    partials at float64 in the host combine, and the
-    master weights stay float64 end to end."""
-
-    def test_mixed_allreduce_accumulates_float64(self):
-        from repro.config import use_precision
-        from repro.shard import allreduce_sum
-
-        parts = [np.full((3,), 0.1, dtype=np.float32) for _ in range(2)]
-        out32 = np.asarray(allreduce_sum(parts))
-        assert out32.dtype == np.float32
-        with use_precision("mixed"):
-            out = np.asarray(allreduce_sum(parts))
-        assert out.dtype == np.float64
-        np.testing.assert_array_equal(
-            out, parts[0].astype(np.float64) + parts[1].astype(np.float64)
-        )
+class TestFloat32Conformance:
+    """``use_precision("float32")`` across the sharded stack: shards form
+    kernel blocks and GEMMs at float32, the collective sums float32
+    partials, and the weights stay float32 end to end."""
 
     @pytest.mark.parametrize("g", [1, 2])
     @transports
-    def test_mixed_fit_matches_unsharded_mixed(
-        self, small_dataset, g, transport
-    ):
-        from repro.config import use_precision
-
-        with use_precision("mixed"):
+    def test_float32_fit_matches_unsharded(self, small_dataset, g, transport):
+        with use_precision("float32"):
             ref = EigenPro2(
                 GaussianKernel(bandwidth=BANDWIDTH), device=titan_xp(), **KW
             )
@@ -654,35 +634,35 @@ class TestMixedPrecisionConformance:
                 small_dataset, transport, g
             )
         ref_alpha = np.asarray(ref._alpha)
-        assert ref_alpha.dtype == np.float64
-        assert alpha.dtype == np.float64
+        assert ref_alpha.dtype == np.float32
+        assert alpha.dtype == np.float32
         assert params.q_adjusted == ref.params_.q_adjusted
         assert step == ref.step_size_
         if g == 1:
             # One shard runs the very same arithmetic: exact.
             np.testing.assert_array_equal(alpha, ref_alpha)
+            np.testing.assert_array_equal(
+                history, ref.history_.series("train_mse")
+            )
         else:
-            # Resharding reassociates float32 partial sums; the float64
-            # accumulator keeps the divergence at float32 scale.
+            # Resharding reassociates the float32 partial sums.
             scale = max(float(np.abs(ref_alpha).max()), 1.0)
             np.testing.assert_allclose(
                 alpha, ref_alpha, atol=1e-3 * scale, rtol=0
             )
-        np.testing.assert_allclose(
-            history, ref.history_.series("train_mse"), rtol=1e-3
-        )
+            np.testing.assert_allclose(
+                history, ref.history_.series("train_mse"), rtol=1e-3
+            )
 
     @transports
-    def test_mixed_op_counts_are_shape_derived(
+    def test_float32_op_counts_are_shape_derived(
         self, small_dataset, unsharded, transport
     ):
-        """Op counts never depend on the precision tier: the mixed sharded
-        fit reports the same compute categories as the float64 unsharded
-        reference (communication metered separately)."""
-        from repro.config import use_precision
-
+        """Op counts never depend on the precision tier: the float32
+        sharded fit reports the same compute categories as the float64
+        unsharded reference (communication metered separately)."""
         _, ref_counts = unsharded
-        with use_precision("mixed"):
+        with use_precision("float32"):
             _, _, counts, _, _ = _fit_sharded(small_dataset, transport, 2)
         for category, ops in ref_counts.items():
             assert counts.get(category) == ops, category
