@@ -291,7 +291,6 @@ def run_bench(
             "serve_options": {
                 "max_batch_requests": "per-concurrency cohort size",
                 "batch_wait": BATCH_WAIT_S,
-                "pipeline_depth": ServeOptions().pipeline_depth,
             },
         },
         "rows": rows,

@@ -11,11 +11,11 @@ and answers concurrent requests through a micro-batching queue:
 
 - request threads call :meth:`~ModelServer.submit_request` (or the
   blocking :meth:`~ModelServer.predict_request`) with a typed
-  :class:`PredictRequest` carrying priority, deadline, correlation id
-  and tags, or with a bare array (default QoS); the future resolves to
-  a :class:`PredictResponse` with per-request timings
-  (``queue_s``/``batch_s``), run id and retry count — the one request
-  type from the HTTP handler down to the dispatcher;
+  :class:`PredictRequest` carrying priority, deadline and correlation
+  id, or with a bare array (default QoS); the future resolves to a
+  :class:`PredictResponse` with per-request timings
+  (``queue_s``/``batch_s``) and run id — the one request type from the
+  HTTP handler down to the dispatcher;
 - a dispatcher thread coalesces the queue into one tick and scatters
   per-request result rows back to the futures.  A small tick of a group
   whose shards live in this process on host NumPy arrays (the thread
@@ -44,10 +44,9 @@ calls it over one persistent connection per calling thread (resent
 once on a fresh connection if the server closed an idle one), raising
 the exception types the engine raises in process.
 
-**Failures.**  A tick that dies with a
-:class:`~repro.exceptions.ShardError` is retried up to
-``ServeOptions.max_retries`` times (``serve/retries`` counts the
-retries made); a request whose prediction is NaN or inf fails alone
+**Failures.**  Each tick is attempted once: a tick that raises, at
+launch or at harvest, fails every request it carries with that error
+(HTTP ``500``); a request whose prediction is NaN or inf fails alone
 with :class:`~repro.exceptions.ReproError` (HTTP ``500``).  Every
 admitted request is counted exactly once, under ``serve/requests``,
 ``serve/shed_requests``, ``serve/abandoned_requests`` or

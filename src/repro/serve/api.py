@@ -5,11 +5,10 @@ type every serving entry point speaks, from the HTTP handler
 (:mod:`repro.serve.http`) and its client (:mod:`repro.serve.client`)
 down to the in-process :class:`~repro.serve.ModelServer`'s dispatcher.
 A request carries the rows to score plus its *quality-of-service
-envelope* (priority, deadline, correlation id, free-form tags); a
-response carries the predicted values plus the serving provenance a
-production caller wants next to them: the serving run id, where the
-request's latency went (queue vs batch), and how many times the engine
-had to retry the tick.
+envelope* (priority, deadline, correlation id); a response carries the
+predicted values plus the serving provenance a production caller wants
+next to them: the serving run id and where the request's latency went
+(queue vs batch).
 
 :meth:`ModelServer.submit_request
 <repro.serve.ModelServer.submit_request>` also takes a bare ``(b, d)``
@@ -26,7 +25,7 @@ from __future__ import annotations
 import os
 import random
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 
@@ -61,7 +60,8 @@ class PredictRequest:
     priority:
         Cohort-formation rank; *higher* is served first.  Requests of
         equal priority keep FIFO order (see
-        :mod:`repro.serve.server`).  Default ``0``.
+        :mod:`repro.serve.server`).  Default ``0``.  An integral value;
+        a fractional, non-finite or ``bool`` one is refused.
     deadline_s:
         Seconds from submission after which the request is useless to
         its caller.  Once expired, the dispatcher *sheds* the request —
@@ -73,16 +73,12 @@ class PredictRequest:
     request_id:
         Correlation id echoed on the response (and in shed errors).
         Auto-generated when omitted.
-    tags:
-        Free-form caller metadata (model variant, tenant, experiment
-        arm, ...).  Opaque to the engine.
     """
 
     rows: Any
     priority: int = 0
     deadline_s: float | None = None
     request_id: str = field(default_factory=_new_request_id)
-    tags: Mapping[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.deadline_s is not None and not float(self.deadline_s) > 0:
@@ -90,7 +86,14 @@ class PredictRequest:
                 f"deadline_s must be > 0 seconds (or None), got "
                 f"{self.deadline_s!r}"
             )
-        if int(self.priority) != self.priority:
+        try:
+            integral = (
+                not isinstance(self.priority, (bool, np.bool_))
+                and int(self.priority) == self.priority
+            )
+        except (TypeError, ValueError, OverflowError):  # NaN, inf, "x"
+            integral = False
+        if not integral:
             raise ConfigurationError(
                 f"priority must be an integer, got {self.priority!r}"
             )
@@ -121,9 +124,6 @@ class PredictResponse:
     batch_s:
         Seconds from tick dispatch to this request's rows being
         scattered back (shared tick compute + per-request scatter).
-    retries:
-        Engine retries the carrying tick needed before succeeding
-        (``0`` on the happy path).
     """
 
     values: np.ndarray
@@ -131,7 +131,6 @@ class PredictResponse:
     request_id: str
     queue_s: float
     batch_s: float
-    retries: int = 0
 
     def as_dict(self) -> dict[str, Any]:
         """JSON-ready form (``values`` as nested lists; floats survive
@@ -143,5 +142,4 @@ class PredictResponse:
             "request_id": self.request_id,
             "queue_s": self.queue_s,
             "batch_s": self.batch_s,
-            "retries": self.retries,
         }

@@ -184,8 +184,6 @@ class HttpClient:
         }
         if request.deadline_s is not None:
             body["deadline_s"] = request.deadline_s
-        if request.tags:
-            body["tags"] = dict(request.tags)
         status, payload = self._round_trip("/predict", body, timeout)
         if status != 200:
             self._raise_for(status, payload)
@@ -195,7 +193,6 @@ class HttpClient:
             request_id=str(payload.get("request_id", request.request_id)),
             queue_s=float(payload.get("queue_s", float("nan"))),
             batch_s=float(payload.get("batch_s", float("nan"))),
-            retries=int(payload.get("retries", 0)),
         )
 
     def health(self) -> dict:

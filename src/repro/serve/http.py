@@ -22,20 +22,20 @@ reaching the engine.  The endpoints:
 
 ``POST /predict``
     Body ``{"rows": [[...], ...], "priority": 0, "deadline_s": 0.2,
-    "request_id": "...", "tags": {...}}`` (everything but ``rows``
-    optional).  Replies ``200`` with a
+    "request_id": "..."}`` (everything but ``rows`` optional; any other
+    field is refused).  Replies ``200`` with a
     :meth:`PredictResponse.as_dict() <repro.serve.PredictResponse
     .as_dict>` payload — predicted values plus per-request timings
-    (``queue_s``/``batch_s``), the serving run id and the retry count.
+    (``queue_s``/``batch_s``) and the serving run id.
     Errors map onto transport-meaningful statuses: ``400`` for
     malformed requests (bad or over-deep JSON, out-of-range numbers,
-    wrong shape/features, non-finite rows), ``503`` with
+    a non-integral priority, wrong shape/features, non-finite rows),
+    ``503`` with
     ``Retry-After`` when the queue is at its backpressure bound,
     ``504`` with ``{"shed": true, "error": "deadline_exceeded"}`` when
     the request's deadline expired before its tick (the dispatcher shed
     it without spending shard work), and ``500`` when the engine failed
-    the request (a tick that exhausted its retries, or a non-finite
-    prediction).
+    the request (its tick raised, or its prediction is non-finite).
 
 ``GET /healthz``
     Liveness/readiness: the engine's
@@ -96,29 +96,21 @@ def _request_from_payload(payload: Any) -> PredictRequest:
         raise ConfigurationError(
             'predict body must be a JSON object with a "rows" field'
         )
-    unknown = set(payload) - {
-        "rows", "priority", "deadline_s", "request_id", "tags",
-    }
+    unknown = set(payload) - {"rows", "priority", "deadline_s", "request_id"}
     if unknown:
         raise ConfigurationError(
             f"unknown predict fields {sorted(unknown)}; expected rows, "
-            "priority, deadline_s, request_id, tags"
+            "priority, deadline_s, request_id"
         )
     rows = np.asarray(payload["rows"], dtype=np.float64)
     kwargs: dict[str, Any] = {"rows": rows}
     if payload.get("priority") is not None:
-        kwargs["priority"] = int(payload["priority"])
+        # Passed as decoded: PredictRequest is the one priority check.
+        kwargs["priority"] = payload["priority"]
     if payload.get("deadline_s") is not None:
         kwargs["deadline_s"] = float(payload["deadline_s"])
     if payload.get("request_id") is not None:
         kwargs["request_id"] = str(payload["request_id"])
-    tags = payload.get("tags")
-    if tags is not None:
-        if not isinstance(tags, dict):
-            raise ConfigurationError(
-                f"tags must be a JSON object, got {type(tags).__name__}"
-            )
-        kwargs["tags"] = tags
     return PredictRequest(**kwargs)
 
 

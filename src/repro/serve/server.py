@@ -108,6 +108,13 @@ _LOG = logging.getLogger("repro.serve")
 #: parallelism, only the hop.
 _LOCAL_TICK_SCALARS = _TILE_BYTES // np.dtype(np.float64).itemsize
 
+#: Worker ticks in flight at once: the workers compute tick ``t`` while
+#: the dispatcher scatters ``t - 1``'s rows, callers wake and the queue
+#: refills.  Each shard's executor runs its tasks FIFO, so in-flight
+#: ticks never run concurrently *on a worker*.  A local tick has nothing
+#: to overlap with: the dispatcher harvests it as soon as it is launched.
+_PIPELINE_DEPTH = 2
+
 
 @dataclass(frozen=True)
 class ServeOptions:
@@ -128,21 +135,8 @@ class ServeOptions:
         order of the inter-arrival jitter so one tick coalesces a full
         cohort of concurrent callers instead of whatever fraction had
         arrived first.  In-flight ticks keep the workers busy while the
-        window runs, so with ``pipeline_depth > 1`` it costs dispatch
-        latency only, not pipeline occupancy.
-    pipeline_depth:
-        Worker ticks in flight at once.  The default ``2``
-        double-buffers the serving loop: the workers compute tick ``t``
-        while the dispatcher scatters ``t - 1``'s rows, callers wake,
-        and the queue refills — so worker compute, host scatter and
-        client turnaround overlap instead of serialising.  Each shard's
-        executor runs its tasks FIFO, so in-flight ticks never run
-        concurrently *on a worker* and the per-worker scratch discipline
-        is untouched.  ``1`` restores the strictly serial
-        launch-harvest-launch loop (lowest latency jitter, idle workers
-        during scatter).  A local tick (computed on the dispatcher, see
-        the module docstring) has nothing to overlap with: the
-        dispatcher harvests it as soon as it is launched.
+        window runs, so it costs dispatch latency only, not pipeline
+        occupancy.
     max_batch_rows:
         Row budget per tick: a request that would push the batch past it
         waits for the next tick (a single over-budget request still runs
@@ -156,13 +150,6 @@ class ServeOptions:
         :func:`~repro.kernels.ops.kernel_matvec` (the same knob
         :func:`~repro.shard.sharded_predict` takes — it must match for
         the bitwise contract).
-    max_retries:
-        Bounded retries of a failed tick (engine
-        :class:`~repro.exceptions.ShardError` only) before the whole
-        batch's futures fail; ``serve/retries`` counts the retries
-        started.
-    retry_backoff_s:
-        Sleep between retry attempts.
     drain_timeout_s:
         How long :meth:`ModelServer.close` waits for the dispatcher to
         drain in-flight requests.
@@ -170,32 +157,21 @@ class ServeOptions:
 
     max_batch_requests: int = 64
     batch_wait: float = 0.0
-    pipeline_depth: int = 2
     max_batch_rows: int = 4096
     max_queue: int = 4096
     max_scalars: int = DEFAULT_BLOCK_SCALARS
-    max_retries: int = 1
-    retry_backoff_s: float = 0.05
     drain_timeout_s: float = 30.0
 
     def __post_init__(self) -> None:
         for name in (
             "max_batch_requests", "max_batch_rows", "max_queue",
-            "max_scalars", "pipeline_depth",
+            "max_scalars",
         ):
             if int(getattr(self, name)) < 1:
                 raise ConfigurationError(
                     f"{name} must be >= 1, got {getattr(self, name)!r} "
                     "(a tick must be able to make progress)"
                 )
-        if int(self.max_retries) < 0:
-            raise ConfigurationError(
-                f"max_retries must be >= 0, got {self.max_retries!r}"
-            )
-        if float(self.retry_backoff_s) < 0:
-            raise ConfigurationError(
-                f"retry_backoff_s must be >= 0, got {self.retry_backoff_s!r}"
-            )
         if float(self.drain_timeout_s) <= 0:
             raise ConfigurationError(
                 f"drain_timeout_s must be > 0, got {self.drain_timeout_s!r}"
@@ -243,7 +219,9 @@ class _Inflight:
     dispatch_s: float
     #: Computed on the dispatcher (:class:`_LocalTick`), not the workers.
     local: bool = False
-    #: PendingReduce or _LocalTick; None if launching failed.
+    #: The handle :meth:`ModelServer._reduce_tick` returned (a
+    #: PendingReduce or a _LocalTick), or a Future holding the error
+    #: launching raised; ``result()`` yields the tick's sum or raises.
     pending: Any = None
 
 
@@ -315,12 +293,13 @@ class ModelServer:
     (:func:`~repro.config.use_precision`) active where the server was
     built, as :func:`~repro.shard.sharded_predict` called there would.
 
-    Failure policy: a tick that dies with an engine
-    :class:`~repro.exceptions.ShardError` is retried up to
-    ``options.max_retries`` times with backoff, then the whole batch's
-    futures fail.  A request whose prediction is non-finite (NaN or inf
-    in the model) fails alone with :class:`~repro.exceptions.ReproError`
-    while the rest of its tick resolves.  Every admitted request ends
+    Failure policy: each tick is attempted once.  A tick that raises, at
+    launch or at harvest, fails its whole batch's futures with that
+    error; the errors a tick can meet (a closed group or executor, a
+    dead worker) are permanent, so a retry could only fail again.  A
+    request whose prediction is non-finite (NaN or inf in the model)
+    fails alone with :class:`~repro.exceptions.ReproError` while the
+    rest of its tick resolves.  Every admitted request ends
     in exactly one of ``serve/requests``, ``serve/shed_requests``,
     ``serve/abandoned_requests`` or ``serve/failed_requests``.
     :meth:`submit_request` after :meth:`close` raises
@@ -339,7 +318,6 @@ class ModelServer:
         backends: Any | None = None,
         options: ServeOptions | None = None,
         metrics: MetricsRegistry | None = None,
-        run_id: dict | None = None,
         **transport_options: Any,
     ) -> None:
         if (model is None) == (group is None):
@@ -395,9 +373,7 @@ class ModelServer:
         #: The precision active where the server was built; the
         #: dispatcher serves under it.
         self._precision = current_precision()
-        self.metrics = (
-            metrics if metrics is not None else MetricsRegistry(run_id=run_id)
-        )
+        self.metrics = metrics if metrics is not None else MetricsRegistry()
         #: Server-owned observability: the dispatcher runs under these,
         #: so every tick's spans and op counts land here — relayed from
         #: the workers, or recorded directly by a local tick
@@ -429,7 +405,7 @@ class ModelServer:
     def submit_request(self, request: Any) -> Future:
         """Enqueue one request; the future resolves to a
         :class:`~repro.serve.PredictResponse` (values + run id +
-        queue/batch timings + retry count).
+        queue/batch timings).
 
         ``request`` is a :class:`~repro.serve.PredictRequest` or a raw
         ``(b, d)`` / ``(d,)`` array (wrapped with default QoS).  Its
@@ -583,7 +559,6 @@ class ModelServer:
 
     def _dispatch_loop(self) -> None:
         inflight: deque[_Inflight] = deque()
-        depth = self.options.pipeline_depth
         precision = (
             use_precision(self._precision)
             if self._precision is not None
@@ -603,7 +578,7 @@ class ModelServer:
                         self._cv.wait()
                     if not self._queue and not inflight:
                         return  # closing and drained
-                    if self._queue and len(inflight) < depth:
+                    if self._queue and len(inflight) < _PIPELINE_DEPTH:
                         # Micro-batching window: keep listening for
                         # arrivals until the cohort is full, the window
                         # expires, or the server starts closing.  Each
@@ -644,7 +619,10 @@ class ModelServer:
                     )
                 if batch:
                     inflight.append(self._launch_batch(batch))
-                    if len(inflight) < depth and not inflight[-1].local:
+                    if (
+                        len(inflight) < _PIPELINE_DEPTH
+                        and not inflight[-1].local
+                    ):
                         # Room for another tick behind this one — only
                         # harvest once the pipeline is primed or the
                         # queue runs dry.  A local tick has nothing to
@@ -684,62 +662,27 @@ class ModelServer:
             ),
         )
         try:
-            inflight.pending = self._reduce_tick(inflight, wait=False)
-        except Exception:
-            # Submission itself failed (e.g. transport torn down under
-            # us): leave pending=None — attempt 0 of the retry loop
-            # then runs the tick synchronously.
-            pass
+            inflight.pending = self._reduce_tick(inflight)
+        except Exception as exc:
+            # Submission itself failed (e.g. the group was closed under
+            # us): the harvest fails the batch with this error.
+            inflight.pending = Future()
+            inflight.pending.set_exception(exc)
         return inflight
 
-    def _reduce_tick(self, inflight: "_Inflight", *, wait: bool) -> Any:
-        """Start (``wait=False``: returns a handle whose ``result()``
-        yields the sum) or run (``wait=True``: returns the sum) one
-        tick's fused map + all-reduce.
+    def _reduce_tick(self, inflight: "_Inflight") -> Any:
+        """Start one tick's fused map + all-reduce; returns a handle
+        whose ``result()`` yields the sum.
 
         The one place a tick reaches the group, on both paths: a local
         tick becomes a :class:`_LocalTick`, any other goes through the
-        group's ``map_allreduce_async`` / ``map_allreduce``.
+        group's ``map_allreduce_async``.
         """
         if inflight.local:
-            tick = _LocalTick(self.group, inflight.call)
-            return tick.result() if wait else tick
-        if wait:
-            return self.group.map_allreduce(*inflight.call, bk=get_backend())
+            return _LocalTick(self.group, inflight.call)
         return self.group.map_allreduce_async(
             *inflight.call, bk=get_backend()
         )
-
-    def _run_tick(self, inflight: "_Inflight") -> tuple[np.ndarray, int]:
-        """Harvest one tick with bounded retries; returns ``(reduced,
-        retries)``.
-
-        Attempt 0 is the launched tick (a synchronous call if launching
-        failed); attempts ``1..max_retries`` re-run it synchronously
-        after the backoff.  Only engine
-        :class:`~repro.exceptions.ShardError` is retried, and
-        ``serve/retries`` counts each retry as it starts.
-        """
-        max_retries = self.options.max_retries
-        for attempt in range(max_retries + 1):
-            if attempt:
-                self.metrics.inc("serve/retries")
-                _LOG.warning(
-                    "serve.retry run=%s attempt=%d/%d backoff_s=%.3f",
-                    self._run_short, attempt, max_retries,
-                    self.options.retry_backoff_s,
-                )
-                time.sleep(self.options.retry_backoff_s)
-            try:
-                if attempt == 0 and inflight.pending is not None:
-                    reduced = inflight.pending.result()
-                else:
-                    reduced = self._reduce_tick(inflight, wait=True)
-                return np.asarray(to_numpy(reduced)), attempt
-            except ShardError:
-                if attempt == max_retries:
-                    raise
-        raise AssertionError("unreachable")  # pragma: no cover
 
     def _finish_batch(self, inflight: "_Inflight") -> None:
         batch = inflight.batch
@@ -747,7 +690,7 @@ class ModelServer:
         lo = inflight.rows
         kernel_s = time.perf_counter()
         try:
-            out, retries = self._run_tick(inflight)
+            out = np.asarray(to_numpy(inflight.pending.result()))
         except Exception as exc:
             _LOG.error(
                 "serve.batch_failed run=%s requests=%d rows=%d error=%s",
@@ -828,7 +771,6 @@ class ModelServer:
                     request_id=req.request_id,
                     queue_s=dispatch_s - req.enqueued_s,
                     batch_s=scatter_s - dispatch_s,
-                    retries=retries,
                 )
             )
         if failed:

@@ -6,7 +6,7 @@ dispatcher happened to coalesce it — carries exactly the bits a solo
 :func:`~repro.shard.sharded_predict` call on the same group would
 produce.  The suite pins that across transports and shard counts, then
 covers the service-hardening surface: drain-on-close semantics,
-backpressure, bounded retries and their accounting, non-finite
+backpressure, one attempt per tick and its accounting, non-finite
 outputs failing loudly, option validation, per-request span relay,
 run-ID-stamped latency histograms, and the JSON snapshot export.
 """
@@ -65,24 +65,20 @@ def _build_group(problem, transport: str, g: int) -> ShardGroup:
 
 
 def _inject(server: ModelServer, seam) -> list[bool]:
-    """Route every tick of ``server`` through ``seam(real, inflight,
-    wait)``, ``real`` being the server's own tick seam — the one place a
-    tick reaches the group on the local and the worker path alike.
-    Returns the ``local`` flag of each tick seen, so a test can check
-    which path it exercised."""
+    """Route every tick of ``server`` through ``seam(real, inflight)``,
+    ``real`` being the server's own tick seam — the one place a tick
+    reaches the group on the local and the worker path alike.  Returns
+    the ``local`` flag of each tick seen, so a test can check which path
+    it exercised."""
     real = server._reduce_tick
     seen: list[bool] = []
 
-    def wrapped(inflight, *, wait):
+    def wrapped(inflight):
         seen.append(inflight.local)
-        return seam(real, inflight, wait)
+        return seam(real, inflight)
 
     server._reduce_tick = wrapped
     return seen
-
-
-def _clear_injection(server: ModelServer) -> None:
-    server.__dict__.pop("_reduce_tick", None)
 
 
 # --------------------------------------------------------------------------
@@ -243,22 +239,23 @@ def test_process_tick_is_one_task_per_worker(problem):
 
 @transports
 def test_closed_group_fails_ticks_with_shard_error(problem, transport):
-    """A borrowed group closed under a live server fails each tick with
-    ShardError after the retries, on the local and the worker path."""
+    """A borrowed group closed under a live server fails each tick once
+    with ShardError, on the local and the worker path: the tick seam is
+    entered once per tick."""
     _, _, _, x = problem
     group = _build_group(problem, transport, 2)
-    server = ModelServer(
-        group=group,
-        options=ServeOptions(max_retries=1, retry_backoff_s=0.0),
-    )
+    server = ModelServer(group=group)
+    seen = _inject(server, lambda real, inflight: real(inflight))
     try:
         server.predict_request(x[:1], timeout=60)
         group.close()
-        with pytest.raises(ShardError, match="closed"):
-            server.predict_request(x[:1], timeout=60)
+        for _ in range(2):
+            with pytest.raises(ShardError, match="closed"):
+                server.predict_request(x[:1], timeout=60)
         counters = server.stats()["counters"]
-        assert counters["serve/retries"] == 1
-        assert counters["serve/failed_requests"] == 1
+        assert counters["serve/failed_requests"] == 2
+        assert counters["serve/requests"] == 1
+        assert seen == [transport == "thread"] * 3
     finally:
         server.close()
         group.close()
@@ -360,18 +357,15 @@ def test_close_without_drain_fails_queued(problem, transport="thread"):
     with _build_group(problem, transport, 2) as group:
         entered, release = threading.Event(), threading.Event()
 
-        def blocking_launch(real, inflight, wait):
-            if not wait:
-                entered.set()
-                release.wait(timeout=30)
-            return real(inflight, wait=wait)
+        def blocking_launch(real, inflight):
+            entered.set()
+            release.wait(timeout=30)
+            return real(inflight)
 
         try:
             server = ModelServer(
                 group=group,
-                options=ServeOptions(
-                    max_batch_requests=1, pipeline_depth=1, batch_wait=0.0
-                ),
+                options=ServeOptions(max_batch_requests=1, batch_wait=0.0),
             )
             seen = _inject(server, blocking_launch)
             inflight = server.submit_request(np.zeros((1, D)))
@@ -462,9 +456,6 @@ def test_mixed_zero_row_in_batch(problem):
         {"max_batch_rows": 0},
         {"max_queue": 0},
         {"max_scalars": 0},
-        {"pipeline_depth": 0},
-        {"max_retries": -1},
-        {"retry_backoff_s": -0.1},
         {"batch_wait": -1e-3},
         {"batch_wait": "adaptive"},
         {"batch_wait": "0.1s"},
@@ -565,18 +556,15 @@ def test_backpressure_queue_full(problem, transport="thread"):
     with _build_group(problem, transport, 1) as group:
         entered, release = threading.Event(), threading.Event()
 
-        def blocking_launch(real, inflight, wait):
-            if not wait:
-                entered.set()
-                release.wait(timeout=30)
-            return real(inflight, wait=wait)
+        def blocking_launch(real, inflight):
+            entered.set()
+            release.wait(timeout=30)
+            return real(inflight)
 
         try:
             server = ModelServer(
                 group=group,
-                options=ServeOptions(
-                    max_batch_requests=1, pipeline_depth=1, max_queue=2
-                ),
+                options=ServeOptions(max_batch_requests=1, max_queue=2),
             )
             seen = _inject(server, blocking_launch)
             first = server.submit_request(np.zeros((1, D)))
@@ -607,124 +595,68 @@ def test_backpressure_queue_full_on_workers(problem):
 
 
 class _FailingPending:
+    """A launched tick whose harvest raises ``error``."""
+
+    def __init__(self, error: Exception) -> None:
+        self.error = error
+
     def result(self):
-        raise ShardError("injected async tick failure")
+        raise self.error
 
 
-def test_retry_recovers_and_is_metered(problem, transport="thread"):
-    """A failed async tick is retried synchronously; the response still
-    carries solo bits and serve/retries records the one retry."""
+@pytest.mark.parametrize("at", ["launch", "harvest"])
+def test_failed_tick_fails_its_batch_once(problem, at, transport="thread"):
+    """A tick that raises at launch or at harvest enters the tick seam
+    exactly once: every request it carries fails with the original
+    error, serve/failed_requests counts the batch, the other requests
+    are served with solo bits, and so is the next request."""
     _, _, _, x = problem
-    with _build_group(problem, transport, 1) as group:
+    error = ShardError(f"injected {at} failure")
+    with _build_group(problem, transport, 2) as group:
         want = np.asarray(sharded_predict(group, x))
-        fail_once = {"armed": True}
+        ticks = []
 
-        def flaky_launch(real, inflight, wait):
-            if not wait and fail_once["armed"]:
-                fail_once["armed"] = False
-                return _FailingPending()
-            return real(inflight, wait=wait)
-
-        server = ModelServer(
-            group=group,
-            options=ServeOptions(max_retries=1, retry_backoff_s=0.0),
-        )
-        seen = _inject(server, flaky_launch)
-        resp = server.predict_request(x, timeout=60)
-        server.close()
-        np.testing.assert_array_equal(resp.values, want)
-        assert resp.retries == 1
-        counters = server.stats()["counters"]
-        assert counters.get("serve/retries", 0) == 1
-        assert counters.get("serve/failed_requests", 0) == 0
-        assert seen == [transport == "thread"] * 2
-
-
-@needs_process
-def test_retry_recovers_and_is_metered_on_workers(problem):
-    """The same, on a process group: the worker path."""
-    test_retry_recovers_and_is_metered(problem, "process")
-
-
-@pytest.mark.parametrize("max_retries", [0, 1, 2])
-def test_exhausted_retries_fail_futures(
-    problem, max_retries, transport="thread"
-):
-    """When every attempt dies, the batch's futures carry the error and
-    serve/failed_requests counts them; serve/retries counts exactly the
-    retries made — the server stays usable."""
-    _, _, _, x = problem
-    with _build_group(problem, transport, 1) as group:
-        sync_calls = []
-
-        def failing_tick(real, inflight, wait):
-            if not wait:
-                return _FailingPending()
-            sync_calls.append(1)
-            raise ShardError("injected sync tick failure")
+        def failing_tick(real, inflight):
+            ticks.append(inflight)
+            if len(ticks) > 1:
+                return real(inflight)
+            if at == "launch":
+                raise error
+            return _FailingPending(error)
 
         server = ModelServer(
             group=group,
-            options=ServeOptions(
-                max_retries=max_retries, retry_backoff_s=0.0
-            ),
+            options=ServeOptions(max_batch_requests=3, batch_wait=0.05),
         )
         seen = _inject(server, failing_tick)
-        fut = server.submit_request(x)
-        with pytest.raises(ShardError):
-            fut.result(timeout=60)
+        try:
+            futures = [server.submit_request(x) for _ in range(3)]
+            for f in futures:
+                f.exception(timeout=60)
+            failed = {id(req.future) for req in ticks[0].batch}
+            for f in futures:
+                if id(f) in failed:
+                    assert f.exception() is error
+                else:
+                    np.testing.assert_array_equal(f.result().values, want)
+            got = server.predict_request(x, timeout=60).values
+        finally:
+            server.close()
         counters = server.stats()["counters"]
-        assert counters.get("serve/failed_requests", 0) == 1
-        assert counters.get("serve/retries", 0) == max_retries
-        assert len(sync_calls) == max_retries
-        assert set(seen) == {transport == "thread"}
-        _clear_injection(server)
-        # Engine recovers once the fault clears.
-        got = server.predict_request(x, timeout=60).values
-        server.close()
-        np.testing.assert_array_equal(
-            got, np.asarray(sharded_predict(group, x))
-        )
+    np.testing.assert_array_equal(got, want)
+    assert failed
+    assert counters["serve/failed_requests"] == len(failed)
+    assert counters["serve/requests"] == 4 - len(failed)
+    assert counters["serve/batches"] == len(ticks) - 1
+    assert len({id(tick) for tick in ticks}) == len(ticks)
+    assert seen == [transport == "thread"] * len(ticks)
 
 
 @needs_process
-@pytest.mark.parametrize("max_retries", [0, 1, 2])
-def test_exhausted_retries_fail_futures_on_workers(problem, max_retries):
+@pytest.mark.parametrize("at", ["launch", "harvest"])
+def test_failed_tick_fails_its_batch_once_on_workers(problem, at):
     """The same, on a process group: the worker path."""
-    test_exhausted_retries_fail_futures(problem, max_retries, "process")
-
-
-def test_failed_launch_runs_attempt_zero_synchronously(
-    problem, transport="thread"
-):
-    """A tick whose launch raised runs attempt 0 as a synchronous call:
-    served without a retry."""
-    _, _, _, x = problem
-    with _build_group(problem, transport, 1) as group:
-        launches = []
-
-        def broken_launch(real, inflight, wait):
-            if not wait:
-                launches.append(1)
-                raise RuntimeError("injected launch failure")
-            return real(inflight, wait=wait)
-
-        with ModelServer(group=group) as server:
-            seen = _inject(server, broken_launch)
-            resp = server.predict_request(x, timeout=60)
-        np.testing.assert_array_equal(
-            resp.values, np.asarray(sharded_predict(group, x))
-        )
-        assert resp.retries == 0
-        assert server.stats()["counters"].get("serve/retries", 0) == 0
-        assert launches == [1]
-        assert seen == [transport == "thread"] * 2
-
-
-@needs_process
-def test_failed_launch_runs_attempt_zero_synchronously_on_workers(problem):
-    """The same, on a process group: the worker path."""
-    test_failed_launch_runs_attempt_zero_synchronously(problem, "process")
+    test_failed_tick_fails_its_batch_once(problem, at, "process")
 
 
 def test_nan_weight_fails_requests_not_served(problem):

@@ -135,13 +135,12 @@ def test_single_sample_round_trip(served):
 def test_response_carries_timings_and_identity(served):
     _, server, http_srv = served
     x = np.zeros((2, D))
-    req = PredictRequest(rows=x, request_id="r-timed", tags={"arm": "a"})
+    req = PredictRequest(rows=x, request_id="r-timed")
     resp = HttpClient(http_srv.url).predict_request(req)
     assert isinstance(resp, PredictResponse)
     assert resp.request_id == "r-timed"
     assert resp.run_id == server.run_id
     assert resp.queue_s >= 0.0 and resp.batch_s > 0.0
-    assert resp.retries == 0
 
 
 # --------------------------------------------------------------------------
@@ -192,11 +191,12 @@ def test_unknown_routes_404(served):
         {"rows": [[0.0] * D], "surprise": 1},  # unknown field
         {"rows": "nonsense"},  # not numeric
         {"rows": [[0.0] * (D + 1)]},  # wrong feature count
-        {"rows": [[0.0] * D], "tags": "not-a-dict"},
+        {"rows": [[0.0] * D], "tags": {"arm": "a"}},  # not a predict field
         {"rows": [[0.0] * D], "deadline_s": -1.0},
+        {"rows": [[0.0] * D], "priority": 1.5},
     ],
     ids=["no-rows", "unknown-field", "non-numeric", "bad-features",
-         "bad-tags", "bad-deadline"],
+         "bad-tags", "bad-deadline", "fractional-priority"],
 )
 def test_malformed_requests_400(served, payload):
     _, _, http_srv = served
@@ -327,7 +327,7 @@ _bodies = _json | st.fixed_dictionaries(
     {"rows": _rows},
     optional={
         key: _json | _floats
-        for key in ("priority", "deadline_s", "request_id", "tags")
+        for key in ("priority", "deadline_s", "request_id")
     },
 )
 

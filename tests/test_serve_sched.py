@@ -120,6 +120,14 @@ class TestRequestAPI:
         with pytest.raises(ConfigurationError, match="priority"):
             PredictRequest(rows=np.zeros((1, D)), priority=1.5)
 
+    @pytest.mark.parametrize(
+        "priority", [float("nan"), float("inf"), True, "1"],
+        ids=["nan", "inf", "bool", "str"],
+    )
+    def test_non_integral_priority_rejected(self, priority):
+        with pytest.raises(ConfigurationError, match="priority"):
+            PredictRequest(rows=np.zeros((1, D)), priority=priority)
+
     @pytest.mark.parametrize("rid", ["", 7])
     def test_bad_request_id_rejected(self, rid):
         with pytest.raises(ConfigurationError, match="request_id"):
@@ -135,14 +143,16 @@ class TestRequestAPI:
         np.testing.assert_array_equal(
             np.asarray(back["values"], dtype=np.float64), values
         )
-        assert "shed" not in back and back["retries"] == 0
+        assert set(back) == {
+            "values", "run_id", "request_id", "queue_s", "batch_s",
+        }
 
     def test_submit_request_resolves_to_response(self, problem, group):
         _, _, _, x = problem
         want = np.asarray(sharded_predict(group, x))
         server = ModelServer(group=group)
         try:
-            req = PredictRequest(rows=x, priority=3, tags={"tenant": "t0"})
+            req = PredictRequest(rows=x, priority=3)
             resp = server.submit_request(req).result(timeout=60)
         finally:
             server.close()
@@ -150,7 +160,6 @@ class TestRequestAPI:
         assert resp.request_id == req.request_id
         assert resp.run_id == server.run_id
         assert resp.queue_s >= 0 and resp.batch_s > 0
-        assert resp.retries == 0
         np.testing.assert_array_equal(resp.values, want)
 
     def test_predict_request_and_raw_array_share_bits(self, problem, group):
@@ -241,20 +250,18 @@ class TestPriorityScheduling:
         server = ModelServer(
             group=group,
             options=ServeOptions(
-                batch_wait=0.0,
-                max_batch_requests=max_batch_requests,
-                pipeline_depth=1,
+                batch_wait=0.0, max_batch_requests=max_batch_requests
             ),
         )
         # Gate the first tick's launch at the server's one tick seam,
         # which local and worker ticks both pass through.
         real_tick = server._reduce_tick
 
-        def gated_tick(inflight, *, wait):
+        def gated_tick(inflight):
             if not first_tick.is_set():
                 first_tick.set()
                 gate.wait(timeout=30)
-            return real_tick(inflight, wait=wait)
+            return real_tick(inflight)
 
         server._reduce_tick = gated_tick
         try:
@@ -319,9 +326,7 @@ class TestPriorityScheduling:
         _, _, _, x = problem
         server = ModelServer(
             group=group,
-            options=ServeOptions(
-                batch_wait=0.15, max_batch_requests=1, pipeline_depth=1
-            ),
+            options=ServeOptions(batch_wait=0.15, max_batch_requests=1),
         )
         order: list[str] = []
         lock = threading.Lock()
@@ -361,7 +366,7 @@ class TestTimeoutAbandon:
         metrics = MetricsRegistry()
         server = ModelServer(
             group=group, metrics=metrics,
-            options=ServeOptions(batch_wait=0.2, pipeline_depth=1),
+            options=ServeOptions(batch_wait=0.2),
         )
         try:
             with pytest.raises((FutureTimeout, TimeoutError)):

@@ -3,7 +3,8 @@
 A Hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives
 one ``g=1`` :class:`~repro.serve.ModelServer` through interleavings of
 submits (with priorities and short deadlines), caller timeouts and
-cancels, injected tick failures and ``close(drain=True | False)``, then
+cancels, injected tick failures (at launch or at harvest; each fails
+one tick once) and ``close(drain=True | False)``, then
 checks the two lifecycle invariants:
 
 - every admitted future resolves exactly once (its done-callbacks run
@@ -35,7 +36,7 @@ from hypothesis.stateful import (
 
 from repro.exceptions import ShardError
 from repro.kernels import GaussianKernel
-from repro.serve import ModelServer, PredictRequest, ServeOptions
+from repro.serve import ModelServer, PredictRequest
 from repro.shard import ProcessTransport, ShardGroup
 
 N, D, L = 61, 3, 2
@@ -47,7 +48,7 @@ ROWS = _RNG.standard_normal((4, D))
 
 class _FailingPending:
     def result(self):
-        raise ShardError("injected async tick failure")
+        raise ShardError("injected tick failure at harvest")
 
 
 class ServeLifecycle(RuleBasedStateMachine):
@@ -62,31 +63,28 @@ class ServeLifecycle(RuleBasedStateMachine):
             CENTERS, WEIGHTS, g=1, kernel=GaussianKernel(bandwidth=2.0),
             transport=self.transport,
         )
-        self.server = ModelServer(
-            group=self.group,
-            options=ServeOptions(max_retries=1, retry_backoff_s=0.0),
-        )
+        self.server = ModelServer(group=self.group)
         self.futures: list[Future] = []
         self.callbacks: dict[int, int] = {}
         self.lock = threading.Lock()
-        #: Tick attempts still to fail, consumed by the wrapped tick
-        #: seam (the one place local and worker ticks reach the group).
-        self.failures = 0
+        #: Where the next tick fails ("launch" or "harvest"), consumed by
+        #: the wrapped tick seam (the one place local and worker ticks
+        #: reach the group); ``None`` lets ticks through.
+        self.failure: str | None = None
         real_tick = self.server._reduce_tick
 
-        def take_failure() -> bool:
+        def take_failure() -> str | None:
             with self.lock:
-                if self.failures:
-                    self.failures -= 1
-                    return True
-                return False
+                failure, self.failure = self.failure, None
+                return failure
 
-        def flaky_tick(inflight, *, wait):
-            if take_failure():
-                if wait:
-                    raise ShardError("injected sync tick failure")
+        def flaky_tick(inflight):
+            failure = take_failure()
+            if failure == "launch":
+                raise ShardError("injected tick failure at launch")
+            if failure == "harvest":
                 return _FailingPending()
-            return real_tick(inflight, wait=wait)
+            return real_tick(inflight)
 
         self.server._reduce_tick = flaky_tick
 
@@ -126,12 +124,12 @@ class ServeLifecycle(RuleBasedStateMachine):
         except Exception:
             pass  # shed or failed: resolved either way
 
-    @rule(attempts=st.integers(1, 2))
-    def inject_tick_failure(self, attempts):
-        """Fail the next ``attempts`` tick attempts: one is recovered by
-        the retry, two exhaust ``max_retries=1``."""
+    @rule(at=st.sampled_from(["launch", "harvest"]))
+    def inject_tick_failure(self, at):
+        """Fail the next tick once, at launch or at harvest: every
+        request it carries fails."""
         with self.lock:
-            self.failures = attempts
+            self.failure = at
 
     @precondition(lambda self: not self.server.closed)
     @rule(drain=st.booleans())
