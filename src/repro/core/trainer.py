@@ -436,7 +436,7 @@ class BaseKernelTrainer:
                     else self._held_rows(rng.permutation(n))
                 )
                 # The epoch's batch index blocks, computed once per
-                # permutation (checkpoints record a cursor into this list).
+                # permutation (a sharded recovery replays this list).
                 blocks = [perm[start : start + m] for start in range(0, n, m)]
                 stop_now = False
                 if max_iterations is not None:

@@ -46,17 +46,17 @@ class ShardError(ReproError, RuntimeError):
     :class:`ConfigurationError` (bad arguments) so callers can retry or
     rebuild a group on transport failure without masking input bugs.
 
-    When elastic recovery (:mod:`repro.shard.recovery`) gives up — the
-    retry budget is exhausted or too few shards survive — the propagating
-    instance carries the last
-    :class:`~repro.shard.recovery.ShardCheckpoint` on :attr:`checkpoint`
-    so the caller can persist it or resume training out of band.
+    When elastic recovery (:mod:`repro.shard.recovery`) gives up — no
+    shard would survive another shrink — the propagating instance
+    carries the failed epoch's anchor
+    :class:`~repro.shard.recovery.ShardCheckpoint` on :attr:`checkpoint`:
+    the weights at that epoch's start, in the caller's row order.
     """
 
-    #: Last checkpoint taken before the unrecoverable failure; ``None``
-    #: for transport-level errors raised outside the recovery loop (and
-    #: always ``None`` on worker-side instances — the attribute is
-    #: attached caller-side and never crosses the pickle boundary).
+    #: The failed epoch's anchor checkpoint; ``None`` for transport-level
+    #: errors raised outside the recovery loop (and always ``None`` on
+    #: worker-side instances — the attribute is attached caller-side and
+    #: never crosses the pickle boundary).
     checkpoint = None
 
 

@@ -93,7 +93,6 @@ class ObserveReportConfig:
     s: int = 200
     g: int = 2
     epochs: int = 2
-    checkpoint_every: int = 8
     #: Transport the traced fit runs on ("thread" or "process").
     transport: str = "process"
     transport_options: dict = field(default_factory=dict)
@@ -126,7 +125,6 @@ def run_observe_report(
         n_shards=cfg.g,
         transport=cfg.transport,
         transport_options=dict(cfg.transport_options),
-        checkpoint_every=cfg.checkpoint_every,
         s=cfg.s,
         batch_size=cfg.m,
         seed=cfg.seed,

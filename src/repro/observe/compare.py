@@ -35,8 +35,8 @@ when none were).  A step contracts exactly once on every timeline that
 runs it — the caller's in a serial fit, each shard's in a sharded one —
 so the steps are the most ``gemm`` spans one timeline recorded.  The
 ``correction`` spans do not count steps: a sharded fit runs each step's
-correction on shard 0, which holds the subsample, some of it in a
-separate settle task before a checkpoint or at the end of a span.
+correction on shard 0, which holds the subsample, the last step's in
+a separate settle task at the end of a span.
 
 Each row sums every span of its phase.  The TOTAL row and the per-step
 time count wall time instead: the shards run side by side, so a worker

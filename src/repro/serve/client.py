@@ -179,7 +179,9 @@ class HttpClient:
         rows = np.asarray(request.rows, dtype=np.float64)
         body: dict[str, Any] = {
             "rows": rows.tolist(),
-            "priority": request.priority,
+            # An integer by PredictRequest's check, but maybe a NumPy one,
+            # which json cannot encode.
+            "priority": int(request.priority),
             "request_id": request.request_id,
         }
         if request.deadline_s is not None:

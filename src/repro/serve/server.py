@@ -56,6 +56,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import pathlib
 import threading
 import time
@@ -172,17 +173,22 @@ class ServeOptions:
                     f"{name} must be >= 1, got {getattr(self, name)!r} "
                     "(a tick must be able to make progress)"
                 )
-        if float(self.drain_timeout_s) <= 0:
+        # Both are passed to a thread wait, which overflows on inf; the
+        # comparisons also refuse NaN.
+        if not 0 < float(self.drain_timeout_s) < math.inf:
             raise ConfigurationError(
-                f"drain_timeout_s must be > 0, got {self.drain_timeout_s!r}"
+                "drain_timeout_s must be finite seconds > 0, got "
+                f"{self.drain_timeout_s!r}"
             )
         if isinstance(self.batch_wait, (str, bytes)):
             raise ConfigurationError(
                 f"batch_wait must be seconds >= 0, got {self.batch_wait!r}"
             )
         wait = float(self.batch_wait)
-        if wait < 0:
-            raise ConfigurationError(f"batch_wait must be >= 0, got {wait!r}")
+        if not 0 <= wait < math.inf:
+            raise ConfigurationError(
+                f"batch_wait must be finite seconds >= 0, got {wait!r}"
+            )
         object.__setattr__(self, "batch_wait", wait)
 
 

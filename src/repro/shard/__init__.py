@@ -62,24 +62,22 @@ a killed worker process or failed task surfaces as a clean
 hang.  On top of that, :mod:`repro.shard.recovery` provides the restore path and
 :class:`~repro.shard.trainer.ShardedEigenPro2` the policy:
 
-- every ``checkpoint_every`` steps (and at every epoch start) the
-  trainer takes a :class:`~repro.shard.recovery.ShardCheckpoint` — the
-  full weight matrix via
+- at every epoch start the trainer takes one
+  :class:`~repro.shard.recovery.ShardCheckpoint`, the epoch's *anchor*:
+  the full weight matrix via
   :meth:`~repro.shard.transport.ShardTransport.gather_weights` (a host
-  memcpy on shared-memory transports), the shuffling RNG state, the
-  epoch/batch cursor and the op-meter totals; in memory by default,
-  mirrored to disk when ``checkpoint_dir`` is set;
+  memcpy on shared-memory transports), held in memory;
 - :meth:`~repro.shard.transport.ShardTransport.alive` probes per-shard
   liveness without raising, so dead workers are *reported*, not
   discovered by the next task's failure;
-- on a ``ShardError`` inside the epoch loop the trainer tears the
+- on a ``ShardError`` inside the epoch's steps the trainer tears the
   broken transport down, rebuilds the group over the surviving shard
   count (always at least one fewer — an *elastic shrink* on the same
-  transport), restores the checkpoint's weights and
-  resumes at its batch cursor, replaying only the steps since the last
-  snapshot.  Retries are bounded by ``max_recoveries``; when the budget
-  is exhausted the original ``ShardError`` propagates with the last
-  checkpoint attached (``exc.checkpoint``) for out-of-band resumption.
+  transport), restores the anchor's weights and replays the epoch from
+  its first step.  Every recovery shrinks the group, so a fit recovers
+  at most ``g - 1`` times; when no shard would survive the shrink, the
+  original ``ShardError`` propagates with the anchor attached
+  (``exc.checkpoint``).
 
 Replayed steps re-run the same batch blocks from the restored weights,
 so a recovered fit matches the failure-free run up to the collective's

@@ -1,17 +1,14 @@
-"""Elastic fault recovery for sharded training: checkpoint, re-plan, resume.
+"""Elastic fault recovery for sharded training: the epoch anchor and the
+recovery record.
 
-PR 4/5 made worker failure *detectable*: a killed shard surfaces as a
-clean :class:`~repro.exceptions.ShardError` instead of a hang.  This
-module turns detection into recovery — the artifacts a sharded fit needs
-to *continue* after losing a worker:
+A killed shard surfaces as a clean
+:class:`~repro.exceptions.ShardError` instead of a hang.  This module
+holds what a sharded fit needs to *continue* after losing a worker:
 
-- :class:`ShardCheckpoint` — a lightweight, transport-agnostic snapshot
-  of the training state: the full weight matrix (gathered through the
-  transport's host-visible weight surface, so taking one is a host copy
-  — no extra RPC on shared-memory transports), the shuffling RNG state,
-  the epoch/batch cursor and the op-meter totals at snapshot time.
-  In-memory by default; :meth:`ShardCheckpoint.save` /
-  :meth:`ShardCheckpoint.load` round-trip it to disk.
+- :class:`ShardCheckpoint` — the epoch anchor: the full weight matrix at
+  the start of an epoch (gathered through the transport's host-visible
+  weight surface, so taking one is a host copy — no extra RPC on
+  shared-memory transports), kept in memory.
 - :class:`RecoveryEvent` — the record of one elastic-shrink recovery
   (which shards died, g before/after, steps replayed, wall time spent
   tearing down/rebuilding/restoring), accumulated on the trainer's
@@ -26,15 +23,15 @@ to *continue* after losing a worker:
   counters).
 
 The recovery *policy* lives in
-:class:`~repro.shard.trainer.ShardedEigenPro2`: checkpoints every
-``checkpoint_every`` steps, a liveness probe
+:class:`~repro.shard.trainer.ShardedEigenPro2`: one checkpoint at every
+epoch start, a liveness probe
 (:meth:`~repro.shard.transport.ShardTransport.alive`) to learn which
 workers died, teardown of the broken transport, a rebuild over the
-surviving shard count on the same transport, weight restore
-from the last checkpoint and resumption at its batch cursor — bounded by
-``max_recoveries``, after which the original
-:class:`~repro.exceptions.ShardError` propagates with the checkpoint
-attached (``exc.checkpoint``) for out-of-band resumption.
+surviving shard count on the same transport (always at least one
+fewer), weight restore from the anchor and a replay of the epoch from
+its first step.  When no shard would survive the shrink, the original
+:class:`~repro.exceptions.ShardError` propagates with the anchor
+attached (``exc.checkpoint``).
 
 Exactness: replayed steps re-run the same batch index blocks from the
 same restored weights, so a recovered fit matches the no-failure run up
@@ -46,16 +43,10 @@ already documents for resharded runs (bitwise only for a fixed plan).
 
 from __future__ import annotations
 
-import os
-import pickle
-import tempfile
-from dataclasses import asdict, dataclass, field
-from pathlib import Path
+from dataclasses import asdict, dataclass
 from typing import Any
 
 import numpy as np
-
-from repro.exceptions import ConfigurationError
 
 __all__ = [
     "RecoveryEvent",
@@ -65,7 +56,7 @@ __all__ = [
 
 @dataclass
 class ShardCheckpoint:
-    """Snapshot of a sharded fit, sufficient to restore-and-resume.
+    """The weights of a sharded fit at the start of an epoch.
 
     Attributes
     ----------
@@ -74,74 +65,11 @@ class ShardCheckpoint:
         :meth:`~repro.shard.ShardGroup.gather_weights`), in the caller's
         row order.
     epoch:
-        1-based epoch the cursor points into.
-    batch_cursor:
-        Index of the next batch block to run within that epoch's
-        precomputed block list (``0`` = epoch start); on restore the
-        trainer replays blocks from this cursor.
-    rng_state:
-        ``bit_generator.state`` of the fit's shuffling RNG, captured so
-        an out-of-band resume can reconstruct upcoming permutations
-        (within-epoch recovery never rewinds the generator — the epoch's
-        block list is fixed before any step runs).
-    op_counts:
-        Aggregate op-meter totals across shards at snapshot time, so
-        accounting of replayed work can be reconciled.
-    g:
-        Shard count of the group the snapshot was taken from.
-    transport:
-        Name of the transport that produced it.
+        1-based epoch whose start the snapshot anchors.
     """
 
     weights: np.ndarray
     epoch: int
-    batch_cursor: int
-    rng_state: dict[str, Any] | None = None
-    op_counts: dict[str, int] = field(default_factory=dict)
-    g: int = 1
-    transport: str = "thread"
-
-    @property
-    def scalars(self) -> int:
-        """Snapshot payload in scalars (the restore volume the cluster
-        model's :func:`~repro.device.cluster.recovery_time` prices)."""
-        w = self.weights
-        return int(w.shape[0] * (w.shape[1] if w.ndim == 2 else 1))
-
-    # ------------------------------------------------------------ disk form
-    def save(self, path: str | os.PathLike) -> Path:
-        """Persist to ``path`` (pickle), atomically: the snapshot is
-        written to a sibling temp file and renamed into place, so a crash
-        mid-write never truncates the last good checkpoint."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp_name = tempfile.mkstemp(
-            prefix=path.name + ".", suffix=".tmp", dir=path.parent
-        )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                pickle.dump(self, fh, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-        return path
-
-    @classmethod
-    def load(cls, path: str | os.PathLike) -> "ShardCheckpoint":
-        """Load a checkpoint previously written by :meth:`save` (pickle:
-        only load files you trust)."""
-        with open(path, "rb") as fh:
-            obj = pickle.load(fh)
-        if not isinstance(obj, cls):
-            raise ConfigurationError(
-                f"{os.fspath(path)!r} does not contain a ShardCheckpoint "
-                f"(got {type(obj).__name__})"
-            )
-        return obj
 
 
 @dataclass(frozen=True)
@@ -153,13 +81,13 @@ class RecoveryEvent:
     epoch:
         Epoch in which the failure occurred.
     failed_step:
-        Batch cursor being executed when the failure surfaced.
-    resumed_step:
-        Batch cursor of the checkpoint the fit resumed from.
+        Index of the epoch's step being executed when the failure
+        surfaced.
     replayed_steps:
-        ``failed_step - resumed_step`` — completed steps whose work is
-        re-run after the restore (the replay term of
-        :func:`repro.device.cluster.recovery_time`).
+        Completed steps whose work is re-run after the restore (the
+        replay term of :func:`repro.device.cluster.recovery_time`);
+        equal to ``failed_step``, since the replay starts at the epoch's
+        first step.
     old_g, new_g:
         Shard count before and after the elastic shrink.
     dead_shards:
@@ -176,7 +104,6 @@ class RecoveryEvent:
 
     epoch: int
     failed_step: int
-    resumed_step: int
     replayed_steps: int
     old_g: int
     new_g: int

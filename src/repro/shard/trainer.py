@@ -64,11 +64,10 @@ The caller updates and mirrors only the rows at or past ``s``; the owner
 applies step 3 to the batch rows it holds and then the correction
 ``gamma * V D V^T Phi^T g``, the computation
 :meth:`~repro.core.eigenpro2.EigenPro2._correct` runs serially.  The
-caller's copy of ``alpha[:s]`` is refreshed from the owner whenever it
-is settled (below): before every checkpoint and at the end of every
-span, so the monitor, the checkpoints and ``model_`` read the exact
-iteration.  Recovery restores the caller's copy and rebuilds the group
-from it.
+caller's copy of ``alpha[:s]`` is refreshed from the owner when it is
+settled (below) at the end of every span, so the monitor, the next
+epoch's checkpoint and ``model_`` read the exact iteration.  Recovery
+restores the caller's copy and rebuilds the group from it.
 
 Step schedule
 -------------
@@ -91,9 +90,8 @@ norms in each form task; step ``t-1``'s batch positions and residuals
 contract reply.  ``Phi`` (``m*s``) never does, and the caller runs no
 correction.  A span (an
 epoch, or its replay after a recovery) starts with no correction
-pending; before a checkpoint and after its last step a *settle* task
-applies the pending one instead of the next contraction, and the last
-settle of a span also drops the shards' block scratch.
+pending; after its last step a *settle* task applies the pending one
+instead of a next contraction and drops the shards' block scratch.
 
 FIFO order runs contraction ``t`` before formation ``t+1`` on every
 worker, so one workspace buffer per shard suffices.  This is the only
@@ -122,13 +120,25 @@ The mirror of the rows the caller updated never barriers the caller:
   construction: weight-reading contract tasks are only queued after the
   write returns (the task channel's send/recv is the cross-process
   happens-before edge), and in-flight prefetches never read weights.
+
+Elastic recovery
+----------------
+Every epoch starts with one :class:`~repro.shard.recovery.ShardCheckpoint`,
+its *anchor*: the weights in the caller's order, gathered through the
+transport's host-visible surface.  A :class:`~repro.exceptions.ShardError`
+in any of the epoch's steps restores the anchor, rebuilds the group at
+``g - max(1, len(dead))`` shards and replays the epoch from its first
+step.  Every recovery shrinks the group, so a fit recovers at most
+``g - 1`` times; when no shard would survive the shrink, the original
+error propagates with the anchor on ``exc.checkpoint``.  Only the
+epoch's start is anchored: on ``fit-sharded`` (32 steps an epoch) a
+checkpoint at step 25 would shorten a replay by 7 steps, and cost a
+settle round trip and a weight gather in every failure-free epoch.
 """
 
 from __future__ import annotations
 
-import copy
 import time
-from pathlib import Path
 from typing import Any, Sequence
 
 import numpy as np
@@ -243,17 +253,13 @@ def _contract_task(worker: ShardWorker, pending: tuple | None) -> Any:
     return f_i
 
 
-def _settle_task(
-    worker: ShardWorker, pending: tuple | None, drain: bool
-) -> None:
-    """Apply a pending correction without a contraction (before a
-    checkpoint, and at the end of a span, where ``drain`` also drops
-    the shard's block scratch and kept ``Phi``)."""
+def _settle_task(worker: ShardWorker, pending: tuple | None) -> None:
+    """Apply a pending correction without a contraction at the end of a
+    span, then drop the shard's block scratch and kept ``Phi``."""
     if worker.state.get("phi_cols", 0) and pending is not None:
         with span("correction", m=int(pending[0].shape[0])):
             _apply_pending(worker, pending)
-    if drain:
-        worker.drain_workspace()
+    worker.drain_workspace()
 
 
 class ShardedEigenPro2(EigenPro2):
@@ -291,32 +297,6 @@ class ShardedEigenPro2(EigenPro2):
         (:func:`repro.device.cluster.transport_interconnect`) for
         non-thread transports, and to the generic NVLink-class default
         for threads.
-    checkpoint_every:
-        Take a :class:`~repro.shard.recovery.ShardCheckpoint` every this
-        many SGD steps (plus one at every epoch start, bounding replay to
-        within the current epoch).  ``0`` disables checkpointing *and*
-        elastic recovery — a worker failure then propagates as before.
-        Default 25; a checkpoint is a host copy of the weights through
-        the transport's host-visible surface, taken after one settle
-        task has applied the pending correction, so the steady-state
-        overhead is one round trip and one ``(n, l)`` memcpy per K
-        steps.
-    max_recoveries:
-        Elastic-recovery retry budget per fit.  On a
-        :class:`~repro.exceptions.ShardError` inside the epoch loop the
-        trainer probes shard liveness, tears the broken group down,
-        rebuilds over the surviving shard count (at least one fewer),
-        restores the last checkpoint's weights and resumes from its
-        batch cursor.  Once the budget is exhausted (or fewer than
-        ``min_shards`` would survive) the original error propagates with
-        the checkpoint attached (``exc.checkpoint``).
-    min_shards:
-        Smallest shard count the elastic shrink may rebuild to
-        (default 1 — shrink down to a single surviving worker).
-    checkpoint_dir:
-        Optional directory; when set, every checkpoint is additionally
-        persisted (atomically) to ``<checkpoint_dir>/checkpoint.pkl``
-        for out-of-band resumption after a full-process crash.
     transport_options:
         Extra keyword arguments forwarded to the transport constructor
         on every group build — initial and rebuilt alike (e.g.
@@ -332,8 +312,9 @@ class ShardedEigenPro2(EigenPro2):
         rebuilt, smaller, by elastic recovery); call :meth:`close` (or
         use the trainer as a context manager) to join its workers.
     last_checkpoint_:
-        Most recent :class:`~repro.shard.recovery.ShardCheckpoint`, or
-        ``None`` before the first one of a fit.
+        The current epoch's anchor
+        :class:`~repro.shard.recovery.ShardCheckpoint` (module docstring:
+        elastic recovery), or ``None`` before a fit's first epoch.
     recovery_log_:
         List of :class:`~repro.shard.recovery.RecoveryEvent`, one per
         elastic-shrink recovery performed during the last fit (empty for
@@ -351,26 +332,10 @@ class ShardedEigenPro2(EigenPro2):
         transport: str = "thread",
         device: SimulatedDevice | None = None,
         interconnect: Interconnect | None = None,
-        checkpoint_every: int = 25,
-        max_recoveries: int = 2,
-        min_shards: int = 1,
-        checkpoint_dir: str | Path | None = None,
         transport_options: dict[str, Any] | None = None,
         **eigenpro_kwargs: Any,
     ) -> None:
         transport_cls = resolve_transport(transport)
-        if checkpoint_every < 0:
-            raise ConfigurationError(
-                f"checkpoint_every must be >= 0, got {checkpoint_every}"
-            )
-        if max_recoveries < 0:
-            raise ConfigurationError(
-                f"max_recoveries must be >= 0, got {max_recoveries}"
-            )
-        if min_shards < 1:
-            raise ConfigurationError(
-                f"min_shards must be >= 1, got {min_shards}"
-            )
         if shard_backends is not None and not isinstance(
             shard_backends, (str, ArrayBackend)
         ):
@@ -398,36 +363,26 @@ class ShardedEigenPro2(EigenPro2):
         self.n_shards = n_shards
         self.shard_backends = shard_backends
         self.transport = transport
-        self.checkpoint_every = int(checkpoint_every)
-        self.max_recoveries = int(max_recoveries)
-        self.min_shards = int(min_shards)
-        self.checkpoint_dir = (
-            None if checkpoint_dir is None else Path(checkpoint_dir)
-        )
         self.transport_options = dict(transport_options or {})
         self.shard_group_: ShardGroup | None = None
         self.last_checkpoint_: ShardCheckpoint | None = None
         self.recovery_log_: list[RecoveryEvent] = []
-        self._recoveries_used = 0
-        self._steps_since_checkpoint = 0
         self._cursor = 0
         self._pending_mirror: PendingMap | None = None
         #: Subsample rows ``alpha[:s]`` the owner, shard 0, updates
         #: (``0`` without a preconditioner).
         self._owned_rows = 0
         #: Open replay window after a recovery, for the tracer only:
-        #: ``(resumed_step, failed_step, t0)``; closed (and recorded as
-        #: a ``"recovery/replay"`` span) when the loop passes the step
-        #: that originally failed.
-        self._replay_window: tuple[int, int, float] | None = None
+        #: ``(failed_step, t0)``; closed (and recorded as a
+        #: ``"recovery/replay"`` span) when the loop passes the step that
+        #: originally failed.
+        self._replay_window: tuple[int, float] | None = None
 
     # --------------------------------------------------------------- setup
     def _setup(self, x: np.ndarray, y: np.ndarray) -> None:
         super()._setup(x, y)
         self.last_checkpoint_ = None
         self.recovery_log_ = []
-        self._recoveries_used = 0
-        self._steps_since_checkpoint = 0
         self._replay_window = None
 
     def _bind_centers(self, x: Any) -> None:
@@ -521,15 +476,13 @@ class ShardedEigenPro2(EigenPro2):
             return None
         return idx, np.asarray(to_numpy(g)), gamma
 
-    def _settle(self, pending: tuple | None, drain: bool) -> None:
-        """Have the owner apply ``pending`` now (before a checkpoint,
-        and with ``drain`` at the end of a span), then refresh this
-        caller's copy of the subsample's weight rows from it."""
-        if pending is None and not drain:
-            return  # no preconditioner: nothing to apply or refresh
+    def _settle(self, pending: tuple | None) -> None:
+        """Have the owner apply ``pending`` at the end of a span and
+        every shard drop its block scratch, then refresh this caller's
+        copy of the subsample's weight rows from the owner."""
         group = self.shard_group_
-        with span("correction_wait", step=self._cursor, drain=drain):
-            group.map(_settle_task, pending, drain)
+        with span("correction_wait", step=self._cursor):
+            group.map(_settle_task, pending)
         s = self._owned_rows
         if s and group.needs_mirror:
             bk = get_backend()
@@ -541,50 +494,37 @@ class ShardedEigenPro2(EigenPro2):
     def _run_epoch(
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
     ) -> None:
-        """One epoch, wrapped in the elastic-recovery loop.
-
-        With checkpointing enabled, an epoch-start checkpoint anchors the
-        replay window, periodic checkpoints tighten it, and a
-        :class:`~repro.exceptions.ShardError` raised by any step triggers
-        :meth:`_recover_or_reraise`: probe liveness, rebuild the group
-        over the survivors, restore the last checkpoint and resume at
-        its cursor.  Failure-free runs execute exactly the schedule of
-        the non-recovering engine — checkpoints only *read* state.  With
-        checkpointing disabled there is nothing to restore, so a failure
-        propagates.
-        """
+        """One epoch: take its anchor checkpoint, then run its steps,
+        and after a :class:`~repro.exceptions.ShardError` recover
+        (:meth:`_recover_or_reraise`) and replay them from the first.
+        Failure-free runs execute exactly the schedule of the
+        non-recovering engine — the checkpoint only *reads* state."""
         if self.shard_group_ is None or not blocks:
             # Standalone use before a sharded fit: the unsharded loop.
             super()._run_epoch(x, y, blocks, gamma)
             return
-        cursor = 0
+        self._take_checkpoint()
         while True:
             try:
-                self._run_span(x, y, blocks, gamma, start=cursor)
+                self._run_span(x, y, blocks, gamma)
                 return
             except ShardError as exc:
-                cursor = self._recover_or_reraise(exc, x)
+                self._recover_or_reraise(exc, x)
 
     def _run_span(
-        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float,
-        start: int,
+        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
     ) -> None:
-        """Run ``blocks[start:]`` (module docstring: step schedule) with
-        periodic checkpoints, starting with the span-anchor checkpoint at
-        ``start`` itself.
+        """Run the epoch's ``blocks`` (module docstring: step schedule).
 
         Per step ``t`` (step ``t``'s form and contraction already
         queued): queue step ``t+1``'s prefetch, await the blocks and the
         all-reduced prediction, apply step 3 to this caller's rows, then
-        either settle the owner (checkpoint due, or the span's last
-        step) or hand it the step in step ``t+1``'s contraction.  The
-        update (+ mirror) completes before step ``t+1``'s contraction is
-        queued, and the owner applies step ``t``'s correction before it
-        contracts, so every contraction sees the weights of the previous
-        step.
+        hand the owner the step in step ``t+1``'s contraction, or settle
+        it after the last step.  The update (+ mirror) completes before
+        step ``t+1``'s contraction is queued, and the owner applies step
+        ``t``'s correction before it contracts, so every contraction sees
+        the weights of the previous step.
         """
-        if self.checkpoint_every > 0:
-            self._take_checkpoint(start)
         group = self.shard_group_
 
         def prefetch(idx: np.ndarray) -> PendingMap:
@@ -600,26 +540,18 @@ class ShardedEigenPro2(EigenPro2):
 
         # Fused contract + all-reduce: the partials combine host-side at
         # await time.  A span starts with no correction pending.
-        forming = prefetch(blocks[start])
+        forming = prefetch(blocks[0])
         contracting = group.map_allreduce_async(_contract_task, None)
-        for t in range(start, len(blocks)):
+        for t, idx in enumerate(blocks):
             self._cursor = t
-            idx = blocks[t]
             last = t + 1 == len(blocks)
             if not last:
                 upcoming = prefetch(blocks[t + 1])
             f = self._await_step(t, forming, contracting)
             pending = self._apply_shard_step(f, y, idx, gamma)
-            self._steps_since_checkpoint += 1
-            checkpoint = (
-                0 < self.checkpoint_every <= self._steps_since_checkpoint
-            )
-            if last or checkpoint:
-                self._settle(pending, drain=last)
-                pending = None
-            if checkpoint:
-                self._take_checkpoint(t + 1)
-            if not last:
+            if last:
+                self._settle(pending)
+            else:
                 forming = upcoming
                 contracting = group.map_allreduce_async(_contract_task, pending)
             self._note_step_complete(t)
@@ -648,62 +580,39 @@ class ShardedEigenPro2(EigenPro2):
         return f
 
     # ----------------------------------------------------------- checkpoint
-    def _take_checkpoint(self, cursor: int) -> ShardCheckpoint:
-        """Snapshot the training state at batch cursor ``cursor`` of the
-        current epoch.  Weights come through the transport's host-visible
-        surface (a memcpy, no extra RPC on shared-memory transports) and
-        are stored in the caller's row order; the queued mirror is
-        drained first so device-copy shards are not snapshotted
-        mid-push."""
+    def _take_checkpoint(self) -> None:
+        """Snapshot the weights at the start of the current epoch.  They
+        come through the transport's host-visible surface (a memcpy, no
+        extra RPC on shared-memory transports) and are stored in the
+        caller's row order; the queued mirror is drained first so
+        device-copy shards are not snapshotted mid-push."""
         group = self.shard_group_
-        with span("checkpoint", cursor=int(cursor), g=group.g):
+        with span("checkpoint", epoch=self._epoch, g=group.g):
             self._drain_pending_mirror()
-            rng = self._rng
             weights = group.gather_weights()
-            ckpt = ShardCheckpoint(
+            self.last_checkpoint_ = ShardCheckpoint(
                 weights=weights if self._inv is None else weights[self._inv],
                 epoch=self._epoch,
-                batch_cursor=int(cursor),
-                rng_state=(
-                    None if rng is None
-                    else copy.deepcopy(rng.bit_generator.state)
-                ),
-                op_counts=group.op_counts(),
-                g=group.g,
-                transport=group.name,
             )
-            self.last_checkpoint_ = ckpt
-            self._steps_since_checkpoint = 0
-            if self.checkpoint_dir is not None:
-                ckpt.save(self.checkpoint_dir / "checkpoint.pkl")
-        return ckpt
 
     # ------------------------------------------------------------- recovery
-    def _recover_or_reraise(self, exc: ShardError, x: Any) -> int:
-        """Elastic-shrink recovery from a shard failure inside the epoch
-        loop; returns the batch cursor to resume from, or re-raises
-        ``exc`` (checkpoint attached) when recovery is not possible."""
+    def _recover_or_reraise(self, exc: ShardError, x: Any) -> None:
+        """Elastic-shrink recovery from a shard failure inside the
+        epoch's steps: rebuild the group smaller over the epoch's anchor
+        weights, so the caller replays the epoch from its first step; or
+        re-raise ``exc`` (anchor attached) when no shard would survive."""
         group = self.shard_group_
         ckpt = self.last_checkpoint_
-        if (
-            group is None
-            or ckpt is None
-            or ckpt.epoch != self._epoch
-            or self._recoveries_used >= self.max_recoveries
-        ):
-            exc.checkpoint = ckpt
-            raise exc
         t0 = time.perf_counter()
         # Probe liveness to learn *which* workers died (never raises).
         # A task-level failure on still-live workers (e.g. a collective
         # timeout) reports nobody dead; the shrink still retires one
-        # shard — every retry must make the group strictly smaller, or a
-        # persistent fault would burn the budget without progress.
+        # shard, so a persistent fault ends the fit after g - 1 retries.
         with span("recovery/probe", g=group.g):
             dead = tuple(group.dead_shards())
         old_g = group.g
         new_g = old_g - max(1, len(dead))
-        if new_g < self.min_shards:
+        if new_g < 1:
             exc.checkpoint = ckpt
             raise exc
         self._pending_mirror = None
@@ -719,7 +628,7 @@ class ShardedEigenPro2(EigenPro2):
         # alpha *is* the ``set_weights`` of the new group.  The held
         # order does not depend on g: the new group is re-planned over
         # the same held centers.
-        with span("recovery/restore", cursor=ckpt.batch_cursor):
+        with span("recovery/restore", epoch=ckpt.epoch):
             bk = get_backend()
             weights = ckpt.weights
             self._alpha[...] = bk.asarray(
@@ -728,12 +637,10 @@ class ShardedEigenPro2(EigenPro2):
             )
         with span("recovery/rebuild", new_g=new_g):
             self._build_group(x, new_g)
-        self._recoveries_used += 1
         event = RecoveryEvent(
             epoch=self._epoch,
             failed_step=self._cursor,
-            resumed_step=ckpt.batch_cursor,
-            replayed_steps=max(0, self._cursor - ckpt.batch_cursor),
+            replayed_steps=self._cursor,
             old_g=old_g,
             new_g=new_g,
             dead_shards=dead,
@@ -750,29 +657,25 @@ class ShardedEigenPro2(EigenPro2):
             replayed_steps=event.replayed_steps,
         )
         if capture().tracing and event.replayed_steps > 0:
-            # The replay itself happens in the resumed step loop; open a
-            # window the loop closes (as a "recovery/replay" span) when
+            # The replay itself happens in the restarted step loop; open
+            # a window the loop closes (as a "recovery/replay" span) when
             # it passes the step that originally failed.
-            self._replay_window = (
-                ckpt.batch_cursor, self._cursor, time.perf_counter()
-            )
-        return ckpt.batch_cursor
+            self._replay_window = (self._cursor, time.perf_counter())
 
     def _note_step_complete(self, t: int) -> None:
         """Close the post-recovery replay window once the loop has
         re-done every step the failure rolled back (tracing only)."""
         if self._replay_window is None:
             return
-        resumed, failed, t0 = self._replay_window
+        failed, t0 = self._replay_window
         if t + 1 >= failed:
             self._replay_window = None
             record_span(
                 "recovery/replay",
                 t0,
                 time.perf_counter() - t0,
-                resumed_step=resumed,
                 failed_step=failed,
-                replayed_steps=failed - resumed,
+                replayed_steps=failed,
             )
 
     def _mirror_rows(self, global_idx: np.ndarray) -> None:

@@ -247,7 +247,7 @@ def test_elastic_rebuild_recomputes_budget(tmp_path, monkeypatch):
     y = np.tanh(x @ rng.standard_normal((8, 3)))
     trainer = ShardedEigenPro2(
         GaussianKernel(bandwidth=2.0), n_shards=2, transport="process",
-        s=48, batch_size=32, seed=0, damping=0.5, checkpoint_every=2,
+        s=48, batch_size=32, seed=0, damping=0.5,
     )
     try:
         trainer.fit(x, y, epochs=2)

@@ -158,11 +158,11 @@ from repro.shard.trainer import _form_block_task as _ORIGINAL_FORM_TASK  # noqa:
 
 def _form_block_then_die_task(worker, xb, xb_sq_norms):
     # Module-level (hence picklable) wrapper around the trainer's form
-    # task that crashes shard 1's worker after a couple of iterations —
+    # task that crashes shard 0's worker after a couple of iterations —
     # a mid-epoch worker death.  The counter is per-process: each forked
     # child counts its own form calls.
     _KILL_COUNTER["n"] += 1
-    if _KILL_COUNTER["n"] > 2 and worker.shard_id == 1:
+    if _KILL_COUNTER["n"] > 2 and worker.shard_id == 0:
         os._exit(5)
     return _ORIGINAL_FORM_TASK(worker, xb, xb_sq_norms)
 
@@ -198,8 +198,8 @@ _OWNER_KILL_COUNTER = {"n": 0}
 def _form_block_kill_owner_task(worker, xb, xb_sq_norms):
     # Kill-once, like the helper above, but of shard 0 — the shard that
     # holds the subsample's weight rows and runs the correction — at its
-    # fourth form task: with a checkpoint every two steps, step 3's
-    # block, while step 2's correction is still pending on it.
+    # fourth form task: step 3's block, while step 2's correction is
+    # still pending on it.
     _OWNER_KILL_COUNTER["n"] += 1
     flag = os.environ.get(_KILL_FLAG_ENV)
     if (
@@ -225,7 +225,6 @@ def _recovery_problem(n=240, d=8, l=3, seed=0):
 def _recovery_trainer(g, transport, **kw):
     from repro.shard import ShardedEigenPro2
 
-    kw.setdefault("checkpoint_every", 2)
     return ShardedEigenPro2(
         GaussianKernel(bandwidth=2.0),
         n_shards=g,
@@ -379,40 +378,30 @@ class TestProcessTransportFailure:
             trainer.close()
         _assert_segments_unlinked(names)
 
-    def test_fit_failure_propagates_original_error(self, small_dataset):
-        """With the elastic-recovery budget zeroed, a worker death
-        mid-fit surfaces the ShardError (not a masking secondary failure
-        from the cleanup path) and carries the last checkpoint for
-        out-of-band resumption."""
-        from repro.shard import ShardedEigenPro2
+    def test_fit_failure_propagates_original_error(self):
+        """With nothing left to shrink to — a one-shard fit whose only
+        worker dies mid-epoch — the fit surfaces the original ShardError
+        after zero recoveries (not a masking secondary failure from the
+        cleanup path), carrying the epoch's anchor checkpoint, and
+        unlinks its segments."""
         from repro.shard import trainer as shard_trainer
 
-        trainer = ShardedEigenPro2(
-            GaussianKernel(bandwidth=2.5),
-            n_shards=2,
-            transport="process",
-            s=60,
-            batch_size=32,
-            seed=0,
-            max_recoveries=0,
-        )
+        x, y = _recovery_problem()
+        trainer = _recovery_trainer(1, "process")
         original_form = shard_trainer._form_block_task
         shard_trainer._form_block_task = _form_block_then_die_task
         try:
             with pytest.raises(ShardError, match="died") as excinfo:
-                trainer.fit(
-                    small_dataset.x_train, small_dataset.y_train, epochs=2
-                )
+                trainer.fit(x, y, epochs=2)
             names = _leaked_segment_names(trainer.shard_group_)
         finally:
             shard_trainer._form_block_task = original_form
             trainer.close()
         _assert_segments_unlinked(names)
-        # The epoch-anchor checkpoint existed before the failure, so the
-        # exhausted-budget path must attach it to the propagating error.
+        assert trainer.recovery_log_ == []
         ckpt = excinfo.value.checkpoint
-        assert ckpt is not None
-        assert ckpt.g == 2 and ckpt.transport == "process"
+        assert ckpt is trainer.last_checkpoint_
+        assert ckpt.epoch == 1
         assert ckpt.weights.shape == trainer._alpha.shape
 
 
@@ -468,22 +457,21 @@ class TestProcessElasticRecovery:
         self, tier, tmp_path, monkeypatch
     ):
         """Killing the shard that runs the correction loses the
-        correction it had pending.  The checkpoint recovery resumes from
-        already holds every correction before its cursor (its weights
-        match the serial trainer's after as many steps), so the recovered
-        fit matches a failure-free one."""
+        correction it had pending.  Recovery restores the epoch's anchor,
+        which holds no pending correction, and replays every step of the
+        epoch before the failed one, so the recovered fit matches a
+        failure-free one."""
         from repro.config import use_precision
         from repro.shard import ShardedEigenPro2
         from repro.shard import trainer as shard_trainer
 
         x, y = _recovery_problem()
-        checkpoints = {}
+        anchors = []
         take = ShardedEigenPro2._take_checkpoint
 
-        def keep(self, cursor):
-            ckpt = take(self, cursor)
-            checkpoints.setdefault((ckpt.epoch, ckpt.batch_cursor), ckpt)
-            return ckpt
+        def keep(self):
+            take(self)
+            anchors.append(self.last_checkpoint_)
 
         monkeypatch.setattr(ShardedEigenPro2, "_take_checkpoint", keep)
         with use_precision(tier):
@@ -493,6 +481,7 @@ class TestProcessElasticRecovery:
                 ref_w = np.array(ref._alpha)
             finally:
                 ref.close()
+            twin = anchors[0]
 
             restored = []
             recover = ShardedEigenPro2._recover_or_reraise
@@ -516,74 +505,19 @@ class TestProcessElasticRecovery:
             finally:
                 trainer.close()
 
-            (ckpt,) = restored
-            assert (ckpt.epoch, ckpt.batch_cursor) == (1, 2)
-            assert event.resumed_step == 2
-            serial = EigenPro2(
-                GaussianKernel(bandwidth=2.0), s=48, batch_size=32, seed=0,
-                damping=0.5,
-            )
-            serial.fit(x, y, epochs=1, max_iterations=ckpt.batch_cursor)
-        want = np.asarray(serial.model_.weights)
-        scale = float(np.max(np.abs(want)))
-        # Without step 1's correction the checkpoint is off by ~0.7 of
-        # scale; float32 blocks allow ~1e-6.
-        tol = 1e-10 if tier == "float64" else 1e-4
-        assert np.max(np.abs(ckpt.weights - want)) <= tol * scale
-        # Bitwise the failure-free fit's checkpoint at the same cursor.
-        twin = checkpoints[(1, 2)]
-        assert twin is not ckpt
+        # The replay resumed from the epoch-1 anchor: bitwise the
+        # failure-free fit's, and re-run every step before the failure.
+        (ckpt,) = restored
+        assert ckpt.epoch == event.epoch == 1
+        assert twin is not ckpt and twin.epoch == 1
         np.testing.assert_array_equal(ckpt.weights, twin.weights)
+        assert event.failed_step > 0
+        assert event.replayed_steps == event.failed_step
         # The replay contracts over one shard instead of two: float64
         # keeps the class's 1e-6 bound, float32 blocks read ~3e-6.
         tol = 1e-6 if tier == "float64" else 1e-5
         scale = float(np.max(np.abs(ref_w)))
         assert np.max(np.abs(recovered_w - ref_w)) <= tol * scale
-
-    def test_checkpoint_persists_to_disk_and_roundtrips(self, tmp_path):
-        from repro.shard.recovery import ShardCheckpoint
-
-        x, y = _recovery_problem()
-        trainer = _recovery_trainer(2, "process", checkpoint_dir=tmp_path)
-        try:
-            trainer.fit(x, y, epochs=1)
-            last = trainer.last_checkpoint_
-            assert last is not None
-            path = tmp_path / "checkpoint.pkl"
-            assert path.exists()
-            loaded = ShardCheckpoint.load(path)
-            np.testing.assert_array_equal(loaded.weights, last.weights)
-            assert loaded.epoch == last.epoch
-            assert loaded.batch_cursor == last.batch_cursor
-            assert loaded.g == 2
-            assert loaded.transport == "process"
-            assert loaded.rng_state == last.rng_state
-            assert loaded.op_counts == last.op_counts
-        finally:
-            trainer.close()
-
-    def test_min_shards_floor_reraises_with_checkpoint(
-        self, tmp_path, monkeypatch
-    ):
-        """With ``min_shards`` equal to the current group size there is
-        nothing to shrink to: the original error propagates, checkpoint
-        attached, after zero recoveries."""
-        from repro.shard import trainer as shard_trainer
-
-        x, y = _recovery_problem()
-        monkeypatch.setenv(_KILL_FLAG_ENV, str(tmp_path / "killed.flag"))
-        monkeypatch.setenv(_KILL_SHARD_ENV, "1")
-        monkeypatch.setattr(
-            shard_trainer, "_form_block_task", _form_block_kill_once_task
-        )
-        trainer = _recovery_trainer(2, "process", min_shards=2)
-        try:
-            with pytest.raises(ShardError, match="died") as excinfo:
-                trainer.fit(x, y, epochs=2)
-            assert trainer.recovery_log_ == []
-            assert excinfo.value.checkpoint is not None
-        finally:
-            trainer.close()
 
 
 class TestDegenerateGeometry:

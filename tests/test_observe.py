@@ -311,7 +311,7 @@ class TestCorrectionRunsOnTheOwner:
             tracer = Tracer()
             trainer = ShardedEigenPro2(
                 GaussianKernel(bandwidth=2.0), n_shards=g,
-                transport=transport, checkpoint_every=2, **opts,
+                transport=transport, **opts,
             )
             try:
                 with trace_scope(tracer), meter_scope() as meter:
@@ -360,6 +360,35 @@ class TestFitPhaseSpans:
         assert setup.start_s + setup.duration_s <= min(
             ev.start_s for ev in tracer.events if ev.name == "epoch"
         )
+
+    @transports
+    def test_one_checkpoint_and_one_settle_per_epoch(self, transport):
+        """A failure-free sharded fit of 30 steps an epoch takes one
+        checkpoint, the epoch's anchor, at each epoch's start, and
+        settles the owner once, after the epoch's last step."""
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((240, 6))
+        y = np.tanh(x @ rng.standard_normal((6, 2)))
+        trainer = ShardedEigenPro2(
+            GaussianKernel(bandwidth=2.0), n_shards=2, transport=transport,
+            s=24, batch_size=8, seed=0,
+        )
+        tracer = Tracer()
+        try:
+            with trace_scope(tracer):
+                trainer.fit(x, y, epochs=2)
+        finally:
+            trainer.close()
+        epochs = [ev for ev in tracer.events if ev.name == "epoch"]
+        assert [ev.attrs["iterations"] for ev in epochs] == [30, 30]
+        counts = tracer.counts()
+        assert (counts["checkpoint"], counts["correction_wait"]) == (2, 2)
+        checkpoints = [ev for ev in tracer.events if ev.name == "checkpoint"]
+        assert [ev.attrs["epoch"] for ev in checkpoints] == [1, 2]
+        for ckpt, epoch in zip(checkpoints, epochs):
+            assert epoch.start_s <= ckpt.start_s
+        assert trainer.recovery_log_ == []
+        assert trainer.last_checkpoint_.epoch == 2
 
 
 class TestExporters:
@@ -567,12 +596,12 @@ class TestComparePhases:
     def test_recovery_row_prices_each_event(self):
         events = [
             RecoveryEvent(
-                epoch=1, failed_step=9, resumed_step=6, replayed_steps=3,
+                epoch=1, failed_step=3, replayed_steps=3,
                 old_g=4, new_g=3, dead_shards=(3,), error="ShardError: x",
                 recovery_s=0.25,
             ),
             RecoveryEvent(
-                epoch=2, failed_step=4, resumed_step=4, replayed_steps=0,
+                epoch=2, failed_step=0, replayed_steps=0,
                 old_g=3, new_g=2, dead_shards=(), error="ShardError: y",
                 recovery_s=0.5,
             ),
@@ -605,7 +634,7 @@ class TestComparePhases:
         """A ``g = 2`` fit that loses a shard runs on alone; its
         recovery is priced at the two shards it had, not rejected."""
         event = RecoveryEvent(
-            epoch=0, failed_step=5, resumed_step=4, replayed_steps=1,
+            epoch=0, failed_step=1, replayed_steps=1,
             old_g=2, new_g=1, dead_shards=(1,), error="ShardError: z",
             recovery_s=0.125,
         )
@@ -641,7 +670,7 @@ class TestComparePhases:
 
         def modelled(replayed_steps: int) -> float:
             event = RecoveryEvent(
-                epoch=0, failed_step=5, resumed_step=2,
+                epoch=0, failed_step=replayed_steps,
                 replayed_steps=replayed_steps, old_g=2, new_g=1,
                 dead_shards=(1,), error="ShardError: r", recovery_s=0.5,
             )
@@ -661,7 +690,7 @@ class TestComparePhases:
 
     def test_steps_counted_once_with_owner_and_settle_spans(self):
         """Worker ``correction`` spans on several shards, and one more
-        settle before a checkpoint: the steps are still counted once
+        settle at the end of the span: the steps are still counted once
         each, and the per-step time takes the slowest shard's
         correction."""
         tracer = Tracer()
@@ -674,14 +703,14 @@ class TestComparePhases:
                 record_span("correction", t0 + 0.25, 0.0625, shard=0)
                 record_span("correction", t0 + 0.25, 0.125, shard=1)
                 record_span("allreduce", t0 + 0.625, 0.0625)
-            # The settle before a checkpoint, on both shards.
+            # The settle at the end of the span, on both shards.
             record_span("correction", 2.0, 0.0625, shard=0)
             record_span("correction", 2.0, 0.125, shard=1)
         report = compare_phases(
             tracer, g=2, link="process", weight_scalars=600.0,
             recovery_events=[
                 RecoveryEvent(
-                    epoch=0, failed_step=3, resumed_step=2,
+                    epoch=0, failed_step=1,
                     replayed_steps=1, old_g=2, new_g=1, dead_shards=(1,),
                     error="ShardError: r", recovery_s=0.5,
                 )

@@ -460,6 +460,10 @@ def test_mixed_zero_row_in_batch(problem):
         {"batch_wait": "adaptive"},
         {"batch_wait": "0.1s"},
         {"drain_timeout_s": 0.0},
+        {"batch_wait": float("inf")},
+        {"batch_wait": float("nan")},
+        {"drain_timeout_s": float("inf")},
+        {"drain_timeout_s": float("nan")},
     ],
 )
 def test_options_validation(kwargs):

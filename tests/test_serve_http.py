@@ -119,6 +119,20 @@ def test_http_client_predict_bitwise(served):
     )
 
 
+def test_http_client_sends_numpy_integer_priority(served):
+    """A NumPy integer priority is a valid one; the client sends it as a
+    JSON integer and the answer is the engine's."""
+    group, _, http_srv = served
+    x = np.random.default_rng(43).standard_normal((3, D))
+    request = PredictRequest(rows=x, priority=np.int64(2))
+    with HttpClient(http_srv.url) as client:
+        resp = client.predict_request(request)
+    assert resp.request_id == request.request_id
+    np.testing.assert_array_equal(
+        resp.values, np.asarray(sharded_predict(group, x))
+    )
+
+
 def test_single_sample_round_trip(served):
     group, server, http_srv = served
     x = np.random.default_rng(41).standard_normal(D)

@@ -350,7 +350,7 @@ class TestShardedEigenPro2:
             trainer = ShardedEigenPro2(
                 GaussianKernel(bandwidth=2.5), n_shards=g,
                 shard_backends=backends, device=titan_xp(), s=80,
-                batch_size=32, seed=0, damping=0.9, checkpoint_every=3,
+                batch_size=32, seed=0, damping=0.9,
             )
             try:
                 with use_precision("float32"):
