@@ -379,15 +379,16 @@ class TestProcessTransportFailure:
         _assert_segments_unlinked(names)
 
     def test_fit_failure_propagates_original_error(self):
-        """With nothing left to shrink to — a one-shard fit whose only
-        worker dies mid-epoch — the fit surfaces the original ShardError
-        after zero recoveries (not a masking secondary failure from the
-        cleanup path), carrying the epoch's anchor checkpoint, and
-        unlinks its segments."""
+        """A worker that dies in every group it is forked into exhausts
+        the shrinks: the two-shard fit recovers once onto one shard, and
+        when that last worker dies too the fit surfaces the original
+        ShardError (not a masking secondary failure from the cleanup
+        path), carrying the epoch's anchor checkpoint, and unlinks its
+        segments."""
         from repro.shard import trainer as shard_trainer
 
         x, y = _recovery_problem()
-        trainer = _recovery_trainer(1, "process")
+        trainer = _recovery_trainer(2, "process")
         original_form = shard_trainer._form_block_task
         shard_trainer._form_block_task = _form_block_then_die_task
         try:
@@ -398,10 +399,9 @@ class TestProcessTransportFailure:
             shard_trainer._form_block_task = original_form
             trainer.close()
         _assert_segments_unlinked(names)
-        assert trainer.recovery_log_ == []
+        assert [(e.old_g, e.new_g) for e in trainer.recovery_log_] == [(2, 1)]
         ckpt = excinfo.value.checkpoint
         assert ckpt is trainer.last_checkpoint_
-        assert ckpt.epoch == 1
         assert ckpt.weights.shape == trainer._alpha.shape
 
 
@@ -518,6 +518,34 @@ class TestProcessElasticRecovery:
         tol = 1e-6 if tier == "float64" else 1e-5
         scale = float(np.max(np.abs(ref_w)))
         assert np.max(np.abs(recovered_w - ref_w)) <= tol * scale
+
+    def test_min_shards_floor_reraises_with_checkpoint(
+        self, tmp_path, monkeypatch
+    ):
+        """A one-shard group is the floor: with nothing to shrink to, the
+        original error propagates after zero recoveries, carrying the
+        epoch's anchor checkpoint, and the segments are unlinked."""
+        from repro.shard import trainer as shard_trainer
+
+        x, y = _recovery_problem()
+        monkeypatch.setenv(_KILL_FLAG_ENV, str(tmp_path / "killed.flag"))
+        monkeypatch.setenv(_KILL_SHARD_ENV, "0")
+        monkeypatch.setattr(
+            shard_trainer, "_form_block_task", _form_block_kill_once_task
+        )
+        trainer = _recovery_trainer(1, "process")
+        try:
+            with pytest.raises(ShardError, match="died") as excinfo:
+                trainer.fit(x, y, epochs=2)
+            names = _leaked_segment_names(trainer.shard_group_)
+        finally:
+            trainer.close()
+        _assert_segments_unlinked(names)
+        assert trainer.recovery_log_ == []
+        ckpt = excinfo.value.checkpoint
+        assert ckpt is trainer.last_checkpoint_
+        assert ckpt.epoch == 1
+        assert ckpt.weights.shape == trainer._alpha.shape
 
 
 class TestDegenerateGeometry:
