@@ -59,10 +59,22 @@ train-MSE monitor reads its rows of that product, and the next step
 starts from it.  The fit drops the block and ``f`` when it returns or
 raises.
 
+Epoch anchor: every epoch starts with one ``(n, l)`` copy of the
+weights (:meth:`_take_checkpoint`) and runs its steps through
+:meth:`_run_span`.  A fault a step raises goes to
+:meth:`_recover_or_reraise`, which re-raises it unless a subclass
+accepts it (the sharded trainer, a lost shard); an accepted fault
+restores the anchor and replays the epoch's batch blocks from the first,
+ending where a failure-free epoch does.  A full-batch restore drops the
+carried prediction; the next step recomputes it from the kept block.
+``keep_best_val`` uses the same :meth:`_snapshot` and :meth:`_restore`.
+
 Under an active tracer (:mod:`repro.observe`) a fit records one
-``setup`` span, an ``epoch`` span per epoch holding the steps'
-``form_block``, ``gemm`` and ``correction`` spans, and a ``monitor``
-span per epoch around the train-MSE predict.  Every step records one
+``setup`` span, an ``epoch`` span per epoch holding its ``checkpoint``
+span and the steps' ``form_block``, ``gemm`` and ``correction`` spans,
+and a ``monitor`` span per epoch around the train-MSE predict.  A
+replay records a ``recovery/restore`` span and a ``recovery/replay``
+span around the replayed steps.  Every step records one
 ``gemm`` span.  A full-batch fit records one ``form_block`` span in
 all, its ``gemm`` span follows the ``correction`` span, and its
 ``monitor`` spans run no GEMM.
@@ -79,6 +91,7 @@ factor-bookkeeping against the paper's Eq. 2).
 from __future__ import annotations
 
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -223,10 +236,9 @@ class BaseKernelTrainer:
         self.seed = seed
         self.monitor_size = int(monitor_size)
         self.damping = float(damping)
-        # Cursor state exposed for checkpointing (repro.shard.recovery):
-        # the fit's shuffling RNG and the 1-based epoch being run.
-        self._rng: np.random.Generator | None = None
+        # The 1-based epoch being run and its anchor (module docstring).
         self._epoch: int = 0
+        self._anchor: Any | None = None
         # The fit's center order (module docstring: layout): held
         # position -> caller row, and its inverse; None for the caller's.
         self._order: np.ndarray | None = None
@@ -369,7 +381,7 @@ class BaseKernelTrainer:
         # block (shift-invariant kernels only; None otherwise).
         self._x_sq_norms = center_sq_norms(self.kernel, x, bk)
         self._alpha = bk.zeros((n, l), dtype=dtype)
-        self._order = self._inv = None
+        self._order = self._inv = self._anchor = None
         caller = (x, y, self._x_sq_norms)
         with span("setup", n=n):
             self._setup(x, y)
@@ -394,9 +406,7 @@ class BaseKernelTrainer:
         gamma = self.step_size_ / m
         full_batch = m == n
 
-        # Exposed as an attribute so checkpoints (repro.shard.recovery)
-        # can capture the generator state alongside the epoch cursor.
-        self._rng = rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.seed)
         monitor_idx = self._held_rows(
             np.arange(n)
             if n <= self.monitor_size
@@ -410,7 +420,7 @@ class BaseKernelTrainer:
         allocations: list[str] = []
         total_iterations = 0
         best_val = float("inf")
-        best_alpha: Any | None = None
+        best: Any | None = None
         t0 = time.perf_counter()
         self._keep_block = full_batch
         try:
@@ -436,7 +446,7 @@ class BaseKernelTrainer:
                     else self._held_rows(rng.permutation(n))
                 )
                 # The epoch's batch index blocks, computed once per
-                # permutation (a sharded recovery replays this list).
+                # permutation (a replay reruns this list).
                 blocks = [perm[start : start + m] for start in range(0, n, m)]
                 stop_now = False
                 if max_iterations is not None:
@@ -482,15 +492,15 @@ class BaseKernelTrainer:
                     and val_error < best_val
                 ):
                     best_val = val_error
-                    best_alpha = bk.copy(self._alpha)
+                    best = self._snapshot()
                 if mse_stop and mse_stop.should_stop(train_mse):
                     break
                 if plateau and plateau.update(val_error):
                     break
                 if stop_now:
                     break
-            if best_alpha is not None:
-                self._alpha[...] = best_alpha
+            if best is not None:
+                self._restore(best)
         finally:
             if self.device is not None:
                 for name in allocations:
@@ -512,10 +522,55 @@ class BaseKernelTrainer:
     def _run_epoch(
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
     ) -> None:
-        """Run one epoch's mini-batch steps (``blocks`` is the epoch's
-        precomputed list of batch index arrays)."""
+        """Run one epoch (``blocks`` is its precomputed list of batch
+        index arrays): take its anchor, run its steps, and after a fault
+        :meth:`_recover_or_reraise` accepts, restore the anchor and
+        replay the steps from the first (module docstring: epoch
+        anchor)."""
+        self._take_checkpoint()
+        attempt: Any = nullcontext()
+        while True:
+            try:
+                with attempt:
+                    self._run_span(x, y, blocks, gamma)
+                return
+            except Exception as exc:  # noqa: BLE001 - the handler decides
+                self._recover_or_reraise(exc, x)
+            with span("recovery/restore", epoch=self._epoch):
+                self._restore(self._anchor)
+            attempt = span(
+                "recovery/replay", epoch=self._epoch, steps=len(blocks)
+            )
+
+    def _run_span(
+        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
+    ) -> None:
+        """Step hook: run the epoch's steps, one :meth:`_iterate` per
+        batch index block."""
         for idx in blocks:
             self._iterate(x, y, idx, gamma)
+
+    def _take_checkpoint(self) -> None:
+        """Anchor the current epoch: snapshot the weights at its start."""
+        with span("checkpoint", epoch=self._epoch):
+            self._anchor = self._snapshot()
+
+    def _snapshot(self) -> Any:
+        """A copy of the weights, in the held order."""
+        return get_backend().copy(self._alpha)
+
+    def _restore(self, snapshot: Any) -> None:
+        """Put the weights back to a :meth:`_snapshot`.  A full-batch
+        fit drops its carried prediction, so its next step recomputes it
+        from the kept block and the restored weights."""
+        self._alpha[...] = snapshot
+        self._kept_f = None
+
+    def _recover_or_reraise(self, exc: Exception, x: Any) -> None:
+        """Fault handler of the epoch loop: return to have the epoch
+        restored from its anchor and replayed, or raise.  The base
+        trainer recovers from nothing."""
+        raise exc
 
     # -------------------------------------------------------- one iteration
     def _iterate(
@@ -544,7 +599,7 @@ class BaseKernelTrainer:
         g = self._update(f, y, idx, gamma)
         with span("correction", m=m):
             self._apply_correction(kb, idx, g, gamma)
-        if self._kept_f is not None:
+        if self._keep_block:
             with span("gemm", m=m):
                 self._kept_f = self._contract(kb)
 

@@ -415,8 +415,9 @@ def record_span(
     """Record an explicitly timed interval against every active tracer.
 
     For phases that cannot be bracketed by a single ``with`` block —
-    e.g. the post-recovery replay window, whose start and end live in
-    different loop iterations.  No-op when no tracer is active.
+    e.g. an elastic recovery, whose teardown, rebuild and record keeping
+    are timed as one interval around their own spans.  No-op when no
+    tracer is active.
     """
     if not _AMBIENT.tracers:
         return

@@ -179,13 +179,13 @@ class HttpClient:
         rows = np.asarray(request.rows, dtype=np.float64)
         body: dict[str, Any] = {
             "rows": rows.tolist(),
-            # An integer by PredictRequest's check, but maybe a NumPy one,
+            # Numbers by PredictRequest's checks, but maybe NumPy ones,
             # which json cannot encode.
             "priority": int(request.priority),
             "request_id": request.request_id,
         }
         if request.deadline_s is not None:
-            body["deadline_s"] = request.deadline_s
+            body["deadline_s"] = float(request.deadline_s)
         status, payload = self._round_trip("/predict", body, timeout)
         if status != 200:
             self._raise_for(status, payload)

@@ -64,17 +64,17 @@ hang.  On top of that, :mod:`repro.shard.recovery` provides the restore path and
 
 - at every epoch start the trainer takes one
   :class:`~repro.shard.recovery.ShardCheckpoint`, the epoch's *anchor*:
-  the full weight matrix via
-  :meth:`~repro.shard.transport.ShardTransport.gather_weights` (a host
-  memcpy on shared-memory transports), held in memory;
+  a copy of the caller's full weight matrix (no transport call), held
+  in memory, taken by the epoch loop every trainer shares
+  (:class:`~repro.core.trainer.BaseKernelTrainer`);
 - :meth:`~repro.shard.transport.ShardTransport.alive` probes per-shard
   liveness without raising, so dead workers are *reported*, not
   discovered by the next task's failure;
 - on a ``ShardError`` inside the epoch's steps the trainer tears the
   broken transport down, rebuilds the group over the surviving shard
   count (always at least one fewer — an *elastic shrink* on the same
-  transport), restores the anchor's weights and replays the epoch from
-  its first step.  Every recovery shrinks the group, so a fit recovers
+  transport), restores the anchor's weights (re-syncing the rebuilt
+  group's copies) and replays the epoch from its first step.  Every recovery shrinks the group, so a fit recovers
   at most ``g - 1`` times; when no shard would survive the shrink, the
   original ``ShardError`` propagates with the anchor attached
   (``exc.checkpoint``).

@@ -6,9 +6,8 @@ A killed shard surfaces as a clean
 holds what a sharded fit needs to *continue* after losing a worker:
 
 - :class:`ShardCheckpoint` — the epoch anchor: the full weight matrix at
-  the start of an epoch (gathered through the transport's host-visible
-  weight surface, so taking one is a host copy — no extra RPC on
-  shared-memory transports), kept in memory.
+  the start of an epoch, copied from the caller's weights (a host copy,
+  no transport call), kept in memory.
 - :class:`RecoveryEvent` — the record of one elastic-shrink recovery
   (which shards died, g before/after, steps replayed, wall time spent
   tearing down/rebuilding/restoring), accumulated on the trainer's
@@ -22,14 +21,16 @@ holds what a sharded fit needs to *continue* after losing a worker:
   (``recovery/latency_s`` histogram, replayed-step and shards-lost
   counters).
 
-The recovery *policy* lives in
-:class:`~repro.shard.trainer.ShardedEigenPro2`: one checkpoint at every
-epoch start, a liveness probe
+The recovery *policy*: the epoch loop of
+:class:`~repro.core.trainer.BaseKernelTrainer` takes one checkpoint at
+every epoch start and, after a fault its handler accepts, restores it
+and replays the epoch from its first step.  The handler of
+:class:`~repro.shard.trainer.ShardedEigenPro2` accepts a
+:class:`~repro.exceptions.ShardError` after a liveness probe
 (:meth:`~repro.shard.transport.ShardTransport.alive`) to learn which
-workers died, teardown of the broken transport, a rebuild over the
+workers died, teardown of the broken transport and a rebuild over the
 surviving shard count on the same transport (always at least one
-fewer), weight restore from the anchor and a replay of the epoch from
-its first step.  When no shard would survive the shrink, the original
+fewer).  When no shard would survive the shrink, the original
 :class:`~repro.exceptions.ShardError` propagates with the anchor
 attached (``exc.checkpoint``).
 
@@ -61,9 +62,8 @@ class ShardCheckpoint:
     Attributes
     ----------
     weights:
-        Full ``(n, l)`` host weight matrix at snapshot time (gathered via
-        :meth:`~repro.shard.ShardGroup.gather_weights`), in the caller's
-        row order.
+        Full ``(n, l)`` host weight matrix at snapshot time (a copy of
+        the trainer's weights), in the caller's row order.
     epoch:
         1-based epoch whose start the snapshot anchors.
     """
@@ -98,7 +98,8 @@ class RecoveryEvent:
     error:
         ``"ExcType: message"`` of the failure that triggered recovery.
     recovery_s:
-        Wall time of teardown + rebuild + restore (replay excluded; the
+        Wall time of teardown + rebuild (the restore that follows is a
+        host copy, timed by its own ``recovery/restore`` span; the
         replayed steps run at normal per-iteration cost).
     """
 

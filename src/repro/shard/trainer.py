@@ -66,8 +66,7 @@ applies step 3 to the batch rows it holds and then the correction
 :meth:`~repro.core.eigenpro2.EigenPro2._correct` runs serially.  The
 caller's copy of ``alpha[:s]`` is refreshed from the owner when it is
 settled (below) at the end of every span, so the monitor, the next
-epoch's checkpoint and ``model_`` read the exact iteration.  Recovery
-restores the caller's copy and rebuilds the group from it.
+epoch's anchor and ``model_`` read the exact iteration.
 
 Step schedule
 -------------
@@ -123,17 +122,21 @@ The mirror of the rows the caller updated never barriers the caller:
 
 Elastic recovery
 ----------------
-Every epoch starts with one :class:`~repro.shard.recovery.ShardCheckpoint`,
-its *anchor*: the weights in the caller's order, gathered through the
-transport's host-visible surface.  A :class:`~repro.exceptions.ShardError`
-in any of the epoch's steps restores the anchor, rebuilds the group at
-``g - max(1, len(dead))`` shards and replays the epoch from its first
-step.  Every recovery shrinks the group, so a fit recovers at most
-``g - 1`` times; when no shard would survive the shrink, the original
-error propagates with the anchor on ``exc.checkpoint``.  Only the
-epoch's start is anchored: on ``fit-sharded`` (32 steps an epoch) a
-checkpoint at step 25 would shorten a replay by 7 steps, and cost a
-settle round trip and a weight gather in every failure-free epoch.
+The epoch loop, anchor and replay are the base trainer's (epoch
+anchor, :mod:`repro.core.trainer`); this class supplies the step hook
+and the fault handler.  The anchor, a
+:class:`~repro.shard.recovery.ShardCheckpoint`, is copied from the
+caller's ``alpha`` in the caller's order: every span's settle refreshes
+``alpha[:s]`` from the owner, so no transport call is needed.  A
+:class:`~repro.exceptions.ShardError` in the epoch's steps rebuilds the
+group at ``g - max(1, len(dead))`` shards; the loop then restores the
+anchor (re-syncing the shards' copies) and replays the epoch.  A fit
+recovers at most ``g - 1`` times; when no shard would survive the
+shrink, the original error propagates with the anchor on
+``exc.checkpoint``.  Only the epoch's start is anchored: on
+``fit-sharded`` (32 steps an epoch) a checkpoint at step 25 would
+shorten a replay by 7 steps, and cost a settle round trip in every
+failure-free epoch.
 """
 
 from __future__ import annotations
@@ -153,7 +156,7 @@ from repro.device.cluster import Interconnect, multi_gpu
 from repro.device.presets import titan_xp
 from repro.device.simulator import SimulatedDevice
 from repro.exceptions import ConfigurationError, ShardError
-from repro.instrument import capture, record_ops, record_span, span
+from repro.instrument import record_ops, record_span, span
 from repro.kernels.base import Kernel
 from repro.kernels.ops import block_workspace
 from repro.shard.group import PendingMap, ShardGroup
@@ -365,27 +368,21 @@ class ShardedEigenPro2(EigenPro2):
         self.transport = transport
         self.transport_options = dict(transport_options or {})
         self.shard_group_: ShardGroup | None = None
-        self.last_checkpoint_: ShardCheckpoint | None = None
         self.recovery_log_: list[RecoveryEvent] = []
         self._cursor = 0
         self._pending_mirror: PendingMap | None = None
         #: Subsample rows ``alpha[:s]`` the owner, shard 0, updates
         #: (``0`` without a preconditioner).
         self._owned_rows = 0
-        #: Open replay window after a recovery, for the tracer only:
-        #: ``(failed_step, t0)``; closed (and recorded as a
-        #: ``"recovery/replay"`` span) when the loop passes the step that
-        #: originally failed.
-        self._replay_window: tuple[int, float] | None = None
+
+    @property
+    def last_checkpoint_(self) -> ShardCheckpoint | None:
+        """The current epoch's anchor (read-only; class docstring)."""
+        return self._anchor
 
     # --------------------------------------------------------------- setup
-    def _setup(self, x: np.ndarray, y: np.ndarray) -> None:
-        super()._setup(x, y)
-        self.last_checkpoint_ = None
-        self.recovery_log_ = []
-        self._replay_window = None
-
     def _bind_centers(self, x: Any) -> None:
+        self.recovery_log_ = []
         precond = self.preconditioner_
         s = 0 if precond is None else precond.s
         self._build_group(x, min(self.n_shards, x.shape[0] - max(s, 1) + 1))
@@ -490,31 +487,12 @@ class ShardedEigenPro2(EigenPro2):
                 group.gather_weights()[:s], dtype=bk.dtype_of(self._alpha)
             )
 
-    # ---------------------------------------------------- epoch w/ recovery
-    def _run_epoch(
-        self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
-    ) -> None:
-        """One epoch: take its anchor checkpoint, then run its steps,
-        and after a :class:`~repro.exceptions.ShardError` recover
-        (:meth:`_recover_or_reraise`) and replay them from the first.
-        Failure-free runs execute exactly the schedule of the
-        non-recovering engine — the checkpoint only *reads* state."""
-        if self.shard_group_ is None or not blocks:
-            # Standalone use before a sharded fit: the unsharded loop.
-            super()._run_epoch(x, y, blocks, gamma)
-            return
-        self._take_checkpoint()
-        while True:
-            try:
-                self._run_span(x, y, blocks, gamma)
-                return
-            except ShardError as exc:
-                self._recover_or_reraise(exc, x)
-
+    # ------------------------------------------------------------- the epoch
     def _run_span(
         self, x: Any, y: Any, blocks: list[np.ndarray], gamma: float
     ) -> None:
-        """Run the epoch's ``blocks`` (module docstring: step schedule).
+        """Step hook: run the epoch's ``blocks`` (module docstring: step
+        schedule).
 
         Per step ``t`` (step ``t``'s form and contraction already
         queued): queue step ``t+1``'s prefetch, await the blocks and the
@@ -525,6 +503,8 @@ class ShardedEigenPro2(EigenPro2):
         ``t``'s correction before it contracts, so every contraction sees
         the weights of the previous step.
         """
+        if not blocks:  # max_iterations=0 leaves an epoch no step
+            return
         group = self.shard_group_
 
         def prefetch(idx: np.ndarray) -> PendingMap:
@@ -554,7 +534,6 @@ class ShardedEigenPro2(EigenPro2):
             else:
                 forming = upcoming
                 contracting = group.map_allreduce_async(_contract_task, pending)
-            self._note_step_complete(t)
 
     def _await_step(
         self, t: int, forming: PendingMap, contracting: Any
@@ -579,30 +558,40 @@ class ShardedEigenPro2(EigenPro2):
             raise error
         return f
 
-    # ----------------------------------------------------------- checkpoint
-    def _take_checkpoint(self) -> None:
-        """Snapshot the weights at the start of the current epoch.  They
-        come through the transport's host-visible surface (a memcpy, no
-        extra RPC on shared-memory transports) and are stored in the
-        caller's row order; the queued mirror is drained first so
-        device-copy shards are not snapshotted mid-push."""
-        group = self.shard_group_
-        with span("checkpoint", epoch=self._epoch, g=group.g):
-            self._drain_pending_mirror()
-            weights = group.gather_weights()
-            self.last_checkpoint_ = ShardCheckpoint(
-                weights=weights if self._inv is None else weights[self._inv],
-                epoch=self._epoch,
-            )
+    # ----------------------------------------------------- anchor, recovery
+    def _snapshot(self) -> ShardCheckpoint:
+        """A copy of the caller's weights, in the caller's order, tagged
+        with the current epoch (module docstring: elastic recovery)."""
+        w = to_numpy(self._alpha)
+        return ShardCheckpoint(
+            weights=w.copy() if self._inv is None else w[self._inv],
+            epoch=self._epoch,
+        )
 
-    # ------------------------------------------------------------- recovery
-    def _recover_or_reraise(self, exc: ShardError, x: Any) -> None:
-        """Elastic-shrink recovery from a shard failure inside the
-        epoch's steps: rebuild the group smaller over the epoch's anchor
-        weights, so the caller replays the epoch from its first step; or
-        re-raise ``exc`` (anchor attached) when no shard would survive."""
+    def _restore(self, snapshot: ShardCheckpoint) -> None:
+        """Put the weights back to ``snapshot``, the shards' copies too:
+        zero-copy-view shards see the caller's ``alpha`` restored, others
+        are re-synced.  The group holds the fit's center order."""
+        bk = get_backend()
+        w = snapshot.weights
+        super()._restore(bk.asarray(
+            w if self._order is None else w[self._order],
+            dtype=bk.dtype_of(self._alpha),
+        ))
         group = self.shard_group_
-        ckpt = self.last_checkpoint_
+        if group.needs_mirror:
+            self._drain_pending_mirror()
+            group.set_weights(to_numpy(self._alpha))
+
+    def _recover_or_reraise(self, exc: Exception, x: Any) -> None:
+        """Elastic-shrink recovery from a shard failure inside the
+        epoch's steps: rebuild the group smaller, so the caller restores
+        the epoch's anchor and replays the epoch from its first step; or
+        re-raise ``exc`` (anchor attached) when no shard would survive.
+        Any other fault is re-raised as is."""
+        if not isinstance(exc, ShardError):
+            raise exc
+        group = self.shard_group_
         t0 = time.perf_counter()
         # Probe liveness to learn *which* workers died (never raises).
         # A task-level failure on still-live workers (e.g. a collective
@@ -613,7 +602,7 @@ class ShardedEigenPro2(EigenPro2):
         old_g = group.g
         new_g = old_g - max(1, len(dead))
         if new_g < 1:
-            exc.checkpoint = ckpt
+            exc.checkpoint = self._anchor
             raise exc
         self._pending_mirror = None
         with span("recovery/teardown", old_g=old_g):
@@ -622,19 +611,8 @@ class ShardedEigenPro2(EigenPro2):
             except Exception:  # noqa: BLE001 - teardown is best-effort
                 pass
         self.shard_group_ = None
-        # Restore weights caller-side first: the rebuilt group shards
-        # whatever ``self._alpha`` holds (zero-copy-view transports adopt
-        # it directly, copying transports scatter it), so restoring into
-        # alpha *is* the ``set_weights`` of the new group.  The held
-        # order does not depend on g: the new group is re-planned over
-        # the same held centers.
-        with span("recovery/restore", epoch=ckpt.epoch):
-            bk = get_backend()
-            weights = ckpt.weights
-            self._alpha[...] = bk.asarray(
-                weights if self._order is None else weights[self._order],
-                dtype=bk.dtype_of(self._alpha),
-            )
+        # The held order does not depend on g: the new group is
+        # re-planned over the same held centers.
         with span("recovery/rebuild", new_g=new_g):
             self._build_group(x, new_g)
         event = RecoveryEvent(
@@ -649,34 +627,9 @@ class ShardedEigenPro2(EigenPro2):
         )
         self.recovery_log_.append(event)
         record_span(
-            "recovery",
-            t0,
-            event.recovery_s,
-            old_g=old_g,
-            new_g=new_g,
+            "recovery", t0, event.recovery_s, old_g=old_g, new_g=new_g,
             replayed_steps=event.replayed_steps,
         )
-        if capture().tracing and event.replayed_steps > 0:
-            # The replay itself happens in the restarted step loop; open
-            # a window the loop closes (as a "recovery/replay" span) when
-            # it passes the step that originally failed.
-            self._replay_window = (self._cursor, time.perf_counter())
-
-    def _note_step_complete(self, t: int) -> None:
-        """Close the post-recovery replay window once the loop has
-        re-done every step the failure rolled back (tracing only)."""
-        if self._replay_window is None:
-            return
-        failed, t0 = self._replay_window
-        if t + 1 >= failed:
-            self._replay_window = None
-            record_span(
-                "recovery/replay",
-                t0,
-                time.perf_counter() - t0,
-                failed_step=failed,
-                replayed_steps=failed,
-            )
 
     def _mirror_rows(self, global_idx: np.ndarray) -> None:
         """Push updated weight rows to the shards without barriering
@@ -708,21 +661,6 @@ class ShardedEigenPro2(EigenPro2):
                     # settle (_run_span).
                     if failed:
                         group.reset_workspaces()
-                    # keep_best_val may have restored an earlier weight
-                    # snapshot after the last mirror; re-sync shard
-                    # copies.  Guarded by the plan size so a fit that
-                    # failed mid-setup (group from a previous fit, alpha
-                    # from this one) does not mask the original
-                    # exception.
-                    if (
-                        group.plan.n == self._alpha.shape[0]
-                        and group.needs_mirror
-                    ):
-                        # The group keeps the fit's held center order.
-                        w = to_numpy(self._alpha)
-                        group.set_weights(
-                            w if self._order is None else w[self._order]
-                        )
                 except ShardError:
                     # A dead transport must not mask the original
                     # (already-propagating) failure; with no failure in

@@ -158,6 +158,30 @@ class TestCallerOrder:
             t.close()
             one.close()
 
+    @needs_process
+    def test_keep_best_val_resyncs_the_shards(self):
+        """``keep_best_val`` restores an earlier epoch's weights after
+        the last step; the process shards' copies follow, in the held
+        order."""
+        x, y = _problem(n=360)
+        t = ShardedEigenPro2(
+            KERNEL, n_shards=2, transport="process", s=60, q=15,
+            batch_size=40, seed=0, damping=0.9,
+        )
+        try:
+            t.fit(
+                x[:240], y[:240], epochs=4, x_val=x[240:], y_val=y[240:],
+                keep_best_val=True,
+            )
+            val = t.history_.series("val_error")
+            assert int(np.argmin(val)) + 1 < len(val)
+            np.testing.assert_array_equal(
+                t.shard_group_.gather_weights(),
+                np.asarray(t.model_.weights)[t._order],
+            )
+        finally:
+            t.close()
+
     def test_identity_order_moves_nothing(self):
         """``s = n`` and ``q = 0`` hold the caller's order."""
         x, y = _problem(n=120)

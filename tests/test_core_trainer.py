@@ -273,6 +273,84 @@ def _full_batch_trainer(name, n, **kwargs):
     return EigenPro1(kernel, q=20, s=n, **common)
 
 
+class _Fault(RuntimeError):
+    """A test-only fault the replaying trainer below recovers from."""
+
+
+class _FaultsOnce(EigenPro2):
+    """EigenPro 2.0 whose step ``step`` (1-based) of epoch ``epoch``
+    raises :class:`_Fault` once, after it updated the weights, and whose
+    fault handler accepts it."""
+
+    def __init__(self, *args, epoch, step, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.fault_at = (epoch, step)
+        self.steps_run = []  # per step run, its epoch
+        self.faults = []
+
+    def _iterate(self, x, y, idx, gamma):
+        super()._iterate(x, y, idx, gamma)
+        self.steps_run.append(self._epoch)
+        epoch, step = self.fault_at
+        if self._epoch == epoch and self.steps_run.count(epoch) == step:
+            self.fault_at = (None, None)
+            raise _Fault(f"epoch {epoch}, step {step}")
+
+    def _recover_or_reraise(self, exc, x):
+        if not isinstance(exc, _Fault):
+            raise exc
+        self.faults.append(str(exc))
+
+
+class TestEpochReplay:
+    """A fault the handler accepts restores the epoch's anchor and
+    replays the epoch: the fit ends bitwise where a failure-free one
+    does, below full batch (held order, pooled blocks) and at it (the
+    kept block, with the carried prediction recomputed)."""
+
+    @pytest.mark.parametrize("full_batch", [False, True])
+    def test_replayed_fit_is_bitwise_the_failure_free_fit(
+        self, small_dataset, full_batch
+    ):
+        ds = small_dataset
+        x, y = ds.x_train, ds.y_train
+        n = x.shape[0]
+        kernel = GaussianKernel(bandwidth=2.5)
+        opts = (
+            dict(s=n, batch_size=n, damping=0.9)
+            if full_batch
+            else dict(s=60, batch_size=32, damping=0.9)
+        )
+        opts.update(seed=0, monitor_size=100)
+        step = 1 if full_batch else 3
+        ref = EigenPro2(kernel, **opts).fit(x, y, epochs=3)
+        t = _FaultsOnce(kernel, epoch=2, step=step, **opts)
+        t.fit(x, y, epochs=3)
+        assert t.faults == [f"epoch 2, step {step}"]
+        per_epoch = 1 if full_batch else -(-n // 32)
+        assert t.steps_run.count(2) == per_epoch + step
+        assert (t._order is None) == full_batch
+        np.testing.assert_array_equal(t.model_.weights, ref.model_.weights)
+        np.testing.assert_array_equal(
+            t.history_.series("train_mse"), ref.history_.series("train_mse")
+        )
+
+    def test_replay_records_restore_and_replay_spans(self, xy):
+        x, y = xy
+        t = _FaultsOnce(
+            GaussianKernel(bandwidth=2.0), epoch=1, step=2, s=20,
+            batch_size=16, seed=0,
+        )
+        tracer = Tracer()
+        with trace_scope(tracer):
+            t.fit(x, y, epochs=2)
+        counts = tracer.counts()
+        assert counts["checkpoint"] == 2
+        assert counts["recovery/restore"] == counts["recovery/replay"] == 1
+        (replay,) = [e for e in tracer.events if e.name == "recovery/replay"]
+        assert replay.attrs == {"epoch": 1, "steps": 4}
+
+
 class TestFullBatchRegime:
     """At ``m >= n`` a fit forms ``K(X, X)`` once, in the identity row
     order, contracts it once a step, and reads every epoch's monitor from

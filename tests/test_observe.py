@@ -284,10 +284,11 @@ class TestTransportSpanRelayParity:
         got = set(self._traced_fit(transport).counts())
         ref = set(self._traced_fit("thread").counts())
         # Same phase vocabulary everywhere; a transport that actually
-        # mirrors (view-less weights) adds exactly the mirror span the
-        # thread reference's zero-copy views never need.
+        # mirrors (view-less weights) adds exactly the spans the thread
+        # reference's zero-copy views never need: the mirror, and the
+        # settle's gather of the owner's rows.
         assert ref <= got, f"{transport}: missing spans {ref - got}"
-        assert got - ref <= {"mirror"}, (
+        assert got - ref <= {"mirror", "gather"}, (
             f"{transport}: unexpected spans {got - ref}"
         )
 
@@ -389,6 +390,24 @@ class TestFitPhaseSpans:
             assert epoch.start_s <= ckpt.start_s
         assert trainer.recovery_log_ == []
         assert trainer.last_checkpoint_.epoch == 2
+
+    def test_serial_fit_takes_one_checkpoint_per_epoch(self):
+        """The epoch anchor is the base trainer's: a serial fit takes
+        one checkpoint at each epoch's start too."""
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((240, 6))
+        y = np.tanh(x @ rng.standard_normal((6, 2)))
+        trainer = EigenPro2(
+            GaussianKernel(bandwidth=2.0), s=24, batch_size=8, seed=0
+        )
+        tracer = Tracer()
+        with trace_scope(tracer):
+            trainer.fit(x, y, epochs=2)
+        epochs = [ev for ev in tracer.events if ev.name == "epoch"]
+        checkpoints = [ev for ev in tracer.events if ev.name == "checkpoint"]
+        assert [ev.attrs["epoch"] for ev in checkpoints] == [1, 2]
+        for ckpt, epoch in zip(checkpoints, epochs):
+            assert epoch.start_s <= ckpt.start_s
 
 
 class TestExporters:

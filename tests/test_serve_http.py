@@ -133,6 +133,21 @@ def test_http_client_sends_numpy_integer_priority(served):
     )
 
 
+def test_http_client_sends_numpy_float_deadline(served):
+    """A NumPy float deadline is a valid one (``np.float32`` does not
+    subclass ``float``); the client sends it as a JSON number and the
+    answer is the engine's."""
+    group, _, http_srv = served
+    x = np.random.default_rng(43).standard_normal((3, D))
+    request = PredictRequest(rows=x, deadline_s=np.float32(5.0))
+    with HttpClient(http_srv.url) as client:
+        resp = client.predict_request(request)
+    assert resp.request_id == request.request_id
+    np.testing.assert_array_equal(
+        resp.values, np.asarray(sharded_predict(group, x))
+    )
+
+
 def test_single_sample_round_trip(served):
     group, server, http_srv = served
     x = np.random.default_rng(41).standard_normal(D)
