@@ -5,7 +5,7 @@ Drives the same fitted shard group two ways at each offered concurrency
 the previous one resolved — closed-loop load):
 
 - **server**: requests flow through :class:`repro.serve.ModelServer`,
-  whose dispatcher coalesces in-flight requests into one fused
+  whose dispatcher coalesces concurrent requests into one fused
   ``map_allreduce`` tick;
 - **baseline**: one request at a time — each client runs a solo
   :func:`repro.shard.sharded_predict` serialized by a lock, i.e. the
@@ -62,8 +62,8 @@ RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Micro-batching window for the load run, on the order of the
 #: closed-loop clients' inter-arrival jitter (see
-#: :class:`repro.serve.ServeOptions`: in-flight ticks keep the workers
-#: busy through the window, so it costs dispatch latency only).
+#: :class:`repro.serve.ServeOptions`: no tick runs while the window is
+#: open, so it adds to the dispatch latency of every tick it waits for).
 BATCH_WAIT_S = 2e-4
 
 

@@ -16,12 +16,13 @@ and answers concurrent requests through a micro-batching queue:
   :class:`PredictResponse` with per-request timings
   (``queue_s``/``batch_s``) and run id — the one request type from the
   HTTP handler down to the dispatcher;
-- a dispatcher thread coalesces the queue into one tick and scatters
-  per-request result rows back to the futures.  A small tick of a group
-  whose shards live in this process on host NumPy arrays (the thread
-  transport's default) runs every shard's task on the dispatcher; any
-  other tick is one fused ``map_allreduce`` round trip to the workers.
-  Either way the partials are summed by one collective;
+- a dispatcher thread coalesces the queue into one tick, runs it to
+  completion and scatters per-request result rows back to the futures,
+  one tick at a time.  A small tick of a group whose shards live in
+  this process on host NumPy arrays (the thread transport's default)
+  runs every shard's task on the dispatcher; any other tick is one
+  fused ``map_allreduce`` round trip to the workers.  Either way the
+  partials are summed by one collective;
 - every response is **bit-identical** to what the request would get
   from a solo :func:`~repro.shard.sharded_predict` call (see
   :mod:`repro.serve.server` for why the tick evaluates per-request
@@ -44,11 +45,11 @@ calls it over one persistent connection per calling thread (resent
 once on a fresh connection if the server closed an idle one), raising
 the exception types the engine raises in process.
 
-**Failures.**  Each tick is attempted once: a tick that raises, at
-launch or at harvest, fails every request it carries with that error
-(HTTP ``500``); a request whose prediction is NaN or inf fails alone
-with :class:`~repro.exceptions.ReproError` (HTTP ``500``).  Every
-admitted request is counted exactly once, under ``serve/requests``,
+**Failures.**  Each tick is attempted once: a tick that raises fails
+every request it carries with that error (HTTP ``500``); a request
+whose prediction is NaN or inf fails alone with
+:class:`~repro.exceptions.ReproError` (HTTP ``500``).  Every admitted
+request is counted exactly once, under ``serve/requests``,
 ``serve/shed_requests``, ``serve/abandoned_requests`` or
 ``serve/failed_requests``.
 

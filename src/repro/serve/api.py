@@ -22,6 +22,7 @@ work runs (see the scheduling notes in :mod:`repro.serve.server`), so a
 
 from __future__ import annotations
 
+import math
 import os
 import random
 from dataclasses import dataclass, field
@@ -47,6 +48,18 @@ def _new_request_id() -> str:
     return f"r-{_IDS.getrandbits(48):012x}"
 
 
+def is_integer(value: Any) -> bool:
+    """True for an integral number that is not a ``bool``: ``3``,
+    ``np.int64(3)`` and ``3.0`` pass; ``2.5``, NaN, inf, ``True`` and
+    ``"3"`` do not."""
+    if isinstance(value, (bool, np.bool_)):
+        return False
+    try:
+        return int(value) == value
+    except (TypeError, ValueError, OverflowError):  # "x", NaN, inf
+        return False
+
+
 @dataclass(frozen=True)
 class PredictRequest:
     """One typed prediction request.
@@ -67,9 +80,10 @@ class PredictRequest:
         its caller.  Once expired, the dispatcher *sheds* the request —
         fails its future with :class:`~repro.exceptions.DeadlineExceeded`
         at cohort formation, consuming no tick.  ``None`` (default)
-        never sheds.  Must be ``> 0`` when given: a non-positive
-        deadline is a request that was dead on arrival, which is a
-        caller bug, not load.
+        never sheds.  Must be a number ``> 0`` when given (stored as a
+        ``float``): a non-positive deadline is a request that was dead on
+        arrival, which is a caller bug, not load; a ``bool``, a string or
+        NaN is refused.
     request_id:
         Correlation id echoed on the response (and in shed errors).
         Auto-generated when omitted.
@@ -81,19 +95,21 @@ class PredictRequest:
     request_id: str = field(default_factory=_new_request_id)
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and not float(self.deadline_s) > 0:
-            raise ConfigurationError(
-                f"deadline_s must be > 0 seconds (or None), got "
-                f"{self.deadline_s!r}"
+        if self.deadline_s is not None:
+            refused = isinstance(
+                self.deadline_s, (bool, np.bool_, str, bytes)
             )
-        try:
-            integral = (
-                not isinstance(self.priority, (bool, np.bool_))
-                and int(self.priority) == self.priority
-            )
-        except (TypeError, ValueError, OverflowError):  # NaN, inf, "x"
-            integral = False
-        if not integral:
+            try:
+                seconds = float(self.deadline_s)
+            except (TypeError, ValueError, OverflowError):  # [1], 10**400
+                seconds = math.nan
+            if refused or not seconds > 0:  # NaN fails the comparison
+                raise ConfigurationError(
+                    f"deadline_s must be > 0 seconds (or None), got "
+                    f"{self.deadline_s!r}"
+                )
+            object.__setattr__(self, "deadline_s", seconds)
+        if not is_integer(self.priority):
             raise ConfigurationError(
                 f"priority must be an integer, got {self.priority!r}"
             )

@@ -29,8 +29,8 @@ reaching the engine.  The endpoints:
     (``queue_s``/``batch_s``) and the serving run id.
     Errors map onto transport-meaningful statuses: ``400`` for
     malformed requests (bad or over-deep JSON, out-of-range numbers,
-    a non-integral priority, wrong shape/features, non-finite rows),
-    ``503`` with
+    a non-integral priority, a deadline that is not a positive number,
+    wrong shape/features, non-finite rows), ``503`` with
     ``Retry-After`` when the queue is at its backpressure bound,
     ``504`` with ``{"shed": true, "error": "deadline_exceeded"}`` when
     the request's deadline expired before its tick (the dispatcher shed
@@ -104,11 +104,12 @@ def _request_from_payload(payload: Any) -> PredictRequest:
         )
     rows = np.asarray(payload["rows"], dtype=np.float64)
     kwargs: dict[str, Any] = {"rows": rows}
+    # Priority and deadline pass as decoded: PredictRequest is the one
+    # check of each.
     if payload.get("priority") is not None:
-        # Passed as decoded: PredictRequest is the one priority check.
         kwargs["priority"] = payload["priority"]
     if payload.get("deadline_s") is not None:
-        kwargs["deadline_s"] = float(payload["deadline_s"])
+        kwargs["deadline_s"] = payload["deadline_s"]
     if payload.get("request_id") is not None:
         kwargs["request_id"] = str(payload["request_id"])
     return PredictRequest(**kwargs)

@@ -32,7 +32,9 @@ on the dispatcher thread and sums the partials with the group's
 ``allreduce``: the same function on the same arrays with the same
 shard-order sum as the workers.  Such a block runs its tail on one
 thread wherever it runs, so the worker hop would buy it nothing.  Every
-other tick makes one round trip to the workers.
+other tick makes one round trip to the workers.  Either way the
+dispatcher serves one tick at a time: it forms the cohort, runs the
+tick to completion, scatters its rows, and only then forms the next.
 
 Scheduling
 ----------
@@ -91,9 +93,8 @@ from repro.instrument import (
     record_span,
     trace_scope,
 )
-from repro.kernels.base import Kernel
 from repro.observe.metrics import MetricsRegistry
-from repro.serve.api import PredictRequest, PredictResponse
+from repro.serve.api import PredictRequest, PredictResponse, is_integer
 from repro.shard.group import ShardGroup
 from repro.shard.ops import _serve_batch_task
 from repro.shard.transport.base import ShardWorker
@@ -108,13 +109,6 @@ _LOG = logging.getLogger("repro.serve")
 #: calling thread anyway, so a worker hop buys such a tick no
 #: parallelism, only the hop.
 _LOCAL_TICK_SCALARS = _TILE_BYTES // np.dtype(np.float64).itemsize
-
-#: Worker ticks in flight at once: the workers compute tick ``t`` while
-#: the dispatcher scatters ``t - 1``'s rows, callers wake and the queue
-#: refills.  Each shard's executor runs its tasks FIFO, so in-flight
-#: ticks never run concurrently *on a worker*.  A local tick has nothing
-#: to overlap with: the dispatcher harvests it as soon as it is launched.
-_PIPELINE_DEPTH = 2
 
 
 @dataclass(frozen=True)
@@ -135,9 +129,9 @@ class ServeOptions:
         is free.  Throughput-oriented deployments set a window on the
         order of the inter-arrival jitter so one tick coalesces a full
         cohort of concurrent callers instead of whatever fraction had
-        arrived first.  In-flight ticks keep the workers busy while the
-        window runs, so it costs dispatch latency only, not pipeline
-        occupancy.
+        arrived first.  No tick runs while the window is open, so every
+        second of it adds to the dispatch latency of the requests it
+        waits for.
     max_batch_rows:
         Row budget per tick: a request that would push the batch past it
         waits for the next tick (a single over-budget request still runs
@@ -153,7 +147,7 @@ class ServeOptions:
         the bitwise contract).
     drain_timeout_s:
         How long :meth:`ModelServer.close` waits for the dispatcher to
-        drain in-flight requests.
+        drain queued requests.
     """
 
     max_batch_requests: int = 64
@@ -168,11 +162,13 @@ class ServeOptions:
             "max_batch_requests", "max_batch_rows", "max_queue",
             "max_scalars",
         ):
-            if int(getattr(self, name)) < 1:
+            value = getattr(self, name)
+            if not is_integer(value) or value < 1:
                 raise ConfigurationError(
-                    f"{name} must be >= 1, got {getattr(self, name)!r} "
+                    f"{name} must be an integer >= 1, got {value!r} "
                     "(a tick must be able to make progress)"
                 )
+            object.__setattr__(self, name, int(value))
         # Both are passed to a thread wait, which overflows on inf; the
         # comparisons also refuse NaN.
         if not 0 < float(self.drain_timeout_s) < math.inf:
@@ -213,50 +209,6 @@ class _Request:
         return int(self.x.shape[0])
 
 
-@dataclass
-class _Inflight:
-    """One launched (not yet harvested) serving tick."""
-
-    batch: list[_Request]
-    bounds: tuple[tuple[int, int], ...]
-    #: Positional ``map_allreduce`` arguments of the fused tick.
-    call: tuple
-    rows: int
-    dispatch_s: float
-    #: Computed on the dispatcher (:class:`_LocalTick`), not the workers.
-    local: bool = False
-    #: The handle :meth:`ModelServer._reduce_tick` returned (a
-    #: PendingReduce or a _LocalTick), or a Future holding the error
-    #: launching raised; ``result()`` yields the tick's sum or raises.
-    pending: Any = None
-
-
-class _LocalTick:
-    """A launched local tick: :meth:`result` runs the tick's task for
-    every shard in shard order on the calling thread, then combines the
-    partials with the group's ``allreduce``.
-
-    Same task, same arrays and the same shard-order sum as the workers
-    would run, so the bits match; the ops land once, on the calling
-    thread's meters.  Nothing runs before :meth:`result`, so the
-    compute falls inside the tick's ``serve/kernel`` span.
-    """
-
-    def __init__(self, group: ShardGroup, call: tuple) -> None:
-        self._group = group
-        self._call = call
-
-    def result(self) -> Any:
-        group = self._group
-        group._require_serving()
-        fn, *args = self._call
-        partials = []
-        for ex in group.executors:
-            with use_backend(ex.backend):
-                partials.append(fn(ex, *args))
-        return group.allreduce(partials, bk=get_backend())
-
-
 class ModelServer:
     """A persistent in-process serving session over a shard group.
 
@@ -282,8 +234,9 @@ class ModelServer:
     fused ``map_allreduce``, one task round-trip per shard — sums the
     partials with one collective, and scatters per-request
     :class:`~repro.serve.PredictResponse` objects back to the futures.
-    The tick's compute and collective fall inside its ``serve/kernel``
-    span on either path.  Before a future resolves,
+    One tick runs at a time: the next cohort forms only after the last
+    one is scattered.  The tick's compute and collective fall inside its
+    ``serve/kernel`` span on either path.  Before a future resolves,
     ``serve/{queue,batch,kernel,scatter}`` spans are relayed to the
     tracers captured at submit time (the same relay discipline as
     worker spans), and per-request latencies land in the server's
@@ -299,18 +252,18 @@ class ModelServer:
     (:func:`~repro.config.use_precision`) active where the server was
     built, as :func:`~repro.shard.sharded_predict` called there would.
 
-    Failure policy: each tick is attempted once.  A tick that raises, at
-    launch or at harvest, fails its whole batch's futures with that
-    error; the errors a tick can meet (a closed group or executor, a
-    dead worker) are permanent, so a retry could only fail again.  A
-    request whose prediction is non-finite (NaN or inf in the model)
-    fails alone with :class:`~repro.exceptions.ReproError` while the
-    rest of its tick resolves.  Every admitted request ends
-    in exactly one of ``serve/requests``, ``serve/shed_requests``,
+    Failure policy: each tick is attempted once.  A tick that raises
+    fails its whole batch's futures with that error; the errors a tick
+    can meet (a closed group or executor, a dead worker) are permanent,
+    so a retry could only fail again.  A request whose prediction is
+    non-finite (NaN or inf in the model) fails alone with
+    :class:`~repro.exceptions.ReproError` while the rest of its tick
+    resolves.  Every admitted request ends in exactly one of
+    ``serve/requests``, ``serve/shed_requests``,
     ``serve/abandoned_requests`` or ``serve/failed_requests``.
     :meth:`submit_request` after :meth:`close` raises
     :class:`~repro.exceptions.ShardError`; close itself drains the queue
-    (every in-flight future resolves) and is idempotent.
+    (every queued future resolves) and is idempotent.
     """
 
     def __init__(
@@ -318,13 +271,10 @@ class ModelServer:
         model: Any | None = None,
         *,
         group: ShardGroup | None = None,
-        kernel: Kernel | None = None,
         g: int = 1,
         transport: str = "thread",
-        backends: Any | None = None,
         options: ServeOptions | None = None,
         metrics: MetricsRegistry | None = None,
-        **transport_options: Any,
     ) -> None:
         if (model is None) == (group is None):
             raise ConfigurationError(
@@ -340,25 +290,23 @@ class ModelServer:
         if group is not None:
             if group.closed:
                 raise ConfigurationError("group is closed; serve a live one")
-            self.kernel = kernel if kernel is not None else group.kernel
+            self.kernel = group.kernel
             if self.kernel is None:
                 raise ConfigurationError(
-                    "no kernel: pass kernel=... or build the group with one"
+                    "group has no kernel: build it with kernel=..."
                 )
             if any(ex.weights is None for ex in group.executors):
                 raise ConfigurationError("group executors hold no weights")
             self.group = group
             self._owns_group = False
         else:
-            self.kernel = kernel if kernel is not None else model.kernel
+            self.kernel = model.kernel
             self.group = ShardGroup.build(
                 np.asarray(to_numpy(model.centers)),
                 np.asarray(to_numpy(model.weights)),
                 g=g,
-                backends=backends,
                 kernel=self.kernel,
                 transport=transport,
-                **transport_options,
             )
             self._owns_group = True
         ex0 = self.group.executors[0]
@@ -564,7 +512,6 @@ class ModelServer:
         )
 
     def _dispatch_loop(self) -> None:
-        inflight: deque[_Inflight] = deque()
         precision = (
             use_precision(self._precision)
             if self._precision is not None
@@ -572,49 +519,32 @@ class ModelServer:
         )
         with precision, meter_scope(self.meter), trace_scope(self.tracer):
             while True:
-                batch: list[_Request] = []
-                shed: list[_Request] = []
-                abandoned: list[_Request] = []
                 with self._cv:
-                    while (
-                        not self._queue
-                        and not inflight
-                        and not self._closing
-                    ):
+                    while not self._queue and not self._closing:
                         self._cv.wait()
-                    if not self._queue and not inflight:
+                    if not self._queue:
                         return  # closing and drained
-                    if self._queue and len(inflight) < _PIPELINE_DEPTH:
-                        # Micro-batching window: keep listening for
-                        # arrivals until the cohort is full, the window
-                        # expires, or the server starts closing.  Each
-                        # submit notifies the condition, so a wait only
-                        # wakes on growth or timeout.  In-flight ticks
-                        # keep the workers busy through the wait, so the
-                        # window trades only dispatch latency — never
-                        # pipeline occupancy — for cohort fullness.
-                        wait_s = self.options.batch_wait
-                        if (
-                            wait_s > 0.0
+                    # Micro-batching window: keep listening for arrivals
+                    # until the cohort is full, the window expires, or
+                    # the server starts closing.  Each submit notifies
+                    # the condition, so a wait only wakes on growth or
+                    # timeout.
+                    wait_s = self.options.batch_wait
+                    if wait_s > 0.0:
+                        deadline = time.perf_counter() + wait_s
+                        while (
+                            len(self._queue) < self.options.max_batch_requests
                             and not self._closing
-                            and len(self._queue)
-                            < self.options.max_batch_requests
                         ):
-                            deadline = time.perf_counter() + wait_s
-                            while (
-                                len(self._queue)
-                                < self.options.max_batch_requests
-                                and not self._closing
+                            remaining = deadline - time.perf_counter()
+                            if (
+                                remaining <= 0.0
+                                or not self._cv.wait(remaining)
                             ):
-                                remaining = deadline - time.perf_counter()
-                                if (
-                                    remaining <= 0.0
-                                    or not self._cv.wait(remaining)
-                                ):
-                                    break
-                        batch, shed, abandoned = self._pop_batch_locked(
-                            time.perf_counter()
-                        )
+                                break
+                    batch, shed, abandoned = self._pop_batch_locked(
+                        time.perf_counter()
+                    )
                 # Future resolution and metrics happen outside the
                 # queue lock: set_exception may run caller callbacks.
                 if shed:
@@ -624,24 +554,39 @@ class ModelServer:
                         "serve/abandoned_requests", len(abandoned)
                     )
                 if batch:
-                    inflight.append(self._launch_batch(batch))
-                    if (
-                        len(inflight) < _PIPELINE_DEPTH
-                        and not inflight[-1].local
-                    ):
-                        # Room for another tick behind this one — only
-                        # harvest once the pipeline is primed or the
-                        # queue runs dry.  A local tick has nothing to
-                        # overlap with: it computes when harvested.
-                        continue
-                if inflight:
-                    self._finish_batch(inflight.popleft())
+                    self._serve_batch(batch)
 
-    def _launch_batch(self, batch: list[_Request]) -> "_Inflight":
-        """Coalesce ``batch`` and submit its fused tick — non-blocking,
-        so the workers compute this tick while the dispatcher scatters
-        the previous one and the queue refills behind it (the serving
-        analogue of the sharded trainer's block prefetch)."""
+    def _reduce_tick(
+        self, x: np.ndarray, bounds: tuple[tuple[int, int], ...], local: bool
+    ) -> Any:
+        """Run one tick's fused map + all-reduce; returns the sum or
+        raises.
+
+        The one place a tick reaches the group, on both paths.  A local
+        tick runs :func:`_serve_batch_task` for every shard in shard
+        order on this thread, then sums the partials with the group's
+        ``allreduce``: the same task, arrays and shard-order sum as the
+        workers, so the bits match, and the ops land once, on this
+        thread's meters.  Any other tick is one round trip through the
+        group's ``map_allreduce_async`` (the entry point the benchmark
+        ledger times as ``shard.dispatch``).
+        """
+        args = (self.kernel, x, bounds, self.options.max_scalars)
+        group = self.group
+        if not local:
+            return group.map_allreduce_async(
+                _serve_batch_task, *args, bk=get_backend()
+            ).result()
+        group._require_serving()
+        partials = []
+        for ex in group.executors:
+            with use_backend(ex.backend):
+                partials.append(_serve_batch_task(ex, *args))
+        return group.allreduce(partials, bk=get_backend())
+
+    def _serve_batch(self, batch: list[_Request]) -> None:
+        """Run one tick to completion, then scatter its rows to the
+        batch's futures (or fail them all with the tick's error)."""
         dispatch_s = time.perf_counter()
         bounds: list[tuple[int, int]] = []
         lo = 0
@@ -653,50 +598,15 @@ class ModelServer:
             if len(batch) == 1
             else np.concatenate([req.x for req in batch], axis=0)
         )
-        inflight = _Inflight(
-            batch=batch,
-            bounds=tuple(bounds),
-            call=(
-                _serve_batch_task, self.kernel, x_host, tuple(bounds),
-                self.options.max_scalars,
-            ),
-            rows=lo,
-            dispatch_s=dispatch_s,
-            local=(
-                self._local_centers is not None
-                and lo * self._local_centers <= _LOCAL_TICK_SCALARS
-            ),
+        local = (
+            self._local_centers is not None
+            and lo * self._local_centers <= _LOCAL_TICK_SCALARS
         )
-        try:
-            inflight.pending = self._reduce_tick(inflight)
-        except Exception as exc:
-            # Submission itself failed (e.g. the group was closed under
-            # us): the harvest fails the batch with this error.
-            inflight.pending = Future()
-            inflight.pending.set_exception(exc)
-        return inflight
-
-    def _reduce_tick(self, inflight: "_Inflight") -> Any:
-        """Start one tick's fused map + all-reduce; returns a handle
-        whose ``result()`` yields the sum.
-
-        The one place a tick reaches the group, on both paths: a local
-        tick becomes a :class:`_LocalTick`, any other goes through the
-        group's ``map_allreduce_async``.
-        """
-        if inflight.local:
-            return _LocalTick(self.group, inflight.call)
-        return self.group.map_allreduce_async(
-            *inflight.call, bk=get_backend()
-        )
-
-    def _finish_batch(self, inflight: "_Inflight") -> None:
-        batch = inflight.batch
-        dispatch_s = inflight.dispatch_s
-        lo = inflight.rows
         kernel_s = time.perf_counter()
         try:
-            out = np.asarray(to_numpy(inflight.pending.result()))
+            out = np.asarray(
+                to_numpy(self._reduce_tick(x_host, tuple(bounds), local))
+            )
         except Exception as exc:
             _LOG.error(
                 "serve.batch_failed run=%s requests=%d rows=%d error=%s",
@@ -722,7 +632,7 @@ class ModelServer:
         queue_obs: list[float] = []
         request_obs: list[float] = []
         failed = 0
-        for req, (seg_lo, seg_hi) in zip(batch, inflight.bounds):
+        for req, (seg_lo, seg_hi) in zip(batch, bounds):
             rows = out[seg_lo:seg_hi]
             values = (
                 np.asarray(rows[0]).copy() if req.squeeze else rows.copy()
@@ -800,7 +710,7 @@ class ModelServer:
         """Stop accepting requests and shut the dispatcher down.
 
         With ``drain=True`` (default) every queued request is still
-        served — all in-flight futures resolve before the dispatcher
+        served — every queued future resolves before the dispatcher
         exits.  With ``drain=False`` queued requests fail immediately
         with :class:`~repro.exceptions.ShardError` (counted under
         ``serve/failed_requests``, or ``serve/abandoned_requests`` when

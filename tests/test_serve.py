@@ -65,17 +65,17 @@ def _build_group(problem, transport: str, g: int) -> ShardGroup:
 
 
 def _inject(server: ModelServer, seam) -> list[bool]:
-    """Route every tick of ``server`` through ``seam(real, inflight)``,
-    ``real`` being the server's own tick seam — the one place a tick
-    reaches the group on the local and the worker path alike.  Returns
-    the ``local`` flag of each tick seen, so a test can check which path
-    it exercised."""
+    """Route every tick of ``server`` through ``seam(real, x, bounds,
+    local)``, ``real`` being the server's own tick seam — the one place
+    a tick reaches the group on the local and the worker path alike.
+    Returns the ``local`` flag of each tick seen, so a test can check
+    which path it exercised."""
     real = server._reduce_tick
     seen: list[bool] = []
 
-    def wrapped(inflight):
-        seen.append(inflight.local)
-        return seam(real, inflight)
+    def wrapped(x, bounds, local):
+        seen.append(local)
+        return seam(real, x, bounds, local)
 
     server._reduce_tick = wrapped
     return seen
@@ -245,7 +245,7 @@ def test_closed_group_fails_ticks_with_shard_error(problem, transport):
     _, _, _, x = problem
     group = _build_group(problem, transport, 2)
     server = ModelServer(group=group)
-    seen = _inject(server, lambda real, inflight: real(inflight))
+    seen = _inject(server, lambda real, *tick: real(*tick))
     try:
         server.predict_request(x[:1], timeout=60)
         group.close()
@@ -357,17 +357,17 @@ def test_close_without_drain_fails_queued(problem, transport="thread"):
     with _build_group(problem, transport, 2) as group:
         entered, release = threading.Event(), threading.Event()
 
-        def blocking_launch(real, inflight):
+        def blocking_tick(real, *tick):
             entered.set()
             release.wait(timeout=30)
-            return real(inflight)
+            return real(*tick)
 
         try:
             server = ModelServer(
                 group=group,
                 options=ServeOptions(max_batch_requests=1, batch_wait=0.0),
             )
-            seen = _inject(server, blocking_launch)
+            seen = _inject(server, blocking_tick)
             inflight = server.submit_request(np.zeros((1, D)))
             assert entered.wait(timeout=10)
             queued = [
@@ -464,11 +464,27 @@ def test_mixed_zero_row_in_batch(problem):
         {"batch_wait": float("nan")},
         {"drain_timeout_s": float("inf")},
         {"drain_timeout_s": float("nan")},
+        {"max_batch_requests": "4", "batch_wait": 0.05},
+        {"max_scalars": "100000"},
+        {"max_batch_rows": 2.5},
+        {"max_queue": True},
+        {"max_batch_requests": float("nan")},
+        {"max_scalars": float("inf")},
     ],
 )
 def test_options_validation(kwargs):
     with pytest.raises(ConfigurationError):
         ServeOptions(**kwargs)
+
+
+def test_options_budgets_stored_as_int():
+    """Integral budgets of any numeric type are kept as ``int``."""
+    options = ServeOptions(
+        max_batch_requests=np.int64(4), max_batch_rows=8.0, max_queue=16
+    )
+    assert (options.max_batch_requests, options.max_batch_rows) == (4, 8)
+    assert type(options.max_batch_requests) is int
+    assert type(options.max_batch_rows) is int
 
 
 def test_constructor_validation(problem):
@@ -560,17 +576,17 @@ def test_backpressure_queue_full(problem, transport="thread"):
     with _build_group(problem, transport, 1) as group:
         entered, release = threading.Event(), threading.Event()
 
-        def blocking_launch(real, inflight):
+        def blocking_tick(real, *tick):
             entered.set()
             release.wait(timeout=30)
-            return real(inflight)
+            return real(*tick)
 
         try:
             server = ModelServer(
                 group=group,
                 options=ServeOptions(max_batch_requests=1, max_queue=2),
             )
-            seen = _inject(server, blocking_launch)
+            seen = _inject(server, blocking_tick)
             first = server.submit_request(np.zeros((1, D)))
             assert entered.wait(timeout=10)
             queued = [
@@ -598,19 +614,10 @@ def test_backpressure_queue_full_on_workers(problem):
 # --------------------------------------------------------------------------
 
 
-class _FailingPending:
-    """A launched tick whose harvest raises ``error``."""
-
-    def __init__(self, error: Exception) -> None:
-        self.error = error
-
-    def result(self):
-        raise self.error
-
-
 @pytest.mark.parametrize("at", ["launch", "harvest"])
 def test_failed_tick_fails_its_batch_once(problem, at, transport="thread"):
-    """A tick that raises at launch or at harvest enters the tick seam
+    """A tick that raises before it reaches the group (``launch``) or
+    after the group has summed it (``harvest``) enters the tick seam
     exactly once: every request it carries fails with the original
     error, serve/failed_requests counts the batch, the other requests
     are served with solo bits, and so is the next request."""
@@ -620,13 +627,13 @@ def test_failed_tick_fails_its_batch_once(problem, at, transport="thread"):
         want = np.asarray(sharded_predict(group, x))
         ticks = []
 
-        def failing_tick(real, inflight):
-            ticks.append(inflight)
+        def failing_tick(real, x_tick, bounds, local):
+            ticks.append(bounds)
             if len(ticks) > 1:
-                return real(inflight)
-            if at == "launch":
-                raise error
-            return _FailingPending(error)
+                return real(x_tick, bounds, local)
+            if at == "harvest":
+                real(x_tick, bounds, local)
+            raise error
 
         server = ModelServer(
             group=group,
@@ -637,22 +644,22 @@ def test_failed_tick_fails_its_batch_once(problem, at, transport="thread"):
             futures = [server.submit_request(x) for _ in range(3)]
             for f in futures:
                 f.exception(timeout=60)
-            failed = {id(req.future) for req in ticks[0].batch}
-            for f in futures:
-                if id(f) in failed:
-                    assert f.exception() is error
-                else:
-                    np.testing.assert_array_equal(f.result().values, want)
             got = server.predict_request(x, timeout=60).values
         finally:
             server.close()
         counters = server.stats()["counters"]
+    # Equal priorities keep FIFO order: the failed tick carried the
+    # first requests, one per segment.
+    failed = len(ticks[0])
+    for f in futures[:failed]:
+        assert f.exception() is error
+    for f in futures[failed:]:
+        np.testing.assert_array_equal(f.result().values, want)
     np.testing.assert_array_equal(got, want)
     assert failed
-    assert counters["serve/failed_requests"] == len(failed)
-    assert counters["serve/requests"] == 4 - len(failed)
+    assert counters["serve/failed_requests"] == failed
+    assert counters["serve/requests"] == 4 - failed
     assert counters["serve/batches"] == len(ticks) - 1
-    assert len({id(tick) for tick in ticks}) == len(ticks)
     assert seen == [transport == "thread"] * len(ticks)
 
 
@@ -661,6 +668,65 @@ def test_failed_tick_fails_its_batch_once(problem, at, transport="thread"):
 def test_failed_tick_fails_its_batch_once_on_workers(problem, at):
     """The same, on a process group: the worker path."""
     test_failed_tick_fails_its_batch_once(problem, at, "process")
+
+
+@needs_process
+def test_one_worker_tick_at_a_time(problem):
+    """The dispatcher runs each tick to completion before it forms the
+    next: with the first tick held at the seam and three requests queued
+    behind it, no worker tick is launched while another is still
+    outstanding."""
+    with _build_group(problem, "process", 2) as group:
+        lock = threading.Lock()
+        outstanding = [0]
+        peak = [0]
+        real_async = group.map_allreduce_async
+
+        class _Counted:
+            def __init__(self, pending):
+                self._pending = pending
+
+            def result(self):
+                try:
+                    return self._pending.result()
+                finally:
+                    with lock:
+                        outstanding[0] -= 1
+
+        def counted_async(*args, **kwargs):
+            pending = real_async(*args, **kwargs)
+            with lock:
+                outstanding[0] += 1
+                peak[0] = max(peak[0], outstanding[0])
+            return _Counted(pending)
+
+        group.map_allreduce_async = counted_async
+        entered, release = threading.Event(), threading.Event()
+
+        def held_tick(real, *tick):
+            if not entered.is_set():
+                entered.set()
+                release.wait(timeout=30)
+            return real(*tick)
+
+        server = ModelServer(
+            group=group, options=ServeOptions(max_batch_requests=1)
+        )
+        seen = _inject(server, held_tick)
+        try:
+            first = server.submit_request(np.zeros((1, D)))
+            assert entered.wait(timeout=10)
+            queued = [
+                server.submit_request(np.zeros((1, D))) for _ in range(3)
+            ]
+            release.set()
+            for f in [first, *queued]:
+                assert f.result(timeout=60).values.shape == (1, L)
+        finally:
+            release.set()
+            server.close()
+    assert seen == [False] * 4
+    assert peak[0] == 1
 
 
 def test_nan_weight_fails_requests_not_served(problem):

@@ -223,9 +223,12 @@ def test_unknown_routes_404(served):
         {"rows": [[0.0] * D], "tags": {"arm": "a"}},  # not a predict field
         {"rows": [[0.0] * D], "deadline_s": -1.0},
         {"rows": [[0.0] * D], "priority": 1.5},
+        {"rows": [[0.0] * D], "deadline_s": True},
+        {"rows": [[0.0] * D], "deadline_s": "0.5"},
     ],
     ids=["no-rows", "unknown-field", "non-numeric", "bad-features",
-         "bad-tags", "bad-deadline", "fractional-priority"],
+         "bad-tags", "bad-deadline", "fractional-priority", "bool-deadline",
+         "str-deadline"],
 )
 def test_malformed_requests_400(served, payload):
     _, _, http_srv = served

@@ -111,8 +111,11 @@ class TestRequestAPI:
         assert child_id.startswith("r-")
         assert child_id != PredictRequest(rows=np.zeros((1, D))).request_id
 
-    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    @pytest.mark.parametrize(
+        "deadline", [0.0, -1.0, "soon", [1], True, float("nan"), "0.5"]
+    )
     def test_nonpositive_deadline_rejected(self, deadline):
+        """Anything but a positive number of seconds is refused."""
         with pytest.raises(ConfigurationError, match="deadline_s"):
             PredictRequest(rows=np.zeros((1, D)), deadline_s=deadline)
 
@@ -253,15 +256,15 @@ class TestPriorityScheduling:
                 batch_wait=0.0, max_batch_requests=max_batch_requests
             ),
         )
-        # Gate the first tick's launch at the server's one tick seam,
+        # Gate the first tick at the server's one tick seam,
         # which local and worker ticks both pass through.
         real_tick = server._reduce_tick
 
-        def gated_tick(inflight):
+        def gated_tick(*tick):
             if not first_tick.is_set():
                 first_tick.set()
                 gate.wait(timeout=30)
-            return real_tick(inflight)
+            return real_tick(*tick)
 
         server._reduce_tick = gated_tick
         try:

@@ -3,8 +3,8 @@
 A Hypothesis :class:`~hypothesis.stateful.RuleBasedStateMachine` drives
 one ``g=1`` :class:`~repro.serve.ModelServer` through interleavings of
 submits (with priorities and short deadlines), caller timeouts and
-cancels, injected tick failures (at launch or at harvest; each fails
-one tick once) and ``close(drain=True | False)``, then
+cancels, injected tick failures (each fails one tick once) and
+``close(drain=True | False)``, then
 checks the two lifecycle invariants:
 
 - every admitted future resolves exactly once (its done-callbacks run
@@ -46,11 +46,6 @@ WEIGHTS = _RNG.standard_normal((N, L))
 ROWS = _RNG.standard_normal((4, D))
 
 
-class _FailingPending:
-    def result(self):
-        raise ShardError("injected tick failure at harvest")
-
-
 class ServeLifecycle(RuleBasedStateMachine):
     #: The thread transport serves these ticks on the dispatcher (the
     #: local path); :class:`ServeLifecycleOnWorkers` runs the machine
@@ -67,24 +62,17 @@ class ServeLifecycle(RuleBasedStateMachine):
         self.futures: list[Future] = []
         self.callbacks: dict[int, int] = {}
         self.lock = threading.Lock()
-        #: Where the next tick fails ("launch" or "harvest"), consumed by
-        #: the wrapped tick seam (the one place local and worker ticks
-        #: reach the group); ``None`` lets ticks through.
-        self.failure: str | None = None
+        #: Whether the next tick fails, consumed by the wrapped tick
+        #: seam (the one place local and worker ticks reach the group).
+        self.fail_next = False
         real_tick = self.server._reduce_tick
 
-        def take_failure() -> str | None:
+        def flaky_tick(*tick):
             with self.lock:
-                failure, self.failure = self.failure, None
-                return failure
-
-        def flaky_tick(inflight):
-            failure = take_failure()
-            if failure == "launch":
-                raise ShardError("injected tick failure at launch")
-            if failure == "harvest":
-                return _FailingPending()
-            return real_tick(inflight)
+                fail, self.fail_next = self.fail_next, False
+            if fail:
+                raise ShardError("injected tick failure")
+            return real_tick(*tick)
 
         self.server._reduce_tick = flaky_tick
 
@@ -124,12 +112,11 @@ class ServeLifecycle(RuleBasedStateMachine):
         except Exception:
             pass  # shed or failed: resolved either way
 
-    @rule(at=st.sampled_from(["launch", "harvest"]))
-    def inject_tick_failure(self, at):
-        """Fail the next tick once, at launch or at harvest: every
-        request it carries fails."""
+    @rule()
+    def inject_tick_failure(self):
+        """Fail the next tick once: every request it carries fails."""
         with self.lock:
-            self.failure = at
+            self.fail_next = True
 
     @precondition(lambda self: not self.server.closed)
     @rule(drain=st.booleans())
