@@ -38,7 +38,7 @@ from repro.core.stepsize import analytic_step_size
 from repro.core.trainer import BaseKernelTrainer
 from repro.exceptions import ConfigurationError
 from repro.instrument import record_ops
-from repro.linalg.nystrom import nystrom_extension
+from repro.linalg.nystrom import _subsample_pairs
 
 __all__ = ["EigenPro1"]
 
@@ -86,7 +86,8 @@ class EigenPro1(BaseKernelTrainer):
             s = default_subsample_size(n)
         s = min(s, n)
         q = min(self.q, s - 1)
-        ext = nystrom_extension(self.kernel, x, s, q, seed=self.seed)
+        # The pairs only: EigenPro 1.0 reads no beta table.
+        ext = _subsample_pairs(self.kernel, x, s, q, seed=self.seed)[0]
 
         # Nyström-extend the eigenfunctions to ALL n points and renormalize
         # to unit eigenvectors of the full kernel matrix K:
@@ -131,7 +132,9 @@ class EigenPro1(BaseKernelTrainer):
         (n, q), (m, l) = v.shape, g.shape
         # The improved chain's op count with n in place of s: the
         # overhead ratio is exactly n/s (Table 1).
-        t = v.T @ (kb.T @ g)  # (n, l) then (q, l): n*m*l + n*q*l ops
+        # K is symmetric: the kept full-batch block's own product is K^T g.
+        kt_g = kb.matmul(g) if kb is self._kept_block else kb.T @ g
+        t = v.T @ kt_g  # (n, l) then (q, l): n*m*l + n*q*l ops
         t *= self._d_scale[:, None]
         self._alpha += gamma * (v @ t)  # (n, l): n*q*l ops
         record_ops("precond", n * m * l + 2 * n * q * l)

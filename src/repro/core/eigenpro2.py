@@ -380,6 +380,11 @@ class EigenPro2(BaseKernelTrainer):
         )
         return None if np.array_equal(order, np.arange(n)) else order
 
+    def _lead_width(self) -> int | None:
+        """``Phi``'s width ``s``: the kept full-batch block's first
+        column is ``Phi^T``."""
+        return None if self.preconditioner_ is None else self.preconditioner_.s
+
     def _apply_correction(
         self, kb: np.ndarray, idx: np.ndarray, g: np.ndarray, gamma: float
     ) -> None:
@@ -387,7 +392,10 @@ class EigenPro2(BaseKernelTrainer):
             return
         # The subsample leads the held center order, so the first s
         # columns of the already-computed batch block are Phi^T: a view,
-        # no new kernel evaluations and no copy.
+        # no new kernel evaluations and no copy.  The kept full-batch
+        # block holds them as its first column (_lead_width).
+        if kb is self._kept_block:
+            kb = kb.columns[0]
         self._correct(kb[:, : self.preconditioner_.s], g, gamma)
 
     def _correct(self, phi: Any, g: Any, gamma: float) -> None:

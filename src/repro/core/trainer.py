@@ -47,14 +47,19 @@ lands on small data) is the one exception.  Every epoch is then a single
 step over the whole training set, and a full-batch step does not depend
 on row order (except in the last bits of its sums), so the rows run in
 the identity of the held order instead of a fresh permutation.  Every
-epoch's block is then the same ``(n, n)`` matrix ``K(X, X)``: the first
-step forms it into an array the fit owns (not a workspace view, which
-the validation predicts would overwrite), and later epochs reuse it.
-With ``l`` columns in ``alpha`` the product with that block is bound by
-the bytes it reads, so the fit reads it once per step: it carries the
-prediction ``f = K(X, X) alpha``, zero while ``alpha`` is, and each step
-runs its update and correction from the carried ``f`` and ends with the
-one product of the block and the updated ``alpha``.  The epoch's
+epoch's block is then the same symmetric ``(n, n)`` matrix ``K(X, X)``:
+the first step forms it and later epochs reuse it.  The fit keeps only
+its lower block columns (:class:`_KeptBlock`, arrays the fit owns, not
+a workspace view, which the validation predicts would overwrite): a
+first column as wide as ``Phi`` (EigenPro 2.0's ``s``), so ``Phi`` is
+still a view, then columns of about ``n / 8`` rows, about 60% of the
+``n^2`` entries at ``s = n / 4``.  With ``l`` columns in ``alpha`` the
+product with that block is bound by the bytes it reads, so the fit
+reads it once per step: it carries the prediction
+``f = K(X, X) alpha``, zero while ``alpha`` is, and each step runs its
+update and correction from the carried ``f`` and ends with the one
+product of the block and the updated ``alpha``
+(:meth:`_KeptBlock.matmul`, two GEMMs per column).  The epoch's
 train-MSE monitor reads its rows of that product, and the next step
 starts from it.  The fit drops the block and ``f`` when it returns or
 raises.
@@ -121,6 +126,84 @@ def coordinate_update(alpha: Any, rows: Any, g: Any, gamma: float) -> None:
     splitting a batch's rows over several callers (the sharded trainer's
     parent and its shard 0) gives the same bits."""
     alpha[rows] -= gamma * g
+
+
+#: The kept full-batch block's columns after the first are about
+#: ``n / _KEPT_SPLITS`` wide.  Measured at ``n = 8000``, ``s = 2000``
+#: (float64, OpenBLAS, 2 threads): 4, 8, 16 and 32 form in the same time
+#: within noise, and 8 keeps 37.0M entries against 4's 40.0M while its
+#: product stays within noise of 4's.
+_KEPT_SPLITS = 8
+
+
+class _KeptBlock:
+    """The symmetric full-batch block ``K(X, X)``, kept as its lower
+    block columns.
+
+    Column ``j`` is the contiguous array ``K(X[o_j:], X[o_j : o_j + w_j])``
+    formed by one kernel call; the rows above ``o_j`` are the transposes
+    of earlier columns' rows and are neither evaluated nor held.  The
+    first width is ``lead`` (``Phi``'s width, so ``Phi = columns[0]``
+    with no copy), the others, and the first when ``lead`` is ``None``,
+    ``ceil(n / _KEPT_SPLITS)`` but the last; ``lead >= n`` keeps the one
+    ``(n, n)`` block.
+    """
+
+    __slots__ = ("offsets", "columns", "__weakref__")
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        x: Any,
+        x_sq_norms: Any | None,
+        lead: int | None,
+    ) -> None:
+        bk = get_backend()
+        dtype = compute_dtype(x)
+        n = x.shape[0]
+        step = -(-n // _KEPT_SPLITS)
+        lead = step if lead is None else min(lead, n)
+        self.offsets = [0, *range(lead, n, step)]
+        self.columns = []
+        for o, e in zip(self.offsets, self.offsets[1:] + [n]):
+            self.columns.append(
+                kernel(
+                    x[o:],
+                    x[o:e],
+                    out=bk.empty((n - o, e - o), dtype=dtype),
+                    x_sq_norms=None if x_sq_norms is None else x_sq_norms[o:],
+                    z_sq_norms=None if x_sq_norms is None else x_sq_norms[o:e],
+                )
+            )  # records kernel_eval ops for the entries formed
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        n = self.columns[0].shape[0]
+        return n, n
+
+    def matmul(self, w: Any) -> Any:
+        """``K(X, X) @ w`` in ``w``'s dtype; records no ops.
+
+        Per column, ``f[o:] += C_j w[o : e]`` adds the block's entries
+        on and below the diagonal block, ``f[o : e] += C_j[w_j:]^T w[e:]``
+        the ones above it.  Both run through
+        :func:`~repro.backend.master_matmul` with ``w`` first, one rule
+        for both tiers.  At ``n = 8000``, ``s = 2000``, ``l = 10``
+        (OpenBLAS, 2 threads) the product took 57 ms in float64 against
+        73–101 ms for the other orientations, and 45 ms in float32
+        against 40 ms for the fastest, ``C_j w`` first.
+        """
+        bk = get_backend()
+        n = w.shape[0]
+        f = bk.zeros(w.shape, dtype=bk.dtype_of(w))
+        for o, c in zip(self.offsets, self.columns):
+            e = o + c.shape[1]
+            f[o:] += master_matmul(c.T, w[o:e].T, bk, w_first=True).T
+            if e < n:
+                f[o:e] += master_matmul(
+                    c[e - o :], w[e:].T, bk, w_first=True
+                ).T
+        return f
 
 
 @dataclass(frozen=True)
@@ -243,7 +326,7 @@ class BaseKernelTrainer:
         # position -> caller row, and its inverse; None for the caller's.
         self._order: np.ndarray | None = None
         self._inv: np.ndarray | None = None
-        # Full-batch fits (m >= n) keep the one (n, n) block K(X, X) and
+        # Full-batch fits (m >= n) keep K(X, X) as a _KeptBlock and
         # carry the prediction K(X, X) alpha for the whole fit (module
         # docstring); all three reset when fit exits.
         self._keep_block = False
@@ -306,6 +389,12 @@ class BaseKernelTrainer:
         """Held positions of caller rows ``rows`` (themselves when the
         fit holds the caller's order)."""
         return rows if self._inv is None else self._inv[rows]
+
+    def _lead_width(self) -> int | None:
+        """Subclass hook: the width of the kept full-batch block's first
+        column, the columns a correction reads as one view; ``None``: as
+        wide as the others."""
+        return None
 
     def _extra_iteration_ops(self, m: int) -> int:
         """Subclass hook: operation count of the correction (0 for SGD)."""
@@ -612,32 +701,36 @@ class BaseKernelTrainer:
         ``self._x_sq_norms`` rather than re-reduced every iteration.
 
         The exception is a full-batch fit: its ``(n, n)`` block is formed
-        once into an array of its own and returned again, without a
-        kernel evaluation, by every later epoch's step.  A workspace view
-        would not survive that long: the validation predicts between
-        epochs reuse the same pooled buffer.  Forming it starts the
-        carried prediction at zero: ``alpha`` is still zero.
+        once, as the lower block columns of a :class:`_KeptBlock` whose
+        first column is :meth:`_lead_width` wide, and returned again,
+        without a kernel evaluation, by every later epoch's step.  A
+        workspace view would not survive that long: the validation
+        predicts between epochs reuse the same pooled buffer.  Forming
+        it starts the carried prediction at zero: ``alpha`` is still
+        zero.
         """
         if self._kept_block is not None:
             return self._kept_block
         bk = get_backend()
-        dtype = compute_dtype(x)
         with span("form_block", m=int(idx.shape[0])):
-            out = (
-                bk.empty((idx.shape[0], x.shape[0]), dtype=dtype)
-                if self._keep_block
-                else block_workspace().get(bk, idx.shape[0], x.shape[0], dtype)
-            )
-            x_norms = (
-                None if self._x_sq_norms is None else self._x_sq_norms[idx]
-            )
-            kb = self.kernel(
-                x[idx],
-                x,
-                out=out,
-                x_sq_norms=x_norms,
-                z_sq_norms=self._x_sq_norms,
-            )  # (m, n): records kernel_eval ops
+            if self._keep_block:
+                kb = _KeptBlock(
+                    self.kernel, x, self._x_sq_norms, self._lead_width()
+                )
+            else:
+                out = block_workspace().get(
+                    bk, idx.shape[0], x.shape[0], compute_dtype(x)
+                )
+                x_norms = (
+                    None if self._x_sq_norms is None else self._x_sq_norms[idx]
+                )
+                kb = self.kernel(
+                    x[idx],
+                    x,
+                    out=out,
+                    x_sq_norms=x_norms,
+                    z_sq_norms=self._x_sq_norms,
+                )  # (m, n): records kernel_eval ops
         if self._keep_block:
             self._kept_block = kb
             self._kept_f = bk.zeros(
@@ -648,20 +741,17 @@ class BaseKernelTrainer:
     def _contract(self, kb: Any) -> Any:
         """Predictions ``kb @ alpha`` for the rows of a kernel block, in
         ``alpha``'s dtype (:func:`~repro.backend.master_matmul`); records
-        the GEMM's ops.
+        the GEMM's ops, ``m * n * l`` whichever entries are held.
 
-        The kept full-batch block is contracted as ``(alpha^T kb^T)^T``,
-        with the same bits.  With OpenBLAS on a 2-vCPU x86 host, at
-        ``(8000, 8000) @ (8000, 10)``, that takes 64 ms instead of 98 ms
-        in float64 (57 ms instead of 49 ms in float32).  A mini-batch block
-        keeps ``kb @ alpha``, the orientation of every shard's
-        contraction, so the serial and sharded steps keep their bits.
+        The kept full-batch block runs its own product,
+        :meth:`_KeptBlock.matmul`.  A mini-batch block is contracted as
+        ``kb @ alpha``, the orientation of every shard's contraction, so
+        the serial and sharded steps keep their bits.
         """
-        bk = get_backend()
         f = (
-            master_matmul(kb.T, self._alpha.T, bk, w_first=True).T
+            kb.matmul(self._alpha)
             if kb is self._kept_block
-            else master_matmul(kb, self._alpha, bk)
+            else master_matmul(kb, self._alpha, get_backend())
         )
         record_ops("gemm", kb.shape[0] * kb.shape[1] * self._alpha.shape[1])
         return f

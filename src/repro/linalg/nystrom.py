@@ -21,7 +21,7 @@ property-style in ``tests/test_linalg_nystrom.py``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -221,6 +221,31 @@ def nystrom_extension(
     subsample projections ``K_s V``, from which the extension keeps only
     the ``(q,)`` table of ``beta(K_{P_i})`` over the subsample points.
     """
+    ext, k_s = _subsample_pairs(
+        kernel, x, subsample_size, q, seed=seed, indices=indices
+    )
+    # The subsample projections K_s V, from the real product: certified
+    # Ritz pairs only satisfy K_s V ~ V diag(sigma) to their residual, and
+    # K_s V is the product the training correction applies.
+    proj = to_numpy(k_s @ ext.eigvecs)
+    del k_s
+    table = beta_table(proj, to_numpy(kernel.diag(ext.points)), ext.eigvals)
+    table.setflags(write=False)  # shared by every truncation
+    return replace(ext, _subsample_beta=table)
+
+
+def _subsample_pairs(
+    kernel: Kernel,
+    x: Any,
+    subsample_size: int,
+    q: int,
+    *,
+    seed: int | None = 0,
+    indices: np.ndarray | None = None,
+) -> tuple[NystromExtension, Any]:
+    """The extension :func:`nystrom_extension` builds, without its
+    ``beta`` table (no ``K_s V`` product), and the ``K_s`` it solved.
+    The original EigenPro reads only the pairs."""
     bk = get_backend()
     x = bk.as_2d(bk.asarray(x))
     n = x.shape[0]
@@ -250,18 +275,13 @@ def nystrom_extension(
     eigvals, eigvecs = top_eigensystem(k_s, q)
     # Guard against tiny negative values from floating point round-off.
     eigvals = np.maximum(eigvals, 0.0)
-    # The subsample projections K_s V, from the real product: certified
-    # Ritz pairs only satisfy K_s V ~ V diag(sigma) to their residual, and
-    # K_s V is the product the training correction applies.
-    proj = to_numpy(k_s @ eigvecs)
-    del k_s
-    table = beta_table(proj, to_numpy(kernel.diag(points)), eigvals)
-    table.setflags(write=False)  # shared by every truncation
-    return NystromExtension(
-        kernel=kernel,
-        points=points,
-        eigvals=eigvals,
-        eigvecs=eigvecs,
-        indices=indices,
-        _subsample_beta=table,
+    return (
+        NystromExtension(
+            kernel=kernel,
+            points=points,
+            eigvals=eigvals,
+            eigvecs=eigvecs,
+            indices=indices,
+        ),
+        k_s,
     )

@@ -94,6 +94,28 @@ class TestEigenPro1:
         with pytest.raises(ConfigurationError):
             EigenPro1(GaussianKernel(bandwidth=1.0), q=1)
 
+    def test_setup_builds_no_beta_table(self, medium_dataset, monkeypatch):
+        """EigenPro 1.0 reads the subsample pairs only: its setup runs
+        no ``K_s V`` product and no ``beta`` table, and its eigenvectors
+        are those of the full extension's pairs."""
+        import repro.linalg.nystrom as nystrom
+
+        ds = medium_dataset
+        kernel = GaussianKernel(bandwidth=2.5)
+        ext = nystrom.nystrom_extension(kernel, ds.x_train, 200, 40, seed=0)
+        e_vals = ext.eigenfunction_values(ds.x_train)
+
+        def no_table(*args, **kwargs):
+            raise AssertionError("EigenPro1 built a beta table")
+
+        monkeypatch.setattr(nystrom, "beta_table", no_table)
+        t = EigenPro1(kernel, q=40, s=200, seed=0)
+        t._setup(ds.x_train, ds.y_train)
+        np.testing.assert_array_equal(
+            t.eigvecs_full_, e_vals / np.linalg.norm(e_vals, axis=0)
+        )
+        assert t.lambda_q_ == float(ext.operator_eigenvalues[-1])
+
     def test_faster_convergence_than_sgd_per_iteration(self, medium_dataset):
         """At the same batch size and iteration count, preconditioning
         must win (it's the same machinery as EigenPro 2.0)."""

@@ -7,14 +7,16 @@ import weakref
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
 from repro.baselines import EigenPro1, KernelSGD
 from repro.config import use_precision
 from repro.core.eigenpro2 import EigenPro2
-from repro.core.trainer import BaseKernelTrainer
+from repro.core.trainer import BaseKernelTrainer, _KeptBlock
 from repro.device import titan_xp
 from repro.exceptions import ConfigurationError, NotFittedError
 from repro.instrument import OpMeter, Tracer, meter_scope, trace_scope
-from repro.kernels import GaussianKernel, PolynomialKernel
+from repro.kernels import GaussianKernel, LaplacianKernel, PolynomialKernel
+from repro.kernels.ops import center_sq_norms
 
 
 @pytest.fixture()
@@ -260,6 +262,16 @@ class _FailsInEpochTwo(_Recording):
             raise RuntimeError("correction failed")
 
 
+def _kept_entries(n, lead=None):
+    """Entries of ``K(X, X)`` the kept block forms: ``sum (n - o_j) w_j``
+    over its lower block columns, a first one ``lead`` wide (default
+    ``ceil(n / 8)``), the rest ``ceil(n / 8)`` but the last."""
+    step = -(-n // 8)
+    offsets = [0, *range(min(lead or step, n), n, step)]
+    widths = np.diff(offsets + [n])
+    return int(sum((n - o) * w for o, w in zip(offsets, widths)))
+
+
 def _full_batch_trainer(name, n, **kwargs):
     # The subsample is all n points: with s < n the analytic step at
     # m = n diverges on this data, and a diverging fit would make the
@@ -373,9 +385,10 @@ class TestFullBatchRegime:
         t = self._explicit(n)
         with meter_scope() as meter:
             t.fit(x, y, epochs=3)
-        # One (n, n) block and one product with it a step; the monitor
-        # reads that product and adds no GEMM.
-        assert meter.total("kernel_eval") == n * n * d
+        # One (n, n) block, formed as its lower block columns, and one
+        # product with it a step; the monitor reads that product and adds
+        # no GEMM.
+        assert meter.total("kernel_eval") == _kept_entries(n) * d
         assert meter.total("gemm") == 3 * n * n * l
         assert t.reused == [True, True]
 
@@ -443,8 +456,79 @@ class TestFullBatchRegime:
             t.fit(ds.x_train, ds.y_train, epochs=3)
         assert t.batch_size_ == n
         assert meter.total("kernel_eval") == (
-            setup.total("kernel_eval") + n * n * d
+            setup.total("kernel_eval") + _kept_entries(n, lead=n) * d
         )
+
+    #: Agreement of the kept product with the dense ``K(X, X) @ w`` per
+    #: precision tier: they differ only in the order of their sums.
+    PRODUCT_RTOL = {"float64": 1e-13, "float32": 1e-4}
+
+    @pytest.mark.parametrize("tier", ["float64", "float32"])
+    @pytest.mark.parametrize("lead", [1, 20, 60, 150], ids=lambda w: f"lead{w}")
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            GaussianKernel(bandwidth=2.0),
+            LaplacianKernel(bandwidth=3.0),
+            PolynomialKernel(degree=3),
+        ],
+        ids=["gaussian", "laplacian", "polynomial"],
+    )
+    def test_kept_product_is_the_dense_product(self, kernel, lead, tier):
+        """First widths of 1, below ``n / 8`` (19 at ``n = 150``), above
+        it and ``n``."""
+        n = 150
+        rng = np.random.default_rng(11)
+        x, w = rng.standard_normal((n, 4)), rng.standard_normal((n, 3))
+        with use_precision(tier):
+            bk = get_backend()
+            x, w = bk.asarray(x), bk.asarray(w)
+            with meter_scope() as meter:
+                kept = _KeptBlock(kernel, x, center_sq_norms(kernel, x, bk), lead)
+            got = kept.matmul(w)
+            want = kernel(x, x) @ w
+        assert kept.shape == (n, n)
+        assert kept.columns[0].shape == (n, min(lead, n))
+        assert all(c.flags.c_contiguous for c in kept.columns)
+        assert meter.total("kernel_eval") == _kept_entries(n, lead) * 4
+        assert got.dtype == want.dtype
+        err = np.max(np.abs(got - want)) / np.max(np.abs(want))
+        assert err <= self.PRODUCT_RTOL[tier]
+
+    @pytest.mark.parametrize("name", ["eigenpro2", "eigenpro1"])
+    def test_full_batch_fit_is_the_dense_loop(self, small_dataset, name):
+        """Each epoch of a full-batch fit, written out on the dense
+        ``K(X, X)`` in the caller's order: ``g = K alpha - y``,
+        ``alpha -= gamma g``, then the trainer's correction (plain SGD:
+        :meth:`test_full_batch_sgd_is_the_written_out_loop`).  EigenPro
+        2.0 runs ``s < n`` with an explicit step that is stable on this
+        data."""
+        ds = small_dataset
+        x, y = ds.x_train, ds.y_train
+        n = x.shape[0]
+        kernel = GaussianKernel(bandwidth=2.5)
+        kb = kernel(x, x)
+        gamma = 0.5 / np.linalg.eigvalsh(kb)[-1]
+        common = dict(batch_size=n, step_size=gamma * n, seed=0, monitor_size=n)
+        if name == "eigenpro2":
+            t = EigenPro2(kernel, s=60, q=15, **common)
+        else:
+            t = EigenPro1(kernel, q=20, s=n, **common)
+        t.fit(x, y, epochs=3)
+        assert t.batch_size_ == n
+        alpha = np.zeros_like(y)
+        for _ in range(3):
+            g = kb @ alpha - y
+            alpha -= gamma * g
+            if name == "eigenpro2":
+                sub = t.preconditioner_.indices
+                alpha[sub] += gamma * t.preconditioner_.correction(kb[:, sub], g)
+            else:
+                v = t.eigvecs_full_
+                alpha += gamma * (v @ (t._d_scale[:, None] * (v.T @ (kb @ g))))
+        got = np.asarray(t.model_.weights)
+        assert np.max(np.abs(got - alpha)) <= 1e-12 * np.max(np.abs(alpha))
+        assert t.history_.final.train_mse < t.history_[0].train_mse
 
     def test_mini_batch_counts_unchanged(self, xy):
         x, y = xy
