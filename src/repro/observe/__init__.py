@@ -10,8 +10,8 @@
   op-count deltas.
 - **Metrics** (:mod:`~repro.observe.metrics`): a
   :class:`MetricsRegistry` of counters/gauges/histograms unifying op
-  totals, span durations, allreduce wait time, mirror-back queue depth
-  and recovery latency under one run-ID-stamped snapshot.
+  totals, span durations, allreduce wait time and recovery latency
+  under one run-ID-stamped snapshot.
 - **Export** (:mod:`~repro.observe.export`): JSON-lines event logs and
   Chrome/Perfetto ``trace_event`` files — a traced sharded fit renders
   as per-shard timelines in ``chrome://tracing``.

@@ -3,8 +3,8 @@
 One :class:`MetricsRegistry` per run unifies every quantitative signal
 the stack already produces — op totals from
 :class:`~repro.instrument.OpMeter`, span durations from
-:class:`~repro.observe.Tracer`, allreduce wait time, mirror-back
-queue depth, :class:`~repro.shard.recovery.RecoveryEvent` latency —
+:class:`~repro.observe.Tracer`, allreduce wait time,
+:class:`~repro.shard.recovery.RecoveryEvent` latency —
 under a single run-ID-stamped :meth:`~MetricsRegistry.snapshot`.
 
 Metric name conventions
@@ -15,8 +15,6 @@ Metric name conventions
 - ``span/<name>_s`` — histograms of per-span wall-clock seconds
   (``span/allreduce_s`` is the allreduce wait-time distribution).
 - ``span_count/<name>`` — counters of completed spans per name.
-- ``mirror/queue_depth`` — histogram of per-mirror queued push tasks
-  (0 when the transport writes through shared memory).
 - ``recovery/latency_s`` / ``recovery/replayed_steps`` — histograms
   over the recovery log.
 """
@@ -129,17 +127,10 @@ class MetricsRegistry:
 
     def ingest_tracer(self, tracer: Tracer) -> None:
         """Fold a tracer's spans into ``span/<name>_s`` histograms and
-        ``span_count/<name>`` counters.
-
-        Mirror spans additionally feed ``mirror/queue_depth`` from
-        their ``queued`` attribute, so the async mirror-back pressure
-        is visible without a dedicated gauge call site.
-        """
+        ``span_count/<name>`` counters."""
         for ev in tracer.events:
             self.observe(f"span/{ev.name}_s", ev.duration_s)
             self.inc(f"span_count/{ev.name}")
-            if ev.name == "mirror" and "queued" in ev.attrs:
-                self.observe("mirror/queue_depth", float(ev.attrs["queued"]))
 
     def ingest_recovery_events(self, events: Iterable[Any]) -> None:
         """Fold :class:`~repro.shard.recovery.RecoveryEvent`\\ s into

@@ -45,14 +45,13 @@ real array backends:
   runs on shard 0, which holds every subsample row, ahead of its next
   contraction, so ``Phi`` never crosses it either.
 
-Mirror-back of updated weight rows is *asynchronous* on every transport:
-NumPy thread shards see updates through zero-copy views, device-copy
-thread shards get a row push queued on their FIFO worker (drained at the
-next barrier, never awaited per update), and process shards read the
-rows straight out of shared memory after the parent's direct write.
-FIFO worker order — the transport contract — is what makes this sound:
-a weight-reading contraction is always queued after the mirror of the
-update it must observe.
+Mirror-back of updated weight rows has one rule on every transport: the
+caller writes the rows in place into every shard that does not hold a
+view of its array (a device copy, or the process transport's
+shared-memory segment), with no task and no barrier; NumPy thread shards
+see updates through zero-copy views.  It is sound because a
+weight-reading contraction is always queued after the write returns,
+and the executor queue orders the two.
 
 Checkpointing and elastic fault recovery
 ----------------------------------------

@@ -13,8 +13,8 @@
 3. the SGD coordinate update (step 3) runs where each weight row is
    owned, and the EigenPro correction (steps 4–5) on shard 0, which
    holds the subsample's rows (below); shards holding zero-copy views
-   see the caller's updates immediately, all other shards get the
-   touched rows mirrored back *asynchronously* (below).
+   see the caller's updates immediately, the caller writes the touched
+   rows into all other shards in place (below).
 
 The shards hold contiguous row ranges of the unsharded trainer's center
 order, subsample first
@@ -103,22 +103,15 @@ worker's OpenBLAS oversubscribing the cores.  Nothing stale is ever
 read — the prefetch touches no array the update or the correction
 writes — so the weights match the unsharded trainer.
 
-Asynchronous mirror-back
-------------------------
-The mirror of the rows the caller updated never barriers the caller:
-
-- thread transport, NumPy shards: the shards hold zero-copy views of
-  ``alpha`` — the update *is* the mirror;
-- thread transport, device-copy shards: the row push is queued on each
-  worker's FIFO and the resulting future is drained at the *next*
-  barrier (by then it has already completed — FIFO order put it before
-  the contraction that barrier awaited), surfacing push errors at most
-  one step late;
-- process transport: the parent writes the rows directly into the
-  shared-memory weight segment — no task, no IPC.  Ordering is by
-  construction: weight-reading contract tasks are only queued after the
-  write returns (the task channel's send/recv is the cross-process
-  happens-before edge), and in-flight prefetches never read weights.
+Mirror-back
+-----------
+The rows the caller updated reach the shards by one rule on every
+transport (:mod:`repro.shard.transport.base`): the caller writes them in
+place into each shard that does not hold a view of ``alpha`` — a device
+copy, or the process transport's shared-memory segment — with no task
+and no barrier.  NumPy thread shards hold views, so the update *is* the
+mirror.  The write returns before contraction ``t+1`` is queued, and the
+prefetched formation that may be in flight never reads weights.
 
 Elastic recovery
 ----------------
@@ -370,7 +363,6 @@ class ShardedEigenPro2(EigenPro2):
         self.shard_group_: ShardGroup | None = None
         self.recovery_log_: list[RecoveryEvent] = []
         self._cursor = 0
-        self._pending_mirror: PendingMap | None = None
         #: Subsample rows ``alpha[:s]`` the owner, shard 0, updates
         #: (``0`` without a preconditioner).
         self._owned_rows = 0
@@ -409,7 +401,6 @@ class ShardedEigenPro2(EigenPro2):
         if self.shard_group_ is not None:
             self.shard_group_.close()
         self.shard_group_ = group
-        self._pending_mirror = None
         group.scatter_state_items(self._shard_state(group))
 
     def _plan(self, x: Any, g: int, s: int, q: int) -> ShardPlan:
@@ -445,26 +436,16 @@ class ShardedEigenPro2(EigenPro2):
         return items
 
     # ----------------------------------------------------------- iteration
-    def _drain_pending_mirror(self) -> None:
-        """Surface any error from the previous step's queued row pushes.
-
-        Never a barrier in the steady state: the pushes were queued
-        before a contraction this caller has since awaited, so FIFO
-        worker order guarantees they already ran."""
-        pending, self._pending_mirror = self._pending_mirror, None
-        if pending is not None:
-            pending.result()
-
     def _apply_shard_step(
         self, f: Any, y: Any, idx: np.ndarray, gamma: float
     ) -> tuple | None:
         """Step 3 on the rows this caller owns, for the already
         all-reduced batch prediction ``f``, with the touched rows
-        mirrored to the shards asynchronously.  Returns the owner's
-        payload for the rest of the step — ``(idx, g, gamma)``, see
-        :func:`_apply_pending` — or ``None`` without a preconditioner.
+        written into the shards (:meth:`_mirror_rows`).  Returns the
+        owner's payload for the rest of the step — ``(idx, g, gamma)``,
+        see :func:`_apply_pending` — or ``None`` without a
+        preconditioner.
         """
-        self._drain_pending_mirror()
         g = f - y[idx]
         mine = idx >= self._owned_rows  # the subsample's rows: the owner's
         coordinate_update(self._alpha, idx[mine], g[mine], gamma)
@@ -476,7 +457,7 @@ class ShardedEigenPro2(EigenPro2):
     def _settle(self, pending: tuple | None) -> None:
         """Have the owner apply ``pending`` at the end of a span and
         every shard drop its block scratch, then refresh this caller's
-        copy of the subsample's weight rows from the owner."""
+        copy of the subsample's weight rows from the owner's rows."""
         group = self.shard_group_
         with span("correction_wait", step=self._cursor):
             group.map(_settle_task, pending)
@@ -484,7 +465,8 @@ class ShardedEigenPro2(EigenPro2):
         if s and group.needs_mirror:
             bk = get_backend()
             self._alpha[:s] = bk.asarray(
-                group.gather_weights()[:s], dtype=bk.dtype_of(self._alpha)
+                to_numpy(group.executors[0].weights[:s]),
+                dtype=bk.dtype_of(self._alpha),
             )
 
     # ------------------------------------------------------------- the epoch
@@ -580,7 +562,6 @@ class ShardedEigenPro2(EigenPro2):
         ))
         group = self.shard_group_
         if group.needs_mirror:
-            self._drain_pending_mirror()
             group.set_weights(to_numpy(self._alpha))
 
     def _recover_or_reraise(self, exc: Exception, x: Any) -> None:
@@ -604,7 +585,6 @@ class ShardedEigenPro2(EigenPro2):
         if new_g < 1:
             exc.checkpoint = self._anchor
             raise exc
-        self._pending_mirror = None
         with span("recovery/teardown", old_g=old_g):
             try:
                 group.close()
@@ -632,41 +612,29 @@ class ShardedEigenPro2(EigenPro2):
         )
 
     def _mirror_rows(self, global_idx: np.ndarray) -> None:
-        """Push updated weight rows to the shards without barriering
-        (no-op when every shard adopted a zero-copy view)."""
+        """Write updated weight rows into the shards in place (no-op when
+        every shard adopted a zero-copy view)."""
         group = self.shard_group_
-        if group is None or not group.needs_mirror:
+        if not group.needs_mirror:
             return
         global_idx = np.unique(np.asarray(global_idx))
-        rows = to_numpy(self._alpha[global_idx])
-        self._pending_mirror = group.mirror_rows(global_idx, rows)
+        group.mirror_rows(global_idx, to_numpy(self._alpha[global_idx]))
 
     # ------------------------------------------------------------- fitting
     def fit(self, x: np.ndarray, y: np.ndarray, **fit_kwargs: Any):
-        failed = False
         try:
             return super().fit(x, y, **fit_kwargs)
         except BaseException:
-            failed = True
-            raise
-        finally:
-            group = self.shard_group_
-            if group is not None:
+            # Per-shard (m, n_i) batch scratch should not stay pinned on
+            # the workers after a failed fit, mirroring the base trainer's
+            # main-thread workspace reset.  A fit that completed dropped
+            # it with each span's last settle (_run_span).
+            if self.shard_group_ is not None:
                 try:
-                    self._drain_pending_mirror()
-                    # Per-shard (m, n_i) batch scratch should not stay
-                    # pinned on the workers after training, mirroring the
-                    # base trainer's main-thread workspace reset.  A fit
-                    # that completed dropped it with each span's last
-                    # settle (_run_span).
-                    if failed:
-                        group.reset_workspaces()
+                    self.shard_group_.reset_workspaces()
                 except ShardError:
-                    # A dead transport must not mask the original
-                    # (already-propagating) failure; with no failure in
-                    # flight, surface it.
-                    if not failed:
-                        raise
+                    pass  # a dead transport must not mask the failure
+            raise
 
     # ----------------------------------------------------------- inference
     def predict_sharded(

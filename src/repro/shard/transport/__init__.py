@@ -12,8 +12,8 @@ engine object (public name ``repro.shard.ShardGroup``).  It splits
   shard.
 - :class:`~repro.shard.transport.process.ProcessTransport`
   (``"process"``) — one worker process per shard over shared-memory
-  center/weight blocks; tasks pay a real IPC round-trip, mirror-back is
-  a direct shared-memory write (asynchronous — no per-update barrier).
+  center/weight blocks; tasks pay a real IPC round-trip, while weight
+  rows are read and written in place there, as on every transport.
 
 Both are pinned by the same conformance suite
 (``tests/test_shard_transport_conformance.py``): bitwise-identical

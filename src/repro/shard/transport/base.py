@@ -16,7 +16,7 @@ two halves:
 - :class:`ShardTransport` — the one caller-side engine object that owns
   ``g`` workers and moves work and data to them: ``submit``/``map_async``
   (queue a task on every shard's FIFO worker), ``allreduce`` (combine
-  per-shard partials), ``mirror_rows`` (push updated weight rows back to
+  per-shard partials), ``mirror_rows`` (write updated weight rows into
   the shards) and the weight scatter/gather, accounting and lifecycle
   methods.  Public name: ``repro.shard.ShardGroup``.
 
@@ -34,13 +34,19 @@ op-count deltas (and worker spans, when tracing) that
 :meth:`PendingMap.result` relays to the calling thread are identical,
 and communication is metered separately under ``"allreduce"``.
 
-Ordering contract: each worker runs its queue FIFO.  This is what makes
-the asynchronous mirror-back sound — a mirror queued (or, for
-shared-memory transports, written directly) after step ``t``'s collective
-is always applied before step ``t+1``'s weight-dependent contraction,
-because that contraction is queued later — and what lets the sharded
-trainer queue step ``t+1``'s block formation behind step ``t``'s
+Ordering contract: each worker runs its queue FIFO.  This lets the
+sharded trainer queue step ``t+1``'s block formation behind step ``t``'s
 contraction with no extra synchronization, reusing one workspace buffer.
+
+Weight rows have one rule on every transport: the caller reads and
+writes them in place, through each executor's host-visible ``weights``
+(a view of the caller's array, a device copy, or a view of a
+shared-memory segment), and the task channel carries only tasks.  The
+sharded trainer writes the rows it updated after awaiting step ``t`` and
+queues contraction ``t+1`` after the write returns; the only task that
+can be in flight meanwhile is a block formation, which never reads
+weights, and the executor queue (a thread pool's lock, a pipe's
+send/recv) orders the write before the contraction.
 """
 
 from __future__ import annotations
@@ -126,8 +132,8 @@ class ShardWorker:
         Optional shard weight rows ``(n_i, l)``.  When the source rows
         are a NumPy slice and the backend is NumPy they are adopted as a
         zero-copy *view* (updates write through to the source array);
-        otherwise a device copy is made and the transport mirrors
-        updates back.
+        otherwise a device copy is made, which
+        :meth:`ShardTransport.mirror_rows` writes updates into.
     """
 
     def __init__(
@@ -373,20 +379,6 @@ def _drain_workspace_task(worker: ShardWorker) -> None:
     worker.drain_workspace()
 
 
-def _push_rows_task(
-    worker: ShardWorker,
-    parts: Sequence[tuple[np.ndarray, np.ndarray]],
-    rows: np.ndarray,
-) -> None:
-    """Apply updated weight rows on a shard holding a device copy (no-op
-    for zero-copy-view shards, which already see the update)."""
-    positions, local = parts[worker.shard_id]
-    if positions.size and not worker.weights_is_view:
-        worker.weights[local] = worker.backend.asarray(
-            rows[positions], dtype=worker.backend.dtype_of(worker.weights)
-        )
-
-
 class ShardTransport(abc.ABC):
     """Caller-side engine driving ``g`` shard workers somewhere.
 
@@ -396,10 +388,12 @@ class ShardTransport(abc.ABC):
     context manager.
 
     Implementations own the workers' lifetime and the channel that moves
-    tasks, results and weight rows between the caller and the shards.
-    Every transport must preserve two invariants: per-worker FIFO task
-    order (see the module docstring) and bit-exact task results — the
-    transport moves bytes, it never re-computes.  Every collective
+    tasks and results between the caller and the shards; weight rows
+    never ride it: :meth:`set_weights`, :meth:`mirror_rows` and
+    :meth:`gather_weights` read and write each executor's ``weights`` in
+    place (module docstring).  Every transport must preserve two
+    invariants: per-worker FIFO task order and bit-exact task results —
+    the transport moves bytes, it never re-computes.  Every collective
     dispatches through :meth:`_submit_all`; the public ``map*`` methods
     are what external profilers wrap.
     """
@@ -633,50 +627,67 @@ class ShardTransport(abc.ABC):
     # -------------------------------------------------------------- weights
     @property
     def needs_mirror(self) -> bool:
-        """True when updated weight rows must be pushed back to the
-        shards (False when every shard adopted a zero-copy view of the
-        caller's weights)."""
-        return any(not ex.weights_is_view for ex in self.executors)
+        """True when some shard holds weight rows that are not a view of
+        the caller's array, so the caller's updates must be written into
+        them (:meth:`mirror_rows`)."""
+        return any(
+            ex.weights is not None and not ex.weights_is_view
+            for ex in self.executors
+        )
 
-    def mirror_rows(
-        self, global_idx: np.ndarray, rows: np.ndarray
-    ) -> PendingMap | None:
-        """Push updated weight rows (``rows[k]`` is global row
-        ``global_idx[k]``) to the shards *without barriering*.
+    def _held_weights(self) -> list[Any]:
+        """Every shard's ``weights``, in shard order (module docstring:
+        the caller reads and writes them in place)."""
+        self._require_serving()
+        held = [ex.weights for ex in self.executors]
+        if any(w is None for w in held):
+            raise ConfigurationError("transport holds no weights")
+        return held
 
-        Default implementation queues a push task per shard and returns
-        its :class:`PendingMap`; FIFO worker order guarantees the rows
-        land before any later-queued contraction.  Shared-memory
-        transports override with a direct write and return ``None``.
-        The caller may await the returned map at any later barrier to
-        surface push errors — never to order the write.
-        """
+    def mirror_rows(self, global_idx: np.ndarray, rows: np.ndarray) -> None:
+        """Write updated weight rows (``rows[k]`` is global row
+        ``global_idx[k]``) into every shard that does not hold a view of
+        them, in place, in each shard's dtype.
+
+        No task is queued and nothing barriers: a task queued after this
+        returns reads the new rows (module docstring)."""
+        self._require_serving()
         if not self.needs_mirror:
-            return None
-        with span(
-            "mirror",
-            transport=self.name,
-            rows=len(np.asarray(global_idx)),
-            queued=self.g,
-        ):
-            parts = self.plan.localize(np.asarray(global_idx))
-            return self._submit_all(_push_rows_task, (parts, rows), {})
+            return
+        idx = np.asarray(global_idx)
+        with span("mirror", transport=self.name, rows=len(idx)):
+            for ex, (positions, local) in zip(
+                self.executors, self.plan.localize(idx)
+            ):
+                if positions.size and not ex.weights_is_view:
+                    bk = ex.backend
+                    ex.weights[local] = bk.asarray(
+                        rows[positions], dtype=bk.dtype_of(ex.weights)
+                    )
 
     def gather_weights(self) -> np.ndarray:
         """Concatenate all shard weight rows back into one host array."""
-        self._require_serving()
+        held = self._held_weights()
         with span("gather", transport=self.name, g=self.g):
-            parts = []
-            for ex in self.executors:
-                if ex.weights is None:
-                    raise ConfigurationError("transport holds no weights")
-                parts.append(to_numpy(ex.weights))
-            return np.concatenate(parts, axis=0)
+            return np.concatenate([to_numpy(w) for w in held], axis=0)
 
-    @abc.abstractmethod
     def set_weights(self, weights: Any) -> None:
-        """Scatter a full ``(n, l)`` weight array (any backend's) onto
-        the shards (barriers: on return every shard sees the new rows)."""
+        """Write a full ``(n, l)`` weight array (any backend's) into the
+        shards' rows in place, in each shard's dtype: a task queued after
+        this returns reads the new rows.  A shape other than the held
+        weights' raises :class:`~repro.exceptions.ConfigurationError`."""
+        held = self._held_weights()
+        weights_np = np.asarray(to_numpy(weights))
+        shape = (self.plan.n, *held[0].shape[1:])
+        if weights_np.shape != shape:
+            raise ConfigurationError(
+                f"weights shape {weights_np.shape} does not match "
+                f"sharded weights {shape}"
+            )
+        for ex, w, sl in zip(self.executors, held, self.plan.slices):
+            w[...] = ex.backend.asarray(
+                weights_np[sl], dtype=ex.backend.dtype_of(w)
+            )
 
     # ------------------------------------------------------------- liveness
     def alive(self) -> list[bool]:

@@ -23,13 +23,11 @@ Architecture
   ``map_async`` never blocks on pipe capacity.  Tasks and results are
   pickled: submitted callables must be module-level functions (all the
   library's tasks are).
-- **Asynchronous mirror-back.**  Because the weight rows live in shared
-  memory, :meth:`ProcessTransport.mirror_rows` is a direct host write by
-  the parent — no task, no IPC, no barrier.  It is sound because only
-  weight-dependent *contract* tasks read the rows, any such task is
-  queued after the write returns, and the task's send/recv provides the
-  inter-process happens-before edge.  (Block *formation* tasks may be in
-  flight during the write; they never read weights.)
+- **Weight rows in place.**  Because the weight rows live in shared
+  memory, the parent's executors hold views of them, and the one weight
+  rule of :mod:`repro.shard.transport.base` (the caller writes and reads
+  rows in place) needs no task and no IPC; the next task's send/recv is
+  the inter-process happens-before edge.
 - **Failure containment.**  A worker that dies mid-task (killed, OOM,
   crash) surfaces as a :class:`~repro.exceptions.ShardError` naming the
   shard — never a hang — and the transport stays closeable: ``close()``
@@ -77,16 +75,11 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import (
-    ArrayBackend,
-    NumpyBackend,
-    set_blas_threads,
-    to_numpy,
-)
+from repro.backend import ArrayBackend, NumpyBackend, set_blas_threads
 from repro.backend.threads import usable_cpus
 from repro.config import current_precision
 from repro.exceptions import ConfigurationError, ShardError
-from repro.instrument import capture, span
+from repro.instrument import capture
 from repro.shard.plan import ShardPlan
 from repro.shard.transport.base import ShardTransport, ShardWorker
 
@@ -631,50 +624,6 @@ class ProcessTransport(ShardTransport):
             return value
         spec, _ = self._new_segment(np.ascontiguousarray(value))
         return _SharedArray(spec)
-
-    # -------------------------------------------------------------- weights
-    @property
-    def needs_mirror(self) -> bool:
-        # Weight rows live in shared segments, not in the caller's array:
-        # updates must be mirrored — by a direct write, not a task.
-        return self._weights_view is not None
-
-    def mirror_rows(
-        self, global_idx: np.ndarray, rows: np.ndarray
-    ) -> None:
-        """Write updated weight rows straight into the shared segment.
-
-        Asynchronous by construction: no task is queued and no barrier
-        taken (``rpc_count`` is untouched).  Safe because weight-reading
-        tasks are only ever queued *after* this write returns, and the
-        queue's send/recv gives the cross-process ordering edge; tasks
-        already in flight are block formations, which never read weights.
-        """
-        self._require_serving()
-        if self._weights_view is None:
-            raise ConfigurationError("transport holds no weights")
-        idx = np.asarray(global_idx)
-        with span("mirror", transport=self.name, rows=len(idx), queued=0):
-            self._weights_view[idx] = rows
-
-    def gather_weights(self) -> np.ndarray:
-        self._require_serving()
-        if self._weights_view is None:
-            raise ConfigurationError("transport holds no weights")
-        with span("gather", transport=self.name, g=self.g):
-            return self._weights_view.copy()
-
-    def set_weights(self, weights: Any) -> None:
-        self._require_serving()
-        if self._weights_view is None:
-            raise ConfigurationError("transport holds no weights")
-        weights_np = np.asarray(to_numpy(weights))
-        if weights_np.shape != self._weights_view.shape:
-            raise ConfigurationError(
-                f"weights shape {weights_np.shape} does not match "
-                f"sharded weights {self._weights_view.shape}"
-            )
-        self._weights_view[...] = weights_np
 
     # ----------------------------------------------------------- accounting
     def op_counts(self) -> dict[str, int]:

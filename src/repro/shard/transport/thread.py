@@ -5,12 +5,12 @@ ShardWorker` (the shard's arrays, meter and execution scopes) fused with
 a dedicated single-thread FIFO pool, so worker-side state and the
 caller-side handle are the same object.  The "network" of this transport
 is a host memcpy: NumPy shards adopt zero-copy views of the caller's
-weight rows (mirror-back is the identity), device-backed shards
-(``torch:cuda:<i>``) hold device copies that the transport mirrors with
-queued row pushes.  Because every executor runs one FIFO worker thread,
-the per-thread :class:`~repro.kernels.ops.BlockWorkspace` high-water
-mark *is* the shard's scratch peak, and queued mirrors are ordered
-before later-queued contractions with no extra synchronization.
+weight rows (an update needs no mirror), device-backed shards
+(``torch:cuda:<i>``) hold device copies that the caller writes updated
+rows into, as on every transport (:mod:`repro.shard.transport.base`).
+Because every executor runs one FIFO worker thread, the per-thread
+:class:`~repro.kernels.ops.BlockWorkspace` high-water mark *is* the
+shard's scratch peak.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.backend import ArrayBackend, NumpyBackend, resolve_backend, to_numpy
+from repro.backend import ArrayBackend, NumpyBackend, resolve_backend
 from repro.config import current_precision
 from repro.exceptions import ConfigurationError, ShardError
 from repro.instrument import capture
@@ -153,22 +153,6 @@ class ThreadTransport(ShardTransport):
             )
             for i, (spec, sl) in enumerate(zip(specs, plan.slices))
         ]
-
-    # -------------------------------------------------------------- weights
-    def set_weights(self, weights: Any) -> None:
-        self._require_serving()
-        weights_np = np.asarray(to_numpy(weights))
-        if weights_np.shape[0] != self.plan.n:
-            raise ConfigurationError(
-                f"weights has {weights_np.shape[0]} rows, plan expects "
-                f"{self.plan.n}"
-            )
-        for ex, sl in zip(self.executors, self.plan.slices):
-            if ex.weights_is_view and isinstance(ex.weights, np.ndarray):
-                ex.weights[...] = weights_np[sl]
-            else:
-                ex.weights = ex.backend.asarray(weights_np[sl])
-                ex.weights_is_view = False
 
     # ----------------------------------------------------------- accounting
     def op_counts(self) -> dict[str, int]:

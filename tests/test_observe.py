@@ -284,11 +284,11 @@ class TestTransportSpanRelayParity:
         got = set(self._traced_fit(transport).counts())
         ref = set(self._traced_fit("thread").counts())
         # Same phase vocabulary everywhere; a transport that actually
-        # mirrors (view-less weights) adds exactly the spans the thread
-        # reference's zero-copy views never need: the mirror, and the
-        # settle's gather of the owner's rows.
+        # mirrors (view-less weights) adds exactly the span the thread
+        # reference's zero-copy views never need: the mirror.  The
+        # settle reads the owner's rows in place, with no gather.
         assert ref <= got, f"{transport}: missing spans {ref - got}"
-        assert got - ref <= {"mirror", "gather"}, (
+        assert got - ref <= {"mirror"}, (
             f"{transport}: unexpected spans {got - ref}"
         )
 
@@ -506,7 +506,7 @@ class TestMetricsRegistry:
         tracer = Tracer()
         with trace_scope(tracer):
             record_span("allreduce", 0.0, 0.5, g=2)
-            record_span("mirror", 1.0, 0.1, rows=4, queued=2)
+            record_span("mirror", 1.0, 0.1, rows=4)
         registry.ingest_tracer(tracer)
 
         class _Event:
@@ -525,7 +525,6 @@ class TestMetricsRegistry:
         assert snap["histograms"]["span/allreduce_s"]["sum"] == (
             pytest.approx(0.5)
         )
-        assert snap["histograms"]["mirror/queue_depth"]["max"] == 2
         assert snap["histograms"]["recovery/latency_s"]["count"] == 1
 
     def test_histogram_summary_stats(self):

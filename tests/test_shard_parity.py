@@ -39,6 +39,7 @@ from repro.shard import (
     sharded_kernel_matvec,
     sharded_predict,
 )
+from shard_helpers import CopyingBackend
 
 _ENV_G = os.environ.get("REPRO_SHARD_G")
 G_VALUES = [int(_ENV_G)] if _ENV_G else [1, 2, 4]
@@ -336,17 +337,10 @@ class TestShardedEigenPro2:
         history are bitwise those of zero-copy-view shards.  At g = 4
         shard 0 holds the subsample (s = 80) on more rows than the
         others."""
-        from repro.backend import NumpyBackend
         from repro.config import use_precision
 
-        class _Copying(NumpyBackend):
-            def asarray(self, x, dtype=None):
-                return np.array(
-                    x, dtype=None if dtype is None else self._dtype(dtype)
-                )
-
         fits = []
-        for backends in (None, [_Copying() for _ in range(g)]):
+        for backends in (None, [CopyingBackend() for _ in range(g)]):
             trainer = ShardedEigenPro2(
                 GaussianKernel(bandwidth=2.5), n_shards=g,
                 shard_backends=backends, device=titan_xp(), s=80,

@@ -15,10 +15,11 @@ the same contract:
 - **exact aggregate op counts** vs the unsharded trainer for every
   compute category, with communication metered separately under
   ``"allreduce"`` (zero at ``g = 1``);
-- **asynchronous mirror-back**: the process-architecture row mirror is a
-  direct shared-memory write — visible to the workers, no task, no
-  barrier — pinned by exact per-worker RPC counts of the trainer's
-  step (a prefetched form task plus a contract task per iteration);
+- **one weight-row rule**: the caller writes shard weight rows in place
+  on every transport that does not hold views — visible to the workers,
+  no task, no barrier — pinned by exact per-worker task counts of the
+  trainer's step (a prefetched form task plus a contract task per
+  iteration), and ``set_weights`` keeps every shard's shape and dtype;
 - seeded runs are reproducible per transport.
 
 ``REPRO_SHARD_G`` restricts the shard counts (single value or comma
@@ -51,6 +52,8 @@ from repro.shard import (
     sharded_kernel_matvec,
     sharded_predict,
 )
+from repro.shard.transport.thread import ShardExecutor
+from shard_helpers import CopyingBackend
 
 _ENV_G = os.environ.get("REPRO_SHARD_G")
 G_VALUES = (
@@ -89,6 +92,58 @@ needs_process = pytest.mark.skipif(
     not ProcessTransport.is_available(),
     reason="platform lacks fork-safe shared memory",
 )
+
+
+def _layout_params(layouts):
+    return [
+        pytest.param(
+            t, copying, id=f"{t}-{'copies' if copying else 'views'}",
+            marks=_transport_param(t).marks,
+        )
+        for t, copying in layouts
+        if t in TRANSPORTS
+    ]
+
+
+#: Where shard weight rows can live: views of the caller's array (NumPy
+#: thread shards), copies (thread shards on a copying backend, as device
+#: backends are) and shared-memory segments (process shards).
+weight_layouts = pytest.mark.parametrize(
+    "transport, copying",
+    _layout_params([("thread", False), ("thread", True), ("process", False)]),
+)
+#: The layouts whose rows the caller's updates must be mirrored into.
+mirrored_layouts = pytest.mark.parametrize(
+    "transport, copying",
+    _layout_params([("thread", True), ("process", False)]),
+)
+
+
+def _layout_backends(copying, g):
+    return [CopyingBackend() for _ in range(g)] if copying else None
+
+
+def _count_tasks(monkeypatch):
+    """Count, per shard id, the tasks given to thread executors from now
+    on (process executors count their own round trips in ``rpc_count``)."""
+    counts: dict[int, int] = {}
+    for name in ("submit", "submit_metered"):
+        submit = getattr(ShardExecutor, name)
+
+        def counted(ex, *args, _submit=submit, **kwargs):
+            counts[ex.shard_id] = counts.get(ex.shard_id, 0) + 1
+            return _submit(ex, *args, **kwargs)
+
+        monkeypatch.setattr(ShardExecutor, name, counted)
+    return counts
+
+
+def _tasks_run(group, counts):
+    """Tasks each shard of ``group`` was given (see :func:`_count_tasks`)."""
+    if group.name == "process":
+        return [ex.rpc_count for ex in group.executors]
+    return [counts.get(i, 0) for i in range(group.g)]
+
 
 KW = dict(s=80, batch_size=32, seed=0, damping=0.9)
 BANDWIDTH = 2.5
@@ -271,23 +326,28 @@ class TestShardedOpsConformance:
             assert allreduce == (g - 1) * x.shape[0] * weights.shape[1]
 
 
-class TestProcessMirrorBack:
-    """The async mirror contract: a direct shared-memory write, visible
-    to the workers, riding no task channel."""
+class TestMirrorBack:
+    """The one weight-row rule: the caller writes shard rows in place,
+    visible to the workers, riding no task channel, on every transport."""
 
-    @needs_process
-    def test_write_through_without_rpc(self, problem):
+    @mirrored_layouts
+    def test_write_through_without_task(
+        self, problem, transport, copying, monkeypatch
+    ):
         centers, weights, _ = problem
+        counts = _count_tasks(monkeypatch)
         with ShardGroup.build(
-            centers, weights, g=2, transport="process"
+            centers, weights, g=2, transport=transport,
+            backends=_layout_backends(copying, 2),
         ) as group:
-            before = [ex.rpc_count for ex in group.executors]
+            assert group.needs_mirror
+            before = _tasks_run(group, counts)
             idx = np.array([0, 5, centers.shape[0] - 1])
             rows = np.full((3, weights.shape[1]), 42.0)
-            assert group.mirror_rows(idx, rows) is None  # no PendingMap
+            assert group.mirror_rows(idx, rows) is None
             # No task was queued for the mirror...
-            assert [ex.rpc_count for ex in group.executors] == before
-            # ...yet the workers observe the new rows.
+            assert _tasks_run(group, counts) == before
+            # ...yet a task queued afterwards reads the new rows.
             parts = group.plan.localize(idx)
             for shard_id, (positions, local) in enumerate(parts):
                 if not positions.size:
@@ -297,29 +357,58 @@ class TestProcessMirrorBack:
                 ).result()
                 np.testing.assert_array_equal(seen, rows[positions])
 
-    @needs_process
-    def test_trainer_never_queues_mirror_tasks(self, small_dataset):
-        """End to end: a process-transport fit performs no
-        per-update mirror barrier — its RPC traffic is exactly the
-        form/contract (+ state setup and teardown) tasks."""
+    @mirrored_layouts
+    def test_trainer_never_queues_mirror_tasks(
+        self, small_dataset, transport, copying, monkeypatch
+    ):
+        """End to end: a fit whose shards copy their weights performs no
+        per-update mirror task — each worker runs exactly the
+        form/contract (+ state setup and settle) tasks."""
+        counts = _count_tasks(monkeypatch)
         trainer = ShardedEigenPro2(
             GaussianKernel(bandwidth=BANDWIDTH),
             n_shards=2,
-            transport="process",
+            shard_backends=_layout_backends(copying, 2),
+            transport=transport,
             device=titan_xp(),
             **KW,
         )
         try:
             trainer.fit(small_dataset.x_train, small_dataset.y_train, epochs=1)
-            assert trainer._pending_mirror is None
+            assert trainer.shard_group_.needs_mirror
             iterations = trainer.history_.final.iterations
             # Tasks per worker: one batched state setup, form + contract
-            # per iteration (2 each), one workspace drain.
+            # per iteration (2 each), one settle.
             expected = 1 + 2 * iterations + 1
-            for ex in trainer.shard_group_.executors:
-                assert ex.rpc_count == expected
+            assert _tasks_run(trainer.shard_group_, counts) == [expected] * 2
         finally:
             trainer.close()
+
+
+class TestSetWeights:
+    """``set_weights`` is one in-place write on every transport: a shape
+    other than the held weights' raises ``ConfigurationError`` and every
+    shard keeps its dtype and shape."""
+
+    @weight_layouts
+    def test_rejects_wrong_shape_and_keeps_dtype(self, transport, copying):
+        rng = np.random.default_rng(5)
+        centers = rng.standard_normal((10, 4))
+        weights = rng.standard_normal((10, 2))
+        with ShardGroup.build(
+            centers, weights, g=2, transport=transport,
+            backends=_layout_backends(copying, 2),
+        ) as group:
+            with pytest.raises(ConfigurationError, match="shape"):
+                group.set_weights(np.ones((10, 3)))
+            new = rng.standard_normal((10, 2)).astype(np.float32)
+            group.set_weights(new)
+            for ex in group.executors:
+                assert ex.weights.shape == (5, 2)
+                assert ex.weights.dtype == np.float64
+            np.testing.assert_array_equal(
+                group.gather_weights(), new.astype(np.float64)
+            )
 
 
 class _RecordingConn:
